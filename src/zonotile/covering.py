@@ -13,7 +13,9 @@ consecutive events sample the midpoint of every gap in the ladder of
 edges crossing the slab.  Every positive-area face of the arrangement
 restricted to the cell receives at least one strictly interior sample, and
 no sample ever lands on an edge, so boundary handling never needs a
-tolerance.
+tolerance.  ``arrangement_faces`` is the one place this decomposition is
+built: the verifier, the strip profiles and the SVG renderer all read its
+faces.
 """
 
 from __future__ import annotations
@@ -33,7 +35,10 @@ __all__ = [
     "TranslateSet",
     "WindowPattern",
     "VerifyReport",
+    "Face",
     "lattice_points_in_box",
+    "region_translates",
+    "arrangement_faces",
     "covering_at",
     "verify_covering",
     "strip_profile",
@@ -360,7 +365,8 @@ class _Counter:
         return total
 
 
-def _region_translates(poly: Polygon, tset: TranslateSet, region_bbox: Box):
+def region_translates(poly: Polygon, tset: TranslateSet, region_bbox: Box):
+    """The translates (with multiplicities) whose copy of poly can meet the box."""
     pb = poly.bbox
     search = Box(
         region_bbox.x0 - pb.x1,
@@ -371,8 +377,31 @@ def _region_translates(poly: Polygon, tset: TranslateSet, region_bbox: Box):
     return tset.points_in(search)
 
 
-def _exact_face_samples(poly: Polygon, translates, region: Polygon):
-    """One strictly interior sample point per arrangement face inside region."""
+@dataclass(frozen=True)
+class Face:
+    """One trapezoid of the vertical decomposition: the part of the slab
+    x0 < x < x1 strictly between two consecutive ladder segments."""
+
+    x0: FieldElement
+    x1: FieldElement
+    lower: _Segment
+    upper: _Segment
+    sample: PlaneVector
+    count: int
+
+    def corners(self) -> tuple[PlaneVector, PlaneVector, PlaneVector, PlaneVector]:
+        """The four corners, counterclockwise from the lower left."""
+        return (
+            PlaneVector(self.x0, self.lower.y_at(self.x0)),
+            PlaneVector(self.x1, self.lower.y_at(self.x1)),
+            PlaneVector(self.x1, self.upper.y_at(self.x1)),
+            PlaneVector(self.x0, self.upper.y_at(self.x0)),
+        )
+
+
+def arrangement_faces(poly: Polygon, translates, region: Polygon) -> list[Face]:
+    """Every face of the translate-edge arrangement inside region, each with
+    one strictly interior sample point and its covering count."""
     counter = _Counter(poly, translates)
     segments = [_Segment(a, b) for a, b in region.edges()]
     seen = set()
@@ -391,19 +420,23 @@ def _exact_face_samples(poly: Polygon, translates, region: Polygon):
                 xs.append(x)
     xs.extend(_crossing_abscissas(segments, rb.x0, rb.x1))
     xs = _dedup_sorted(xs)
-    samples = []
-    for i in range(len(xs) - 1):
-        xm = (xs[i] + xs[i + 1]) / 2
-        ys = []
+    faces = []
+    for xa, xb in zip(xs, xs[1:]):
+        xm = (xa + xb) / 2
+        ladder = []
         for s in segments:
             if (xm - s.xlo).sign() > 0 and (s.xhi - xm).sign() > 0:
-                ys.append(s.y_at(xm))
-        ys = _dedup_sorted(ys)
-        for k in range(len(ys) - 1):
-            pt = PlaneVector(xm, (ys[k] + ys[k + 1]) / 2)
+                ladder.append((s.y_at(xm), s))
+        ladder.sort(key=lambda rung: rung[0])
+        rungs = []
+        for y, s in ladder:
+            if not rungs or not (y - rungs[-1][0]).is_zero():
+                rungs.append((y, s))
+        for (ylo, slo), (yhi, shi) in zip(rungs, rungs[1:]):
+            pt = PlaneVector(xm, (ylo + yhi) / 2)
             if region.locate(pt) == 1:
-                samples.append((pt, counter.count(pt)))
-    return samples
+                faces.append(Face(xa, xb, slo, shi, pt, counter.count(pt)))
+    return faces
 
 
 def _report_from_samples(samples, window_relative: bool) -> VerifyReport:
@@ -455,10 +488,10 @@ def verify_covering(
     else:
         region = _windowed_region(poly, tset)
         window_relative = True
-    translates = _region_translates(poly, tset, region.bbox)
+    translates = region_translates(poly, tset, region.bbox)
     if mode == "exact":
-        pts = _exact_face_samples(poly, translates, region)
-        return _report_from_samples(pts, window_relative)
+        faces = arrangement_faces(poly, translates, region)
+        return _report_from_samples([(f.sample, f.count) for f in faces], window_relative)
     counter = _Counter(poly, translates)
     rng = Random(_SAMPLED_SEED)
     rb = region.bbox
@@ -506,9 +539,8 @@ def strip_profile(poly: Polygon, lat: PlaneLattice, n_values) -> list[int]:
         region = Polygon(
             Box(field.zero(), field.rational(n), period, field.rational(n + 1)).corners()
         )
-        translates = _region_translates(poly, tset, region.bbox)
-        pts = _exact_face_samples(poly, translates, region)
-        counts = {c for _, c in pts}
+        translates = region_translates(poly, tset, region.bbox)
+        counts = {f.count for f in arrangement_faces(poly, translates, region)}
         if len(counts) != 1:
             raise GeometryError(f"covering is not constant on strip [{n}, {n + 1}]: counts {sorted(counts)}")
         out.append(counts.pop())

@@ -261,14 +261,6 @@ class FieldElement:
             return NotImplemented
         return o / self
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = self.field.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
     def _conjugate(self, i: int) -> FieldElement:
         """Negate every monomial containing radicand index ``i``."""
         return FieldElement(
@@ -357,10 +349,6 @@ class FieldElement:
             if hi - lo <= tol:
                 return (lo, hi)
             prec *= 2
-
-    def __float__(self) -> float:
-        lo, hi = self.approx(52)
-        return float((lo + hi) / 2)
 
     def floor(self) -> int:
         q = self.rational_value()

@@ -88,9 +88,9 @@ def parse_element_text(text: str, field: Field | None = None) -> FieldElement:
             if head:
                 if head.endswith("*"):
                     head = head[:-1]
-                coef *= Fraction(head)
+                coef *= parse_rational(head)
         else:
-            coef *= Fraction(body)
+            coef *= parse_rational(body)
         parsed.append((coef, rad))
         if rad is not None and rad >= 2:
             rads.add(rad)
@@ -136,7 +136,10 @@ def decode_element(terms, field: Field) -> FieldElement:
             raise GeometryError(f"bad monomial key {name!r}")
         if mask in coeffs:
             raise GeometryError(f"duplicate monomial {name!r}")
-        coeffs[mask] = Fraction(int(term["num"]), int(term["den"]))
+        den = int(term["den"])
+        if den == 0:
+            raise GeometryError(f"term {term!r} has a zero denominator")
+        coeffs[mask] = Fraction(int(term["num"]), den)
     return field.element(coeffs)
 
 
@@ -163,7 +166,10 @@ def decode_lattice(doc, field: Field) -> PlaneLattice:
 
 
 def _decode_field(doc, field: Field | None = None) -> Field:
-    declared = Field(doc.get("field", []))
+    rads = doc.get("field", [])
+    if not isinstance(rads, list) or any(type(d) is not int for d in rads):
+        raise GeometryError(f"'field' must be a list of integer radicands, got {rads!r}")
+    declared = Field(rads)
     return declared if field is None else field.union(declared)
 
 
@@ -225,8 +231,7 @@ def decode_scene_document(doc) -> tuple[Polygon, TranslateSet, str]:
         raise GeometryError("scene needs a 'lambda' entry")
     if "builtin" in lam:
         window = _decode_window(lam["window"]) if "window" in lam else None
-        field_doc = doc.get("field")
-        field = Field(field_doc) if field_doc else None
+        field = _decode_field(doc) if doc.get("field") else None
         beta = _decode_beta(lam.get("beta"), field)
         poly, tset = builtin_scene(lam["builtin"], window=window, beta=beta)
         return poly, tset, mode

@@ -179,10 +179,6 @@ class PlaneLattice:
         return self.b1.field
 
     @property
-    def det_signed(self) -> FieldElement:
-        return self._det
-
-    @property
     def det(self) -> FieldElement:
         """The positive covolume |det(b1, b2)|."""
         return abs(self._det)

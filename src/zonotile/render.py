@@ -1,27 +1,18 @@
 """Deterministic SVG pictures of covering scenes.
 
 Faces of the translate-edge arrangement inside the window are filled by
-covering multiplicity (the same exact vertical decomposition the verifier
-walks, so the picture is a faithful map of the covering function);
-translate outlines are stroked on top and a legend lists the observed
-multiplicities.  All geometry is exact until the final coordinate
-emission, which rounds through a 30-bit enclosure.
+covering multiplicity.  They are the verifier's own faces
+(``covering.arrangement_faces``), so the picture is a faithful map of the
+covering function.  Translate outlines are stroked on top and a legend
+lists the observed multiplicities.  All geometry is exact until the final
+coordinate emission, which rounds through a 30-bit enclosure.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .covering import (
-    Box,
-    Polygon,
-    TranslateSet,
-    _Counter,
-    _crossing_abscissas,
-    _dedup_sorted,
-    _region_translates,
-    _Segment,
-)
+from .covering import Box, Polygon, TranslateSet, arrangement_faces, region_translates
 from .errors import WindowError
 from .field import FieldElement
 from .lattice import PlaneVector
@@ -72,85 +63,26 @@ def _mid(x: FieldElement) -> Fraction:
     return (lo + hi) / 2
 
 
-def _faces(poly: Polygon, translates, region: Polygon):
-    """(corner quad, covering count) for every arrangement face in the region."""
-    counter = _Counter(poly, translates)
-    segments = [_Segment(a, b) for a, b in region.edges()]
-    seen = set()
-    for lam, _ in translates:
-        key = (lam.x, lam.y)
-        if key in seen:
-            continue
-        seen.add(key)
-        for a, b in poly.edges():
-            segments.append(_Segment(a + lam, b + lam))
-    rb = region.bbox
-    xs = [rb.x0, rb.x1]
-    for s in segments:
-        for x in (s.p.x, s.q.x):
-            if (x - rb.x0).sign() >= 0 and (rb.x1 - x).sign() >= 0:
-                xs.append(x)
-    xs.extend(_crossing_abscissas(segments, rb.x0, rb.x1))
-    xs = _dedup_sorted(xs)
-    faces = []
-    for i in range(len(xs) - 1):
-        xa, xb = xs[i], xs[i + 1]
-        xm = (xa + xb) / 2
-        ladder = []
-        for s in segments:
-            if (xm - s.xlo).sign() > 0 and (s.xhi - xm).sign() > 0:
-                ladder.append((s.y_at(xm), s))
-        ladder.sort(key=lambda pair: _SortKey(pair[0]))
-        dedup = []
-        for y, s in ladder:
-            if not dedup or not (y - dedup[-1][0]).is_zero():
-                dedup.append((y, s))
-        for k in range(len(dedup) - 1):
-            ylo, slo = dedup[k]
-            yhi, shi = dedup[k + 1]
-            pt = PlaneVector(xm, (ylo + yhi) / 2)
-            if region.locate(pt) != 1:
-                continue
-            quad = (
-                PlaneVector(xa, slo.y_at(xa)),
-                PlaneVector(xb, slo.y_at(xb)),
-                PlaneVector(xb, shi.y_at(xb)),
-                PlaneVector(xa, shi.y_at(xa)),
-            )
-            faces.append((quad, counter.count(pt)))
-    return faces
-
-
-class _SortKey:
-    __slots__ = ("v",)
-
-    def __init__(self, v):
-        self.v = v
-
-    def __lt__(self, other):
-        return self.v < other.v
-
-
 def render_svg(poly: Polygon, tset: TranslateSet, window: Box) -> str:
     if window.is_empty():
         raise WindowError("render window is empty")
     region = Polygon(window.corners())
-    translates = _region_translates(poly, tset, region.bbox)
-    faces = _faces(poly, translates, region)
+    translates = region_translates(poly, tset, region.bbox)
+    faces = arrangement_faces(poly, translates, region)
     frame = _Frame(window)
     width = _mid((window.x1 - window.x0) * _SCALE)
     height = _mid((window.y1 - window.y0) * _SCALE)
     legend_h = 32
-    counts = sorted({c for _, c in faces})
+    counts = sorted({f.count for f in faces})
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
         f'height="{_fmt(height + legend_h)}" viewBox="0 0 {_fmt(width)} {_fmt(height + legend_h)}">',
         f'<clipPath id="win"><rect x="0" y="0" width="{_fmt(width)}" height="{_fmt(height)}"/></clipPath>',
         '<g clip-path="url(#win)">',
     ]
-    for quad, count in faces:
-        points = " ".join(frame.to_svg(p) for p in quad)
-        parts.append(f'<polygon points="{points}" fill="{_fill(count)}" stroke="none"/>')
+    for face in faces:
+        points = " ".join(frame.to_svg(p) for p in face.corners())
+        parts.append(f'<polygon points="{points}" fill="{_fill(face.count)}" stroke="none"/>')
     seen = set()
     for lam, _ in translates:
         key = (lam.x, lam.y)

@@ -10,6 +10,7 @@ the given order is then required to be by increasing argument.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cmp_to_key
 
 from .errors import SymmetryError, ZonotopeError
 from .field import Field
@@ -138,15 +139,6 @@ class Zonotope:
             if edges[i].cross(edges[(i + 1) % n]).sign() <= 0:
                 raise SymmetryError("vertex list is not strictly convex")
         gens = [_normalize_upper(edges[i], i + 1) for i in range(m)]
-        gens.sort(key=_ArgKey)
+        gens.sort(key=cmp_to_key(_argument_cmp))
         return cls(gens)
 
-
-class _ArgKey:
-    __slots__ = ("v",)
-
-    def __init__(self, v: PlaneVector):
-        self.v = v
-
-    def __lt__(self, other: "_ArgKey") -> bool:
-        return _argument_cmp(self.v, other.v) < 0

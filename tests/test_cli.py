@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, JSON output, determinism, SVG."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -65,6 +66,13 @@ class TestDecide:
         bad.write_text("{nope")
         code, _ = run(capsys, ["decide", str(bad)])
         assert code == 2
+        one = [{"monomial": "1", "num": "1", "den": "1"}]
+        zero_den = [{"monomial": "1", "num": "1", "den": "0"}]
+        for field, x, named in [([], zero_den, "'den': '0'"), ("23", one, "'23'")]:
+            doc = {"field": field, "generators": [{"x": x, "y": []}, {"x": [], "y": one}]}
+            bad.write_text(json.dumps(doc))
+            assert main(["decide", str(bad)]) == 2
+            assert named in capsys.readouterr().err
 
     def test_missing_file(self, capsys):
         code, _ = run(capsys, ["decide", "/nonexistent/poly.json"])
@@ -122,12 +130,14 @@ class TestExamplesAndVerify:
         return str(path)
 
     def test_octagon_family_verifies(self, capsys, tmp_path):
-        scene = self.scene(capsys, tmp_path, "octagon-family", "--beta", "1/3")
-        code, out = run(capsys, ["verify", scene, "--mode", "exact"])
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["constant"] is True and doc["multiplicity"] == 7
-        assert doc["window_relative"] is False
+        for beta, cells in [("0", 12), ("1/3", 24)]:
+            scene = self.scene(capsys, tmp_path, "octagon-family", "--beta", beta)
+            code, out = run(capsys, ["verify", scene, "--mode", "exact"])
+            assert code == 0
+            doc = json.loads(out)
+            assert doc["constant"] is True and doc["multiplicity"] == 7
+            assert doc["window_relative"] is False
+            assert doc["cells_checked"] == cells
 
     def test_octagon_family_irrational_beta(self, capsys, tmp_path):
         scene = self.scene(capsys, tmp_path, "octagon-family", "--beta", "sqrt(2)")
@@ -216,6 +226,9 @@ class TestRender:
         svg_path2 = tmp_path / "out2.svg"
         main(["render", str(scene), "-o", str(svg_path2), "--window=-3,-3,3,3"])
         assert svg_path2.read_text() == svg
+        assert hashlib.sha256(svg.encode()).hexdigest() == (
+            "2618389fa24b8a3f791c6e8b74d300142ef5d6db16437b33675b01518b1f269d"
+        )
 
     def test_octagon_constant_fill(self, capsys, tmp_path):
         code, out = run(capsys, ["examples", "octagon-family", "--beta", "1/3"])
@@ -226,6 +239,9 @@ class TestRender:
         assert code == 0
         svg = svg_path.read_text()
         assert "k=7" in svg
+        assert hashlib.sha256(svg.encode()).hexdigest() == (
+            "a629f0615dc5682401d519dab83450427dd9778c01a7a0838ebad087169a4c30"
+        )
 
     def test_window_required(self, capsys, tmp_path, octagon_file):
         _, out = run(capsys, ["examples", "octagon-family"])
@@ -255,3 +271,5 @@ class TestUsage:
 
     def test_unknown_builtin_name(self, capsys):
         assert main(["examples", "heptomino"]) == 2
+        assert main(["examples", "octagon-family", "--beta", "1/0"]) == 2
+        assert "'1/0'" in capsys.readouterr().err

@@ -37,6 +37,8 @@ class TestElements:
     def test_unknown_monomial_rejected(self):
         with pytest.raises(GeometryError):
             jsonio.decode_element([{"monomial": "r5", "num": "1", "den": "1"}], F23)
+        with pytest.raises(GeometryError, match="zero denominator"):
+            jsonio.decode_element([{"monomial": "r2", "num": "1", "den": "0"}], F23)
 
     def test_duplicate_monomial_rejected(self):
         terms = [
@@ -89,6 +91,10 @@ class TestZonotopeDocuments:
     def test_missing_keys_rejected(self):
         with pytest.raises(GeometryError):
             jsonio.decode_zonotope_document({"field": []})
+        # a string is not a radicand list, even when its characters are digits
+        for field in ["23", [2, "3"], [2.0], [True]]:
+            with pytest.raises(GeometryError, match="'field' must be a list"):
+                jsonio.decode_zonotope_document({"field": field, "generators": []})
 
 
 class TestSceneDocuments:
@@ -150,6 +156,9 @@ class TestParsers:
             jsonio.parse_rational("abc")
         with pytest.raises(GeometryError):
             jsonio.parse_rational(True)
+        for text in ["1/0", "1/0 + sqrt(2)", "1/0*sqrt(2)"]:
+            with pytest.raises(GeometryError, match="'1/0'"):
+                jsonio.parse_element_text(text)
 
     def test_parse_element_text(self):
         x = jsonio.parse_element_text("1/2 + 3*sqrt(2) - sqrt(6)")
