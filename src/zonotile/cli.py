@@ -27,6 +27,12 @@ def _parse_window_flag(text: str):
     return tuple(jsonio.parse_rational(p.strip()) for p in parts)
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def _emit(doc) -> None:
     sys.stdout.write(jsonio.dumps(doc))
 
@@ -52,11 +58,10 @@ def _cmd_check(args) -> int:
 def _cmd_canon(args) -> int:
     z = jsonio.decode_zonotope_document(jsonio.load_document(args.polygon))
     decision = decide_multitiling(z)
-    if z.is_parallelogram() or not decision.multi_tiles:
+    if decision.branch == "parallelogram" or not decision.multi_tiles:
         _emit(jsonio.encode_decision(decision, z.field))
         return 1
-    result = canonical_lattice(z)
-    _emit(jsonio.encode_canonical_lattice(result, z.field))
+    _emit(jsonio.encode_canonical_lattice(canonical_lattice(decision), z.field))
     return 0
 
 
@@ -123,7 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify covering constancy of a scene")
     p.add_argument("scene", help="scene JSON file")
     p.add_argument("--mode", choices=["exact", "sampled"], default=None)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_positive_int, default=1000)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("render", help="render a scene to SVG, faces filled by multiplicity")

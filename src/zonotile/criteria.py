@@ -13,7 +13,7 @@ Two layers:
   must be a lattice; for even m dropping one translation must leave a
   lattice whose determinant rationally divides det(e_j0, tau_j0).  The
   witness lattice produced is always re-verified by :func:`bolle_check`
-  before it is returned.
+  before it is returned; :func:`canonical_lattice` reuses its spans.
 """
 
 from __future__ import annotations
@@ -70,6 +70,8 @@ class Decision:
     witness_multiplicity: int | None
     succeeded_j0: tuple[int, ...]
     failure_reason: str | None  # SPAN_NOT_DISCRETE | DET_RATIO_IRRATIONAL
+    # even m: (j0, span) for each drop-one span that is a lattice, in j0 order
+    drop_one_spans: tuple[tuple[int, PlaneLattice], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -88,15 +90,18 @@ def bolle_check(p: Zonotope, lat: PlaneLattice) -> BolleReport:
         cond2 = lat.contains(e) and line_meets_lattice(lat, e, t)
         pairs.append(BollePair(j, cond1, cond2))
     verdict = all(pr.cond1 or pr.cond2 for pr in pairs)
-    multiplicity = None
-    if verdict:
-        ratio = (p.area() / lat.det).rational_value()
-        if ratio is None or ratio.denominator != 1 or ratio <= 0:
-            raise AccountingError(
-                f"criterion holds but area/det = {ratio} is not a positive integer"
-            )
-        multiplicity = ratio.numerator
-    return BolleReport(tuple(pairs), verdict, multiplicity)
+    return BolleReport(tuple(pairs), verdict, _multiplicity(p, lat, 1) if verdict else None)
+
+
+def _multiplicity(p: Zonotope, lat: PlaneLattice, n_translates: int) -> int:
+    """n_translates * area / det, which must be a positive integer."""
+    ratio = (p.area() / lat.det).rational_value()
+    if ratio is None:
+        raise AccountingError("area/det is irrational")
+    k = n_translates * ratio
+    if k.denominator != 1 or k <= 0:
+        raise AccountingError(f"multiplicity {k} is not a positive integer")
+    return k.numerator
 
 
 def _verified(p: Zonotope, lat: PlaneLattice) -> BolleReport:
@@ -112,7 +117,8 @@ def decide_multitiling(p: Zonotope) -> Decision:
     Total on valid zonotopes: every branch returns a definite answer, and
     a positive answer always carries a verified witness lattice.
     Parallelograms trivially tile, so they answer True with the generator
-    lattice rather than being refused.
+    lattice rather than being refused.  For even m every drop-one span
+    that is a lattice is kept in ``drop_one_spans``, whatever the verdict.
     """
     if p.is_parallelogram():
         span = integer_span(list(p.generators))
@@ -128,15 +134,15 @@ def decide_multitiling(p: Zonotope) -> Decision:
         return Decision(True, "odd", None, span.basis, report.multiplicity, (), None)
 
     succeeded: list[int] = []
+    spans: list[tuple[int, PlaneLattice]] = []
     witness = None
     witness_j0 = None
-    saw_lattice = False
     for j0 in range(1, p.m + 1):
         span = integer_span([t for j, t in enumerate(shifts, start=1) if j != j0])
         if span.verdict != LATTICE:
             continue
-        saw_lattice = True
         sub = span.basis
+        spans.append((j0, sub))
         e = p.generators[j0 - 1]
         t = shifts[j0 - 1]
         if (t.cross(e) / sub.det).rational_value() is None:
@@ -150,37 +156,28 @@ def decide_multitiling(p: Zonotope) -> Decision:
     if witness is not None:
         report = _verified(p, witness)
         return Decision(
-            True, "even", witness_j0, witness, report.multiplicity, tuple(succeeded), None
+            True, "even", witness_j0, witness, report.multiplicity, tuple(succeeded), None, tuple(spans)
         )
-    reason = DET_RATIO_IRRATIONAL if saw_lattice else SPAN_NOT_DISCRETE
-    return Decision(False, "even", None, None, None, (), reason)
+    reason = DET_RATIO_IRRATIONAL if spans else SPAN_NOT_DISCRETE
+    return Decision(False, "even", None, None, None, (), reason, tuple(spans))
 
 
-def canonical_lattice(p: Zonotope) -> CanonicalLattice:
-    """The canonical lattice of a multi-tiling zonotope.
+def canonical_lattice(decision: Decision) -> CanonicalLattice:
+    """The canonical lattice of a multi-tiling zonotope, from its decision.
 
-    Odd m: the integer span of all pair translations.  Even m: the
-    intersection of every lattice obtained by dropping one translation.
-    Meets every lattice that multi-tiles with p in full rank.
+    Odd m: the integer span of all pair translations, which is the odd
+    witness.  Even m: the intersection of the decision's drop-one spans
+    that are lattices.  Meets every lattice that multi-tiles with the
+    zonotope in full rank.
     """
-    if p.is_parallelogram():
+    if decision.branch == "parallelogram":
         raise GeometryError("canonical lattice is not defined for parallelograms")
-    decision = decide_multitiling(p)
     if not decision.multi_tiles:
         raise GeometryError("polygon does not multi-tile by translations")
-    shifts = p.pair_translations()
-    if p.m % 2 == 1:
-        span = integer_span(shifts)
-        return CanonicalLattice(span.basis, "pair-span", ())
-    contributing = []
-    parts = []
-    for j0 in range(1, p.m + 1):
-        span = integer_span([t for j, t in enumerate(shifts, start=1) if j != j0])
-        if span.verdict == LATTICE:
-            contributing.append(j0)
-            parts.append(span.basis)
-    result = reduce(intersect, parts)
-    return CanonicalLattice(result, "intersection", tuple(contributing))
+    if decision.branch == "odd":
+        return CanonicalLattice(decision.witness_lattice, "pair-span", ())
+    contributing, parts = zip(*decision.drop_one_spans)
+    return CanonicalLattice(reduce(intersect, parts), "intersection", contributing)
 
 
 def lattice_multiplicity(p: Zonotope, lat: PlaneLattice, n_translates: int) -> int:
@@ -198,10 +195,4 @@ def lattice_multiplicity(p: Zonotope, lat: PlaneLattice, n_translates: int) -> i
         if not report.verdict:
             raise GeometryError("lattice fails the edge-pair criterion")
         return report.multiplicity
-    ratio = (p.area() / lat.det).rational_value()
-    if ratio is None:
-        raise AccountingError("area/det is irrational")
-    k = n_translates * ratio
-    if k.denominator != 1 or k <= 0:
-        raise AccountingError(f"multiplicity {k} is not a positive integer")
-    return k.numerator
+    return _multiplicity(p, lat, n_translates)

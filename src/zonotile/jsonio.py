@@ -120,26 +120,29 @@ def encode_element(x: FieldElement) -> list[dict]:
     return out
 
 
+def _term_integer(term: dict, key: str) -> int:
+    value = term[key]
+    if type(value) is int or (isinstance(value, str) and value.removeprefix("-").isdecimal()):
+        return int(value)
+    raise GeometryError(f"term {term!r} needs an integer or integer string as {key!r}")
+
+
 def decode_element(terms, field: Field) -> FieldElement:
     if not isinstance(terms, list):
         raise GeometryError(f"element must be a list of terms, got {terms!r}")
+    names = ["1", *(f"r{p}" for p in field.products[1:])]
     coeffs = {}
     for term in terms:
         name = term["monomial"]
-        if name == "1":
-            mask = 0
-        elif name.startswith("r"):
-            mask = field._mask_of_product.get(int(name[1:]))
-            if mask is None:
-                raise GeometryError(f"monomial {name!r} does not exist in field {list(field.radicands)}")
-        else:
-            raise GeometryError(f"bad monomial key {name!r}")
+        if name not in names:
+            raise GeometryError(f"monomial {name!r} does not exist in field {list(field.radicands)}")
+        mask = names.index(name)
         if mask in coeffs:
             raise GeometryError(f"duplicate monomial {name!r}")
-        den = int(term["den"])
+        den = _term_integer(term, "den")
         if den == 0:
             raise GeometryError(f"term {term!r} has a zero denominator")
-        coeffs[mask] = Fraction(int(term["num"]), den)
+        coeffs[mask] = Fraction(_term_integer(term, "num"), den)
     return field.element(coeffs)
 
 

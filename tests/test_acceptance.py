@@ -259,7 +259,7 @@ def test_criterion_8_coset_avoidance():
 def test_criterion_9_canonical_lattice():
     """Canonical lattice of the octagon is 6Z x 6Z; it meets every witness
     of the criterion-4 polygon family in full rank."""
-    result = canonical_lattice(octagon())
+    result = canonical_lattice(decide_multitiling(octagon()))
     assert result.lattice == PlaneLattice(V(6, 0), V(0, 6))
     # cross-check by window enumeration against the four drop-one spans
     shifts = octagon().pair_translations()
@@ -277,7 +277,7 @@ def test_criterion_9_canonical_lattice():
         z, dec = bounded_random_polygon(rng)
         if z.is_parallelogram():
             continue
-        lp = canonical_lattice(z)
+        lp = canonical_lattice(decide_multitiling(z))
         met = intersect(lp.lattice, dec.witness_lattice)
         assert not met.det.is_zero()
         checked += 1

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from zonotile import Field, PlaneLattice, Zonotope, vector
-from zonotile import jsonio
+from zonotile import cli, criteria, jsonio
 from zonotile.cli import main
 
 from conftest import V
@@ -68,7 +68,14 @@ class TestDecide:
         assert code == 2
         one = [{"monomial": "1", "num": "1", "den": "1"}]
         zero_den = [{"monomial": "1", "num": "1", "den": "0"}]
-        for field, x, named in [([], zero_den, "'den': '0'"), ("23", one, "'23'")]:
+        float_num = [{"monomial": "1", "num": 1.9, "den": True}]
+        bad_key = [{"monomial": "rx", "num": "1", "den": "1"}]
+        for field, x, named in [
+            ([], zero_den, "'den': '0'"),
+            ("23", one, "'23'"),
+            ([], float_num, "'num': 1.9"),
+            ([], bad_key, "'rx'"),
+        ]:
             doc = {"field": field, "generators": [{"x": x, "y": []}, {"x": [], "y": one}]}
             bad.write_text(json.dumps(doc))
             assert main(["decide", str(bad)]) == 2
@@ -119,6 +126,36 @@ class TestCanon:
         code, out = run(capsys, ["canon", irrational_pentagon_file])
         assert code == 1
         assert json.loads(out)["multi_tiles"] is False
+
+    def test_parallelogram(self, capsys, tmp_path):
+        path = tmp_path / "square.json"
+        path.write_text(jsonio.dumps(jsonio.encode_zonotope(Zonotope([V(1, 0), V(0, 1)]))))
+        code, out = run(capsys, ["canon", str(path)])
+        assert code == 1
+        assert json.loads(out)["branch"] == "parallelogram"
+
+    def test_hexagon(self, capsys, tmp_path):
+        path = tmp_path / "hexagon.json"
+        path.write_text(jsonio.dumps(jsonio.encode_zonotope(Zonotope([V(1, 0), V(0, 1), V(-1, 1)]))))
+        code, out = run(capsys, ["canon", str(path)])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["source"] == "pair-span"
+        assert doc["contributing_j"] == []
+
+    def test_decides_once(self, capsys, octagon_file, monkeypatch):
+        decide = criteria.decide_multitiling
+        calls = []
+
+        def counting(z):
+            calls.append(z)
+            return decide(z)
+
+        monkeypatch.setattr(criteria, "decide_multitiling", counting)
+        monkeypatch.setattr(cli, "decide_multitiling", counting)
+        code, _ = run(capsys, ["canon", octagon_file])
+        assert code == 0
+        assert len(calls) == 1
 
 
 class TestExamplesAndVerify:
@@ -201,6 +238,9 @@ class TestExamplesAndVerify:
         code, out = run(capsys, ["verify", scene, "--mode", "sampled", "--samples", "150"])
         assert code == 0
         assert json.loads(out)["multiplicity"] == 1
+        for samples in ["0", "-3"]:
+            assert main(["verify", scene, "--mode", "sampled", "--samples", samples]) == 2
+            assert "--samples" in capsys.readouterr().err
 
     def test_examples_round_trip(self, capsys, tmp_path):
         for name in ["tetromino-L1", "tetromino-L2", "tetromino-union"]:

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from zonotile import (
+    AccountingError,
     Field,
     GeometryError,
     PlaneLattice,
@@ -22,7 +23,7 @@ from zonotile import (
 )
 from zonotile.criteria import DET_RATIO_IRRATIONAL, SPAN_NOT_DISCRETE
 
-from conftest import V, random_zonotope, sort_by_argument, upper_half
+from conftest import F2, V, random_zonotope, sort_by_argument, upper_half
 
 H = Fraction(1, 2)
 
@@ -218,7 +219,7 @@ def apply_map(row1, row2, v):
 
 class TestCanonicalLattice:
     def test_octagon_is_6z_by_6z(self):
-        result = canonical_lattice(octagon())
+        result = canonical_lattice(decide_multitiling(octagon()))
         assert result.lattice == PlaneLattice(V(6, 0), V(0, 6))
         assert result.source == "intersection"
         assert result.contributing_j == (1, 2, 3, 4)
@@ -231,27 +232,27 @@ class TestCanonicalLattice:
             integer_span([t for j, t in enumerate(shifts, start=1) if j != j0]).basis
             for j0 in range(1, 5)
         ]
-        result = canonical_lattice(octagon()).lattice
+        result = canonical_lattice(decide_multitiling(octagon())).lattice
         for x in range(-6, 7):
             for y in range(-6, 7):
                 p = V(x, y)
                 assert result.contains(p) == all(s.contains(p) for s in spans)
 
     def test_hexagon_full_span(self):
-        result = canonical_lattice(hexagon())
+        result = canonical_lattice(decide_multitiling(hexagon()))
         assert result.lattice == PlaneLattice(V(1, 1), V(0, 3))
         assert result.source == "pair-span"
         assert result.contributing_j == ()
 
     def test_parallelogram_rejected(self):
         with pytest.raises(GeometryError):
-            canonical_lattice(square())
+            canonical_lattice(decide_multitiling(square()))
 
     def test_non_multi_tiler_rejected(self):
         rng = random.Random(89)
         z = independent_generators(rng, 5)
         with pytest.raises(GeometryError):
-            canonical_lattice(z)
+            canonical_lattice(decide_multitiling(z))
 
     def test_meets_every_witness_in_full_rank(self):
         rng = random.Random(97)
@@ -260,7 +261,7 @@ class TestCanonicalLattice:
             if z.is_parallelogram():
                 continue
             dec = decide_multitiling(z)
-            lp = canonical_lattice(z)
+            lp = canonical_lattice(decide_multitiling(z))
             met = intersect(lp.lattice, dec.witness_lattice)
             assert not met.det.is_zero()
 
@@ -278,3 +279,15 @@ class TestLatticeMultiplicity:
     def test_single_translate_requires_criterion(self):
         with pytest.raises(GeometryError):
             lattice_multiplicity(octagon(), PlaneLattice(V(1, 0), V(0, 2)), 1)
+
+    def test_fractional_multiplicity_rejected(self):
+        # 2 * area 7 / det 4 = 7/2
+        with pytest.raises(AccountingError, match="7/2"):
+            lattice_multiplicity(octagon(), PlaneLattice(V(2, 0), V(0, 2)), 2)
+
+    def test_irrational_ratio_rejected(self):
+        octagon_r2 = Zonotope([V(1, 0, F2), V(1, 1, F2), V(0, 1, F2), V(-1, 1, F2)])
+        lat = PlaneLattice(V(1, 0, F2), V(0, F2.sqrt(2), F2))
+        assert lat.det == F2.sqrt(2)
+        with pytest.raises(AccountingError, match="irrational"):
+            lattice_multiplicity(octagon_r2, lat, 2)

@@ -39,6 +39,15 @@ class TestElements:
             jsonio.decode_element([{"monomial": "r5", "num": "1", "den": "1"}], F23)
         with pytest.raises(GeometryError, match="zero denominator"):
             jsonio.decode_element([{"monomial": "r2", "num": "1", "den": "0"}], F23)
+        with pytest.raises(GeometryError, match="'rx'"):
+            jsonio.decode_element([{"monomial": "rx", "num": "1", "den": "1"}], F23)
+        # JSON numbers must be integers, never floats or booleans
+        for num, den in [(1.9, True), ("1", True), ("1.5", "1"), ("one", "1")]:
+            term = {"monomial": "1", "num": num, "den": den}
+            with pytest.raises(GeometryError, match="term"):
+                jsonio.decode_element([term], F23)
+        back = jsonio.decode_element([{"monomial": "r6", "num": -2, "den": 3}], F23)
+        assert back == F23.sqrt(6) * Fraction(-2, 3)
 
     def test_duplicate_monomial_rejected(self):
         terms = [

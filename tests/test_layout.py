@@ -15,3 +15,35 @@ def test_no_module_imports_another_modules_private_names():
                     if alias.name.startswith("_"):
                         offenders.append(f"{path.name}:{node.lineno} imports {alias.name}")
     assert not offenders, offenders
+
+
+def _defined_names(tree):
+    """Every name a module binds: defs, classes, assignment targets
+    (including attributes such as ``self._x = ...``) and import aliases."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name.split(".")[0])
+    return names
+
+
+def test_no_module_reads_another_modules_private_attributes():
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        own = _defined_names(tree)
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr.startswith("_")
+                and not node.attr.endswith("__")
+                and node.attr not in own
+            ):
+                offenders.append(f"{path.name}:{node.lineno} reads .{node.attr}")
+    assert not offenders, offenders
