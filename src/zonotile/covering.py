@@ -13,9 +13,14 @@ consecutive events sample the midpoint of every gap in the ladder of
 edges crossing the slab.  Every positive-area face of the arrangement
 restricted to the cell receives at least one strictly interior sample, and
 no sample ever lands on an edge, so boundary handling never needs a
-tolerance.  ``arrangement_faces`` is the one place this decomposition is
-built: the verifier, the strip profiles and the SVG renderer all read its
-faces.
+tolerance.  Each face's count is propagated up its slab's ladder: it is
+the sum of the signed multiplicities of the edges below it.
+``arrangement_faces`` is the one place this decomposition is built: the
+verifier, the strip profiles and the SVG renderer all read its faces.
+
+``covering_at`` counts one point by brute-force point location.  It is the
+oracle the tests hold the propagated counts to, and the counter of the
+sampled verification mode.
 """
 
 from __future__ import annotations
@@ -140,13 +145,6 @@ class Polygon:
                 parity ^= 1
         return 1 if parity else -1
 
-    def area(self) -> FieldElement:
-        doubled = self.field.zero()
-        vs = self.vertices
-        for i in range(len(vs)):
-            doubled = doubled + vs[i].cross(vs[(i + 1) % len(vs)])
-        return doubled / 2
-
 
 class WindowPattern:
     """An explicit point multiset, defined by a membership rule on Z^2,
@@ -158,9 +156,6 @@ class WindowPattern:
         self.name = name
         self.window = tuple(Fraction(w) for w in window)
         self._multiplicity = multiplicity
-
-    def multiplicity(self, m: int, n: int) -> int:
-        return self._multiplicity(m, n)
 
     def points_in(self, box: Box) -> list[tuple[PlaneVector, int]]:
         field = box.x0.field
@@ -278,12 +273,19 @@ class VerifyReport:
 
 
 class _Segment:
-    __slots__ = ("p", "q", "xlo", "xhi", "ylo", "yhi")
+    """An arrangement edge.  ``weight`` is the change in covering count on
+    crossing it upwards: polygons are counterclockwise, so a rightward edge
+    of a translate of multiplicity k enters it (+k) and a leftward one
+    leaves it (-k).  Region edges weigh 0."""
 
-    def __init__(self, p: PlaneVector, q: PlaneVector):
+    __slots__ = ("p", "q", "weight", "xlo", "xhi", "ylo", "yhi")
+
+    def __init__(self, p: PlaneVector, q: PlaneVector, mult: int = 0):
         self.p = p
         self.q = q
-        self.xlo, self.xhi = (p.x, q.x) if (q.x - p.x).sign() >= 0 else (q.x, p.x)
+        dx = (q.x - p.x).sign()
+        self.weight = dx * mult
+        self.xlo, self.xhi = (p.x, q.x) if dx >= 0 else (q.x, p.x)
         self.ylo, self.yhi = (p.y, q.y) if (q.y - p.y).sign() >= 0 else (q.y, p.y)
 
     def y_at(self, x: FieldElement) -> FieldElement:
@@ -325,48 +327,9 @@ def _crossing_abscissas(segments: list[_Segment], xmin, xmax) -> list[FieldEleme
     return xs
 
 
-class _Counter:
-    """Covering counter over a fixed translate multiset with a cheap
-    enclosure-based bounding box prefilter."""
-
-    __slots__ = ("poly", "entries")
-
-    def __init__(self, poly: Polygon, translates):
-        self.poly = poly
-        bb = poly.bbox
-        self.entries = []
-        for lam, mult in translates:
-            shifted = bb.shift(lam)
-            self.entries.append(
-                (
-                    lam,
-                    mult,
-                    shifted.x0.approx(24)[0],
-                    shifted.x1.approx(24)[1],
-                    shifted.y0.approx(24)[0],
-                    shifted.y1.approx(24)[1],
-                )
-            )
-
-    def count(self, pt: PlaneVector, on_boundary="raise") -> int:
-        pxlo, pxhi = pt.x.approx(24)
-        pylo, pyhi = pt.y.approx(24)
-        total = 0
-        for lam, mult, xlo, xhi, ylo, yhi in self.entries:
-            if pxhi < xlo or pxlo > xhi or pyhi < ylo or pylo > yhi:
-                continue
-            loc = self.poly.locate(pt - lam)
-            if loc == 0:
-                if on_boundary == "raise":
-                    raise BoundaryError("sample point on a translate boundary")
-                return -1
-            if loc > 0:
-                total += mult
-        return total
-
-
 def region_translates(poly: Polygon, tset: TranslateSet, region_bbox: Box):
-    """The translates (with multiplicities) whose copy of poly can meet the box."""
+    """The translates whose copy of poly can meet the box, each position
+    once with its summed multiplicity, in order of first appearance."""
     pb = poly.bbox
     search = Box(
         region_bbox.x0 - pb.x1,
@@ -374,7 +337,10 @@ def region_translates(poly: Polygon, tset: TranslateSet, region_bbox: Box):
         region_bbox.x1 - pb.x0,
         region_bbox.y1 - pb.y0,
     )
-    return tset.points_in(search)
+    merged: dict[PlaneVector, int] = {}
+    for lam, mult in tset.points_in(search):
+        merged[lam] = merged.get(lam, 0) + mult
+    return list(merged.items())
 
 
 @dataclass(frozen=True)
@@ -401,17 +367,14 @@ class Face:
 
 def arrangement_faces(poly: Polygon, translates, region: Polygon) -> list[Face]:
     """Every face of the translate-edge arrangement inside region, each with
-    one strictly interior sample point and its covering count."""
-    counter = _Counter(poly, translates)
+    one strictly interior sample point and its covering count.
+
+    Counts are propagated up each slab's ladder from 0 below every edge;
+    ``translates`` must hold every translate that can meet the region."""
     segments = [_Segment(a, b) for a, b in region.edges()]
-    seen = set()
-    for lam, _ in translates:
-        key = (lam.x, lam.y)
-        if key in seen:
-            continue
-        seen.add(key)
+    for lam, mult in translates:
         for a, b in poly.edges():
-            segments.append(_Segment(a + lam, b + lam))
+            segments.append(_Segment(a + lam, b + lam, mult))
     rb = region.bbox
     xs = [rb.x0, rb.x1]
     for s in segments:
@@ -428,14 +391,20 @@ def arrangement_faces(poly: Polygon, translates, region: Polygon) -> list[Face]:
             if (xm - s.xlo).sign() > 0 and (s.xhi - xm).sign() > 0:
                 ladder.append((s.y_at(xm), s))
         ladder.sort(key=lambda rung: rung[0])
+        # [y, first segment at y, count just above y]; coincident
+        # segments are collinear, so their weights add up
         rungs = []
+        count = 0
         for y, s in ladder:
-            if not rungs or not (y - rungs[-1][0]).is_zero():
-                rungs.append((y, s))
-        for (ylo, slo), (yhi, shi) in zip(rungs, rungs[1:]):
+            count += s.weight
+            if rungs and (y - rungs[-1][0]).is_zero():
+                rungs[-1][2] = count
+            else:
+                rungs.append([y, s, count])
+        for (ylo, slo, c), (yhi, shi, _) in zip(rungs, rungs[1:]):
             pt = PlaneVector(xm, (ylo + yhi) / 2)
             if region.locate(pt) == 1:
-                faces.append(Face(xa, xb, slo, shi, pt, counter.count(pt)))
+                faces.append(Face(xa, xb, slo, shi, pt, c))
     return faces
 
 
@@ -488,11 +457,9 @@ def verify_covering(
     else:
         region = _windowed_region(poly, tset)
         window_relative = True
-    translates = region_translates(poly, tset, region.bbox)
     if mode == "exact":
-        faces = arrangement_faces(poly, translates, region)
+        faces = arrangement_faces(poly, region_translates(poly, tset, region.bbox), region)
         return _report_from_samples([(f.sample, f.count) for f in faces], window_relative)
-    counter = _Counter(poly, translates)
     rng = Random(_SAMPLED_SEED)
     rb = region.bbox
     dx = rb.x1 - rb.x0
@@ -510,10 +477,10 @@ def verify_covering(
         )
         if region.locate(pt) != 1:
             continue
-        c = counter.count(pt, on_boundary="skip")
-        if c < 0:
+        try:
+            collected.append((pt, covering_at(poly, tset, pt)))
+        except BoundaryError:
             continue
-        collected.append((pt, c))
     return _report_from_samples(collected, window_relative)
 
 

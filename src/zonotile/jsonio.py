@@ -133,9 +133,16 @@ def decode_element(terms, field: Field) -> FieldElement:
     names = ["1", *(f"r{p}" for p in field.products[1:])]
     coeffs = {}
     for term in terms:
+        if not isinstance(term, dict):
+            raise GeometryError(f"term {term!r} must be an object with 'monomial', 'num' and 'den'")
+        for key in ("monomial", "num", "den"):
+            if key not in term:
+                raise GeometryError(f"term {term!r} lacks {key!r}")
         name = term["monomial"]
         if name not in names:
-            raise GeometryError(f"monomial {name!r} does not exist in field {list(field.radicands)}")
+            raise GeometryError(
+                f"term {term!r}: monomial {name!r} does not exist in field {list(field.radicands)}"
+            )
         mask = names.index(name)
         if mask in coeffs:
             raise GeometryError(f"duplicate monomial {name!r}")
@@ -213,16 +220,7 @@ def _decode_beta(doc, field: Field | None):
             return parse_element_text(doc, field)
         return parse_rational(doc)
     if isinstance(doc, list):
-        if field is None:
-            rads = sorted(
-                {
-                    int(term["monomial"][1:])
-                    for term in doc
-                    if term.get("monomial", "1") != "1"
-                }
-            )
-            field = Field(rads)
-        return decode_element(doc, field)
+        return decode_element(doc, RATIONALS if field is None else field)
     raise GeometryError(f"bad beta value {doc!r}")
 
 

@@ -83,12 +83,7 @@ def render_svg(poly: Polygon, tset: TranslateSet, window: Box) -> str:
     for face in faces:
         points = " ".join(frame.to_svg(p) for p in face.corners())
         parts.append(f'<polygon points="{points}" fill="{_fill(face.count)}" stroke="none"/>')
-    seen = set()
     for lam, _ in translates:
-        key = (lam.x, lam.y)
-        if key in seen:
-            continue
-        seen.add(key)
         points = " ".join(frame.to_svg(v + lam) for v in poly.vertices)
         parts.append(
             f'<polygon points="{points}" fill="none" stroke="#202020" stroke-width="1"/>'

@@ -75,6 +75,8 @@ class TestDecide:
             ("23", one, "'23'"),
             ([], float_num, "'num': 1.9"),
             ([], bad_key, "'rx'"),
+            ([], [{"monomial": "1", "num": "1"}], "lacks 'den'"),
+            ([], ["1"], "term '1'"),
         ]:
             doc = {"field": field, "generators": [{"x": x, "y": []}, {"x": [], "y": one}]}
             bad.write_text(json.dumps(doc))
@@ -181,6 +183,25 @@ class TestExamplesAndVerify:
         code, out = run(capsys, ["verify", scene, "--mode", "exact"])
         assert code == 0
         assert json.loads(out)["multiplicity"] == 7
+
+    def test_list_beta_decodes_in_declared_field(self, capsys, tmp_path):
+        path = tmp_path / "beta.json"
+        third = [{"monomial": "1", "num": "1", "den": "3"}]
+        r2 = [{"monomial": "r2", "num": "1", "den": "1"}]
+        for field, beta in [([], third), ([2], r2)]:
+            path.write_text(json.dumps({"field": field, "lambda": {"builtin": "octagon-family", "beta": beta}}))
+            code, out = run(capsys, ["verify", str(path)])
+            assert code == 0 and json.loads(out)["multiplicity"] == 7
+        # without a declared field the terms are decoded over Q, never guessed
+        for beta, named in [
+            (r2, "'r2'"),
+            ([{"monomial": "rx", "num": "1", "den": "1"}], "'monomial': 'rx'"),
+            (["1", "1"], "term '1'"),
+        ]:
+            path.write_text(json.dumps({"lambda": {"builtin": "octagon-family", "beta": beta}}))
+            assert main(["verify", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert named in err and "Traceback" not in err
 
     def test_single_lattice_counterexample(self, capsys, tmp_path):
         lat = PlaneLattice(V(1, 0), V(0, 2))

@@ -22,6 +22,7 @@ from zonotile import (
     strip_profile,
     verify_covering,
 )
+from zonotile.covering import arrangement_faces, region_translates
 from zonotile.patterns import (
     lattice_octagon,
     octagon_strip_lattice,
@@ -226,6 +227,52 @@ class TestVerifyCovering:
             assert report.constant
             assert report.multiplicity == dec.witness_multiplicity
             done += 1
+
+
+def verification_region(poly, tset):
+    """The region verify_covering sweeps: one period cell, or the window
+    shrunk by the polygon's extent."""
+    if tset.is_periodic:
+        period = tset.period_lattice()
+        origin = V(0, 0, period.field)
+        return Polygon([origin, period.b1, period.b1 + period.b2, period.b2])
+    wx0, wy0, wx1, wy1 = tset.pattern.window
+    pb = poly.bbox
+    return Polygon(Box(pb.x1 + wx0, pb.y1 + wy0, pb.x0 + wx1, pb.y0 + wy1).corners())
+
+
+class TestArrangementCounts:
+    """The counts propagated up the sweep's ladder, held to the brute-force
+    oracle ``covering_at`` on every face."""
+
+    def test_every_face_count_matches_the_oracle(self):
+        octagon_third = builtin_scene("octagon-family", beta=Fraction(1, 3))
+        scenes = [
+            builtin_scene("octagon-family", beta=Fraction(0)),
+            octagon_third,
+            builtin_scene("octagon-family", beta=F2.sqrt(2)),
+            builtin_scene("tetromino-L1"),
+            builtin_scene("tetromino-L2"),
+            builtin_scene("tetromino-union"),
+            (lattice_octagon(), single(octagon_strip_lattice())),
+            # each part listed twice: every translate has multiplicity 2
+            (octagon_third[0], TranslateSet.periodic(octagon_third[1].parts * 2)),
+        ]
+        for poly, tset in scenes:
+            region = verification_region(poly, tset)
+            faces = arrangement_faces(poly, region_translates(poly, tset, region.bbox), region)
+            assert faces
+            for face in faces:
+                assert face.count == covering_at(poly, tset, face.sample)
+
+    def test_region_translates_sums_repeated_positions(self):
+        poly, tset = builtin_scene("octagon-family", beta=Fraction(1, 3))
+        doubled = TranslateSet.periodic(tset.parts * 2)
+        box = qbox(0, 0, 1, 2)
+        once = region_translates(poly, tset, box)
+        assert len({p for p, _ in once}) == len(once)
+        assert all(k == 1 for _, k in once)
+        assert region_translates(poly, doubled, box) == [(p, 2) for p, _ in once]
 
 
 class TestStripProfile:

@@ -46,6 +46,16 @@ class TestElements:
             term = {"monomial": "1", "num": num, "den": den}
             with pytest.raises(GeometryError, match="term"):
                 jsonio.decode_element([term], F23)
+        # a term must be an object carrying all three keys
+        for term, named in [
+            ("1", "term '1'"),
+            (["1", "1"], r"term \['1', '1'\]"),
+            ({"monomial": "1", "num": "1"}, "lacks 'den'"),
+            ({"num": "1", "den": "1"}, "lacks 'monomial'"),
+            ({"monomial": "1", "den": "1"}, "lacks 'num'"),
+        ]:
+            with pytest.raises(GeometryError, match=named):
+                jsonio.decode_element([term], F23)
         back = jsonio.decode_element([{"monomial": "r6", "num": -2, "den": 3}], F23)
         assert back == F23.sqrt(6) * Fraction(-2, 3)
 
