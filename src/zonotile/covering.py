@@ -18,6 +18,17 @@ the sum of the signed multiplicities of the edges below it.
 ``arrangement_faces`` is the one place this decomposition is built: the
 verifier, the strip profiles and the SVG renderer all read its faces.
 
+The sweep's cost follows the segments that reach the cell, not all of
+them.  Clip: once the endpoint abscissas are collected, only the live
+segments, non-vertical and with an open x-range meeting the cell's, take
+part further; no segment is clipped in y, since those below the cell
+carry the ladder weights.  Prune: crossings are sought by sweep and prune
+on integer ranks of the live segments' exact x and y bounds, so only pairs
+whose closed bounding boxes overlap reach the exact intersection test.
+Ladder: each live segment is filed under the slabs between its xlo and
+xhi events, so a slab's ladder holds just the segments spanning it, in
+construction order.
+
 ``covering_at`` counts one point by brute-force point location.  It is the
 oracle the tests hold the propagated counts to, and the counter of the
 sampled verification mode.
@@ -74,6 +85,9 @@ class Box:
 
     def is_empty(self) -> bool:
         return (self.x1 - self.x0).sign() < 0 or (self.y1 - self.y0).sign() < 0
+
+    def has_area(self) -> bool:
+        return (self.x1 - self.x0).sign() > 0 and (self.y1 - self.y0).sign() > 0
 
 
 class Polygon:
@@ -292,24 +306,34 @@ class _Segment:
         return self.p.y + (x - self.p.x) * (self.q.y - self.p.y) / (self.q.x - self.p.x)
 
 
-def _dedup_sorted(values: list[FieldElement]) -> list[FieldElement]:
-    values.sort()
-    out = []
-    for v in values:
-        if not out or not (v - out[-1]).is_zero():
-            out.append(v)
-    return out
+def _ranks(values) -> dict[FieldElement, int]:
+    """Integer ranks of exact values, equal values sharing a rank; the keys
+    run in increasing order.
+
+    Elements are canonical, so equal values hash and compare equal without
+    field arithmetic; only the distinct values are sorted."""
+    return {v: k for k, v in enumerate(sorted(set(values)))}
 
 
-def _crossing_abscissas(segments: list[_Segment], xmin, xmax) -> list[FieldElement]:
+def _crossing_abscissas(live: list[_Segment], xmin, xmax) -> list[FieldElement]:
+    """The abscissas in [xmin, xmax] where two segments meet, by sweep and
+    prune: the segments are sorted by xlo rank, each is tested only against
+    the later ones whose xlo does not exceed its xhi, and the closed y-ranges
+    are compared by rank, so every pair with overlapping closed bounding
+    boxes is tested and no other."""
+    xr = _ranks([v for s in live for v in (s.xlo, s.xhi)])
+    yr = _ranks([v for s in live for v in (s.ylo, s.yhi)])
+    boxes = sorted(
+        ((xr[s.xlo], xr[s.xhi], yr[s.ylo], yr[s.yhi], s) for s in live),
+        key=lambda box: box[0],
+    )
     xs = []
-    for i in range(len(segments)):
-        si = segments[i]
-        for j in range(i + 1, len(segments)):
-            sj = segments[j]
-            if (si.xhi - sj.xlo).sign() < 0 or (sj.xhi - si.xlo).sign() < 0:
-                continue
-            if (si.yhi - sj.ylo).sign() < 0 or (sj.yhi - si.ylo).sign() < 0:
+    for i, (_, ixhi, iylo, iyhi, si) in enumerate(boxes):
+        for j in range(i + 1, len(boxes)):
+            jxlo, _, jylo, jyhi, sj = boxes[j]
+            if jxlo > ixhi:
+                break
+            if iyhi < jylo or jyhi < iylo:
                 continue
             a = si.q - si.p
             b = sj.q - sj.p
@@ -370,26 +394,48 @@ def arrangement_faces(poly: Polygon, translates, region: Polygon) -> list[Face]:
     one strictly interior sample point and its covering count.
 
     Counts are propagated up each slab's ladder from 0 below every edge;
-    ``translates`` must hold every translate that can meet the region."""
+    ``translates`` must hold every translate that can meet the region.
+
+    Only the live segments, those that are not vertical and whose open
+    x-range meets the open interval (rb.x0, rb.x1), enter the crossing test
+    and the ladders; dropping the others is exact.  A dropped segment never
+    spans a slab midpoint, which lies strictly inside (rb.x0, rb.x1), and
+    its endpoints are collected as events before it is dropped.  Any
+    crossing it takes part in lies on it, so the abscissa is outside
+    [rb.x0, rb.x1], or it is rb.x0 or rb.x1, or it is the abscissa of the
+    vertical segment itself, all of which are events already.  The
+    segments are not clipped in y: those below the region carry the ladder
+    weights, and their crossings are events too."""
     segments = [_Segment(a, b) for a, b in region.edges()]
     for lam, mult in translates:
         for a, b in poly.edges():
             segments.append(_Segment(a + lam, b + lam, mult))
     rb = region.bbox
     xs = [rb.x0, rb.x1]
+    live = []
     for s in segments:
-        for x in (s.p.x, s.q.x):
-            if (x - rb.x0).sign() >= 0 and (rb.x1 - x).sign() >= 0:
-                xs.append(x)
-    xs.extend(_crossing_abscissas(segments, rb.x0, rb.x1))
-    xs = _dedup_sorted(xs)
+        lo_before_end = (rb.x1 - s.xlo).sign()
+        hi_after_start = (s.xhi - rb.x0).sign()
+        if lo_before_end >= 0 and (s.xlo - rb.x0).sign() >= 0:
+            xs.append(s.xlo)
+        if hi_after_start >= 0 and (rb.x1 - s.xhi).sign() >= 0:
+            xs.append(s.xhi)
+        if lo_before_end > 0 and hi_after_start > 0 and s.xlo != s.xhi:
+            live.append(s)
+    xs.extend(_crossing_abscissas(live, rb.x0, rb.x1))
+    event_rank = _ranks(xs)
+    xs = list(event_rank)
+    # a live segment spans the slabs from its xlo event (the first slab
+    # when xlo < rb.x0) to its xhi event (the last when xhi > rb.x1);
+    # each ladder lists its segments in construction order
+    spanning = [[] for _ in xs[1:]]
+    for s in live:
+        for k in range(event_rank.get(s.xlo, 0), event_rank.get(s.xhi, len(xs) - 1)):
+            spanning[k].append(s)
     faces = []
-    for xa, xb in zip(xs, xs[1:]):
+    for xa, xb, slab in zip(xs, xs[1:], spanning):
         xm = (xa + xb) / 2
-        ladder = []
-        for s in segments:
-            if (xm - s.xlo).sign() > 0 and (s.xhi - xm).sign() > 0:
-                ladder.append((s.y_at(xm), s))
+        ladder = [(s.y_at(xm), s) for s in slab]
         ladder.sort(key=lambda rung: rung[0])
         # [y, first segment at y, count just above y]; coincident
         # segments are collinear, so their weights add up
@@ -434,7 +480,7 @@ def _windowed_region(poly: Polygon, tset: TranslateSet) -> Polygon:
     wx0, wy0, wx1, wy1 = (field.rational(w) for w in tset.pattern.window)
     pb = poly.bbox
     region = Box(wx0 + pb.x1, wy0 + pb.y1, wx1 + pb.x0, wy1 + pb.y0)
-    if region.is_empty():
+    if not region.has_area():
         raise WindowError("window is too small for the polygon's diameter margin")
     return Polygon(region.corners())
 

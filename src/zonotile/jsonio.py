@@ -157,8 +157,18 @@ def encode_vector(v: PlaneVector) -> dict:
     return {"x": encode_element(v.x), "y": encode_element(v.y)}
 
 
-def decode_vector(doc, field: Field) -> PlaneVector:
+def decode_vector(doc, field: Field, where: str = "vector") -> PlaneVector:
+    if not isinstance(doc, dict) or "x" not in doc or "y" not in doc:
+        raise GeometryError(f"{where} must be an object with 'x' and 'y', got {doc!r}")
     return PlaneVector(decode_element(doc["x"], field), decode_element(doc["y"], field))
+
+
+def _decode_vectors(doc: dict, key: str, field: Field) -> list[PlaneVector]:
+    """The list of vectors under ``doc[key]``; errors name the key and index."""
+    values = doc[key]
+    if not isinstance(values, list):
+        raise GeometryError(f"{key!r} must be a list of {{x, y}} objects, got {values!r}")
+    return [decode_vector(v, field, f"{key}[{i}]") for i, v in enumerate(values)]
 
 
 # -- lattices and polygons -------------------------------------------------------
@@ -169,10 +179,12 @@ def encode_lattice(lat: PlaneLattice) -> dict:
 
 
 def decode_lattice(doc, field: Field) -> PlaneLattice:
-    basis = doc["basis"]
+    if not isinstance(doc, dict) or "basis" not in doc:
+        raise GeometryError(f"lattice must be an object with a 'basis', got {doc!r}")
+    basis = _decode_vectors(doc, "basis", field)
     if len(basis) != 2:
         raise GeometryError("lattice basis must have exactly 2 vectors")
-    return PlaneLattice(decode_vector(basis[0], field), decode_vector(basis[1], field))
+    return PlaneLattice(*basis)
 
 
 def _decode_field(doc, field: Field | None = None) -> Field:
@@ -193,9 +205,9 @@ def encode_zonotope(z: Zonotope) -> dict:
 def decode_zonotope_document(doc, field: Field | None = None) -> Zonotope:
     field = _decode_field(doc, field)
     if "generators" in doc:
-        return Zonotope([decode_vector(v, field) for v in doc["generators"]])
+        return Zonotope(_decode_vectors(doc, "generators", field))
     if "vertices" in doc:
-        return Zonotope.from_vertices([decode_vector(v, field) for v in doc["vertices"]])
+        return Zonotope.from_vertices(_decode_vectors(doc, "vertices", field))
     raise GeometryError("zonotope document needs 'generators' or 'vertices'")
 
 
@@ -241,9 +253,9 @@ def decode_scene_document(doc) -> tuple[Polygon, TranslateSet, str]:
     if poly_doc is None:
         raise GeometryError("scene needs a 'polygon' entry")
     if "vertices" in poly_doc:
-        poly = Polygon([decode_vector(v, field) for v in poly_doc["vertices"]])
+        poly = Polygon(_decode_vectors(poly_doc, "vertices", field))
     elif "generators" in poly_doc:
-        poly = Polygon.from_zonotope(Zonotope([decode_vector(v, field) for v in poly_doc["generators"]]))
+        poly = Polygon.from_zonotope(Zonotope(_decode_vectors(poly_doc, "generators", field)))
     else:
         raise GeometryError("scene polygon needs 'vertices' or 'generators'")
     parts_doc = lam.get("periodic")
@@ -253,7 +265,7 @@ def decode_scene_document(doc) -> tuple[Polygon, TranslateSet, str]:
     for part in parts_doc:
         lat = decode_lattice(part["lattice"], field)
         offset = (
-            decode_vector(part["offset"], field)
+            decode_vector(part["offset"], field, "offset")
             if "offset" in part
             else PlaneVector(field.zero(), field.zero())
         )

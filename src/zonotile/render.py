@@ -64,7 +64,7 @@ def _mid(x: FieldElement) -> Fraction:
 
 
 def render_svg(poly: Polygon, tset: TranslateSet, window: Box) -> str:
-    if window.is_empty():
+    if not window.has_area():
         raise WindowError("render window is empty")
     region = Polygon(window.corners())
     translates = region_translates(poly, tset, region.bbox)

@@ -82,6 +82,28 @@ class TestDecide:
             bad.write_text(json.dumps(doc))
             assert main(["decide", str(bad)]) == 2
             assert named in capsys.readouterr().err
+        # vector lists must be lists of {x, y} objects, named by key and index
+        for key, value, named in [
+            ("generators", [[1, 2], [3, 4]], "generators[0]"),
+            ("generators", "x", "'generators'"),
+            ("generators", [{"x": one, "y": []}, {"x": one}], "generators[1]"),
+            ("vertices", [None], "vertices[0]"),
+        ]:
+            bad.write_text(json.dumps({"field": [], key: value}))
+            assert main(["decide", str(bad)]) == 2
+            err = capsys.readouterr().err
+            assert named in err and "Traceback" not in err
+        poly = tmp_path / "square.json"
+        poly.write_text(jsonio.dumps(jsonio.encode_zonotope(Zonotope([V(1, 0), V(0, 1)]))))
+        for lattice, named in [
+            ({"basis": [[1, 0], [0, 1]]}, "basis[0]"),
+            ({"basis": "x"}, "'basis'"),
+            ({}, "'basis'"),
+        ]:
+            bad.write_text(json.dumps({"field": [], **lattice}))
+            assert main(["check", str(poly), str(bad)]) == 2
+            err = capsys.readouterr().err
+            assert named in err and "Traceback" not in err
 
     def test_missing_file(self, capsys):
         code, _ = run(capsys, ["decide", "/nonexistent/poly.json"])
@@ -178,6 +200,26 @@ class TestExamplesAndVerify:
             assert doc["window_relative"] is False
             assert doc["cells_checked"] == cells
 
+    def test_half_lattice_octagon_verifies(self, capsys, tmp_path):
+        # the lattice octagon (area 7) against (1/2)Z^2: multiplicity 28
+        half = PlaneLattice(V(Fraction(1, 2), 0), V(0, Fraction(1, 2)))
+        doc = {
+            "field": [],
+            "polygon": {
+                "vertices": [
+                    jsonio.encode_vector(V(x, y))
+                    for x, y in [(1, 0), (2, 0), (3, 1), (3, 2), (2, 3), (1, 3), (0, 2), (0, 1)]
+                ]
+            },
+            "lambda": {"periodic": [{"lattice": jsonio.encode_lattice(half)}]},
+        }
+        path = tmp_path / "half.json"
+        path.write_text(jsonio.dumps(doc))
+        code, out = run(capsys, ["verify", str(path)])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["multiplicity"] == 28 and doc["cells_checked"] == 6
+
     def test_octagon_family_irrational_beta(self, capsys, tmp_path):
         scene = self.scene(capsys, tmp_path, "octagon-family", "--beta", "sqrt(2)")
         code, out = run(capsys, ["verify", scene, "--mode", "exact"])
@@ -253,6 +295,14 @@ class TestExamplesAndVerify:
         assert code == 0
         doc = json.loads(out)
         assert doc["multiplicity"] == 2 and doc["window_relative"] is True
+        assert doc["cells_checked"] == 58
+
+    def test_window_without_margin_rejected(self, capsys, tmp_path):
+        # the window equals the polygon's margin, so the region has no area
+        scene = self.scene(capsys, tmp_path, "tetromino-L1", "--window=0,0,2,5")
+        assert main(["verify", scene]) == 2
+        err = capsys.readouterr().err
+        assert "window is too small" in err and "Traceback" not in err
 
     def test_sampled_mode(self, capsys, tmp_path):
         scene = self.scene(capsys, tmp_path, "tetromino-L1")
@@ -317,6 +367,14 @@ class TestRender:
         scene.write_text(out)
         code = main(["render", str(scene), "-o", str(tmp_path / "x.svg"), "--window=2,2,2,2"])
         assert code == 2
+
+    def test_flat_window_rejected(self, capsys, tmp_path):
+        _, out = run(capsys, ["examples", "tetromino-L1"])
+        scene = tmp_path / "scene.json"
+        scene.write_text(out)
+        code = main(["render", str(scene), "-o", str(tmp_path / "x.svg"), "--window=0,0,0,1"])
+        assert code == 2
+        assert "render window is empty" in capsys.readouterr().err
 
     def test_unwritable_output(self, capsys, tmp_path):
         _, out = run(capsys, ["examples", "tetromino-L1"])

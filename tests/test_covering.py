@@ -31,6 +31,7 @@ from zonotile.patterns import (
 )
 
 from conftest import F2, Q, V, random_zonotope
+from test_acceptance import bounded_random_polygon
 
 H = Fraction(1, 2)
 
@@ -273,6 +274,84 @@ class TestArrangementCounts:
         assert len({p for p, _ in once}) == len(once)
         assert all(k == 1 for _, k in once)
         assert region_translates(poly, doubled, box) == [(p, 2) for p, _ in once]
+
+
+class _RefSegment:
+    """An arrangement edge with its closed bounding box."""
+
+    def __init__(self, p, q):
+        self.p, self.q = p, q
+        self.xlo, self.xhi = sorted((p.x, q.x))
+        self.ylo, self.yhi = sorted((p.y, q.y))
+
+
+def all_pairs_crossing_abscissas(segments, xmin, xmax):
+    """The crossing abscissas in [xmin, xmax] by testing every pair of
+    segments, as the sweep did before it was clipped and pruned."""
+    xs = []
+    for i in range(len(segments)):
+        si = segments[i]
+        for j in range(i + 1, len(segments)):
+            sj = segments[j]
+            if (si.xhi - sj.xlo).sign() < 0 or (sj.xhi - si.xlo).sign() < 0:
+                continue
+            if (si.yhi - sj.ylo).sign() < 0 or (sj.yhi - si.ylo).sign() < 0:
+                continue
+            a = si.q - si.p
+            b = sj.q - sj.p
+            den = a.cross(b)
+            if den.is_zero():
+                continue
+            c = sj.p - si.p
+            t = c.cross(b) / den
+            u = c.cross(a) / den
+            if t.sign() < 0 or (t - 1).sign() > 0 or u.sign() < 0 or (u - 1).sign() > 0:
+                continue
+            x = si.p.x + t * a.x
+            if (x - xmin).sign() >= 0 and (xmax - x).sign() >= 0:
+                xs.append(x)
+    return xs
+
+
+def all_pairs_events(poly, translates, region):
+    """Every edge endpoint and edge crossing abscissa in the region's
+    x-range, over all region and translate edges, sorted and deduplicated."""
+    segments = [_RefSegment(a, b) for a, b in region.edges()]
+    segments += [_RefSegment(a + lam, b + lam) for lam, _ in translates for a, b in poly.edges()]
+    rb = region.bbox
+    xs = [rb.x0, rb.x1]
+    xs += [x for s in segments for x in (s.p.x, s.q.x) if rb.x0 <= x <= rb.x1]
+    xs += all_pairs_crossing_abscissas(segments, rb.x0, rb.x1)
+    return sorted(set(xs))
+
+
+class TestArrangementEvents:
+    """The clipped, pruned sweep cuts the region into the same slabs as the
+    all-pairs event list."""
+
+    def test_face_slabs_are_the_all_pairs_events(self):
+        scenes = []
+        for beta in [Fraction(0), Fraction(1, 3), F2.sqrt(2)]:
+            poly, tset = builtin_scene("octagon-family", beta=beta)
+            scenes.append((poly, tset, verification_region(poly, tset)))
+        poly, tset = builtin_scene("tetromino-union")
+        scenes.append((poly, tset, verification_region(poly, tset)))
+        poly, tset = builtin_scene("octagon-family", beta=Fraction(1, 3))
+        scenes.append((poly, tset, Polygon(qbox(0, 0, 4, 4).corners())))
+        # a window lower than a vertical period: some crossings in its
+        # x-range happen only below it, where edges must not be clipped
+        scenes.append((poly, tset, Polygon(qbox(Fraction(1, 3), Fraction(1, 5), 2, H).corners())))
+        rng = random.Random(20260810)
+        for _ in range(8):
+            z, dec = bounded_random_polygon(rng)
+            poly, tset = Polygon.from_zonotope(z), single(dec.witness_lattice)
+            scenes.append((poly, tset, verification_region(poly, tset)))
+        for poly, tset, region in scenes:
+            translates = region_translates(poly, tset, region.bbox)
+            faces = arrangement_faces(poly, translates, region)
+            # every region is convex, so every slab holds a face
+            got = {f.x0 for f in faces} | {f.x1 for f in faces}
+            assert sorted(got) == all_pairs_events(poly, translates, region)
 
 
 class TestStripProfile:
