@@ -27,12 +27,6 @@ def _parse_window_flag(text: str):
     return tuple(jsonio.parse_rational(p.strip()) for p in parts)
 
 
-def _positive_int(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return int(text)
-
-
 def _emit(doc) -> None:
     sys.stdout.write(jsonio.dumps(doc))
 
@@ -66,17 +60,15 @@ def _cmd_canon(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    poly, tset, mode = jsonio.decode_scene_document(jsonio.load_document(args.scene))
-    if args.mode:
-        mode = args.mode
-    report = verify_covering(poly, tset, mode=mode, samples=args.samples)
+    poly, tset = jsonio.decode_scene_document(jsonio.load_document(args.scene))
+    report = verify_covering(poly, tset)
     _emit(jsonio.encode_verify_report(report, poly.field))
     return 0 if report.constant else 1
 
 
 def _cmd_render(args) -> int:
     doc = jsonio.load_document(args.scene)
-    poly, tset, _ = jsonio.decode_scene_document(doc)
+    poly, tset = jsonio.decode_scene_document(doc)
     if args.window:
         window = _parse_window_flag(args.window)
     elif "window" in doc.get("lambda", {}):
@@ -127,8 +119,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify covering constancy of a scene")
     p.add_argument("scene", help="scene JSON file")
-    p.add_argument("--mode", choices=["exact", "sampled"], default=None)
-    p.add_argument("--samples", type=_positive_int, default=1000)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("render", help="render a scene to SVG, faces filled by multiplicity")

@@ -24,14 +24,15 @@ segments, non-vertical and with an open x-range meeting the cell's, take
 part further; no segment is clipped in y, since those below the cell
 carry the ladder weights.  Prune: crossings are sought by sweep and prune
 on integer ranks of the live segments' exact x and y bounds, so only pairs
-whose closed bounding boxes overlap reach the exact intersection test.
+whose closed bounding boxes overlap reach the exact intersection test; a
+pair sharing an endpoint skips it, since two such segments that are not
+collinear meet only there, at an abscissa that is already an event.
 Ladder: each live segment is filed under the slabs between its xlo and
 xhi events, so a slab's ladder holds just the segments spanning it, in
 construction order.
 
 ``covering_at`` counts one point by brute-force point location.  It is the
-oracle the tests hold the propagated counts to, and the counter of the
-sampled verification mode.
+oracle the tests hold the propagated counts to.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from random import Random
 
 from .errors import BoundaryError, GeometryError, WindowError
 from .field import Field, FieldElement
@@ -59,8 +59,6 @@ __all__ = [
     "verify_covering",
     "strip_profile",
 ]
-
-_SAMPLED_SEED = 987654321
 
 
 @dataclass(frozen=True)
@@ -335,6 +333,8 @@ def _crossing_abscissas(live: list[_Segment], xmin, xmax) -> list[FieldElement]:
                 break
             if iyhi < jylo or jyhi < iylo:
                 continue
+            if si.p in (sj.p, sj.q) or si.q in (sj.p, sj.q):
+                continue
             a = si.q - si.p
             b = sj.q - sj.p
             den = a.cross(b)
@@ -454,18 +454,15 @@ def arrangement_faces(poly: Polygon, translates, region: Polygon) -> list[Face]:
     return faces
 
 
-def _report_from_samples(samples, window_relative: bool) -> VerifyReport:
-    if not samples:
+def _report(faces: list[Face], window_relative: bool) -> VerifyReport:
+    if not faces:
         raise WindowError("verification region contains no sample cells")
-    lo = hi = 0
-    for i, (_, c) in enumerate(samples):
-        if c < samples[lo][1]:
-            lo = i
-        if c > samples[hi][1]:
-            hi = i
-    if samples[lo][1] == samples[hi][1]:
-        return VerifyReport(True, samples[lo][1], None, len(samples), window_relative)
-    return VerifyReport(False, None, (samples[lo], samples[hi]), len(samples), window_relative)
+    lo = min(faces, key=lambda f: f.count)
+    hi = max(faces, key=lambda f: f.count)
+    if lo.count == hi.count:
+        return VerifyReport(True, lo.count, None, len(faces), window_relative)
+    counterexample = ((lo.sample, lo.count), (hi.sample, hi.count))
+    return VerifyReport(False, None, counterexample, len(faces), window_relative)
 
 
 def _periodic_region(tset: TranslateSet) -> Polygon:
@@ -485,49 +482,22 @@ def _windowed_region(poly: Polygon, tset: TranslateSet) -> Polygon:
     return Polygon(region.corners())
 
 
-def verify_covering(
-    poly: Polygon, tset: TranslateSet, mode: str = "exact", samples: int = 1000
-) -> VerifyReport:
-    """Certify (exact mode) or spot-check (sampled mode) covering constancy.
+def verify_covering(poly: Polygon, tset: TranslateSet) -> VerifyReport:
+    """Certify covering constancy exactly, one sample per arrangement face.
 
     Periodic sets are checked on one closed fundamental cell of the common
     period lattice, which certifies the whole plane.  Windowed patterns
     are checked on the window shrunk by the polygon's extent and the
     verdict is marked window-relative.
     """
-    if mode not in ("exact", "sampled"):
-        raise GeometryError(f"unknown mode {mode!r}")
     if tset.is_periodic:
         region = _periodic_region(tset)
         window_relative = False
     else:
         region = _windowed_region(poly, tset)
         window_relative = True
-    if mode == "exact":
-        faces = arrangement_faces(poly, region_translates(poly, tset, region.bbox), region)
-        return _report_from_samples([(f.sample, f.count) for f in faces], window_relative)
-    rng = Random(_SAMPLED_SEED)
-    rb = region.bbox
-    dx = rb.x1 - rb.x0
-    dy = rb.y1 - rb.y0
-    collected = []
-    attempts = 0
-    grain = 1 << 20
-    while len(collected) < samples:
-        attempts += 1
-        if attempts > 50 * samples:
-            raise GeometryError("sampling failed to find interior points")
-        pt = PlaneVector(
-            rb.x0 + dx * Fraction(rng.randrange(1, grain), grain),
-            rb.y0 + dy * Fraction(rng.randrange(1, grain), grain),
-        )
-        if region.locate(pt) != 1:
-            continue
-        try:
-            collected.append((pt, covering_at(poly, tset, pt)))
-        except BoundaryError:
-            continue
-    return _report_from_samples(collected, window_relative)
+    faces = arrangement_faces(poly, region_translates(poly, tset, region.bbox), region)
+    return _report(faces, window_relative)
 
 
 def strip_profile(poly: Polygon, lat: PlaneLattice, n_values) -> list[int]:

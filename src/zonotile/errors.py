@@ -30,7 +30,7 @@ class SymmetryError(ZonotopeError):
 
 
 class BoundaryError(ZonotileError):
-    """A query point lies on a translate boundary; the caller should resample."""
+    """``covering_at`` was asked to count a point on a translate boundary."""
 
 
 class WindowError(GeometryError):

@@ -236,22 +236,30 @@ def _decode_beta(doc, field: Field | None):
     raise GeometryError(f"bad beta value {doc!r}")
 
 
-def decode_scene_document(doc) -> tuple[Polygon, TranslateSet, str]:
-    """A scene: polygon + translate set + preferred verification mode."""
+def decode_scene_document(doc) -> tuple[Polygon, TranslateSet]:
+    """A scene: polygon + translate set.
+
+    The optional ``"mode"`` key is accepted only as ``"exact"``, the one
+    verification there is."""
     mode = doc.get("mode", "exact")
+    if mode != "exact":
+        raise GeometryError(f"scene 'mode' must be 'exact', got {mode!r}: sampled verification was removed")
     lam = doc.get("lambda")
     if lam is None:
         raise GeometryError("scene needs a 'lambda' entry")
+    if not isinstance(lam, dict):
+        raise GeometryError(f"scene 'lambda' must be an object, got {lam!r}")
     if "builtin" in lam:
         window = _decode_window(lam["window"]) if "window" in lam else None
         field = _decode_field(doc) if doc.get("field") else None
         beta = _decode_beta(lam.get("beta"), field)
-        poly, tset = builtin_scene(lam["builtin"], window=window, beta=beta)
-        return poly, tset, mode
+        return builtin_scene(lam["builtin"], window=window, beta=beta)
     field = _decode_field(doc)
     poly_doc = doc.get("polygon")
     if poly_doc is None:
         raise GeometryError("scene needs a 'polygon' entry")
+    if not isinstance(poly_doc, dict):
+        raise GeometryError(f"scene 'polygon' must be an object, got {poly_doc!r}")
     if "vertices" in poly_doc:
         poly = Polygon(_decode_vectors(poly_doc, "vertices", field))
     elif "generators" in poly_doc:
@@ -261,16 +269,21 @@ def decode_scene_document(doc) -> tuple[Polygon, TranslateSet, str]:
     parts_doc = lam.get("periodic")
     if not parts_doc:
         raise GeometryError("scene lambda needs 'periodic' parts or a 'builtin' name")
+    if not isinstance(parts_doc, list):
+        raise GeometryError(f"lambda.periodic must be a list of parts, got {parts_doc!r}")
     parts = []
-    for part in parts_doc:
+    for i, part in enumerate(parts_doc):
+        where = f"lambda.periodic[{i}]"
+        if not isinstance(part, dict) or "lattice" not in part:
+            raise GeometryError(f"{where} must be an object with a 'lattice', got {part!r}")
         lat = decode_lattice(part["lattice"], field)
         offset = (
-            decode_vector(part["offset"], field, "offset")
+            decode_vector(part["offset"], field, f"{where}.offset")
             if "offset" in part
             else PlaneVector(field.zero(), field.zero())
         )
         parts.append((lat, offset))
-    return poly, TranslateSet.periodic(parts), mode
+    return poly, TranslateSet.periodic(parts)
 
 
 def encode_scene_builtin(name: str, window, beta) -> dict:

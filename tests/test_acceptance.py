@@ -77,7 +77,7 @@ def test_criterion_1_octagon_family_multiplicity_7(tmp_path, capsys):
         assert code == 0
         scene = tmp_path / f"family-{label}.json"
         scene.write_text(scene_text)
-        code = main(["verify", str(scene), "--mode", "exact"])
+        code = main(["verify", str(scene)])
         out = capsys.readouterr().out
         elapsed = time.monotonic() - start
         assert code == 0
@@ -125,9 +125,7 @@ def test_criterion_4_decision_soundness_loop():
         assert report.verdict
         expected = (z.area() / dec.witness_lattice.det).rational_value()
         assert expected is not None and expected.denominator == 1
-        oracle = verify_covering(
-            Polygon.from_zonotope(z), single_lattice_set(dec.witness_lattice), "exact"
-        )
+        oracle = verify_covering(Polygon.from_zonotope(z), single_lattice_set(dec.witness_lattice))
         assert oracle.constant
         assert oracle.multiplicity == expected.numerator == dec.witness_multiplicity
     elapsed = time.monotonic() - start
@@ -151,7 +149,7 @@ def test_criterion_5_bolle_oracle_equivalence():
         q = rng.randrange(r)
         lat = PlaneLattice(V(p, q), V(0, r))
         verdict = bolle_check(z, lat).verdict
-        oracle = verify_covering(Polygon.from_zonotope(z), single_lattice_set(lat), "exact")
+        oracle = verify_covering(Polygon.from_zonotope(z), single_lattice_set(lat))
         assert verdict == oracle.constant, (
             f"disagreement: generators {[str(g) for g in z.generators]}, lattice {lat}"
         )
@@ -293,7 +291,7 @@ def test_criterion_10_tetromino_suite(tmp_path, capsys):
         scene_text = capsys.readouterr().out
         scene = tmp_path / f"{name}.json"
         scene.write_text(scene_text)
-        code = main(["verify", str(scene), "--mode", "exact"])
+        code = main(["verify", str(scene)])
         out = capsys.readouterr().out
         assert code == 0
         report = json.loads(out)

@@ -104,6 +104,21 @@ class TestDecide:
             assert main(["check", str(poly), str(bad)]) == 2
             err = capsys.readouterr().err
             assert named in err and "Traceback" not in err
+        # scene entries must be objects and lists, named by their JSON location
+        square = {"vertices": [jsonio.encode_vector(V(x, y)) for x, y in [(0, 0), (1, 0), (1, 1), (0, 1)]]}
+        z2 = {"lattice": jsonio.encode_lattice(PlaneLattice(V(1, 0), V(0, 1)))}
+        for polygon, lam, named in [
+            (square, {"periodic": [[1, 2]]}, "lambda.periodic[0]"),
+            (square, {"periodic": [z2, {}]}, "lambda.periodic[1]"),
+            (square, {"periodic": {"a": 1}}, "lambda.periodic"),
+            (square, {"periodic": [{**z2, "offset": [1, 2]}]}, "lambda.periodic[0].offset"),
+            (square, [1], "'lambda'"),
+            ([1], {"periodic": [z2]}, "'polygon'"),
+        ]:
+            bad.write_text(json.dumps({"field": [], "polygon": polygon, "lambda": lam}))
+            assert main(["verify", str(bad)]) == 2
+            err = capsys.readouterr().err
+            assert named in err and "Traceback" not in err
 
     def test_missing_file(self, capsys):
         code, _ = run(capsys, ["decide", "/nonexistent/poly.json"])
@@ -193,7 +208,7 @@ class TestExamplesAndVerify:
     def test_octagon_family_verifies(self, capsys, tmp_path):
         for beta, cells in [("0", 12), ("1/3", 24)]:
             scene = self.scene(capsys, tmp_path, "octagon-family", "--beta", beta)
-            code, out = run(capsys, ["verify", scene, "--mode", "exact"])
+            code, out = run(capsys, ["verify", scene])
             assert code == 0
             doc = json.loads(out)
             assert doc["constant"] is True and doc["multiplicity"] == 7
@@ -222,7 +237,7 @@ class TestExamplesAndVerify:
 
     def test_octagon_family_irrational_beta(self, capsys, tmp_path):
         scene = self.scene(capsys, tmp_path, "octagon-family", "--beta", "sqrt(2)")
-        code, out = run(capsys, ["verify", scene, "--mode", "exact"])
+        code, out = run(capsys, ["verify", scene])
         assert code == 0
         assert json.loads(out)["multiplicity"] == 7
 
@@ -304,14 +319,23 @@ class TestExamplesAndVerify:
         err = capsys.readouterr().err
         assert "window is too small" in err and "Traceback" not in err
 
-    def test_sampled_mode(self, capsys, tmp_path):
+    def test_sampled_mode_removed(self, capsys, tmp_path):
         scene = self.scene(capsys, tmp_path, "tetromino-L1")
-        code, out = run(capsys, ["verify", scene, "--mode", "sampled", "--samples", "150"])
-        assert code == 0
-        assert json.loads(out)["multiplicity"] == 1
-        for samples in ["0", "-3"]:
-            assert main(["verify", scene, "--mode", "sampled", "--samples", samples]) == 2
-            assert "--samples" in capsys.readouterr().err
+        for flags, named in [(["--mode", "sampled"], "--mode"), (["--samples", "150"], "--samples")]:
+            assert main(["verify", scene, *flags]) == 2
+            err = capsys.readouterr().err
+            assert named in err and "Traceback" not in err
+        path = tmp_path / "mode.json"
+        l1 = {"builtin": "tetromino-L1"}
+        path.write_text(json.dumps({"lambda": l1, "mode": "sampled"}))
+        assert main(["verify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "'mode'" in err and "sampled" in err and "Traceback" not in err
+        for doc in [{"lambda": l1, "mode": "exact"}, {"lambda": l1}]:
+            path.write_text(json.dumps(doc))
+            code, out = run(capsys, ["verify", str(path)])
+            assert code == 0
+            assert json.loads(out)["multiplicity"] == 1
 
     def test_examples_round_trip(self, capsys, tmp_path):
         for name in ["tetromino-L1", "tetromino-L2", "tetromino-union"]:

@@ -1,5 +1,5 @@
-"""The brute-force covering oracle: point location, enumeration, exact and
-sampled constancy verification, strips, and the builtin scenes."""
+"""The brute-force covering oracle: point location, enumeration, exact
+constancy verification, strips, and the builtin scenes."""
 
 import random
 from fractions import Fraction
@@ -164,41 +164,26 @@ class TestCoveringAt:
 class TestVerifyCovering:
     def test_octagon_family_rational_beta(self):
         poly, ts = builtin_scene("octagon-family", beta=Fraction(1, 3))
-        report = verify_covering(poly, ts, "exact")
+        report = verify_covering(poly, ts)
         assert report.constant and report.multiplicity == 7
         assert not report.window_relative
         assert report.counterexample is None
 
     def test_octagon_family_irrational_beta(self):
         poly, ts = builtin_scene("octagon-family", beta=Field([2]).sqrt(2))
-        report = verify_covering(poly, ts, "exact")
+        report = verify_covering(poly, ts)
         assert report.constant and report.multiplicity == 7
 
     def test_octagon_family_beta_zero(self):
         poly, ts = builtin_scene("octagon-family", beta=Fraction(0))
-        report = verify_covering(poly, ts, "exact")
+        report = verify_covering(poly, ts)
         assert report.constant and report.multiplicity == 7
 
     def test_octagon_single_lattice_not_constant(self):
-        report = verify_covering(lattice_octagon(), single(octagon_strip_lattice()), "exact")
+        report = verify_covering(lattice_octagon(), single(octagon_strip_lattice()))
         assert not report.constant
         counts = sorted((report.counterexample[0][1], report.counterexample[1][1]))
         assert counts == [3, 4]
-
-    def test_exact_and_sampled_agree_on_builtins(self):
-        cases = [
-            builtin_scene("octagon-family", beta=Fraction(1, 3)),
-            builtin_scene("tetromino-L1"),
-            builtin_scene("tetromino-L2"),
-            builtin_scene("tetromino-union"),
-            (lattice_octagon(), single(octagon_strip_lattice())),
-        ]
-        for poly, ts in cases:
-            exact = verify_covering(poly, ts, "exact")
-            sampled = verify_covering(poly, ts, "sampled", samples=1000)
-            assert exact.constant == sampled.constant
-            if exact.constant:
-                assert exact.multiplicity == sampled.multiplicity
 
     def test_incommensurable_parts_refused(self):
         f = F2
@@ -209,7 +194,7 @@ class TestVerifyCovering:
         l2 = PlaneLattice(V(f.sqrt(2), 0, f), V(0, 1, f))
         ts = TranslateSet.periodic([(l1, zero), (l2, zero)])
         with pytest.raises(IncommensurableError):
-            verify_covering(lattice_octagon(f), ts, "exact")
+            verify_covering(lattice_octagon(f), ts)
 
     def test_oracle_multiplicity_matches_accounting(self):
         rng = random.Random(29)
@@ -222,9 +207,7 @@ class TestVerifyCovering:
             assert dec.multi_tiles
             if dec.witness_multiplicity > 16:
                 continue
-            report = verify_covering(
-                Polygon.from_zonotope(z), single(dec.witness_lattice), "exact"
-            )
+            report = verify_covering(Polygon.from_zonotope(z), single(dec.witness_lattice))
             assert report.constant
             assert report.multiplicity == dec.witness_multiplicity
             done += 1
@@ -402,18 +385,18 @@ class TestStripProfile:
 class TestTetrominoSuite:
     def test_l1_tiles_window(self):
         poly, ts = builtin_scene("tetromino-L1")
-        report = verify_covering(poly, ts, "exact")
+        report = verify_covering(poly, ts)
         assert report.constant and report.multiplicity == 1
         assert report.window_relative
 
     def test_l2_tiles_window(self):
         poly, ts = builtin_scene("tetromino-L2")
-        report = verify_covering(poly, ts, "exact")
+        report = verify_covering(poly, ts)
         assert report.constant and report.multiplicity == 1
 
     def test_union_covers_twice(self):
         poly, ts = builtin_scene("tetromino-union")
-        report = verify_covering(poly, ts, "exact")
+        report = verify_covering(poly, ts)
         assert report.constant and report.multiplicity == 2
 
     def test_l2_alone_has_the_diagonal_period(self):
@@ -442,4 +425,4 @@ class TestTetrominoSuite:
     def test_window_too_small(self):
         poly, ts = builtin_scene("tetromino-L1", window=(-1, -1, 1, 1))
         with pytest.raises(GeometryError):
-            verify_covering(poly, ts, "exact")
+            verify_covering(poly, ts)

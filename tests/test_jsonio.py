@@ -138,14 +138,13 @@ class TestSceneDocuments:
             },
             "mode": "exact",
         }
-        poly, tset, mode = jsonio.decode_scene_document(doc)
-        assert mode == "exact"
+        poly, tset = jsonio.decode_scene_document(doc)
         assert tset.is_periodic and len(tset.parts) == 2
         assert len(poly.vertices) == 8
 
     def test_builtin_scene(self):
         doc = {"lambda": {"builtin": "tetromino-L2", "window": [-6, -6, 6, 6]}}
-        poly, tset, mode = jsonio.decode_scene_document(doc)
+        poly, tset = jsonio.decode_scene_document(doc)
         assert not tset.is_periodic
         assert tset.pattern.name == "tetromino-L2"
 
@@ -157,7 +156,7 @@ class TestSceneDocuments:
                 "beta": [{"monomial": "r2", "num": "1", "den": "1"}],
             },
         }
-        poly, tset, _ = jsonio.decode_scene_document(doc)
+        poly, tset = jsonio.decode_scene_document(doc)
         assert tset.is_periodic
         offsets = [z for _, z in tset.parts]
         assert offsets[1].x == Field([2]).sqrt(2)
