@@ -87,7 +87,7 @@ def bolle_check(p: Zonotope, lat: PlaneLattice) -> BolleReport:
     pairs = []
     for j, (e, t) in enumerate(zip(p.generators, shifts), start=1):
         cond1 = lat.contains(t)
-        cond2 = lat.contains(e) and line_meets_lattice(lat, e, t)
+        cond2 = line_meets_lattice(lat, e, t)  # False when e is not in lat
         pairs.append(BollePair(j, cond1, cond2))
     verdict = all(pr.cond1 or pr.cond2 for pr in pairs)
     return BolleReport(tuple(pairs), verdict, _multiplicity(p, lat, 1) if verdict else None)

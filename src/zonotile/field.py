@@ -20,18 +20,25 @@ from .errors import FieldError
 __all__ = ["Field", "FieldElement", "RATIONALS"]
 
 _MAX_RADICANDS = 4
+_MAX_RADICAND = 10**18
 _ZERO = Fraction(0)
 
 
 def _is_squarefree(n: int) -> bool:
-    if n % 4 == 0:
-        return False
-    p = 3
-    while p * p <= n:
-        if n % (p * p) == 0:
-            return False
-        p += 2
-    return True
+    """Squarefree test for n >= 1 by trial division up to the cube root.
+
+    Once every prime p with p**3 <= n is divided out, the cofactor has at
+    most two prime factors, so it is squarefree exactly when it is 1 or not
+    a perfect square.
+    """
+    p = 2
+    while p * p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return False
+        p += 1 if p == 2 else 2
+    return n == 1 or not _is_square(n)
 
 
 def _is_square(n: int) -> bool:
@@ -58,6 +65,8 @@ class Field:
         for d in rads:
             if d < 2:
                 raise FieldError(f"radicand {d} must be an integer >= 2")
+            if d > _MAX_RADICAND:
+                raise FieldError(f"radicand {d} exceeds the supported maximum 10**18")
             if not _is_squarefree(d):
                 raise FieldError(f"radicand {d} is not squarefree")
         if len(set(rads)) != len(rads):

@@ -163,12 +163,16 @@ def decode_vector(doc, field: Field, where: str = "vector") -> PlaneVector:
     return PlaneVector(decode_element(doc["x"], field), decode_element(doc["y"], field))
 
 
-def _decode_vectors(doc: dict, key: str, field: Field) -> list[PlaneVector]:
-    """The list of vectors under ``doc[key]``; errors name the key and index."""
+def _decode_vectors(doc: dict, key: str, field: Field, where: str = "") -> list[PlaneVector]:
+    """The list of vectors under ``doc[key]``; errors name the key and index.
+
+    ``where`` locates ``doc`` inside a larger document and prefixes each name."""
     values = doc[key]
     if not isinstance(values, list):
-        raise GeometryError(f"{key!r} must be a list of {{x, y}} objects, got {values!r}")
-    return [decode_vector(v, field, f"{key}[{i}]") for i, v in enumerate(values)]
+        name = f"{where}.{key}" if where else repr(key)
+        raise GeometryError(f"{name} must be a list of {{x, y}} objects, got {values!r}")
+    prefix = f"{where}." if where else ""
+    return [decode_vector(v, field, f"{prefix}{key}[{i}]") for i, v in enumerate(values)]
 
 
 # -- lattices and polygons -------------------------------------------------------
@@ -178,13 +182,19 @@ def encode_lattice(lat: PlaneLattice) -> dict:
     return {"basis": [encode_vector(lat.b1), encode_vector(lat.b2)]}
 
 
-def decode_lattice(doc, field: Field) -> PlaneLattice:
+def decode_lattice(doc, field: Field, where: str = "") -> PlaneLattice:
+    """A lattice object; ``where`` names its location inside a larger document."""
     if not isinstance(doc, dict) or "basis" not in doc:
-        raise GeometryError(f"lattice must be an object with a 'basis', got {doc!r}")
-    basis = _decode_vectors(doc, "basis", field)
+        raise GeometryError(f"{where or 'lattice'} must be an object with a 'basis', got {doc!r}")
+    basis = _decode_vectors(doc, "basis", field, where)
     if len(basis) != 2:
-        raise GeometryError("lattice basis must have exactly 2 vectors")
-    return PlaneLattice(*basis)
+        raise GeometryError(f"{where or 'lattice'} basis must have exactly 2 vectors")
+    try:
+        return PlaneLattice(*basis)
+    except GeometryError as exc:
+        if not where:
+            raise
+        raise GeometryError(f"{where}: {exc}") from exc
 
 
 def _decode_field(doc, field: Field | None = None) -> Field:
@@ -276,7 +286,7 @@ def decode_scene_document(doc) -> tuple[Polygon, TranslateSet]:
         where = f"lambda.periodic[{i}]"
         if not isinstance(part, dict) or "lattice" not in part:
             raise GeometryError(f"{where} must be an object with a 'lattice', got {part!r}")
-        lat = decode_lattice(part["lattice"], field)
+        lat = decode_lattice(part["lattice"], field, f"{where}.lattice")
         offset = (
             decode_vector(part["offset"], field, f"{where}.offset")
             if "offset" in part

@@ -3,10 +3,11 @@
 A finitely generated subgroup of the plane over a multi-quadratic field is
 discrete iff its generators have rational rank at most 2 when flattened to
 rational coordinate tuples (one rational per plane coordinate per field
-monomial).  That observation drives :func:`integer_span`, and the same
-flattening gives every lattice a canonical basis: write both basis vectors
-as rational tuples in the fixed monomial frame, clear denominators, and
-take the integer row Hermite form.  Equal lattices therefore compare and
+monomial).  Rank, span and canonical basis all come from one computation:
+flatten the vectors, clear denominators, and take the integer row Hermite
+form.  Its row count is the rational rank (:func:`rational_rank`), its
+rows span the same group as the vectors (:func:`integer_span`), and for a
+lattice basis it is the canonical basis, so equal lattices compare and
 serialize identically.
 """
 
@@ -90,34 +91,29 @@ def _flatten(v: PlaneVector) -> tuple[Fraction, ...]:
     return v.x.coeffs + v.y.coeffs
 
 
-def _reduce_against(row: list[Fraction], basis: list[tuple[int, list[Fraction]]]):
-    """Eliminate ``row`` against reduced rows (pivot-column, row) pairs."""
-    for pc, b in basis:
-        if row[pc]:
-            f = row[pc] / b[pc]
-            for c in range(len(row)):
-                row[c] -= f * b[c]
-    return row
+def _integer_rows(vectors) -> tuple[list[list[int]], int]:
+    """The flattened vectors as integer rows over one common denominator."""
+    rows = [_flatten(v) for v in vectors]
+    den = lcm(*(c.denominator for row in rows for c in row))
+    return [[c.numerator * (den // c.denominator) for c in row] for row in rows], den
 
 
-def _independent_prefix(vectors) -> tuple[int, list[int]]:
-    """Rational rank of the flattened vectors plus indices of a spanning prefix."""
-    basis: list[tuple[int, list[Fraction]]] = []
-    sources: list[int] = []
-    for idx, v in enumerate(vectors):
-        row = _reduce_against(list(_flatten(v)), basis)
-        pivot = next((c for c, val in enumerate(row) if val), None)
-        if pivot is not None:
-            basis.append((pivot, row))
-            sources.append(idx)
-    return len(basis), sources
+def _vectors_from_rows(field: Field, rows, den: int) -> list[PlaneVector]:
+    """Inverse of :func:`_integer_rows`: integer rows over ``den`` back to vectors."""
+    size = field.size
+    return [
+        PlaneVector(
+            FieldElement(field, tuple(Fraction(n, den) for n in row[:size])),
+            FieldElement(field, tuple(Fraction(n, den) for n in row[size:])),
+        )
+        for row in rows
+    ]
 
 
 def rational_rank(vectors) -> int:
     """Rank over Q of the vectors viewed as rational coordinate tuples."""
-    _check_common_field(vectors)
-    rank, _ = _independent_prefix(vectors)
-    return rank
+    rows, _ = _integer_rows(_check_common_field(vectors))
+    return len(row_hnf(rows))
 
 
 def _check_common_field(vectors):
@@ -131,20 +127,6 @@ def _check_common_field(vectors):
     return vs
 
 
-def _coords_in_pair(v: PlaneVector, va: PlaneVector, vb: PlaneVector) -> tuple[Fraction, Fraction]:
-    """Solve v = alpha*va + beta*vb over Q in the flattened coordinate space."""
-    fa, fb, fv = _flatten(va), _flatten(vb), _flatten(v)
-    j1 = next(c for c, val in enumerate(fa) if val)
-    fb2 = [fb[c] - fb[j1] / fa[j1] * fa[c] for c in range(len(fa))]
-    j2 = next(c for c, val in enumerate(fb2) if val)
-    beta = (fv[j2] - fv[j1] / fa[j1] * fa[j2]) / fb2[j2]
-    alpha = (fv[j1] - beta * fb[j1]) / fa[j1]
-    for c in range(len(fa)):
-        if alpha * fa[c] + beta * fb[c] != fv[c]:
-            raise GeometryError("vector is not in the rational span of the pair")
-    return alpha, beta
-
-
 class PlaneLattice:
     """A full-rank discrete subgroup of the plane, held in canonical form.
 
@@ -156,23 +138,14 @@ class PlaneLattice:
     __slots__ = ("b1", "b2", "_det")
 
     def __init__(self, b1: PlaneVector, b2: PlaneVector):
-        _check_common_field([b1, b2])
-        if b1.cross(b2).is_zero():
-            raise GeometryError("lattice basis is degenerate")
-        field = b1.field
-        rows = [_flatten(b1), _flatten(b2)]
-        den = lcm(*(c.denominator for row in rows for c in row))
-        h = row_hnf([[int(c * den) for c in row] for row in rows])
+        rows, den = _integer_rows(_check_common_field([b1, b2]))
+        h = row_hnf(rows)
         if len(h) != 2:
             raise GeometryError("lattice basis is degenerate")
-        size = field.size
-        nb = []
-        for row in h:
-            x = FieldElement(field, tuple(Fraction(n, den) for n in row[:size]))
-            y = FieldElement(field, tuple(Fraction(n, den) for n in row[size:]))
-            nb.append(PlaneVector(x, y))
-        self.b1, self.b2 = nb
+        self.b1, self.b2 = _vectors_from_rows(b1.field, h, den)
         self._det = self.b1.cross(self.b2)
+        if self._det.is_zero():  # Q-independent but collinear in the plane
+            raise GeometryError("lattice basis is degenerate")
 
     @property
     def field(self) -> Field:
@@ -237,24 +210,19 @@ def integer_span(vectors) -> SpanAnalysis:
     The span is a full-rank lattice iff the flattened rational rank is at
     most 2 and the vectors span the real plane; rank > 2 means a dense
     (non-discrete) subgroup, real span below dimension 2 means no full-rank
-    subgroup at all.
+    subgroup at all.  The Hermite rows of the flattened vectors give the
+    rank and, at rank 2, a basis of the span.
     """
-    vs = [v for v in _check_common_field(vectors) if not v.is_zero()]
-    if not vs:
-        return SpanAnalysis(0, RANK_DEFICIENT, None)
-    rank, sources = _independent_prefix(vs)
-    if rank > 2:
-        return SpanAnalysis(rank, NOT_DISCRETE, None)
-    if rank < 2:
-        return SpanAnalysis(rank, RANK_DEFICIENT, None)
-    va, vb = vs[sources[0]], vs[sources[1]]
-    if va.cross(vb).is_zero():
+    vs = _check_common_field(vectors)
+    rows, den = _integer_rows(vs)
+    h = row_hnf(rows)
+    if len(h) > 2:
+        return SpanAnalysis(len(h), NOT_DISCRETE, None)
+    if len(h) < 2:
+        return SpanAnalysis(len(h), RANK_DEFICIENT, None)
+    u1, u2 = _vectors_from_rows(vs[0].field, h, den)
+    if u1.cross(u2).is_zero():
         return SpanAnalysis(2, RANK_DEFICIENT, None)
-    coords = [_coords_in_pair(v, va, vb) for v in vs]
-    den = lcm(*(q.denominator for pair in coords for q in pair))
-    h = row_hnf([[int(a * den), int(b * den)] for a, b in coords])
-    u1 = va.scale(Fraction(h[0][0], den)) + vb.scale(Fraction(h[0][1], den))
-    u2 = va.scale(Fraction(h[1][0], den)) + vb.scale(Fraction(h[1][1], den))
     return SpanAnalysis(2, LATTICE, PlaneLattice(u1, u2))
 
 

@@ -76,15 +76,18 @@ class Zonotope:
         """For each edge e_j, the translation carrying it onto its parallel edge.
 
         With the sign convention e_{j+m} = -e_j, the j-th translation is
-        the sum of the m-1 edges following e_j around the boundary.
+        the sum of the m-1 edges following e_j around the boundary, that is
+        t_j = S - e_j - 2(e_1 + ... + e_{j-1}) with S = e_1 + ... + e_m.
+        Consecutive ones differ by t_{j+1} = t_j - e_j - e_{j+1}, so all m
+        cost O(m).
         """
-        edges = self.signed_edges()
-        m = self.m
-        out = []
-        for j in range(m):
-            t = edges[(j + 1) % (2 * m)]
-            for i in range(j + 2, j + m):
-                t = t + edges[i % (2 * m)]
+        gens = self._generators
+        t = gens[1]
+        for g in gens[2:]:
+            t = t + g
+        out = [t]
+        for prev, g in zip(gens, gens[1:]):
+            t = t - prev - g
             out.append(t)
         return out
 
@@ -102,12 +105,17 @@ class Zonotope:
         return out
 
     def area(self):
-        """Sum of |det(e_i, e_j)| over generator pairs (equals the shoelace area)."""
+        """Sum of det(e_i, e_j) over generator pairs i < j (equals the shoelace area).
+
+        Each term is positive by the argument order.  By bilinearity the
+        sum is sum_j det(e_1 + ... + e_{j-1}, e_j), computed in O(m).
+        """
         gens = self._generators
+        prefix = gens[0]
         total = self.field.zero()
-        for i in range(len(gens)):
-            for j in range(i + 1, len(gens)):
-                total = total + gens[i].cross(gens[j])
+        for g in gens[1:]:
+            total = total + prefix.cross(g)
+            prefix = prefix + g
         return total
 
     @classmethod

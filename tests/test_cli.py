@@ -113,6 +113,18 @@ class TestDecide:
             (square, {"periodic": {"a": 1}}, "lambda.periodic"),
             (square, {"periodic": [{**z2, "offset": [1, 2]}]}, "lambda.periodic[0].offset"),
             (square, [1], "'lambda'"),
+            (
+                square,
+                {"periodic": [{"lattice": {"basis": [jsonio.encode_vector(V(1, 0)), [0, 1]]}}]},
+                "lambda.periodic[0].lattice.basis[1] must be an object with 'x' and 'y', got [0, 1]",
+            ),
+            (square, {"periodic": [z2, {"lattice": {"basis": "x"}}]}, "lambda.periodic[1].lattice.basis must"),
+            (square, {"periodic": [{"lattice": [1]}]}, "lambda.periodic[0].lattice must"),
+            (
+                square,
+                {"periodic": [{"lattice": {"basis": [jsonio.encode_vector(V(1, 0))] * 2}}]},
+                "lambda.periodic[0].lattice: lattice basis is degenerate",
+            ),
             ([1], {"periodic": [z2]}, "'polygon'"),
         ]:
             bad.write_text(json.dumps({"field": [], "polygon": polygon, "lambda": lam}))

@@ -105,12 +105,15 @@ class TestLatticePointsInBox:
             lat = PlaneLattice(b1, b2)
             box = qbox(rng.randint(-3, 0), rng.randint(-3, 0), rng.randint(0, 3), rng.randint(0, 3))
             got = {(p.x, p.y) for p in lattice_points_in_box(lat, box)}
+            # the naive oracle in plain Fractions from the basis coordinates
+            (b1x, b1y), (b2x, b2y) = [(b.x.rational_value(), b.y.rational_value()) for b in lat.basis()]
+            x0, y0, x1, y1 = (c.rational_value() for c in (box.x0, box.y0, box.x1, box.y1))
             want = set()
             for a in range(-60, 61):
                 for b in range(-60, 61):
-                    p = lat.point(a, b)
-                    if box.x0 <= p.x <= box.x1 and box.y0 <= p.y <= box.y1:
-                        want.add((p.x, p.y))
+                    x, y = a * b1x + b * b2x, a * b1y + b * b2y
+                    if x0 <= x <= x1 and y0 <= y <= y1:
+                        want.add((x, y))
             assert got == want
 
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -25,6 +26,29 @@ class TestDescriptor:
             Field([4])
         with pytest.raises(FieldError):
             Field([12])
+
+    def test_squarefree_check_matches_division_by_squares(self):
+        # the check divides only up to the cube root; hold it to the plain
+        # test "no odd square and not 4 divides n" on small n
+        def by_squares(n):
+            return n % 4 != 0 and all(n % (p * p) for p in range(3, isqrt(n) + 1, 2))
+
+        for n in range(2, 5000):
+            if by_squares(n):
+                Field([n])
+            else:
+                with pytest.raises(FieldError, match="not squarefree"):
+                    Field([n])
+        p, q = 999983, 1000003  # primes
+        with pytest.raises(FieldError, match="not squarefree"):
+            Field([q * q])
+        with pytest.raises(FieldError, match="not squarefree"):
+            Field([2 * p * p])
+        assert Field([p * q]).radicands == (p * q,)
+
+    def test_radicand_above_cap_rejected(self):
+        with pytest.raises(FieldError, match=str(10**18 + 1)):
+            Field([10**18 + 1])
 
     def test_duplicates_rejected(self):
         with pytest.raises(FieldError):

@@ -3,6 +3,7 @@ the Diophantine reduction of the edge-line condition."""
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -21,8 +22,9 @@ from zonotile import (
     sublattice_avoiding_coset,
     superlattice_meeting_line,
 )
+from zonotile.intlinalg import row_hnf
 
-from conftest import F2, F23, V, sympy_rank
+from conftest import F2, F23, V, flatten_vector, rand_element, sympy_rank
 
 H = Fraction(1, 2)
 
@@ -117,8 +119,6 @@ class TestIntegerSpan:
     def test_basis_vectors_are_integer_combinations_of_inputs(self):
         # independent oracle: sympy's Hermite normal form decides whether the
         # basis coordinates lie in the integer row span of the input coordinates
-        from math import lcm
-
         from sympy import Matrix
         from sympy.matrices.normalforms import hermite_normal_form
 
@@ -171,6 +171,75 @@ class TestIntegerSpan:
             for c1, c2 in basis_coords:
                 assert in_integer_row_span(rows, (int(c1 * den), int(c2 * den)))
             done += 1
+
+    def test_quadratic_spans_match_pair_coordinates_construction(self):
+        # the earlier construction, kept here as an oracle: Q-elimination
+        # picks an independent input pair, every input gets its rational
+        # coordinates in that pair, and the Hermite form of those
+        # coordinates gives the basis
+        def pair_coordinates_span(vs):
+            pivots, sources = [], []
+            for idx, v in enumerate(vs):
+                row = flatten_vector(v)
+                for pc, b in pivots:
+                    if row[pc]:
+                        f = row[pc] / b[pc]
+                        row = [r - f * c for r, c in zip(row, b)]
+                pc = next((c for c, val in enumerate(row) if val), None)
+                if pc is not None:
+                    pivots.append((pc, row))
+                    sources.append(idx)
+            if len(pivots) != 2:
+                return len(pivots), NOT_DISCRETE if len(pivots) > 2 else RANK_DEFICIENT, None
+            va, vb = vs[sources[0]], vs[sources[1]]
+            if va.cross(vb).is_zero():
+                return 2, RANK_DEFICIENT, None
+            fa, fb = flatten_vector(va), flatten_vector(vb)
+            j1 = next(c for c, val in enumerate(fa) if val)
+            fb2 = [fb[c] - fb[j1] / fa[j1] * fa[c] for c in range(len(fa))]
+            j2 = next(c for c, val in enumerate(fb2) if val)
+            coords = []
+            for v in vs:
+                fv = flatten_vector(v)
+                beta = (fv[j2] - fv[j1] / fa[j1] * fa[j2]) / fb2[j2]
+                alpha = (fv[j1] - beta * fb[j1]) / fa[j1]
+                assert [alpha * a + beta * b for a, b in zip(fa, fb)] == fv
+                coords.append((alpha, beta))
+            den = lcm(*(q.denominator for pair in coords for q in pair))
+            h = row_hnf([[int(a * den), int(b * den)] for a, b in coords])
+            u1 = va.scale(Fraction(h[0][0], den)) + vb.scale(Fraction(h[0][1], den))
+            u2 = va.scale(Fraction(h[1][0], den)) + vb.scale(Fraction(h[1][1], den))
+            return 2, LATTICE, PlaneLattice(u1, u2)
+
+        def rand_vector():
+            return V(rand_element(rng, F23), rand_element(rng, F23), F23)
+
+        rng = random.Random(53)
+        verdicts = set()
+        for trial in range(120):
+            v1, v2 = rand_vector(), rand_vector()
+            if trial % 4 == 3:
+                v2 = v1.scale(F23.sqrt(2) + rng.randint(-2, 2))  # real-collinear pair
+            inputs = [
+                v1.scale(Fraction(rng.randint(-4, 4), rng.choice([1, 2])))
+                + v2.scale(Fraction(rng.randint(-4, 4), rng.choice([1, 2])))
+                for _ in range(rng.randint(1, 4))
+            ]
+            if trial % 3 == 2:
+                inputs.append(rand_vector())
+            analysis = integer_span(inputs)
+            q_rank, verdict, lat = pair_coordinates_span(inputs)
+            assert analysis.q_rank == q_rank == sympy_rank(inputs)
+            assert analysis.verdict == verdict
+            verdicts.add(verdict)
+            if verdict != LATTICE:
+                assert analysis.basis is None
+                continue
+            assert [flatten_vector(b) for b in analysis.basis.basis()] == [
+                flatten_vector(b) for b in lat.basis()
+            ]
+            assert all(analysis.basis.contains(v) for v in inputs)
+        assert verdicts == {LATTICE, NOT_DISCRETE, RANK_DEFICIENT}
 
 
 class TestCanonicalForm:

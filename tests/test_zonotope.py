@@ -91,6 +91,20 @@ class TestPairTranslations:
                 diff = mid_opp - mid
                 assert (diff - shifts[j - 1]).is_zero()
 
+    def test_matches_sum_of_following_edges(self):
+        # definition: t_j is the sum of the m-1 signed edges after e_j
+        rng = random.Random(29)
+        zs = [random_zonotope(rng, m=rng.choice([2, 3, 4, 5])) for _ in range(60)]
+        zs += [random_irrational_zonotope(rng, F23, rng.choice([2, 3, 4, 5])) for _ in range(60)]
+        for z in zs:
+            edges = z.signed_edges()
+            n = len(edges)
+            for j, t in enumerate(z.pair_translations()):
+                want = edges[(j + 1) % n]
+                for i in range(j + 2, j + z.m):
+                    want = want + edges[i % n]
+                assert t == want
+
 
 class TestVertices:
     def test_square_vertices(self):
