@@ -18,18 +18,26 @@ the sum of the signed multiplicities of the edges below it.
 ``arrangement_faces`` is the one place this decomposition is built: the
 verifier, the strip profiles and the SVG renderer all read its faces.
 
-The sweep's cost follows the segments that reach the cell, not all of
-them.  Clip: once the endpoint abscissas are collected, only the live
-segments, non-vertical and with an open x-range meeting the cell's, take
-part further; no segment is clipped in y, since those below the cell
-carry the ladder weights.  Prune: crossings are sought by sweep and prune
-on integer ranks of the live segments' exact x and y bounds, so only pairs
-whose closed bounding boxes overlap reach the exact intersection test; a
-pair sharing an endpoint skips it, since two such segments that are not
-collinear meet only there, at an abscissa that is already an event.
+The sweep's cost follows the segments that reach the cell and the
+crossings inside it, not the pairs of segments.  Clip: once the endpoint
+abscissas are collected, only the live segments, non-vertical and with an
+open x-range meeting the cell's, take part further, each with its slope
+computed once; no segment is clipped in y, since those below the cell
+carry the ladder weights.  Swap: no segment starts or ends strictly
+between two consecutive endpoint events, so two segments spanning such a
+slab cross strictly inside it exactly when their height difference is
+nonzero at both ends and changes sign; a zero at an end is a meeting on
+an event already listed, and a difference zero at both ends means the
+segments are collinear.  Heights are ranked at each endpoint event, and
+insertion-sorting a slab's segments from their left order into their
+right order swaps exactly the crossing pairs, the only ones intersected.
 Ladder: each live segment is filed under the slabs between its xlo and
 xhi events, so a slab's ladder holds just the segments spanning it, in
-construction order.
+construction order.  Region: the region is convex, so exactly one lower
+and one upper region edge span a slab's midpoint.  Region edges are built
+first and every sort is stable, so walking up the ladder, each rung that
+holds a region edge toggles "inside", and the faces kept are exactly
+those whose sample ``Polygon.locate`` puts strictly inside the region.
 
 ``covering_at`` counts one point by brute-force point location.  It is the
 oracle the tests hold the propagated counts to.
@@ -288,9 +296,10 @@ class _Segment:
     """An arrangement edge.  ``weight`` is the change in covering count on
     crossing it upwards: polygons are counterclockwise, so a rightward edge
     of a translate of multiplicity k enters it (+k) and a leftward one
-    leaves it (-k).  Region edges weigh 0."""
+    leaves it (-k).  Region edges weigh 0.  ``slope`` is set, by one
+    division, when the sweep finds the segment live (not vertical)."""
 
-    __slots__ = ("p", "q", "weight", "xlo", "xhi", "ylo", "yhi")
+    __slots__ = ("p", "q", "weight", "xlo", "xhi", "slope")
 
     def __init__(self, p: PlaneVector, q: PlaneVector, mult: int = 0):
         self.p = p
@@ -298,10 +307,14 @@ class _Segment:
         dx = (q.x - p.x).sign()
         self.weight = dx * mult
         self.xlo, self.xhi = (p.x, q.x) if dx >= 0 else (q.x, p.x)
-        self.ylo, self.yhi = (p.y, q.y) if (q.y - p.y).sign() >= 0 else (q.y, p.y)
 
     def y_at(self, x: FieldElement) -> FieldElement:
-        return self.p.y + (x - self.p.x) * (self.q.y - self.p.y) / (self.q.x - self.p.x)
+        """The height at abscissa x, the stored one at an endpoint."""
+        if x == self.p.x:
+            return self.p.y
+        if x == self.q.x:
+            return self.q.y
+        return self.p.y + (x - self.p.x) * self.slope
 
 
 def _ranks(values) -> dict[FieldElement, int]:
@@ -313,42 +326,31 @@ def _ranks(values) -> dict[FieldElement, int]:
     return {v: k for k, v in enumerate(sorted(set(values)))}
 
 
-def _crossing_abscissas(live: list[_Segment], xmin, xmax) -> list[FieldElement]:
-    """The abscissas in [xmin, xmax] where two segments meet, by sweep and
-    prune: the segments are sorted by xlo rank, each is tested only against
-    the later ones whose xlo does not exceed its xhi, and the closed y-ranges
-    are compared by rank, so every pair with overlapping closed bounding
-    boxes is tested and no other."""
-    xr = _ranks([v for s in live for v in (s.xlo, s.xhi)])
-    yr = _ranks([v for s in live for v in (s.ylo, s.yhi)])
-    boxes = sorted(
-        ((xr[s.xlo], xr[s.xhi], yr[s.ylo], yr[s.yhi], s) for s in live),
-        key=lambda box: box[0],
-    )
-    xs = []
-    for i, (_, ixhi, iylo, iyhi, si) in enumerate(boxes):
-        for j in range(i + 1, len(boxes)):
-            jxlo, _, jylo, jyhi, sj = boxes[j]
-            if jxlo > ixhi:
-                break
-            if iyhi < jylo or jyhi < iylo:
-                continue
-            if si.p in (sj.p, sj.q) or si.q in (sj.p, sj.q):
-                continue
-            a = si.q - si.p
-            b = sj.q - sj.p
-            den = a.cross(b)
-            if den.is_zero():
-                continue
-            c = sj.p - si.p
-            t = c.cross(b) / den
-            u = c.cross(a) / den
-            if t.sign() < 0 or (t - 1).sign() > 0 or u.sign() < 0 or (u - 1).sign() > 0:
-                continue
-            x = si.p.x + t * a.x
-            if (x - xmin).sign() >= 0 and (xmax - x).sign() >= 0:
-                xs.append(x)
-    return xs
+def _heights(x: FieldElement, segments) -> dict[_Segment, tuple[int, FieldElement]]:
+    """Each segment's height at abscissa x, with its rank among them."""
+    ys = {s: s.y_at(x) for s in dict.fromkeys(segments)}
+    rank = _ranks(ys.values())
+    return {s: (rank[y], y) for s, y in ys.items()}
+
+
+def _crossings(order: list[_Segment], left, right, xa: FieldElement) -> list[FieldElement]:
+    """The abscissas strictly inside a slab where two of its segments cross.
+
+    ``order`` is the slab's segments sorted by their (left, right) height
+    ranks, ``left`` and ``right`` their heights at the slab's two ends, and
+    xa its left end.  Insertion-sorting by the right rank swaps exactly the
+    pairs that are strictly apart at both ends in opposite orders, which
+    are the pairs that cross inside; only those are intersected."""
+    perm = list(order)
+    xs = set()
+    for i in range(1, len(perm)):
+        j = i
+        while j and right[perm[j - 1]][0] > right[perm[j]][0]:
+            s, t = perm[j - 1], perm[j]
+            xs.add(xa + (left[t][1] - left[s][1]) / (s.slope - t.slope))
+            perm[j - 1], perm[j] = t, s
+            j -= 1
+    return sorted(xs)
 
 
 def region_translates(poly: Polygon, tset: TranslateSet, region_bbox: Box):
@@ -390,8 +392,9 @@ class Face:
 
 
 def arrangement_faces(poly: Polygon, translates, region: Polygon) -> list[Face]:
-    """Every face of the translate-edge arrangement inside region, each with
-    one strictly interior sample point and its covering count.
+    """Every face of the translate-edge arrangement inside the convex
+    region, each with one strictly interior sample point and its covering
+    count: slab by slab from the left, bottom to top within a slab.
 
     Counts are propagated up each slab's ladder from 0 below every edge;
     ``translates`` must hold every translate that can meet the region.
@@ -405,8 +408,27 @@ def arrangement_faces(poly: Polygon, translates, region: Polygon) -> list[Face]:
     [rb.x0, rb.x1], or it is rb.x0 or rb.x1, or it is the abscissa of the
     vertical segment itself, all of which are events already.  The
     segments are not clipped in y: those below the region carry the ladder
-    weights, and their crossings are events too."""
+    weights, and their crossings are events too.
+
+    Crossings are found slab by slab between consecutive endpoint events.
+    Two live segments that meet at an abscissa that is not an endpoint
+    event both span the slab around it, since no endpoint lies inside a
+    slab; there their height difference is linear and not identically
+    zero, so they cross strictly inside exactly when the difference is
+    nonzero at both ends with opposite signs.  A zero at an end is a
+    meeting on an event already listed, and a difference zero at both ends
+    means the segments are collinear and never cross.  Heights are ranked
+    at each endpoint event, and ``_crossings`` intersects only the pairs
+    whose ranks swap strictly across the slab.
+
+    A face is in the region when its sample is: the region is convex, so
+    at a slab midpoint exactly one lower and one upper region edge span
+    the slab, and the faces inside are those between them.  Region edges
+    are built first and every sort is stable, so a rung that holds a
+    region edge has it as its first segment, and walking up the ladder
+    each such rung toggles "inside"."""
     segments = [_Segment(a, b) for a, b in region.edges()]
+    bounds = set(segments)
     for lam, mult in translates:
         for a, b in poly.edges():
             segments.append(_Segment(a + lam, b + lam, mult))
@@ -421,8 +443,8 @@ def arrangement_faces(poly: Polygon, translates, region: Polygon) -> list[Face]:
         if hi_after_start >= 0 and (rb.x1 - s.xhi).sign() >= 0:
             xs.append(s.xhi)
         if lo_before_end > 0 and hi_after_start > 0 and s.xlo != s.xhi:
+            s.slope = (s.q.y - s.p.y) / (s.q.x - s.p.x)
             live.append(s)
-    xs.extend(_crossing_abscissas(live, rb.x0, rb.x1))
     event_rank = _ranks(xs)
     xs = list(event_rank)
     # a live segment spans the slabs from its xlo event (the first slab
@@ -433,24 +455,42 @@ def arrangement_faces(poly: Polygon, translates, region: Polygon) -> list[Face]:
         for k in range(event_rank.get(s.xlo, 0), event_rank.get(s.xhi, len(xs) - 1)):
             spanning[k].append(s)
     faces = []
-    for xa, xb, slab in zip(xs, xs[1:], spanning):
-        xm = (xa + xb) / 2
-        ladder = [(s.y_at(xm), s) for s in slab]
-        ladder.sort(key=lambda rung: rung[0])
-        # [y, first segment at y, count just above y]; coincident
-        # segments are collinear, so their weights add up
-        rungs = []
-        count = 0
-        for y, s in ladder:
-            count += s.weight
-            if rungs and (y - rungs[-1][0]).is_zero():
-                rungs[-1][2] = count
-            else:
-                rungs.append([y, s, count])
-        for (ylo, slo, c), (yhi, shi, _) in zip(rungs, rungs[1:]):
-            pt = PlaneVector(xm, (ylo + yhi) / 2)
-            if region.locate(pt) == 1:
-                faces.append(Face(xa, xb, slo, shi, pt, c))
+    # only the height maps at a slab's two ends are alive at a time
+    right = _heights(xs[0], spanning[0])
+    for xa, xb, slab, after in zip(xs, xs[1:], spanning, spanning[1:] + [[]]):
+        left, right = right, _heights(xb, slab + after)
+        order = sorted(slab, key=lambda s: (left[s][0], right[s][0]))
+        cuts = [xa, *_crossings(order, left, right, xa), xb]
+        for x0, x1 in zip(cuts, cuts[1:]):
+            faces.extend(_slab_faces(x0, x1, order, bounds))
+    return faces
+
+
+def _slab_faces(xa, xb, order: list[_Segment], bounds) -> list[Face]:
+    """The region's faces in one crossing-free slab, bottom to top.
+
+    ``order`` lists the slab's segments close to their order at the
+    midpoint, coincident ones in construction order; the stable sort keeps
+    that order among them and is almost free on such a list."""
+    xm = (xa + xb) / 2
+    ladder = [(s.y_at(xm), s) for s in order]
+    ladder.sort(key=lambda rung: rung[0])
+    # [y, first segment at y, count just above y]; coincident
+    # segments are collinear, so their weights add up
+    rungs = []
+    count = 0
+    for y, s in ladder:
+        count += s.weight
+        if rungs and y == rungs[-1][0]:
+            rungs[-1][2] = count
+        else:
+            rungs.append([y, s, count])
+    faces = []
+    inside = False
+    for (ylo, slo, c), (yhi, shi, _) in zip(rungs, rungs[1:]):
+        inside ^= slo in bounds
+        if inside:
+            faces.append(Face(xa, xb, slo, shi, PlaneVector(xm, (ylo + yhi) / 2), c))
     return faces
 
 

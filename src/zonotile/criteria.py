@@ -83,7 +83,11 @@ class CanonicalLattice:
 
 def bolle_check(p: Zonotope, lat: PlaneLattice) -> BolleReport:
     """Evaluate the per-edge-pair criterion for p against a concrete lattice."""
-    shifts = p.pair_translations()
+    return _bolle_report(p, lat, p.pair_translations())
+
+
+def _bolle_report(p: Zonotope, lat: PlaneLattice, shifts) -> BolleReport:
+    """``bolle_check`` with p's pair translations already at hand."""
     pairs = []
     for j, (e, t) in enumerate(zip(p.generators, shifts), start=1):
         cond1 = lat.contains(t)
@@ -104,8 +108,8 @@ def _multiplicity(p: Zonotope, lat: PlaneLattice, n_translates: int) -> int:
     return k.numerator
 
 
-def _verified(p: Zonotope, lat: PlaneLattice) -> BolleReport:
-    report = bolle_check(p, lat)
+def _verified(p: Zonotope, lat: PlaneLattice, shifts) -> BolleReport:
+    report = _bolle_report(p, lat, shifts)
     if not report.verdict:
         raise GeometryError("internal: constructed witness fails the edge-pair criterion")
     return report
@@ -120,17 +124,17 @@ def decide_multitiling(p: Zonotope) -> Decision:
     lattice rather than being refused.  For even m every drop-one span
     that is a lattice is kept in ``drop_one_spans``, whatever the verdict.
     """
+    shifts = p.pair_translations()
     if p.is_parallelogram():
         span = integer_span(list(p.generators))
-        report = _verified(p, span.basis)
+        report = _verified(p, span.basis, shifts)
         return Decision(True, "parallelogram", None, span.basis, report.multiplicity, (), None)
 
-    shifts = p.pair_translations()
     if p.m % 2 == 1:
         span = integer_span(shifts)
         if span.verdict != LATTICE:
             return Decision(False, "odd", None, None, None, (), SPAN_NOT_DISCRETE)
-        report = _verified(p, span.basis)
+        report = _verified(p, span.basis, shifts)
         return Decision(True, "odd", None, span.basis, report.multiplicity, (), None)
 
     succeeded: list[int] = []
@@ -154,7 +158,7 @@ def decide_multitiling(p: Zonotope) -> Decision:
             _, witness = superlattice_meeting_line(sub, e, t)
             witness_j0 = j0
     if witness is not None:
-        report = _verified(p, witness)
+        report = _verified(p, witness, shifts)
         return Decision(
             True, "even", witness_j0, witness, report.multiplicity, tuple(succeeded), None, tuple(spans)
         )

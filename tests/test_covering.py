@@ -13,6 +13,7 @@ from zonotile import (
     GeometryError,
     IncommensurableError,
     PlaneLattice,
+    PlaneVector,
     Polygon,
     TranslateSet,
     Zonotope,
@@ -42,8 +43,6 @@ def qbox(x0, y0, x1, y1, field=Q):
 
 def single(lat, field=Q):
     zero = field.zero()
-    from zonotile import PlaneVector
-
     return TranslateSet.periodic([(lat, PlaneVector(zero, zero))])
 
 
@@ -188,10 +187,17 @@ class TestVerifyCovering:
         counts = sorted((report.counterexample[0][1], report.counterexample[1][1]))
         assert counts == [3, 4]
 
+    def test_scaled_lattice_octagon(self):
+        # 676 translates meet the cell of (1/8)Z^2 and their edges cross
+        # there thousands of times, almost all on a few abscissas; the
+        # sweep intersects only pairs whose order swaps within a slab
+        eighth = Fraction(1, 8)
+        report = verify_covering(lattice_octagon(), single(PlaneLattice(V(eighth, 0), V(0, eighth))))
+        assert report.constant and report.multiplicity == 448
+        assert report.cells_checked == 6
+
     def test_incommensurable_parts_refused(self):
         f = F2
-        from zonotile import PlaneVector
-
         zero = PlaneVector(f.zero(), f.zero())
         l1 = PlaneLattice(V(1, 0, f), V(0, 1, f))
         l2 = PlaneLattice(V(f.sqrt(2), 0, f), V(0, 1, f))
@@ -311,33 +317,88 @@ def all_pairs_events(poly, translates, region):
     return sorted(set(xs))
 
 
+def arrangement_event_scenes():
+    """(poly, tset, region) cases whose sweep is held to the oracles: every
+    region is convex, and the √2 octagon's cell edges are not axis-aligned."""
+    scenes = []
+    for beta in [Fraction(0), Fraction(1, 3), F2.sqrt(2)]:
+        poly, tset = builtin_scene("octagon-family", beta=beta)
+        scenes.append((poly, tset, verification_region(poly, tset)))
+    poly, tset = builtin_scene("tetromino-union")
+    scenes.append((poly, tset, verification_region(poly, tset)))
+    poly, tset = builtin_scene("octagon-family", beta=Fraction(1, 3))
+    scenes.append((poly, tset, Polygon(qbox(0, 0, 4, 4).corners())))
+    # a window lower than a vertical period: some crossings in its
+    # x-range happen only below it, where edges must not be clipped
+    scenes.append((poly, tset, Polygon(qbox(Fraction(1, 3), Fraction(1, 5), 2, H).corners())))
+    rng = random.Random(20260810)
+    for _ in range(8):
+        z, dec = bounded_random_polygon(rng)
+        poly, tset = Polygon.from_zonotope(z), single(dec.witness_lattice)
+        scenes.append((poly, tset, verification_region(poly, tset)))
+    return scenes
+
+
+def located_faces(poly, translates, region, slabs):
+    """(x0, x1, sample, count) of every ladder gap on the given slabs whose
+    sample ``region.locate`` puts strictly inside, bottom to top in each
+    slab: the region filter the sweep used before it read membership off
+    its ladder, over brute-force ladders of every non-vertical edge."""
+    edges = [(a, b, 0) for a, b in region.edges()]
+    edges += [(a + lam, b + lam, mult) for lam, mult in translates for a, b in poly.edges()]
+    out = []
+    for xa, xb in zip(slabs, slabs[1:]):
+        xm = (xa + xb) / 2
+        ladder = []
+        for p, q, mult in edges:
+            dx = (q.x - p.x).sign()
+            if dx and (xm - p.x).sign() == dx and (q.x - xm).sign() == dx:
+                ladder.append((p.y + (xm - p.x) * (q.y - p.y) / (q.x - p.x), dx * mult))
+        ladder.sort(key=lambda rung: rung[0])
+        rungs = []
+        count = 0
+        for y, weight in ladder:
+            count += weight
+            if rungs and (y - rungs[-1][0]).is_zero():
+                rungs[-1][1] = count
+            else:
+                rungs.append([y, count])
+        for (ylo, c), (yhi, _) in zip(rungs, rungs[1:]):
+            pt = PlaneVector(xm, (ylo + yhi) / 2)
+            if region.locate(pt) == 1:
+                out.append((xa, xb, pt, c))
+    return out
+
+
 class TestArrangementEvents:
-    """The clipped, pruned sweep cuts the region into the same slabs as the
-    all-pairs event list."""
+    """The slab-local sweep cuts the region into the same slabs as the
+    all-pairs event list, and keeps the same faces as point location."""
 
     def test_face_slabs_are_the_all_pairs_events(self):
-        scenes = []
-        for beta in [Fraction(0), Fraction(1, 3), F2.sqrt(2)]:
-            poly, tset = builtin_scene("octagon-family", beta=beta)
-            scenes.append((poly, tset, verification_region(poly, tset)))
-        poly, tset = builtin_scene("tetromino-union")
-        scenes.append((poly, tset, verification_region(poly, tset)))
-        poly, tset = builtin_scene("octagon-family", beta=Fraction(1, 3))
-        scenes.append((poly, tset, Polygon(qbox(0, 0, 4, 4).corners())))
-        # a window lower than a vertical period: some crossings in its
-        # x-range happen only below it, where edges must not be clipped
-        scenes.append((poly, tset, Polygon(qbox(Fraction(1, 3), Fraction(1, 5), 2, H).corners())))
-        rng = random.Random(20260810)
-        for _ in range(8):
-            z, dec = bounded_random_polygon(rng)
-            poly, tset = Polygon.from_zonotope(z), single(dec.witness_lattice)
-            scenes.append((poly, tset, verification_region(poly, tset)))
-        for poly, tset, region in scenes:
+        for poly, tset, region in arrangement_event_scenes():
             translates = region_translates(poly, tset, region.bbox)
             faces = arrangement_faces(poly, translates, region)
             # every region is convex, so every slab holds a face
             got = {f.x0 for f in faces} | {f.x1 for f in faces}
             assert sorted(got) == all_pairs_events(poly, translates, region)
+
+    def test_region_membership_is_read_off_the_ladder(self, monkeypatch):
+        calls = []
+        locate = Polygon.locate
+
+        def counted(self, p):
+            calls.append(p)
+            return locate(self, p)
+
+        monkeypatch.setattr(Polygon, "locate", counted)
+        for poly, tset, region in arrangement_event_scenes():
+            translates = region_translates(poly, tset, region.bbox)
+            faces = arrangement_faces(poly, translates, region)
+            assert calls == []
+            slabs = sorted({f.x0 for f in faces} | {f.x1 for f in faces})
+            got = [(f.x0, f.x1, f.sample, f.count) for f in faces]
+            assert got == located_faces(poly, translates, region, slabs)
+            calls.clear()
 
 
 class TestStripProfile:
