@@ -9,6 +9,7 @@ output.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import jsonio
@@ -21,10 +22,7 @@ from .render import render_svg
 
 
 def _parse_window_flag(text: str):
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise GeometryError("--window needs x0,y0,x1,y1")
-    return tuple(jsonio.parse_rational(p.strip()) for p in parts)
+    return jsonio.decode_window([p.strip() for p in text.split(",")], "--window")
 
 
 def _emit(doc) -> None:
@@ -71,8 +69,8 @@ def _cmd_render(args) -> int:
     poly, tset = jsonio.decode_scene_document(doc)
     if args.window:
         window = _parse_window_flag(args.window)
-    elif "window" in doc.get("lambda", {}):
-        window = tuple(jsonio.parse_rational(w) for w in doc["lambda"]["window"])
+    elif "window" in doc["lambda"]:
+        window = jsonio.decode_window(doc["lambda"]["window"], "lambda.window")
     else:
         raise GeometryError("render needs a window (--window or the scene's lambda.window)")
     field = poly.field
@@ -87,7 +85,7 @@ def _cmd_examples(args) -> int:
     window = _parse_window_flag(args.window) if args.window else None
     beta = None
     if args.beta is not None:
-        beta = jsonio.parse_element_text(args.beta)
+        beta = jsonio.parse_element_text(args.beta, where="--beta")
         if isinstance(beta, FieldElement) and beta.is_rational():
             beta = beta.rational_value()
     doc = jsonio.encode_scene_builtin(args.name, window, beta)
@@ -97,6 +95,7 @@ def _cmd_examples(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zonotile",

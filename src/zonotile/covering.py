@@ -430,8 +430,8 @@ def arrangement_faces(poly: Polygon, translates, region: Polygon) -> list[Face]:
     segments = [_Segment(a, b) for a, b in region.edges()]
     bounds = set(segments)
     for lam, mult in translates:
-        for a, b in poly.edges():
-            segments.append(_Segment(a + lam, b + lam, mult))
+        vs = [v + lam for v in poly.vertices]
+        segments.extend(_Segment(a, b, mult) for a, b in zip(vs, vs[1:] + vs[:1]))
     rb = region.bbox
     xs = [rb.x0, rb.x1]
     live = []

@@ -40,6 +40,7 @@ __all__ = [
     "encode_canonical_lattice",
     "parse_rational",
     "parse_element_text",
+    "decode_window",
 ]
 
 
@@ -63,11 +64,12 @@ def parse_rational(value) -> Fraction:
     raise GeometryError(f"expected a rational number, got {value!r}")
 
 
-def parse_element_text(text: str, field: Field | None = None) -> FieldElement:
+def parse_element_text(text: str, field: Field | None = None, where: str = "element text") -> FieldElement:
     """Parse a small sum like ``"1/2 + 3*sqrt(2) - sqrt(6)"`` exactly.
 
     Intended for CLI flags; radicands mentioned in the text are adjoined
-    automatically when no field is given.
+    automatically when no field is given.  ``where`` names the text's
+    source in error messages.
     """
     src = text.replace(" ", "").replace("-", "+-")
     terms = [t for t in src.split("+") if t]
@@ -82,8 +84,8 @@ def parse_element_text(text: str, field: Field | None = None) -> FieldElement:
             body = body[1:]
         if "sqrt(" in body:
             head, _, tail = body.partition("sqrt(")
-            if not tail.endswith(")"):
-                raise GeometryError(f"bad term {term!r} in element text")
+            if not tail.endswith(")") or not tail[:-1].isdecimal():
+                raise GeometryError(f"bad term {term!r} in {where}: expected [c*]sqrt(n) with an integer n")
             rad = int(tail[:-1])
             if head:
                 if head.endswith("*"):
@@ -228,10 +230,14 @@ def decode_lattice_document(doc, field: Field | None = None) -> PlaneLattice:
 # -- scenes ---------------------------------------------------------------------
 
 
-def _decode_window(doc) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+def decode_window(doc, where: str) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """A window [x0, y0, x1, y1] of rationals; ``where`` names its location."""
     if not isinstance(doc, list) or len(doc) != 4:
-        raise GeometryError("window must be [x0, y0, x1, y1]")
-    return tuple(parse_rational(v) for v in doc)
+        raise GeometryError(f"{where} must be [x0, y0, x1, y1], got {doc!r}")
+    try:
+        return tuple(parse_rational(v) for v in doc)
+    except GeometryError as exc:
+        raise GeometryError(f"{where}: {exc}") from exc
 
 
 def _decode_beta(doc, field: Field | None):
@@ -239,7 +245,7 @@ def _decode_beta(doc, field: Field | None):
         return None
     if isinstance(doc, (int, str)):
         if isinstance(doc, str) and "sqrt" in doc:
-            return parse_element_text(doc, field)
+            return parse_element_text(doc, field, "lambda.beta")
         return parse_rational(doc)
     if isinstance(doc, list):
         return decode_element(doc, RATIONALS if field is None else field)
@@ -260,10 +266,13 @@ def decode_scene_document(doc) -> tuple[Polygon, TranslateSet]:
     if not isinstance(lam, dict):
         raise GeometryError(f"scene 'lambda' must be an object, got {lam!r}")
     if "builtin" in lam:
-        window = _decode_window(lam["window"]) if "window" in lam else None
+        name = lam["builtin"]
+        if not isinstance(name, str):
+            raise GeometryError(f"lambda.builtin must be the name of a builtin scene, got {name!r}")
+        window = decode_window(lam["window"], "lambda.window") if "window" in lam else None
         field = _decode_field(doc) if doc.get("field") else None
         beta = _decode_beta(lam.get("beta"), field)
-        return builtin_scene(lam["builtin"], window=window, beta=beta)
+        return builtin_scene(name, window=window, beta=beta)
     field = _decode_field(doc)
     poly_doc = doc.get("polygon")
     if poly_doc is None:
@@ -364,6 +373,8 @@ def load_document(path: str) -> dict:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ZonotileError(f"{path}: not valid JSON ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise ZonotileError(f"{path}: not UTF-8 text ({exc})") from exc
     if not isinstance(doc, dict):
         raise ZonotileError(f"{path}: top-level JSON value must be an object")
     return doc

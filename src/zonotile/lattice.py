@@ -8,7 +8,10 @@ flatten the vectors, clear denominators, and take the integer row Hermite
 form.  Its row count is the rational rank (:func:`rational_rank`), its
 rows span the same group as the vectors (:func:`integer_span`), and for a
 lattice basis it is the canonical basis, so equal lattices compare and
-serialize identically.
+serialize identically.  The integer kernel of the same rows for two bases
+(:func:`intersect`) has rank 2 exactly when the lattices are commensurable,
+and then gives a basis of their intersection (Cohen, *A Course in
+Computational Algebraic Number Theory*, 1993, section 2.4).
 """
 
 from __future__ import annotations
@@ -163,18 +166,11 @@ class PlaneLattice:
         """Exact coordinates of ``v`` in the canonical basis."""
         return (v.cross(self.b2) / self._det, self.b1.cross(v) / self._det)
 
-    def rational_coords(self, v: PlaneVector) -> tuple[Fraction, Fraction] | None:
-        c1, c2 = self.coords(v)
-        q1, q2 = c1.rational_value(), c2.rational_value()
-        if q1 is None or q2 is None:
-            return None
-        return (q1, q2)
-
     def integer_coords(self, v: PlaneVector) -> tuple[int, int] | None:
-        rc = self.rational_coords(v)
-        if rc is None or rc[0].denominator != 1 or rc[1].denominator != 1:
+        q1, q2 = (c.rational_value() for c in self.coords(v))
+        if q1 is None or q2 is None or q1.denominator != 1 or q2.denominator != 1:
             return None
-        return (rc[0].numerator, rc[1].numerator)
+        return (q1.numerator, q2.numerator)
 
     def contains(self, v: PlaneVector) -> bool:
         return self.integer_coords(v) is not None
@@ -229,26 +225,21 @@ def integer_span(vectors) -> SpanAnalysis:
 def intersect(l1: PlaneLattice, l2: PlaneLattice) -> PlaneLattice:
     """Intersection of two commensurable lattices (always full rank).
 
-    Commensurability means every basis vector of one has rational
-    coordinates in the other; without it the intersection can degenerate
-    to rank <= 1, so such inputs are refused rather than guessed at.
+    With (u1, u2) and (v1, v2) the two bases, the integer relations
+    a1*u1 + a2*u2 + c1*v1 + c2*v2 = 0 are the kernel of the flattened
+    integer rows of the four vectors.  Its rank is 4 minus their rational
+    rank, so it is 2 exactly when v1 and v2 lie in the rational span of u1
+    and u2, which is commensurability; without it the intersection can
+    degenerate to rank <= 1, so such inputs are refused rather than
+    guessed at.  a1*u1 + a2*u2 is then a point of both lattices, and the
+    map to (a1, a2) is injective, so the two kernel rows give l1
+    coordinates of a basis of the intersection.
     """
-    c1 = l1.rational_coords(l2.b1)
-    c2 = l1.rational_coords(l2.b2)
-    if c1 is None or c2 is None:
-        raise IncommensurableError("lattices share no full-rank superlattice")
-    den = lcm(*(q.denominator for q in c1 + c2))
-    m = [[int(c1[0] * den), int(c2[0] * den)], [int(c1[1] * den), int(c2[1] * den)]]
-    rows = [
-        [den, 0, -m[0][0], -m[0][1]],
-        [0, den, -m[1][0], -m[1][1]],
-    ]
-    kernel = right_kernel(rows)
+    rows, _ = _integer_rows(_check_common_field([*l1.basis(), *l2.basis()]))
+    kernel = right_kernel(list(zip(*rows)))
     if len(kernel) != 2:
-        raise GeometryError("intersection kernel is not rank 2")  # unreachable
-    w1 = l1.point(kernel[0][0], kernel[0][1])
-    w2 = l1.point(kernel[1][0], kernel[1][1])
-    return PlaneLattice(w1, w2)
+        raise IncommensurableError("lattices share no full-rank superlattice")
+    return PlaneLattice(*(l1.point(a1, a2) for a1, a2, _, _ in kernel))
 
 
 def _shortest_independent_basis_vector(l: PlaneLattice, w: PlaneVector) -> PlaneVector:
@@ -297,15 +288,15 @@ def line_meets_lattice(l: PlaneLattice, e: PlaneVector, tau: PlaneVector) -> boo
     line {t*e + tau} meets Z^2 iff the linear Diophantine equation
     e2*m - e1*n = -det(e, tau) has a solution, i.e. the right side is an
     integer divisible by gcd(e1, e2).  This reduces the existential over
-    the reals to gcd arithmetic.
+    the reals to gcd arithmetic.  The determinant in lattice coordinates is
+    the plane one over det(l), so tau's coordinates are never solved for.
     """
     ec = l.integer_coords(e)
     if ec is None:
         return False
     if ec == (0, 0):
         return l.contains(tau)
-    t1, t2 = l.coords(tau)
-    d = (t2 * ec[0] - t1 * ec[1]).rational_value()
+    d = (e.cross(tau) / l._det).rational_value()
     if d is None or d.denominator != 1:
         return False
     return d.numerator % gcd(ec[0], ec[1]) == 0

@@ -428,3 +428,42 @@ class TestUsage:
         assert main(["examples", "heptomino"]) == 2
         assert main(["examples", "octagon-family", "--beta", "1/0"]) == 2
         assert "'1/0'" in capsys.readouterr().err
+
+
+class TestTypedErrors:
+    """Inputs that once reached ``main`` as bare TypeError or ValueError exit
+    2 with a message that names their location."""
+
+    def fails(self, capsys, argv, named):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+
+    def test_builtin_name_not_a_string(self, capsys, tmp_path):
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps({"lambda": {"builtin": [2, 3]}}))
+        self.fails(capsys, ["verify", str(path)], "lambda.builtin")
+
+    def test_render_windows(self, capsys, tmp_path):
+        z2 = {"lattice": jsonio.encode_lattice(PlaneLattice(V(1, 0), V(0, 1)))}
+        square = {"vertices": [jsonio.encode_vector(V(x, y)) for x, y in [(0, 0), (1, 0), (1, 1), (0, 1)]]}
+        path = tmp_path / "scene.json"
+        svg = str(tmp_path / "x.svg")
+        for window in [[1, 2], 5, [1, 2, 3, "x"]]:
+            doc = {"field": [], "polygon": square, "lambda": {"periodic": [z2], "window": window}}
+            path.write_text(json.dumps(doc))
+            self.fails(capsys, ["render", str(path), "-o", svg], "lambda.window")
+        for flag in ["--window=1,2", "--window=1,2,3,x"]:
+            self.fails(capsys, ["render", str(path), "-o", svg, flag], "--window")
+
+    def test_bad_radicand_text(self, capsys, tmp_path):
+        for text in ["sqrt(x)", "2*sqrt(3)*sqrt(2)", "sqrt(2.5)", "sqrt()"]:
+            self.fails(capsys, ["examples", "octagon-family", "--beta", text], "--beta")
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps({"lambda": {"builtin": "octagon-family", "beta": "sqrt(x)"}}))
+        self.fails(capsys, ["verify", str(path)], "lambda.beta")
+
+    def test_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"field": [], "note": "\xe9"}')
+        self.fails(capsys, ["decide", str(path)], f"{path}: not UTF-8")

@@ -1,11 +1,12 @@
 """Canonical JSON round trips for every document type."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from zonotile import Field, GeometryError, PlaneLattice, Zonotope
+from zonotile import Field, GeometryError, PlaneLattice, Zonotope, ZonotileError
 from zonotile import jsonio
 
 from conftest import F2, F23, Q, V, rand_element
@@ -191,3 +192,80 @@ class TestParsers:
     def test_dumps_is_stable(self):
         doc = {"b": 1, "a": [1, 2]}
         assert jsonio.dumps(doc) == jsonio.dumps(json.loads(jsonio.dumps(doc)))
+
+
+class TestMutatedDocuments:
+    """Type and shape mutants of valid documents raise only ZonotileError.
+
+    Each mutant changes one node below the top level: it is replaced by a
+    small value of another type, deleted, wrapped in a list, or, for a
+    container, grown or shrunk by one entry.  No mutant holds a large
+    number, so none asks for unbounded work."""
+
+    REPLACEMENTS = [None, True, 0, 1, -1, 2, 1.5, "", "x", "1/2", "sqrt(2)", "r2",
+                    [], {}, [1, 2], ["1", "2", "3", "4"], {"x": []}]
+
+    @staticmethod
+    def seeds():
+        z = Zonotope([V(1, 0, F2), V(1, 1, F2), V(0, F2.sqrt(2), F2)])
+        lat = PlaneLattice(V(1, 0, F2), V(Fraction(1, 2), F2.sqrt(2), F2))
+        square = [jsonio.encode_vector(V(x, y)) for x, y in [(0, 0), (1, 0), (1, 1), (0, 1)]]
+        z2 = jsonio.encode_lattice(PlaneLattice(V(1, 0), V(0, 1)))
+        offset = jsonio.encode_vector(V(Fraction(1, 3), 1))
+        periodic = {
+            "field": [],
+            "polygon": {"vertices": square},
+            "lambda": {"periodic": [{"lattice": z2}, {"lattice": z2, "offset": offset}]},
+        }
+        beta = F2.sqrt(2) + Fraction(1, 3)
+        return [
+            (jsonio.decode_zonotope_document, jsonio.encode_zonotope(z)),
+            (jsonio.decode_lattice_document, {"field": [2], **jsonio.encode_lattice(lat)}),
+            (jsonio.decode_scene_document, periodic),
+            (jsonio.decode_scene_document, jsonio.encode_scene_builtin("tetromino-L1", (-3, -3, 3, 3), None)),
+            (jsonio.decode_scene_document, jsonio.encode_scene_builtin("octagon-family", None, beta)),
+            (lambda doc: jsonio.decode_window(doc.get("window"), "window"), {"window": ["-3", "-3", "3", "3"]}),
+        ]
+
+    @staticmethod
+    def paths(doc, path=()):
+        yield path
+        if isinstance(doc, (dict, list)):
+            for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+                yield from TestMutatedDocuments.paths(value, path + (key,))
+
+    def mutant(self, rng, doc):
+        doc = json.loads(json.dumps(doc))
+        *head, key = rng.choice(list(self.paths(doc))[1:])
+        parent = doc
+        for k in head:
+            parent = parent[k]
+        node = parent[key]
+        op = rng.randrange(4)
+        if op == 0:
+            parent[key] = rng.choice(self.REPLACEMENTS)
+        elif op == 1:
+            del parent[key]
+        elif op == 2:
+            parent[key] = [node]
+        elif isinstance(node, list) and node:
+            if rng.random() < 0.5:
+                node.append(node[0])
+            else:
+                node.pop()
+        elif isinstance(node, dict) and node:
+            del node[rng.choice(list(node))]
+        return doc
+
+    def test_only_zonotile_errors(self):
+        rng = random.Random(20261018)
+        for decode, doc in self.seeds():
+            decode(doc)
+            for _ in range(100):
+                mutant = self.mutant(rng, doc)
+                try:
+                    decode(mutant)
+                except ZonotileError:
+                    pass
+                except Exception as exc:
+                    pytest.fail(f"{type(exc).__name__}: {exc} on {json.dumps(mutant)}")

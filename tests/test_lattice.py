@@ -8,6 +8,7 @@ from math import lcm
 import pytest
 
 from zonotile import (
+    FieldError,
     GeometryError,
     IncommensurableError,
     LATTICE,
@@ -22,9 +23,9 @@ from zonotile import (
     sublattice_avoiding_coset,
     superlattice_meeting_line,
 )
-from zonotile.intlinalg import row_hnf
+from zonotile.intlinalg import right_kernel, row_hnf
 
-from conftest import F2, F23, V, flatten_vector, rand_element, sympy_rank
+from conftest import F2, F23, V, flatten_vector, rand_element, rand_fraction, sympy_rank
 
 H = Fraction(1, 2)
 
@@ -317,6 +318,64 @@ class TestIntersect:
                     p = l1.point(a, b)
                     if abs(p.x) <= 6 and abs(p.y) <= 6 and l2.contains(p):
                         assert out.contains(p)
+
+    @staticmethod
+    def coordinate_intersect(l1, l2):
+        """The intersection through rational coordinates in l1: the kernel of
+        [den*I | -M], M the coordinates of l2's basis over den, mapped by
+        l1.point.  None where some coordinate is irrational."""
+        coords = []
+        for v in l2.basis():
+            q1, q2 = (c.rational_value() for c in l1.coords(v))
+            if q1 is None or q2 is None:
+                return None
+            coords.append((q1, q2))
+        (m11, m21), (m12, m22) = coords
+        den = lcm(*(q.denominator for q in (m11, m12, m21, m22)))
+        rows = [[den, 0, -int(m11 * den), -int(m12 * den)], [0, den, -int(m21 * den), -int(m22 * den)]]
+        kernel = right_kernel(rows)
+        assert len(kernel) == 2
+        return PlaneLattice(*(l1.point(a1, a2) for a1, a2, _, _ in kernel))
+
+    def test_matches_coordinate_construction(self):
+        rng = random.Random(53)
+
+        def random_vector(field):
+            return V(rand_element(rng, field), rand_element(rng, field), field)
+
+        def rational_combination(l, field):
+            a, b = rand_fraction(rng, 4, 3), rand_fraction(rng, 4, 3)
+            return l.b1.scale(field.rational(a)) + l.b2.scale(field.rational(b))
+
+        outcomes = {"both": [0, 0], "one": [0, 0], "none": [0, 0]}
+        for field in (F2, F23):
+            done = 0
+            while done < 20:
+                try:
+                    l1 = PlaneLattice(random_vector(field), random_vector(field))
+                    kind = rng.choice(list(outcomes))
+                    if kind == "both":
+                        l2 = PlaneLattice(rational_combination(l1, field), rational_combination(l1, field))
+                    elif kind == "one":
+                        l2 = PlaneLattice(rational_combination(l1, field), random_vector(field))
+                    else:
+                        l2 = PlaneLattice(random_vector(field), random_vector(field))
+                except GeometryError:
+                    continue
+                done += 1
+                expected = self.coordinate_intersect(l1, l2)
+                if expected is None:
+                    with pytest.raises(IncommensurableError):
+                        intersect(l1, l2)
+                else:
+                    assert intersect(l1, l2) == expected
+                outcomes[kind][expected is None] += 1
+        assert outcomes["both"][1] == 0 and outcomes["both"][0] > 0
+        assert outcomes["one"][1] > 0 and outcomes["none"][1] > 0
+
+    def test_different_fields_refused(self):
+        with pytest.raises(FieldError):
+            intersect(PlaneLattice(V(1, 0, F2), V(0, 1, F2)), PlaneLattice(V(1, 0, F23), V(0, 1, F23)))
 
 
 class TestAvoidCoset:
