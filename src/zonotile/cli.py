@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes follow one convention everywhere: 0 for a positive verdict,
-1 for a negative one, 2 for input or usage errors.  All reports are
+1 for a negative one, 2 for input or usage errors, 3 for an internal
+error (a bug), reported on stderr without a traceback.  All reports are
 canonical JSON on stdout, so identical inputs produce byte-identical
 output.
 """
@@ -65,13 +66,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    window = _parse_window_flag(args.window) if args.window else None  # flag errors first
     doc = jsonio.load_document(args.scene)
     poly, tset = jsonio.decode_scene_document(doc)
-    if args.window:
-        window = _parse_window_flag(args.window)
-    elif "window" in doc["lambda"]:
+    if window is None and "window" in doc["lambda"]:
         window = jsonio.decode_window(doc["lambda"]["window"], "lambda.window")
-    else:
+    if window is None:
         raise GeometryError("render needs a window (--window or the scene's lambda.window)")
     field = poly.field
     box = Box(*(field.rational(w) for w in window))
@@ -143,9 +143,12 @@ def main(argv=None) -> int:
         return 2 if exc.code else 0
     try:
         return args.fn(args)
-    except (ZonotileError, OSError, KeyError, ValueError, TypeError) as exc:
+    except (ZonotileError, OSError) as exc:
         print(f"zonotile: error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a bug, not bad input: keep exit 1 for negative verdicts
+        print(f"zonotile: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -274,6 +274,8 @@ def decode_scene_document(doc) -> tuple[Polygon, TranslateSet]:
         beta = _decode_beta(lam.get("beta"), field)
         return builtin_scene(name, window=window, beta=beta)
     field = _decode_field(doc)
+    if "window" in lam:
+        decode_window(lam["window"], "lambda.window")  # verify ignores it, render draws it
     poly_doc = doc.get("polygon")
     if poly_doc is None:
         raise GeometryError("scene needs a 'polygon' entry")

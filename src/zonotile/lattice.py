@@ -8,10 +8,15 @@ flatten the vectors, clear denominators, and take the integer row Hermite
 form.  Its row count is the rational rank (:func:`rational_rank`), its
 rows span the same group as the vectors (:func:`integer_span`), and for a
 lattice basis it is the canonical basis, so equal lattices compare and
-serialize identically.  The integer kernel of the same rows for two bases
-(:func:`intersect`) has rank 2 exactly when the lattices are commensurable,
-and then gives a basis of their intersection (Cohen, *A Course in
-Computational Algebraic Number Theory*, 1993, section 2.4).
+serialize identically.  A :class:`PlaneLattice` keeps its two Hermite rows
+and their common denominator, and membership is read off them: a vector is
+a lattice point iff its flattened coordinates, scaled by the denominator,
+are integers that reduce to zero against the two echelon rows, and the
+pivot quotients are its lattice coordinates.  No field division is made.
+The integer kernel of the same rows for two bases (:func:`intersect`) has
+rank 2 exactly when the lattices are commensurable, and then gives a basis
+of their intersection (Cohen, *A Course in Computational Algebraic Number
+Theory*, 1993, section 2.4).
 """
 
 from __future__ import annotations
@@ -135,20 +140,36 @@ class PlaneLattice:
 
     The constructor accepts any basis and immediately rewrites it into the
     canonical one (Hermite form of the flattened rational rows), so two
-    lattices with equal point sets are equal objects.
+    lattices with equal point sets are equal objects.  The Hermite rows and
+    their common denominator are kept: :meth:`integer_coords` and
+    :meth:`contains` reduce a vector's scaled flattened row against them.
     """
 
-    __slots__ = ("b1", "b2", "_det")
+    __slots__ = ("b1", "b2", "_det", "_rows", "_den", "_pivots")
 
     def __init__(self, b1: PlaneVector, b2: PlaneVector):
         rows, den = _integer_rows(_check_common_field([b1, b2]))
         h = row_hnf(rows)
-        if len(h) != 2:
+        if len(h) != 2 or not self._hold_rows(b1.field, h, den):
             raise GeometryError("lattice basis is degenerate")
-        self.b1, self.b2 = _vectors_from_rows(b1.field, h, den)
+
+    @classmethod
+    def _from_hermite(cls, field: Field, h, den: int) -> "PlaneLattice | None":
+        """The lattice whose canonical rows are the two Hermite rows ``h``
+        over ``den``, or None when they are Q-independent but collinear in
+        the plane."""
+        lat = cls.__new__(cls)
+        return lat if lat._hold_rows(field, h, den) else None
+
+    def _hold_rows(self, field: Field, h, den: int) -> bool:
+        """Keep the Hermite rows ``h`` over ``den`` and the basis they give;
+        False when that basis is collinear in the plane."""
+        self.b1, self.b2 = _vectors_from_rows(field, h, den)
         self._det = self.b1.cross(self.b2)
-        if self._det.is_zero():  # Q-independent but collinear in the plane
-            raise GeometryError("lattice basis is degenerate")
+        self._rows = (h[0], h[1])
+        self._den = den
+        self._pivots = tuple(next(c for c, n in enumerate(row) if n) for row in h)
+        return not self._det.is_zero()
 
     @property
     def field(self) -> Field:
@@ -167,10 +188,30 @@ class PlaneLattice:
         return (v.cross(self.b2) / self._det, self.b1.cross(v) / self._det)
 
     def integer_coords(self, v: PlaneVector) -> tuple[int, int] | None:
-        q1, q2 = (c.rational_value() for c in self.coords(v))
-        if q1 is None or q2 is None or q1.denominator != 1 or q2.denominator != 1:
+        """Integer coordinates of ``v`` in the canonical basis, or None.
+
+        Flattening is a Q-linear bijection, so ``v`` is a1*b1 + a2*b2 with
+        integers a1, a2 exactly when its flattened row scaled by the
+        denominator is the integer row a1*h1 + a2*h2.  The echelon pivots
+        give a1 and then a2; any residue left means ``v`` is no lattice
+        point.
+        """
+        rads = self.field.radicands
+        if v.x.field.radicands != rads or v.y.field.radicands != rads:
+            raise FieldError(f"vector over {v.field!r} tested against a lattice over {self.field!r}")
+        den = self._den
+        w = []
+        for c in v.x.coeffs + v.y.coeffs:
+            n, r = divmod(c.numerator * den, c.denominator)
+            if r:
+                return None
+            w.append(n)
+        (h1, h2), (p1, p2) = self._rows, self._pivots
+        a1 = w[p1] // h1[p1]
+        a2 = (w[p2] - a1 * h1[p2]) // h2[p2]
+        if any(n != a1 * x + a2 * y for n, x, y in zip(w, h1, h2)):
             return None
-        return (q1.numerator, q2.numerator)
+        return (a1, a2)
 
     def contains(self, v: PlaneVector) -> bool:
         return self.integer_coords(v) is not None
@@ -216,10 +257,10 @@ def integer_span(vectors) -> SpanAnalysis:
         return SpanAnalysis(len(h), NOT_DISCRETE, None)
     if len(h) < 2:
         return SpanAnalysis(len(h), RANK_DEFICIENT, None)
-    u1, u2 = _vectors_from_rows(vs[0].field, h, den)
-    if u1.cross(u2).is_zero():
+    basis = PlaneLattice._from_hermite(vs[0].field, h, den)
+    if basis is None:
         return SpanAnalysis(2, RANK_DEFICIENT, None)
-    return SpanAnalysis(2, LATTICE, PlaneLattice(u1, u2))
+    return SpanAnalysis(2, LATTICE, basis)
 
 
 def intersect(l1: PlaneLattice, l2: PlaneLattice) -> PlaneLattice:
@@ -233,13 +274,16 @@ def intersect(l1: PlaneLattice, l2: PlaneLattice) -> PlaneLattice:
     degenerate to rank <= 1, so such inputs are refused rather than
     guessed at.  a1*u1 + a2*u2 is then a point of both lattices, and the
     map to (a1, a2) is injective, so the two kernel rows give l1
-    coordinates of a basis of the intersection.
+    coordinates of a basis of the intersection, and their combinations of
+    l1's Hermite rows are its integer rows over l1's denominator.
     """
     rows, _ = _integer_rows(_check_common_field([*l1.basis(), *l2.basis()]))
     kernel = right_kernel(list(zip(*rows)))
     if len(kernel) != 2:
         raise IncommensurableError("lattices share no full-rank superlattice")
-    return PlaneLattice(*(l1.point(a1, a2) for a1, a2, _, _ in kernel))
+    h1, h2 = l1._rows
+    combos = [[a1 * x + a2 * y for x, y in zip(h1, h2)] for a1, a2, _, _ in kernel]
+    return PlaneLattice._from_hermite(l1.field, row_hnf(combos), l1._den)
 
 
 def _shortest_independent_basis_vector(l: PlaneLattice, w: PlaneVector) -> PlaneVector:

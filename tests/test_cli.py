@@ -456,6 +456,24 @@ class TestTypedErrors:
         for flag in ["--window=1,2", "--window=1,2,3,x"]:
             self.fails(capsys, ["render", str(path), "-o", svg, flag], "--window")
 
+    def test_periodic_scene_window_checked_by_verify_and_render(self, capsys, tmp_path):
+        # verify does not use a periodic scene's window, but the same file
+        # must not pass verify and fail render
+        z2 = {"lattice": jsonio.encode_lattice(PlaneLattice(V(1, 0), V(0, 1)))}
+        square = {"vertices": [jsonio.encode_vector(V(x, y)) for x, y in [(0, 0), (1, 0), (1, 1), (0, 1)]]}
+        path = tmp_path / "scene.json"
+        svg = str(tmp_path / "x.svg")
+        for window in [5, [1, 2], [1, 2, 3, "x"], ["0", "0", "1/0", "1"]]:
+            path.write_text(json.dumps({"field": [], "polygon": square, "lambda": {"periodic": [z2], "window": window}}))
+            self.fails(capsys, ["verify", str(path)], "lambda.window")
+            self.fails(capsys, ["render", str(path), "-o", svg], "lambda.window")
+        path.write_text(json.dumps({"field": [], "polygon": square, "lambda": {"periodic": [z2]}}))
+        code, plain = run(capsys, ["verify", str(path)])
+        assert code == 0
+        path.write_text(json.dumps({"field": [], "polygon": square, "lambda": {"periodic": [z2], "window": [0, 0, 2, 2]}}))
+        assert run(capsys, ["verify", str(path)]) == (0, plain)
+        assert main(["render", str(path), "-o", svg]) == 0
+
     def test_bad_radicand_text(self, capsys, tmp_path):
         for text in ["sqrt(x)", "2*sqrt(3)*sqrt(2)", "sqrt(2.5)", "sqrt()"]:
             self.fails(capsys, ["examples", "octagon-family", "--beta", text], "--beta")
@@ -467,3 +485,15 @@ class TestTypedErrors:
         path = tmp_path / "latin1.json"
         path.write_bytes(b'{"field": [], "note": "\xe9"}')
         self.fails(capsys, ["decide", str(path)], f"{path}: not UTF-8")
+
+
+class TestInternalError:
+    def test_bug_exits_3_without_traceback(self, capsys, octagon_file, monkeypatch):
+        def broken(_):
+            raise KeyError("lost")
+
+        monkeypatch.setattr(cli, "decide_multitiling", broken)
+        assert main(["decide", octagon_file]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "zonotile: internal error: KeyError: 'lost'\n"

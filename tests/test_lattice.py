@@ -8,12 +8,14 @@ from math import lcm
 import pytest
 
 from zonotile import (
+    FieldElement,
     FieldError,
     GeometryError,
     IncommensurableError,
     LATTICE,
     NOT_DISCRETE,
     PlaneLattice,
+    PlaneVector,
     RANK_DEFICIENT,
     RationalityError,
     integer_span,
@@ -23,9 +25,10 @@ from zonotile import (
     sublattice_avoiding_coset,
     superlattice_meeting_line,
 )
+from zonotile import lattice
 from zonotile.intlinalg import right_kernel, row_hnf
 
-from conftest import F2, F23, V, flatten_vector, rand_element, rand_fraction, sympy_rank
+from conftest import F2, F23, Q, V, flatten_vector, rand_element, rand_fraction, sympy_rank
 
 H = Fraction(1, 2)
 
@@ -282,6 +285,131 @@ class TestMembership:
         assert Z2().det == 1
         assert PlaneLattice(V(1, 0), V(0, 2)).det == 2
         assert PlaneLattice(V(F23.sqrt(2), 0, F23), V(0, F23.sqrt(3), F23)).det == F23.sqrt(6)
+
+
+def field_integer_coords(lat, v):
+    """The field-coordinate construction: solve v's coordinates in the
+    canonical basis by cross products over det, then read them as rationals."""
+    q1, q2 = (c.rational_value() for c in lat.coords(v))
+    if q1 is None or q2 is None or q1.denominator != 1 or q2.denominator != 1:
+        return None
+    return (q1.numerator, q2.numerator)
+
+
+def hermite_membership_cases(seed=59, per_field=25):
+    """Random lattices over Q, Q(sqrt2) and Q(sqrt2, sqrt3), each with
+    members, rational non-members (points of the half and third lattices)
+    and vectors with irrational lattice coordinates (over Q there are none;
+    random vectors stand in)."""
+    rng = random.Random(seed)
+
+    def rand_vector(field):
+        return V(rand_element(rng, field), rand_element(rng, field), field)
+
+    for field in (Q, F2, F23):
+        done = 0
+        while done < per_field:
+            try:
+                lat = PlaneLattice(rand_vector(field), rand_vector(field))
+            except GeometryError:
+                continue
+            done += 1
+            members = [lat.point(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(4)]
+            members.append(lat.point(0, 0))
+            non_members = [
+                lat.b1.scale(Fraction(rng.randint(-9, 9), d)) + lat.b2.scale(Fraction(rng.randint(-9, 9), d))
+                for d in (2, 3)
+                for _ in range(3)
+            ]
+            irrational = [rand_vector(field) for _ in range(3)]
+            if field.size > 1:
+                r = field.sqrt(2)
+                irrational += [lat.b1.scale(r), lat.point(1, 2) + lat.b2.scale(r * Fraction(1, 2))]
+            yield lat, members, non_members, irrational
+
+
+class TestHermiteMembership:
+    def test_matches_field_coordinates(self):
+        kinds = {"member": 0, "rational": 0, "irrational": 0}
+        for lat, members, non_members, irrational in hermite_membership_cases():
+            for kind, vs in (("member", members), ("rational", non_members), ("irrational", irrational)):
+                for v in vs:
+                    expected = field_integer_coords(lat, v)
+                    assert lat.integer_coords(v) == expected
+                    assert lat.contains(v) == (expected is not None)
+                    if kind == "member":
+                        assert expected is not None and lat.point(*expected) == v
+                    kinds[kind] += expected is None
+        # counts of non-members by kind: the oracle saw both kinds of miss
+        assert kinds["member"] == 0 and kinds["rational"] > 0 and kinds["irrational"] > 0
+
+    def test_vector_over_another_field_refused(self):
+        lat = PlaneLattice(V(1, 0, F2), V(0, 1, F2))
+        for v in [V(1, 0, F23), V(1, 0), PlaneVector(F2.one(), F23.one())]:
+            with pytest.raises(FieldError):
+                lat.contains(v)
+            with pytest.raises(FieldError):
+                lat.integer_coords(v)
+
+    def test_span_basis_equals_lattice_from_the_same_rows(self):
+        rng = random.Random(61)
+        seen = 0
+        for field in (Q, F2, F23):
+            for _ in range(30):
+                v1 = V(rand_element(rng, field), rand_element(rng, field), field)
+                v2 = V(rand_element(rng, field), rand_element(rng, field), field)
+                vs = [v1, v2] + [
+                    v1.scale(Fraction(rng.randint(-4, 4), 2)) + v2.scale(Fraction(rng.randint(-4, 4), 3))
+                    for _ in range(rng.randint(0, 2))
+                ]
+                analysis = integer_span(vs)
+                if analysis.verdict != LATTICE:
+                    continue
+                flat = [flatten_vector(v) for v in vs]
+                den = lcm(*(c.denominator for row in flat for c in row))
+                h = row_hnf([[int(c * den) for c in row] for row in flat])
+                u1, u2 = (
+                    V(
+                        FieldElement(field, tuple(Fraction(n, den) for n in row[: field.size])),
+                        FieldElement(field, tuple(Fraction(n, den) for n in row[field.size :])),
+                        field,
+                    )
+                    for row in h
+                )
+                expected = PlaneLattice(u1, u2)
+                assert analysis.basis == expected
+                assert hash(analysis.basis) == hash(expected)
+                assert analysis.basis.det == expected.det
+                seen += 1
+        assert seen > 40
+
+    def test_span_takes_one_hermite_form(self, monkeypatch):
+        calls = []
+
+        def counted(rows):
+            calls.append(rows)
+            return row_hnf(rows)
+
+        monkeypatch.setattr(lattice, "row_hnf", counted)
+        assert integer_span([V(1, 0), V(0, 1), V(H, H)]).verdict == LATTICE
+        assert integer_span([V(F23.sqrt(2), 0, F23), V(0, F23.sqrt(3), F23)]).verdict == LATTICE
+        assert len(calls) == 2
+
+    def test_membership_makes_no_field_division(self, monkeypatch):
+        calls = []
+        truediv = FieldElement.__truediv__
+
+        def counted(self, other):
+            calls.append(other)
+            return truediv(self, other)
+
+        cases = list(hermite_membership_cases(per_field=8))
+        monkeypatch.setattr(FieldElement, "__truediv__", counted)
+        for lat, members, non_members, irrational in cases:
+            for v in members + non_members + irrational:
+                lat.contains(v)
+                lat.integer_coords(v)
+        assert calls == []
 
 
 class TestIntersect:
