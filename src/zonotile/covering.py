@@ -90,10 +90,10 @@ class Box:
         return Box(self.x0 + v.x, self.y0 + v.y, self.x1 + v.x, self.y1 + v.y)
 
     def is_empty(self) -> bool:
-        return (self.x1 - self.x0).sign() < 0 or (self.y1 - self.y0).sign() < 0
+        return self.x1 < self.x0 or self.y1 < self.y0
 
     def has_area(self) -> bool:
-        return (self.x1 - self.x0).sign() > 0 and (self.y1 - self.y0).sign() > 0
+        return self.x1 > self.x0 and self.y1 > self.y0
 
 
 class Polygon:
@@ -130,15 +130,25 @@ class Polygon:
         vs = self.vertices
         return [(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
 
+    def is_simple(self) -> bool:
+        """Whether no two non-adjacent edges meet, by an exact O(n**2) test.
+
+        The constructor does not run it: polygons built from zonotopes and
+        the verification regions are simple by construction, so only a
+        vertex list read from a document is checked."""
+        edges = self.edges()
+        n = len(edges)
+        for i in range(n):
+            # the last edge is adjacent to the first
+            for j in range(i + 2, n if i else n - 1):
+                if _segments_meet(*edges[i], *edges[j]):
+                    return False
+        return True
+
     def locate(self, p: PlaneVector) -> int:
         """+1 strictly inside, 0 on the boundary, -1 strictly outside."""
         bb = self.bbox
-        if (
-            (p.x - bb.x0).sign() < 0
-            or (bb.x1 - p.x).sign() < 0
-            or (p.y - bb.y0).sign() < 0
-            or (bb.y1 - p.y).sign() < 0
-        ):
+        if p.x < bb.x0 or p.x > bb.x1 or p.y < bb.y0 or p.y > bb.y1:
             return -1
         parity = 0
         for a, b in self.edges():
@@ -155,15 +165,38 @@ class Polygon:
                 continue
             # half-open in y so that a ray through a vertex counts once
             if sdy > 0:
-                if (p.y - a.y).sign() < 0 or (b.y - p.y).sign() <= 0:
+                if p.y < a.y or p.y >= b.y:
                     continue
             else:
-                if (p.y - b.y).sign() < 0 or (a.y - p.y).sign() <= 0:
+                if p.y < b.y or p.y >= a.y:
                     continue
             val = (a.x - p.x) * dy + (p.y - a.y) * ab.x
             if val.sign() * sdy > 0:
                 parity ^= 1
         return 1 if parity else -1
+
+
+def _orient(a: PlaneVector, b: PlaneVector, c: PlaneVector) -> int:
+    """+1 when a, b, c turn counterclockwise, -1 clockwise, 0 collinear."""
+    return (b - a).cross(c - a).sign()
+
+
+def _segments_meet(p: PlaneVector, q: PlaneVector, r: PlaneVector, s: PlaneVector) -> bool:
+    """Whether the closed segments pq and rs share a point."""
+    d1, d2 = _orient(r, s, p), _orient(r, s, q)
+    d3, d4 = _orient(p, q, r), _orient(p, q, s)
+    if d1 * d2 < 0 and d3 * d4 < 0:
+        return True
+
+    def on(a, b, c):  # c on the segment ab, given that the three are collinear
+        return (c - a).dot(c - b).sign() <= 0
+
+    return (
+        (d1 == 0 and on(r, s, p))
+        or (d2 == 0 and on(r, s, q))
+        or (d3 == 0 and on(p, q, r))
+        or (d4 == 0 and on(p, q, s))
+    )
 
 
 class WindowPattern:
@@ -219,11 +252,6 @@ class TranslateSet:
     def is_periodic(self) -> bool:
         return self.parts is not None
 
-    def shifted(self, v: PlaneVector) -> "TranslateSet":
-        if not self.is_periodic:
-            raise GeometryError("cannot shift a windowed pattern")
-        return TranslateSet.periodic([(lat, z + v) for lat, z in self.parts])
-
     def period_lattice(self) -> PlaneLattice:
         if not self.is_periodic:
             raise GeometryError("windowed patterns have no period lattice")
@@ -252,12 +280,7 @@ def lattice_points_in_box(lat: PlaneLattice, box: Box) -> list[PlaneVector]:
     for a in range(alo, ahi + 1):
         for b in range(blo, bhi + 1):
             p = lat.point(a, b)
-            if (
-                (p.x - box.x0).sign() >= 0
-                and (box.x1 - p.x).sign() >= 0
-                and (p.y - box.y0).sign() >= 0
-                and (box.y1 - p.y).sign() >= 0
-            ):
+            if box.x0 <= p.x <= box.x1 and box.y0 <= p.y <= box.y1:
                 out.append(p)
     return out
 
@@ -436,13 +459,11 @@ def arrangement_faces(poly: Polygon, translates, region: Polygon) -> list[Face]:
     xs = [rb.x0, rb.x1]
     live = []
     for s in segments:
-        lo_before_end = (rb.x1 - s.xlo).sign()
-        hi_after_start = (s.xhi - rb.x0).sign()
-        if lo_before_end >= 0 and (s.xlo - rb.x0).sign() >= 0:
+        if rb.x0 <= s.xlo <= rb.x1:
             xs.append(s.xlo)
-        if hi_after_start >= 0 and (rb.x1 - s.xhi).sign() >= 0:
+        if rb.x0 <= s.xhi <= rb.x1:
             xs.append(s.xhi)
-        if lo_before_end > 0 and hi_after_start > 0 and s.xlo != s.xhi:
+        if s.xlo < rb.x1 and s.xhi > rb.x0 and s.xlo != s.xhi:
             s.slope = (s.q.y - s.p.y) / (s.q.x - s.p.x)
             live.append(s)
     event_rank = _ranks(xs)

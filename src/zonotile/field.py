@@ -1,19 +1,29 @@
 """Exact arithmetic in real multi-quadratic number fields.
 
 A :class:`Field` is Q with the square roots of a few multiplicatively
-independent squarefree integers adjoined, e.g. Q(sqrt2, sqrt3).  Elements
-are exact rational coordinate vectors on the 2**k monomial basis
-{prod_{i in S} sqrt(d_i) : S subset of {1..k}}, so the zero test and
-equality are trivially decidable.  Signs are decided by refining rational
-interval enclosures of the square roots, which terminates because a
-nonzero element is bounded away from zero.  No predicate in this package
-touches floating point.
+independent squarefree integers adjoined, e.g. Q(sqrt2, sqrt3).  An
+element is held in common-denominator form (Cohen, *A Course in
+Computational Algebraic Number Theory*, 1993, section 4.2): integer
+numerators on the 2**k monomial basis
+{prod_{i in S} sqrt(d_i) : S subset of {1..k}} over one positive
+denominator, in lowest terms.  The form is unique, so the zero test and
+equality compare integer tuples, and arithmetic is integer arithmetic
+with at most a gcd or two per operation.
+
+Signs are decided on integers too.  With s = isqrt(p << 2*prec), the
+monomial sqrt(p) lies strictly between s and s + 1 over 2**prec, so the
+numerators times those bounds enclose the element times den * 2**prec.
+The precision doubles until the enclosure excludes zero, which terminates
+because a nonzero element is bounded away from zero.  No predicate in
+this package touches floating point.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
+from operator import add, index, mul, neg, sub
 
 from .errors import FieldError
 
@@ -21,7 +31,8 @@ __all__ = ["Field", "FieldElement", "RATIONALS"]
 
 _MAX_RADICANDS = 4
 _MAX_RADICAND = 10**18
-_ZERO = Fraction(0)
+_HASH_MODULUS = sys.hash_info.modulus
+_HASH_INF = sys.hash_info.inf
 
 
 def _is_squarefree(n: int) -> bool:
@@ -56,7 +67,7 @@ class Field:
     fields with the same radicand set share one monomial layout.
     """
 
-    __slots__ = ("radicands", "products", "_mask_of_product", "_sqrt_cache")
+    __slots__ = ("radicands", "products", "_mask_of_product", "_zeros", "_root_cache")
 
     def __init__(self, radicands=()):
         rads = tuple(sorted(int(d) for d in radicands))
@@ -87,7 +98,8 @@ class Field:
         self.radicands = rads
         self.products = tuple(products)
         self._mask_of_product = {p: m for m, p in enumerate(products)}
-        self._sqrt_cache: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
+        self._zeros = (0,) * len(products)
+        self._root_cache: dict[int, tuple[int, ...]] = {}
 
     # -- identity ----------------------------------------------------------
 
@@ -107,32 +119,32 @@ class Field:
     # -- element constructors ----------------------------------------------
 
     def zero(self) -> FieldElement:
-        return FieldElement(self, (_ZERO,) * self.size)
+        return _make(self, self._zeros, 1)
 
     def one(self) -> FieldElement:
-        return self.rational(1)
+        return _make(self, (1, *self._zeros[1:]), 1)
 
     def rational(self, q) -> FieldElement:
-        coeffs = [_ZERO] * self.size
-        coeffs[0] = Fraction(q)
-        return FieldElement(self, tuple(coeffs))
+        if not isinstance(q, (int, Fraction)):
+            q = Fraction(q)
+        return _make(self, (q.numerator, *self._zeros[1:]), q.denominator)
 
     def sqrt(self, d: int) -> FieldElement:
         """The basis monomial whose square is the integer ``d``."""
         mask = self._mask_of_product.get(d)
         if mask is None:
             raise FieldError(f"sqrt({d}) is not a basis monomial of {self!r}")
-        coeffs = [_ZERO] * self.size
-        coeffs[mask] = Fraction(1)
-        return FieldElement(self, tuple(coeffs))
+        nums = list(self._zeros)
+        nums[mask] = 1
+        return _make(self, tuple(nums), 1)
 
     def element(self, coeffs_by_mask) -> FieldElement:
-        coeffs = [_ZERO] * self.size
+        coeffs = [0] * self.size
         for mask, c in coeffs_by_mask.items():
             if not 0 <= mask < self.size:
                 raise FieldError(f"monomial index {mask} out of range")
             coeffs[mask] = Fraction(c)
-        return FieldElement(self, tuple(coeffs))
+        return FieldElement(self, coeffs)
 
     # -- relations between fields --------------------------------------------
 
@@ -144,57 +156,209 @@ class Field:
     def embed(self, x: FieldElement) -> FieldElement:
         """Reinterpret an element of a compatible (sub)field in this field."""
         if x.field.radicands == self.radicands:
-            return FieldElement(self, x.coeffs)
-        coeffs = [_ZERO] * self.size
-        for mask, c in enumerate(x.coeffs):
-            if not c:
+            return _make(self, x.nums, x.den)
+        nums = list(self._zeros)
+        for mask, n in enumerate(x.nums):
+            if not n:
                 continue
             here = self._mask_of_product.get(x.field.products[mask])
             if here is None:
                 raise FieldError(
                     f"monomial sqrt({x.field.products[mask]}) does not exist in {self!r}"
                 )
-            coeffs[here] = c
-        return FieldElement(self, tuple(coeffs))
+            nums[here] = n
+        return _make(self, tuple(nums), x.den)
 
-    # -- interval support ----------------------------------------------------
+    # -- sign support ----------------------------------------------------------
 
-    def _sqrt_enclosure(self, mask: int, prec: int) -> tuple[Fraction, Fraction]:
-        """Rational enclosure of sqrt(products[mask]) of width 2**-prec."""
-        key = (mask, prec)
-        cached = self._sqrt_cache.get(key)
-        if cached is None:
-            n = self.products[mask]
-            s = isqrt(n << (2 * prec))
-            # n is never a perfect square here, so the enclosure is strict.
-            cached = (Fraction(s, 1 << prec), Fraction(s + 1, 1 << prec))
-            self._sqrt_cache[key] = cached
-        return cached
+    def _roots(self, prec: int) -> tuple[int, ...]:
+        """floor(sqrt(p) * 2**prec) for each monomial product p, in mask
+        order; the first is exactly 1 << prec, and every other root is
+        irrational, so it lies strictly between its floor and the next
+        integer."""
+        roots = self._root_cache.get(prec)
+        if roots is None:
+            roots = tuple(isqrt(p << (2 * prec)) for p in self.products)
+            self._root_cache[prec] = roots
+        return roots
 
 
 RATIONALS = Field(())
 
 
+_new = object.__new__
+
+
+def _make(field: Field, nums: tuple[int, ...], den: int) -> FieldElement:
+    """An element from numerators and a denominator already in lowest terms."""
+    x = _new(FieldElement)
+    x.field = field
+    x.nums = nums
+    x.den = den
+    x._sign = None
+    return x
+
+
+def _reduced(field: Field, nums: tuple[int, ...], den: int) -> FieldElement:
+    """An element from numerators over a positive denominator, reduced."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = tuple([n // g for n in nums])
+            den //= g
+    return _make(field, nums, den)
+
+
+def _add(field: Field, a, da: int, op, b, db: int) -> FieldElement:
+    """a/da op b/db in lowest terms, ``op`` being ``operator.add`` or
+    ``operator.sub``.
+
+    With g = gcd(da, db), the terms are brought to the denominator
+    (da/g) * db.  Both inputs are in lowest terms, so no prime of da/g or
+    db/g divides every numerator of the result, and only gcd(g, result)
+    can cancel: with coprime denominators that is no gcd at all."""
+    if da == db:
+        if da == 1:
+            return _make(field, tuple(map(op, a, b)), 1)
+        return _reduced(field, tuple(map(op, a, b)), da)
+    g = gcd(da, db)
+    if g == 1:
+        return _make(field, tuple(map(op, [x * db for x in a], [y * da for y in b])), da * db)
+    sa, sb = db // g, da // g
+    t = tuple(map(op, [x * sa for x in a], [y * sb for y in b]))
+    c = gcd(g, *t)
+    if c != 1:
+        t = tuple([n // c for n in t])
+    return _make(field, t, sb * (db // c))
+
+
+def _scale(field: Field, a, da: int, p: int, q: int) -> FieldElement:
+    """(a/da) * (p/q) in lowest terms, for q > 0 and gcd(p, q) = 1.
+
+    Both factors are in lowest terms, so gcd(p, da) and gcd(q, *a) are
+    all that cancels."""
+    if not p:
+        return field.zero()
+    if da != 1:
+        g = gcd(p, da)
+        if g != 1:
+            p //= g
+            da //= g
+    if q != 1:
+        g = gcd(q, *a)
+        if g != 1:
+            q //= g
+            a = tuple([n // g for n in a])
+    if p != 1:
+        a = tuple([n * p for n in a])
+    return _make(field, a, da * q)
+
+
+def _enclosure(field: Field, nums, prec: int) -> tuple[int, int]:
+    """Integers lo < v * 2**prec < hi for v = sum(nums[m] * sqrt(products[m]))
+    with an irrational part; equal bounds when there is none."""
+    lo = hi = sum(map(mul, nums, field._roots(prec)))
+    for n in nums[1:]:
+        if n < 0:
+            lo += n
+        else:
+            hi += n
+    return lo, hi
+
+
+def _sign_of(field: Field, nums) -> int:
+    """The sign of sum(nums[m] * sqrt(products[m])), decided on integers."""
+    if not any(nums[1:]):
+        n = nums[0]
+        return (n > 0) - (n < 0)
+    prec = 32
+    while True:
+        lo, hi = _enclosure(field, nums, prec)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        prec *= 2
+        if prec > 1 << 22:  # unreachable for nonzero elements
+            raise RuntimeError("sign refinement failed to converge")
+
+
+def _rational_hash(n: int, d: int) -> int:
+    """hash(Fraction(n, d)) for n/d in lowest terms with d > 0, without
+    building the Fraction (the numeric hash rule of the language reference)."""
+    if d == 1:
+        return hash(n)
+    try:
+        dinv = pow(d, -1, _HASH_MODULUS)
+    except ValueError:
+        h = _HASH_INF
+    else:
+        h = hash(hash(abs(n)) * dinv)
+    h = h if n >= 0 else -h
+    return -2 if h == -1 else h
+
+
 class FieldElement:
     """An exact element of a multi-quadratic field.
+
+    ``nums`` holds one integer numerator per monomial of the field basis
+    and ``den`` their positive common denominator, in lowest terms:
+    gcd(den, *nums) == 1, and zero is all zeros over 1.  Equal values
+    therefore have equal representations, which is what ``==`` and
+    ``hash`` compare; a rational element hashes like the equal ``int`` or
+    ``Fraction``.  ``coeffs`` gives the value as one ``Fraction`` per
+    monomial, and the constructor takes that form back;
+    :meth:`from_integers` builds an element from numerators over any
+    nonzero denominator.
+
+    Comparisons take the sign of the cross-multiplied numerator
+    difference without building an element.  ``sign``, ``floor`` and
+    ``approx`` refine integer enclosures of the monomials.
 
     Values are immutable; all operators are pure.  Mixed arithmetic with
     ``int`` and ``Fraction`` lifts the scalar into the field; elements of
     fields with different radicand sets do not mix (embed first).
     """
 
-    __slots__ = ("field", "coeffs", "_sign")
+    __slots__ = ("field", "nums", "den", "_sign")
 
-    def __init__(self, field: Field, coeffs: tuple[Fraction, ...]):
+    def __init__(self, field: Field, coeffs):
+        """The element with rational coefficient ``coeffs[m]`` on monomial m."""
+        if len(coeffs) != field.size:
+            raise FieldError(f"{len(coeffs)} coefficients for a field of {field.size} monomials")
+        qs = [Fraction(c) for c in coeffs]
+        # every q is in lowest terms, so the lcm of their denominators is
+        # the least common denominator
+        den = lcm(*(q.denominator for q in qs))
         self.field = field
-        self.coeffs = coeffs
+        self.nums = tuple(q.numerator * (den // q.denominator) for q in qs)
+        self.den = den
         self._sign = None
+
+    @classmethod
+    def from_integers(cls, field: Field, nums, den: int = 1) -> FieldElement:
+        """The element sum(nums[m] * monomial m) / den, in lowest terms."""
+        nums = tuple(map(index, nums))
+        den = index(den)
+        if len(nums) != field.size:
+            raise FieldError(f"{len(nums)} numerators for a field of {field.size} monomials")
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+        if den < 0:
+            nums, den = tuple(map(neg, nums)), -den
+        return _reduced(field, nums, den)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational coefficient of each monomial."""
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.nums)
 
     # -- coercion ------------------------------------------------------------
 
     def _lift(self, other):
         if isinstance(other, FieldElement):
-            if other.field.radicands != self.field.radicands:
+            if other.field is not self.field and other.field.radicands != self.field.radicands:
                 raise FieldError(
                     f"cannot mix elements of {self.field!r} and {other.field!r}"
                 )
@@ -209,7 +373,7 @@ class FieldElement:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        return _add(self.field, self.nums, self.den, add, o.nums, o.den)
 
     __radd__ = __add__
 
@@ -217,16 +381,16 @@ class FieldElement:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return _add(self.field, self.nums, self.den, sub, o.nums, o.den)
 
     def __rsub__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return _add(self.field, o.nums, o.den, sub, self.nums, self.den)
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-a for a in self.coeffs))
+        return _make(self.field, tuple(map(neg, self.nums)), self.den)
 
     def __pos__(self):
         return self
@@ -235,21 +399,20 @@ class FieldElement:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        if o.is_rational():
-            q = o.coeffs[0]
-            if not q:
-                return self.field.zero()
-            return FieldElement(self.field, tuple(a * q for a in self.coeffs))
+        a, b = self.nums, o.nums
+        if not any(b[1:]):
+            return _scale(self.field, a, self.den, b[0], o.den)
+        if not any(a[1:]):
+            return _scale(self.field, b, o.den, a[0], self.den)
         products = self.field.products
-        out = [_ZERO] * self.field.size
-        for s, a in enumerate(self.coeffs):
-            if not a:
+        out = [0] * len(a)
+        for s, x in enumerate(a):
+            if not x:
                 continue
-            for t, b in enumerate(o.coeffs):
-                if not b:
-                    continue
-                out[s ^ t] += a * b * products[s & t]
-        return FieldElement(self.field, tuple(out))
+            for t, y in enumerate(b):
+                if y:
+                    out[s ^ t] += x * y * products[s & t]
+        return _reduced(self.field, tuple(out), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -257,12 +420,14 @@ class FieldElement:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        if o.is_rational():
-            q = o.coeffs[0]
-            if not q:
-                raise ZeroDivisionError("division by zero field element")
-            return FieldElement(self.field, tuple(a / q for a in self.coeffs))
-        return self * o.inverse()
+        if any(o.nums[1:]):
+            return self * o.inverse()
+        p, q = o.nums[0], o.den
+        if not p:
+            raise ZeroDivisionError("division by zero field element")
+        if p < 0:
+            p, q = -p, -q
+        return _scale(self.field, self.nums, self.den, q, p)
 
     def __rtruediv__(self, other):
         o = self._lift(other)
@@ -272,9 +437,10 @@ class FieldElement:
 
     def _conjugate(self, i: int) -> FieldElement:
         """Negate every monomial containing radicand index ``i``."""
-        return FieldElement(
+        return _make(
             self.field,
-            tuple(-c if mask >> i & 1 else c for mask, c in enumerate(self.coeffs)),
+            tuple(-n if mask >> i & 1 else n for mask, n in enumerate(self.nums)),
+            self.den,
         )
 
     def inverse(self) -> FieldElement:
@@ -284,91 +450,58 @@ class FieldElement:
         num = self.field.one()
         den = self
         for i in range(len(self.field.radicands)):
-            if any(c for mask, c in enumerate(den.coeffs) if mask >> i & 1):
+            if any(n for mask, n in enumerate(den.nums) if mask >> i & 1):
                 conj = den._conjugate(i)
                 num = num * conj
                 den = den * conj
-        q = den.coeffs[0]
-        return FieldElement(self.field, tuple(a / q for a in num.coeffs))
+        return num / den
 
     # -- predicates -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.nums)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def rational_value(self) -> Fraction | None:
         """The exact rational value, or None if any sqrt monomial survives."""
         if self.is_rational():
-            return self.coeffs[0]
+            return Fraction(self.nums[0], self.den)
         return None
 
     def sign(self) -> int:
         if self._sign is None:
-            self._sign = self._compute_sign()
+            self._sign = _sign_of(self.field, self.nums)
         return self._sign
-
-    def _compute_sign(self) -> int:
-        if self.is_zero():
-            return 0
-        if self.is_rational():
-            return 1 if self.coeffs[0] > 0 else -1
-        prec = 32
-        while True:
-            lo, hi = self._enclosure(prec)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            prec *= 2
-            if prec > 1 << 22:  # unreachable for nonzero elements
-                raise RuntimeError("sign refinement failed to converge")
-
-    def _enclosure(self, prec: int) -> tuple[Fraction, Fraction]:
-        lo = hi = self.coeffs[0]
-        for mask in range(1, len(self.coeffs)):
-            c = self.coeffs[mask]
-            if not c:
-                continue
-            slo, shi = self.field._sqrt_enclosure(mask, prec)
-            if c > 0:
-                lo += c * slo
-                hi += c * shi
-            else:
-                lo += c * shi
-                hi += c * slo
-        return lo, hi
 
     def approx(self, bits: int) -> tuple[Fraction, Fraction]:
         """A rational interval of width <= 2**-bits enclosing the value."""
         if bits < 1:
             raise ValueError("precision must be >= 1 bit")
         if self.is_rational():
-            q = self.coeffs[0]
+            q = Fraction(self.nums[0], self.den)
             return (q, q)
         prec = max(bits + 4, 16)
-        tol = Fraction(1, 1 << bits)
         while True:
-            lo, hi = self._enclosure(prec)
-            if hi - lo <= tol:
-                return (lo, hi)
+            lo, hi = _enclosure(self.field, self.nums, prec)
+            scale = self.den << prec
+            if (hi - lo) << bits <= scale:
+                return (Fraction(lo, scale), Fraction(hi, scale))
             prec *= 2
 
     def floor(self) -> int:
-        q = self.rational_value()
-        if q is not None:
-            return q.numerator // q.denominator
+        if self.is_rational():
+            return self.nums[0] // self.den
         prec = 32
         while True:
-            lo, hi = self._enclosure(prec)
-            fl = lo.numerator // lo.denominator
-            fh = hi.numerator // hi.denominator
-            if fl == fh:
+            lo, hi = _enclosure(self.field, self.nums, prec)
+            scale = self.den << prec
+            fl = lo // scale
+            if fl == hi // scale:
                 return fl
             prec *= 2
 
@@ -379,21 +512,31 @@ class FieldElement:
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
-            return other.field.radicands == self.field.radicands and other.coeffs == self.coeffs
+            return (
+                self.den == other.den
+                and self.nums == other.nums
+                and (other.field is self.field or other.field.radicands == self.field.radicands)
+            )
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            nums = self.nums
+            return self.den == other.denominator and nums[0] == other.numerator and not any(nums[1:])
         return NotImplemented
 
     def __hash__(self):
-        if self.is_rational():
-            return hash(self.coeffs[0])
-        return hash((self.field.radicands, self.coeffs))
+        nums = self.nums
+        if any(nums[1:]):
+            return hash((nums, self.den))
+        return _rational_hash(nums[0], self.den)
 
     def _cmp_sign(self, other) -> int:
+        """The sign of self - other, from the cross-multiplied numerators."""
         o = self._lift(other)
         if o is None:
             raise TypeError(f"cannot compare FieldElement with {type(other).__name__}")
-        return (self - o).sign()
+        a, da, b, db = self.nums, self.den, o.nums, o.den
+        if da != db:
+            a, b = [x * db for x in a], [y * da for y in b]
+        return _sign_of(self.field, tuple(map(sub, a, b)))
 
     def __lt__(self, other):
         return self._cmp_sign(other) < 0
@@ -427,3 +570,4 @@ class FieldElement:
 
     def __repr__(self):
         return f"<{self} in {self.field!r}>"
+

@@ -283,6 +283,8 @@ def decode_scene_document(doc) -> tuple[Polygon, TranslateSet]:
         raise GeometryError(f"scene 'polygon' must be an object, got {poly_doc!r}")
     if "vertices" in poly_doc:
         poly = Polygon(_decode_vectors(poly_doc, "vertices", field))
+        if not poly.is_simple():
+            raise GeometryError("polygon.vertices: two non-adjacent edges meet, so the polygon is not simple")
     elif "generators" in poly_doc:
         poly = Polygon.from_zonotope(Zonotope(_decode_vectors(poly_doc, "generators", field)))
     else:

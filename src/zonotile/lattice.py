@@ -22,7 +22,6 @@ Theory*, 1993, section 2.4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import FieldError, GeometryError, IncommensurableError, RationalityError
@@ -95,15 +94,11 @@ def vector(field: Field, x, y) -> PlaneVector:
     return PlaneVector(lift(x), lift(y))
 
 
-def _flatten(v: PlaneVector) -> tuple[Fraction, ...]:
-    return v.x.coeffs + v.y.coeffs
-
-
 def _integer_rows(vectors) -> tuple[list[list[int]], int]:
     """The flattened vectors as integer rows over one common denominator."""
-    rows = [_flatten(v) for v in vectors]
-    den = lcm(*(c.denominator for row in rows for c in row))
-    return [[c.numerator * (den // c.denominator) for c in row] for row in rows], den
+    elems = [(v.x, v.y) for v in vectors]
+    den = lcm(*(e.den for pair in elems for e in pair))
+    return [[n * (den // e.den) for e in pair for n in e.nums] for pair in elems], den
 
 
 def _vectors_from_rows(field: Field, rows, den: int) -> list[PlaneVector]:
@@ -111,8 +106,8 @@ def _vectors_from_rows(field: Field, rows, den: int) -> list[PlaneVector]:
     size = field.size
     return [
         PlaneVector(
-            FieldElement(field, tuple(Fraction(n, den) for n in row[:size])),
-            FieldElement(field, tuple(Fraction(n, den) for n in row[size:])),
+            FieldElement.from_integers(field, row[:size], den),
+            FieldElement.from_integers(field, row[size:], den),
         )
         for row in rows
     ]
@@ -200,12 +195,10 @@ class PlaneLattice:
         if v.x.field.radicands != rads or v.y.field.radicands != rads:
             raise FieldError(f"vector over {v.field!r} tested against a lattice over {self.field!r}")
         den = self._den
-        w = []
-        for c in v.x.coeffs + v.y.coeffs:
-            n, r = divmod(c.numerator * den, c.denominator)
-            if r:
-                return None
-            w.append(n)
+        if den % v.x.den or den % v.y.den:
+            return None
+        sx, sy = den // v.x.den, den // v.y.den
+        w = [n * sx for n in v.x.nums] + [n * sy for n in v.y.nums]
         (h1, h2), (p1, p2) = self._rows, self._pivots
         a1 = w[p1] // h1[p1]
         a2 = (w[p2] - a1 * h1[p2]) // h2[p2]
@@ -219,14 +212,11 @@ class PlaneLattice:
     def point(self, a: int, b: int) -> PlaneVector:
         return self.b1.scale(a) + self.b2.scale(b)
 
-    def _key(self):
-        return (self.field.radicands, _flatten(self.b1), _flatten(self.b2))
-
     def __eq__(self, other):
-        return isinstance(other, PlaneLattice) and other._key() == self._key()
+        return isinstance(other, PlaneLattice) and (other.b1, other.b2) == (self.b1, self.b2)
 
     def __hash__(self):
-        return hash(self._key())
+        return hash((self.b1, self.b2))
 
     def __repr__(self):
         return f"PlaneLattice[{self.b1}, {self.b2}]"

@@ -5,12 +5,12 @@ covering multiplicity.  They are the verifier's own faces
 (``covering.arrangement_faces``), so the picture is a faithful map of the
 covering function.  Translate outlines are stroked on top and a legend
 lists the observed multiplicities.  All geometry is exact until the final
-coordinate emission, which rounds through a 30-bit enclosure.
+coordinate emission: a rational coordinate is rounded from its numerator
+and denominator, an irrational one from the midpoint of its 30-bit
+enclosure.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .covering import Box, Polygon, TranslateSet, arrangement_faces, region_translates
 from .errors import WindowError
@@ -40,8 +40,9 @@ def _fill(k: int) -> str:
     return _PALETTE[(k - 1) % len(_PALETTE)]
 
 
-def _fmt(q: Fraction) -> str:
-    scaled = (q.numerator * 20000 + q.denominator) // (2 * q.denominator)
+def _fmt(num: int, den: int) -> str:
+    """num/den (den > 0) rounded half up to four decimals."""
+    scaled = (num * 20000 + den) // (2 * den)
     sign = "-" if scaled < 0 else ""
     scaled = abs(scaled)
     return f"{sign}{scaled // 10000}.{scaled % 10000:04d}"
@@ -55,12 +56,19 @@ class _Frame:
     def to_svg(self, p: PlaneVector) -> str:
         sx = (p.x - self.x0) * _SCALE
         sy = (self.y1 - p.y) * _SCALE
-        return f"{_fmt(_mid(sx))},{_fmt(_mid(sy))}"
+        return f"{_fmt(*_mid(sx))},{_fmt(*_mid(sy))}"
 
 
-def _mid(x: FieldElement) -> Fraction:
+def _mid(x: FieldElement) -> tuple[int, int]:
+    """x itself when rational, else the midpoint of its 30-bit enclosure,
+    as a numerator over a positive denominator."""
+    if x.is_rational():
+        return x.nums[0], x.den
     lo, hi = x.approx(30)
-    return (lo + hi) / 2
+    return (
+        lo.numerator * hi.denominator + hi.numerator * lo.denominator,
+        2 * lo.denominator * hi.denominator,
+    )
 
 
 def render_svg(poly: Polygon, tset: TranslateSet, window: Box) -> str:
@@ -70,14 +78,16 @@ def render_svg(poly: Polygon, tset: TranslateSet, window: Box) -> str:
     translates = region_translates(poly, tset, region.bbox)
     faces = arrangement_faces(poly, translates, region)
     frame = _Frame(window)
-    width = _mid((window.x1 - window.x0) * _SCALE)
-    height = _mid((window.y1 - window.y0) * _SCALE)
+    w, wd = _mid((window.x1 - window.x0) * _SCALE)
+    h, hd = _mid((window.y1 - window.y0) * _SCALE)
+    width, height = _fmt(w, wd), _fmt(h, hd)
     legend_h = 32
+    full = _fmt(h + legend_h * hd, hd)
     counts = sorted({f.count for f in faces})
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
-        f'height="{_fmt(height + legend_h)}" viewBox="0 0 {_fmt(width)} {_fmt(height + legend_h)}">',
-        f'<clipPath id="win"><rect x="0" y="0" width="{_fmt(width)}" height="{_fmt(height)}"/></clipPath>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{full}" viewBox="0 0 {width} {full}">',
+        f'<clipPath id="win"><rect x="0" y="0" width="{width}" height="{height}"/></clipPath>',
         '<g clip-path="url(#win)">',
     ]
     for face in faces:
@@ -92,11 +102,11 @@ def render_svg(poly: Polygon, tset: TranslateSet, window: Box) -> str:
     x = 8.0
     for c in counts:
         parts.append(
-            f'<rect x="{x:.1f}" y="{_fmt(height + 8)}" width="16" height="16" '
+            f'<rect x="{x:.1f}" y="{_fmt(h + 8 * hd, hd)}" width="16" height="16" '
             f'fill="{_fill(c)}" stroke="#202020"/>'
         )
         parts.append(
-            f'<text x="{x + 20:.1f}" y="{_fmt(height + 21)}" font-family="monospace" '
+            f'<text x="{x + 20:.1f}" y="{_fmt(h + 21 * hd, hd)}" font-family="monospace" '
             f'font-size="12">k={c}</text>'
         )
         x += 64.0

@@ -474,6 +474,16 @@ class TestTypedErrors:
         assert run(capsys, ["verify", str(path)]) == (0, plain)
         assert main(["render", str(path), "-o", svg]) == 0
 
+    def test_self_intersecting_vertices(self, capsys, tmp_path):
+        # the bow-tie's two loops have opposite orientations, so its
+        # covering counts would come out as -1 and 2
+        z2 = {"lattice": jsonio.encode_lattice(PlaneLattice(V(1, 0), V(0, 1)))}
+        bowtie = {"vertices": [jsonio.encode_vector(V(x, y)) for x, y in [(0, 0), (1, 3), (1, 1), (0, 1)]]}
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps({"field": [], "polygon": bowtie, "lambda": {"periodic": [z2]}}))
+        self.fails(capsys, ["verify", str(path)], "polygon.vertices")
+        self.fails(capsys, ["render", str(path), "-o", str(tmp_path / "x.svg"), "--window=0,0,2,2"], "polygon.vertices")
+
     def test_bad_radicand_text(self, capsys, tmp_path):
         for text in ["sqrt(x)", "2*sqrt(3)*sqrt(2)", "sqrt(2.5)", "sqrt()"]:
             self.fails(capsys, ["examples", "octagon-family", "--beta", text], "--beta")

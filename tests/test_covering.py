@@ -78,6 +78,45 @@ class TestPolygonLocate:
         assert sq.locate(V(r2 / 2, r2 - 1 + Fraction(1, 1000), F2)) == 1
 
 
+class TestPolygonSimple:
+    def test_simple_polygons(self):
+        assert Polygon([V(0, 0), V(1, 0), V(1, 1), V(0, 1)]).is_simple()
+        assert skew_tetromino().is_simple()
+        assert lattice_octagon(F2).is_simple()
+        # non-convex, with a reflex vertex
+        assert Polygon([V(0, 0), V(2, 0), V(2, 1), V(1, 1), V(1, 2), V(0, 2)]).is_simple()
+
+    def test_crossing_and_touching_edges(self):
+        assert not Polygon([V(0, 0), V(1, 3), V(1, 1), V(0, 1)]).is_simple()
+        # a vertex on a non-adjacent edge
+        assert not Polygon([V(0, 0), V(4, 0), V(4, 4), V(2, 0), V(0, 4)]).is_simple()
+        # non-adjacent edges overlapping along a line
+        assert not Polygon([V(0, 0), V(3, 0), V(3, 1), V(2, 0), V(1, 0), V(0, 1)]).is_simple()
+        r2 = F2.sqrt(2)
+        assert not Polygon([V(0, 0, F2), V(r2, 3, F2), V(r2, 1, F2), V(0, 1, F2)]).is_simple()
+
+    def test_matches_sympy_segment_intersection(self):
+        from sympy import Point, Segment
+
+        rng = random.Random(29)
+        seen = {True: 0, False: 0}
+        while sum(seen.values()) < 80:
+            pts = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(5)]
+            if len(set(pts)) < 5:
+                continue
+            try:
+                poly = Polygon([V(x, y) for x, y in pts])
+            except GeometryError:
+                continue
+            segs = [Segment(Point(*pts[i]), Point(*pts[(i + 1) % 5])) for i in range(5)]
+            expected = not any(
+                segs[i].intersection(segs[j]) for i in range(5) for j in range(i + 2, 5) if (i, j) != (0, 4)
+            )
+            assert poly.is_simple() == expected, pts
+            seen[expected] += 1
+        assert min(seen.values()) > 10
+
+
 class TestLatticePointsInBox:
     def test_z2_nine_points(self):
         pts = lattice_points_in_box(PlaneLattice(V(1, 0), V(0, 1)), qbox(0, 0, 2, 2))
@@ -145,6 +184,9 @@ class TestCoveringAt:
             covering_at(sq, ts, V(H, 0))
 
     def test_translation_equivariance(self):
+        def shifted(ts, v):
+            return TranslateSet.periodic([(lat, z + v) for lat, z in ts.parts])
+
         rng = random.Random(23)
         poly = lattice_octagon(F2)
         lat = octagon_strip_lattice(F2)
@@ -160,7 +202,7 @@ class TestCoveringAt:
                     base = covering_at(poly, ts, x)
                 except BoundaryError:
                     continue
-                assert covering_at(poly, ts.shifted(v), x + v) == base
+                assert covering_at(poly, shifted(ts, v), x + v) == base
 
 
 class TestVerifyCovering:
