@@ -18,6 +18,7 @@ from .covering import Box, verify_covering
 from .criteria import bolle_check, canonical_lattice, decide_multitiling
 from .errors import GeometryError, ZonotileError
 from .field import FieldElement
+from .lattice import PlaneLattice, PlaneVector
 from .patterns import BUILTIN_NAMES
 from .render import render_svg
 
@@ -42,7 +43,9 @@ def _cmd_check(args) -> int:
     lat_doc = jsonio.load_document(args.lattice)
     lat = jsonio.decode_lattice_document(lat_doc)
     z = jsonio.decode_zonotope_document(poly_doc, field=lat.field)
-    lat = jsonio.decode_lattice_document(lat_doc, field=z.field)
+    if z.field != lat.field:
+        embed = z.field.embed
+        lat = PlaneLattice(*(PlaneVector(embed(v.x), embed(v.y)) for v in lat.basis()))
     report = bolle_check(z, lat)
     _emit(jsonio.encode_bolle_report(report, z.field))
     return 0 if report.verdict else 1

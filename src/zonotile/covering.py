@@ -21,9 +21,10 @@ verifier, the strip profiles and the SVG renderer all read its faces.
 The sweep's cost follows the segments that reach the cell and the
 crossings inside it, not the pairs of segments.  Clip: once the endpoint
 abscissas are collected, only the live segments, non-vertical and with an
-open x-range meeting the cell's, take part further, each with its slope
-computed once; no segment is clipped in y, since those below the cell
-carry the ladder weights.  Swap: no segment starts or ends strictly
+open x-range meeting the cell's, take part further; a translate edge
+shares the slope of its polygon edge, computed once per polygon edge.  No
+segment is clipped in y, since those below the cell carry the ladder
+weights.  Swap: no segment starts or ends strictly
 between two consecutive endpoint events, so two segments spanning such a
 slab cross strictly inside it exactly when their height difference is
 nonzero at both ends and changes sign; a zero at an end is a meeting on
@@ -67,6 +68,20 @@ __all__ = [
     "verify_covering",
     "strip_profile",
 ]
+
+
+# The most candidate points one box enumeration may visit.  The largest
+# count the tests and the bench reach is 676 (the lattice octagon on
+# (1/8)Z^2), so this cap sits about 100 times above it; larger work is
+# refused before it starts.
+MAX_BOX_CANDIDATES = 2**16
+
+
+def _check_budget(count: int, what: str) -> None:
+    if count > MAX_BOX_CANDIDATES:
+        raise GeometryError(
+            f"the box holds {count} candidate {what}, over the enumeration budget of {MAX_BOX_CANDIDATES}"
+        )
 
 
 @dataclass(frozen=True)
@@ -217,6 +232,7 @@ class WindowPattern:
         mhi = min(box.x1.floor(), wx1.numerator // wx1.denominator)
         nlo = max(box.y0.ceil(), -(-wy0.numerator // wy0.denominator))
         nhi = min(box.y1.floor(), wy1.numerator // wy1.denominator)
+        _check_budget(max(mhi - mlo + 1, 0) * max(nhi - nlo + 1, 0), "pattern points")
         out = []
         for m in range(mlo, mhi + 1):
             for n in range(nlo, nhi + 1):
@@ -276,6 +292,7 @@ def lattice_points_in_box(lat: PlaneLattice, box: Box) -> list[PlaneVector]:
     b_vals = [c[1] for c in corner_coords]
     alo, ahi = min(a_vals).ceil(), max(a_vals).floor()
     blo, bhi = min(b_vals).ceil(), max(b_vals).floor()
+    _check_budget(max(ahi - alo + 1, 0) * max(bhi - blo + 1, 0), "lattice points")
     out = []
     for a in range(alo, ahi + 1):
         for b in range(blo, bhi + 1):
@@ -319,17 +336,18 @@ class _Segment:
     """An arrangement edge.  ``weight`` is the change in covering count on
     crossing it upwards: polygons are counterclockwise, so a rightward edge
     of a translate of multiplicity k enters it (+k) and a leftward one
-    leaves it (-k).  Region edges weigh 0.  ``slope`` is set, by one
-    division, when the sweep finds the segment live (not vertical)."""
+    leaves it (-k).  Region edges weigh 0.  ``dx``, the sign of
+    q.x - p.x, and ``slope`` come from :func:`_direction`; a translate
+    edge takes them from the polygon edge it translates."""
 
     __slots__ = ("p", "q", "weight", "xlo", "xhi", "slope")
 
-    def __init__(self, p: PlaneVector, q: PlaneVector, mult: int = 0):
+    def __init__(self, p: PlaneVector, q: PlaneVector, mult: int, dx: int, slope: FieldElement | None):
         self.p = p
         self.q = q
-        dx = (q.x - p.x).sign()
         self.weight = dx * mult
         self.xlo, self.xhi = (p.x, q.x) if dx >= 0 else (q.x, p.x)
+        self.slope = slope
 
     def y_at(self, x: FieldElement) -> FieldElement:
         """The height at abscissa x, the stored one at an endpoint."""
@@ -338,6 +356,13 @@ class _Segment:
         if x == self.q.x:
             return self.q.y
         return self.p.y + (x - self.p.x) * self.slope
+
+
+def _direction(p: PlaneVector, q: PlaneVector) -> tuple[int, FieldElement | None]:
+    """The sign of q.x - p.x and the slope of pq, None when it is vertical."""
+    dx = q.x - p.x
+    sign = dx.sign()
+    return sign, (q.y - p.y) / dx if sign else None
 
 
 def _ranks(values) -> dict[FieldElement, int]:
@@ -450,11 +475,15 @@ def arrangement_faces(poly: Polygon, translates, region: Polygon) -> list[Face]:
     are built first and every sort is stable, so a rung that holds a
     region edge has it as its first segment, and walking up the ladder
     each such rung toggles "inside"."""
-    segments = [_Segment(a, b) for a, b in region.edges()]
+    segments = [_Segment(a, b, 0, *_direction(a, b)) for a, b in region.edges()]
     bounds = set(segments)
+    # a translate edge has the direction and slope of its polygon edge
+    directions = [_direction(a, b) for a, b in poly.edges()]
     for lam, mult in translates:
         vs = [v + lam for v in poly.vertices]
-        segments.extend(_Segment(a, b, mult) for a, b in zip(vs, vs[1:] + vs[:1]))
+        segments.extend(
+            _Segment(a, b, mult, *d) for a, b, d in zip(vs, vs[1:] + vs[:1], directions)
+        )
     rb = region.bbox
     xs = [rb.x0, rb.x1]
     live = []
@@ -463,8 +492,7 @@ def arrangement_faces(poly: Polygon, translates, region: Polygon) -> list[Face]:
             xs.append(s.xlo)
         if rb.x0 <= s.xhi <= rb.x1:
             xs.append(s.xhi)
-        if s.xlo < rb.x1 and s.xhi > rb.x0 and s.xlo != s.xhi:
-            s.slope = (s.q.y - s.p.y) / (s.q.x - s.p.x)
+        if s.xlo < rb.x1 and s.xhi > rb.x0 and s.slope is not None:
             live.append(s)
     event_rank = _ranks(xs)
     xs = list(event_rank)

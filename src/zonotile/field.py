@@ -139,6 +139,12 @@ class Field:
         return _make(self, tuple(nums), 1)
 
     def element(self, coeffs_by_mask) -> FieldElement:
+        """The element with rational coefficient ``coeffs_by_mask[m]`` on
+        monomial m and zero on the others.
+
+        The pipeline builds its elements from integers
+        (:meth:`FieldElement.from_integers`, which the JSON decoder calls);
+        this rational form serves the tests and the bench's generators."""
         coeffs = [0] * self.size
         for mask, c in coeffs_by_mask.items():
             if not 0 <= mask < self.size:

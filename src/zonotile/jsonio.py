@@ -11,8 +11,11 @@ round-tripping is bit-exact.
 
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
+from math import gcd, lcm
 
 from .covering import Polygon, TranslateSet, VerifyReport
 from .criteria import BolleReport, CanonicalLattice, Decision
@@ -45,7 +48,67 @@ __all__ = [
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"`` for documents
+    of str-keyed dicts, lists, str, int, True, False and None; any other
+    type raises ``TypeError``.
+
+    The stdlib only takes its C encoder without ``indent``, and its
+    pure-Python one builds a cycle of closures per call that only the
+    cyclic collector frees.  This writer is a plain recursion and leaves
+    nothing behind."""
+    out: list[str] = []
+    _write(obj, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(obj, newline: str, emit) -> None:
+    """Emit obj's JSON text in pieces; ``newline`` is the line break plus
+    the indent of obj's own line.  Containers write their str entries
+    themselves, which spares a call on the most common leaf."""
+    if isinstance(obj, str):
+        emit(_quote(obj))
+    elif obj is None:
+        emit("null")
+    elif obj is True:
+        emit("true")
+    elif obj is False:
+        emit("false")
+    elif isinstance(obj, int):
+        emit(int.__repr__(obj))
+    elif isinstance(obj, list):
+        if not obj:
+            emit("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in obj:
+            if isinstance(value, str):
+                emit(sep + _quote(value))
+            else:
+                emit(sep)
+                _write(value, inner, emit)
+            sep = "," + inner
+        emit(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            emit("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            value = obj[key]
+            if isinstance(value, str):
+                emit(f"{sep}{_quote(key)}: {_quote(value)}")
+            else:
+                emit(f"{sep}{_quote(key)}: ")
+                _write(value, inner, emit)
+            sep = "," + inner
+        emit(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 # -- scalars ------------------------------------------------------------------
@@ -112,13 +175,23 @@ def parse_element_text(text: str, field: Field | None = None, where: str = "elem
 # -- field elements ------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
+def _monomials(products: tuple[int, ...]) -> tuple[tuple[str, ...], dict[str, int]]:
+    """For a field with these monomial products: the JSON name of each
+    basis monomial, in mask order, and the mask of each name."""
+    names = ("1", *(f"r{p}" for p in products[1:]))
+    return names, {name: m for m, name in enumerate(names)}
+
+
 def encode_element(x: FieldElement) -> list[dict]:
+    names = _monomials(x.field.products)[0]
+    den = x.den
     out = []
-    for mask, c in enumerate(x.coeffs):
-        if not c:
+    for mask, n in enumerate(x.nums):
+        if not n:
             continue
-        name = "1" if mask == 0 else f"r{x.field.products[mask]}"
-        out.append({"monomial": name, "num": str(c.numerator), "den": str(c.denominator)})
+        g = gcd(n, den)
+        out.append({"monomial": names[mask], "num": str(n // g), "den": str(den // g)})
     return out
 
 
@@ -132,8 +205,8 @@ def _term_integer(term: dict, key: str) -> int:
 def decode_element(terms, field: Field) -> FieldElement:
     if not isinstance(terms, list):
         raise GeometryError(f"element must be a list of terms, got {terms!r}")
-    names = ["1", *(f"r{p}" for p in field.products[1:])]
-    coeffs = {}
+    masks = _monomials(field.products)[1]
+    parsed: dict[int, tuple[int, int]] = {}
     for term in terms:
         if not isinstance(term, dict):
             raise GeometryError(f"term {term!r} must be an object with 'monomial', 'num' and 'den'")
@@ -141,18 +214,24 @@ def decode_element(terms, field: Field) -> FieldElement:
             if key not in term:
                 raise GeometryError(f"term {term!r} lacks {key!r}")
         name = term["monomial"]
-        if name not in names:
+        mask = masks.get(name) if isinstance(name, str) else None
+        if mask is None:
             raise GeometryError(
                 f"term {term!r}: monomial {name!r} does not exist in field {list(field.radicands)}"
             )
-        mask = names.index(name)
-        if mask in coeffs:
+        if mask in parsed:
             raise GeometryError(f"duplicate monomial {name!r}")
         den = _term_integer(term, "den")
         if den == 0:
             raise GeometryError(f"term {term!r} has a zero denominator")
-        coeffs[mask] = Fraction(_term_integer(term, "num"), den)
-    return field.element(coeffs)
+        num = _term_integer(term, "num")
+        parsed[mask] = (-num, -den) if den < 0 else (num, den)
+    # one positive common denominator; from_integers reduces to lowest terms
+    den = lcm(*(d for _, d in parsed.values()))
+    nums = [0] * field.size
+    for mask, (n, d) in parsed.items():
+        nums[mask] = n * (den // d)
+    return FieldElement.from_integers(field, nums, den)
 
 
 def encode_vector(v: PlaneVector) -> dict:

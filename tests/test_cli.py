@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -161,6 +162,33 @@ class TestCheck:
         doc = json.loads(out)
         assert doc["verdict"] is False
         assert doc["pairs"][0] == {"j": 1, "cond1": False, "cond2": False}
+
+
+    def test_lattice_decoded_once_then_embedded(self, capsys, tmp_path, monkeypatch):
+        # the polygon over Q(sqrt2) widens the field of a lattice over Q
+        f2 = Field([2])
+        z = Zonotope([V(1, 0, f2), V(1, 1, f2), V(0, 1, f2), V(-1, 1, f2)])
+        poly_file = tmp_path / "octagon2.json"
+        poly_file.write_text(jsonio.dumps(jsonio.encode_zonotope(z)))
+        lat_file = tmp_path / "z2.json"
+        lat_file.write_text(jsonio.dumps({"field": [], **jsonio.encode_lattice(PlaneLattice(V(1, 0), V(0, 1)))}))
+        decode = jsonio.decode_lattice_document
+        calls = []
+
+        def counting(doc, field=None):
+            calls.append(field)
+            return decode(doc, field)
+
+        monkeypatch.setattr(jsonio, "decode_lattice_document", counting)
+        code, out = run(capsys, ["check", str(poly_file), str(lat_file)])
+        assert code == 0 and calls == [None]
+        doc = json.loads(out)
+        assert doc["field"] == [2] and doc["verdict"] is True and doc["multiplicity"] == 7
+        # the lattice is still read in its own declared field only
+        term = [{"monomial": "r2", "num": "1", "den": "1"}]
+        lat_file.write_text(json.dumps({"field": [], "basis": [{"x": term, "y": []}, {"x": [], "y": term}]}))
+        assert main(["check", str(poly_file), str(lat_file)]) == 2
+        assert "'r2' does not exist in field []" in capsys.readouterr().err
 
 
 class TestCanon:
@@ -438,6 +466,28 @@ class TestTypedErrors:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
+
+    def test_non_string_monomial(self, capsys, tmp_path):
+        path = tmp_path / "poly.json"
+        one = [{"monomial": "1", "num": "1", "den": "1"}]
+        for monomial, named in [(["1"], "['1']"), ({"r": 2}, "{'r': 2}")]:
+            term = {"monomial": monomial, "num": "1", "den": "1"}
+            doc = {"field": [], "generators": [{"x": [term], "y": []}, {"x": [], "y": one}]}
+            path.write_text(json.dumps(doc))
+            self.fails(capsys, ["decide", str(path)], f"term {term!r}: monomial {named} does not exist")
+
+    def test_huge_polygon_refused_by_the_budget(self, capsys, tmp_path):
+        # a unit square over Z^2 with one vertex pulled up to y = 10**30
+        # would meet about 10**30 translates
+        z2 = {"lattice": jsonio.encode_lattice(PlaneLattice(V(1, 0), V(0, 1)))}
+        corners = [(0, 0), (1, 0), (1, 10**30), (0, 1)]
+        polygon = {"vertices": [jsonio.encode_vector(V(x, y)) for x, y in corners]}
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps({"field": [], "polygon": polygon, "lambda": {"periodic": [z2], "window": [0, 0, 1, 1]}}))
+        for argv in (["verify", str(path)], ["render", str(path), "-o", str(tmp_path / "x.svg")]):
+            start = time.perf_counter()
+            self.fails(capsys, argv, "over the enumeration budget of 65536")
+            assert time.perf_counter() - start < 1.0
 
     def test_builtin_name_not_a_string(self, capsys, tmp_path):
         path = tmp_path / "scene.json"

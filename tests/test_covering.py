@@ -23,7 +23,7 @@ from zonotile import (
     strip_profile,
     verify_covering,
 )
-from zonotile.covering import arrangement_faces, region_translates
+from zonotile.covering import MAX_BOX_CANDIDATES, WindowPattern, arrangement_faces, region_translates
 from zonotile.patterns import (
     lattice_octagon,
     octagon_strip_lattice,
@@ -153,6 +153,34 @@ class TestLatticePointsInBox:
                     if x0 <= x <= x1 and y0 <= y <= y1:
                         want.add((x, y))
             assert got == want
+
+
+class TestEnumerationBudget:
+    """A box with one candidate over the cap is refused before any is made."""
+
+    def test_lattice_points_refused_over_the_cap(self, monkeypatch):
+        lat = PlaneLattice(V(1, 0), V(0, 1))
+        made = []
+        monkeypatch.setattr(PlaneLattice, "point", lambda self, a, b: made.append((a, b)))
+        # (cap + 1) x 1 candidates
+        with pytest.raises(GeometryError, match=f"{MAX_BOX_CANDIDATES + 1} candidate lattice points.*{MAX_BOX_CANDIDATES}"):
+            lattice_points_in_box(lat, qbox(0, 0, MAX_BOX_CANDIDATES, 0))
+        assert made == []
+
+    def test_pattern_points_refused_over_the_cap(self):
+        asked = []
+        pattern = WindowPattern("all", (0, 0, MAX_BOX_CANDIDATES, 0), lambda m, n: asked.append((m, n)) or 1)
+        with pytest.raises(GeometryError, match=f"{MAX_BOX_CANDIDATES + 1} candidate pattern points.*{MAX_BOX_CANDIDATES}"):
+            pattern.points_in(qbox(-1, -1, MAX_BOX_CANDIDATES + 1, 1))
+        assert asked == []
+        # a box inside the cap is enumerated as before
+        assert len(pattern.points_in(qbox(0, 0, 2, 0))) == 3
+
+    def test_cap_is_far_above_the_octagon_on_eighths(self):
+        # the largest enumeration the suite and the bench make
+        lat = PlaneLattice(V(Fraction(1, 8), 0), V(0, Fraction(1, 8)))
+        assert len(lattice_points_in_box(lat, qbox(-2, -2, Fraction(9, 8), Fraction(9, 8)))) == 676
+        assert MAX_BOX_CANDIDATES >= 96 * 676
 
 
 class TestCoveringAt:

@@ -1,10 +1,13 @@
 """Canonical JSON round trips for every document type."""
 
+import gc
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zonotile import Field, GeometryError, PlaneLattice, Zonotope, ZonotileError
 from zonotile import jsonio
@@ -59,6 +62,22 @@ class TestElements:
                 jsonio.decode_element([term], F23)
         back = jsonio.decode_element([{"monomial": "r6", "num": -2, "den": 3}], F23)
         assert back == F23.sqrt(6) * Fraction(-2, 3)
+
+    def test_decode_matches_the_fraction_construction(self):
+        # unreduced terms, negative denominators and int-typed numerators
+        # land on the same lowest-terms numerators as rational coefficients
+        rng = random.Random(20261019)
+        names = ["1", "r2", "r3", "r6"]
+        for _ in range(2000):
+            terms, coeffs = [], {}
+            for mask in rng.sample(range(4), rng.randint(0, 4)):
+                num = rng.randint(-40, 40) * rng.choice([1, 1, 6, 10**25])
+                den = rng.choice([1, 2, 3, 4, 6, 12, 10**20 + 7]) * rng.choice([1, -1, 2, -6])
+                terms.append({"monomial": names[mask], "num": num if rng.random() < 0.3 else str(num), "den": str(den)})
+                coeffs[mask] = Fraction(num, den)
+            x = jsonio.decode_element(terms, F23)
+            y = F23.element(coeffs)
+            assert (x.nums, x.den, hash(x)) == (y.nums, y.den, hash(y)), terms
 
     def test_duplicate_monomial_rejected(self):
         terms = [
@@ -192,6 +211,42 @@ class TestParsers:
     def test_dumps_is_stable(self):
         doc = {"b": 1, "a": [1, 2]}
         assert jsonio.dumps(doc) == jsonio.dumps(json.loads(jsonio.dumps(doc)))
+
+
+json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**80), 2**80),
+    st.text(alphabet=st.sampled_from(["a", "z", " ", '"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "☃", "𝄞"])),
+)
+json_documents = st.recursive(
+    json_leaves,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=3), inner, max_size=4)),
+    max_leaves=20,
+)
+
+
+class TestWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(json_documents)
+    def test_matches_the_stdlib(self, doc):
+        assert jsonio.dumps(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    def test_other_types_refused(self):
+        for doc in (Fraction(1, 2), {"a": Fraction(1, 2)}, [1.5], {1: "a"}, (1, 2)):
+            with pytest.raises(TypeError):
+                jsonio.dumps(doc)
+
+    def test_leaves_no_cyclic_garbage(self):
+        doc = {"field": [2], "generators": [jsonio.encode_vector(V(1, F2.sqrt(2) / 3, F2))] * 3, "ok": True}
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(10):
+                jsonio.dumps(doc)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestMutatedDocuments:
