@@ -32,6 +32,7 @@ from .errors import (
     FieldError,
     GeometryError,
     IncommensurableError,
+    InternalError,
     RationalityError,
     SymmetryError,
     WindowError,

@@ -9,36 +9,44 @@ set only ever gets a window-relative verdict.
 
 Faces are visited by an exact vertical decomposition: collect every edge
 endpoint and edge crossing abscissa inside the cell, and between two
-consecutive events sample the midpoint of every gap in the ladder of
-edges crossing the slab.  Every positive-area face of the arrangement
-restricted to the cell receives at least one strictly interior sample, and
-no sample ever lands on an edge, so boundary handling never needs a
-tolerance.  Each face's count is propagated up its slab's ladder: it is
-the sum of the signed multiplicities of the edges below it.
+consecutive events walk the ladder of lines crossing the slab, bottom to
+top.  Each gap between two consecutive lines is one face of the
+arrangement restricted to the cell, with a count that is the sum of the
+signed multiplicities of the edges below it.  A face's sample point, the
+midpoint of its gap above the slab's midpoint, is computed only when it
+is read (a counterexample, a test); it is strictly interior, so it never
+lands on an edge and boundary handling never needs a tolerance.
 ``arrangement_faces`` is the one place this decomposition is built: the
 verifier, the strip profiles and the SVG renderer all read its faces.
 
 The sweep's cost follows the segments that reach the cell and the
-crossings inside it, not the pairs of segments.  Clip: once the endpoint
-abscissas are collected, only the live segments, non-vertical and with an
-open x-range meeting the cell's, take part further; a translate edge
-shares the slope of its polygon edge, computed once per polygon edge.  No
-segment is clipped in y, since those below the cell carry the ladder
-weights.  Swap: no segment starts or ends strictly
-between two consecutive endpoint events, so two segments spanning such a
-slab cross strictly inside it exactly when their height difference is
-nonzero at both ends and changes sign; a zero at an end is a meeting on
-an event already listed, and a difference zero at both ends means the
-segments are collinear.  Heights are ranked at each endpoint event, and
-insertion-sorting a slab's segments from their left order into their
-right order swaps exactly the crossing pairs, the only ones intersected.
-Ladder: each live segment is filed under the slabs between its xlo and
-xhi events, so a slab's ladder holds just the segments spanning it, in
-construction order.  Region: the region is convex, so exactly one lower
-and one upper region edge span a slab's midpoint.  Region edges are built
-first and every sort is stable, so walking up the ladder, each rung that
-holds a region edge toggles "inside", and the faces kept are exactly
-those whose sample ``Polygon.locate`` puts strictly inside the region.
+crossings inside it, not the pairs of segments, and it orders by integer
+ranks wherever it can.  Rank: every vertex abscissa is ranked once; the
+events are the ranks from the cell's left end to its right end, and the
+live test and the filing below compare ranks, not field elements.  Clip:
+only the live segments, non-vertical and with an open x-range meeting
+the cell's, take part further; a translate edge shares the slope of its
+polygon edge, computed once per polygon edge.  No segment is clipped in
+y, since those below the cell carry the ladder weights.  Ladder: each
+live segment is filed under the slabs between the ranks of its two
+ends, so a slab holds just the segments spanning it, in construction
+order.
+Heights are ranked at each endpoint event, and two segments of a slab
+lie on one line exactly when their (left rank, right rank) pairs are
+equal; each line is one rung of the ladder with its segments' summed
+weight, and sorted by that pair the lines are the ladder of the slab's
+first sub-slab.  Swap: no segment starts or ends strictly between two
+consecutive endpoint events, so two lines of a slab cross strictly
+inside it exactly when their ranks are strictly apart at both ends in
+opposite orders.  Insertion-sorting the ladder from its left order into
+its right order swaps exactly those pairs, the only ones intersected,
+and files each under the cut where it crosses; at each cut an insertion
+pass swaps just the pairs filed there, so no height is evaluated and no
+field element sorted inside a slab.  Region: the region is convex, so
+exactly one lower and one upper region edge span a slab.  Region edges
+are built first and every sort is stable, so walking up the ladder, each
+line that holds a region edge toggles "inside", and the faces kept are
+exactly those strictly inside the region.
 
 ``covering_at`` counts one point by brute-force point location.  It is the
 oracle the tests hold the propagated counts to.
@@ -50,7 +58,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
-from .errors import BoundaryError, GeometryError, WindowError
+from .errors import BoundaryError, GeometryError, InternalError, WindowError
 from .field import Field, FieldElement
 from .lattice import PlaneLattice, PlaneVector, intersect, vector
 
@@ -120,10 +128,7 @@ class Polygon:
         vs = list(vertices)
         if len(vs) < 3:
             raise GeometryError("a polygon needs at least 3 vertices")
-        doubled = vs[0].field.zero()
-        for i in range(len(vs)):
-            doubled = doubled + vs[i].cross(vs[(i + 1) % len(vs)])
-        s = doubled.sign()
+        s = _doubled_area(vs).sign()
         if s == 0:
             raise GeometryError("degenerate polygon")
         if s < 0:
@@ -140,6 +145,10 @@ class Polygon:
     @property
     def field(self) -> Field:
         return self.vertices[0].field
+
+    def area(self) -> FieldElement:
+        """The enclosed area, by the shoelace formula."""
+        return _doubled_area(self.vertices) / 2
 
     def edges(self):
         vs = self.vertices
@@ -189,6 +198,15 @@ class Polygon:
             if val.sign() * sdy > 0:
                 parity ^= 1
         return 1 if parity else -1
+
+
+def _doubled_area(vs) -> FieldElement:
+    """Twice the signed area of the closed vertex cycle, positive when it
+    turns counterclockwise."""
+    doubled = vs[0].field.zero()
+    for i in range(len(vs)):
+        doubled = doubled + vs[i].cross(vs[(i + 1) % len(vs)])
+    return doubled
 
 
 def _orient(a: PlaneVector, b: PlaneVector, c: PlaneVector) -> int:
@@ -284,7 +302,8 @@ class TranslateSet:
 
 
 def lattice_points_in_box(lat: PlaneLattice, box: Box) -> list[PlaneVector]:
-    """Exactly the lattice points inside the closed box."""
+    """Exactly the lattice points inside the closed box, row by row in the
+    first coordinate; each candidate is one step of b2 or b1 from the last."""
     if box.is_empty():
         return []
     corner_coords = [lat.coords(c) for c in box.corners()]
@@ -294,11 +313,14 @@ def lattice_points_in_box(lat: PlaneLattice, box: Box) -> list[PlaneVector]:
     blo, bhi = min(b_vals).ceil(), max(b_vals).floor()
     _check_budget(max(ahi - alo + 1, 0) * max(bhi - blo + 1, 0), "lattice points")
     out = []
-    for a in range(alo, ahi + 1):
-        for b in range(blo, bhi + 1):
-            p = lat.point(a, b)
+    row = lat.point(alo, blo)
+    for _ in range(alo, ahi + 1):
+        p = row
+        for _ in range(blo, bhi + 1):
             if box.x0 <= p.x <= box.x1 and box.y0 <= p.y <= box.y1:
                 out.append(p)
+            p = p + lat.b2
+        row = row + lat.b1
     return out
 
 
@@ -340,13 +362,12 @@ class _Segment:
     q.x - p.x, and ``slope`` come from :func:`_direction`; a translate
     edge takes them from the polygon edge it translates."""
 
-    __slots__ = ("p", "q", "weight", "xlo", "xhi", "slope")
+    __slots__ = ("p", "q", "weight", "slope")
 
     def __init__(self, p: PlaneVector, q: PlaneVector, mult: int, dx: int, slope: FieldElement | None):
         self.p = p
         self.q = q
         self.weight = dx * mult
-        self.xlo, self.xhi = (p.x, q.x) if dx >= 0 else (q.x, p.x)
         self.slope = slope
 
     def y_at(self, x: FieldElement) -> FieldElement:
@@ -381,24 +402,42 @@ def _heights(x: FieldElement, segments) -> dict[_Segment, tuple[int, FieldElemen
     return {s: (rank[y], y) for s, y in ys.items()}
 
 
-def _crossings(order: list[_Segment], left, right, xa: FieldElement) -> list[FieldElement]:
-    """The abscissas strictly inside a slab where two of its segments cross.
+def _crossings(ladder: list[_Segment], left, right, xa: FieldElement):
+    """Where the lines of a slab cross strictly inside it.
 
-    ``order`` is the slab's segments sorted by their (left, right) height
-    ranks, ``left`` and ``right`` their heights at the slab's two ends, and
-    xa its left end.  Insertion-sorting by the right rank swaps exactly the
-    pairs that are strictly apart at both ends in opposite orders, which
-    are the pairs that cross inside; only those are intersected."""
-    perm = list(order)
-    xs = set()
+    ``ladder`` holds one segment per line of the slab, sorted by the
+    (left, right) height ranks, ``left`` and ``right`` their ranks and
+    heights at the slab's two ends, and xa its left end.  Insertion-sorting
+    by the right rank swaps exactly the pairs that are strictly apart at
+    both ends in opposite orders, which are the pairs that cross inside;
+    only those are intersected.  Returns the crossing abscissas in
+    increasing order, and for each swapped pair, lower line first, the
+    index of its abscissa among the slab's cuts: 1 for the first, since
+    cut 0 is xa."""
+    perm = list(ladder)
+    at = {}
     for i in range(1, len(perm)):
         j = i
         while j and right[perm[j - 1]][0] > right[perm[j]][0]:
             s, t = perm[j - 1], perm[j]
-            xs.add(xa + (left[t][1] - left[s][1]) / (s.slope - t.slope))
+            at[s, t] = xa + (left[t][1] - left[s][1]) / (s.slope - t.slope)
             perm[j - 1], perm[j] = t, s
             j -= 1
-    return sorted(xs)
+    cut = _ranks(at.values())
+    return list(cut), {pair: cut[x] + 1 for pair, x in at.items()}
+
+
+def _cross(ladder: list[_Segment], at, k: int) -> None:
+    """Carry a slab's ladder across its cut k, in place.
+
+    Just past the cut, two lines trade places exactly when they cross
+    there, so an insertion pass that swaps the adjacent pairs ``at`` files
+    under k sorts the ladder into its order above the next sub-slab."""
+    for i in range(1, len(ladder)):
+        j = i
+        while j and at.get((ladder[j - 1], ladder[j])) == k:
+            ladder[j - 1], ladder[j] = ladder[j], ladder[j - 1]
+            j -= 1
 
 
 def region_translates(poly: Polygon, tset: TranslateSet, region_bbox: Box):
@@ -426,8 +465,14 @@ class Face:
     x1: FieldElement
     lower: _Segment
     upper: _Segment
-    sample: PlaneVector
     count: int
+
+    @property
+    def sample(self) -> PlaneVector:
+        """The strictly interior point midway between the face's edges
+        above the slab's midpoint."""
+        xm = (self.x0 + self.x1) / 2
+        return PlaneVector(xm, (self.lower.y_at(xm) + self.upper.y_at(xm)) / 2)
 
     def corners(self) -> tuple[PlaneVector, PlaneVector, PlaneVector, PlaneVector]:
         """The four corners, counterclockwise from the lower left."""
@@ -441,22 +486,24 @@ class Face:
 
 def arrangement_faces(poly: Polygon, translates, region: Polygon) -> list[Face]:
     """Every face of the translate-edge arrangement inside the convex
-    region, each with one strictly interior sample point and its covering
-    count: slab by slab from the left, bottom to top within a slab.
+    region with its covering count: slab by slab from the left, bottom to
+    top within a slab.
 
     Counts are propagated up each slab's ladder from 0 below every edge;
     ``translates`` must hold every translate that can meet the region.
 
+    Every vertex abscissa is ranked once, and from then on the sweep
+    compares integer ranks.  The events are the ranks from rb.x0 to rb.x1.
     Only the live segments, those that are not vertical and whose open
     x-range meets the open interval (rb.x0, rb.x1), enter the crossing test
     and the ladders; dropping the others is exact.  A dropped segment never
-    spans a slab midpoint, which lies strictly inside (rb.x0, rb.x1), and
-    its endpoints are collected as events before it is dropped.  Any
-    crossing it takes part in lies on it, so the abscissa is outside
-    [rb.x0, rb.x1], or it is rb.x0 or rb.x1, or it is the abscissa of the
-    vertical segment itself, all of which are events already.  The
-    segments are not clipped in y: those below the region carry the ladder
-    weights, and their crossings are events too.
+    spans a slab, which lies strictly inside (rb.x0, rb.x1), and its
+    endpoints are events when they are in range.  Any crossing it takes
+    part in lies on it, so the abscissa is outside [rb.x0, rb.x1], or it is
+    rb.x0 or rb.x1, or it is the abscissa of the vertical segment itself,
+    all of which are events already.  The segments are not clipped in y:
+    those below the region carry the ladder weights, and their crossings
+    are events too.
 
     Crossings are found slab by slab between consecutive endpoint events.
     Two live segments that meet at an abscissa that is not an endpoint
@@ -466,80 +513,81 @@ def arrangement_faces(poly: Polygon, translates, region: Polygon) -> list[Face]:
     nonzero at both ends with opposite signs.  A zero at an end is a
     meeting on an event already listed, and a difference zero at both ends
     means the segments are collinear and never cross.  Heights are ranked
-    at each endpoint event, and ``_crossings`` intersects only the pairs
-    whose ranks swap strictly across the slab.
+    at each endpoint event, so two segments lie on one line of the slab
+    exactly when their (left rank, right rank) pairs are equal; each line
+    is one rung with the summed weight of its segments.  Sorted by that
+    pair, the lines are the ladder of the first sub-slab, ``_crossings``
+    intersects only the pairs of lines whose ranks swap strictly across
+    the slab, and ``_cross`` carries the ladder over each crossing
+    abscissa.  No height is evaluated inside a slab.
 
-    A face is in the region when its sample is: the region is convex, so
-    at a slab midpoint exactly one lower and one upper region edge span
-    the slab, and the faces inside are those between them.  Region edges
-    are built first and every sort is stable, so a rung that holds a
+    A face is in the region when it lies between the region's edges: the
+    region is convex, so exactly one lower and one upper region edge span
+    a slab, and the faces inside are those between them.  Region edges
+    are built first and every sort is stable, so a line that holds a
     region edge has it as its first segment, and walking up the ladder
-    each such rung toggles "inside"."""
-    segments = [_Segment(a, b, 0, *_direction(a, b)) for a, b in region.edges()]
-    bounds = set(segments)
+    each such line toggles "inside"."""
+    rb = region.bbox
+    outlines = [(region.vertices, 0, [_direction(a, b) for a, b in region.edges()])]
     # a translate edge has the direction and slope of its polygon edge
     directions = [_direction(a, b) for a, b in poly.edges()]
-    for lam, mult in translates:
-        vs = [v + lam for v in poly.vertices]
-        segments.extend(
-            _Segment(a, b, mult, *d) for a, b, d in zip(vs, vs[1:] + vs[:1], directions)
-        )
-    rb = region.bbox
-    xs = [rb.x0, rb.x1]
-    live = []
-    for s in segments:
-        if rb.x0 <= s.xlo <= rb.x1:
-            xs.append(s.xlo)
-        if rb.x0 <= s.xhi <= rb.x1:
-            xs.append(s.xhi)
-        if s.xlo < rb.x1 and s.xhi > rb.x0 and s.slope is not None:
-            live.append(s)
-    event_rank = _ranks(xs)
-    xs = list(event_rank)
-    # a live segment spans the slabs from its xlo event (the first slab
-    # when xlo < rb.x0) to its xhi event (the last when xhi > rb.x1);
-    # each ladder lists its segments in construction order
+    outlines += [([v + lam for v in poly.vertices], mult, directions) for lam, mult in translates]
+    rank = _ranks(v.x for vs, _, _ in outlines for v in vs)
+    first, last = rank[rb.x0], rank[rb.x1]
+    xs = list(rank)[first : last + 1]
+    # a live segment spans the slabs from the rank of its left end (the
+    # first slab when that is left of rb.x0) to the rank of its right end
+    # (the last when that is right of rb.x1); each slab lists its segments
+    # in construction order
     spanning = [[] for _ in xs[1:]]
-    for s in live:
-        for k in range(event_rank.get(s.xlo, 0), event_rank.get(s.xhi, len(xs) - 1)):
-            spanning[k].append(s)
+    bounds = set()
+    for n, (vs, mult, dirs) in enumerate(outlines):
+        rs = [rank[v.x] for v in vs]
+        for i, (dx, slope) in enumerate(dirs):
+            j = i + 1 if i + 1 < len(vs) else 0
+            lo, hi = (rs[i], rs[j]) if dx > 0 else (rs[j], rs[i])
+            if dx and lo < last and hi > first:
+                s = _Segment(vs[i], vs[j], mult, dx, slope)
+                if n == 0:  # the region's own edges
+                    bounds.add(s)
+                for k in range(max(lo, first), min(hi, last)):
+                    spanning[k - first].append(s)
     faces = []
     # only the height maps at a slab's two ends are alive at a time
     right = _heights(xs[0], spanning[0])
     for xa, xb, slab, after in zip(xs, xs[1:], spanning, spanning[1:] + [[]]):
         left, right = right, _heights(xb, slab + after)
-        order = sorted(slab, key=lambda s: (left[s][0], right[s][0]))
-        cuts = [xa, *_crossings(order, left, right, xa), xb]
-        for x0, x1 in zip(cuts, cuts[1:]):
-            faces.extend(_slab_faces(x0, x1, order, bounds))
+        # the first segment and the summed weight of each line
+        lines: dict[tuple[int, int], list] = {}
+        for s in slab:
+            line = lines.setdefault((left[s][0], right[s][0]), [s, 0])
+            line[1] += s.weight
+        ladder = [lines[key][0] for key in sorted(lines)]
+        weight = dict(lines.values())
+        xcuts, at = _crossings(ladder, left, right, xa)
+        cuts = [xa, *xcuts, xb]
+        for k in range(len(cuts) - 1):
+            if k:
+                _cross(ladder, at, k)
+            faces.extend(_slab_faces(cuts[k], cuts[k + 1], ladder, weight, bounds))
     return faces
 
 
-def _slab_faces(xa, xb, order: list[_Segment], bounds) -> list[Face]:
+def _slab_faces(xa, xb, ladder: list[_Segment], weight, bounds) -> list[Face]:
     """The region's faces in one crossing-free slab, bottom to top.
 
-    ``order`` lists the slab's segments close to their order at the
-    midpoint, coincident ones in construction order; the stable sort keeps
-    that order among them and is almost free on such a list."""
-    xm = (xa + xb) / 2
-    ladder = [(s.y_at(xm), s) for s in order]
-    ladder.sort(key=lambda rung: rung[0])
-    # [y, first segment at y, count just above y]; coincident
-    # segments are collinear, so their weights add up
-    rungs = []
-    count = 0
-    for y, s in ladder:
-        count += s.weight
-        if rungs and y == rungs[-1][0]:
-            rungs[-1][2] = count
-        else:
-            rungs.append([y, s, count])
+    ``ladder`` holds one segment per line spanning the slab, in the order
+    of their heights there, and ``weight`` the summed weight of each
+    line's segments; the count just above a line is the sum of the
+    weights up to it."""
     faces = []
+    count = 0
     inside = False
-    for (ylo, slo, c), (yhi, shi, _) in zip(rungs, rungs[1:]):
-        inside ^= slo in bounds
+    for lo, hi in zip(ladder, ladder[1:]):
+        count += weight[lo]
+        inside ^= lo in bounds
         if inside:
-            faces.append(Face(xa, xb, slo, shi, PlaneVector(xm, (ylo + yhi) / 2), c))
+            faces.append(Face(xa, xb, lo, hi, count))
     return faces
 
 
@@ -575,9 +623,10 @@ def verify_covering(poly: Polygon, tset: TranslateSet) -> VerifyReport:
     """Certify covering constancy exactly, one sample per arrangement face.
 
     Periodic sets are checked on one closed fundamental cell of the common
-    period lattice, which certifies the whole plane.  Windowed patterns
-    are checked on the window shrunk by the polygon's extent and the
-    verdict is marked window-relative.
+    period lattice, which certifies the whole plane, and a constant
+    verdict is checked against the density count.  Windowed patterns are
+    checked on the window shrunk by the polygon's extent and the verdict
+    is marked window-relative.
     """
     if tset.is_periodic:
         region = _periodic_region(tset)
@@ -586,7 +635,26 @@ def verify_covering(poly: Polygon, tset: TranslateSet) -> VerifyReport:
         region = _windowed_region(poly, tset)
         window_relative = True
     faces = arrangement_faces(poly, region_translates(poly, tset, region.bbox), region)
-    return _report(faces, window_relative)
+    report = _report(faces, window_relative)
+    if report.constant and tset.is_periodic:
+        _check_density(poly, tset, report.multiplicity)
+    return report
+
+
+def _check_density(poly: Polygon, tset: TranslateSet, multiplicity: int) -> None:
+    """Hold a constant periodic count to area(P) * sum_j 1/det(L_j).
+
+    Averaged over a large disc, the covering count of P + (L_j + z_j)
+    tends to area(P) / det(L_j) for each part, so a constant count must
+    equal their sum; a mismatch is a bug in the sweep, not bad input."""
+    area = poly.area()
+    density = poly.field.zero()
+    for lat, _ in tset.parts:
+        density = density + area / lat.det
+    if density != multiplicity:
+        raise InternalError(
+            f"internal: the faces count {multiplicity} but the density count is {density}"
+        )
 
 
 def strip_profile(poly: Polygon, lat: PlaneLattice, n_values) -> list[int]:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
-from .errors import AccountingError, GeometryError
+from .errors import AccountingError, GeometryError, InternalError
 from .lattice import (
     LATTICE,
     PlaneLattice,
@@ -111,7 +111,7 @@ def _multiplicity(p: Zonotope, lat: PlaneLattice, n_translates: int) -> int:
 def _verified(p: Zonotope, lat: PlaneLattice, shifts) -> BolleReport:
     report = _bolle_report(p, lat, shifts)
     if not report.verdict:
-        raise GeometryError("internal: constructed witness fails the edge-pair criterion")
+        raise InternalError("internal: constructed witness fails the edge-pair criterion")
     return report
 
 
@@ -191,6 +191,9 @@ def lattice_multiplicity(p: Zonotope, lat: PlaneLattice, n_translates: int) -> i
     a single translate the lattice must itself pass the edge-pair
     criterion; a union of several translates may multi-tile even though
     one copy alone does not, so only the accounting is checked there.
+    No pipeline code calls it: it is the tests' oracle for the density
+    identity that ``verify_covering`` checks on every constant periodic
+    verdict, here for one lattice taken n_translates times.
     """
     if n_translates < 1:
         raise GeometryError("need at least one translate")

@@ -39,3 +39,10 @@ class WindowError(GeometryError):
 
 class AccountingError(ZonotileError, ArithmeticError):
     """A multiplicity that must be a positive integer is not."""
+
+
+class InternalError(RuntimeError):
+    """An internal invariant does not hold: a bug, not bad input.
+
+    It is deliberately not a :class:`ZonotileError`, so the command line
+    reports it as an internal error (exit 3), never as malformed input."""

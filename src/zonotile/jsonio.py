@@ -278,11 +278,19 @@ def decode_lattice(doc, field: Field, where: str = "") -> PlaneLattice:
         raise GeometryError(f"{where}: {exc}") from exc
 
 
+@functools.lru_cache(maxsize=64)
+def _shared_field(radicands: tuple[int, ...]) -> Field:
+    """One ``Field`` per sorted radicand tuple, so documents over the same
+    field share it and its cached roots.  A refused tuple is not cached
+    and raises its ``FieldError`` again on every call."""
+    return Field(radicands)
+
+
 def _decode_field(doc, field: Field | None = None) -> Field:
     rads = doc.get("field", [])
     if not isinstance(rads, list) or any(type(d) is not int for d in rads):
         raise GeometryError(f"'field' must be a list of integer radicands, got {rads!r}")
-    declared = Field(rads)
+    declared = _shared_field(tuple(sorted(rads)))
     return declared if field is None else field.union(declared)
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .errors import FieldError, GeometryError, IncommensurableError, RationalityError
+from .errors import FieldError, GeometryError, IncommensurableError, InternalError, RationalityError
 from .field import Field, FieldElement
 from .intlinalg import right_kernel, row_hnf
 
@@ -360,8 +360,8 @@ def superlattice_meeting_line(
     caught = l.b1.scale(t0 * ec[0] + t1) + l.b2.scale(t0 * ec[1] + t2)
     analysis = integer_span([l.b1, l.b2, caught])
     if analysis.verdict != LATTICE:
-        raise GeometryError("adjoined point did not yield a lattice")  # unreachable
+        raise InternalError("adjoined point did not yield a lattice")  # unreachable
     bigger = analysis.basis
     if not (bigger.contains(l.b1) and bigger.contains(l.b2) and bigger.contains(caught)):
-        raise GeometryError("superlattice check failed")  # unreachable
+        raise InternalError("superlattice check failed")  # unreachable
     return t0, bigger

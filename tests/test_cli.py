@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, JSON output, determinism, SVG."""
 
+import dataclasses
 import hashlib
 import json
 import time
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from zonotile import Field, PlaneLattice, Zonotope, vector
-from zonotile import cli, criteria, jsonio
+from zonotile import cli, covering, criteria, jsonio
 from zonotile.cli import main
 
 from conftest import V
@@ -557,3 +558,39 @@ class TestInternalError:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "zonotile: internal error: KeyError: 'lost'\n"
+
+    def test_failed_witness_exits_3(self, capsys, octagon_file, monkeypatch):
+        # decide re-verifies every witness it builds; one that fails is a
+        # bug, not malformed input
+        def failing(p, lat, shifts):
+            return criteria.BolleReport((), False, None)
+
+        monkeypatch.setattr(criteria, "_bolle_report", failing)
+        assert main(["decide", octagon_file]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "zonotile: internal error: InternalError: "
+            "internal: constructed witness fails the edge-pair criterion\n"
+        )
+
+    def test_density_mismatch_exits_3(self, capsys, tmp_path, monkeypatch):
+        code, out = run(capsys, ["examples", "octagon-family", "--beta", "1/3"])
+        assert code == 0
+        scene = tmp_path / "scene.json"
+        scene.write_text(out)
+        assert run(capsys, ["verify", str(scene)])[0] == 0
+        faces = covering.arrangement_faces
+
+        def one_more(*args):
+            # still constant, but one more than area / det per part allows
+            return [dataclasses.replace(f, count=f.count + 1) for f in faces(*args)]
+
+        monkeypatch.setattr(covering, "arrangement_faces", one_more)
+        assert main(["verify", str(scene)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "zonotile: internal error: InternalError: "
+            "internal: the faces count 8 but the density count is 7\n"
+        )

@@ -292,6 +292,17 @@ class TestVerifyCovering:
             done += 1
 
 
+def concurrent_crossing_scene():
+    """The lattice octagon on four cosets of 4Z^2, placed so that a
+    horizontal, a rising and a falling translate edge cross at (1/2, 1),
+    strictly inside a slab of the cell [0, 4]^2, and a second horizontal
+    edge overlaps the first there: the ladder must reverse a block of
+    three lines, one of them two segments thick, at one cut."""
+    four = PlaneLattice(V(4, 0), V(0, 4))
+    offsets = [(-1, 1), (-2, H), (0, H), (Fraction(-5, 4), 1)]
+    return lattice_octagon(), TranslateSet.periodic([(four, V(x, y)) for x, y in offsets])
+
+
 def verification_region(poly, tset):
     """The region verify_covering sweeps: one period cell, or the window
     shrunk by the polygon's extent."""
@@ -320,6 +331,7 @@ class TestArrangementCounts:
             (lattice_octagon(), single(octagon_strip_lattice())),
             # each part listed twice: every translate has multiplicity 2
             (octagon_third[0], TranslateSet.periodic(octagon_third[1].parts * 2)),
+            concurrent_crossing_scene(),
         ]
         for poly, tset in scenes:
             region = verification_region(poly, tset)
@@ -327,6 +339,22 @@ class TestArrangementCounts:
             assert faces
             for face in faces:
                 assert face.count == covering_at(poly, tset, face.sample)
+
+    def test_concurrent_crossing_scene_is_degenerate(self):
+        poly, tset = concurrent_crossing_scene()
+        region = verification_region(poly, tset)
+        translates = region_translates(poly, tset, region.bbox)
+        x, y = Q.rational(H), Q.rational(1)
+        assert region.locate(V(x, y)) == 1
+        through = []
+        for lam, _ in translates:
+            vs = [v + lam for v in poly.vertices]
+            # (1/2, 1) is no vertex abscissa, so it lies inside a slab
+            assert all(v.x != x for v in vs)
+            for p, q in zip(vs, vs[1:] + vs[:1]):
+                if (p.x - x).sign() * (q.x - x).sign() < 0 and (q - p).cross(V(x, y) - p).is_zero():
+                    through.append((q.y - p.y) / (q.x - p.x))
+        assert sorted(through) == [-1, 0, 0, 1]
 
     def test_region_translates_sums_repeated_positions(self):
         poly, tset = builtin_scene("octagon-family", beta=Fraction(1, 3))
@@ -401,6 +429,8 @@ def arrangement_event_scenes():
     # a window lower than a vertical period: some crossings in its
     # x-range happen only below it, where edges must not be clipped
     scenes.append((poly, tset, Polygon(qbox(Fraction(1, 3), Fraction(1, 5), 2, H).corners())))
+    poly, tset = concurrent_crossing_scene()
+    scenes.append((poly, tset, verification_region(poly, tset)))
     rng = random.Random(20260810)
     for _ in range(8):
         z, dec = bounded_random_polygon(rng)

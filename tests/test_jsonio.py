@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zonotile import Field, GeometryError, PlaneLattice, Zonotope, ZonotileError
+from zonotile import Field, FieldError, GeometryError, PlaneLattice, Zonotope, ZonotileError
 from zonotile import jsonio
 
 from conftest import F2, F23, Q, V, rand_element
@@ -134,6 +134,34 @@ class TestZonotopeDocuments:
         for field in ["23", [2, "3"], [2.0], [True]]:
             with pytest.raises(GeometryError, match="'field' must be a list"):
                 jsonio.decode_zonotope_document({"field": field, "generators": []})
+
+
+class TestSharedFields:
+    def test_documents_over_one_field_share_it(self):
+        z = Zonotope([V(1, 0, F23), V(1, 1, F23), V(0, 1, F23), V(-F23.sqrt(6), 1, F23)])
+        doc = json.loads(jsonio.dumps(jsonio.encode_zonotope(z)))
+        first = jsonio.decode_zonotope_document(doc)
+        # radicands in another order name the same field
+        second = jsonio.decode_zonotope_document(dict(doc, field=[3, 2]))
+        lattice = jsonio.decode_lattice_document(
+            {"field": [2, 3], "basis": [jsonio.encode_vector(V(1, 0, F23)), jsonio.encode_vector(V(0, 1, F23))]}
+        )
+        assert first.field is second.field is lattice.field
+        assert first.field.radicands == (2, 3)
+
+    def test_refusals_are_unchanged(self):
+        refused = [
+            ([4], "radicand 4 is not squarefree"),
+            ([1], "radicand 1 must be an integer >= 2"),
+            ([3, 3], r"duplicate radicand in \(3, 3\)"),
+            ([2, 3, 6], r"radicands \(2, 3, 6\) are multiplicatively dependent"),
+            ([2, 3, 5, 7, 11], "at most 4 radicands supported, got 5"),
+        ]
+        for rads, message in refused:
+            # a refused field is not cached: the second document fails alike
+            for _ in range(2):
+                with pytest.raises(FieldError, match=message):
+                    jsonio.decode_zonotope_document({"field": rads, "generators": []})
 
 
 class TestSceneDocuments:
