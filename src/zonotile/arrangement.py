@@ -1,0 +1,381 @@
+"""The exact vertical decomposition of a translate-edge arrangement, on one
+integer grid.
+
+``arrangement_faces`` visits the faces of the arrangement of all
+translate edges inside a convex region: collect every edge endpoint and
+edge crossing abscissa inside it, and between two consecutive events walk
+the ladder of lines crossing the slab, bottom to top.  Each gap between
+two consecutive lines is one face, with a count that is the sum of the
+signed multiplicities of the edges below it.  A face's sample point, the
+midpoint of its gap above the slab's midpoint, is computed only when it
+is read (a counterexample, a test); it is strictly interior, so it never
+lands on an edge and boundary handling never needs a tolerance.  This is
+the one place the decomposition is built: the covering verifier, the
+strip profiles and the SVG renderer all read its faces.
+
+Grid.  A translate set is a finite union of translated lattices, so the
+positions of one scene share a few denominators.  The sweep puts the
+region's vertices, the polygon's vertices and the translate positions on
+one grid (:class:`Grid`): integer numerator tuples, one integer per field
+monomial, over their common denominator D.  A translated vertex is a
+tuple sum and an event abscissa a tuple over D.  The edge slopes go over
+their common denominator M, so a segment's height at an event abscissa X
+is base + X*rise, a tuple over D*M, with ``rise`` the numerators of its
+slope and ``base`` those of its height at abscissa 0; the product of two
+tuples is the field's monomial product (``Field.product``).  Field
+elements are canonical, so equal values over one denominator are equal
+tuples, and the rank dicts hash tuples, not field elements.  Distinct
+values are ordered by native tuple order over Q, which is integer order,
+and over a larger field by the exact integer sign of their difference
+(``Field.sign``).  Field elements remain in three places only: the
+crossing abscissas, the slab ends handed to ``Face``, and the endpoints
+of a segment, built when ``Face.sample`` or ``Face.corners`` reads them.
+
+The sweep's cost follows the segments that reach the region and the
+crossings inside it, not the pairs of segments, and it orders by integer
+ranks wherever it can.  Rank: every vertex abscissa is ranked once; the
+events are the ranks from the region's left end to its right end, and
+the live test and the filing below compare ranks.  Clip: only the live
+segments, non-vertical and with an open x-range meeting the region's,
+take part further; a translate edge shares the direction and slope of
+its polygon edge, computed once per polygon edge.  No segment is clipped
+in y, since those below the region carry the ladder weights.  Ladder:
+each live segment is filed under the slabs between the ranks of its two
+ends, so a slab holds just the segments spanning it, in construction
+order.  Heights are ranked at each endpoint event, and two segments of a
+slab lie on one line exactly when their (left rank, right rank) pairs
+are equal; each line is one rung of the ladder with its segments' summed
+weight, and sorted by that pair the lines are the ladder of the slab's
+first sub-slab.  Swap: no segment starts or ends strictly between two
+consecutive endpoint events, so two lines of a slab cross strictly
+inside it exactly when their ranks are strictly apart at both ends in
+opposite orders.  Insertion-sorting the ladder from its left order into
+its right order swaps exactly those pairs, the only ones intersected,
+and files each under the cut where it crosses; at each cut an insertion
+pass swaps just the pairs filed there, so no height is evaluated and no
+value sorted inside a slab.  Region: the region is convex, so exactly
+one lower and one upper region edge span a slab.  Region edges are built
+first and every sort is stable, so walking up the ladder, each line that
+holds a region edge toggles "inside", and the faces kept are exactly
+those strictly inside the region.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import cmp_to_key
+from math import lcm
+from operator import add, le, sub
+from typing import TYPE_CHECKING
+
+from .errors import FieldError
+from .field import Field, FieldElement
+from .lattice import PlaneVector
+
+if TYPE_CHECKING:
+    from .covering import Polygon
+
+__all__ = ["Grid", "Face", "arrangement_faces"]
+
+
+def _scaled(x: FieldElement, den: int) -> tuple[int, ...]:
+    """The numerators of x over ``den``, a multiple of its denominator."""
+    m = den // x.den
+    return x.nums if m == 1 else tuple([n * m for n in x.nums])
+
+
+class Grid:
+    """Points of one scene as integer numerator tuples over one denominator.
+
+    ``den`` is the lcm of the denominators of the given vectors and
+    ``points`` holds each vector as its pair of numerator tuples over it.
+    Equal values over one denominator have equal numerators, so equality
+    and hashing are those of tuples.  ``le`` and ``key`` order values over
+    one denominator: over Q by native tuple order, which is integer order,
+    and otherwise by the exact integer sign of the difference."""
+
+    __slots__ = ("field", "den", "points", "le", "key")
+
+    def __init__(self, field: Field, vectors):
+        vectors = list(vectors)
+        if any(c.field.radicands != field.radicands for v in vectors for c in (v.x, v.y)):
+            raise FieldError(f"a point of the scene is not over {field!r}")
+        self.field = field
+        self.den = den = lcm(*(c.den for v in vectors for c in (v.x, v.y)))
+        self.points = [(_scaled(v.x, den), _scaled(v.y, den)) for v in vectors]
+        if field.size == 1:
+            self.le, self.key = le, None
+        else:
+            sign = field.sign
+            self.le = lambda a, b: sign(tuple(map(sub, b, a))) >= 0
+            self.key = cmp_to_key(lambda a, b: sign(tuple(map(sub, a, b))))
+
+    def element(self, nums) -> FieldElement:
+        return FieldElement.from_integers(self.field, nums, self.den)
+
+    def vector(self, x, y) -> PlaneVector:
+        return PlaneVector(self.element(x), self.element(y))
+
+
+def _ranks(values, key) -> dict[tuple[int, ...], int]:
+    """Integer ranks of grid values over one denominator, equal values
+    sharing a rank; the keys run in increasing order."""
+    return {v: k for k, v in enumerate(sorted(set(values), key=key))}
+
+
+class _Segment:
+    """An arrangement edge from p to q, on the scene's grid.
+
+    ``weight`` is the change in covering count on crossing it upwards:
+    polygons are counterclockwise, so a rightward edge of a translate of
+    multiplicity k enters it (+k) and a leftward one leaves it (-k).
+    Region edges weigh 0.  The sign of q.x - p.x and ``slope`` come from
+    :func:`_direction`; a translate edge takes them from the polygon edge
+    it translates.  ``rise`` is the slope's numerators over the scene's
+    slope denominator M and ``base`` the numerators of the height at
+    abscissa 0 over D*M, so the height at a grid abscissa X is
+    base + X*rise, one product of numerator tuples.  The endpoints are
+    built as vectors only when :meth:`y_at` is called."""
+
+    __slots__ = ("grid", "ends", "weight", "slope", "rise", "base", "_vectors")
+
+    def __init__(self, grid: Grid, p, q, mult: int, dx: int, slope: FieldElement, rise, m: int):
+        self.grid = grid
+        self.ends = (p, q)
+        self.weight = dx * mult
+        self.slope = slope
+        self.rise = rise
+        x, y = p
+        self.base = tuple(map(sub, [n * m for n in y], grid.field.product(x, rise)))
+        self._vectors = None
+
+    def y_at(self, x: FieldElement) -> FieldElement:
+        """The height at abscissa x, the stored one at an endpoint."""
+        if self._vectors is None:
+            self._vectors = [self.grid.vector(*end) for end in self.ends]
+        p, q = self._vectors
+        if x == p.x:
+            return p.y
+        if x == q.x:
+            return q.y
+        return p.y + (x - p.x) * self.slope
+
+
+def _direction(p: PlaneVector, q: PlaneVector) -> tuple[int, FieldElement | None]:
+    """The sign of q.x - p.x and the slope of pq, None when it is vertical."""
+    dx = q.x - p.x
+    sign = dx.sign()
+    return sign, (q.y - p.y) / dx if sign else None
+
+
+def _height_ranks(x, segments, grid: Grid) -> dict[_Segment, int]:
+    """Each segment's height rank at the grid abscissa x among them."""
+    product = grid.field.product
+    ys = {s: tuple(map(add, s.base, product(x, s.rise))) for s in dict.fromkeys(segments)}
+    rank = _ranks(ys.values(), grid.key)
+    return {s: rank[y] for s, y in ys.items()}
+
+
+def _crossing(s: _Segment, t: _Segment, grid: Grid) -> FieldElement:
+    """The abscissa where the lines of s and t meet.
+
+    base_s + X*rise_s = base_t + X*rise_t at the grid abscissa
+    X = (base_t - base_s) / (rise_s - rise_t), which is x*D."""
+    field = grid.field
+    db = tuple(map(sub, t.base, s.base))
+    dr = tuple(map(sub, s.rise, t.rise))
+    if not any(dr[1:]):
+        return FieldElement.from_integers(field, db, grid.den * dr[0])
+    return FieldElement.from_integers(field, db, grid.den) / FieldElement.from_integers(field, dr)
+
+
+def _crossings(ladder: list[_Segment], right, grid: Grid):
+    """Where the lines of a slab cross strictly inside it.
+
+    ``ladder`` holds one segment per line of the slab, sorted by the
+    (left, right) height ranks, and ``right`` their ranks at the slab's
+    right end.  Insertion-sorting by the right rank swaps exactly the pairs
+    that are strictly apart at both ends in opposite orders, which are the
+    pairs that cross inside; only those are intersected.  Returns the
+    crossing abscissas in increasing order, and for each swapped pair,
+    lower line first, the index of its abscissa among the slab's cuts: 1
+    for the first, since cut 0 is the slab's left end."""
+    perm = list(ladder)
+    at = {}
+    for i in range(1, len(perm)):
+        j = i
+        while j and right[perm[j - 1]] > right[perm[j]]:
+            s, t = perm[j - 1], perm[j]
+            at[s, t] = _crossing(s, t, grid)
+            perm[j - 1], perm[j] = t, s
+            j -= 1
+    # elements are canonical, so (nums, den) identifies a value
+    distinct = {(x.nums, x.den): x for x in at.values()}
+    cuts = sorted(distinct.values())
+    index = {(x.nums, x.den): k for k, x in enumerate(cuts, 1)}
+    return cuts, {pair: index[x.nums, x.den] for pair, x in at.items()}
+
+
+def _cross(ladder: list[_Segment], at, k: int) -> None:
+    """Carry a slab's ladder across its cut k, in place.
+
+    Just past the cut, two lines trade places exactly when they cross
+    there, so an insertion pass that swaps the adjacent pairs ``at`` files
+    under k sorts the ladder into its order above the next sub-slab."""
+    for i in range(1, len(ladder)):
+        j = i
+        while j and at.get((ladder[j - 1], ladder[j])) == k:
+            ladder[j - 1], ladder[j] = ladder[j], ladder[j - 1]
+            j -= 1
+
+
+@dataclass(frozen=True)
+class Face:
+    """One trapezoid of the vertical decomposition: the part of the slab
+    x0 < x < x1 strictly between two consecutive ladder segments."""
+
+    x0: FieldElement
+    x1: FieldElement
+    lower: _Segment
+    upper: _Segment
+    count: int
+
+    @property
+    def sample(self) -> PlaneVector:
+        """The strictly interior point midway between the face's edges
+        above the slab's midpoint."""
+        xm = (self.x0 + self.x1) / 2
+        return PlaneVector(xm, (self.lower.y_at(xm) + self.upper.y_at(xm)) / 2)
+
+    def corners(self) -> tuple[PlaneVector, PlaneVector, PlaneVector, PlaneVector]:
+        """The four corners, counterclockwise from the lower left."""
+        return (
+            PlaneVector(self.x0, self.lower.y_at(self.x0)),
+            PlaneVector(self.x1, self.lower.y_at(self.x1)),
+            PlaneVector(self.x1, self.upper.y_at(self.x1)),
+            PlaneVector(self.x0, self.upper.y_at(self.x0)),
+        )
+
+
+def arrangement_faces(poly: Polygon, translates, region: Polygon) -> list[Face]:
+    """Every face of the translate-edge arrangement inside the convex
+    region with its covering count: slab by slab from the left, bottom to
+    top within a slab.
+
+    Counts are propagated up each slab's ladder from 0 below every edge;
+    ``translates`` must hold every translate that can meet the region.
+
+    The sweep runs on one grid: region vertices, polygon vertices and
+    translate positions as numerator tuples over their common denominator
+    D, so a translated vertex is a tuple sum.  Every vertex abscissa is
+    ranked once, and from then on the sweep compares integer ranks.  With
+    rb the region's bounding box, the events are the ranks from rb.x0 to
+    rb.x1.  Only the live segments,
+    those that are not vertical and whose open x-range meets the open
+    interval (rb.x0, rb.x1), enter the crossing test and the ladders;
+    dropping the others is exact.  A dropped segment never spans a slab,
+    which lies strictly inside (rb.x0, rb.x1), and its endpoints are events
+    when they are in range.  Any crossing it takes part in lies on it, so
+    the abscissa is outside [rb.x0, rb.x1], or it is rb.x0 or rb.x1, or it
+    is the abscissa of the vertical segment itself, all of which are events
+    already.  The segments are not clipped in y: those below the region
+    carry the ladder weights, and their crossings are events too.
+
+    Crossings are found slab by slab between consecutive endpoint events.
+    Two live segments that meet at an abscissa that is not an endpoint
+    event both span the slab around it, since no endpoint lies inside a
+    slab; there their height difference is linear and not identically
+    zero, so they cross strictly inside exactly when the difference is
+    nonzero at both ends with opposite signs.  A zero at an end is a
+    meeting on an event already listed, and a difference zero at both ends
+    means the segments are collinear and never cross.  Heights at each
+    endpoint event are numerator tuples over D*M, M the common denominator
+    of the edge slopes, and are ranked there, so two segments lie on one
+    line of the slab exactly when their (left rank, right rank) pairs are
+    equal; each line is one rung with the summed weight of its segments.
+    Sorted by that pair, the lines are the ladder of the first sub-slab,
+    ``_crossings`` intersects only the pairs of lines whose ranks swap
+    strictly across the slab, and ``_cross`` carries the ladder over each
+    crossing abscissa.  No height is evaluated inside a slab.
+
+    A face is in the region when it lies between the region's edges: the
+    region is convex, so exactly one lower and one upper region edge span
+    a slab, and the faces inside are those between them.  Region edges
+    are built first and every sort is stable, so a line that holds a
+    region edge has it as its first segment, and walking up the ladder
+    each such line toggles "inside"."""
+    translates = list(translates)
+    nr, npoly = len(region.vertices), len(poly.vertices)
+    grid = Grid(poly.field, [*region.vertices, *poly.vertices, *(lam for lam, _ in translates)])
+    points = grid.points
+    # every edge direction, with the numerators of its slope over one M
+    # unless it is vertical; a translate edge has the direction and slope
+    # of its polygon edge
+    dirs = [_direction(a, b) for a, b in region.edges() + poly.edges()]
+    m = lcm(*(slope.den for dx, slope in dirs if dx))
+    dirs = [(dx, slope, dx and _scaled(slope, m)) for dx, slope in dirs]
+    region_dirs, poly_dirs = dirs[:nr], dirs[nr:]
+    outlines = [(points[:nr], 0, region_dirs)]
+    shape = points[nr : nr + npoly]
+    for (lx, ly), (_, mult) in zip(points[nr + npoly :], translates):
+        vs = [(tuple(map(add, x, lx)), tuple(map(add, y, ly))) for x, y in shape]
+        outlines.append((vs, mult, poly_dirs))
+    rank = _ranks((x for vs, _, _ in outlines for x, _ in vs), grid.key)
+    region_ranks = [rank[x] for x, _ in outlines[0][0]]
+    first, last = min(region_ranks), max(region_ranks)
+    events = list(rank)[first : last + 1]
+    xs = [grid.element(x) for x in events]
+    # a live segment spans the slabs from the rank of its left end (the
+    # first slab when that is left of rb.x0) to the rank of its right end
+    # (the last when that is right of rb.x1); each slab lists its segments
+    # in construction order
+    spanning = [[] for _ in xs[1:]]
+    bounds = set()
+    for n, (vs, mult, dirs) in enumerate(outlines):
+        rs = [rank[x] for x, _ in vs]
+        for i, (dx, slope, rise) in enumerate(dirs):
+            j = i + 1 if i + 1 < len(vs) else 0
+            lo, hi = (rs[i], rs[j]) if dx > 0 else (rs[j], rs[i])
+            if dx and lo < last and hi > first:
+                s = _Segment(grid, vs[i], vs[j], mult, dx, slope, rise, m)
+                if n == 0:  # the region's own edges
+                    bounds.add(s)
+                for k in range(max(lo, first), min(hi, last)):
+                    spanning[k - first].append(s)
+    faces = []
+    # only the height ranks at a slab's two ends are alive at a time
+    right = _height_ranks(events[0], spanning[0], grid)
+    for xa, xb, x, slab, after in zip(xs, xs[1:], events[1:], spanning, spanning[1:] + [[]]):
+        left, right = right, _height_ranks(x, slab + after, grid)
+        # the first segment and the summed weight of each line
+        lines: dict[tuple[int, int], list] = {}
+        for s in slab:
+            line = lines.setdefault((left[s], right[s]), [s, 0])
+            line[1] += s.weight
+        ladder = [lines[key][0] for key in sorted(lines)]
+        weight = dict(lines.values())
+        xcuts, at = _crossings(ladder, right, grid)
+        cuts = [xa, *xcuts, xb]
+        for k in range(len(cuts) - 1):
+            if k:
+                _cross(ladder, at, k)
+            faces.extend(_slab_faces(cuts[k], cuts[k + 1], ladder, weight, bounds))
+    return faces
+
+
+def _slab_faces(xa, xb, ladder: list[_Segment], weight, bounds) -> list[Face]:
+    """The region's faces in one crossing-free slab, bottom to top.
+
+    ``ladder`` holds one segment per line spanning the slab, in the order
+    of their heights there, and ``weight`` the summed weight of each
+    line's segments; the count just above a line is the sum of the
+    weights up to it."""
+    faces = []
+    count = 0
+    inside = False
+    for lo, hi in zip(ladder, ladder[1:]):
+        count += weight[lo]
+        inside ^= lo in bounds
+        if inside:
+            faces.append(Face(xa, xb, lo, hi, count))
+    return faces

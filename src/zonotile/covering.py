@@ -5,48 +5,23 @@ The covering function x -> #{translates whose interior contains x} is
 piecewise constant on the faces of the arrangement of all translate
 edges.  For a periodic translate set it suffices to certify constancy on
 one fundamental cell of the common period lattice; a windowed (explicit)
-set only ever gets a window-relative verdict.
+set only ever gets a window-relative verdict.  ``verify_covering`` reads
+the faces of that region from ``arrangement_faces``
+(:mod:`zonotile.arrangement`), an exact vertical decomposition with one
+count per face.
 
-Faces are visited by an exact vertical decomposition: collect every edge
-endpoint and edge crossing abscissa inside the cell, and between two
-consecutive events walk the ladder of lines crossing the slab, bottom to
-top.  Each gap between two consecutive lines is one face of the
-arrangement restricted to the cell, with a count that is the sum of the
-signed multiplicities of the edges below it.  A face's sample point, the
-midpoint of its gap above the slab's midpoint, is computed only when it
-is read (a counterexample, a test); it is strictly interior, so it never
-lands on an edge and boundary handling never needs a tolerance.
-``arrangement_faces`` is the one place this decomposition is built: the
-verifier, the strip profiles and the SVG renderer all read its faces.
-
-The sweep's cost follows the segments that reach the cell and the
-crossings inside it, not the pairs of segments, and it orders by integer
-ranks wherever it can.  Rank: every vertex abscissa is ranked once; the
-events are the ranks from the cell's left end to its right end, and the
-live test and the filing below compare ranks, not field elements.  Clip:
-only the live segments, non-vertical and with an open x-range meeting
-the cell's, take part further; a translate edge shares the slope of its
-polygon edge, computed once per polygon edge.  No segment is clipped in
-y, since those below the cell carry the ladder weights.  Ladder: each
-live segment is filed under the slabs between the ranks of its two
-ends, so a slab holds just the segments spanning it, in construction
-order.
-Heights are ranked at each endpoint event, and two segments of a slab
-lie on one line exactly when their (left rank, right rank) pairs are
-equal; each line is one rung of the ladder with its segments' summed
-weight, and sorted by that pair the lines are the ladder of the slab's
-first sub-slab.  Swap: no segment starts or ends strictly between two
-consecutive endpoint events, so two lines of a slab cross strictly
-inside it exactly when their ranks are strictly apart at both ends in
-opposite orders.  Insertion-sorting the ladder from its left order into
-its right order swaps exactly those pairs, the only ones intersected,
-and files each under the cut where it crosses; at each cut an insertion
-pass swaps just the pairs filed there, so no height is evaluated and no
-field element sorted inside a slab.  Region: the region is convex, so
-exactly one lower and one upper region edge span a slab.  Region edges
-are built first and every sort is stable, so walking up the ladder, each
-line that holds a region edge toggles "inside", and the faces kept are
-exactly those strictly inside the region.
+Both the sweep and the box enumeration run on one integer grid.  The
+positions of a scene (polygon and region vertices, translate positions)
+become integer numerator tuples over their common denominator D, and the
+edge slopes numerator tuples over theirs, M, so a translated vertex is a
+tuple sum and a height at an event abscissa is a tuple over D*M.  Field elements are canonical, so
+equal values over one denominator are equal tuples and hash as tuples;
+distinct values are ordered by tuple order over Q and by the exact
+integer sign of their difference over a larger field.  Field elements
+remain only at the crossing abscissas, the slab ends of a ``Face`` and
+the segment endpoints a face's sample or corners read.
+``lattice_points_in_box`` steps by b1 and b2 on the grid of the basis
+and the box, and builds a vector only for a point inside the box.
 
 ``covering_at`` counts one point by brute-force point location.  It is the
 oracle the tests hold the propagated counts to.
@@ -57,7 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from operator import add, sub
 
+from .arrangement import Face, Grid, arrangement_faces
 from .errors import BoundaryError, GeometryError, InternalError, WindowError
 from .field import Field, FieldElement
 from .lattice import PlaneLattice, PlaneVector, intersect, vector
@@ -295,6 +272,9 @@ class TranslateSet:
         if self.is_periodic:
             out = []
             for lat, z in self.parts:
+                if lat.contains(z):  # the part is the lattice itself
+                    out.extend((p, 1) for p in lattice_points_in_box(lat, box))
+                    continue
                 for p in lattice_points_in_box(lat, box.shift(-z)):
                     out.append((p + z, 1))
             return out
@@ -303,24 +283,51 @@ class TranslateSet:
 
 def lattice_points_in_box(lat: PlaneLattice, box: Box) -> list[PlaneVector]:
     """Exactly the lattice points inside the closed box, row by row in the
-    first coordinate; each candidate is one step of b2 or b1 from the last."""
+    first coordinate.
+
+    The basis and the box are put on one grid.  A corner's lattice
+    coordinates are cross products of numerator tuples over the basis
+    determinant, linear in the corner, so the extreme corners by grid
+    order bound the candidate range.  Each candidate is one integer step
+    of b2 or b1 from the last, and a vector is built only for a candidate
+    inside the box."""
     if box.is_empty():
         return []
-    corner_coords = [lat.coords(c) for c in box.corners()]
-    a_vals = [c[0] for c in corner_coords]
-    b_vals = [c[1] for c in corner_coords]
-    alo, ahi = min(a_vals).ceil(), max(a_vals).floor()
-    blo, bhi = min(b_vals).ceil(), max(b_vals).floor()
+    b1, b2 = lat.basis()
+    field = lat.field
+    grid = Grid(field, (b1, b2, PlaneVector(box.x0, box.y0), PlaneVector(box.x1, box.y1)))
+    (b1x, b1y), (b2x, b2y), (x0, y0), (x1, y1) = grid.points
+    product = field.product
+
+    def cross(ux, uy, vx, vy):
+        return tuple(map(sub, product(ux, vy), product(uy, vx)))
+
+    det = FieldElement.from_integers(field, cross(b1x, b1y, b2x, b2y))
+    corners = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+
+    def integer_range(scaled):
+        lo, hi = min(scaled, key=grid.key), max(scaled, key=grid.key)
+        if det.sign() < 0:
+            lo, hi = hi, lo
+        return (
+            (FieldElement.from_integers(field, lo) / det).ceil(),
+            (FieldElement.from_integers(field, hi) / det).floor(),
+        )
+
+    alo, ahi = integer_range([cross(x, y, b2x, b2y) for x, y in corners])
+    blo, bhi = integer_range([cross(b1x, b1y, x, y) for x, y in corners])
     _check_budget(max(ahi - alo + 1, 0) * max(bhi - blo + 1, 0), "lattice points")
+    below = grid.le
     out = []
-    row = lat.point(alo, blo)
+    rx = tuple([alo * m + blo * n for m, n in zip(b1x, b2x)])
+    ry = tuple([alo * m + blo * n for m, n in zip(b1y, b2y)])
     for _ in range(alo, ahi + 1):
-        p = row
+        px, py = rx, ry
         for _ in range(blo, bhi + 1):
-            if box.x0 <= p.x <= box.x1 and box.y0 <= p.y <= box.y1:
-                out.append(p)
-            p = p + lat.b2
-        row = row + lat.b1
+            if below(x0, px) and below(px, x1) and below(y0, py) and below(py, y1):
+                out.append(grid.vector(px, py))
+            px, py = tuple(map(add, px, b2x)), tuple(map(add, py, b2y))
+        rx, ry = tuple(map(add, rx, b1x)), tuple(map(add, ry, b1y))
     return out
 
 
@@ -328,7 +335,9 @@ def covering_at(poly: Polygon, tset: TranslateSet, x: PlaneVector) -> int:
     """The number of translates of poly whose interior contains x.
 
     Raises BoundaryError when x lies on some translate boundary; the
-    covering function is only defined off that measure-zero set.
+    covering function is only defined off that measure-zero set.  No
+    pipeline code calls it: it is the tests' oracle for the count of every
+    face the sweep propagates.
     """
     bb = poly.bbox
     search = Box(x.x - bb.x1, x.y - bb.y1, x.x - bb.x0, x.y - bb.y0)
@@ -351,95 +360,6 @@ class VerifyReport:
     window_relative: bool
 
 
-# -- exact face sampling -------------------------------------------------------
-
-
-class _Segment:
-    """An arrangement edge.  ``weight`` is the change in covering count on
-    crossing it upwards: polygons are counterclockwise, so a rightward edge
-    of a translate of multiplicity k enters it (+k) and a leftward one
-    leaves it (-k).  Region edges weigh 0.  ``dx``, the sign of
-    q.x - p.x, and ``slope`` come from :func:`_direction`; a translate
-    edge takes them from the polygon edge it translates."""
-
-    __slots__ = ("p", "q", "weight", "slope")
-
-    def __init__(self, p: PlaneVector, q: PlaneVector, mult: int, dx: int, slope: FieldElement | None):
-        self.p = p
-        self.q = q
-        self.weight = dx * mult
-        self.slope = slope
-
-    def y_at(self, x: FieldElement) -> FieldElement:
-        """The height at abscissa x, the stored one at an endpoint."""
-        if x == self.p.x:
-            return self.p.y
-        if x == self.q.x:
-            return self.q.y
-        return self.p.y + (x - self.p.x) * self.slope
-
-
-def _direction(p: PlaneVector, q: PlaneVector) -> tuple[int, FieldElement | None]:
-    """The sign of q.x - p.x and the slope of pq, None when it is vertical."""
-    dx = q.x - p.x
-    sign = dx.sign()
-    return sign, (q.y - p.y) / dx if sign else None
-
-
-def _ranks(values) -> dict[FieldElement, int]:
-    """Integer ranks of exact values, equal values sharing a rank; the keys
-    run in increasing order.
-
-    Elements are canonical, so equal values hash and compare equal without
-    field arithmetic; only the distinct values are sorted."""
-    return {v: k for k, v in enumerate(sorted(set(values)))}
-
-
-def _heights(x: FieldElement, segments) -> dict[_Segment, tuple[int, FieldElement]]:
-    """Each segment's height at abscissa x, with its rank among them."""
-    ys = {s: s.y_at(x) for s in dict.fromkeys(segments)}
-    rank = _ranks(ys.values())
-    return {s: (rank[y], y) for s, y in ys.items()}
-
-
-def _crossings(ladder: list[_Segment], left, right, xa: FieldElement):
-    """Where the lines of a slab cross strictly inside it.
-
-    ``ladder`` holds one segment per line of the slab, sorted by the
-    (left, right) height ranks, ``left`` and ``right`` their ranks and
-    heights at the slab's two ends, and xa its left end.  Insertion-sorting
-    by the right rank swaps exactly the pairs that are strictly apart at
-    both ends in opposite orders, which are the pairs that cross inside;
-    only those are intersected.  Returns the crossing abscissas in
-    increasing order, and for each swapped pair, lower line first, the
-    index of its abscissa among the slab's cuts: 1 for the first, since
-    cut 0 is xa."""
-    perm = list(ladder)
-    at = {}
-    for i in range(1, len(perm)):
-        j = i
-        while j and right[perm[j - 1]][0] > right[perm[j]][0]:
-            s, t = perm[j - 1], perm[j]
-            at[s, t] = xa + (left[t][1] - left[s][1]) / (s.slope - t.slope)
-            perm[j - 1], perm[j] = t, s
-            j -= 1
-    cut = _ranks(at.values())
-    return list(cut), {pair: cut[x] + 1 for pair, x in at.items()}
-
-
-def _cross(ladder: list[_Segment], at, k: int) -> None:
-    """Carry a slab's ladder across its cut k, in place.
-
-    Just past the cut, two lines trade places exactly when they cross
-    there, so an insertion pass that swaps the adjacent pairs ``at`` files
-    under k sorts the ladder into its order above the next sub-slab."""
-    for i in range(1, len(ladder)):
-        j = i
-        while j and at.get((ladder[j - 1], ladder[j])) == k:
-            ladder[j - 1], ladder[j] = ladder[j], ladder[j - 1]
-            j -= 1
-
-
 def region_translates(poly: Polygon, tset: TranslateSet, region_bbox: Box):
     """The translates whose copy of poly can meet the box, each position
     once with its summed multiplicity, in order of first appearance."""
@@ -450,145 +370,16 @@ def region_translates(poly: Polygon, tset: TranslateSet, region_bbox: Box):
         region_bbox.x1 - pb.x0,
         region_bbox.y1 - pb.y0,
     )
-    merged: dict[PlaneVector, int] = {}
+    # elements are canonical, so numerators and denominators identify a position
+    merged: dict[tuple, list] = {}
     for lam, mult in tset.points_in(search):
-        merged[lam] = merged.get(lam, 0) + mult
-    return list(merged.items())
-
-
-@dataclass(frozen=True)
-class Face:
-    """One trapezoid of the vertical decomposition: the part of the slab
-    x0 < x < x1 strictly between two consecutive ladder segments."""
-
-    x0: FieldElement
-    x1: FieldElement
-    lower: _Segment
-    upper: _Segment
-    count: int
-
-    @property
-    def sample(self) -> PlaneVector:
-        """The strictly interior point midway between the face's edges
-        above the slab's midpoint."""
-        xm = (self.x0 + self.x1) / 2
-        return PlaneVector(xm, (self.lower.y_at(xm) + self.upper.y_at(xm)) / 2)
-
-    def corners(self) -> tuple[PlaneVector, PlaneVector, PlaneVector, PlaneVector]:
-        """The four corners, counterclockwise from the lower left."""
-        return (
-            PlaneVector(self.x0, self.lower.y_at(self.x0)),
-            PlaneVector(self.x1, self.lower.y_at(self.x1)),
-            PlaneVector(self.x1, self.upper.y_at(self.x1)),
-            PlaneVector(self.x0, self.upper.y_at(self.x0)),
-        )
-
-
-def arrangement_faces(poly: Polygon, translates, region: Polygon) -> list[Face]:
-    """Every face of the translate-edge arrangement inside the convex
-    region with its covering count: slab by slab from the left, bottom to
-    top within a slab.
-
-    Counts are propagated up each slab's ladder from 0 below every edge;
-    ``translates`` must hold every translate that can meet the region.
-
-    Every vertex abscissa is ranked once, and from then on the sweep
-    compares integer ranks.  The events are the ranks from rb.x0 to rb.x1.
-    Only the live segments, those that are not vertical and whose open
-    x-range meets the open interval (rb.x0, rb.x1), enter the crossing test
-    and the ladders; dropping the others is exact.  A dropped segment never
-    spans a slab, which lies strictly inside (rb.x0, rb.x1), and its
-    endpoints are events when they are in range.  Any crossing it takes
-    part in lies on it, so the abscissa is outside [rb.x0, rb.x1], or it is
-    rb.x0 or rb.x1, or it is the abscissa of the vertical segment itself,
-    all of which are events already.  The segments are not clipped in y:
-    those below the region carry the ladder weights, and their crossings
-    are events too.
-
-    Crossings are found slab by slab between consecutive endpoint events.
-    Two live segments that meet at an abscissa that is not an endpoint
-    event both span the slab around it, since no endpoint lies inside a
-    slab; there their height difference is linear and not identically
-    zero, so they cross strictly inside exactly when the difference is
-    nonzero at both ends with opposite signs.  A zero at an end is a
-    meeting on an event already listed, and a difference zero at both ends
-    means the segments are collinear and never cross.  Heights are ranked
-    at each endpoint event, so two segments lie on one line of the slab
-    exactly when their (left rank, right rank) pairs are equal; each line
-    is one rung with the summed weight of its segments.  Sorted by that
-    pair, the lines are the ladder of the first sub-slab, ``_crossings``
-    intersects only the pairs of lines whose ranks swap strictly across
-    the slab, and ``_cross`` carries the ladder over each crossing
-    abscissa.  No height is evaluated inside a slab.
-
-    A face is in the region when it lies between the region's edges: the
-    region is convex, so exactly one lower and one upper region edge span
-    a slab, and the faces inside are those between them.  Region edges
-    are built first and every sort is stable, so a line that holds a
-    region edge has it as its first segment, and walking up the ladder
-    each such line toggles "inside"."""
-    rb = region.bbox
-    outlines = [(region.vertices, 0, [_direction(a, b) for a, b in region.edges()])]
-    # a translate edge has the direction and slope of its polygon edge
-    directions = [_direction(a, b) for a, b in poly.edges()]
-    outlines += [([v + lam for v in poly.vertices], mult, directions) for lam, mult in translates]
-    rank = _ranks(v.x for vs, _, _ in outlines for v in vs)
-    first, last = rank[rb.x0], rank[rb.x1]
-    xs = list(rank)[first : last + 1]
-    # a live segment spans the slabs from the rank of its left end (the
-    # first slab when that is left of rb.x0) to the rank of its right end
-    # (the last when that is right of rb.x1); each slab lists its segments
-    # in construction order
-    spanning = [[] for _ in xs[1:]]
-    bounds = set()
-    for n, (vs, mult, dirs) in enumerate(outlines):
-        rs = [rank[v.x] for v in vs]
-        for i, (dx, slope) in enumerate(dirs):
-            j = i + 1 if i + 1 < len(vs) else 0
-            lo, hi = (rs[i], rs[j]) if dx > 0 else (rs[j], rs[i])
-            if dx and lo < last and hi > first:
-                s = _Segment(vs[i], vs[j], mult, dx, slope)
-                if n == 0:  # the region's own edges
-                    bounds.add(s)
-                for k in range(max(lo, first), min(hi, last)):
-                    spanning[k - first].append(s)
-    faces = []
-    # only the height maps at a slab's two ends are alive at a time
-    right = _heights(xs[0], spanning[0])
-    for xa, xb, slab, after in zip(xs, xs[1:], spanning, spanning[1:] + [[]]):
-        left, right = right, _heights(xb, slab + after)
-        # the first segment and the summed weight of each line
-        lines: dict[tuple[int, int], list] = {}
-        for s in slab:
-            line = lines.setdefault((left[s][0], right[s][0]), [s, 0])
-            line[1] += s.weight
-        ladder = [lines[key][0] for key in sorted(lines)]
-        weight = dict(lines.values())
-        xcuts, at = _crossings(ladder, left, right, xa)
-        cuts = [xa, *xcuts, xb]
-        for k in range(len(cuts) - 1):
-            if k:
-                _cross(ladder, at, k)
-            faces.extend(_slab_faces(cuts[k], cuts[k + 1], ladder, weight, bounds))
-    return faces
-
-
-def _slab_faces(xa, xb, ladder: list[_Segment], weight, bounds) -> list[Face]:
-    """The region's faces in one crossing-free slab, bottom to top.
-
-    ``ladder`` holds one segment per line spanning the slab, in the order
-    of their heights there, and ``weight`` the summed weight of each
-    line's segments; the count just above a line is the sum of the
-    weights up to it."""
-    faces = []
-    count = 0
-    inside = False
-    for lo, hi in zip(ladder, ladder[1:]):
-        count += weight[lo]
-        inside ^= lo in bounds
-        if inside:
-            faces.append(Face(xa, xb, lo, hi, count))
-    return faces
+        key = (lam.x.nums, lam.x.den, lam.y.nums, lam.y.den)
+        entry = merged.get(key)
+        if entry is None:
+            merged[key] = [lam, mult]
+        else:
+            entry[1] += mult
+    return [(lam, mult) for lam, mult in merged.values()]
 
 
 def _report(faces: list[Face], window_relative: bool) -> VerifyReport:
@@ -664,7 +455,8 @@ def strip_profile(poly: Polygon, lat: PlaneLattice, n_values) -> list[int]:
     ratio between the vertical parts of its basis (which gives the strip
     covering a horizontal period); the profile is computed on one period
     per strip and each strip must cover constantly (non-constant strips
-    are reported as an error, never averaged).
+    are reported as an error, never averaged).  No pipeline code calls it:
+    it serves acceptance criterion 2, the octagon's strip profile.
     """
     if not lat.b2.x.is_zero():
         raise GeometryError("lattice is not axis-compatible (vertical second basis vector)")

@@ -16,6 +16,12 @@ numerators times those bounds enclose the element times den * 2**prec.
 The precision doubles until the enclosure excludes zero, which terminates
 because a nonzero element is bounded away from zero.  No predicate in
 this package touches floating point.
+
+Both integer kernels are public :class:`Field` methods: ``product``
+multiplies two numerator tuples by the monomial rule and ``sign`` decides
+the sign of one.  Element multiplication, ``sign`` and the comparisons
+call them, and so does the arrangement sweep, which keeps a scene's
+values as numerator tuples over fixed denominators.
 """
 
 from __future__ import annotations
@@ -175,6 +181,42 @@ class Field:
             nums[here] = n
         return _make(self, tuple(nums), x.den)
 
+    # -- integer kernels -------------------------------------------------------
+
+    def product(self, a, b) -> tuple[int, ...]:
+        """The numerators of the product of two elements given by their
+        numerators, over the product of their denominators, unreduced.
+
+        Monomials multiply as sqrt(p_s) * sqrt(p_t) = p_(s&t) * sqrt(p_(s^t)),
+        so equal inputs over equal denominators give equal outputs."""
+        if len(a) == 1:
+            return (a[0] * b[0],)
+        products = self.products
+        out = [0] * len(a)
+        for s, x in enumerate(a):
+            if not x:
+                continue
+            for t, y in enumerate(b):
+                if y:
+                    out[s ^ t] += x * y * products[s & t]
+        return tuple(out)
+
+    def sign(self, nums) -> int:
+        """The sign of sum(nums[m] * sqrt(products[m])), decided on integers."""
+        if not any(nums[1:]):
+            n = nums[0]
+            return (n > 0) - (n < 0)
+        prec = 32
+        while True:
+            lo, hi = _enclosure(self, nums, prec)
+            if lo > 0:
+                return 1
+            if hi < 0:
+                return -1
+            prec *= 2
+            if prec > 1 << 22:  # unreachable for nonzero elements
+                raise RuntimeError("sign refinement failed to converge")
+
     # -- sign support ----------------------------------------------------------
 
     def _roots(self, prec: int) -> tuple[int, ...]:
@@ -270,23 +312,6 @@ def _enclosure(field: Field, nums, prec: int) -> tuple[int, int]:
         else:
             hi += n
     return lo, hi
-
-
-def _sign_of(field: Field, nums) -> int:
-    """The sign of sum(nums[m] * sqrt(products[m])), decided on integers."""
-    if not any(nums[1:]):
-        n = nums[0]
-        return (n > 0) - (n < 0)
-    prec = 32
-    while True:
-        lo, hi = _enclosure(field, nums, prec)
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
-        prec *= 2
-        if prec > 1 << 22:  # unreachable for nonzero elements
-            raise RuntimeError("sign refinement failed to converge")
 
 
 def _rational_hash(n: int, d: int) -> int:
@@ -410,15 +435,7 @@ class FieldElement:
             return _scale(self.field, a, self.den, b[0], o.den)
         if not any(a[1:]):
             return _scale(self.field, b, o.den, a[0], self.den)
-        products = self.field.products
-        out = [0] * len(a)
-        for s, x in enumerate(a):
-            if not x:
-                continue
-            for t, y in enumerate(b):
-                if y:
-                    out[s ^ t] += x * y * products[s & t]
-        return _reduced(self.field, tuple(out), self.den * o.den)
+        return _reduced(self.field, self.field.product(a, b), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -481,7 +498,7 @@ class FieldElement:
 
     def sign(self) -> int:
         if self._sign is None:
-            self._sign = _sign_of(self.field, self.nums)
+            self._sign = self.field.sign(self.nums)
         return self._sign
 
     def approx(self, bits: int) -> tuple[Fraction, Fraction]:
@@ -542,7 +559,7 @@ class FieldElement:
         a, da, b, db = self.nums, self.den, o.nums, o.den
         if da != db:
             a, b = [x * db for x in a], [y * da for y in b]
-        return _sign_of(self.field, tuple(map(sub, a, b)))
+        return self.field.sign(tuple(map(sub, a, b)))
 
     def __lt__(self, other):
         return self._cmp_sign(other) < 0

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import json
+import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, lcm
@@ -198,7 +199,13 @@ def encode_element(x: FieldElement) -> list[dict]:
 def _term_integer(term: dict, key: str) -> int:
     value = term[key]
     if type(value) is int or (isinstance(value, str) and value.removeprefix("-").isdecimal()):
-        return int(value)
+        try:
+            return int(value)
+        except ValueError:  # more digits than the interpreter converts
+            raise GeometryError(
+                f"term {term['monomial']!r}: {key!r} has {len(value.removeprefix('-'))} digits, "
+                f"over the limit of {sys.get_int_max_str_digits()}"
+            ) from None
     raise GeometryError(f"term {term!r} needs an integer or integer string as {key!r}")
 
 
@@ -466,6 +473,8 @@ def load_document(path: str) -> dict:
         raise ZonotileError(f"{path}: not valid JSON ({exc})") from exc
     except UnicodeDecodeError as exc:
         raise ZonotileError(f"{path}: not UTF-8 text ({exc})") from exc
+    except ValueError as exc:  # an integer longer than the interpreter converts
+        raise ZonotileError(f"{path}: a JSON number is too long ({exc})") from exc
     if not isinstance(doc, dict):
         raise ZonotileError(f"{path}: top-level JSON value must be an object")
     return doc

@@ -114,7 +114,11 @@ def _vectors_from_rows(field: Field, rows, den: int) -> list[PlaneVector]:
 
 
 def rational_rank(vectors) -> int:
-    """Rank over Q of the vectors viewed as rational coordinate tuples."""
+    """Rank over Q of the vectors viewed as rational coordinate tuples.
+
+    No pipeline code calls it: it is the tests' rank oracle, and the
+    benchmark's generators use it to draw rationally independent
+    generators."""
     rows, _ = _integer_rows(_check_common_field(vectors))
     return len(row_hnf(rows))
 
@@ -292,7 +296,9 @@ def sublattice_avoiding_coset(
     tau lies on the real line of V, keep the generator and complete with a
     basis vector of ``l``; otherwise take the generator (or a completing
     basis vector) together with 2*tau.  Completion always uses the shortest
-    canonical basis vector of ``l`` independent of the kept direction.
+    canonical basis vector of ``l`` independent of the kept direction.  No
+    pipeline code calls it: it serves acceptance criterion 8, coset
+    avoidance.
     """
     if not l.contains(tau):
         raise GeometryError("tau is not a lattice point")

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import sys
 import time
 from fractions import Fraction
 
@@ -546,6 +547,29 @@ class TestTypedErrors:
         path = tmp_path / "latin1.json"
         path.write_bytes(b'{"field": [], "note": "\xe9"}')
         self.fails(capsys, ["decide", str(path)], f"{path}: not UTF-8")
+
+    @pytest.fixture
+    def long_integer_doc(self, tmp_path):
+        """A two-generator document whose first x numerator has 5000 digits,
+        over the interpreter's default limit of 4300 on converting integer
+        text, with that limit in force."""
+        one = [{"monomial": "1", "num": "1", "den": "1"}]
+        digits = "1" * 5000
+        doc = {"field": [], "generators": [{"x": [{"monomial": "1", "num": digits, "den": "1"}], "y": []}, {"x": [], "y": one}]}
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield tmp_path / "poly.json", json.dumps(doc), digits
+        sys.set_int_max_str_digits(limit)
+
+    def test_integer_string_over_the_digit_limit(self, capsys, long_integer_doc):
+        path, text, _ = long_integer_doc
+        path.write_text(text)
+        self.fails(capsys, ["decide", str(path)], "term '1': 'num' has 5000 digits, over the limit of 4300")
+
+    def test_bare_integer_over_the_digit_limit(self, capsys, long_integer_doc):
+        path, text, digits = long_integer_doc
+        path.write_text(text.replace(f'"{digits}"', digits))
+        self.fails(capsys, ["decide", str(path)], f"{path}: a JSON number is too long")
 
 
 class TestInternalError:

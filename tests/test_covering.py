@@ -23,6 +23,7 @@ from zonotile import (
     strip_profile,
     verify_covering,
 )
+from zonotile.arrangement import Grid
 from zonotile.covering import MAX_BOX_CANDIDATES, WindowPattern, arrangement_faces, region_translates
 from zonotile.patterns import (
     lattice_octagon,
@@ -31,7 +32,7 @@ from zonotile.patterns import (
     tetromino_l2_multiplicity,
 )
 
-from conftest import F2, Q, V, random_zonotope
+from conftest import F2, F23, Q, V, random_zonotope
 from test_acceptance import bounded_random_polygon
 
 H = Fraction(1, 2)
@@ -419,7 +420,12 @@ def arrangement_event_scenes():
     """(poly, tset, region) cases whose sweep is held to the oracles: every
     region is convex, and the √2 octagon's cell edges are not axis-aligned."""
     scenes = []
-    for beta in [Fraction(0), Fraction(1, 3), F2.sqrt(2)]:
+    # over Q(√2,√3) the grid is ordered by exact signs of four-term
+    # numerators; with beta = 3880899 - 2744210√2, about 1.3e-7, translate
+    # abscissas sit so close to the cell's integer ones that several signs
+    # need enclosures past 32 bits
+    betas = [Fraction(0), Fraction(1, 3), F2.sqrt(2), F23.sqrt(2) + F23.sqrt(3), 3880899 - 2744210 * F2.sqrt(2)]
+    for beta in betas:
         poly, tset = builtin_scene("octagon-family", beta=beta)
         scenes.append((poly, tset, verification_region(poly, tset)))
     poly, tset = builtin_scene("tetromino-union")
@@ -499,6 +505,25 @@ class TestArrangementEvents:
             got = [(f.x0, f.x1, f.sample, f.count) for f in faces]
             assert got == located_faces(poly, translates, region, slabs)
             calls.clear()
+
+
+class TestGridOrder:
+    def test_sorts_convergent_differences_like_field_elements(self):
+        # p - q√2 for the convergents p/q of √2 shrink like 1/q and alternate
+        # in sign; over q up to about 10**12 the 32-bit enclosure cannot
+        # separate them, so the grid order must refine its integer signs
+        convergents = [(1, 1)]
+        while convergents[-1][1] < 10**12:
+            p, q = convergents[-1]
+            convergents.append((p + 2 * q, p + q))
+        r2 = F2.sqrt(2)
+        values = [p - q * r2 for p, q in convergents]
+        values += [v / 3 for v in values[::2]] + [-v / 7 for v in values[1::2]] + [F2.zero(), F2.one()]
+        grid = Grid(F2, [PlaneVector(v, F2.zero()) for v in values])
+        xs = [x for x, _ in grid.points]
+        assert len(set(xs)) == len(values)
+        assert [grid.element(x) for x in sorted(xs, key=grid.key)] == sorted(values)
+        assert [grid.element(x) for x in sorted(xs, key=grid.key, reverse=True)] == sorted(values, reverse=True)
 
 
 class TestStripProfile:

@@ -47,3 +47,43 @@ def test_no_module_reads_another_modules_private_attributes():
             ):
                 offenders.append(f"{path.name}:{node.lineno} reads .{node.attr}")
     assert not offenders, offenders
+
+
+def _docstrings_and_references():
+    """For every module but ``__init__``: the docstring of each top-level
+    definition, and for each name the top-level definitions whose code
+    references it (as a name or an attribute)."""
+    docs, refs = {}, {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(node, "name", None)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                docs[node.name] = ast.get_docstring(node) or ""
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    refs.setdefault(sub.id, set()).add((path.stem, owner))
+                elif isinstance(sub, ast.Attribute):
+                    refs.setdefault(sub.attr, set()).add((path.stem, owner))
+    return docs, refs
+
+
+def test_every_public_name_has_a_caller_or_an_oracle_role():
+    """A name the package exports is either used by package code outside
+    its own definition, or its docstring names the oracle or acceptance
+    role it plays."""
+    exported = {}
+    for node in ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                exported[alias.asname or alias.name] = node.module
+    docs, refs = _docstrings_and_references()
+    offenders = []
+    for name, module in sorted(exported.items()):
+        if refs.get(name, set()) - {(module, name)}:
+            continue
+        lines = docs.get(name, "").splitlines()
+        if not any("oracle" in line or "acceptance criterion" in line for line in lines):
+            offenders.append(f"{module}.{name}")
+    assert not offenders, offenders
