@@ -29,7 +29,10 @@ values are ordered by native tuple order over Q, which is integer order,
 and over a larger field by the exact integer sign of their difference
 (``Field.sign``).  Field elements remain in three places only: the
 crossing abscissas, the slab ends handed to ``Face``, and the endpoints
-of a segment, built when ``Face.sample`` or ``Face.corners`` reads them.
+of a segment, built only when ``Face.sample`` reads them.  A face's
+corners are read on the grid (``Face.heights``): at a slab end
+x = nums/den a segment's height is base*den + D*(nums*rise) over D*M*den,
+integer tuples that the SVG renderer rounds without field arithmetic.
 
 The sweep's cost follows the segments that reach the region and the
 crossings inside it, not the pairs of segments, and it orders by integer
@@ -133,11 +136,11 @@ class _Segment:
     :func:`_direction`; a translate edge takes them from the polygon edge
     it translates.  ``rise`` is the slope's numerators over the scene's
     slope denominator M and ``base`` the numerators of the height at
-    abscissa 0 over D*M, so the height at a grid abscissa X is
+    abscissa 0 over ``den`` = D*M, so the height at a grid abscissa X is
     base + X*rise, one product of numerator tuples.  The endpoints are
     built as vectors only when :meth:`y_at` is called."""
 
-    __slots__ = ("grid", "ends", "weight", "slope", "rise", "base", "_vectors")
+    __slots__ = ("grid", "ends", "weight", "slope", "rise", "base", "den", "_vectors")
 
     def __init__(self, grid: Grid, p, q, mult: int, dx: int, slope: FieldElement, rise, m: int):
         self.grid = grid
@@ -147,7 +150,19 @@ class _Segment:
         self.rise = rise
         x, y = p
         self.base = tuple(map(sub, [n * m for n in y], grid.field.product(x, rise)))
+        self.den = grid.den * m
         self._vectors = None
+
+    def height(self, x: FieldElement) -> tuple[tuple[int, ...], int]:
+        """The height at abscissa x as numerators over a positive
+        denominator, unreduced, from integers only.
+
+        With x = nums/den, the grid abscissa x*D is nums*D over den, so the
+        height base + x*D*rise over D*M is base*den + D*(nums*rise) over
+        D*M*den; at an event den divides D."""
+        d, den = self.grid.den, x.den
+        xr = self.grid.field.product(x.nums, self.rise)
+        return tuple([b * den + d * n for b, n in zip(self.base, xr)]), self.den * den
 
     def y_at(self, x: FieldElement) -> FieldElement:
         """The height at abscissa x, the stored one at an endpoint."""
@@ -247,13 +262,16 @@ class Face:
         xm = (self.x0 + self.x1) / 2
         return PlaneVector(xm, (self.lower.y_at(xm) + self.upper.y_at(xm)) / 2)
 
-    def corners(self) -> tuple[PlaneVector, PlaneVector, PlaneVector, PlaneVector]:
-        """The four corners, counterclockwise from the lower left."""
+    def heights(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """The heights of the four corners, counterclockwise from the lower
+        left (lower edge at x0 and x1, upper edge at x1 and x0), each as
+        numerators over a positive denominator (:meth:`_Segment.height`)."""
+        lower, upper = self.lower, self.upper
         return (
-            PlaneVector(self.x0, self.lower.y_at(self.x0)),
-            PlaneVector(self.x1, self.lower.y_at(self.x1)),
-            PlaneVector(self.x1, self.upper.y_at(self.x1)),
-            PlaneVector(self.x0, self.upper.y_at(self.x0)),
+            lower.height(self.x0),
+            lower.height(self.x1),
+            upper.height(self.x1),
+            upper.height(self.x0),
         )
 
 

@@ -19,7 +19,7 @@ equal values over one denominator are equal tuples and hash as tuples;
 distinct values are ordered by tuple order over Q and by the exact
 integer sign of their difference over a larger field.  Field elements
 remain only at the crossing abscissas, the slab ends of a ``Face`` and
-the segment endpoints a face's sample or corners read.
+the segment endpoints a face's sample reads.
 ``lattice_points_in_box`` steps by b1 and b2 on the grid of the basis
 and the box, and builds a vector only for a point inside the box.
 

@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import add, index, mul, neg, sub
 
-from .errors import FieldError
+from .errors import FieldError, InternalError
 
 __all__ = ["Field", "FieldElement", "RATIONALS"]
 
@@ -215,7 +215,7 @@ class Field:
                 return -1
             prec *= 2
             if prec > 1 << 22:  # unreachable for nonzero elements
-                raise RuntimeError("sign refinement failed to converge")
+                raise InternalError("sign refinement failed to converge")
 
     # -- sign support ----------------------------------------------------------
 

@@ -5,17 +5,22 @@ covering multiplicity.  They are the verifier's own faces
 (``covering.arrangement_faces``), so the picture is a faithful map of the
 covering function.  Translate outlines are stroked on top and a legend
 lists the observed multiplicities.  All geometry is exact until the final
-coordinate emission: a rational coordinate is rounded from its numerator
-and denominator, an irrational one from the midpoint of its 30-bit
-enclosure.
+coordinate emission, and every coordinate is emitted from integer
+numerators on the sweep's grid (``arrangement.Grid``): a corner's height
+from ``Face.heights``, an outline vertex as the tuple sum of a polygon
+vertex and a translate position, the size from the window's own
+numerators.  A rational coordinate is rounded from its numerator and
+denominator, an irrational one from the midpoint of its 30-bit enclosure.
 """
 
 from __future__ import annotations
 
+from operator import add
+
+from .arrangement import Grid
 from .covering import Box, Polygon, TranslateSet, arrangement_faces, region_translates
 from .errors import WindowError
-from .field import FieldElement
-from .lattice import PlaneVector
+from .field import Field, FieldElement
 
 __all__ = ["render_svg"]
 
@@ -48,17 +53,6 @@ def _fmt(num: int, den: int) -> str:
     return f"{sign}{scaled // 10000}.{scaled % 10000:04d}"
 
 
-class _Frame:
-    def __init__(self, window: Box):
-        self.x0 = window.x0
-        self.y1 = window.y1
-
-    def to_svg(self, p: PlaneVector) -> str:
-        sx = (p.x - self.x0) * _SCALE
-        sy = (self.y1 - p.y) * _SCALE
-        return f"{_fmt(*_mid(sx))},{_fmt(*_mid(sy))}"
-
-
 def _mid(x: FieldElement) -> tuple[int, int]:
     """x itself when rational, else the midpoint of its 30-bit enclosure,
     as a numerator over a positive denominator."""
@@ -71,15 +65,51 @@ def _mid(x: FieldElement) -> tuple[int, int]:
     )
 
 
+class _Axis:
+    """One SVG axis: the value v = nums/den goes to sign*(v - origin)*48.
+
+    Values come as integer numerators over a positive denominator, in any
+    terms.  Over Q the scaled numerator and denominator go straight to
+    ``_fmt``; over a larger field the element is built once per value and
+    rounded from ``_mid``.  ``_fmt`` depends only on the value and ``_mid``
+    only on the canonical element, so every term form gives the same
+    string.  Strings are cached per (numerators, denominator), since
+    adjacent faces share corners."""
+
+    __slots__ = ("field", "nums", "den", "scale", "strings")
+
+    def __init__(self, field: Field, origin: FieldElement, sign: int):
+        self.field = field
+        self.nums, self.den = origin.nums, origin.den
+        self.scale = sign * _SCALE
+        self.strings: dict[tuple, str] = {}
+
+    def value(self, nums, den: int) -> tuple[int, int]:
+        """The scaled coordinate as ``_mid`` gives it: numerator, denominator."""
+        od, k = self.den, self.scale
+        t = [k * (n * od - o * den) for n, o in zip(nums, self.nums)]
+        if len(t) == 1:
+            return t[0], den * od
+        return _mid(FieldElement.from_integers(self.field, t, den * od))
+
+    def __call__(self, nums, den: int) -> str:
+        key = (nums, den)
+        text = self.strings.get(key)
+        if text is None:
+            text = self.strings[key] = _fmt(*self.value(nums, den))
+        return text
+
+
 def render_svg(poly: Polygon, tset: TranslateSet, window: Box) -> str:
     if not window.has_area():
         raise WindowError("render window is empty")
     region = Polygon(window.corners())
     translates = region_translates(poly, tset, region.bbox)
     faces = arrangement_faces(poly, translates, region)
-    frame = _Frame(window)
-    w, wd = _mid((window.x1 - window.x0) * _SCALE)
-    h, hd = _mid((window.y1 - window.y0) * _SCALE)
+    field = poly.field
+    sx, sy = _Axis(field, window.x0, 1), _Axis(field, window.y1, -1)
+    w, wd = sx.value(window.x1.nums, window.x1.den)
+    h, hd = sy.value(window.y0.nums, window.y0.den)
     width, height = _fmt(w, wd), _fmt(h, hd)
     legend_h = 32
     full = _fmt(h + legend_h * hd, hd)
@@ -91,10 +121,18 @@ def render_svg(poly: Polygon, tset: TranslateSet, window: Box) -> str:
         '<g clip-path="url(#win)">',
     ]
     for face in faces:
-        points = " ".join(frame.to_svg(p) for p in face.corners())
-        parts.append(f'<polygon points="{points}" fill="{_fill(face.count)}" stroke="none"/>')
-    for lam, _ in translates:
-        points = " ".join(frame.to_svg(v + lam) for v in poly.vertices)
+        x0, x1 = sx(face.x0.nums, face.x0.den), sx(face.x1.nums, face.x1.den)
+        l0, l1, u1, u0 = (sy(*y) for y in face.heights())
+        parts.append(
+            f'<polygon points="{x0},{l0} {x1},{l1} {x1},{u1} {x0},{u0}" '
+            f'fill="{_fill(face.count)}" stroke="none"/>'
+        )
+    grid = Grid(field, [*poly.vertices, *(lam for lam, _ in translates)])
+    shape, d = grid.points[: len(poly.vertices)], grid.den
+    for lx, ly in grid.points[len(shape) :]:
+        points = " ".join(
+            f"{sx(tuple(map(add, x, lx)), d)},{sy(tuple(map(add, y, ly)), d)}" for x, y in shape
+        )
         parts.append(
             f'<polygon points="{points}" fill="none" stroke="#202020" stroke-width="1"/>'
         )

@@ -598,6 +598,17 @@ class TestInternalError:
             "internal: constructed witness fails the edge-pair criterion\n"
         )
 
+    def test_unconverged_sign_exits_3(self, capsys, irrational_pentagon_file, monkeypatch):
+        # an enclosure that never excludes zero stands in for the sign
+        # refinement running past its precision cap
+        monkeypatch.setattr("zonotile.field._enclosure", lambda f, nums, prec: (0, 0))
+        assert main(["decide", irrational_pentagon_file]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "zonotile: internal error: InternalError: sign refinement failed to converge\n"
+        )
+
     def test_density_mismatch_exits_3(self, capsys, tmp_path, monkeypatch):
         code, out = run(capsys, ["examples", "octagon-family", "--beta", "1/3"])
         assert code == 0

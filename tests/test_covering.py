@@ -10,6 +10,7 @@ from zonotile import (
     BoundaryError,
     Box,
     Field,
+    FieldElement,
     GeometryError,
     IncommensurableError,
     PlaneLattice,
@@ -505,6 +506,21 @@ class TestArrangementEvents:
             got = [(f.x0, f.x1, f.sample, f.count) for f in faces]
             assert got == located_faces(poly, translates, region, slabs)
             calls.clear()
+
+    def test_corner_heights_are_the_edge_heights(self):
+        # Face.heights reads the grid; y_at evaluates the edge with field
+        # arithmetic from its endpoints
+        for poly, tset, region in arrangement_event_scenes():
+            translates = region_translates(poly, tset, region.bbox)
+            for f in arrangement_faces(poly, translates, region):
+                expected = [
+                    f.lower.y_at(f.x0),
+                    f.lower.y_at(f.x1),
+                    f.upper.y_at(f.x1),
+                    f.upper.y_at(f.x0),
+                ]
+                got = [FieldElement.from_integers(poly.field, *h) for h in f.heights()]
+                assert got == expected
 
 
 class TestGridOrder:

@@ -40,6 +40,16 @@ RENDER = {
     ("octagon-family", "sqrt(2)+sqrt(3)", "--window=0,0,2,2"): (
         "e4f4994399d617573c99856a2272fbaacf3c4d7d347e57e863c5d936d714bcd1"
     ),
+    # window corners off the integers and crossing abscissas off the grid
+    ("octagon-family", "2/7", "--window=-1/3,1/5,7/2,9/4"): (
+        "e4f3ff5f760be586e22367897197b1c74e18dac1672f048d6f94af508b53a82f"
+    ),
+    ("tetromino-union", None, "--window=-7/3,-5/2,10/3,11/4"): (
+        "14a7d9d43a69e7a3c90aa16d5c340b8933741f26d92fc2ddea60a23f20089149"
+    ),
+    ("octagon-family", "sqrt(2)", "--window=-1/2,1/3,5/2,7/3"): (
+        "1ec12ab9817583f5dc795220caba31ea9149ebf298b95d7e176b61b6ffad7683"
+    ),
 }
 
 
