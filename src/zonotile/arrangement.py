@@ -14,25 +14,26 @@ the one place the decomposition is built: the covering verifier, the
 strip profiles and the SVG renderer all read its faces.
 
 Grid.  A translate set is a finite union of translated lattices, so the
-positions of one scene share a few denominators.  The sweep puts the
-region's vertices, the polygon's vertices and the translate positions on
-one grid (:class:`Grid`): integer numerator tuples, one integer per field
-monomial, over their common denominator D.  A translated vertex is a
-tuple sum and an event abscissa a tuple over D.  The edge slopes go over
-their common denominator M, so a segment's height at an event abscissa X
-is base + X*rise, a tuple over D*M, with ``rise`` the numerators of its
-slope and ``base`` those of its height at abscissa 0; the product of two
-tuples is the field's monomial product (``Field.product``).  Field
-elements are canonical, so equal values over one denominator are equal
-tuples, and the rank dicts hash tuples, not field elements.  Distinct
-values are ordered by native tuple order over Q, which is integer order,
-and over a larger field by the exact integer sign of their difference
-(``Field.sign``).  Field elements remain in three places only: the
-crossing abscissas, the slab ends handed to ``Face``, and the endpoints
-of a segment, built only when ``Face.sample`` reads them.  A face's
-corners are read on the grid (``Face.heights``): at a slab end
-x = nums/den a segment's height is base*den + D*(nums*rise) over D*M*den,
-integer tuples that the SVG renderer rounds without field arithmetic.
+positions of one scene share a few denominators.  Each scene is put on
+one grid (:class:`Grid`) once, by ``covering.region_translates``:
+integer numerator tuples, one integer per field monomial, over the
+common denominator D of the region's and the polygon's vertices and the
+translate positions.  Positions reach the sweep as grid tuples, so a
+translated vertex is a tuple sum and an event abscissa a tuple over D.
+The edge slopes go over their common denominator M, so a segment's
+height at an event abscissa X is base + X*rise, a tuple over D*M, with
+``rise`` the numerators of its slope and ``base`` those of its height at
+abscissa 0; the product of two tuples is the field's monomial product
+(``Field.product``).  Field elements are canonical, so equal values over
+one denominator are equal tuples, and the rank dicts hash tuples, not
+field elements.  Distinct values are ordered by native tuple order over
+Q, which is integer order, and over a larger field by the exact integer
+sign of their difference (``Field.sign``).  Field elements remain only
+at the crossing abscissas and the slab ends handed to ``Face``.  A
+segment's height anywhere is read on the grid (``_Segment.height``): at
+x = nums/den it is base*den + D*(nums*rise) over D*M*den, integer tuples
+that the SVG renderer rounds without field arithmetic (``Face.heights``)
+and that a face's sample turns into one field element.
 
 The sweep's cost follows the segments that reach the region and the
 crossings inside it, not the pairs of segments, and it orders by integer
@@ -90,28 +91,31 @@ def _scaled(x: FieldElement, den: int) -> tuple[int, ...]:
 class Grid:
     """Points of one scene as integer numerator tuples over one denominator.
 
-    ``den`` is the lcm of the denominators of the given vectors and
-    ``points`` holds each vector as its pair of numerator tuples over it.
-    Equal values over one denominator have equal numerators, so equality
-    and hashing are those of tuples.  ``le`` and ``key`` order values over
-    one denominator: over Q by native tuple order, which is integer order,
-    and otherwise by the exact integer sign of the difference."""
+    ``den`` is the lcm of the denominators of the given vectors, and
+    :meth:`point` puts a vector whose denominators divide it on the grid,
+    as its pair of numerator tuples over ``den``.  Equal values over one
+    denominator have equal numerators, so equality and hashing are those
+    of tuples.  ``le`` and ``key`` order values over one denominator: over
+    Q by native tuple order, which is integer order, and otherwise by the
+    exact integer sign of the difference."""
 
-    __slots__ = ("field", "den", "points", "le", "key")
+    __slots__ = ("field", "den", "le", "key")
 
     def __init__(self, field: Field, vectors):
         vectors = list(vectors)
         if any(c.field.radicands != field.radicands for v in vectors for c in (v.x, v.y)):
             raise FieldError(f"a point of the scene is not over {field!r}")
         self.field = field
-        self.den = den = lcm(*(c.den for v in vectors for c in (v.x, v.y)))
-        self.points = [(_scaled(v.x, den), _scaled(v.y, den)) for v in vectors]
+        self.den = lcm(*(c.den for v in vectors for c in (v.x, v.y)))
         if field.size == 1:
             self.le, self.key = le, None
         else:
             sign = field.sign
             self.le = lambda a, b: sign(tuple(map(sub, b, a))) >= 0
             self.key = cmp_to_key(lambda a, b: sign(tuple(map(sub, a, b))))
+
+    def point(self, v: PlaneVector) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        return _scaled(v.x, self.den), _scaled(v.y, self.den)
 
     def element(self, nums) -> FieldElement:
         return FieldElement.from_integers(self.field, nums, self.den)
@@ -127,31 +131,29 @@ def _ranks(values, key) -> dict[tuple[int, ...], int]:
 
 
 class _Segment:
-    """An arrangement edge from p to q, on the scene's grid.
+    """An arrangement edge from the grid point p to the grid point q.
 
     ``weight`` is the change in covering count on crossing it upwards:
     polygons are counterclockwise, so a rightward edge of a translate of
     multiplicity k enters it (+k) and a leftward one leaves it (-k).
-    Region edges weigh 0.  The sign of q.x - p.x and ``slope`` come from
+    Region edges weigh 0.  The sign of q.x - p.x and the slope come from
     :func:`_direction`; a translate edge takes them from the polygon edge
     it translates.  ``rise`` is the slope's numerators over the scene's
     slope denominator M and ``base`` the numerators of the height at
     abscissa 0 over ``den`` = D*M, so the height at a grid abscissa X is
-    base + X*rise, one product of numerator tuples.  The endpoints are
-    built as vectors only when :meth:`y_at` is called."""
+    base + X*rise, one product of numerator tuples; :meth:`height` gives
+    it at any abscissa.  No field element is kept."""
 
-    __slots__ = ("grid", "ends", "weight", "slope", "rise", "base", "den", "_vectors")
+    __slots__ = ("grid", "ends", "weight", "rise", "base", "den")
 
-    def __init__(self, grid: Grid, p, q, mult: int, dx: int, slope: FieldElement, rise, m: int):
+    def __init__(self, grid: Grid, p, q, mult: int, dx: int, rise, m: int):
         self.grid = grid
         self.ends = (p, q)
         self.weight = dx * mult
-        self.slope = slope
         self.rise = rise
         x, y = p
         self.base = tuple(map(sub, [n * m for n in y], grid.field.product(x, rise)))
         self.den = grid.den * m
-        self._vectors = None
 
     def height(self, x: FieldElement) -> tuple[tuple[int, ...], int]:
         """The height at abscissa x as numerators over a positive
@@ -163,17 +165,6 @@ class _Segment:
         d, den = self.grid.den, x.den
         xr = self.grid.field.product(x.nums, self.rise)
         return tuple([b * den + d * n for b, n in zip(self.base, xr)]), self.den * den
-
-    def y_at(self, x: FieldElement) -> FieldElement:
-        """The height at abscissa x, the stored one at an endpoint."""
-        if self._vectors is None:
-            self._vectors = [self.grid.vector(*end) for end in self.ends]
-        p, q = self._vectors
-        if x == p.x:
-            return p.y
-        if x == q.x:
-            return q.y
-        return p.y + (x - p.x) * self.slope
 
 
 def _direction(p: PlaneVector, q: PlaneVector) -> tuple[int, FieldElement | None]:
@@ -258,9 +249,13 @@ class Face:
     @property
     def sample(self) -> PlaneVector:
         """The strictly interior point midway between the face's edges
-        above the slab's midpoint."""
+        above the slab's midpoint.  Its height is the mean of the two
+        edges' :meth:`_Segment.height` there, which share a denominator,
+        built as one field element."""
         xm = (self.x0 + self.x1) / 2
-        return PlaneVector(xm, (self.lower.y_at(xm) + self.upper.y_at(xm)) / 2)
+        lo, den = self.lower.height(xm)
+        hi, _ = self.upper.height(xm)
+        return PlaneVector(xm, FieldElement.from_integers(xm.field, map(add, lo, hi), 2 * den))
 
     def heights(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         """The heights of the four corners, counterclockwise from the lower
@@ -275,20 +270,20 @@ class Face:
         )
 
 
-def arrangement_faces(poly: Polygon, translates, region: Polygon) -> list[Face]:
+def arrangement_faces(poly: Polygon, grid: Grid, translates, region: Polygon) -> list[Face]:
     """Every face of the translate-edge arrangement inside the convex
     region with its covering count: slab by slab from the left, bottom to
     top within a slab.
 
     Counts are propagated up each slab's ladder from 0 below every edge;
-    ``translates`` must hold every translate that can meet the region.
+    ``translates`` must hold every translate that can meet the region, as
+    ``(point, multiplicity)`` pairs with each point on ``grid``, whose
+    denominator D the region's and the polygon's vertices divide.
 
-    The sweep runs on one grid: region vertices, polygon vertices and
-    translate positions as numerator tuples over their common denominator
-    D, so a translated vertex is a tuple sum.  Every vertex abscissa is
-    ranked once, and from then on the sweep compares integer ranks.  With
-    rb the region's bounding box, the events are the ranks from rb.x0 to
-    rb.x1.  Only the live segments,
+    The sweep runs on that grid, so a translated vertex is a tuple sum.
+    Every vertex abscissa is ranked once, and from then on the sweep
+    compares integer ranks.  With rb the region's bounding box, the
+    events are the ranks from rb.x0 to rb.x1.  Only the live segments,
     those that are not vertical and whose open x-range meets the open
     interval (rb.x0, rb.x1), enter the crossing test and the ladders;
     dropping the others is exact.  A dropped segment never spans a slab,
@@ -322,20 +317,17 @@ def arrangement_faces(poly: Polygon, translates, region: Polygon) -> list[Face]:
     are built first and every sort is stable, so a line that holds a
     region edge has it as its first segment, and walking up the ladder
     each such line toggles "inside"."""
-    translates = list(translates)
-    nr, npoly = len(region.vertices), len(poly.vertices)
-    grid = Grid(poly.field, [*region.vertices, *poly.vertices, *(lam for lam, _ in translates)])
-    points = grid.points
+    nr = len(region.vertices)
     # every edge direction, with the numerators of its slope over one M
     # unless it is vertical; a translate edge has the direction and slope
     # of its polygon edge
     dirs = [_direction(a, b) for a, b in region.edges() + poly.edges()]
     m = lcm(*(slope.den for dx, slope in dirs if dx))
-    dirs = [(dx, slope, dx and _scaled(slope, m)) for dx, slope in dirs]
+    dirs = [(dx, dx and _scaled(slope, m)) for dx, slope in dirs]
     region_dirs, poly_dirs = dirs[:nr], dirs[nr:]
-    outlines = [(points[:nr], 0, region_dirs)]
-    shape = points[nr : nr + npoly]
-    for (lx, ly), (_, mult) in zip(points[nr + npoly :], translates):
+    outlines = [([grid.point(v) for v in region.vertices], 0, region_dirs)]
+    shape = [grid.point(v) for v in poly.vertices]
+    for (lx, ly), mult in translates:
         vs = [(tuple(map(add, x, lx)), tuple(map(add, y, ly))) for x, y in shape]
         outlines.append((vs, mult, poly_dirs))
     rank = _ranks((x for vs, _, _ in outlines for x, _ in vs), grid.key)
@@ -351,11 +343,11 @@ def arrangement_faces(poly: Polygon, translates, region: Polygon) -> list[Face]:
     bounds = set()
     for n, (vs, mult, dirs) in enumerate(outlines):
         rs = [rank[x] for x, _ in vs]
-        for i, (dx, slope, rise) in enumerate(dirs):
+        for i, (dx, rise) in enumerate(dirs):
             j = i + 1 if i + 1 < len(vs) else 0
             lo, hi = (rs[i], rs[j]) if dx > 0 else (rs[j], rs[i])
             if dx and lo < last and hi > first:
-                s = _Segment(grid, vs[i], vs[j], mult, dx, slope, rise, m)
+                s = _Segment(grid, vs[i], vs[j], mult, dx, rise, m)
                 if n == 0:  # the region's own edges
                     bounds.add(s)
                 for k in range(max(lo, first), min(hi, last)):

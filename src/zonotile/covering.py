@@ -10,18 +10,15 @@ the faces of that region from ``arrangement_faces``
 (:mod:`zonotile.arrangement`), an exact vertical decomposition with one
 count per face.
 
-Both the sweep and the box enumeration run on one integer grid.  The
-positions of a scene (polygon and region vertices, translate positions)
-become integer numerator tuples over their common denominator D, and the
-edge slopes numerator tuples over theirs, M, so a translated vertex is a
-tuple sum and a height at an event abscissa is a tuple over D*M.  Field elements are canonical, so
-equal values over one denominator are equal tuples and hash as tuples;
-distinct values are ordered by tuple order over Q and by the exact
-integer sign of their difference over a larger field.  Field elements
-remain only at the crossing abscissas, the slab ends of a ``Face`` and
-the segment endpoints a face's sample reads.
-``lattice_points_in_box`` steps by b1 and b2 on the grid of the basis
-and the box, and builds a vector only for a point inside the box.
+Each scene is put on one integer grid (``arrangement.Grid``) once, by
+``region_translates``: the region's and the polygon's vertices, the
+search box and the parts' bases and offsets become integer numerator
+tuples over their common denominator D.  The translate positions are
+enumerated on that grid, stepping by b1 and b2 from each part's offset,
+and reach the sweep and the renderer as grid tuples, merged by position;
+no vector is built for a translate.  ``lattice_points_in_box`` and
+``TranslateSet.points_in`` give the same positions as vectors, as
+oracles.
 
 ``covering_at`` counts one point by brute-force point location.  It is the
 oracle the tests hold the propagated counts to.
@@ -37,7 +34,7 @@ from operator import add, sub
 from .arrangement import Face, Grid, arrangement_faces
 from .errors import BoundaryError, GeometryError, InternalError, WindowError
 from .field import Field, FieldElement
-from .lattice import PlaneLattice, PlaneVector, intersect, vector
+from .lattice import PlaneLattice, PlaneVector, intersect
 
 __all__ = [
     "Polygon",
@@ -85,12 +82,6 @@ class Box:
             PlaneVector(self.x1, self.y1),
             PlaneVector(self.x0, self.y1),
         ]
-
-    def shift(self, v: PlaneVector) -> "Box":
-        return Box(self.x0 + v.x, self.y0 + v.y, self.x1 + v.x, self.y1 + v.y)
-
-    def is_empty(self) -> bool:
-        return self.x1 < self.x0 or self.y1 < self.y0
 
     def has_area(self) -> bool:
         return self.x1 > self.x0 and self.y1 > self.y0
@@ -220,8 +211,9 @@ class WindowPattern:
         self.window = tuple(Fraction(w) for w in window)
         self._multiplicity = multiplicity
 
-    def points_in(self, box: Box) -> list[tuple[PlaneVector, int]]:
-        field = box.x0.field
+    def points_in(self, box: Box) -> list[tuple[tuple[int, int], int]]:
+        """The pattern's points (m, n) in the box and the window, with
+        their nonzero multiplicities."""
         wx0, wy0, wx1, wy1 = self.window
         mlo = max(box.x0.ceil(), -(-wx0.numerator // wx0.denominator))
         mhi = min(box.x1.floor(), wx1.numerator // wx1.denominator)
@@ -233,7 +225,7 @@ class WindowPattern:
             for n in range(nlo, nhi + 1):
                 k = self._multiplicity(m, n)
                 if k:
-                    out.append((vector(field, m, n), k))
+                    out.append(((m, n), k))
         return out
 
 
@@ -269,41 +261,63 @@ class TranslateSet:
         return reduce(intersect, (lat for lat, _ in self.parts))
 
     def points_in(self, box: Box) -> list[tuple[PlaneVector, int]]:
-        if self.is_periodic:
-            out = []
-            for lat, z in self.parts:
-                if lat.contains(z):  # the part is the lattice itself
-                    out.extend((p, 1) for p in lattice_points_in_box(lat, box))
-                    continue
-                for p in lattice_points_in_box(lat, box.shift(-z)):
-                    out.append((p + z, 1))
-            return out
-        return self.pattern.points_in(box)
+        """Every translate position in the closed box with its
+        multiplicity, part by part and unmerged, as vectors.  No pipeline
+        code calls it: it is the oracle that ``covering_at`` and the tests
+        read, built on the enumerator whose grid points
+        ``region_translates`` merges."""
+        grid = _scene_grid(box.x0.field, self, box.corners())
+        return [(grid.vector(*p), k) for p, k in _positions(grid, self, box)]
 
 
 def lattice_points_in_box(lat: PlaneLattice, box: Box) -> list[PlaneVector]:
     """Exactly the lattice points inside the closed box, row by row in the
-    first coordinate.
+    first coordinate.  No pipeline code calls it: it is the tests' oracle
+    view of the grid enumeration ``region_translates`` runs."""
+    zero = lat.field.zero()
+    return [p for p, _ in TranslateSet.periodic([(lat, PlaneVector(zero, zero))]).points_in(box)]
 
-    The basis and the box are put on one grid.  A corner's lattice
-    coordinates are cross products of numerator tuples over the basis
-    determinant, linear in the corner, so the extreme corners by grid
-    order bound the candidate range.  Each candidate is one integer step
-    of b2 or b1 from the last, and a vector is built only for a candidate
-    inside the box."""
-    if box.is_empty():
+
+def _scene_grid(field: Field, tset: TranslateSet, vectors) -> Grid:
+    """The grid of the vectors and of the bases and offsets of the
+    translate set's parts; pattern points are integers."""
+    parts = [v for lat, z in tset.parts for v in (*lat.basis(), z)] if tset.is_periodic else []
+    return Grid(field, [*vectors, *parts])
+
+
+def _positions(grid: Grid, tset: TranslateSet, box: Box) -> list:
+    """Every translate position in the closed box with its multiplicity,
+    part by part and unmerged, as grid points.  The grid must hold the
+    box corners and the parts' bases and offsets (``_scene_grid``)."""
+    lo, _, hi, _ = map(grid.point, box.corners())
+    if tset.is_periodic:
+        return [(p, 1) for lat, z in tset.parts for p in _lattice_points(grid, lat, z, lo, hi)]
+    d, pad = grid.den, (0,) * (grid.field.size - 1)
+    return [(((m * d, *pad), (n * d, *pad)), k) for (m, n), k in tset.pattern.points_in(box)]
+
+
+def _lattice_points(grid: Grid, lat: PlaneLattice, z: PlaneVector, lo, hi) -> list:
+    """The points of lat + z inside the closed box from the grid point lo
+    to the grid point hi, as grid points, row by row in the first
+    coordinate.
+
+    The lattice coordinates of a corner less z are cross products of
+    numerator tuples over the basis determinant, linear in the corner, so
+    the extreme corners by grid order bound the candidate range.  Each
+    candidate is one integer step of b2 or b1 from the last."""
+    (b1x, b1y), (b2x, b2y), (zx, zy) = map(grid.point, (*lat.basis(), z))
+    (x0, y0), (x1, y1) = lo, hi
+    below = grid.le
+    if not (below(x0, x1) and below(y0, y1)):
         return []
-    b1, b2 = lat.basis()
-    field = lat.field
-    grid = Grid(field, (b1, b2, PlaneVector(box.x0, box.y0), PlaneVector(box.x1, box.y1)))
-    (b1x, b1y), (b2x, b2y), (x0, y0), (x1, y1) = grid.points
+    field = grid.field
     product = field.product
 
     def cross(ux, uy, vx, vy):
         return tuple(map(sub, product(ux, vy), product(uy, vx)))
 
     det = FieldElement.from_integers(field, cross(b1x, b1y, b2x, b2y))
-    corners = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+    corners = [(tuple(map(sub, x, zx)), tuple(map(sub, y, zy))) for x, y in (lo, (x1, y0), hi, (x0, y1))]
 
     def integer_range(scaled):
         lo, hi = min(scaled, key=grid.key), max(scaled, key=grid.key)
@@ -317,15 +331,14 @@ def lattice_points_in_box(lat: PlaneLattice, box: Box) -> list[PlaneVector]:
     alo, ahi = integer_range([cross(x, y, b2x, b2y) for x, y in corners])
     blo, bhi = integer_range([cross(b1x, b1y, x, y) for x, y in corners])
     _check_budget(max(ahi - alo + 1, 0) * max(bhi - blo + 1, 0), "lattice points")
-    below = grid.le
     out = []
-    rx = tuple([alo * m + blo * n for m, n in zip(b1x, b2x)])
-    ry = tuple([alo * m + blo * n for m, n in zip(b1y, b2y)])
+    rx = tuple([c + alo * m + blo * n for c, m, n in zip(zx, b1x, b2x)])
+    ry = tuple([c + alo * m + blo * n for c, m, n in zip(zy, b1y, b2y)])
     for _ in range(alo, ahi + 1):
         px, py = rx, ry
         for _ in range(blo, bhi + 1):
             if below(x0, px) and below(px, x1) and below(y0, py) and below(py, y1):
-                out.append(grid.vector(px, py))
+                out.append((px, py))
             px, py = tuple(map(add, px, b2x)), tuple(map(add, py, b2y))
         rx, ry = tuple(map(add, rx, b1x)), tuple(map(add, ry, b1y))
     return out
@@ -360,26 +373,21 @@ class VerifyReport:
     window_relative: bool
 
 
-def region_translates(poly: Polygon, tset: TranslateSet, region_bbox: Box):
-    """The translates whose copy of poly can meet the box, each position
-    once with its summed multiplicity, in order of first appearance."""
-    pb = poly.bbox
-    search = Box(
-        region_bbox.x0 - pb.x1,
-        region_bbox.y0 - pb.y1,
-        region_bbox.x1 - pb.x0,
-        region_bbox.y1 - pb.y0,
-    )
-    # elements are canonical, so numerators and denominators identify a position
-    merged: dict[tuple, list] = {}
-    for lam, mult in tset.points_in(search):
-        key = (lam.x.nums, lam.x.den, lam.y.nums, lam.y.den)
-        entry = merged.get(key)
-        if entry is None:
-            merged[key] = [lam, mult]
-        else:
-            entry[1] += mult
-    return [(lam, mult) for lam, mult in merged.values()]
+def region_translates(poly: Polygon, tset: TranslateSet, region: Polygon):
+    """The scene on its grid: the one place a scene is put on a grid.
+
+    Returns the grid of the region's and the polygon's vertices, the
+    search box and the parts' bases and offsets, and the translates whose
+    copy of poly can meet the region's bounding box, each position once as
+    a grid point with its summed multiplicity, in order of first
+    appearance."""
+    pb, rb = poly.bbox, region.bbox
+    search = Box(rb.x0 - pb.x1, rb.y0 - pb.y1, rb.x1 - pb.x0, rb.y1 - pb.y0)
+    grid = _scene_grid(poly.field, tset, [*region.vertices, *poly.vertices, *search.corners()])
+    merged: dict[tuple, int] = {}
+    for p, k in _positions(grid, tset, search):
+        merged[p] = merged.get(p, 0) + k
+    return grid, list(merged.items())
 
 
 def _report(faces: list[Face], window_relative: bool) -> VerifyReport:
@@ -425,7 +433,7 @@ def verify_covering(poly: Polygon, tset: TranslateSet) -> VerifyReport:
     else:
         region = _windowed_region(poly, tset)
         window_relative = True
-    faces = arrangement_faces(poly, region_translates(poly, tset, region.bbox), region)
+    faces = arrangement_faces(poly, *region_translates(poly, tset, region), region)
     report = _report(faces, window_relative)
     if report.constant and tset.is_periodic:
         _check_density(poly, tset, report.multiplicity)
@@ -471,8 +479,8 @@ def strip_profile(poly: Polygon, lat: PlaneLattice, n_values) -> list[int]:
         region = Polygon(
             Box(field.zero(), field.rational(n), period, field.rational(n + 1)).corners()
         )
-        translates = region_translates(poly, tset, region.bbox)
-        counts = {f.count for f in arrangement_faces(poly, translates, region)}
+        faces = arrangement_faces(poly, *region_translates(poly, tset, region), region)
+        counts = {f.count for f in faces}
         if len(counts) != 1:
             raise GeometryError(f"covering is not constant on strip [{n}, {n + 1}]: counts {sorted(counts)}")
         out.append(counts.pop())

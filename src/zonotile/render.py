@@ -6,18 +6,18 @@ covering multiplicity.  They are the verifier's own faces
 covering function.  Translate outlines are stroked on top and a legend
 lists the observed multiplicities.  All geometry is exact until the final
 coordinate emission, and every coordinate is emitted from integer
-numerators on the sweep's grid (``arrangement.Grid``): a corner's height
-from ``Face.heights``, an outline vertex as the tuple sum of a polygon
-vertex and a translate position, the size from the window's own
-numerators.  A rational coordinate is rounded from its numerator and
-denominator, an irrational one from the midpoint of its 30-bit enclosure.
+numerators on the one grid ``region_translates`` puts the scene on, the
+sweep's: a corner's height from ``Face.heights``, an outline vertex as
+the tuple sum of a polygon vertex and a translate position, both grid
+tuples, the size from the window's own numerators.  A rational
+coordinate is rounded from its numerator and denominator, an irrational
+one from the midpoint of its 30-bit enclosure.
 """
 
 from __future__ import annotations
 
 from operator import add
 
-from .arrangement import Grid
 from .covering import Box, Polygon, TranslateSet, arrangement_faces, region_translates
 from .errors import WindowError
 from .field import Field, FieldElement
@@ -104,8 +104,8 @@ def render_svg(poly: Polygon, tset: TranslateSet, window: Box) -> str:
     if not window.has_area():
         raise WindowError("render window is empty")
     region = Polygon(window.corners())
-    translates = region_translates(poly, tset, region.bbox)
-    faces = arrangement_faces(poly, translates, region)
+    grid, translates = region_translates(poly, tset, region)
+    faces = arrangement_faces(poly, grid, translates, region)
     field = poly.field
     sx, sy = _Axis(field, window.x0, 1), _Axis(field, window.y1, -1)
     w, wd = sx.value(window.x1.nums, window.x1.den)
@@ -127,9 +127,8 @@ def render_svg(poly: Polygon, tset: TranslateSet, window: Box) -> str:
             f'<polygon points="{x0},{l0} {x1},{l1} {x1},{u1} {x0},{u0}" '
             f'fill="{_fill(face.count)}" stroke="none"/>'
         )
-    grid = Grid(field, [*poly.vertices, *(lam for lam, _ in translates)])
-    shape, d = grid.points[: len(poly.vertices)], grid.den
-    for lx, ly in grid.points[len(shape) :]:
+    shape, d = [grid.point(v) for v in poly.vertices], grid.den
+    for (lx, ly), _ in translates:
         points = " ".join(
             f"{sx(tuple(map(add, x, lx)), d)},{sy(tuple(map(add, y, ly)), d)}" for x, y in shape
         )

@@ -134,6 +134,31 @@ def test_criterion_4_decision_soundness_loop():
           f"witnesses, oracle multiplicity equals area/det ({elapsed:.1f}s)")
 
 
+def test_criterion_4_uncapped_witnesses():
+    """20 half-integer polygons, m = 3..12 twice, with no multiplicity cap:
+    witness verified at its multiplicity, Bolle agrees."""
+    rng = random.Random(11)
+    pool = [Fraction(n, 2) for n in range(-3, 4)]
+    start = time.monotonic()
+    multiplicities = []
+    for m in [*range(3, 13)] * 2:
+        z = random_zonotope(rng, m=m, pool=pool)
+        dec = decide_multitiling(z)
+        assert dec.multi_tiles
+        assert bolle_check(z, dec.witness_lattice).verdict
+        expected = z.area() / dec.witness_lattice.det
+        oracle = verify_covering(Polygon.from_zonotope(z), single_lattice_set(dec.witness_lattice))
+        assert oracle.constant
+        assert oracle.multiplicity == expected == dec.witness_multiplicity
+        multiplicities.append(oracle.multiplicity)
+    elapsed = time.monotonic() - start
+    # the draw reaches multiplicities far past criterion 4's cap of 24
+    assert max(multiplicities) > 1000
+    assert elapsed < 30.0, f"uncapped witnesses took {elapsed:.1f}s"
+    print(f"CRITERION 4 (uncapped): PASS - 20 witnesses of multiplicity "
+          f"{min(multiplicities)} to {max(multiplicities)} verified ({elapsed:.1f}s)")
+
+
 def test_criterion_5_bolle_oracle_equivalence():
     """Criterion verdict == exact-mode constancy on 100 polygon/lattice pairs."""
     rng = random.Random(555)

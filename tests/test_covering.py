@@ -2,6 +2,7 @@
 constancy verification, strips, and the builtin scenes."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -317,27 +318,31 @@ def verification_region(poly, tset):
     return Polygon(Box(pb.x1 + wx0, pb.y1 + wy0, pb.x0 + wx1, pb.y0 + wy1).corners())
 
 
+def oracle_scenes():
+    """The builtin scenes, and octagon-family with each part listed twice,
+    so that every translate has multiplicity 2."""
+    octagon_third = builtin_scene("octagon-family", beta=Fraction(1, 3))
+    return [
+        builtin_scene("octagon-family", beta=Fraction(0)),
+        octagon_third,
+        builtin_scene("octagon-family", beta=F2.sqrt(2)),
+        builtin_scene("tetromino-L1"),
+        builtin_scene("tetromino-L2"),
+        builtin_scene("tetromino-union"),
+        (octagon_third[0], TranslateSet.periodic(octagon_third[1].parts * 2)),
+    ]
+
+
 class TestArrangementCounts:
     """The counts propagated up the sweep's ladder, held to the brute-force
     oracle ``covering_at`` on every face."""
 
     def test_every_face_count_matches_the_oracle(self):
-        octagon_third = builtin_scene("octagon-family", beta=Fraction(1, 3))
-        scenes = [
-            builtin_scene("octagon-family", beta=Fraction(0)),
-            octagon_third,
-            builtin_scene("octagon-family", beta=F2.sqrt(2)),
-            builtin_scene("tetromino-L1"),
-            builtin_scene("tetromino-L2"),
-            builtin_scene("tetromino-union"),
-            (lattice_octagon(), single(octagon_strip_lattice())),
-            # each part listed twice: every translate has multiplicity 2
-            (octagon_third[0], TranslateSet.periodic(octagon_third[1].parts * 2)),
-            concurrent_crossing_scene(),
-        ]
+        scenes = oracle_scenes()
+        scenes += [(lattice_octagon(), single(octagon_strip_lattice())), concurrent_crossing_scene()]
         for poly, tset in scenes:
             region = verification_region(poly, tset)
-            faces = arrangement_faces(poly, region_translates(poly, tset, region.bbox), region)
+            faces = arrangement_faces(poly, *region_translates(poly, tset, region), region)
             assert faces
             for face in faces:
                 assert face.count == covering_at(poly, tset, face.sample)
@@ -345,11 +350,12 @@ class TestArrangementCounts:
     def test_concurrent_crossing_scene_is_degenerate(self):
         poly, tset = concurrent_crossing_scene()
         region = verification_region(poly, tset)
-        translates = region_translates(poly, tset, region.bbox)
+        grid, translates = region_translates(poly, tset, region)
         x, y = Q.rational(H), Q.rational(1)
         assert region.locate(V(x, y)) == 1
         through = []
-        for lam, _ in translates:
+        for pos, _ in translates:
+            lam = grid.vector(*pos)
             vs = [v + lam for v in poly.vertices]
             # (1/2, 1) is no vertex abscissa, so it lies inside a slab
             assert all(v.x != x for v in vs)
@@ -361,11 +367,53 @@ class TestArrangementCounts:
     def test_region_translates_sums_repeated_positions(self):
         poly, tset = builtin_scene("octagon-family", beta=Fraction(1, 3))
         doubled = TranslateSet.periodic(tset.parts * 2)
-        box = qbox(0, 0, 1, 2)
-        once = region_translates(poly, tset, box)
+        region = Polygon(qbox(0, 0, 1, 2).corners())
+        _, once = region_translates(poly, tset, region)
         assert len({p for p, _ in once}) == len(once)
         assert all(k == 1 for _, k in once)
-        assert region_translates(poly, doubled, box) == [(p, 2) for p, _ in once]
+        assert region_translates(poly, doubled, region)[1] == [(p, 2) for p, _ in once]
+
+    def test_region_translates_are_the_oracle_positions(self):
+        # the grid positions the sweep reads, as vectors, are the oracle's
+        # positions summed by place
+        for poly, tset in oracle_scenes():
+            region = verification_region(poly, tset)
+            grid, translates = region_translates(poly, tset, region)
+            got = Counter()
+            for p, k in translates:
+                got[grid.vector(*p)] += k
+            assert len(got) == len(translates)
+            pb, rb = poly.bbox, region.bbox
+            search = Box(rb.x0 - pb.x1, rb.y0 - pb.y1, rb.x1 - pb.x0, rb.y1 - pb.y0)
+            want = Counter()
+            for p, k in tset.points_in(search):
+                want[p] += k
+            assert got == want
+
+    def test_field_work_does_not_follow_the_translates(self, monkeypatch):
+        # the lattice octagon on (1/n)Z^2 meets (3n+2)^2 translates; no
+        # field element is built per translate
+        scenes = []
+        for n in (8, 16):
+            tset = single(PlaneLattice(V(Fraction(1, n), 0), V(0, Fraction(1, n))))
+            poly = lattice_octagon()
+            translates = region_translates(poly, tset, verification_region(poly, tset))[1]
+            scenes.append((n, poly, tset, len(translates)))
+        assert [t for *_, t in scenes] == [676, 2500]
+        made = []
+        from_integers = FieldElement.from_integers.__func__
+
+        def counted(cls, *args, **kwargs):
+            made.append(args)
+            return from_integers(cls, *args, **kwargs)
+
+        monkeypatch.setattr(FieldElement, "from_integers", classmethod(counted))
+        calls = []
+        for n, poly, tset, _ in scenes:
+            made.clear()
+            assert verify_covering(poly, tset).multiplicity == 7 * n * n
+            calls.append(len(made))
+        assert calls[1] - calls[0] < (2500 - 676) / 10, calls
 
 
 class _RefSegment:
@@ -483,8 +531,9 @@ class TestArrangementEvents:
 
     def test_face_slabs_are_the_all_pairs_events(self):
         for poly, tset, region in arrangement_event_scenes():
-            translates = region_translates(poly, tset, region.bbox)
-            faces = arrangement_faces(poly, translates, region)
+            grid, translates = region_translates(poly, tset, region)
+            faces = arrangement_faces(poly, grid, translates, region)
+            translates = [(grid.vector(*p), k) for p, k in translates]
             # every region is convex, so every slab holds a face
             got = {f.x0 for f in faces} | {f.x1 for f in faces}
             assert sorted(got) == all_pairs_events(poly, translates, region)
@@ -499,8 +548,9 @@ class TestArrangementEvents:
 
         monkeypatch.setattr(Polygon, "locate", counted)
         for poly, tset, region in arrangement_event_scenes():
-            translates = region_translates(poly, tset, region.bbox)
-            faces = arrangement_faces(poly, translates, region)
+            grid, translates = region_translates(poly, tset, region)
+            faces = arrangement_faces(poly, grid, translates, region)
+            translates = [(grid.vector(*p), k) for p, k in translates]
             assert calls == []
             slabs = sorted({f.x0 for f in faces} | {f.x1 for f in faces})
             got = [(f.x0, f.x1, f.sample, f.count) for f in faces]
@@ -508,16 +558,19 @@ class TestArrangementEvents:
             calls.clear()
 
     def test_corner_heights_are_the_edge_heights(self):
-        # Face.heights reads the grid; y_at evaluates the edge with field
-        # arithmetic from its endpoints
+        # Face.heights reads the grid; the oracle evaluates the edge with
+        # field arithmetic from its endpoints
+        def y_at(segment, x):
+            p, q = (segment.grid.vector(*end) for end in segment.ends)
+            return p.y + (x - p.x) * (q.y - p.y) / (q.x - p.x)
+
         for poly, tset, region in arrangement_event_scenes():
-            translates = region_translates(poly, tset, region.bbox)
-            for f in arrangement_faces(poly, translates, region):
+            for f in arrangement_faces(poly, *region_translates(poly, tset, region), region):
                 expected = [
-                    f.lower.y_at(f.x0),
-                    f.lower.y_at(f.x1),
-                    f.upper.y_at(f.x1),
-                    f.upper.y_at(f.x0),
+                    y_at(f.lower, f.x0),
+                    y_at(f.lower, f.x1),
+                    y_at(f.upper, f.x1),
+                    y_at(f.upper, f.x0),
                 ]
                 got = [FieldElement.from_integers(poly.field, *h) for h in f.heights()]
                 assert got == expected
@@ -535,8 +588,9 @@ class TestGridOrder:
         r2 = F2.sqrt(2)
         values = [p - q * r2 for p, q in convergents]
         values += [v / 3 for v in values[::2]] + [-v / 7 for v in values[1::2]] + [F2.zero(), F2.one()]
-        grid = Grid(F2, [PlaneVector(v, F2.zero()) for v in values])
-        xs = [x for x, _ in grid.points]
+        vectors = [PlaneVector(v, F2.zero()) for v in values]
+        grid = Grid(F2, vectors)
+        xs = [grid.point(v)[0] for v in vectors]
         assert len(set(xs)) == len(values)
         assert [grid.element(x) for x in sorted(xs, key=grid.key)] == sorted(values)
         assert [grid.element(x) for x in sorted(xs, key=grid.key, reverse=True)] == sorted(values, reverse=True)

@@ -87,3 +87,19 @@ def test_every_public_name_has_a_caller_or_an_oracle_role():
         if not any("oracle" in line or "acceptance criterion" in line for line in lines):
             offenders.append(f"{module}.{name}")
     assert not offenders, offenders
+
+
+def test_only_covering_builds_a_grid():
+    """One grid per scene: ``covering`` puts each scene on its grid, and
+    the sweep and the renderer read that grid."""
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "covering.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "Grid":
+                    offenders.append(f"{path.name}:{node.lineno} calls Grid(")
+    assert not offenders, offenders
