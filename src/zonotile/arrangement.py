@@ -103,7 +103,7 @@ class Grid:
 
     def __init__(self, field: Field, vectors):
         vectors = list(vectors)
-        if any(c.field.radicands != field.radicands for v in vectors for c in (v.x, v.y)):
+        if any(c.field is not field for v in vectors for c in (v.x, v.y)):
             raise FieldError(f"a point of the scene is not over {field!r}")
         self.field = field
         self.den = lcm(*(c.den for v in vectors for c in (v.x, v.y)))

@@ -43,7 +43,7 @@ def _cmd_check(args) -> int:
     lat_doc = jsonio.load_document(args.lattice)
     lat = jsonio.decode_lattice_document(lat_doc)
     z = jsonio.decode_zonotope_document(poly_doc, field=lat.field)
-    if z.field != lat.field:
+    if z.field is not lat.field:
         embed = z.field.embed
         lat = PlaneLattice(*(PlaneVector(embed(v.x), embed(v.y)) for v in lat.basis()))
     report = bolle_check(z, lat)

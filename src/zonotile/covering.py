@@ -34,7 +34,7 @@ from operator import add, sub
 from .arrangement import Face, Grid, arrangement_faces
 from .errors import BoundaryError, GeometryError, InternalError, WindowError
 from .field import Field, FieldElement
-from .lattice import PlaneLattice, PlaneVector, intersect
+from .lattice import PlaneLattice, PlaneVector, doubled_area, intersect
 
 __all__ = [
     "Polygon",
@@ -96,7 +96,7 @@ class Polygon:
         vs = list(vertices)
         if len(vs) < 3:
             raise GeometryError("a polygon needs at least 3 vertices")
-        s = _doubled_area(vs).sign()
+        s = doubled_area(vs).sign()
         if s == 0:
             raise GeometryError("degenerate polygon")
         if s < 0:
@@ -116,7 +116,7 @@ class Polygon:
 
     def area(self) -> FieldElement:
         """The enclosed area, by the shoelace formula."""
-        return _doubled_area(self.vertices) / 2
+        return doubled_area(self.vertices) / 2
 
     def edges(self):
         vs = self.vertices
@@ -166,15 +166,6 @@ class Polygon:
             if val.sign() * sdy > 0:
                 parity ^= 1
         return 1 if parity else -1
-
-
-def _doubled_area(vs) -> FieldElement:
-    """Twice the signed area of the closed vertex cycle, positive when it
-    turns counterclockwise."""
-    doubled = vs[0].field.zero()
-    for i in range(len(vs)):
-        doubled = doubled + vs[i].cross(vs[(i + 1) % len(vs)])
-    return doubled
 
 
 def _orient(a: PlaneVector, b: PlaneVector, c: PlaneVector) -> int:

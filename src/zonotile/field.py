@@ -17,6 +17,10 @@ The precision doubles until the enclosure excludes zero, which terminates
 because a nonzero element is bounded away from zero.  No predicate in
 this package touches floating point.
 
+There is one live :class:`Field` per radicand set, so the package
+compares fields with ``is``, and each field carries the JSON name of
+every monomial of its basis.
+
 Both integer kernels are public :class:`Field` methods: ``product``
 multiplies two numerator tuples by the monomial rule and ``sign`` decides
 the sign of one.  Element multiplication, ``sign`` and the comparisons
@@ -27,6 +31,7 @@ values as numerator tuples over fixed denominators.
 from __future__ import annotations
 
 import sys
+import weakref
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import add, index, mul, neg, sub
@@ -39,6 +44,8 @@ _MAX_RADICANDS = 4
 _MAX_RADICAND = 10**18
 _HASH_MODULUS = sys.hash_info.modulus
 _HASH_INF = sys.hash_info.inf
+# the live field of each sorted radicand tuple; a field leaves with its last reference
+_FIELDS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def _is_squarefree(n: int) -> bool:
@@ -64,19 +71,25 @@ def _is_square(n: int) -> bool:
 
 
 class Field:
-    """Descriptor of Q(sqrt d_1, ..., sqrt d_k), k <= 4.
+    """Q(sqrt d_1, ..., sqrt d_k), k <= 4, one object per field.
 
     The radicands must be distinct squarefree integers >= 2 that are
     multiplicatively independent modulo squares (no nonempty subset has a
     perfect-square product); this is exactly what makes the 2**k monomials
-    linearly independent over Q.  Radicands are stored sorted, so two
-    fields with the same radicand set share one monomial layout.
+    linearly independent over Q.  ``Field(radicands)`` reads them with
+    ``operator.index``, sorts them and returns the one live field for that
+    tuple, so fields are compared with ``is``; a copy or a pickle of a
+    field is that field again.  ``names`` holds the JSON name of each
+    monomial in mask order: "1", then "r" and the monomial's product.
     """
 
-    __slots__ = ("radicands", "products", "_mask_of_product", "_zeros", "_root_cache")
+    __slots__ = ("radicands", "products", "names", "_mask_of_product", "_zeros", "_root_cache", "__weakref__")
 
-    def __init__(self, radicands=()):
-        rads = tuple(sorted(int(d) for d in radicands))
+    def __new__(cls, radicands=()):
+        rads = tuple(sorted(map(index, radicands)))
+        self = _FIELDS.get(rads)
+        if self is not None:
+            return self
         if len(rads) > _MAX_RADICANDS:
             raise FieldError(f"at most {_MAX_RADICANDS} radicands supported, got {len(rads)}")
         for d in rads:
@@ -101,19 +114,18 @@ class Field:
                     f"radicands {rads} are multiplicatively dependent "
                     f"(subset product {p} is a perfect square)"
                 )
+        self = object.__new__(cls)
         self.radicands = rads
         self.products = tuple(products)
+        self.names = ("1", *(f"r{p}" for p in products[1:]))
         self._mask_of_product = {p: m for m, p in enumerate(products)}
         self._zeros = (0,) * len(products)
         self._root_cache: dict[int, tuple[int, ...]] = {}
+        _FIELDS[rads] = self
+        return self
 
-    # -- identity ----------------------------------------------------------
-
-    def __eq__(self, other):
-        return isinstance(other, Field) and other.radicands == self.radicands
-
-    def __hash__(self):
-        return hash(self.radicands)
+    def __reduce__(self):
+        return Field, (self.radicands,)
 
     def __repr__(self):
         return f"Field({list(self.radicands)})"
@@ -161,14 +173,12 @@ class Field:
     # -- relations between fields --------------------------------------------
 
     def union(self, other: Field) -> Field:
-        if other.radicands == self.radicands:
-            return self
-        return Field(sorted(set(self.radicands) | set(other.radicands)))
+        return Field(set(self.radicands) | set(other.radicands))
 
     def embed(self, x: FieldElement) -> FieldElement:
         """Reinterpret an element of a compatible (sub)field in this field."""
-        if x.field.radicands == self.radicands:
-            return _make(self, x.nums, x.den)
+        if x.field is self:
+            return x
         nums = list(self._zeros)
         for mask, n in enumerate(x.nums):
             if not n:
@@ -389,7 +399,7 @@ class FieldElement:
 
     def _lift(self, other):
         if isinstance(other, FieldElement):
-            if other.field is not self.field and other.field.radicands != self.field.radicands:
+            if other.field is not self.field:
                 raise FieldError(
                     f"cannot mix elements of {self.field!r} and {other.field!r}"
                 )
@@ -538,7 +548,7 @@ class FieldElement:
             return (
                 self.den == other.den
                 and self.nums == other.nums
-                and (other.field is self.field or other.field.radicands == self.field.radicands)
+                and other.field is self.field
             )
         if isinstance(other, (int, Fraction)):
             nums = self.nums
@@ -580,15 +590,15 @@ class FieldElement:
 
     def __str__(self):
         terms = []
-        for mask, c in enumerate(self.coeffs):
+        for name, c in zip(self.field.names, self.coeffs):
             if not c:
                 continue
-            if mask == 0:
+            if name == "1":
                 terms.append(str(c))
             elif c == 1:
-                terms.append(f"r{self.field.products[mask]}")
+                terms.append(name)
             else:
-                terms.append(f"{c}*r{self.field.products[mask]}")
+                terms.append(f"{c}*{name}")
         return " + ".join(terms).replace("+ -", "- ") if terms else "0"
 
     def __repr__(self):

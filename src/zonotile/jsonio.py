@@ -1,8 +1,8 @@
 """Canonical JSON encodings for every value the CLI reads or writes.
 
 Field elements serialize as arrays of monomial terms
-``{"monomial": "1"|"r2"|"r6"|..., "num": "...", "den": "..."}`` where the
-monomial key is "r" followed by the product of the radicands it contains.
+``{"monomial": "1"|"r2"|"r6"|..., "num": "...", "den": "..."}``; the
+monomial names come from the field (``Field.names``).
 Documents that contain elements carry a top-level ``"field"`` key listing
 the radicands, which makes decoding unambiguous.  Encoding is canonical:
 lattices are in canonical basis form, keys are emitted sorted, and
@@ -11,7 +11,6 @@ round-tripping is bit-exact.
 
 from __future__ import annotations
 
-import functools
 import json
 import sys
 from fractions import Fraction
@@ -161,7 +160,7 @@ def parse_element_text(text: str, field: Field | None = None, where: str = "elem
         if rad is not None and rad >= 2:
             rads.add(rad)
     if field is None:
-        field = Field(sorted(rads)) if rads else RATIONALS
+        field = Field(rads)
     out = field.zero()
     for coef, rad in parsed:
         if rad is None or rad == 1:
@@ -176,16 +175,8 @@ def parse_element_text(text: str, field: Field | None = None, where: str = "elem
 # -- field elements ------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=64)
-def _monomials(products: tuple[int, ...]) -> tuple[tuple[str, ...], dict[str, int]]:
-    """For a field with these monomial products: the JSON name of each
-    basis monomial, in mask order, and the mask of each name."""
-    names = ("1", *(f"r{p}" for p in products[1:]))
-    return names, {name: m for m, name in enumerate(names)}
-
-
 def encode_element(x: FieldElement) -> list[dict]:
-    names = _monomials(x.field.products)[0]
+    names = x.field.names
     den = x.den
     out = []
     for mask, n in enumerate(x.nums):
@@ -212,7 +203,7 @@ def _term_integer(term: dict, key: str) -> int:
 def decode_element(terms, field: Field) -> FieldElement:
     if not isinstance(terms, list):
         raise GeometryError(f"element must be a list of terms, got {terms!r}")
-    masks = _monomials(field.products)[1]
+    names = field.names
     parsed: dict[int, tuple[int, int]] = {}
     for term in terms:
         if not isinstance(term, dict):
@@ -221,11 +212,11 @@ def decode_element(terms, field: Field) -> FieldElement:
             if key not in term:
                 raise GeometryError(f"term {term!r} lacks {key!r}")
         name = term["monomial"]
-        mask = masks.get(name) if isinstance(name, str) else None
-        if mask is None:
+        if name not in names:
             raise GeometryError(
                 f"term {term!r}: monomial {name!r} does not exist in field {list(field.radicands)}"
             )
+        mask = names.index(name)
         if mask in parsed:
             raise GeometryError(f"duplicate monomial {name!r}")
         den = _term_integer(term, "den")
@@ -285,19 +276,11 @@ def decode_lattice(doc, field: Field, where: str = "") -> PlaneLattice:
         raise GeometryError(f"{where}: {exc}") from exc
 
 
-@functools.lru_cache(maxsize=64)
-def _shared_field(radicands: tuple[int, ...]) -> Field:
-    """One ``Field`` per sorted radicand tuple, so documents over the same
-    field share it and its cached roots.  A refused tuple is not cached
-    and raises its ``FieldError`` again on every call."""
-    return Field(radicands)
-
-
 def _decode_field(doc, field: Field | None = None) -> Field:
     rads = doc.get("field", [])
     if not isinstance(rads, list) or any(type(d) is not int for d in rads):
         raise GeometryError(f"'field' must be a list of integer radicands, got {rads!r}")
-    declared = _shared_field(tuple(sorted(rads)))
+    declared = Field(rads)
     return declared if field is None else field.union(declared)
 
 

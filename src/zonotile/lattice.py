@@ -36,6 +36,7 @@ __all__ = [
     "NOT_DISCRETE",
     "RANK_DEFICIENT",
     "vector",
+    "doubled_area",
     "rational_rank",
     "integer_span",
     "intersect",
@@ -94,6 +95,15 @@ def vector(field: Field, x, y) -> PlaneVector:
     return PlaneVector(lift(x), lift(y))
 
 
+def doubled_area(vs) -> FieldElement:
+    """Twice the signed area of the closed vertex cycle, positive when it
+    turns counterclockwise."""
+    doubled = vs[0].field.zero()
+    for i in range(len(vs)):
+        doubled = doubled + vs[i].cross(vs[(i + 1) % len(vs)])
+    return doubled
+
+
 def _integer_rows(vectors) -> tuple[list[list[int]], int]:
     """The flattened vectors as integer rows over one common denominator."""
     elems = [(v.x, v.y) for v in vectors]
@@ -127,9 +137,9 @@ def _check_common_field(vectors):
     vs = list(vectors)
     if not vs:
         raise GeometryError("empty vector list")
-    rads = vs[0].field.radicands
+    field = vs[0].field
     for v in vs:
-        if v.field.radicands != rads or v.y.field.radicands != rads:
+        if v.x.field is not field or v.y.field is not field:
             raise FieldError("vectors do not share a field")
     return vs
 
@@ -195,8 +205,8 @@ class PlaneLattice:
         give a1 and then a2; any residue left means ``v`` is no lattice
         point.
         """
-        rads = self.field.radicands
-        if v.x.field.radicands != rads or v.y.field.radicands != rads:
+        field = self.field
+        if v.x.field is not field or v.y.field is not field:
             raise FieldError(f"vector over {v.field!r} tested against a lattice over {self.field!r}")
         den = self._den
         if den % v.x.den or den % v.y.den:

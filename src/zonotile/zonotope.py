@@ -14,7 +14,7 @@ from functools import cmp_to_key
 
 from .errors import SymmetryError, ZonotopeError
 from .field import Field
-from .lattice import PlaneVector
+from .lattice import PlaneVector, doubled_area
 
 __all__ = ["Zonotope"]
 
@@ -40,10 +40,9 @@ class Zonotope:
         gens = [_normalize_upper(g, i + 1) for i, g in enumerate(generators)]
         if len(gens) < 2:
             raise ZonotopeError("a zonotope needs at least 2 generators")
-        rads = gens[0].field.radicands
-        for g in gens:
-            if g.field.radicands != rads:
-                raise ZonotopeError("generators do not share a field")
+        field = gens[0].field
+        if any(g.field is not field for g in gens):
+            raise ZonotopeError("generators do not share a field")
         for i in range(len(gens) - 1):
             if gens[i].cross(gens[i + 1]).sign() <= 0:
                 raise ZonotopeError(
@@ -125,12 +124,7 @@ class Zonotope:
         n = len(vs)
         if n < 4 or n % 2 != 0:
             raise SymmetryError(f"need an even number >= 4 of vertices, got {n}")
-        field = vs[0].field
-        zero = field.zero()
-        doubled_area = zero
-        for i in range(n):
-            doubled_area = doubled_area + vs[i].cross(vs[(i + 1) % n])
-        s = doubled_area.sign()
+        s = doubled_area(vs).sign()
         if s == 0:
             raise SymmetryError("degenerate vertex list")
         if s < 0:

@@ -1,5 +1,6 @@
 """Shared helpers: builders, random generators, and independent oracles."""
 
+import json
 from fractions import Fraction
 
 from zonotile import RATIONALS, Field, PlaneVector, Zonotope, vector
@@ -127,3 +128,42 @@ def lattice_window_points(lat, bound):
             ):
                 out.append((p.x, p.y))
     return set(out)
+
+
+MUTANT_VALUES = [None, True, 0, 1, -1, 2, 1.5, "", "x", "1/2", "sqrt(2)", "r2",
+                 [], {}, [1, 2], ["1", "2", "3", "4"], {"x": []}]
+
+
+def json_paths(doc, path=()):
+    """The key path of every node of a JSON document, the root first."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from json_paths(value, path + (key,))
+
+
+def json_mutant(rng, doc):
+    """A copy of ``doc`` with one node below the top level changed: it is
+    replaced by a value of ``MUTANT_VALUES``, deleted, wrapped in a list,
+    or, for a container, grown or shrunk by one entry."""
+    doc = json.loads(json.dumps(doc))
+    *head, key = rng.choice(list(json_paths(doc))[1:])
+    parent = doc
+    for k in head:
+        parent = parent[k]
+    node = parent[key]
+    op = rng.randrange(4)
+    if op == 0:
+        parent[key] = rng.choice(MUTANT_VALUES)
+    elif op == 1:
+        del parent[key]
+    elif op == 2:
+        parent[key] = [node]
+    elif isinstance(node, list) and node:
+        if rng.random() < 0.5:
+            node.append(node[0])
+        else:
+            node.pop()
+    elif isinstance(node, dict) and node:
+        del node[rng.choice(list(node))]
+    return doc

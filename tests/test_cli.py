@@ -1,19 +1,26 @@
 """End-to-end CLI behavior: exit codes, JSON output, determinism, SVG."""
 
 import dataclasses
+import functools
 import hashlib
+import io
 import json
 import sys
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zonotile import Field, PlaneLattice, Zonotope, vector
+from zonotile import BUILTIN_NAMES, Field, PlaneLattice, Zonotope, vector
 from zonotile import cli, covering, criteria, jsonio
 from zonotile.cli import main
 
-from conftest import V
+from conftest import F2, F23, V, json_mutant
 
 
 @pytest.fixture
@@ -629,3 +636,65 @@ class TestInternalError:
             "zonotile: internal error: InternalError: "
             "internal: the faces count 8 but the density count is 7\n"
         )
+
+
+@functools.cache
+def _mutation_cases():
+    """(command, input documents) for every command that reads documents:
+    a zonotope over Q(sqrt2, sqrt3), a lattice over Q(sqrt3) that ``check``
+    widens to the zonotope's field, an explicit scene and the builtin
+    scenes."""
+    f3 = Field([3])
+    r2 = F23.sqrt(2)
+    zonotope = jsonio.encode_zonotope(Zonotope([V(r2, 0, F23), V(r2, 1, F23), V(0, 1, F23), V(-r2, 1, F23)]))
+    lattice = {"field": [3], **jsonio.encode_lattice(PlaneLattice(V(1, 0, f3), V(0, f3.sqrt(3), f3)))}
+    z2 = jsonio.encode_lattice(PlaneLattice(V(1, 0), V(0, 1)))
+    explicit = {
+        "field": [],
+        "polygon": {"generators": [jsonio.encode_vector(V(x, y)) for x, y in [(1, 0), (1, 1), (0, 1), (-1, 1)]]},
+        "lambda": {
+            "window": ["-2", "-2", "2", "2"],
+            "periodic": [{"lattice": z2}, {"lattice": z2, "offset": jsonio.encode_vector(V(Fraction(1, 3), 1))}],
+        },
+    }
+    beta = F2.sqrt(2) + Fraction(1, 3)
+    builtins = [
+        jsonio.encode_scene_builtin(name, (-3, -3, 3, 3), beta if name == "octagon-family" else None)
+        for name in BUILTIN_NAMES
+    ]
+    cases = [("decide", (zonotope,)), ("canon", (zonotope,)), ("check", (zonotope, lattice))]
+    return cases + [(command, (scene,)) for scene in [explicit, *builtins] for command in ("verify", "render")]
+
+
+class TestMutatedCommands:
+    """The CLI on mutants (``json_mutant``) of valid documents exits 0, 1
+    or 2, writes no traceback and no internal error, and exits 1 only with
+    a JSON verdict on stdout."""
+
+    VERDICT = {"decide": "multi_tiles", "canon": "multi_tiles", "check": "verdict", "verify": "constant"}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_exit_codes(self, data):
+        command, docs = data.draw(st.sampled_from(_mutation_cases()))
+        docs = list(docs)
+        i = data.draw(st.integers(0, len(docs) - 1))
+        docs[i] = json_mutant(data.draw(st.randoms(use_true_random=False)), docs[i])
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as work:
+            argv = [command]
+            for k, doc in enumerate(docs):
+                path = Path(work, f"{k}.json")
+                path.write_text(json.dumps(doc))
+                argv.append(str(path))
+            if command == "render":
+                argv += ["-o", str(Path(work, "out.svg"))]
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+        err = err.getvalue()
+        assert code in (0, 1, 2), err
+        assert "Traceback" not in err and "internal error" not in err, err
+        if code == 1:
+            verdict = json.loads(out.getvalue())[self.VERDICT[command]]
+            # canon exits 1 on a tiling parallelogram too: it has no canonical lattice
+            assert verdict is False or (command == "canon" and verdict is True)

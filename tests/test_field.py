@@ -1,6 +1,10 @@
 """Exact field arithmetic: descriptors, operators, sign, and enclosures."""
 
+import copy
+import gc
+import pickle
 import random
+import weakref
 from fractions import Fraction
 from math import isqrt
 
@@ -73,6 +77,50 @@ class TestDescriptor:
 
     def test_radicands_stored_sorted(self):
         assert Field([3, 2]).radicands == (2, 3)
+
+    def test_radicands_must_be_integers(self):
+        # read with operator.index, as from_integers reads numerators:
+        # a float or a digit string is refused, not truncated
+        for rads in ([2.5], [3.99], ["3"], [2, 3.0]):
+            with pytest.raises(TypeError):
+                Field(rads)
+
+
+class TestInterning:
+    """One live ``Field`` per sorted radicand tuple, compared with ``is``."""
+
+    def test_one_object_per_radicand_set(self):
+        assert Field([3, 2]) is Field([2, 3])
+        assert Field(()) is RATIONALS
+        assert F2.union(Field([3])) is Field([2, 3])
+
+    def test_refused_tuple_raises_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(FieldError, match="not squarefree"):
+                Field([2, 12])
+
+    def test_copies_and_pickles_keep_the_field(self):
+        x = F23.sqrt(2) + Fraction(1, 3)
+        for back in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert back.field is x.field
+            assert back == x
+        assert copy.deepcopy(F23) is F23
+        # a copy rebuilt on a bare Field() would have overwritten the rationals
+        assert RATIONALS.radicands == ()
+        assert RATIONALS.size == 1
+
+    def test_field_is_rebuilt_after_its_elements_are_gone(self):
+        rads = (13, 17)  # a field no other test keeps alive
+        x = Field(rads).sqrt(13) - 4  # its sign fills the root cache
+        assert x.sign() < 0
+        gone = weakref.ref(x.field)
+        del x
+        gc.collect()
+        assert gone() is None
+        f = Field(rads)
+        assert f.sqrt(13) * f.sqrt(17) == f.sqrt(221)
+        assert (f.sqrt(17) - 4).sign() > 0
+        assert str(f.sqrt(221) / 2) == "1/2*r221"
 
 
 class TestArithmetic:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from zonotile import Field, FieldError, GeometryError, PlaneLattice, Zonotope, ZonotileError
 from zonotile import jsonio
 
-from conftest import F2, F23, Q, V, rand_element
+from conftest import F2, F23, Q, V, json_mutant, rand_element
 
 
 class TestElements:
@@ -278,15 +278,9 @@ class TestWriter:
 
 
 class TestMutatedDocuments:
-    """Type and shape mutants of valid documents raise only ZonotileError.
-
-    Each mutant changes one node below the top level: it is replaced by a
-    small value of another type, deleted, wrapped in a list, or, for a
-    container, grown or shrunk by one entry.  No mutant holds a large
-    number, so none asks for unbounded work."""
-
-    REPLACEMENTS = [None, True, 0, 1, -1, 2, 1.5, "", "x", "1/2", "sqrt(2)", "r2",
-                    [], {}, [1, 2], ["1", "2", "3", "4"], {"x": []}]
+    """Type and shape mutants of valid documents (``json_mutant``) raise
+    only ZonotileError.  No mutant holds a large number, so none asks for
+    unbounded work."""
 
     @staticmethod
     def seeds():
@@ -310,42 +304,12 @@ class TestMutatedDocuments:
             (lambda doc: jsonio.decode_window(doc.get("window"), "window"), {"window": ["-3", "-3", "3", "3"]}),
         ]
 
-    @staticmethod
-    def paths(doc, path=()):
-        yield path
-        if isinstance(doc, (dict, list)):
-            for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
-                yield from TestMutatedDocuments.paths(value, path + (key,))
-
-    def mutant(self, rng, doc):
-        doc = json.loads(json.dumps(doc))
-        *head, key = rng.choice(list(self.paths(doc))[1:])
-        parent = doc
-        for k in head:
-            parent = parent[k]
-        node = parent[key]
-        op = rng.randrange(4)
-        if op == 0:
-            parent[key] = rng.choice(self.REPLACEMENTS)
-        elif op == 1:
-            del parent[key]
-        elif op == 2:
-            parent[key] = [node]
-        elif isinstance(node, list) and node:
-            if rng.random() < 0.5:
-                node.append(node[0])
-            else:
-                node.pop()
-        elif isinstance(node, dict) and node:
-            del node[rng.choice(list(node))]
-        return doc
-
     def test_only_zonotile_errors(self):
         rng = random.Random(20261018)
         for decode, doc in self.seeds():
             decode(doc)
             for _ in range(100):
-                mutant = self.mutant(rng, doc)
+                mutant = json_mutant(rng, doc)
                 try:
                     decode(mutant)
                 except ZonotileError:

@@ -103,3 +103,21 @@ def test_only_covering_builds_a_grid():
                 if name == "Grid":
                     offenders.append(f"{path.name}:{node.lineno} calls Grid(")
     assert not offenders, offenders
+
+
+def test_only_field_compares_radicands_or_reads_products():
+    """One ``Field`` per field: other modules compare fields with ``is``
+    and take monomial names from ``Field.names``, so none compares
+    ``.radicands`` or reads ``.products``."""
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "field.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Compare):
+                for operand in (node.left, *node.comparators):
+                    if isinstance(operand, ast.Attribute) and operand.attr == "radicands":
+                        offenders.append(f"{path.name}:{node.lineno} compares .radicands")
+            elif isinstance(node, ast.Attribute) and node.attr == "products":
+                offenders.append(f"{path.name}:{node.lineno} reads .products")
+    assert not offenders, offenders
