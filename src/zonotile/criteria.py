@@ -14,21 +14,31 @@ Two layers:
   lattice whose determinant rationally divides det(e_j0, tau_j0).  The
   witness lattice produced is always re-verified by :func:`bolle_check`
   before it is returned; :func:`canonical_lattice` reuses its spans.
+
+Both run on the zonotope's integer rows (generators and pair translations
+over one denominator): spans are Hermite forms of rows, membership is read
+off the lattice's Hermite rows, and each "is this ratio rational" test,
+det(e, tau) / det(L) or area / det(L), asks whether two numerator tuples
+are proportional.  The one field arithmetic left is that of
+:func:`~zonotile.lattice.superlattice_meeting_line`, once per positive
+decision for even m.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
 
-from .errors import AccountingError, GeometryError, InternalError
+from .errors import AccountingError, FieldError, GeometryError, InternalError
 from .lattice import (
     LATTICE,
     PlaneLattice,
-    integer_span,
     intersect,
-    line_meets_lattice,
+    row_cross,
+    row_span,
     superlattice_meeting_line,
+    vectors_from_rows,
 )
 from .zonotope import Zonotope
 
@@ -82,34 +92,34 @@ class CanonicalLattice:
 
 
 def bolle_check(p: Zonotope, lat: PlaneLattice) -> BolleReport:
-    """Evaluate the per-edge-pair criterion for p against a concrete lattice."""
-    return _bolle_report(p, lat, p.pair_translations())
+    """Evaluate the per-edge-pair criterion for p against a concrete lattice.
+
+    A passing lattice has area / det equal to a positive integer by
+    Bolle's theorem, so any other value is a bug, not bad input."""
+    if lat.field is not p.field:
+        raise FieldError(f"zonotope over {p.field!r} checked against a lattice over {lat.field!r}")
+    den = p.den
+    pairs = tuple(
+        BollePair(j, lat.row_coords(t, den) is not None, lat.meets_line(e, t, den))
+        for j, (e, t) in enumerate(zip(p.rows, p.translation_rows()), start=1)
+    )
+    if not all(pr.cond1 or pr.cond2 for pr in pairs):
+        return BolleReport(pairs, False, None)
+    k = _multiplicity(p, lat, 1)
+    if k is None or k.denominator != 1:
+        raise InternalError(f"internal: a lattice passing the edge-pair criterion has area/det {k}")
+    return BolleReport(pairs, True, k.numerator)
 
 
-def _bolle_report(p: Zonotope, lat: PlaneLattice, shifts) -> BolleReport:
-    """``bolle_check`` with p's pair translations already at hand."""
-    pairs = []
-    for j, (e, t) in enumerate(zip(p.generators, shifts), start=1):
-        cond1 = lat.contains(t)
-        cond2 = line_meets_lattice(lat, e, t)  # False when e is not in lat
-        pairs.append(BollePair(j, cond1, cond2))
-    verdict = all(pr.cond1 or pr.cond2 for pr in pairs)
-    return BolleReport(tuple(pairs), verdict, _multiplicity(p, lat, 1) if verdict else None)
+def _multiplicity(p: Zonotope, lat: PlaneLattice, n_translates: int) -> Fraction | None:
+    """n_translates * area / det, or None when area / det is irrational."""
+    area = p.area()
+    ratio = lat.det_ratio(area.nums, area.den)
+    return None if ratio is None else n_translates * abs(ratio)
 
 
-def _multiplicity(p: Zonotope, lat: PlaneLattice, n_translates: int) -> int:
-    """n_translates * area / det, which must be a positive integer."""
-    ratio = (p.area() / lat.det).rational_value()
-    if ratio is None:
-        raise AccountingError("area/det is irrational")
-    k = n_translates * ratio
-    if k.denominator != 1 or k <= 0:
-        raise AccountingError(f"multiplicity {k} is not a positive integer")
-    return k.numerator
-
-
-def _verified(p: Zonotope, lat: PlaneLattice, shifts) -> BolleReport:
-    report = _bolle_report(p, lat, shifts)
+def _verified(p: Zonotope, lat: PlaneLattice) -> BolleReport:
+    report = bolle_check(p, lat)
     if not report.verdict:
         raise InternalError("internal: constructed witness fails the edge-pair criterion")
     return report
@@ -124,17 +134,18 @@ def decide_multitiling(p: Zonotope) -> Decision:
     lattice rather than being refused.  For even m every drop-one span
     that is a lattice is kept in ``drop_one_spans``, whatever the verdict.
     """
-    shifts = p.pair_translations()
+    shifts = p.translation_rows()
+    field, den = p.field, p.den
     if p.is_parallelogram():
-        span = integer_span(list(p.generators))
-        report = _verified(p, span.basis, shifts)
+        span = row_span(field, p.rows, den)
+        report = _verified(p, span.basis)
         return Decision(True, "parallelogram", None, span.basis, report.multiplicity, (), None)
 
     if p.m % 2 == 1:
-        span = integer_span(shifts)
+        span = row_span(field, shifts, den)
         if span.verdict != LATTICE:
             return Decision(False, "odd", None, None, None, (), SPAN_NOT_DISCRETE)
-        report = _verified(p, span.basis, shifts)
+        report = _verified(p, span.basis)
         return Decision(True, "odd", None, span.basis, report.multiplicity, (), None)
 
     succeeded: list[int] = []
@@ -142,23 +153,23 @@ def decide_multitiling(p: Zonotope) -> Decision:
     witness = None
     witness_j0 = None
     for j0 in range(1, p.m + 1):
-        span = integer_span([t for j, t in enumerate(shifts, start=1) if j != j0])
+        span = row_span(field, shifts[: j0 - 1] + shifts[j0:], den)
         if span.verdict != LATTICE:
             continue
         sub = span.basis
         spans.append((j0, sub))
-        e = p.generators[j0 - 1]
+        e = p.rows[j0 - 1]
         t = shifts[j0 - 1]
-        if (t.cross(e) / sub.det).rational_value() is None:
+        if sub.det_ratio(row_cross(field, t, e), den * den) is None:
             continue
         succeeded.append(j0)
         if witness is None:
             # for even m the dropped edge is a +-1 combination of the kept
             # translations, so it lies in the span and condition 2 applies
-            _, witness = superlattice_meeting_line(sub, e, t)
+            _, witness = superlattice_meeting_line(sub, *vectors_from_rows(field, [e, t], den))
             witness_j0 = j0
     if witness is not None:
-        report = _verified(p, witness, shifts)
+        report = _verified(p, witness)
         return Decision(
             True, "even", witness_j0, witness, report.multiplicity, tuple(succeeded), None, tuple(spans)
         )
@@ -202,4 +213,9 @@ def lattice_multiplicity(p: Zonotope, lat: PlaneLattice, n_translates: int) -> i
         if not report.verdict:
             raise GeometryError("lattice fails the edge-pair criterion")
         return report.multiplicity
-    return _multiplicity(p, lat, n_translates)
+    k = _multiplicity(p, lat, n_translates)
+    if k is None:
+        raise AccountingError("area/det is irrational")
+    if k.denominator != 1:
+        raise AccountingError(f"multiplicity {k} is not a positive integer")
+    return k.numerator

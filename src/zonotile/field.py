@@ -19,7 +19,8 @@ this package touches floating point.
 
 There is one live :class:`Field` per radicand set, so the package
 compares fields with ``is``, and each field carries the JSON name of
-every monomial of its basis.
+every monomial of its basis.  The last few fields built stay referenced,
+so a field that one document after another declares is validated once.
 
 Both integer kernels are public :class:`Field` methods: ``product``
 multiplies two numerator tuples by the monomial rule and ``sign`` decides
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import sys
 import weakref
+from collections import deque
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import add, index, mul, neg, sub
@@ -44,8 +46,10 @@ _MAX_RADICANDS = 4
 _MAX_RADICAND = 10**18
 _HASH_MODULUS = sys.hash_info.modulus
 _HASH_INF = sys.hash_info.inf
-# the live field of each sorted radicand tuple; a field leaves with its last reference
+# the live field of each sorted radicand tuple; a field leaves with its last
+# reference, and the most recently built ones keep one here
 _FIELDS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_RECENT_FIELDS: deque = deque(maxlen=8)
 
 
 def _is_squarefree(n: int) -> bool:
@@ -83,7 +87,7 @@ class Field:
     monomial in mask order: "1", then "r" and the monomial's product.
     """
 
-    __slots__ = ("radicands", "products", "names", "_mask_of_product", "_zeros", "_root_cache", "__weakref__")
+    __slots__ = ("radicands", "products", "size", "names", "_mask_of_product", "_zeros", "_root_cache", "__weakref__")
 
     def __new__(cls, radicands=()):
         rads = tuple(sorted(map(index, radicands)))
@@ -117,11 +121,13 @@ class Field:
         self = object.__new__(cls)
         self.radicands = rads
         self.products = tuple(products)
+        self.size = len(products)
         self.names = ("1", *(f"r{p}" for p in products[1:]))
         self._mask_of_product = {p: m for m, p in enumerate(products)}
         self._zeros = (0,) * len(products)
         self._root_cache: dict[int, tuple[int, ...]] = {}
         _FIELDS[rads] = self
+        _RECENT_FIELDS.append(self)
         return self
 
     def __reduce__(self):
@@ -129,10 +135,6 @@ class Field:
 
     def __repr__(self):
         return f"Field({list(self.radicands)})"
-
-    @property
-    def size(self) -> int:
-        return len(self.products)
 
     # -- element constructors ----------------------------------------------
 

@@ -1,4 +1,5 @@
-"""Small exact integer matrix routines: row Hermite form and kernels.
+"""Small exact integer matrix routines: row Hermite form, kernels and
+proportionality.
 
 Everything here works on lists of Python ints.  Matrices are tiny
 (at most a handful of rows over at most 32 columns), so the plain
@@ -7,7 +8,7 @@ gcd-elimination algorithm is entirely adequate.
 
 from __future__ import annotations
 
-__all__ = ["row_hnf", "row_hnf_transform", "right_kernel"]
+__all__ = ["row_hnf", "row_hnf_transform", "right_kernel", "proportion"]
 
 
 def _row_sub(m, i, j, q):
@@ -89,3 +90,17 @@ def right_kernel(rows) -> list[list[int]]:
     bt = [[m[i][j] for i in range(len(m))] for j in range(ncols)]
     h, u = row_hnf_transform(bt)
     return [u[i] for i in range(ncols) if not any(h[i])]
+
+
+def proportion(a, b) -> tuple[int, int] | None:
+    """Integers (p, q), q nonzero, with q * a == p * b, for integer tuples
+    of one length and b nonzero, or None when a is no rational multiple
+    of b.  They are read at b's first nonzero entry and not reduced.
+
+    Read on the numerators of two field elements, p / q is the rational
+    value of their quotient, when there is one, without a field division."""
+    i = next(i for i, y in enumerate(b) if y)
+    p, q = a[i], b[i]
+    if any(x * q != y * p for x, y in zip(a, b)):
+        return None
+    return p, q

@@ -6,7 +6,8 @@ monomial names come from the field (``Field.names``).
 Documents that contain elements carry a top-level ``"field"`` key listing
 the radicands, which makes decoding unambiguous.  Encoding is canonical:
 lattices are in canonical basis form, keys are emitted sorted, and
-round-tripping is bit-exact.
+round-tripping is bit-exact.  Zonotope generators go between their terms
+and the zonotope's integer rows without building field elements.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .covering import Polygon, TranslateSet, VerifyReport
 from .criteria import BolleReport, CanonicalLattice, Decision
 from .errors import GeometryError, ZonotileError
 from .field import Field, FieldElement, RATIONALS
-from .lattice import PlaneLattice, PlaneVector
+from .lattice import PlaneLattice, PlaneVector, vectors_from_rows
 from .patterns import builtin_scene
 from .zonotope import Zonotope
 
@@ -176,10 +177,13 @@ def parse_element_text(text: str, field: Field | None = None, where: str = "elem
 
 
 def encode_element(x: FieldElement) -> list[dict]:
-    names = x.field.names
-    den = x.den
+    return _encode_terms(x.field.names, x.nums, x.den)
+
+
+def _encode_terms(names, nums, den: int) -> list[dict]:
+    """The terms of sum(nums[m] * monomial m) / den, each in lowest terms."""
     out = []
-    for mask, n in enumerate(x.nums):
+    for mask, n in enumerate(nums):
         if not n:
             continue
         g = gcd(n, den)
@@ -201,6 +205,12 @@ def _term_integer(term: dict, key: str) -> int:
 
 
 def decode_element(terms, field: Field) -> FieldElement:
+    return FieldElement.from_integers(field, *_decode_terms(terms, field))
+
+
+def _decode_terms(terms, field: Field) -> tuple[list[int], int]:
+    """An element's terms as numerators over one positive denominator,
+    not necessarily in lowest terms."""
     if not isinstance(terms, list):
         raise GeometryError(f"element must be a list of terms, got {terms!r}")
     names = field.names
@@ -224,12 +234,11 @@ def decode_element(terms, field: Field) -> FieldElement:
             raise GeometryError(f"term {term!r} has a zero denominator")
         num = _term_integer(term, "num")
         parsed[mask] = (-num, -den) if den < 0 else (num, den)
-    # one positive common denominator; from_integers reduces to lowest terms
     den = lcm(*(d for _, d in parsed.values()))
     nums = [0] * field.size
     for mask, (n, d) in parsed.items():
         nums[mask] = n * (den // d)
-    return FieldElement.from_integers(field, nums, den)
+    return nums, den
 
 
 def encode_vector(v: PlaneVector) -> dict:
@@ -237,13 +246,20 @@ def encode_vector(v: PlaneVector) -> dict:
 
 
 def decode_vector(doc, field: Field, where: str = "vector") -> PlaneVector:
+    return PlaneVector(*(FieldElement.from_integers(field, *c) for c in _vector_terms(doc, field, where)))
+
+
+def _vector_terms(doc, field: Field, where: str) -> tuple[tuple[list[int], int], tuple[list[int], int]]:
+    """The x and y terms of a vector as :func:`_decode_terms` reads them."""
     if not isinstance(doc, dict) or "x" not in doc or "y" not in doc:
         raise GeometryError(f"{where} must be an object with 'x' and 'y', got {doc!r}")
-    return PlaneVector(decode_element(doc["x"], field), decode_element(doc["y"], field))
+    return _decode_terms(doc["x"], field), _decode_terms(doc["y"], field)
 
 
-def _decode_vectors(doc: dict, key: str, field: Field, where: str = "") -> list[PlaneVector]:
-    """The list of vectors under ``doc[key]``; errors name the key and index.
+def _decode_rows(doc: dict, key: str, field: Field, where: str = "") -> tuple[list[list[int]], int]:
+    """The vectors under ``doc[key]`` as integer rows over one common
+    denominator, laid out as :func:`~zonotile.lattice.integer_rows` lays
+    them out; errors name the key and index.
 
     ``where`` locates ``doc`` inside a larger document and prefixes each name."""
     values = doc[key]
@@ -251,7 +267,14 @@ def _decode_vectors(doc: dict, key: str, field: Field, where: str = "") -> list[
         name = f"{where}.{key}" if where else repr(key)
         raise GeometryError(f"{name} must be a list of {{x, y}} objects, got {values!r}")
     prefix = f"{where}." if where else ""
-    return [decode_vector(v, field, f"{prefix}{key}[{i}]") for i, v in enumerate(values)]
+    coords = [_vector_terms(v, field, f"{prefix}{key}[{i}]") for i, v in enumerate(values)]
+    den = lcm(*(d for pair in coords for _, d in pair))
+    return [[n * (den // d) for nums, d in pair for n in nums] for pair in coords], den
+
+
+def _decode_vectors(doc: dict, key: str, field: Field, where: str = "") -> list[PlaneVector]:
+    """The list of vectors under ``doc[key]``, as :func:`_decode_rows` reads it."""
+    return vectors_from_rows(field, *_decode_rows(doc, key, field, where))
 
 
 # -- lattices and polygons -------------------------------------------------------
@@ -285,16 +308,18 @@ def _decode_field(doc, field: Field | None = None) -> Field:
 
 
 def encode_zonotope(z: Zonotope) -> dict:
+    names, n = z.field.names, z.field.size
     return {
         "field": list(z.field.radicands),
-        "generators": [encode_vector(g) for g in z.generators],
+        "generators": [{"x": _encode_terms(names, row[:n], z.den), "y": _encode_terms(names, row[n:], z.den)}
+                       for row in z.rows],
     }
 
 
 def decode_zonotope_document(doc, field: Field | None = None) -> Zonotope:
     field = _decode_field(doc, field)
     if "generators" in doc:
-        return Zonotope(_decode_vectors(doc, "generators", field))
+        return Zonotope.from_rows(field, *_decode_rows(doc, "generators", field))
     if "vertices" in doc:
         return Zonotope.from_vertices(_decode_vectors(doc, "vertices", field))
     raise GeometryError("zonotope document needs 'generators' or 'vertices'")
@@ -363,7 +388,7 @@ def decode_scene_document(doc) -> tuple[Polygon, TranslateSet]:
         if not poly.is_simple():
             raise GeometryError("polygon.vertices: two non-adjacent edges meet, so the polygon is not simple")
     elif "generators" in poly_doc:
-        poly = Polygon.from_zonotope(Zonotope(_decode_vectors(poly_doc, "generators", field)))
+        poly = Polygon.from_zonotope(Zonotope.from_rows(field, *_decode_rows(poly_doc, "generators", field)))
     else:
         raise GeometryError("scene polygon needs 'vertices' or 'generators'")
     parts_doc = lam.get("periodic")

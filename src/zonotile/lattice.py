@@ -3,30 +3,38 @@
 A finitely generated subgroup of the plane over a multi-quadratic field is
 discrete iff its generators have rational rank at most 2 when flattened to
 rational coordinate tuples (one rational per plane coordinate per field
-monomial).  Rank, span and canonical basis all come from one computation:
-flatten the vectors, clear denominators, and take the integer row Hermite
-form.  Its row count is the rational rank (:func:`rational_rank`), its
-rows span the same group as the vectors (:func:`integer_span`), and for a
+monomial).  Rank, span and canonical basis all come from one computation
+on integer rows: the x numerators then the y numerators of each vector,
+over one common denominator (:func:`integer_rows`).  The row Hermite form
+of the rows has the rational rank as its row count (:func:`rational_rank`),
+spans the same group (:func:`row_span`, :func:`integer_span`), and for a
 lattice basis it is the canonical basis, so equal lattices compare and
-serialize identically.  A :class:`PlaneLattice` keeps its two Hermite rows
-and their common denominator, and membership is read off them: a vector is
-a lattice point iff its flattened coordinates, scaled by the denominator,
-are integers that reduce to zero against the two echelon rows, and the
-pivot quotients are its lattice coordinates.  No field division is made.
-The integer kernel of the same rows for two bases (:func:`intersect`) has
-rank 2 exactly when the lattices are commensurable, and then gives a basis
-of their intersection (Cohen, *A Course in Computational Algebraic Number
-Theory*, 1993, section 2.4).
+serialize identically.
+
+A :class:`PlaneLattice` is its two Hermite rows, their denominator and the
+numerators of det(b1, b2) over its square; the basis vectors and the
+covolume become field elements only when they are read.  Membership is
+read off the rows: a vector is a lattice point iff its row, scaled to the
+lattice denominator, is an integer row that reduces to zero against the
+two echelon rows, and the pivot quotients are its lattice coordinates.
+A ratio such as det(e, tau) / det(L) is rational iff the two numerator
+tuples are proportional (:func:`~zonotile.intlinalg.proportion`), so no
+field division is made outside :func:`superlattice_meeting_line`.  The
+integer kernel of the rows of two lattices (:func:`intersect`) has rank 2
+exactly when they are commensurable, and then gives a basis of their
+intersection (Cohen, *A Course in Computational Algebraic Number Theory*,
+1993, section 2.4).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import FieldError, GeometryError, IncommensurableError, InternalError, RationalityError
 from .field import Field, FieldElement
-from .intlinalg import right_kernel, row_hnf
+from .intlinalg import proportion, right_kernel, row_hnf
 
 __all__ = [
     "PlaneVector",
@@ -37,7 +45,11 @@ __all__ = [
     "RANK_DEFICIENT",
     "vector",
     "doubled_area",
+    "integer_rows",
+    "vectors_from_rows",
+    "row_cross",
     "rational_rank",
+    "row_span",
     "integer_span",
     "intersect",
     "sublattice_avoiding_coset",
@@ -104,15 +116,16 @@ def doubled_area(vs) -> FieldElement:
     return doubled
 
 
-def _integer_rows(vectors) -> tuple[list[list[int]], int]:
-    """The flattened vectors as integer rows over one common denominator."""
+def integer_rows(vectors) -> tuple[list[list[int]], int]:
+    """The flattened vectors as integer rows over their least common
+    denominator: x numerators, then y numerators, per vector."""
     elems = [(v.x, v.y) for v in vectors]
     den = lcm(*(e.den for pair in elems for e in pair))
     return [[n * (den // e.den) for e in pair for n in e.nums] for pair in elems], den
 
 
-def _vectors_from_rows(field: Field, rows, den: int) -> list[PlaneVector]:
-    """Inverse of :func:`_integer_rows`: integer rows over ``den`` back to vectors."""
+def vectors_from_rows(field: Field, rows, den: int) -> list[PlaneVector]:
+    """Inverse of :func:`integer_rows`: integer rows over ``den`` back to vectors."""
     size = field.size
     return [
         PlaneVector(
@@ -123,13 +136,22 @@ def _vectors_from_rows(field: Field, rows, den: int) -> list[PlaneVector]:
     ]
 
 
+def row_cross(field: Field, u, v) -> tuple[int, ...]:
+    """The numerators of det(u, v) over den**2, for two vectors flattened
+    as integer rows over one denominator den."""
+    n = field.size
+    if n == 1:
+        return (u[0] * v[1] - u[1] * v[0],)
+    return tuple(a - b for a, b in zip(field.product(u[:n], v[n:]), field.product(u[n:], v[:n])))
+
+
 def rational_rank(vectors) -> int:
     """Rank over Q of the vectors viewed as rational coordinate tuples.
 
     No pipeline code calls it: it is the tests' rank oracle, and the
     benchmark's generators use it to draw rationally independent
     generators."""
-    rows, _ = _integer_rows(_check_common_field(vectors))
+    rows, _ = integer_rows(_check_common_field(vectors))
     return len(row_hnf(rows))
 
 
@@ -149,15 +171,18 @@ class PlaneLattice:
 
     The constructor accepts any basis and immediately rewrites it into the
     canonical one (Hermite form of the flattened rational rows), so two
-    lattices with equal point sets are equal objects.  The Hermite rows and
-    their common denominator are kept: :meth:`integer_coords` and
-    :meth:`contains` reduce a vector's scaled flattened row against them.
+    lattices with equal point sets are equal objects.  The lattice keeps
+    the two Hermite rows over their least common denominator and the
+    numerators of det(b1, b2); ``b1``, ``b2``, ``basis()`` and ``det``
+    build field elements from them when read.  :meth:`row_coords`,
+    :meth:`det_ratio` and :meth:`meets_line` answer on integer rows, and
+    the vector methods flatten their argument and ask them.
     """
 
-    __slots__ = ("b1", "b2", "_det", "_rows", "_den", "_pivots")
+    __slots__ = ("field", "_rows", "_den", "_pivots", "_det", "_basis")
 
     def __init__(self, b1: PlaneVector, b2: PlaneVector):
-        rows, den = _integer_rows(_check_common_field([b1, b2]))
+        rows, den = integer_rows(_check_common_field([b1, b2]))
         h = row_hnf(rows)
         if len(h) != 2 or not self._hold_rows(b1.field, h, den):
             raise GeometryError("lattice basis is degenerate")
@@ -171,54 +196,102 @@ class PlaneLattice:
         return lat if lat._hold_rows(field, h, den) else None
 
     def _hold_rows(self, field: Field, h, den: int) -> bool:
-        """Keep the Hermite rows ``h`` over ``den`` and the basis they give;
-        False when that basis is collinear in the plane."""
-        self.b1, self.b2 = _vectors_from_rows(field, h, den)
-        self._det = self.b1.cross(self.b2)
-        self._rows = (h[0], h[1])
+        """Keep the Hermite rows ``h`` over ``den``, brought to the least
+        common denominator; False when they are collinear in the plane.
+
+        Dividing a Hermite form by a common factor of its entries leaves a
+        Hermite form, so the kept rows are canonical."""
+        g = gcd(den, *h[0], *h[1])
+        if g != 1:
+            h = [[n // g for n in row] for row in h]
+            den //= g
+        self.field = field
+        self._rows = (tuple(h[0]), tuple(h[1]))
         self._den = den
         self._pivots = tuple(next(c for c, n in enumerate(row) if n) for row in h)
-        return not self._det.is_zero()
+        self._det = row_cross(field, *self._rows)
+        self._basis = None
+        return any(self._det)
+
+    def basis(self) -> tuple[PlaneVector, PlaneVector]:
+        if self._basis is None:
+            self._basis = tuple(vectors_from_rows(self.field, self._rows, self._den))
+        return self._basis
 
     @property
-    def field(self) -> Field:
-        return self.b1.field
+    def b1(self) -> PlaneVector:
+        return self.basis()[0]
+
+    @property
+    def b2(self) -> PlaneVector:
+        return self.basis()[1]
 
     @property
     def det(self) -> FieldElement:
         """The positive covolume |det(b1, b2)|."""
-        return abs(self._det)
-
-    def basis(self) -> tuple[PlaneVector, PlaneVector]:
-        return (self.b1, self.b2)
+        return abs(FieldElement.from_integers(self.field, self._det, self._den**2))
 
     def coords(self, v: PlaneVector) -> tuple[FieldElement, FieldElement]:
         """Exact coordinates of ``v`` in the canonical basis."""
-        return (v.cross(self.b2) / self._det, self.b1.cross(v) / self._det)
+        b1, b2 = self.basis()
+        det = b1.cross(b2)
+        return (v.cross(b2) / det, b1.cross(v) / det)
+
+    def _flatten(self, vectors) -> tuple[list[list[int]], int]:
+        for v in vectors:
+            if v.x.field is not self.field or v.y.field is not self.field:
+                raise FieldError(f"vector over {v.field!r} tested against a lattice over {self.field!r}")
+        return integer_rows(vectors)
 
     def integer_coords(self, v: PlaneVector) -> tuple[int, int] | None:
-        """Integer coordinates of ``v`` in the canonical basis, or None.
+        """Integer coordinates of ``v`` in the canonical basis, or None."""
+        (row,), den = self._flatten([v])
+        return self.row_coords(row, den)
 
-        Flattening is a Q-linear bijection, so ``v`` is a1*b1 + a2*b2 with
-        integers a1, a2 exactly when its flattened row scaled by the
+    def row_coords(self, row, den: int) -> tuple[int, int] | None:
+        """Integer coordinates of the vector whose flattened row over
+        ``den`` is ``row``, or None when it is no lattice point.
+
+        Flattening is a Q-linear bijection, so the vector is a1*b1 + a2*b2
+        with integers a1, a2 exactly when its row scaled to the lattice
         denominator is the integer row a1*h1 + a2*h2.  The echelon pivots
-        give a1 and then a2; any residue left means ``v`` is no lattice
-        point.
+        give a1 and then a2; any residue left means no lattice point.
         """
-        field = self.field
-        if v.x.field is not field or v.y.field is not field:
-            raise FieldError(f"vector over {v.field!r} tested against a lattice over {self.field!r}")
-        den = self._den
-        if den % v.x.den or den % v.y.den:
-            return None
-        sx, sy = den // v.x.den, den // v.y.den
-        w = [n * sx for n in v.x.nums] + [n * sy for n in v.y.nums]
+        g = gcd(self._den, den)
+        q, s = den // g, self._den // g
+        if q != 1:
+            if any(n % q for n in row):
+                return None
+            row = [n // q for n in row]
+        if s != 1:
+            row = [n * s for n in row]
         (h1, h2), (p1, p2) = self._rows, self._pivots
-        a1 = w[p1] // h1[p1]
-        a2 = (w[p2] - a1 * h1[p2]) // h2[p2]
-        if any(n != a1 * x + a2 * y for n, x, y in zip(w, h1, h2)):
+        a1 = row[p1] // h1[p1]
+        a2 = (row[p2] - a1 * h1[p2]) // h2[p2]
+        if any(n != a1 * x + a2 * y for n, x, y in zip(row, h1, h2)):
             return None
         return (a1, a2)
+
+    def det_ratio(self, nums, den: int) -> Fraction | None:
+        """The rational value of (nums / den) / det(b1, b2) for the
+        numerators ``nums`` of a field element over ``den``, or None when
+        it is irrational.  The determinant is the signed one of the
+        canonical basis, so the ratio is the covolume ratio up to sign."""
+        pq = proportion(nums, self._det)
+        return None if pq is None else Fraction(pq[0] * self._den**2, pq[1] * den)
+
+    def meets_line(self, e, tau, den: int) -> bool:
+        """:func:`line_meets_lattice` for e and tau flattened as rows over
+        one denominator ``den``."""
+        ec = self.row_coords(e, den)
+        if ec is None:
+            return False
+        if ec == (0, 0):
+            return self.row_coords(tau, den) is not None
+        d = self.det_ratio(row_cross(self.field, e, tau), den * den)
+        if d is None or d.denominator != 1:
+            return False
+        return d.numerator % gcd(ec[0], ec[1]) == 0
 
     def contains(self, v: PlaneVector) -> bool:
         return self.integer_coords(v) is not None
@@ -227,10 +300,14 @@ class PlaneLattice:
         return self.b1.scale(a) + self.b2.scale(b)
 
     def __eq__(self, other):
-        return isinstance(other, PlaneLattice) and (other.b1, other.b2) == (self.b1, self.b2)
+        return (
+            isinstance(other, PlaneLattice)
+            and other.field is self.field
+            and (other._rows, other._den) == (self._rows, self._den)
+        )
 
     def __hash__(self):
-        return hash((self.b1, self.b2))
+        return hash((self._rows, self._den))
 
     def __repr__(self):
         return f"PlaneLattice[{self.b1}, {self.b2}]"
@@ -251,17 +328,22 @@ def integer_span(vectors) -> SpanAnalysis:
     The span is a full-rank lattice iff the flattened rational rank is at
     most 2 and the vectors span the real plane; rank > 2 means a dense
     (non-discrete) subgroup, real span below dimension 2 means no full-rank
-    subgroup at all.  The Hermite rows of the flattened vectors give the
-    rank and, at rank 2, a basis of the span.
+    subgroup at all.
     """
     vs = _check_common_field(vectors)
-    rows, den = _integer_rows(vs)
+    return row_span(vs[0].field, *integer_rows(vs))
+
+
+def row_span(field: Field, rows, den: int) -> SpanAnalysis:
+    """:func:`integer_span` of the vectors whose flattened rows over
+    ``den`` are ``rows``.  Their Hermite rows give the rank and, at rank 2,
+    a basis of the span."""
     h = row_hnf(rows)
     if len(h) > 2:
         return SpanAnalysis(len(h), NOT_DISCRETE, None)
     if len(h) < 2:
         return SpanAnalysis(len(h), RANK_DEFICIENT, None)
-    basis = PlaneLattice._from_hermite(vs[0].field, h, den)
+    basis = PlaneLattice._from_hermite(field, h, den)
     if basis is None:
         return SpanAnalysis(2, RANK_DEFICIENT, None)
     return SpanAnalysis(2, LATTICE, basis)
@@ -281,7 +363,10 @@ def intersect(l1: PlaneLattice, l2: PlaneLattice) -> PlaneLattice:
     coordinates of a basis of the intersection, and their combinations of
     l1's Hermite rows are its integer rows over l1's denominator.
     """
-    rows, _ = _integer_rows(_check_common_field([*l1.basis(), *l2.basis()]))
+    if l2.field is not l1.field:
+        raise FieldError(f"lattices over {l1.field!r} and {l2.field!r} do not share a field")
+    den = lcm(l1._den, l2._den)
+    rows = [[n * (den // lat._den) for n in row] for lat in (l1, l2) for row in lat._rows]
     kernel = right_kernel(list(zip(*rows)))
     if len(kernel) != 2:
         raise IncommensurableError("lattices share no full-rank superlattice")
@@ -340,16 +425,11 @@ def line_meets_lattice(l: PlaneLattice, e: PlaneVector, tau: PlaneVector) -> boo
     integer divisible by gcd(e1, e2).  This reduces the existential over
     the reals to gcd arithmetic.  The determinant in lattice coordinates is
     the plane one over det(l), so tau's coordinates are never solved for.
+    No pipeline code calls it: Bolle's test asks :meth:`PlaneLattice.meets_line`
+    on rows, and this vector form serves acceptance criterion 7.
     """
-    ec = l.integer_coords(e)
-    if ec is None:
-        return False
-    if ec == (0, 0):
-        return l.contains(tau)
-    d = (e.cross(tau) / l._det).rational_value()
-    if d is None or d.denominator != 1:
-        return False
-    return d.numerator % gcd(ec[0], ec[1]) == 0
+    (e_row, tau_row), den = l._flatten([e, tau])
+    return l.meets_line(e_row, tau_row, den)
 
 
 def superlattice_meeting_line(

@@ -5,71 +5,100 @@ generators e_1..e_m of strictly increasing argument in the upper
 half-plane; its edges are the generators and their negatives.  Generators
 supplied pointing into the lower half-plane are negated on construction,
 the given order is then required to be by increasing argument.
+
+A :class:`Zonotope` holds its generators as integer rows over one least
+common denominator (``rows`` and ``den``, flattened as in
+:func:`~zonotile.lattice.integer_rows`), and the argument order is the
+sign of integer cross products.  Pair translations, vertices and the area
+are sums and cross products of rows; ``generators``,
+``pair_translations()``, ``vertices()`` and ``area()`` give them as field
+elements.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import cmp_to_key
+from math import gcd
 
 from .errors import SymmetryError, ZonotopeError
-from .field import Field
-from .lattice import PlaneVector, doubled_area
+from .field import Field, FieldElement
+from .lattice import PlaneVector, doubled_area, integer_rows, row_cross, vectors_from_rows
 
 __all__ = ["Zonotope"]
 
 
-def _normalize_upper(g: PlaneVector, idx: int) -> PlaneVector:
-    sy = g.y.sign()
-    if sy < 0 or (sy == 0 and g.x.sign() < 0):
-        return -g
-    if sy == 0 and g.x.sign() == 0:
-        raise ZonotopeError(f"generator {idx} is zero")
-    return g
-
-
-def _argument_cmp(u: PlaneVector, v: PlaneVector) -> int:
-    """Order upper-half-plane vectors by argument: negative when u comes first."""
-    return -u.cross(v).sign()
-
-
 class Zonotope:
-    __slots__ = ("_generators",)
+    __slots__ = ("field", "rows", "den", "_generators")
 
     def __init__(self, generators):
-        gens = [_normalize_upper(g, i + 1) for i, g in enumerate(generators)]
+        gens = list(generators)
+        if gens and any(g.field is not gens[0].field for g in gens):
+            raise ZonotopeError("generators do not share a field")
+        rows, den = integer_rows(gens)
+        self._hold(gens[0].field if gens else None, rows, den)
+
+    @classmethod
+    def from_rows(cls, field: Field, rows, den: int) -> "Zonotope":
+        """The zonotope whose generators, flattened as in
+        :func:`~zonotile.lattice.integer_rows`, are ``rows`` over the
+        positive ``den``; the JSON decoder builds zonotopes this way."""
+        z = cls.__new__(cls)
+        z._hold(field, rows, den)
+        return z
+
+    def _hold(self, field: Field, rows, den: int) -> None:
+        """Turn each row into the upper half-plane, check the argument
+        order and keep the rows over their least common denominator."""
+        gens = []
+        for i, row in enumerate(rows, start=1):
+            half = len(row) // 2
+            s = field.sign(row[half:]) or field.sign(row[:half])
+            if not s:
+                raise ZonotopeError(f"generator {i} is zero")
+            gens.append(tuple(row) if s > 0 else tuple(-n for n in row))
         if len(gens) < 2:
             raise ZonotopeError("a zonotope needs at least 2 generators")
-        field = gens[0].field
-        if any(g.field is not field for g in gens):
-            raise ZonotopeError("generators do not share a field")
         for i in range(len(gens) - 1):
-            if gens[i].cross(gens[i + 1]).sign() <= 0:
+            if field.sign(row_cross(field, gens[i], gens[i + 1])) <= 0:
                 raise ZonotopeError(
                     f"generators {i + 1} and {i + 2} are not in strictly increasing argument order"
                 )
-        if gens[0].cross(gens[-1]).sign() <= 0:
+        if field.sign(row_cross(field, gens[0], gens[-1])) <= 0:
             raise ZonotopeError("first and last generators violate the argument order")
-        self._generators = tuple(gens)
+        g = gcd(den, *(n for row in gens for n in row))
+        if g != 1:
+            gens = [tuple(n // g for n in row) for row in gens]
+            den //= g
+        self.field = field
+        self.rows = tuple(gens)
+        self.den = den
+        self._generators = None
 
     @property
     def generators(self) -> tuple[PlaneVector, ...]:
+        if self._generators is None:
+            self._generators = tuple(vectors_from_rows(self.field, self.rows, self.den))
         return self._generators
 
     @property
     def m(self) -> int:
-        return len(self._generators)
-
-    @property
-    def field(self) -> Field:
-        return self._generators[0].field
+        return len(self.rows)
 
     def is_parallelogram(self) -> bool:
         return self.m == 2
 
     def signed_edges(self) -> list[PlaneVector]:
         """The 2m edge vectors in counterclockwise order: e_1..e_m, -e_1..-e_m."""
-        return list(self._generators) + [-g for g in self._generators]
+        return list(self.generators) + [-g for g in self.generators]
+
+    def translation_rows(self) -> list[tuple[int, ...]]:
+        """:meth:`pair_translations` as integer rows over ``den``."""
+        rows = self.rows
+        t = [sum(col) for col in zip(*rows[1:])]
+        out = [tuple(t)]
+        for prev, g in zip(rows, rows[1:]):
+            t = [a - b - c for a, b, c in zip(t, prev, g)]
+            out.append(tuple(t))
+        return out
 
     def pair_translations(self) -> list[PlaneVector]:
         """For each edge e_j, the translation carrying it onto its parallel edge.
@@ -78,48 +107,42 @@ class Zonotope:
         the sum of the m-1 edges following e_j around the boundary, that is
         t_j = S - e_j - 2(e_1 + ... + e_{j-1}) with S = e_1 + ... + e_m.
         Consecutive ones differ by t_{j+1} = t_j - e_j - e_{j+1}, so all m
-        cost O(m).
+        cost O(m) row sums.
         """
-        gens = self._generators
-        t = gens[1]
-        for g in gens[2:]:
-            t = t + g
-        out = [t]
-        for prev, g in zip(gens, gens[1:]):
-            t = t - prev - g
-            out.append(t)
-        return out
+        return vectors_from_rows(self.field, self.translation_rows(), self.den)
 
     def vertices(self) -> list[PlaneVector]:
-        """The 2m vertices, counterclockwise, centered at the origin."""
-        half = Fraction(1, 2)
-        total = self._generators[0]
-        for g in self._generators[1:]:
-            total = total + g
-        v = total.scale(-half)
+        """The 2m vertices, counterclockwise, centered at the origin: -S/2
+        followed by the partial sums of the signed edges, over 2 * den."""
+        rows = self.rows
+        v = [-sum(col) for col in zip(*rows)]
         out = [v]
-        for e in self.signed_edges()[:-1]:
-            v = v + e
+        for k, row in [(2, r) for r in rows] + [(-2, r) for r in rows[:-1]]:
+            v = [a + k * b for a, b in zip(v, row)]
             out.append(v)
-        return out
+        return vectors_from_rows(self.field, out, 2 * self.den)
 
-    def area(self):
+    def area(self) -> FieldElement:
         """Sum of det(e_i, e_j) over generator pairs i < j (equals the shoelace area).
 
         Each term is positive by the argument order.  By bilinearity the
         sum is sum_j det(e_1 + ... + e_{j-1}, e_j), computed in O(m).
         """
-        gens = self._generators
-        prefix = gens[0]
-        total = self.field.zero()
-        for g in gens[1:]:
-            total = total + prefix.cross(g)
-            prefix = prefix + g
-        return total
+        field, rows = self.field, self.rows
+        prefix = rows[0]
+        total = [0] * field.size
+        for g in rows[1:]:
+            total = [a + b for a, b in zip(total, row_cross(field, prefix, g))]
+            prefix = [a + b for a, b in zip(prefix, g)]
+        return FieldElement.from_integers(field, total, self.den**2)
 
     @classmethod
     def from_vertices(cls, vertices) -> "Zonotope":
-        """Build from a cyclically ordered vertex list of a symmetric convex polygon."""
+        """Build from a cyclically ordered vertex list of a symmetric convex polygon.
+
+        Counterclockwise, the edge arguments increase through one turn, so
+        the m edges pointing into the upper half-plane are consecutive, and
+        in argument order from the first of them."""
         vs = list(vertices)
         n = len(vs)
         if n < 4 or n % 2 != 0:
@@ -140,7 +163,6 @@ class Zonotope:
                 raise SymmetryError(f"repeated vertex at position {i}")
             if edges[i].cross(edges[(i + 1) % n]).sign() <= 0:
                 raise SymmetryError("vertex list is not strictly convex")
-        gens = [_normalize_upper(edges[i], i + 1) for i in range(m)]
-        gens.sort(key=cmp_to_key(_argument_cmp))
-        return cls(gens)
-
+        up = [e.y.sign() > 0 or (e.y.sign() == 0 and e.x.sign() > 0) for e in edges]
+        first = next(i for i in range(n) if up[i] and not up[i - 1])
+        return cls([edges[(first + k) % n] for k in range(m)])

@@ -593,16 +593,28 @@ class TestInternalError:
     def test_failed_witness_exits_3(self, capsys, octagon_file, monkeypatch):
         # decide re-verifies every witness it builds; one that fails is a
         # bug, not malformed input
-        def failing(p, lat, shifts):
+        def failing(p, lat):
             return criteria.BolleReport((), False, None)
 
-        monkeypatch.setattr(criteria, "_bolle_report", failing)
+        monkeypatch.setattr(criteria, "bolle_check", failing)
         assert main(["decide", octagon_file]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
             "zonotile: internal error: InternalError: "
             "internal: constructed witness fails the edge-pair criterion\n"
+        )
+
+    def test_impossible_multiplicity_exits_3(self, capsys, octagon_file, monkeypatch):
+        # by Bolle's theorem a passing lattice has area/det a positive
+        # integer; any other value is a bug, not malformed input
+        monkeypatch.setattr(criteria, "_multiplicity", lambda p, lat, n: Fraction(7, 2))
+        assert main(["decide", octagon_file]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "zonotile: internal error: InternalError: "
+            "internal: a lattice passing the edge-pair criterion has area/det 7/2\n"
         )
 
     def test_unconverged_sign_exits_3(self, capsys, irrational_pentagon_file, monkeypatch):

@@ -3,14 +3,20 @@ the canonical lattice, and multiplicity accounting."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from zonotile import (
     AccountingError,
+    BollePair,
+    BolleReport,
     Field,
     GeometryError,
     PlaneLattice,
+    PlaneVector,
     Zonotope,
     bolle_check,
     canonical_lattice,
@@ -23,7 +29,7 @@ from zonotile import (
 )
 from zonotile.criteria import DET_RATIO_IRRATIONAL, SPAN_NOT_DISCRETE
 
-from conftest import F2, V, random_zonotope, sort_by_argument, upper_half
+from conftest import F2, F23, Q, V, random_zonotope, sort_by_argument, upper_half
 
 H = Fraction(1, 2)
 
@@ -291,3 +297,106 @@ class TestLatticeMultiplicity:
         assert lat.det == F2.sqrt(2)
         with pytest.raises(AccountingError, match="irrational"):
             lattice_multiplicity(octagon_r2, lat, 2)
+
+
+def _field_coords(lat, v):
+    """Integer lattice coordinates of v by field division, or None."""
+    coords = [c.rational_value() for c in lat.coords(v)]
+    if any(c is None or c.denominator != 1 for c in coords):
+        return None
+    return tuple(c.numerator for c in coords)
+
+
+def _field_bolle(p, lat):
+    """Bolle's test on field elements: membership, the plane determinant
+    det(e, t) divided by det(L), ``rational_value`` and ``Zonotope.area()``."""
+    pairs = []
+    for j, (e, t) in enumerate(zip(p.generators, p.pair_translations()), start=1):
+        ec = _field_coords(lat, e)
+        cond2 = False
+        if ec is not None:
+            d = (e.cross(t) / lat.det).rational_value()
+            cond2 = d is not None and d.denominator == 1 and d.numerator % gcd(*ec) == 0
+        pairs.append(BollePair(j, lat.contains(t), cond2))
+    verdict = all(pr.cond1 or pr.cond2 for pr in pairs)
+    multiplicity = None
+    if verdict:
+        ratio = (p.area() / lat.det).rational_value()
+        assert ratio is not None and ratio.denominator == 1 and ratio > 0
+        multiplicity = ratio.numerator
+    return BolleReport(tuple(pairs), verdict, multiplicity)
+
+
+def _bolle_agreement(p):
+    """Decide p, check the verdict against the rational rank of its pair
+    translations, and compare ``bolle_check`` with the field oracle on the
+    witness and on the drop-one spans, each with its index-2 and index-3
+    sub- and superlattices; returns the reports."""
+    dec = decide_multitiling(p)
+    shifts = p.pair_translations()
+    if p.m == 2:
+        assert dec.multi_tiles
+    elif p.m % 2:
+        assert dec.multi_tiles == (rational_rank(shifts) == 2)
+    else:
+        lattices = [j0 for j0 in range(1, p.m + 1) if rational_rank(shifts[: j0 - 1] + shifts[j0:]) == 2]
+        assert [j0 for j0, _ in dec.drop_one_spans] == lattices
+        assert dec.multi_tiles or dec.failure_reason == (DET_RATIO_IRRATIONAL if lattices else SPAN_NOT_DISCRETE)
+    base = [dec.witness_lattice] if dec.multi_tiles else []
+    base += [lat for _, lat in dec.drop_one_spans[:2]]
+    if not base:
+        base = [PlaneLattice(V(1, 0, p.field), V(0, 1, p.field))]
+    reports = []
+    for lat in base:
+        b1, b2 = lat.basis()
+        for variant in (lat, PlaneLattice(b1.scale(2), b2), PlaneLattice(b1, b2.scale(3)),
+                        PlaneLattice(b1.scale(H), b2), PlaneLattice(b1, b2.scale(Fraction(1, 3)))):
+            report = bolle_check(p, variant)
+            assert report == _field_bolle(p, variant)
+            reports.append(report)
+    return reports
+
+
+def _element(draw, field):
+    coeffs = {0: draw(st.sampled_from([Fraction(n, 2) for n in range(-4, 5)]))}
+    for mask in range(1, field.size):
+        coeffs[mask] = draw(st.sampled_from([0, 0, 0, 1, -1]))
+    return field.element(coeffs)
+
+
+@st.composite
+def zonotopes(draw):
+    """Zonotopes with m = 2..8 over Q, Q(sqrt2) and Q(sqrt2, sqrt3), with
+    half-integer rational parts and sparse irrational parts."""
+    field = draw(st.sampled_from([Q, F2, F23]))
+    m = draw(st.integers(2, 8))
+    gens = []
+    for _ in range(4 * m):
+        v = PlaneVector(_element(draw, field), _element(draw, field))
+        if v.is_zero():
+            continue
+        v = upper_half(v)
+        if any(g.cross(v).is_zero() for g in gens):
+            continue
+        gens.append(v)
+        if len(gens) == m:
+            break
+    assume(len(gens) == m)
+    return Zonotope(sort_by_argument(gens))
+
+
+class TestIntegerRowsAgainstFieldOracle:
+    @settings(max_examples=120, deadline=None)
+    @given(zonotopes())
+    def test_bolle_check_matches_the_field_oracle(self, p):
+        _bolle_agreement(p)
+
+    def test_both_conditions_come_out_both_ways(self):
+        det_ratio_irrational = Zonotope([V(1, 0, F2), V(2, 2, F2), PlaneVector(F2.zero(), 2 + F2.sqrt(2)),
+                                         V(-1, 2, F2)])
+        reports = []
+        for p in (octagon(), hexagon(), square(), random_zonotope(random.Random(12), m=12), det_ratio_irrational):
+            reports += _bolle_agreement(p)
+        pairs = [pr for report in reports for pr in report.pairs]
+        assert {pr.cond1 for pr in pairs} == {pr.cond2 for pr in pairs} == {True, False}
+        assert {report.verdict for report in reports} == {True, False}

@@ -109,12 +109,26 @@ class TestInterning:
         assert RATIONALS.radicands == ()
         assert RATIONALS.size == 1
 
+    def test_recent_field_outlives_its_elements(self):
+        rads = (19, 23)  # a field no other test builds
+        x = Field(rads).sqrt(19)
+        kept = weakref.ref(x.field)
+        del x
+        gc.collect()
+        assert kept() is not None and Field(rads) is kept()
+        for _ in range(3):
+            with pytest.raises(FieldError, match="multiplicatively dependent"):
+                Field([2, 3, 6])
+
     def test_field_is_rebuilt_after_its_elements_are_gone(self):
         rads = (13, 17)  # a field no other test keeps alive
         x = Field(rads).sqrt(13) - 4  # its sign fills the root cache
         assert x.sign() < 0
         gone = weakref.ref(x.field)
         del x
+        # fields built later push it out of the few that are kept referenced
+        for p in (1009, 1013, 1019, 1021, 1031, 1033, 1039, 1049, 1051, 1061, 1063, 1069):
+            Field([p])
         gc.collect()
         assert gone() is None
         f = Field(rads)

@@ -1,15 +1,25 @@
-"""Golden bytes: sha256 of ``verify`` stdout and ``render`` SVG output.
+"""Golden bytes: sha256 of ``verify`` stdout, ``render`` SVG output and
+the stdout of ``decide``, ``canon`` and ``check``.
 
 The scenes are the builtins the benchmark's ``scenes`` workload runs,
 written the same way (``examples`` output), so any byte drift in the
 verifier's report or the picture fails here and not only in the bench.
+The decision inputs cover every branch and failure reason, fields up to
+four radicands, a ``vertices`` document and the field embedding of
+``check``.
 """
 
 import hashlib
+import json
+import random
+from fractions import Fraction
 
 import pytest
 
+from zonotile import Field, PlaneVector, Zonotope, jsonio, vector
 from zonotile.cli import main
+
+from conftest import F2, F23, V, random_irrational_zonotope, random_zonotope
 
 VERIFY = {
     ("octagon-family", "1/3"): (
@@ -78,3 +88,109 @@ def test_render_svg_bytes(capsys, tmp_path, name, beta, window):
     svg = tmp_path / "out.svg"
     assert main(["render", scene, "-o", str(svg), window]) == 0
     assert _sha256(svg.read_bytes()) == RENDER[name, beta, window]
+
+
+# (input, command): sha256 of stdout.  ``check`` runs against the witness
+# of ``decide`` when there is one and against Z^2 over Q otherwise, so
+# ``check`` of a polygon over a larger field takes the embedding path.
+DECIDE = {
+    ("half-m12", "decide"): "eb4876f6ec6741a3b57057f3b5fa1f42f05af46b02eb4e06375aa7c9b82985cf",
+    ("half-m12", "canon"): "9e98a8727c175f290afcffee0e30ac8b947d2c65885ae23056a80215947755a6",
+    ("half-m12", "check"): "cf4bedccddba92b5a4fc05402d5d3afffea967f7e29947a05120a15ff55fab72",
+    ("hexagon", "decide"): "871ee6847db090c9be445df1074c4a6c3ae291115eb2c2fd3dab7e9d352c304a",
+    ("hexagon", "canon"): "f3be9cc8f7198f36b1dbeaa20290ba01bb3ef7d4e8991aaa14c69b664753533e",
+    ("hexagon", "check"): "846c503593635c39f9f57ba277e62d68b34af8988393bdb35e2801afb246945e",
+    ("hexagon-vertices", "decide"): "812ddd338b0930e2f0107b6772ba0442667f303bb3e2428ee1d9b06bccb756d4",
+    ("hexagon-vertices", "canon"): "f0fcd95f4ed9ec95f7ff17499d198e3484d535bc13a665c3de208e38a22e972d",
+    ("hexagon-vertices", "check"): "846c503593635c39f9f57ba277e62d68b34af8988393bdb35e2801afb246945e",
+    ("octagon", "decide"): "c39200527627d7b84d2df333d33d3ccab7b0f1001754dc5a4c69c1fe71de676e",
+    ("octagon", "canon"): "1658271013fe222d62459ebbbc6806d5d5476b584e017861452b74d656fc583b",
+    ("octagon", "check"): "185c5e05c4bcc465569cc0d7bcfc133b0e0a29f8307d141ebae9522e9843fce9",
+    ("q2-det-ratio-irrational", "decide"): "0673fb1f3b3fc38249b5566b55dbac4e5d99f3a35e14e715fe23d1883ab3dbf0",
+    ("q2-det-ratio-irrational", "canon"): "0673fb1f3b3fc38249b5566b55dbac4e5d99f3a35e14e715fe23d1883ab3dbf0",
+    ("q2-det-ratio-irrational", "check"): "f89f684c26b12a10d9fc62271abadea01d21740f9a116761146f10f84f0e730e",
+    ("q2-regular-octagon", "decide"): "e8d80c3b221b97a7f3f631c0492b4a65e4d5e49ce251f4e73dd49d63ef8b10ec",
+    ("q2-regular-octagon", "canon"): "e8d80c3b221b97a7f3f631c0492b4a65e4d5e49ce251f4e73dd49d63ef8b10ec",
+    ("q2-regular-octagon", "check"): "dd029909276fc835422a318ec0dcdaa30dcd46c8ab58c8b332addcd7dd4ca125",
+    ("q23-negative", "decide"): "9588c2ad90bce4aa306a3d660e6abce2e5c29a6c052f30c8756f16c25a762703",
+    ("q23-negative", "canon"): "9588c2ad90bce4aa306a3d660e6abce2e5c29a6c052f30c8756f16c25a762703",
+    ("q23-negative", "check"): "023d041bf499ff2574314ff43e7459e381d02de29c1c0d6671078f2c7eba4edb",
+    ("q23-octagon-image", "decide"): "a222d4b60cacece8c64a213916e7cf5178d21a64319bc4a1262d69dfeaf7a9d8",
+    ("q23-octagon-image", "canon"): "8f3f701910a4909daeaba02b24bc194b3d28d8666b299e5c3950b024a4c8c7dd",
+    ("q23-octagon-image", "check"): "c5cabe1a0785f7ae961041cbdb2aa1f7ecde9de467b46caee618d603c56cd0af",
+    ("q23-positive", "decide"): "0017bb2ee415b874ad914918b7733184e8640117ef6a81fe2a38b2aa524cddbc",
+    ("q23-positive", "canon"): "3b087776294ce71ae70cd97b0c421ddcc939e7fdeb16d2e954c3c6eea7e4ac24",
+    ("q23-positive", "check"): "eeba4147c2701bb4375e6d684b2d59c1b8736a1b43b406720669e7d4d482430f",
+    ("q2357-pentagon", "decide"): "01863690c4d83d553a3b893974b436ec914566b12f07f9a6eac890d89bf14918",
+    ("q2357-pentagon", "canon"): "01863690c4d83d553a3b893974b436ec914566b12f07f9a6eac890d89bf14918",
+    ("q2357-pentagon", "check"): "41d069e9a3eabed7b0837755758d8c173fadb754841346d78133e6f560b4352f",
+    ("square", "decide"): "66e2df9d05d8f3629bca28ba4a758b83e7b63764e28ec2428083a12282c6b083",
+    ("square", "canon"): "66e2df9d05d8f3629bca28ba4a758b83e7b63764e28ec2428083a12282c6b083",
+    ("square", "check"): "6470cbbe148d52c07a5d828040be71d67ece9cc6d4b6062c1461a3f5e2c0375d",
+}
+
+
+def _octagon_image():
+    """The lattice octagon under (x, y) -> (x + sqrt2 y, sqrt3 y): an even
+    multi-tiler over Q(sqrt2, sqrt3)."""
+    r2, r3 = F23.sqrt(2), F23.sqrt(3)
+    return Zonotope([PlaneVector(v.x + r2 * v.y, r3 * v.y)
+                     for v in (V(1, 0, F23), V(1, 1, F23), V(0, 1, F23), V(-1, 1, F23))])
+
+
+def _pentagon():
+    """Rationally independent generators over Q(sqrt2, sqrt3, sqrt5, sqrt7)."""
+    f = Field([2, 3, 5, 7])
+    eps = Fraction(1, 32)
+    pairs = [((7, 1), (2, 3)), ((3, 1), (5, 7)), ((1, 2), (6, 10)), ((-1, 2), (14, 15)), ((-5, 1), (21, 35))]
+    return Zonotope([vector(f, x, y) + vector(f, f.sqrt(a) * eps, f.sqrt(b) * eps)
+                     for (x, y), (a, b) in pairs])
+
+
+def _decision_inputs():
+    r2 = F2.sqrt(2)
+    h = r2 * Fraction(1, 2)
+    q2_octagon = [PlaneVector(F2.one(), F2.zero()), PlaneVector(h, h), PlaneVector(F2.zero(), F2.one()),
+                  PlaneVector(-h, h)]
+    zonotopes = {
+        "octagon": Zonotope([V(1, 0), V(1, 1), V(0, 1), V(-1, 1)]),
+        "hexagon": Zonotope([V(1, 0), V(1, 1), V(0, 1)]),
+        "square": Zonotope([V(1, 0), V(0, 1)]),
+        "half-m12": random_zonotope(random.Random(12), m=12),
+        "q23-positive": random_irrational_zonotope(random.Random(3), F23, 3),
+        "q23-negative": random_irrational_zonotope(random.Random(3), F23, 4),
+        "q23-octagon-image": _octagon_image(),
+        "q2-det-ratio-irrational": Zonotope([V(1, 0, F2), V(2, 2, F2), PlaneVector(F2.zero(), 2 + r2),
+                                             V(-1, 2, F2)]),
+        "q2-regular-octagon": Zonotope(q2_octagon),
+        "q2357-pentagon": _pentagon(),
+    }
+    docs = {name: jsonio.encode_zonotope(z) for name, z in zonotopes.items()}
+    hexagon = [(2, 0), (1, 1), (-1, 1), (-2, 0), (-1, -1), (1, -1)]
+    docs["hexagon-vertices"] = {"field": [], "vertices": [jsonio.encode_vector(V(x, y)) for x, y in hexagon]}
+    return docs
+
+
+DECISION_INPUTS = sorted(_decision_inputs())
+
+
+def _decision_stdout(capsys, tmp_path, name, command) -> bytes:
+    poly = tmp_path / "polygon.json"
+    poly.write_text(jsonio.dumps(_decision_inputs()[name]))
+    argv = [command, str(poly)]
+    if command == "check":
+        main(["decide", str(poly)])
+        decision = json.loads(capsys.readouterr().out)
+        lattice = dict(decision["witness_lattice"], field=decision["field"]) if decision["multi_tiles"] else {
+            "field": [], "basis": [jsonio.encode_vector(V(1, 0)), jsonio.encode_vector(V(0, 1))]}
+        path = tmp_path / "lattice.json"
+        path.write_text(jsonio.dumps(lattice))
+        argv.append(str(path))
+    assert main(argv) in (0, 1)
+    return capsys.readouterr().out.encode()
+
+
+@pytest.mark.parametrize("name", DECISION_INPUTS)
+@pytest.mark.parametrize("command", ["decide", "canon", "check"])
+def test_decision_stdout_bytes(capsys, tmp_path, name, command):
+    assert _sha256(_decision_stdout(capsys, tmp_path, name, command)) == DECIDE[name, command]
