@@ -436,14 +436,15 @@ def _check_density(poly: Polygon, tset: TranslateSet, multiplicity: int) -> None
 
     Averaged over a large disc, the covering count of P + (L_j + z_j)
     tends to area(P) / det(L_j) for each part, so a constant count must
-    equal their sum; a mismatch is a bug in the sweep, not bad input."""
+    equal their sum; a mismatch, an irrational ratio included, is a bug
+    in the sweep, not bad input."""
     area = poly.area()
-    density = poly.field.zero()
-    for lat, _ in tset.parts:
-        density = density + area / lat.det
+    ratios = [lat.det_ratio(area.nums, area.den) for lat, _ in tset.parts]
+    density = None if None in ratios else sum(map(abs, ratios))
     if density != multiplicity:
         raise InternalError(
-            f"internal: the faces count {multiplicity} but the density count is {density}"
+            f"internal: the faces count {multiplicity} but the density count is "
+            f"{'irrational' if density is None else density}"
         )
 
 

@@ -1,14 +1,16 @@
 """Small exact integer matrix routines: row Hermite form, kernels and
 proportionality.
 
-Everything here works on lists of Python ints.  Matrices are tiny
-(at most a handful of rows over at most 32 columns), so the plain
-gcd-elimination algorithm is entirely adequate.
+Everything here works on lists of Python ints.  The row Hermite form is
+the one algorithm: ranks, spans, canonical bases, lattice intersections
+and kernels are all read off it.  Matrices are tiny (at most a handful of
+rows over at most 64 columns), so the plain gcd-elimination algorithm is
+entirely adequate.
 """
 
 from __future__ import annotations
 
-__all__ = ["row_hnf", "row_hnf_transform", "right_kernel", "proportion"]
+__all__ = ["row_hnf", "right_kernel", "proportion"]
 
 
 def _row_sub(m, i, j, q):
@@ -18,12 +20,11 @@ def _row_sub(m, i, j, q):
             mi[c] -= q * mj[c]
 
 
-def _hnf_inplace(m: list[list[int]], u: list[list[int]] | None = None) -> int:
+def _hnf_inplace(m: list[list[int]]) -> int:
     """Reduce ``m`` to canonical row Hermite form in place; return the rank.
 
     Pivots are positive, entries above each pivot are reduced into
-    [0, pivot), zero rows sink to the bottom.  If ``u`` is given the same
-    row operations are applied to it, so u_in * m_in == m_out.
+    [0, pivot), zero rows sink to the bottom.
     """
     nrows = len(m)
     ncols = len(m[0]) if m else 0
@@ -42,25 +43,15 @@ def _hnf_inplace(m: list[list[int]], u: list[list[int]] | None = None) -> int:
             i0 = min(nz, key=lambda i: abs(m[i][c]))
             for i in nz:
                 if i != i0:
-                    q = m[i][c] // m[i0][c]
-                    _row_sub(m, i, i0, q)
-                    if u is not None:
-                        _row_sub(u, i, i0, q)
+                    _row_sub(m, i, i0, m[i][c] // m[i0][c])
         if pivot is None:
             continue
         if pivot != r:
             m[r], m[pivot] = m[pivot], m[r]
-            if u is not None:
-                u[r], u[pivot] = u[pivot], u[r]
         if m[r][c] < 0:
             m[r] = [-x for x in m[r]]
-            if u is not None:
-                u[r] = [-x for x in u[r]]
         for i in range(r):
-            q = m[i][c] // m[r][c]
-            _row_sub(m, i, r, q)
-            if u is not None:
-                _row_sub(u, i, r, q)
+            _row_sub(m, i, r, m[i][c] // m[r][c])
         r += 1
     return r
 
@@ -72,24 +63,18 @@ def row_hnf(rows) -> list[list[int]]:
     return m[:rank]
 
 
-def row_hnf_transform(rows) -> tuple[list[list[int]], list[list[int]]]:
-    """Like :func:`row_hnf` but keeps zero rows and returns (H, U), U*rows == H."""
-    m = [list(map(int, row)) for row in rows]
-    n = len(m)
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    _hnf_inplace(m, u)
-    return m, u
-
-
 def right_kernel(rows) -> list[list[int]]:
-    """A basis of the integer solutions x of rows @ x == 0."""
-    m = [list(map(int, row)) for row in rows]
-    if not m:
+    """A basis of the integer solutions x of rows @ x == 0.
+
+    No pipeline code calls it: it is the tests' kernel oracle.  The rows
+    of [rows^T | I] span the (rows @ x | x), so their Hermite rows with a
+    zero first block are the (0 | x) of a basis of the kernel."""
+    if not rows:
         return []
-    ncols = len(m[0])
-    bt = [[m[i][j] for i in range(len(m))] for j in range(ncols)]
-    h, u = row_hnf_transform(bt)
-    return [u[i] for i in range(ncols) if not any(h[i])]
+    n = len(rows)
+    ncols = len(rows[0])
+    block = [[row[j] for row in rows] + [int(i == j) for i in range(ncols)] for j in range(ncols)]
+    return [h[n:] for h in row_hnf(block) if not any(h[:n])]
 
 
 def proportion(a, b) -> tuple[int, int] | None:

@@ -6,8 +6,9 @@ monomial names come from the field (``Field.names``).
 Documents that contain elements carry a top-level ``"field"`` key listing
 the radicands, which makes decoding unambiguous.  Encoding is canonical:
 lattices are in canonical basis form, keys are emitted sorted, and
-round-tripping is bit-exact.  Zonotope generators go between their terms
-and the zonotope's integer rows without building field elements.
+round-tripping is bit-exact.  Lattice bases and zonotope generators go
+between their terms and the object's integer rows without building field
+elements.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .covering import Polygon, TranslateSet, VerifyReport
 from .criteria import BolleReport, CanonicalLattice, Decision
 from .errors import GeometryError, ZonotileError
 from .field import Field, FieldElement, RATIONALS
-from .lattice import PlaneLattice, PlaneVector, vectors_from_rows
+from .lattice import LATTICE, PlaneLattice, PlaneVector, row_span, vectors_from_rows
 from .patterns import builtin_scene
 from .zonotope import Zonotope
 
@@ -280,23 +281,28 @@ def _decode_vectors(doc: dict, key: str, field: Field, where: str = "") -> list[
 # -- lattices and polygons -------------------------------------------------------
 
 
+def _encode_rows(field: Field, rows, den: int) -> list[dict]:
+    """The vectors whose flattened rows over ``den`` are ``rows``, as
+    {x, y} objects; the inverse of :func:`_decode_rows`."""
+    names, n = field.names, field.size
+    return [{"x": _encode_terms(names, row[:n], den), "y": _encode_terms(names, row[n:], den)} for row in rows]
+
+
 def encode_lattice(lat: PlaneLattice) -> dict:
-    return {"basis": [encode_vector(lat.b1), encode_vector(lat.b2)]}
+    return {"basis": _encode_rows(lat.field, lat.rows, lat.den)}
 
 
 def decode_lattice(doc, field: Field, where: str = "") -> PlaneLattice:
     """A lattice object; ``where`` names its location inside a larger document."""
     if not isinstance(doc, dict) or "basis" not in doc:
         raise GeometryError(f"{where or 'lattice'} must be an object with a 'basis', got {doc!r}")
-    basis = _decode_vectors(doc, "basis", field, where)
-    if len(basis) != 2:
+    rows, den = _decode_rows(doc, "basis", field, where)
+    if len(rows) != 2:
         raise GeometryError(f"{where or 'lattice'} basis must have exactly 2 vectors")
-    try:
-        return PlaneLattice(*basis)
-    except GeometryError as exc:
-        if not where:
-            raise
-        raise GeometryError(f"{where}: {exc}") from exc
+    span = row_span(field, rows, den)
+    if span.verdict != LATTICE:
+        raise GeometryError(f"{where}: lattice basis is degenerate" if where else "lattice basis is degenerate")
+    return span.basis
 
 
 def _decode_field(doc, field: Field | None = None) -> Field:
@@ -308,12 +314,7 @@ def _decode_field(doc, field: Field | None = None) -> Field:
 
 
 def encode_zonotope(z: Zonotope) -> dict:
-    names, n = z.field.names, z.field.size
-    return {
-        "field": list(z.field.radicands),
-        "generators": [{"x": _encode_terms(names, row[:n], z.den), "y": _encode_terms(names, row[n:], z.den)}
-                       for row in z.rows],
-    }
+    return {"field": list(z.field.radicands), "generators": _encode_rows(z.field, z.rows, z.den)}
 
 
 def decode_zonotope_document(doc, field: Field | None = None) -> Zonotope:

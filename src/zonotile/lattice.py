@@ -11,19 +11,22 @@ spans the same group (:func:`row_span`, :func:`integer_span`), and for a
 lattice basis it is the canonical basis, so equal lattices compare and
 serialize identically.
 
-A :class:`PlaneLattice` is its two Hermite rows, their denominator and the
-numerators of det(b1, b2) over its square; the basis vectors and the
-covolume become field elements only when they are read.  Membership is
-read off the rows: a vector is a lattice point iff its row, scaled to the
-lattice denominator, is an integer row that reduces to zero against the
-two echelon rows, and the pivot quotients are its lattice coordinates.
+A :class:`PlaneLattice` is its two Hermite rows ``rows``, their
+denominator ``den`` and the numerators of det(b1, b2) over its square;
+the basis vectors and the covolume become field elements only when they
+are read.  Membership is read off the rows: a vector is a lattice point
+iff its row, scaled to the lattice denominator, is an integer row that
+reduces to zero against the two echelon rows, and the pivot quotients
+are its lattice coordinates.
 A ratio such as det(e, tau) / det(L) is rational iff the two numerator
 tuples are proportional (:func:`~zonotile.intlinalg.proportion`), so no
-field division is made outside :func:`superlattice_meeting_line`.  The
-integer kernel of the rows of two lattices (:func:`intersect`) has rank 2
-exactly when they are commensurable, and then gives a basis of their
-intersection (Cohen, *A Course in Computational Algebraic Number Theory*,
-1993, section 2.4).
+field division is made outside :func:`superlattice_meeting_line`.  Two
+lattices intersect (:func:`intersect`) by one Hermite form of the block
+rows (u | u) and (v | 0), u and v their Hermite rows: the rows whose
+first block is zero number 2 exactly when the lattices are commensurable,
+and then their second halves are the Hermite rows of the intersection
+(Cohen, *A Course in Computational Algebraic Number Theory*, 1993,
+chapter 2).
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from math import gcd, lcm
 
 from .errors import FieldError, GeometryError, IncommensurableError, InternalError, RationalityError
 from .field import Field, FieldElement
-from .intlinalg import proportion, right_kernel, row_hnf
+from .intlinalg import proportion, row_hnf
 
 __all__ = [
     "PlaneVector",
@@ -179,7 +182,7 @@ class PlaneLattice:
     the vector methods flatten their argument and ask them.
     """
 
-    __slots__ = ("field", "_rows", "_den", "_pivots", "_det", "_basis")
+    __slots__ = ("field", "rows", "den", "_pivots", "_det", "_basis")
 
     def __init__(self, b1: PlaneVector, b2: PlaneVector):
         rows, den = integer_rows(_check_common_field([b1, b2]))
@@ -206,16 +209,16 @@ class PlaneLattice:
             h = [[n // g for n in row] for row in h]
             den //= g
         self.field = field
-        self._rows = (tuple(h[0]), tuple(h[1]))
-        self._den = den
+        self.rows = (tuple(h[0]), tuple(h[1]))
+        self.den = den
         self._pivots = tuple(next(c for c, n in enumerate(row) if n) for row in h)
-        self._det = row_cross(field, *self._rows)
+        self._det = row_cross(field, *self.rows)
         self._basis = None
         return any(self._det)
 
     def basis(self) -> tuple[PlaneVector, PlaneVector]:
         if self._basis is None:
-            self._basis = tuple(vectors_from_rows(self.field, self._rows, self._den))
+            self._basis = tuple(vectors_from_rows(self.field, self.rows, self.den))
         return self._basis
 
     @property
@@ -229,7 +232,7 @@ class PlaneLattice:
     @property
     def det(self) -> FieldElement:
         """The positive covolume |det(b1, b2)|."""
-        return abs(FieldElement.from_integers(self.field, self._det, self._den**2))
+        return abs(FieldElement.from_integers(self.field, self._det, self.den**2))
 
     def coords(self, v: PlaneVector) -> tuple[FieldElement, FieldElement]:
         """Exact coordinates of ``v`` in the canonical basis."""
@@ -257,15 +260,15 @@ class PlaneLattice:
         denominator is the integer row a1*h1 + a2*h2.  The echelon pivots
         give a1 and then a2; any residue left means no lattice point.
         """
-        g = gcd(self._den, den)
-        q, s = den // g, self._den // g
+        g = gcd(self.den, den)
+        q, s = den // g, self.den // g
         if q != 1:
             if any(n % q for n in row):
                 return None
             row = [n // q for n in row]
         if s != 1:
             row = [n * s for n in row]
-        (h1, h2), (p1, p2) = self._rows, self._pivots
+        (h1, h2), (p1, p2) = self.rows, self._pivots
         a1 = row[p1] // h1[p1]
         a2 = (row[p2] - a1 * h1[p2]) // h2[p2]
         if any(n != a1 * x + a2 * y for n, x, y in zip(row, h1, h2)):
@@ -278,7 +281,7 @@ class PlaneLattice:
         it is irrational.  The determinant is the signed one of the
         canonical basis, so the ratio is the covolume ratio up to sign."""
         pq = proportion(nums, self._det)
-        return None if pq is None else Fraction(pq[0] * self._den**2, pq[1] * den)
+        return None if pq is None else Fraction(pq[0] * self.den**2, pq[1] * den)
 
     def meets_line(self, e, tau, den: int) -> bool:
         """:func:`line_meets_lattice` for e and tau flattened as rows over
@@ -303,11 +306,11 @@ class PlaneLattice:
         return (
             isinstance(other, PlaneLattice)
             and other.field is self.field
-            and (other._rows, other._den) == (self._rows, self._den)
+            and (other.rows, other.den) == (self.rows, self.den)
         )
 
     def __hash__(self):
-        return hash((self._rows, self._den))
+        return hash((self.rows, self.den))
 
     def __repr__(self):
         return f"PlaneLattice[{self.b1}, {self.b2}]"
@@ -352,27 +355,24 @@ def row_span(field: Field, rows, den: int) -> SpanAnalysis:
 def intersect(l1: PlaneLattice, l2: PlaneLattice) -> PlaneLattice:
     """Intersection of two commensurable lattices (always full rank).
 
-    With (u1, u2) and (v1, v2) the two bases, the integer relations
-    a1*u1 + a2*u2 + c1*v1 + c2*v2 = 0 are the kernel of the flattened
-    integer rows of the four vectors.  Its rank is 4 minus their rational
-    rank, so it is 2 exactly when v1 and v2 lie in the rational span of u1
-    and u2, which is commensurability; without it the intersection can
-    degenerate to rank <= 1, so such inputs are refused rather than
-    guessed at.  a1*u1 + a2*u2 is then a point of both lattices, and the
-    map to (a1, a2) is injective, so the two kernel rows give l1
-    coordinates of a basis of the intersection, and their combinations of
-    l1's Hermite rows are its integer rows over l1's denominator.
+    With U and V the Hermite rows of l1 and l2 over one denominator, the
+    four independent rows (u | u) and (v | 0) span the (aU + cV | aU), and
+    those with a zero first block are the (0 | w) with w = aU = -cV in both
+    lattices.  Their number is 4 minus the rational rank of U and V, so 2
+    exactly when the lattices are commensurable; otherwise the intersection
+    can degenerate to rank <= 1 and is refused rather than guessed at.  An
+    echelon form ends with a basis of that sublattice, so the last two
+    Hermite rows' second halves are the intersection's Hermite rows.
     """
     if l2.field is not l1.field:
         raise FieldError(f"lattices over {l1.field!r} and {l2.field!r} do not share a field")
-    den = lcm(l1._den, l2._den)
-    rows = [[n * (den // lat._den) for n in row] for lat in (l1, l2) for row in lat._rows]
-    kernel = right_kernel(list(zip(*rows)))
-    if len(kernel) != 2:
+    den = lcm(l1.den, l2.den)
+    u, v = ([[n * (den // lat.den) for n in row] for row in lat.rows] for lat in (l1, l2))
+    width = len(u[0])
+    h = row_hnf([row + row for row in u] + [row + [0] * width for row in v])
+    if any(h[2][:width]):
         raise IncommensurableError("lattices share no full-rank superlattice")
-    h1, h2 = l1._rows
-    combos = [[a1 * x + a2 * y for x, y in zip(h1, h2)] for a1, a2, _, _ in kernel]
-    return PlaneLattice._from_hermite(l1.field, row_hnf(combos), l1._den)
+    return PlaneLattice._from_hermite(l1.field, [row[width:] for row in h[2:]], den)
 
 
 def _shortest_independent_basis_vector(l: PlaneLattice, w: PlaneVector) -> PlaneVector:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zonotile import BUILTIN_NAMES, Field, PlaneLattice, Zonotope, vector
+from zonotile import BUILTIN_NAMES, Field, FieldElement, PlaneLattice, Zonotope, vector
 from zonotile import cli, covering, criteria, jsonio
 from zonotile.cli import main
 
@@ -135,6 +135,11 @@ class TestDecide:
                 {"periodic": [{"lattice": {"basis": [jsonio.encode_vector(V(1, 0))] * 2}}]},
                 "lambda.periodic[0].lattice: lattice basis is degenerate",
             ),
+            (
+                square,
+                {"periodic": [{"lattice": {"basis": [jsonio.encode_vector(V(x, 1)) for x in range(3)]}}]},
+                "lambda.periodic[0].lattice basis must have exactly 2 vectors",
+            ),
             ([1], {"periodic": [z2]}, "'polygon'"),
         ]:
             bad.write_text(json.dumps({"field": [], "polygon": polygon, "lambda": lam}))
@@ -172,6 +177,35 @@ class TestCheck:
         assert doc["verdict"] is False
         assert doc["pairs"][0] == {"j": 1, "cond1": False, "cond2": False}
 
+    def test_bad_lattice_bases_exit_2(self, capsys, octagon_file, tmp_path):
+        lat_file = tmp_path / "bad.json"
+        e1, e2, e3 = (jsonio.encode_vector(V(x, y)) for x, y in [(1, 0), (0, 1), (1, 1)])
+        for basis, message in [
+            ([e1], "lattice basis must have exactly 2 vectors"),
+            ([e1, e2, e3], "lattice basis must have exactly 2 vectors"),
+            ([e1, jsonio.encode_vector(V(-2, 0))], "lattice basis is degenerate"),
+        ]:
+            lat_file.write_text(json.dumps({"field": [], "basis": basis}))
+            assert main(["check", octagon_file, str(lat_file)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and message in captured.err and "Traceback" not in captured.err
+
+    def test_lattice_round_trip_builds_no_field_element(self, monkeypatch):
+        r2, r3 = F23.sqrt(2), F23.sqrt(3)
+        lat = PlaneLattice(V(1, 0, F23) + vector(F23, r2, r3 * Fraction(1, 3)), vector(F23, r3, 2 + r2))
+        doc = {"field": [2, 3], **jsonio.encode_lattice(lat)}
+        calls = []
+        from_integers = FieldElement.from_integers.__func__
+
+        def counted(cls, *args):
+            calls.append(args)
+            return from_integers(cls, *args)
+
+        monkeypatch.setattr(FieldElement, "from_integers", classmethod(counted))
+        decoded = jsonio.decode_lattice_document(doc)
+        assert jsonio.encode_lattice(decoded) == jsonio.encode_lattice(lat)
+        assert calls == []
+        assert decoded == lat
 
     def test_lattice_decoded_once_then_embedded(self, capsys, tmp_path, monkeypatch):
         # the polygon over Q(sqrt2) widens the field of a lattice over Q

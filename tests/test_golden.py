@@ -19,7 +19,7 @@ import pytest
 from zonotile import Field, PlaneVector, Zonotope, jsonio, vector
 from zonotile.cli import main
 
-from conftest import F2, F23, V, random_irrational_zonotope, random_zonotope
+from conftest import F2, F23, Q, V, random_irrational_zonotope, random_zonotope
 
 VERIFY = {
     ("octagon-family", "1/3"): (
@@ -194,3 +194,54 @@ def _decision_stdout(capsys, tmp_path, name, command) -> bytes:
 @pytest.mark.parametrize("command", ["decide", "canon", "check"])
 def test_decision_stdout_bytes(capsys, tmp_path, name, command):
     assert _sha256(_decision_stdout(capsys, tmp_path, name, command)) == DECIDE[name, command]
+
+
+def _scene_document(field, vertices, parts):
+    """An explicit scene: the polygon's vertices and (lattice basis,
+    offset) per periodic part, all over ``field``."""
+    def vec(x, y):
+        return jsonio.encode_vector(vector(field, x, y))
+
+    return {
+        "field": list(field.radicands),
+        "polygon": {"vertices": [vec(x, y) for x, y in vertices]},
+        "lambda": {"periodic": [
+            {"lattice": {"basis": [vec(*b1), vec(*b2)]}, "offset": vec(*offset)}
+            for (b1, b2), offset in parts
+        ]},
+    }
+
+
+def _period_scenes():
+    """Scenes whose parts lie on distinct commensurable lattices, none
+    containing another, so the period lattice is a proper intersection."""
+    r2 = F2.sqrt(2)
+    square = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    columns, rows = ((2, 0), (0, 1)), ((1, 0), (0, 2))
+    # 2Z x Z and Z x 2Z, each with two cosets: twice covered, period 2Z x 2Z
+    q_constant = _scene_document(Q, square, [
+        (columns, (0, 0)), (columns, (1, 0)), (rows, (0, 0)), (rows, (0, 1))])
+    # [0, sqrt2] x [0, 1] under <(2 sqrt2, 0), (0, 1)> and the skewed
+    # <(sqrt2, 1), (0, 2)>: twice covered, period <(2 sqrt2, 0), (0, 2)>
+    q2_constant = _scene_document(F2, [(0, 0), (r2, 0), (r2, 1), (0, 1)], [
+        (((2 * r2, 0), (0, 1)), (0, 0)), (((2 * r2, 0), (0, 1)), (r2, 0)),
+        (((r2, 1), (0, 2)), (0, 0)), (((r2, 1), (0, 2)), (0, 1))])
+    # the columns shifted by a half against the rows: points are covered 0, 1 or 2 times
+    q_non_constant = _scene_document(Q, square, [(columns, (Fraction(1, 2), 0)), (rows, (0, 0))])
+    return {"q-constant": q_constant, "q2-constant": q2_constant, "q-non-constant": q_non_constant}
+
+
+# sha256 of ``verify`` stdout on each of :func:`_period_scenes`
+PERIOD_SCENES = {
+    "q-constant": "64b246006f7826cfebdb61a68fe8ac13356f80a7b9daf437852411cb135145b7",
+    "q-non-constant": "bdb3e5dc8cf51edc614c08ca32cf76500d5920a8015299752c9d2af606651419",
+    "q2-constant": "1c8674f3e03aa1f87ee548e582434560d325ec4368861224d75dabf7a7a704d6",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PERIOD_SCENES))
+def test_period_scene_verify_bytes(capsys, tmp_path, name):
+    scene = tmp_path / "scene.json"
+    scene.write_text(jsonio.dumps(_period_scenes()[name]))
+    assert main(["verify", str(scene)]) in (0, 1)
+    assert _sha256(capsys.readouterr().out.encode()) == PERIOD_SCENES[name]

@@ -1,8 +1,9 @@
-"""Integer Hermite form and kernel routines."""
+"""Integer Hermite form and the kernel oracle built on it."""
 
+import itertools
 import random
 
-from zonotile.intlinalg import right_kernel, row_hnf, row_hnf_transform
+from zonotile.intlinalg import right_kernel, row_hnf
 
 
 def random_unimodular(rng, n):
@@ -52,36 +53,6 @@ def test_hnf_pivots_positive_and_above_reduced():
         assert pivots == sorted(pivots)
 
 
-def test_transform_reproduces_hnf():
-    rng = random.Random(3)
-    for _ in range(50):
-        rows = [[rng.randint(-6, 6) for _ in range(4)] for _ in range(4)]
-        h, u = row_hnf_transform(rows)
-        assert matmul(u, rows) == h
-        # |det u| == 1: u is a product of elementary operations
-        from fractions import Fraction
-
-        def det(m):
-            m = [[Fraction(x) for x in row] for row in m]
-            n = len(m)
-            d = Fraction(1)
-            for col in range(n):
-                piv = next((r for r in range(col, n) if m[r][col]), None)
-                if piv is None:
-                    return Fraction(0)
-                if piv != col:
-                    m[col], m[piv] = m[piv], m[col]
-                    d = -d
-                d *= m[col][col]
-                for r in range(col + 1, n):
-                    f = m[r][col] / m[col][col]
-                    for c in range(col, n):
-                        m[r][c] -= f * m[col][c]
-            return d
-
-        assert abs(det(u)) == 1
-
-
 def test_right_kernel_annihilates():
     rng = random.Random(1)
     for _ in range(100):
@@ -96,3 +67,31 @@ def test_right_kernel_known_case():
     assert len(kernel) == 2
     for k in kernel:
         assert 2 * k[0] == k[2] and 2 * k[1] == 6 * k[3]
+
+
+def test_right_kernel_edge_cases():
+    assert right_kernel([]) == []
+    assert right_kernel([[0, 0, 0]]) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert right_kernel([[1, 2], [3, 5]]) == []
+    assert right_kernel([[2, 0, 1], [0, 3, 1], [1, 1, 1]]) == []
+
+
+def test_right_kernel_rank():
+    rng = random.Random(7)
+    for _ in range(100):
+        ncols = rng.randint(1, 5)
+        rows = [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(rng.randint(1, 4))]
+        assert len(right_kernel(rows)) == ncols - len(row_hnf(rows))
+
+
+def test_right_kernel_is_saturated():
+    """Every integer solution in a small box is an integer combination of
+    the kernel rows: adjoining it leaves their Hermite form unchanged."""
+    rng = random.Random(11)
+    for _ in range(30):
+        rows = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(rng.randint(1, 2))]
+        kernel = right_kernel(rows)
+        h = row_hnf(kernel)
+        for x in itertools.product(range(-3, 4), repeat=4):
+            if all(sum(r * c for r, c in zip(row, x)) == 0 for row in rows):
+                assert row_hnf(kernel + [list(x)]) == h

@@ -8,6 +8,7 @@ from math import lcm
 import pytest
 
 from zonotile import (
+    Field,
     FieldElement,
     FieldError,
     GeometryError,
@@ -25,7 +26,7 @@ from zonotile import (
     sublattice_avoiding_coset,
     superlattice_meeting_line,
 )
-from zonotile import lattice
+from zonotile import intlinalg, lattice
 from zonotile.intlinalg import right_kernel, row_hnf
 
 from conftest import F2, F23, Q, V, flatten_vector, rand_element, rand_fraction, sympy_rank
@@ -432,6 +433,19 @@ class TestIntersect:
         z2 = PlaneLattice(V(1, 0, F2), V(0, 1, F2))
         with pytest.raises(IncommensurableError):
             intersect(z2, irr)
+        with pytest.raises(IncommensurableError):
+            intersect(irr, z2)
+
+    def test_self_intersection(self):
+        rng = random.Random(61)
+        for field in (Q, F2, F23):
+            for _ in range(10):
+                b1, b2 = (V(rand_element(rng, field), rand_element(rng, field), field) for _ in range(2))
+                try:
+                    l = PlaneLattice(b1, b2)
+                except GeometryError:
+                    continue
+                assert intersect(l, l) == l
 
     def test_intersection_is_the_common_point_set(self):
         rng = random.Random(47)
@@ -476,7 +490,7 @@ class TestIntersect:
             return l.b1.scale(field.rational(a)) + l.b2.scale(field.rational(b))
 
         outcomes = {"both": [0, 0], "one": [0, 0], "none": [0, 0]}
-        for field in (F2, F23):
+        for field in (F2, F23, Field([2, 3, 5])):
             done = 0
             while done < 20:
                 try:
@@ -495,11 +509,27 @@ class TestIntersect:
                 if expected is None:
                     with pytest.raises(IncommensurableError):
                         intersect(l1, l2)
+                    with pytest.raises(IncommensurableError):
+                        intersect(l2, l1)
                 else:
                     assert intersect(l1, l2) == expected
+                    assert intersect(l2, l1) == expected
                 outcomes[kind][expected is None] += 1
         assert outcomes["both"][1] == 0 and outcomes["both"][0] > 0
         assert outcomes["one"][1] > 0 and outcomes["none"][1] > 0
+
+    def test_takes_one_hermite_form(self, monkeypatch):
+        calls = []
+        hnf_inplace = intlinalg._hnf_inplace
+
+        def counted(m):
+            calls.append(m)
+            return hnf_inplace(m)
+
+        l1, l2 = PlaneLattice(V(2, 0), V(0, 1)), PlaneLattice(V(1, 1), V(0, 3))
+        monkeypatch.setattr(intlinalg, "_hnf_inplace", counted)
+        assert intersect(l1, l2).det == 6
+        assert len(calls) == 1
 
     def test_different_fields_refused(self):
         with pytest.raises(FieldError):
