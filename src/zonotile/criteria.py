@@ -19,9 +19,8 @@ Both run on the zonotope's integer rows (generators and pair translations
 over one denominator): spans are Hermite forms of rows, membership is read
 off the lattice's Hermite rows, and each "is this ratio rational" test,
 det(e, tau) / det(L) or area / det(L), asks whether two numerator tuples
-are proportional.  The one field arithmetic left is that of
-:func:`~zonotile.lattice.superlattice_meeting_line`, once per positive
-decision for even m.
+are proportional.  The even witness adjoins a point of an edge line to a
+span by one more Hermite form, so no step does field arithmetic.
 """
 
 from __future__ import annotations
@@ -31,15 +30,7 @@ from fractions import Fraction
 from functools import reduce
 
 from .errors import AccountingError, FieldError, GeometryError, InternalError
-from .lattice import (
-    LATTICE,
-    PlaneLattice,
-    intersect,
-    row_cross,
-    row_span,
-    superlattice_meeting_line,
-    vectors_from_rows,
-)
+from .lattice import LATTICE, PlaneLattice, intersect, row_cross, row_span
 from .zonotope import Zonotope
 
 __all__ = [
@@ -159,14 +150,14 @@ def decide_multitiling(p: Zonotope) -> Decision:
         sub = span.basis
         spans.append((j0, sub))
         e = p.rows[j0 - 1]
-        t = shifts[j0 - 1]
-        if sub.det_ratio(row_cross(field, t, e), den * den) is None:
+        d = sub.det_ratio(row_cross(field, shifts[j0 - 1], e), den * den)
+        if d is None:
             continue
         succeeded.append(j0)
         if witness is None:
             # for even m the dropped edge is a +-1 combination of the kept
             # translations, so it lies in the span and condition 2 applies
-            _, witness = superlattice_meeting_line(sub, *vectors_from_rows(field, [e, t], den))
+            witness = sub.adjoin_line_point(e, d, den)
             witness_j0 = j0
     if witness is not None:
         report = _verified(p, witness)

@@ -19,14 +19,15 @@ iff its row, scaled to the lattice denominator, is an integer row that
 reduces to zero against the two echelon rows, and the pivot quotients
 are its lattice coordinates.
 A ratio such as det(e, tau) / det(L) is rational iff the two numerator
-tuples are proportional (:func:`~zonotile.intlinalg.proportion`), so no
-field division is made outside :func:`superlattice_meeting_line`.  Two
+tuples are proportional (:func:`~zonotile.intlinalg.proportion`).  Two
 lattices intersect (:func:`intersect`) by one Hermite form of the block
 rows (u | u) and (v | 0), u and v their Hermite rows: the rows whose
 first block is zero number 2 exactly when the lattices are commensurable,
 and then their second halves are the Hermite rows of the intersection
 (Cohen, *A Course in Computational Algebraic Number Theory*, 1993,
-chapter 2).
+chapter 2).  Adjoining a point of an edge line is one more Hermite form
+(:meth:`PlaneLattice.adjoin_line_point`), so only the tests' vector
+oracles, such as :func:`superlattice_meeting_line`, divide field elements.
 """
 
 from __future__ import annotations
@@ -231,11 +232,12 @@ class PlaneLattice:
 
     @property
     def det(self) -> FieldElement:
-        """The positive covolume |det(b1, b2)|."""
+        """The positive covolume |det(b1, b2)| as a field element, for the tests' oracles."""
         return abs(FieldElement.from_integers(self.field, self._det, self.den**2))
 
     def coords(self, v: PlaneVector) -> tuple[FieldElement, FieldElement]:
-        """Exact coordinates of ``v`` in the canonical basis."""
+        """Exact coordinates of ``v`` in the canonical basis by field
+        division: the tests' oracle for :meth:`row_coords`."""
         b1, b2 = self.basis()
         det = b1.cross(b2)
         return (v.cross(b2) / det, b1.cross(v) / det)
@@ -296,10 +298,32 @@ class PlaneLattice:
             return False
         return d.numerator % gcd(ec[0], ec[1]) == 0
 
+    def adjoin_line_point(self, e, d: Fraction, den: int) -> "PlaneLattice":
+        """The superlattice adjoining the point of the line t*e + tau that is
+        perpendicular to e in lattice coordinates, for e a row over ``den``
+        and d = det(tau, e) / det(b1, b2) from :meth:`det_ratio`.  With
+        e = e1*b1 + e2*b2 and N = e1**2 + e2**2 that point is
+        d*(e2*b1 - e1*b2)/N, rational in lattice coordinates (the ambient
+        foot can be irrational for a skewed basis); with d = p/q the rows
+        q*N*h1, q*N*h2, p*(e2*h1 - e1*h2) over den*q*N span the superlattice."""
+        ec = self.row_coords(e, den)
+        if ec is None or ec == (0, 0):
+            raise GeometryError("e is not a nonzero lattice point")
+        e1, e2 = ec
+        qn = d.denominator * (e1 * e1 + e2 * e2)
+        rows = [[qn * n for n in h] for h in self.rows]
+        rows.append([d.numerator * (e2 * a - e1 * b) for a, b in zip(*self.rows)])
+        h = row_hnf(rows)
+        bigger = PlaneLattice._from_hermite(self.field, h, self.den * qn) if len(h) == 2 else None
+        if bigger is None or any(bigger.row_coords(row, self.den * qn) is None for row in rows):
+            raise InternalError("adjoined point did not yield a superlattice")  # unreachable
+        return bigger
+
     def contains(self, v: PlaneVector) -> bool:
         return self.integer_coords(v) is not None
 
     def point(self, a: int, b: int) -> PlaneVector:
+        """a*b1 + b*b2, the lattice point the tests' and the benchmark's oracles draw."""
         return self.b1.scale(a) + self.b2.scale(b)
 
     def __eq__(self, other):
@@ -331,7 +355,8 @@ def integer_span(vectors) -> SpanAnalysis:
     The span is a full-rank lattice iff the flattened rational rank is at
     most 2 and the vectors span the real plane; rank > 2 means a dense
     (non-discrete) subgroup, real span below dimension 2 means no full-rank
-    subgroup at all.
+    subgroup at all.  No pipeline code calls it: ``decide`` spans rows with
+    :func:`row_span`, and this vector form is the tests' oracle.
     """
     vs = _check_common_field(vectors)
     return row_span(vs[0].field, *integer_rows(vs))
@@ -376,10 +401,7 @@ def intersect(l1: PlaneLattice, l2: PlaneLattice) -> PlaneLattice:
 
 
 def _shortest_independent_basis_vector(l: PlaneLattice, w: PlaneVector) -> PlaneVector:
-    candidates = [b for b in l.basis() if not b.cross(w).is_zero()]
-    if len(candidates) == 2 and candidates[1].dot(candidates[1]) < candidates[0].dot(candidates[0]):
-        return candidates[1]
-    return candidates[0]
+    return min((b for b in l.basis() if not b.cross(w).is_zero()), key=lambda b: b.dot(b))
 
 
 def sublattice_avoiding_coset(
@@ -412,8 +434,7 @@ def sublattice_avoiding_coset(
         return PlaneLattice(generator, tau + tau)
     if tau.is_zero():
         raise GeometryError("tau lies in the subgroup V")
-    double = tau + tau
-    return PlaneLattice(double, _shortest_independent_basis_vector(l, tau))
+    return PlaneLattice(tau + tau, _shortest_independent_basis_vector(l, tau))
 
 
 def line_meets_lattice(l: PlaneLattice, e: PlaneVector, tau: PlaneVector) -> bool:
@@ -437,27 +458,15 @@ def superlattice_meeting_line(
 ) -> tuple[FieldElement, PlaneLattice]:
     """Find t0 and a superlattice of ``l`` containing t0*e + tau.
 
-    Requires e in l, e nonzero, and det(tau, e)/det(l) rational.  t0 is
-    chosen so that t0*e + tau is perpendicular to e in lattice coordinates;
-    the caught point then has rational lattice coordinates, so adjoining it
-    keeps the span discrete.  (Perpendicularity in ambient coordinates
-    would not: for a skewed basis the caught point can be irrational.)
-    """
-    ec = l.integer_coords(e)
-    if ec is None:
-        raise GeometryError("e is not a lattice point")
-    if ec == (0, 0):
-        raise GeometryError("e must be nonzero")
-    t1, t2 = l.coords(tau)
-    d = (t1 * ec[1] - t2 * ec[0]).rational_value()
+    Requires e in l, e nonzero, and det(tau, e)/det(l) rational.  No
+    pipeline code calls it: ``decide`` asks :meth:`PlaneLattice.adjoin_line_point`
+    on rows, and this vector form is the tests' oracle; t0 puts t0*e + tau
+    on w = e2*b1 - e1*b2 by one field division."""
+    (e_row, tau_row), den = l._flatten([e, tau])
+    d = l.det_ratio(row_cross(l.field, tau_row, e_row), den * den)
     if d is None:
         raise RationalityError("det(tau, e) is not a rational multiple of det(L)")
-    t0 = -(t1 * ec[0] + t2 * ec[1]) / (ec[0] * ec[0] + ec[1] * ec[1])
-    caught = l.b1.scale(t0 * ec[0] + t1) + l.b2.scale(t0 * ec[1] + t2)
-    analysis = integer_span([l.b1, l.b2, caught])
-    if analysis.verdict != LATTICE:
-        raise InternalError("adjoined point did not yield a lattice")  # unreachable
-    bigger = analysis.basis
-    if not (bigger.contains(l.b1) and bigger.contains(l.b2) and bigger.contains(caught)):
-        raise InternalError("superlattice check failed")  # unreachable
-    return t0, bigger
+    bigger = l.adjoin_line_point(e_row, d, den)
+    e1, e2 = l.row_coords(e_row, den)
+    w = l.b1.scale(e2) - l.b2.scale(e1)
+    return -w.cross(tau) / w.cross(e), bigger

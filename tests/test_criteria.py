@@ -3,6 +3,7 @@ the canonical lattice, and multiplicity accounting."""
 
 import random
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 
 import pytest
@@ -14,6 +15,7 @@ from zonotile import (
     BollePair,
     BolleReport,
     Field,
+    FieldElement,
     GeometryError,
     PlaneLattice,
     PlaneVector,
@@ -206,6 +208,29 @@ class TestDecide:
             lat2 = PlaneLattice(apply_map(a, b, lat.b1), apply_map(a, b, lat.b2))
             assert bolle_check(z, lat).verdict == bolle_check(z2, lat2).verdict
             done += 1
+
+
+class TestNoFieldArithmetic:
+    def test_decide_and_canon_do_no_field_arithmetic(self, monkeypatch):
+        # the lattice octagon under (x, y) -> (x + sqrt2 y, sqrt3 y): its
+        # witness is a strict superlattice of the drop-first span
+        r2, r3 = F23.sqrt(2), F23.sqrt(3)
+        p = Zonotope([PlaneVector(v.x + r2 * v.y, r3 * v.y)
+                      for v in (V(1, 0, F23), V(1, 1, F23), V(0, 1, F23), V(-1, 1, F23))])
+        calls = []
+        for name in ("__add__", "__sub__", "__mul__", "__truediv__", "inverse"):
+            def counting(self, *args, _name=name, _op=getattr(FieldElement, name)):
+                calls.append(_name)
+                return _op(self, *args)
+
+            monkeypatch.setattr(FieldElement, name, counting)
+        dec = decide_multitiling(p)
+        canon = canonical_lattice(dec)
+        monkeypatch.undo()
+        assert calls == []
+        assert dec.multi_tiles and dec.branch == "even"
+        assert dec.witness_lattice != dict(dec.drop_one_spans)[dec.j0]
+        assert canon.lattice == reduce(intersect, [lat for _, lat in dec.drop_one_spans])
 
 
 def rand_matrix(rng):

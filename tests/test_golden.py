@@ -112,6 +112,12 @@ DECIDE = {
     ("q2-regular-octagon", "decide"): "e8d80c3b221b97a7f3f631c0492b4a65e4d5e49ce251f4e73dd49d63ef8b10ec",
     ("q2-regular-octagon", "canon"): "e8d80c3b221b97a7f3f631c0492b4a65e4d5e49ce251f4e73dd49d63ef8b10ec",
     ("q2-regular-octagon", "check"): "dd029909276fc835422a318ec0dcdaa30dcd46c8ab58c8b332addcd7dd4ca125",
+    ("q2-sheared-half-m4", "decide"): "c5b8685c64e493558eb640087aeaf17e96d3d4e9876e34d85c67b9fc36c0c202",
+    ("q2-sheared-half-m4", "canon"): "d76b25ebe3805366b26651fee9a335ce1dc2b73c9adb3fdb2b5b15da9e742dce",
+    ("q2-sheared-half-m4", "check"): "9ae2280ebc66e7f1b68a27f48ecd9dfbcb39390a5225a2375752238b199caffb",
+    ("q2-sheared-half-m6", "decide"): "fe05997c39498ae49c27d996306e765f40ed9c4fb8abf28923cda97659934cb7",
+    ("q2-sheared-half-m6", "canon"): "faa057dbd37421815c367a344a68d348e1bb69c7bde9942c3a3f1ff512743094",
+    ("q2-sheared-half-m6", "check"): "19d7dd9e5a3a9bb7de99b605595540fcb31cd81cd2b3938d3d29ce381dad8eba",
     ("q23-negative", "decide"): "9588c2ad90bce4aa306a3d660e6abce2e5c29a6c052f30c8756f16c25a762703",
     ("q23-negative", "canon"): "9588c2ad90bce4aa306a3d660e6abce2e5c29a6c052f30c8756f16c25a762703",
     ("q23-negative", "check"): "023d041bf499ff2574314ff43e7459e381d02de29c1c0d6671078f2c7eba4edb",
@@ -136,6 +142,12 @@ def _octagon_image():
     r2, r3 = F23.sqrt(2), F23.sqrt(3)
     return Zonotope([PlaneVector(v.x + r2 * v.y, r3 * v.y)
                      for v in (V(1, 0, F23), V(1, 1, F23), V(0, 1, F23), V(-1, 1, F23))])
+
+
+def _sheared(z):
+    """The image of a zonotope over Q under (x, y) -> (x + sqrt2 y, y)."""
+    r2 = F2.sqrt(2)
+    return Zonotope([PlaneVector(F2.embed(v.x) + r2 * F2.embed(v.y), F2.embed(v.y)) for v in z.generators])
 
 
 def _pentagon():
@@ -163,6 +175,10 @@ def _decision_inputs():
         "q2-det-ratio-irrational": Zonotope([V(1, 0, F2), V(2, 2, F2), PlaneVector(F2.zero(), 2 + r2),
                                              V(-1, 2, F2)]),
         "q2-regular-octagon": Zonotope(q2_octagon),
+        # even m, witness strictly above its drop-one span, and e_j0 of
+        # squared length 5 and 10 in that span's coordinates
+        "q2-sheared-half-m4": _sheared(random_zonotope(random.Random(4), m=4)),
+        "q2-sheared-half-m6": _sheared(random_zonotope(random.Random(2), m=6)),
         "q2357-pentagon": _pentagon(),
     }
     docs = {name: jsonio.encode_zonotope(z) for name, z in zonotopes.items()}

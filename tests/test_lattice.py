@@ -671,6 +671,18 @@ class TestLineMeetsLattice:
             done += 1
 
 
+def field_superlattice_meeting_line(lat, e, tau):
+    """The field formula for the superlattice: t0 puts t0*e + tau
+    perpendicular to e in lattice coordinates, solved for by field division,
+    and the superlattice is the integer span of b1, b2 and that point."""
+    e1, e2 = lat.integer_coords(e)
+    t1, t2 = lat.coords(tau)
+    t0 = -(t1 * e1 + t2 * e2) / (e1 * e1 + e2 * e2)
+    analysis = integer_span([lat.b1, lat.b2, e.scale(t0) + tau])
+    assert analysis.verdict == LATTICE
+    return t0, analysis.basis
+
+
 class TestSuperlatticeMeetingLine:
     def test_rational_shift_lands_in_same_lattice(self):
         t0, big = superlattice_meeting_line(Z2(), V(1, 0), V(H, 3))
@@ -705,24 +717,29 @@ class TestSuperlatticeMeetingLine:
         assert big.contains(lat.b1) and big.contains(lat.b2)
 
     def test_properties_on_random_instances(self):
+        # skewed bases with irrational entries, e of squared length N > 1 in
+        # lattice coordinates, and tau with an irrational slide along e
         rng = random.Random(61)
-        done = 0
-        while done < 100:
-            b1 = V(rng.randint(-3, 3), rng.randint(-3, 3), F2)
-            b2 = V(rng.randint(-3, 3), rng.randint(-3, 3), F2)
-            if b1.cross(b2).is_zero():
-                continue
-            lat = PlaneLattice(b1, b2)
-            e = lat.point(rng.randint(-3, 3), rng.randint(-3, 3))
-            if e.is_zero():
-                continue
-            # tau with rational coords plus an irrational slide along e
-            q1, q2 = Fraction(rng.randint(-6, 6), 2), Fraction(rng.randint(-6, 6), 2)
-            slide = F2.sqrt(2) * Fraction(rng.randint(-2, 2), 2)
-            tau = lat.b1.scale(q1) + lat.b2.scale(q2) + e.scale(slide)
-            t0, big = superlattice_meeting_line(lat, e, tau)
-            caught = e.scale(t0) + tau
-            assert big.contains(caught)
-            assert big.contains(lat.b1) and big.contains(lat.b2)
-            assert (lat.det / big.det).rational_value() is not None
-            done += 1
+        for field in (Q, F2, F23):
+            done = strict = 0
+            while done < 60:
+                b1 = PlaneVector(rand_element(rng, field, 3, 2), rand_element(rng, field, 3, 2))
+                b2 = PlaneVector(rand_element(rng, field, 3, 2), rand_element(rng, field, 3, 2))
+                if b1.cross(b2).is_zero():
+                    continue
+                lat = PlaneLattice(b1, b2)
+                e1, e2 = rng.randint(-3, 3), rng.randint(-3, 3)
+                if e1 * e1 + e2 * e2 < 2:
+                    continue
+                e = lat.point(e1, e2)
+                q1, q2 = Fraction(rng.randint(-6, 6), 2), Fraction(rng.randint(-6, 6), 2)
+                tau = lat.b1.scale(q1) + lat.b2.scale(q2) + e.scale(rand_element(rng, field, 2, 2))
+                t0, big = superlattice_meeting_line(lat, e, tau)
+                assert (t0, big) == field_superlattice_meeting_line(lat, e, tau)
+                caught = e.scale(t0) + tau
+                assert big.contains(caught)
+                assert big.contains(lat.b1) and big.contains(lat.b2)
+                assert (lat.det / big.det).rational_value() is not None
+                strict += big != lat
+                done += 1
+            assert strict > done // 2
