@@ -72,13 +72,15 @@ def _cmd_render(args) -> int:
     window = _parse_window_flag(args.window) if args.window else None  # flag errors first
     doc = jsonio.load_document(args.scene)
     poly, tset = jsonio.decode_scene_document(doc)
+    where = "--window" if window is not None else "lambda.window"
     if window is None and "window" in doc["lambda"]:
-        window = jsonio.decode_window(doc["lambda"]["window"], "lambda.window")
+        window = jsonio.decode_window(doc["lambda"]["window"], where)
     if window is None:
         raise GeometryError("render needs a window (--window or the scene's lambda.window)")
-    field = poly.field
-    box = Box(*(field.rational(w) for w in window))
-    svg = render_svg(poly, tset, box)
+    try:
+        svg = render_svg(poly, tset, Box(*(poly.field.rational(w) for w in window)))
+    except GeometryError as exc:  # the window is empty, or its box is over the enumeration budget
+        raise GeometryError(f"{where}: {exc}") from None
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(svg)
     return 0

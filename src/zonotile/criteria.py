@@ -16,8 +16,11 @@ Two layers:
   before it is returned; :func:`canonical_lattice` reuses its spans.
 
 Both run on the zonotope's integer rows (generators and pair translations
-over one denominator): spans are Hermite forms of rows, membership is read
-off the lattice's Hermite rows, and each "is this ratio rational" test,
+over one denominator): spans are Hermite forms of rows, and one form of the
+block rows (t_j | unit_j) gives all m drop-one spans, since the span
+without t_j is the full span whenever the gcd of the j-th entries of the
+integer relations sum k_j t_j = 0 is 1.  Membership is read off the
+lattice's Hermite rows, and each "is this ratio rational" test,
 det(e, tau) / det(L) or area / det(L), asks whether two numerator tuples
 are proportional.  The even witness adjoins a point of an edge line to a
 span by one more Hermite form, so no step does field arithmetic.
@@ -30,7 +33,7 @@ from fractions import Fraction
 from functools import reduce
 
 from .errors import AccountingError, FieldError, GeometryError, InternalError
-from .lattice import LATTICE, PlaneLattice, intersect, row_cross, row_span
+from .lattice import LATTICE, PlaneLattice, drop_one_spans, intersect, row_cross, row_span
 from .zonotope import Zonotope
 
 __all__ = [
@@ -123,7 +126,9 @@ def decide_multitiling(p: Zonotope) -> Decision:
     a positive answer always carries a verified witness lattice.
     Parallelograms trivially tile, so they answer True with the generator
     lattice rather than being refused.  For even m every drop-one span
-    that is a lattice is kept in ``drop_one_spans``, whatever the verdict.
+    that is a lattice is kept in ``drop_one_spans``, whatever the verdict;
+    only those whose relation gcd is not 1 (see
+    :func:`~zonotile.lattice.drop_one_spans`) take a Hermite form apart.
     """
     shifts = p.translation_rows()
     field, den = p.field, p.den
@@ -141,10 +146,8 @@ def decide_multitiling(p: Zonotope) -> Decision:
 
     succeeded: list[int] = []
     spans: list[tuple[int, PlaneLattice]] = []
-    witness = None
-    witness_j0 = None
-    for j0 in range(1, p.m + 1):
-        span = row_span(field, shifts[: j0 - 1] + shifts[j0:], den)
+    witness = witness_j0 = None
+    for j0, span in enumerate(drop_one_spans(field, shifts, den), start=1):
         if span.verdict != LATTICE:
             continue
         sub = span.basis
@@ -173,8 +176,9 @@ def canonical_lattice(decision: Decision) -> CanonicalLattice:
 
     Odd m: the integer span of all pair translations, which is the odd
     witness.  Even m: the intersection of the decision's drop-one spans
-    that are lattices.  Meets every lattice that multi-tiles with the
-    zonotope in full rank.
+    that are lattices, each distinct one taken once (most are the full
+    span: their relation gcd is 1).  Meets every lattice that multi-tiles
+    with the zonotope in full rank.
     """
     if decision.branch == "parallelogram":
         raise GeometryError("canonical lattice is not defined for parallelograms")
@@ -183,7 +187,7 @@ def canonical_lattice(decision: Decision) -> CanonicalLattice:
     if decision.branch == "odd":
         return CanonicalLattice(decision.witness_lattice, "pair-span", ())
     contributing, parts = zip(*decision.drop_one_spans)
-    return CanonicalLattice(reduce(intersect, parts), "intersection", contributing)
+    return CanonicalLattice(reduce(intersect, dict.fromkeys(parts)), "intersection", contributing)
 
 
 def lattice_multiplicity(p: Zonotope, lat: PlaneLattice, n_translates: int) -> int:

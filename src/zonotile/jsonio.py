@@ -14,6 +14,7 @@ elements.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
@@ -21,7 +22,7 @@ from math import gcd, lcm
 
 from .covering import Polygon, TranslateSet, VerifyReport
 from .criteria import BolleReport, CanonicalLattice, Decision
-from .errors import GeometryError, ZonotileError
+from .errors import FieldError, GeometryError, ZonotileError
 from .field import Field, FieldElement, RATIONALS
 from .lattice import LATTICE, PlaneLattice, PlaneVector, row_span, vectors_from_rows
 from .patterns import builtin_scene
@@ -122,6 +123,8 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if "e" in value.lower():  # a short exponent can ask for any number of digits
+            raise GeometryError(f"bad rational literal {value!r}: write it as p/q, with no exponent")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -133,45 +136,32 @@ def parse_element_text(text: str, field: Field | None = None, where: str = "elem
     """Parse a small sum like ``"1/2 + 3*sqrt(2) - sqrt(6)"`` exactly.
 
     Intended for CLI flags; radicands mentioned in the text are adjoined
-    automatically when no field is given.  ``where`` names the text's
-    source in error messages.
+    automatically when no field is given.  Errors name ``where``, the
+    text's source, and the bad term as written.
     """
-    src = text.replace(" ", "").replace("-", "+-")
-    terms = [t for t in src.split("+") if t]
-    parsed: list[tuple[Fraction, int | None]] = []
-    rads: set[int] = set()
-    for term in terms:
-        coef = Fraction(1)
-        rad = None
-        body = term
-        if body.startswith("-"):
-            coef = -coef
-            body = body[1:]
-        if "sqrt(" in body:
-            head, _, tail = body.partition("sqrt(")
-            if not tail.endswith(")") or not tail[:-1].isdecimal():
-                raise GeometryError(f"bad term {term!r} in {where}: expected [c*]sqrt(n) with an integer n")
-            rad = int(tail[:-1])
-            if head:
-                if head.endswith("*"):
-                    head = head[:-1]
-                coef *= parse_rational(head)
-        else:
-            coef *= parse_rational(body)
-        parsed.append((coef, rad))
-        if rad is not None and rad >= 2:
-            rads.add(rad)
+    parsed: list[tuple[Fraction, int]] = []  # (c, n) for c*sqrt(n), n = 1 for a rational
+    # a term runs up to the next '+' or '-' outside parentheses and keeps its '-'
+    for term in [t.strip() for t in re.findall(r"-?(?:[^+\-(]|\([^)]*\)?)*", text) if t.strip()]:
+        body = term.replace(" ", "")
+        head, sqrt, tail = body.removeprefix("-").partition("sqrt(")
+        try:
+            if not sqrt:
+                coef, rad = parse_rational(head), 1
+            elif tail.endswith(")") and tail[:-1].isdecimal():
+                coef, rad = (parse_rational(head.removesuffix("*")) if head else Fraction(1)), int(tail[:-1])
+                if rad >= 2:
+                    Field([rad]) if field is None else field.sqrt(rad)  # refuse a bad radicand with its term
+            else:
+                raise GeometryError("expected [c*]sqrt(n) with an integer n")
+        except ValueError as exc:  # also an integer over the interpreter's digit limit
+            raise GeometryError(f"bad term {term!r} in {where}: {exc}") from None
+        parsed.append((-coef if body.startswith("-") else coef, rad))
     if field is None:
-        field = Field(rads)
-    out = field.zero()
-    for coef, rad in parsed:
-        if rad is None or rad == 1:
-            out = out + field.rational(coef)
-        elif rad == 0:
-            continue
-        else:
-            out = out + field.sqrt(rad) * coef
-    return out
+        try:
+            field = Field({rad for _, rad in parsed if rad >= 2})
+        except FieldError as exc:
+            raise GeometryError(f"{where}: {exc}") from None
+    return sum((field.rational(c) if rad == 1 else field.sqrt(rad) * c for c, rad in parsed if rad), field.zero())
 
 
 # -- field elements ------------------------------------------------------------
@@ -346,13 +336,14 @@ def decode_window(doc, where: str) -> tuple[Fraction, Fraction, Fraction, Fracti
 def _decode_beta(doc, field: Field | None):
     if doc is None:
         return None
-    if isinstance(doc, (int, str)):
-        if isinstance(doc, str) and "sqrt" in doc:
-            return parse_element_text(doc, field, "lambda.beta")
+    if isinstance(doc, str) and "sqrt" in doc:
+        return parse_element_text(doc, field, "lambda.beta")
+    try:
+        if isinstance(doc, list):
+            return decode_element(doc, RATIONALS if field is None else field)
         return parse_rational(doc)
-    if isinstance(doc, list):
-        return decode_element(doc, RATIONALS if field is None else field)
-    raise GeometryError(f"bad beta value {doc!r}")
+    except GeometryError as exc:
+        raise GeometryError(f"lambda.beta: {exc}") from None
 
 
 def decode_scene_document(doc) -> tuple[Polygon, TranslateSet]:

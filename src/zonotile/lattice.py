@@ -9,7 +9,8 @@ over one common denominator (:func:`integer_rows`).  The row Hermite form
 of the rows has the rational rank as its row count (:func:`rational_rank`),
 spans the same group (:func:`row_span`, :func:`integer_span`), and for a
 lattice basis it is the canonical basis, so equal lattices compare and
-serialize identically.
+serialize identically.  :func:`drop_one_spans` reads every drop-one span of
+t_1..t_m off one Hermite form of the block rows (t_j | unit_j).
 
 A :class:`PlaneLattice` is its two Hermite rows ``rows``, their
 denominator ``den`` and the numerators of det(b1, b2) over its square;
@@ -55,6 +56,7 @@ __all__ = [
     "rational_rank",
     "row_span",
     "integer_span",
+    "drop_one_spans",
     "intersect",
     "sublattice_avoiding_coset",
     "line_meets_lattice",
@@ -366,15 +368,40 @@ def row_span(field: Field, rows, den: int) -> SpanAnalysis:
     """:func:`integer_span` of the vectors whose flattened rows over
     ``den`` are ``rows``.  Their Hermite rows give the rank and, at rank 2,
     a basis of the span."""
-    h = row_hnf(rows)
-    if len(h) > 2:
-        return SpanAnalysis(len(h), NOT_DISCRETE, None)
-    if len(h) < 2:
-        return SpanAnalysis(len(h), RANK_DEFICIENT, None)
-    basis = PlaneLattice._from_hermite(field, h, den)
-    if basis is None:
-        return SpanAnalysis(2, RANK_DEFICIENT, None)
-    return SpanAnalysis(2, LATTICE, basis)
+    return _hermite_span(field, row_hnf(rows), den)
+
+
+def _hermite_span(field: Field, h, den: int) -> SpanAnalysis:
+    """The span whose Hermite rows over ``den`` are ``h``."""
+    basis = PlaneLattice._from_hermite(field, h, den) if len(h) == 2 else None
+    if basis is not None:
+        return SpanAnalysis(2, LATTICE, basis)
+    return SpanAnalysis(len(h), NOT_DISCRETE if len(h) > 2 else RANK_DEFICIENT, None)
+
+
+def drop_one_spans(field: Field, rows, den: int) -> list[SpanAnalysis]:
+    """:func:`row_span` of ``rows`` without row j, for each j in order.
+
+    In the Hermite form of the block rows (t_j | unit_j), the r rows with a
+    nonzero first block are the Hermite rows of the span M of all rows, and
+    the others end in a basis of the relations sum k_j t_j = 0.  With g_j
+    the gcd of their j-th entries, dropping t_j leaves rank r if g_j != 0,
+    else r - 1, and when g_j = 1 a relation with k_j = 1 puts t_j in the
+    span of the rest, which is then M.  Only a rank-2 span with g_j != 1
+    takes a Hermite form of its own."""
+    m, width = len(rows), len(rows[0])
+    h = row_hnf([list(row) + [int(i == j) for i in range(m)] for j, row in enumerate(rows)])
+    r = next((i for i, row in enumerate(h) if not any(row[:width])), m)
+    full = _hermite_span(field, [row[:width] for row in h[:r]], den)
+    spans = []
+    for j in range(m):
+        g = gcd(*(row[width + j] for row in h[r:]))
+        rank = r if g else r - 1
+        if rank != 2:
+            spans.append(SpanAnalysis(rank, NOT_DISCRETE if rank > 2 else RANK_DEFICIENT, None))
+        else:
+            spans.append(full if g == 1 else row_span(field, rows[:j] + rows[j + 1 :], den))
+    return spans
 
 
 def intersect(l1: PlaneLattice, l2: PlaneLattice) -> PlaneLattice:

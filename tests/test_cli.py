@@ -584,6 +584,35 @@ class TestTypedErrors:
         path.write_text(json.dumps({"lambda": {"builtin": "octagon-family", "beta": "sqrt(x)"}}))
         self.fails(capsys, ["verify", str(path)], "lambda.beta")
 
+    def test_beta_errors_name_their_source_and_term(self, capsys, tmp_path):
+        for text, named in [
+            ("1/0", "bad term '1/0' in --beta: bad rational literal '1/0'"),
+            ("sqrt(4)", "bad term 'sqrt(4)' in --beta: radicand 4 is not squarefree"),
+            ("1 + sqrt(-2)", "bad term 'sqrt(-2)' in --beta: expected [c*]sqrt(n)"),
+            ("1 - 2*sqrt(3)*5", "bad term '- 2*sqrt(3)*5' in --beta"),
+            ("sqrt(2) + sqrt(3) + sqrt(6)", "--beta: radicands (2, 3, 6) are multiplicatively dependent"),
+        ]:
+            self.fails(capsys, ["examples", "octagon-family", f"--beta={text}"], named)
+        path = tmp_path / "scene.json"
+        zero_den = {"monomial": "1", "num": "1", "den": "0"}
+        for beta, named in [
+            ("1/0", "lambda.beta: bad rational literal '1/0'"),
+            ("sqrt(4)", "bad term 'sqrt(4)' in lambda.beta: radicand 4 is not squarefree"),
+            ([zero_den], f"lambda.beta: term {zero_den!r} has a zero denominator"),
+            ({"num": 1}, "lambda.beta: expected a rational number, got {'num': 1}"),
+        ]:
+            path.write_text(json.dumps({"lambda": {"builtin": "octagon-family", "beta": beta}}))
+            self.fails(capsys, ["verify", str(path)], named)
+        path.write_text(json.dumps({"field": [2], "lambda": {"builtin": "octagon-family", "beta": "sqrt(3)"}}))
+        self.fails(capsys, ["verify", str(path)], "bad term 'sqrt(3)' in lambda.beta: sqrt(3) is not a basis monomial")
+
+    def test_exponent_literals_refused_at_once(self, capsys):
+        # 10**99999999 would take minutes to build and could not be written back
+        for flag in ["--beta=1e99999999", "--window=0,0,1,1e99999999"]:
+            start = time.perf_counter()
+            self.fails(capsys, ["examples", "octagon-family", flag], "with no exponent")
+            assert time.perf_counter() - start < 1.0
+
     def test_not_utf8(self, capsys, tmp_path):
         path = tmp_path / "latin1.json"
         path.write_bytes(b'{"field": [], "note": "\xe9"}')
@@ -682,6 +711,57 @@ class TestInternalError:
             "zonotile: internal error: InternalError: "
             "internal: the faces count 8 but the density count is 7\n"
         )
+
+
+_NUMBERS = st.one_of(
+    st.integers(-4, 4).map(str),
+    st.builds("{}/{}".format, st.integers(-9, 9), st.integers(-1, 9)),
+    st.sampled_from(["0.5", "-1.25", ".5", "1e3", "1_0", "", " "]),
+)
+# short texts of the characters flags are made of; at most two digits keep
+# every window that parses small enough to render at once
+_JUNK = st.text(alphabet="0123456789/+-*.,() eqrst", max_size=2)
+
+
+@st.composite
+def _beta_texts(draw):
+    terms = st.one_of(
+        _NUMBERS,
+        st.builds("{}*sqrt({})".format, _NUMBERS, st.integers(-2, 40)),
+        st.builds("sqrt({})".format, st.integers(-2, 40)),
+        _JUNK,
+    )
+    parts = draw(st.lists(st.tuples(st.sampled_from(["+", "-", " + ", " - ", ""]), terms), max_size=5))
+    return "".join(sign + term for sign, term in parts)
+
+
+class TestFlagTexts:
+    """``render --window`` and ``examples --beta`` on any flag text exit 0
+    or 2, never 3, write no traceback, and name the flag in every error."""
+
+    def exits_0_or_2(self, argv, flag):
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(argv)
+        err = err.getvalue()
+        assert code in (0, 2), err
+        assert "Traceback" not in err and "internal error" not in err, err
+        assert code == 0 or flag in err, err
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(st.lists(st.one_of(_NUMBERS, _JUNK), max_size=5).map(",".join), st.text(max_size=10)))
+    def test_render_window(self, text):
+        z2 = {"lattice": jsonio.encode_lattice(PlaneLattice(V(1, 0), V(0, 1)))}
+        square = {"vertices": [jsonio.encode_vector(V(x, y)) for x, y in [(0, 0), (1, 0), (1, 1), (0, 1)]]}
+        with tempfile.TemporaryDirectory() as work:
+            scene = Path(work, "scene.json")
+            scene.write_text(json.dumps({"field": [], "polygon": square, "lambda": {"periodic": [z2]}}))
+            self.exits_0_or_2(["render", str(scene), "-o", str(Path(work, "out.svg")), f"--window={text}"], "--window")
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(_beta_texts(), st.text(max_size=10)))
+    def test_examples_beta(self, text):
+        self.exits_0_or_2(["examples", "octagon-family", f"--beta={text}"], "--beta")
 
 
 @functools.cache

@@ -29,7 +29,9 @@ from zonotile import (
     rational_rank,
     vector,
 )
+import zonotile.lattice
 from zonotile.criteria import DET_RATIO_IRRATIONAL, SPAN_NOT_DISCRETE
+from zonotile.lattice import LATTICE, NOT_DISCRETE, drop_one_spans
 
 from conftest import F2, F23, Q, V, random_zonotope, sort_by_argument, upper_half
 
@@ -50,6 +52,33 @@ def hexagon():
 
 def square():
     return Zonotope([V(1, 0), V(0, 1)])
+
+
+def det_ratio_failure_zonotope():
+    """Three octagon generators perturbed by an alternating irrational
+    vector: the pair translations have rational rank 3, and only dropping
+    the first leaves a lattice, Z x 2Z."""
+    f = Field([2])
+    gamma = vector(f, f.sqrt(2), f.sqrt(2)).scale(Fraction(1, 8))
+    return Zonotope([
+        vector(f, 1, 0),
+        vector(f, 1, 1) + gamma,
+        vector(f, 0, 1) - gamma,
+        vector(f, -1, 1) + gamma,
+    ])
+
+
+def count_hermite_forms(monkeypatch):
+    """The row counts of the Hermite forms ``zonotile.lattice`` takes from
+    here on, one entry a form."""
+    calls = []
+
+    def counting(rows, _row_hnf=zonotile.lattice.row_hnf):
+        calls.append(len(rows))
+        return _row_hnf(rows)
+
+    monkeypatch.setattr(zonotile.lattice, "row_hnf", counting)
+    return calls
 
 
 def independent_generators(rng, m):
@@ -164,19 +193,10 @@ class TestDecide:
         assert dec.failure_reason == SPAN_NOT_DISCRETE
 
     def test_even_case_det_ratio_failure(self):
-        # perturb three octagon generators by an alternating irrational
-        # vector: the drop-first span stays the lattice Z x 2Z, but
-        # det(e_1, t_1) picks up an irrational part, so condition 2(b)
-        # fails there while every other drop-one span is dense
-        f = Field([2])
-        gamma = vector(f, f.sqrt(2), f.sqrt(2)).scale(Fraction(1, 8))
-        gens = [
-            vector(f, 1, 0),
-            vector(f, 1, 1) + gamma,
-            vector(f, 0, 1) - gamma,
-            vector(f, -1, 1) + gamma,
-        ]
-        z = Zonotope(gens)
+        # the drop-first span stays the lattice Z x 2Z, but det(e_1, t_1)
+        # picks up an irrational part, so condition 2(b) fails there while
+        # every other drop-one span is dense
+        z = det_ratio_failure_zonotope()
         shifts = z.pair_translations()
         assert [(t.x, t.y) for t in shifts[1:]] == [(-2, 2), (-3, 0), (-2, -2)]
         dec = decide_multitiling(z)
@@ -208,6 +228,60 @@ class TestDecide:
             lat2 = PlaneLattice(apply_map(a, b, lat.b1), apply_map(a, b, lat.b2))
             assert bolle_check(z, lat).verdict == bolle_check(z2, lat2).verdict
             done += 1
+
+
+class TestDropOneSpans:
+    """``drop_one_spans`` against ``integer_span`` of the m - 1 kept
+    translations, in each of its three cases, with the Hermite forms it
+    takes: one of the block rows (t_j | unit_j), and one more for each
+    rank-2 span whose relation gcd g_j is not 1."""
+
+    def spans(self, p, monkeypatch):
+        calls = count_hermite_forms(monkeypatch)
+        spans = drop_one_spans(p.field, p.translation_rows(), p.den)
+        monkeypatch.undo()
+        shifts = p.pair_translations()
+        assert spans == [integer_span(shifts[:j] + shifts[j + 1 :]) for j in range(p.m)]
+        return spans, integer_span(shifts), calls
+
+    def test_every_span_is_the_full_span(self, monkeypatch):
+        # g_j = 1 for every j: each t_j is an integer combination of the rest
+        spans, full, calls = self.spans(random_zonotope(random.Random(3), m=6), monkeypatch)
+        assert full.verdict == LATTICE
+        assert spans == [full] * 6
+        assert calls == [6]
+
+    def test_octagon_spans_are_all_recomputed(self, monkeypatch):
+        # the relations 2t1 - 2t3 + 3t4 = 0 and 3t2 - 4t3 + 3t4 = 0 give
+        # g = 2, 3, 2, 3, and the spans have index 2, 3, 2, 3 in Z^2
+        spans, full, calls = self.spans(octagon(), monkeypatch)
+        assert full.basis == Z2()
+        assert [s.basis.det.rational_value() for s in spans] == [2, 3, 2, 3]
+        assert calls == [4, 3, 3, 3, 3]
+
+    def test_rank_three_leaves_one_lattice(self, monkeypatch):
+        # the one relation 3t2 - 4t3 + 3t4 = 0 leaves t_1 outside the
+        # rational span of the others (g_1 = 0), so only the drop-first
+        # span has rank 2
+        spans, full, calls = self.spans(det_ratio_failure_zonotope(), monkeypatch)
+        assert full.q_rank == 3
+        assert spans[0].verdict == LATTICE and spans[0].basis == PlaneLattice(V(1, 0, F2), V(0, 2, F2))
+        assert [(s.q_rank, s.verdict) for s in spans[1:]] == [(3, NOT_DISCRETE)] * 3
+        assert calls == [4, 3]
+
+    def test_decide_takes_at_most_three_forms_whatever_m(self, monkeypatch):
+        # every drop-one span of this 24-gon is the span of all 12
+        # translations: the block form and the witness's form are all
+        # decide needs, and canon has one distinct span to intersect
+        p = random_zonotope(random.Random(12), m=12)
+        calls = count_hermite_forms(monkeypatch)
+        dec = decide_multitiling(p)
+        assert len(calls) <= 3
+        canon = canonical_lattice(dec)
+        assert len(calls) <= 3
+        monkeypatch.undo()
+        assert dec.multi_tiles and [j0 for j0, _ in dec.drop_one_spans] == list(range(1, 13))
+        assert canon.lattice == integer_span(p.pair_translations()).basis
 
 
 class TestNoFieldArithmetic:
@@ -356,7 +430,8 @@ def _bolle_agreement(p):
     """Decide p, check the verdict against the rational rank of its pair
     translations, and compare ``bolle_check`` with the field oracle on the
     witness and on the drop-one spans, each with its index-2 and index-3
-    sub- and superlattices; returns the reports."""
+    sub- and superlattices.  Each drop-one span must be the integer span of
+    its m - 1 translations.  Returns the reports."""
     dec = decide_multitiling(p)
     shifts = p.pair_translations()
     if p.m == 2:
@@ -366,6 +441,8 @@ def _bolle_agreement(p):
     else:
         lattices = [j0 for j0 in range(1, p.m + 1) if rational_rank(shifts[: j0 - 1] + shifts[j0:]) == 2]
         assert [j0 for j0, _ in dec.drop_one_spans] == lattices
+        for j0, lat in dec.drop_one_spans:
+            assert lat == integer_span(shifts[: j0 - 1] + shifts[j0:]).basis
         assert dec.multi_tiles or dec.failure_reason == (DET_RATIO_IRRATIONAL if lattices else SPAN_NOT_DISCRETE)
     base = [dec.witness_lattice] if dec.multi_tiles else []
     base += [lat for _, lat in dec.drop_one_spans[:2]]
