@@ -69,7 +69,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    window = _parse_window_flag(args.window) if args.window else None  # flag errors first
+    window = _parse_window_flag(args.window) if args.window is not None else None  # flag errors first
     doc = jsonio.load_document(args.scene)
     poly, tset = jsonio.decode_scene_document(doc)
     where = "--window" if window is not None else "lambda.window"
@@ -87,15 +87,17 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_examples(args) -> int:
-    window = _parse_window_flag(args.window) if args.window else None
+    window = _parse_window_flag(args.window) if args.window is not None else None
     beta = None
     if args.beta is not None:
         beta = jsonio.parse_element_text(args.beta, where="--beta")
         if isinstance(beta, FieldElement) and beta.is_rational():
             beta = beta.rational_value()
     doc = jsonio.encode_scene_builtin(args.name, window, beta)
-    # build once to validate the combination before emitting
-    jsonio.decode_scene_document(doc)
+    try:  # build once to validate the combination before emitting
+        jsonio.decode_scene_document(doc)
+    except GeometryError as exc:  # the builtin refuses the window, as empty say
+        raise exc if window is None else GeometryError(f"--window: {exc}") from None
     _emit(doc)
     return 0
 
@@ -146,7 +148,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
+    empty = [name for name, value in vars(args).items() if value == []]  # argparse reads --flag=-- as []
     try:
+        if empty:
+            raise GeometryError(f"--{empty[0]}: expected one argument")
         return args.fn(args)
     except (ZonotileError, OSError) as exc:
         print(f"zonotile: error: {exc}", file=sys.stderr)

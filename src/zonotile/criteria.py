@@ -16,14 +16,14 @@ Two layers:
   before it is returned; :func:`canonical_lattice` reuses its spans.
 
 Both run on the zonotope's integer rows (generators and pair translations
-over one denominator): spans are Hermite forms of rows, and one form of the
-block rows (t_j | unit_j) gives all m drop-one spans, since the span
-without t_j is the full span whenever the gcd of the j-th entries of the
-integer relations sum k_j t_j = 0 is 1.  Membership is read off the
-lattice's Hermite rows, and each "is this ratio rational" test,
-det(e, tau) / det(L) or area / det(L), asks whether two numerator tuples
-are proportional.  The even witness adjoins a point of an edge line to a
-span by one more Hermite form, so no step does field arithmetic.
+over one denominator): spans are Hermite forms of rows, and the span of
+all m translations with their integer relations sum k_j t_j = 0 gives
+every drop-one span (the span without t_j is the full span whenever the
+gcd of the relations' j-th entries is 1).  Each row is solved once into
+lattice coordinates over one k, so membership, det(e, tau) / det(L) and
+area / det(L) are small-integer arithmetic (off the lattice's rational
+span, a ratio is rational iff two numerator tuples are proportional), and
+no step, not even the even witness, does field arithmetic.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import accumulate
 
 from .errors import AccountingError, FieldError, GeometryError, InternalError
 from .lattice import LATTICE, PlaneLattice, drop_one_spans, intersect, row_cross, row_span
@@ -92,10 +93,11 @@ def bolle_check(p: Zonotope, lat: PlaneLattice) -> BolleReport:
     Bolle's theorem, so any other value is a bug, not bad input."""
     if lat.field is not p.field:
         raise FieldError(f"zonotope over {p.field!r} checked against a lattice over {lat.field!r}")
-    den = p.den
+    shifts = p.translation_rows()
+    coords, k = lat.span_coords(p.rows + tuple(shifts), p.den)
     pairs = tuple(
-        BollePair(j, lat.row_coords(t, den) is not None, lat.meets_line(e, t, den))
-        for j, (e, t) in enumerate(zip(p.rows, p.translation_rows()), start=1)
+        BollePair(j, tc is not None and not (tc[0] % k or tc[1] % k), lat.meets_line(e, t, p.den, ec, tc, k))
+        for j, (e, t, ec, tc) in enumerate(zip(p.rows, shifts, coords, coords[p.m :]), start=1)
     )
     if not all(pr.cond1 or pr.cond2 for pr in pairs):
         return BolleReport(pairs, False, None)
@@ -106,9 +108,15 @@ def bolle_check(p: Zonotope, lat: PlaneLattice) -> BolleReport:
 
 
 def _multiplicity(p: Zonotope, lat: PlaneLattice, n_translates: int) -> Fraction | None:
-    """n_translates * area / det, or None when area / det is irrational."""
-    area = p.area()
-    ratio = lat.det_ratio(area.nums, area.den)
+    """n_translates * area / det, or None when it is irrational; area / det
+    is sum_{i<j} det(c_i, c_j) / k**2 for lattice coordinates c over k."""
+    coords, k = lat.span_coords(p.rows, p.den)
+    if None in coords:
+        area = p.area()
+        ratio = lat.det_ratio(area.nums, area.den)
+    else:
+        prefix = accumulate(coords, lambda u, v: (u[0] + v[0], u[1] + v[1]))
+        ratio = Fraction(sum(x * cy - y * cx for (x, y), (cx, cy) in zip(prefix, coords[1:])), k * k)
     return None if ratio is None else n_translates * abs(ratio)
 
 
@@ -152,8 +160,12 @@ def decide_multitiling(p: Zonotope) -> Decision:
             continue
         sub = span.basis
         spans.append((j0, sub))
-        e = p.rows[j0 - 1]
-        d = sub.det_ratio(row_cross(field, shifts[j0 - 1], e), den * den)
+        e, t = p.rows[j0 - 1], shifts[j0 - 1]
+        (tc, ec), k = sub.span_coords([t, e], den)
+        if tc is None or ec is None:  # only over an irrational field
+            d = sub.det_ratio(row_cross(field, t, e), den * den)
+        else:
+            d = Fraction(tc[0] * ec[1] - tc[1] * ec[0], k * k)
         if d is None:
             continue
         succeeded.append(j0)

@@ -158,6 +158,12 @@ class Field:
         nums[mask] = 1
         return _make(self, tuple(nums), 1)
 
+    def root(self, d: int) -> FieldElement | None:
+        """sqrt(d) for an integer d >= 1 as (r / p) * sqrt(p), p the monomial
+        product with d * p == r * r, or None when there is no such p."""
+        p = next((p for p in self.products if isqrt(d * p) ** 2 == d * p), None)
+        return None if p is None else self.sqrt(p) * Fraction(isqrt(d * p), p)
+
     def element(self, coeffs_by_mask) -> FieldElement:
         """The element with rational coefficient ``coeffs_by_mask[m]`` on
         monomial m and zero on the others.

@@ -3,14 +3,14 @@ proportionality.
 
 Everything here works on lists of Python ints.  The row Hermite form is
 the one algorithm: ranks, spans, canonical bases, lattice intersections
-and kernels are all read off it.  Matrices are tiny (at most a handful of
-rows over at most 64 columns), so the plain gcd-elimination algorithm is
-entirely adequate.
+and kernels are all read off it, and stopped early it gives spans with
+their relations (:func:`span_and_relations`).  Matrices are tiny (a
+handful of rows over at most 64 columns): plain gcd elimination will do.
 """
 
 from __future__ import annotations
 
-__all__ = ["row_hnf", "right_kernel", "proportion"]
+__all__ = ["row_hnf", "span_and_relations", "right_kernel", "proportion"]
 
 
 def _row_sub(m, i, j, q):
@@ -20,14 +20,15 @@ def _row_sub(m, i, j, q):
             mi[c] -= q * mj[c]
 
 
-def _hnf_inplace(m: list[list[int]]) -> int:
+def _hnf_inplace(m: list[list[int]], ncols: int | None = None) -> int:
     """Reduce ``m`` to canonical row Hermite form in place; return the rank.
 
     Pivots are positive, entries above each pivot are reduced into
-    [0, pivot), zero rows sink to the bottom.
+    [0, pivot), zero rows sink to the bottom; it stops after ``ncols`` columns.
     """
     nrows = len(m)
-    ncols = len(m[0]) if m else 0
+    if ncols is None:
+        ncols = len(m[0]) if m else 0
     r = 0
     for c in range(ncols):
         if r >= nrows:
@@ -61,6 +62,16 @@ def row_hnf(rows) -> list[list[int]]:
     m = [list(map(int, row)) for row in rows]
     rank = _hnf_inplace(m)
     return m[:rank]
+
+
+def span_and_relations(rows) -> tuple[list[list[int]], list[list[int]]]:
+    """The Hermite rows of the span of ``rows`` and a basis (not canonical)
+    of the relations sum k_j rows[j] = 0: [rows | I] echelonized on the
+    columns of ``rows`` spans the (k @ rows | k), the (0 | k) last."""
+    width = len(rows[0])
+    m = [list(map(int, row)) + [int(i == j) for i in range(len(rows))] for j, row in enumerate(rows)]
+    rank = _hnf_inplace(m, width)
+    return [row[:width] for row in m[:rank]], [row[width:] for row in m[rank:]]
 
 
 def right_kernel(rows) -> list[list[int]]:

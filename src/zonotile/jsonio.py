@@ -135,9 +135,10 @@ def parse_rational(value) -> Fraction:
 def parse_element_text(text: str, field: Field | None = None, where: str = "element text") -> FieldElement:
     """Parse a small sum like ``"1/2 + 3*sqrt(2) - sqrt(6)"`` exactly.
 
-    Intended for CLI flags; radicands mentioned in the text are adjoined
-    automatically when no field is given.  Errors name ``where``, the
-    text's source, and the bad term as written.
+    Intended for CLI flags; when no field is given, the radicands written
+    are adjoined in increasing order, each unless the field built so far
+    has its root (sqrt(15) in Q(sqrt6, sqrt10) is sqrt(60)/2).  Errors
+    name ``where``, the text's source, and the bad term as written.
     """
     parsed: list[tuple[Fraction, int]] = []  # (c, n) for c*sqrt(n), n = 1 for a rational
     # a term runs up to the next '+' or '-' outside parentheses and keeps its '-'
@@ -157,11 +158,14 @@ def parse_element_text(text: str, field: Field | None = None, where: str = "elem
             raise GeometryError(f"bad term {term!r} in {where}: {exc}") from None
         parsed.append((-coef if body.startswith("-") else coef, rad))
     if field is None:
-        try:
-            field = Field({rad for _, rad in parsed if rad >= 2})
-        except FieldError as exc:
-            raise GeometryError(f"{where}: {exc}") from None
-    return sum((field.rational(c) if rad == 1 else field.sqrt(rad) * c for c, rad in parsed if rad), field.zero())
+        field = RATIONALS
+        for rad in sorted({rad for _, rad in parsed if rad >= 2}):
+            if field.root(rad) is None:
+                try:
+                    field = Field([*field.radicands, rad])
+                except FieldError as exc:
+                    raise GeometryError(f"{where}: {exc}") from None
+    return sum((field.rational(c) if rad == 1 else field.root(rad) * c for c, rad in parsed if rad), field.zero())
 
 
 # -- field elements ------------------------------------------------------------

@@ -10,17 +10,17 @@ of the rows has the rational rank as its row count (:func:`rational_rank`),
 spans the same group (:func:`row_span`, :func:`integer_span`), and for a
 lattice basis it is the canonical basis, so equal lattices compare and
 serialize identically.  :func:`drop_one_spans` reads every drop-one span of
-t_1..t_m off one Hermite form of the block rows (t_j | unit_j).
+t_1..t_m off the span of all of them and their integer relations.
 
 A :class:`PlaneLattice` is its two Hermite rows ``rows``, their
 denominator ``den`` and the numerators of det(b1, b2) over its square;
 the basis vectors and the covolume become field elements only when they
-are read.  Membership is read off the rows: a vector is a lattice point
-iff its row, scaled to the lattice denominator, is an integer row that
-reduces to zero against the two echelon rows, and the pivot quotients
-are its lattice coordinates.
-A ratio such as det(e, tau) / det(L) is rational iff the two numerator
-tuples are proportional (:func:`~zonotile.intlinalg.proportion`).  Two
+are read.  A row is solved once against the two echelon rows
+(:meth:`PlaneLattice.span_coords`): its lattice coordinates over one
+common k, a lattice point iff k divides both, and det(u, v) / det(L) is
+their determinant over k**2.  Only for a vector outside the lattice's
+rational span is such a ratio tested on numerators: it is rational iff
+they are proportional (:func:`~zonotile.intlinalg.proportion`).  Two
 lattices intersect (:func:`intersect`) by one Hermite form of the block
 rows (u | u) and (v | 0), u and v their Hermite rows: the rows whose
 first block is zero number 2 exactly when the lattices are commensurable,
@@ -39,7 +39,7 @@ from math import gcd, lcm
 
 from .errors import FieldError, GeometryError, IncommensurableError, InternalError, RationalityError
 from .field import Field, FieldElement
-from .intlinalg import proportion, row_hnf
+from .intlinalg import proportion, row_hnf, span_and_relations
 
 __all__ = [
     "PlaneVector",
@@ -180,9 +180,9 @@ class PlaneLattice:
     lattices with equal point sets are equal objects.  The lattice keeps
     the two Hermite rows over their least common denominator and the
     numerators of det(b1, b2); ``b1``, ``b2``, ``basis()`` and ``det``
-    build field elements from them when read.  :meth:`row_coords`,
-    :meth:`det_ratio` and :meth:`meets_line` answer on integer rows, and
-    the vector methods flatten their argument and ask them.
+    build field elements from them when read.  :meth:`span_coords` and
+    the methods built on it answer on integer rows, and the vector methods
+    flatten their argument and ask them.
     """
 
     __slots__ = ("field", "rows", "den", "_pivots", "_det", "_basis")
@@ -255,29 +255,32 @@ class PlaneLattice:
         (row,), den = self._flatten([v])
         return self.row_coords(row, den)
 
+    def span_coords(self, rows, den: int) -> tuple[list[tuple[int, int] | None], int]:
+        """Lattice coordinates (c1, c2) over one k of the vectors whose
+        flattened rows over ``den`` are ``rows``, None off the rational span.
+
+        Flattening is Q-linear, so a row r is a1*h1 + a2*h2 scaled by
+        q / s (g = gcd(den, self.den), q = den / g, s = self.den / g).  At
+        the pivots a = h1[p1], b = h2[p2] that gives c1 = s*b*r[p1] and
+        c2 = s*(a*r[p2] - h1[p2]*r[p1]) over k = q*a*b; off the span some
+        other entry disagrees."""
+        g = gcd(self.den, den)
+        s = self.den // g
+        (h1, h2), (p1, p2) = self.rows, self._pivots
+        a, b, c, ab = h1[p1], h2[p2], h1[p2], h1[p1] * h2[p2]
+        rest = [i for i in range(len(h1)) if i != p1 and i != p2]  # the pivot entries always agree
+        out = []
+        for row in rows:
+            u1, u2 = b * row[p1], a * row[p2] - c * row[p1]
+            off = rest and any(row[i] * ab != u1 * h1[i] + u2 * h2[i] for i in rest)
+            out.append(None if off else (s * u1, s * u2))
+        return out, den // g * ab
+
     def row_coords(self, row, den: int) -> tuple[int, int] | None:
         """Integer coordinates of the vector whose flattened row over
-        ``den`` is ``row``, or None when it is no lattice point.
-
-        Flattening is a Q-linear bijection, so the vector is a1*b1 + a2*b2
-        with integers a1, a2 exactly when its row scaled to the lattice
-        denominator is the integer row a1*h1 + a2*h2.  The echelon pivots
-        give a1 and then a2; any residue left means no lattice point.
-        """
-        g = gcd(self.den, den)
-        q, s = den // g, self.den // g
-        if q != 1:
-            if any(n % q for n in row):
-                return None
-            row = [n // q for n in row]
-        if s != 1:
-            row = [n * s for n in row]
-        (h1, h2), (p1, p2) = self.rows, self._pivots
-        a1 = row[p1] // h1[p1]
-        a2 = (row[p2] - a1 * h1[p2]) // h2[p2]
-        if any(n != a1 * x + a2 * y for n, x, y in zip(row, h1, h2)):
-            return None
-        return (a1, a2)
+        ``den`` is ``row``, or None when it is no lattice point."""
+        (c,), k = self.span_coords([row], den)
+        return None if c is None or c[0] % k or c[1] % k else (c[0] // k, c[1] // k)
 
     def det_ratio(self, nums, den: int) -> Fraction | None:
         """The rational value of (nums / den) / det(b1, b2) for the
@@ -287,18 +290,18 @@ class PlaneLattice:
         pq = proportion(nums, self._det)
         return None if pq is None else Fraction(pq[0] * self.den**2, pq[1] * den)
 
-    def meets_line(self, e, tau, den: int) -> bool:
-        """:func:`line_meets_lattice` for e and tau flattened as rows over
-        one denominator ``den``."""
-        ec = self.row_coords(e, den)
-        if ec is None:
+    def meets_line(self, e, tau, den: int, ec, tc, k: int) -> bool:
+        """:func:`line_meets_lattice` for nonzero e and tau, rows over ``den``
+        with :meth:`span_coords` ``ec`` and ``tc`` over ``k``: for integer
+        e = (e1, e2), k*gcd(e1, e2) must divide k*det(e, tau)/det(L) =
+        e1*tc[1] - e2*tc[0], or the plane ratio's numerator if tc is None."""
+        if ec is None or ec[0] % k or ec[1] % k:
             return False
-        if ec == (0, 0):
-            return self.row_coords(tau, den) is not None
-        d = self.det_ratio(row_cross(self.field, e, tau), den * den)
-        if d is None or d.denominator != 1:
-            return False
-        return d.numerator % gcd(ec[0], ec[1]) == 0
+        e1, e2 = ec[0] // k, ec[1] // k
+        if tc is None:
+            d = self.det_ratio(row_cross(self.field, e, tau), den * den)
+            return d is not None and d.denominator == 1 and d.numerator % gcd(e1, e2) == 0
+        return (e1 * tc[1] - e2 * tc[0]) % (k * gcd(e1, e2)) == 0
 
     def adjoin_line_point(self, e, d: Fraction, den: int) -> "PlaneLattice":
         """The superlattice adjoining the point of the line t*e + tau that is
@@ -382,20 +385,18 @@ def _hermite_span(field: Field, h, den: int) -> SpanAnalysis:
 def drop_one_spans(field: Field, rows, den: int) -> list[SpanAnalysis]:
     """:func:`row_span` of ``rows`` without row j, for each j in order.
 
-    In the Hermite form of the block rows (t_j | unit_j), the r rows with a
-    nonzero first block are the Hermite rows of the span M of all rows, and
-    the others end in a basis of the relations sum k_j t_j = 0.  With g_j
-    the gcd of their j-th entries, dropping t_j leaves rank r if g_j != 0,
-    else r - 1, and when g_j = 1 a relation with k_j = 1 puts t_j in the
-    span of the rest, which is then M.  Only a rank-2 span with g_j != 1
-    takes a Hermite form of its own."""
-    m, width = len(rows), len(rows[0])
-    h = row_hnf([list(row) + [int(i == j) for i in range(m)] for j, row in enumerate(rows)])
-    r = next((i for i, row in enumerate(h) if not any(row[:width])), m)
-    full = _hermite_span(field, [row[:width] for row in h[:r]], den)
+    :func:`~zonotile.intlinalg.span_and_relations` gives the r Hermite rows
+    of the span M of all rows and a basis of the relations sum k_j t_j = 0.
+    With g_j the gcd of their j-th entries (in any basis), dropping t_j
+    leaves rank r if g_j != 0, else r - 1, and when g_j = 1 a relation with
+    k_j = 1 puts t_j in the span of the rest, which is then M.  Only a
+    rank-2 span with g_j != 1 takes a Hermite form of its own."""
+    h, relations = span_and_relations(rows)
+    r = len(h)
+    full = _hermite_span(field, h, den)
     spans = []
-    for j in range(m):
-        g = gcd(*(row[width + j] for row in h[r:]))
+    for j in range(len(rows)):
+        g = gcd(*(k[j] for k in relations))
         rank = r if g else r - 1
         if rank != 2:
             spans.append(SpanAnalysis(rank, NOT_DISCRETE if rank > 2 else RANK_DEFICIENT, None))
@@ -472,12 +473,13 @@ def line_meets_lattice(l: PlaneLattice, e: PlaneVector, tau: PlaneVector) -> boo
     e2*m - e1*n = -det(e, tau) has a solution, i.e. the right side is an
     integer divisible by gcd(e1, e2).  This reduces the existential over
     the reals to gcd arithmetic.  The determinant in lattice coordinates is
-    the plane one over det(l), so tau's coordinates are never solved for.
+    the plane one over det(l), so tau needs no rational coordinates.
     No pipeline code calls it: Bolle's test asks :meth:`PlaneLattice.meets_line`
-    on rows, and this vector form serves acceptance criterion 7.
+    on solved rows, and this vector form serves acceptance criterion 7.
     """
     (e_row, tau_row), den = l._flatten([e, tau])
-    return l.meets_line(e_row, tau_row, den)
+    (ec, tc), k = l.span_coords([e_row, tau_row], den)
+    return l.contains(tau) if e.is_zero() else l.meets_line(e_row, tau_row, den, ec, tc, k)
 
 
 def superlattice_meeting_line(

@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zonotile import BUILTIN_NAMES, Field, FieldElement, PlaneLattice, Zonotope, vector
@@ -590,7 +590,7 @@ class TestTypedErrors:
             ("sqrt(4)", "bad term 'sqrt(4)' in --beta: radicand 4 is not squarefree"),
             ("1 + sqrt(-2)", "bad term 'sqrt(-2)' in --beta: expected [c*]sqrt(n)"),
             ("1 - 2*sqrt(3)*5", "bad term '- 2*sqrt(3)*5' in --beta"),
-            ("sqrt(2) + sqrt(3) + sqrt(6)", "--beta: radicands (2, 3, 6) are multiplicatively dependent"),
+            ("sqrt(2) + sqrt(3) + sqrt(5) + sqrt(7) + sqrt(11)", "--beta: at most 4 radicands supported, got 5"),
         ]:
             self.fails(capsys, ["examples", "octagon-family", f"--beta={text}"], named)
         path = tmp_path / "scene.json"
@@ -605,6 +605,34 @@ class TestTypedErrors:
             self.fails(capsys, ["verify", str(path)], named)
         path.write_text(json.dumps({"field": [2], "lambda": {"builtin": "octagon-family", "beta": "sqrt(3)"}}))
         self.fails(capsys, ["verify", str(path)], "bad term 'sqrt(3)' in lambda.beta: sqrt(3) is not a basis monomial")
+
+    def test_dependent_radicands_read_in_the_field_they_span(self, capsys):
+        for text, field, monomials in [
+            ("sqrt(2) + sqrt(3) + sqrt(6)", [2, 3], {"r2": "1", "r3": "1", "r6": "1"}),
+            ("sqrt(6) + sqrt(10) + sqrt(15)", [6, 10], {"r6": "1", "r10": "1", "r60": "1/2"}),
+        ]:
+            code, out = run(capsys, ["examples", "octagon-family", f"--beta={text}"])
+            assert code == 0
+            doc = json.loads(out)
+            assert doc["field"] == field
+            assert {t["monomial"]: str(Fraction(int(t["num"]), int(t["den"]))) for t in doc["lambda"]["beta"]} == monomials
+
+    def test_empty_window_is_named(self, capsys):
+        self.fails(capsys, ["examples", "tetromino-L1", "--window=0,0,0,0"], "--window: window is empty")
+
+    def test_explicit_double_dash_values(self, capsys, tmp_path):
+        # argparse hands "--flag=--" over as an empty list, not a string
+        code, out = run(capsys, ["examples", "octagon-family"])
+        scene = tmp_path / "scene.json"
+        scene.write_text(out)
+        for argv, named in [
+            (["examples", "octagon-family", "--beta=--"], "--beta"),
+            (["examples", "octagon-family", "--window=--"], "--window"),
+            (["render", str(scene), "-o=--", "--window=0,0,1,1"], "--output"),
+            (["render", str(scene), "-o", str(tmp_path / "x.svg"), "--window=--"], "--window"),
+        ]:
+            self.fails(capsys, argv, named)
+        assert not (tmp_path / "x.svg").exists()
 
     def test_exponent_literals_refused_at_once(self, capsys):
         # 10**99999999 would take minutes to build and could not be written back
@@ -750,6 +778,7 @@ class TestFlagTexts:
 
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(st.lists(st.one_of(_NUMBERS, _JUNK), max_size=5).map(",".join), st.text(max_size=10)))
+    @example("--")
     def test_render_window(self, text):
         z2 = {"lattice": jsonio.encode_lattice(PlaneLattice(V(1, 0), V(0, 1)))}
         square = {"vertices": [jsonio.encode_vector(V(x, y)) for x, y in [(0, 0), (1, 0), (1, 1), (0, 1)]]}
@@ -760,6 +789,7 @@ class TestFlagTexts:
 
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(_beta_texts(), st.text(max_size=10)))
+    @example("--")
     def test_examples_beta(self, text):
         self.exits_0_or_2(["examples", "octagon-family", f"--beta={text}"], "--beta")
 

@@ -31,9 +31,9 @@ from zonotile import (
 )
 import zonotile.lattice
 from zonotile.criteria import DET_RATIO_IRRATIONAL, SPAN_NOT_DISCRETE
-from zonotile.lattice import LATTICE, NOT_DISCRETE, drop_one_spans
+from zonotile.lattice import LATTICE, NOT_DISCRETE, drop_one_spans, line_meets_lattice
 
-from conftest import F2, F23, Q, V, random_zonotope, sort_by_argument, upper_half
+from conftest import F2, F23, Q, V, rand_element, random_zonotope, sort_by_argument, upper_half
 
 H = Fraction(1, 2)
 
@@ -69,15 +69,15 @@ def det_ratio_failure_zonotope():
 
 
 def count_hermite_forms(monkeypatch):
-    """The row counts of the Hermite forms ``zonotile.lattice`` takes from
-    here on, one entry a form."""
+    """The row counts of the Hermite forms and span-and-relations echelons
+    ``zonotile.lattice`` takes from here on, one entry a form."""
     calls = []
+    for name in ("row_hnf", "span_and_relations"):
+        def counting(rows, _form=getattr(zonotile.lattice, name)):
+            calls.append(len(rows))
+            return _form(rows)
 
-    def counting(rows, _row_hnf=zonotile.lattice.row_hnf):
-        calls.append(len(rows))
-        return _row_hnf(rows)
-
-    monkeypatch.setattr(zonotile.lattice, "row_hnf", counting)
+        monkeypatch.setattr(zonotile.lattice, name, counting)
     return calls
 
 
@@ -502,3 +502,78 @@ class TestIntegerRowsAgainstFieldOracle:
         pairs = [pr for report in reports for pr in report.pairs]
         assert {pr.cond1 for pr in pairs} == {pr.cond2 for pr in pairs} == {True, False}
         assert {report.verdict for report in reports} == {True, False}
+
+
+def _pair_oracle(p, lat):
+    """Bolle's test pair by pair on vectors: ``integer_coords`` of each
+    translation, ``line_meets_lattice`` of each edge and its translation,
+    and area / det by field division."""
+    pairs = tuple(
+        BollePair(j, lat.integer_coords(t) is not None, line_meets_lattice(lat, e, t))
+        for j, (e, t) in enumerate(zip(p.generators, p.pair_translations()), start=1)
+    )
+    verdict = all(pr.cond1 or pr.cond2 for pr in pairs)
+    multiplicity = abs(p.area() / lat.det).rational_value().numerator if verdict else None
+    return BolleReport(pairs, verdict, multiplicity)
+
+
+def _lattice_generator_cases(seed=89, per_field=40):
+    """Random lattices over Q, Q(sqrt2) and Q(sqrt2, sqrt3) with zonotopes
+    whose generators are small half-integer combinations of the basis.  Over
+    the irrational fields some generator is moved off the lattice's rational
+    span by sqrt2 times another generator or by a random vector, so some
+    translations have no rational lattice coordinates."""
+    rng = random.Random(seed)
+    steps = [Fraction(n, 2) for n in range(-4, 5)] + [-1, 1, 1, 2]
+    for field in (Q, F2, F23):
+        done = 0
+        while done < per_field:
+            try:
+                lat = PlaneLattice(*(V(rand_element(rng, field), rand_element(rng, field), field) for _ in range(2)))
+                b1, b2 = lat.basis()
+                gens = [b1.scale(rng.choice(steps)) + b2.scale(rng.choice(steps)) for _ in range(rng.randint(2, 6))]
+                if field.size > 1 and rng.random() < 0.7:
+                    i, j = rng.sample(range(len(gens)), 2)
+                    w = gens[j].scale(field.sqrt(2)) if rng.random() < 0.6 else V(rand_element(rng, field), 0, field)
+                    gens[i] = gens[i] + w
+                if any(g.is_zero() for g in gens):
+                    continue
+                p = Zonotope(sort_by_argument([upper_half(g) for g in gens]))
+            except GeometryError:
+                continue
+            done += 1
+            yield p, lat
+
+
+class TestBollePairOracle:
+    def test_bolle_check_matches_the_pair_oracle(self):
+        outside = set()  # cond2 of the pairs whose edge is a lattice point and translation is off the span
+        verdicts = set()
+        for p, lat in _lattice_generator_cases():
+            report = bolle_check(p, lat)
+            assert report == _pair_oracle(p, lat)
+            verdicts.add(report.verdict)
+            for pr, e, t in zip(report.pairs, p.generators, p.pair_translations()):
+                if lat.contains(e) and any(c.rational_value() is None for c in lat.coords(t)):
+                    outside.add(pr.cond2)
+        assert verdicts == {True, False}
+        assert outside == {True, False}
+
+    def test_rational_bolle_check_makes_no_proportion_call(self, monkeypatch):
+        # every vector of a rational zonotope has lattice coordinates, so
+        # neither the edge-line test nor the multiplicity tests numerators
+        p = random_zonotope(random.Random(8), m=8)
+        lat = decide_multitiling(p).witness_lattice
+        lattices = [lat, PlaneLattice(lat.b1.scale(2), lat.b2), PlaneLattice(lat.b1, lat.b2.scale(H))]
+        calls = []
+
+        def counting(a, b, _proportion=zonotile.lattice.proportion):
+            calls.append(1)
+            return _proportion(a, b)
+
+        monkeypatch.setattr(zonotile.lattice, "proportion", counting)
+        reports = [bolle_check(p, l) for l in lattices]
+        monkeypatch.undo()
+        assert calls == []
+        assert reports == [_pair_oracle(p, l) for l in lattices]
+        assert [r.verdict for r in reports] == [True, False, True]

@@ -1,9 +1,10 @@
-"""Integer Hermite form and the kernel oracle built on it."""
+"""Integer Hermite form, the span-and-relations echelon and the kernel
+oracle built on it."""
 
 import itertools
 import random
 
-from zonotile.intlinalg import right_kernel, row_hnf
+from zonotile.intlinalg import right_kernel, row_hnf, span_and_relations
 
 
 def random_unimodular(rng, n):
@@ -95,3 +96,34 @@ def test_right_kernel_is_saturated():
         for x in itertools.product(range(-3, 4), repeat=4):
             if all(sum(r * c for r, c in zip(row, x)) == 0 for row in rows):
                 assert row_hnf(kernel + [list(x)]) == h
+
+
+def test_span_and_relations_matches_hnf_and_kernel_oracles():
+    """The span rows are row_hnf's, and the relations span the kernel of
+    the transpose: their Hermite forms agree and each one is a relation."""
+    rng = random.Random(13)
+    kinds = set()
+    for _ in range(200):
+        width = rng.choice([2, 4, 8])
+        n = rng.randint(1, 7)
+        rows = [[rng.randint(-4, 4) for _ in range(width)] for _ in range(n)]
+        if rng.random() < 0.4:  # a dependent row, so relations exist at small n too
+            a, b = rng.sample(range(-3, 4), 2)
+            rows.append([a * x + b * y for x, y in zip(rows[0], rows[-1])])
+        span, relations = span_and_relations(rows)
+        assert span == row_hnf(rows)
+        assert len(span) + len(relations) == len(rows)
+        for k in relations:
+            assert all(sum(kj * row[c] for kj, row in zip(k, rows)) == 0 for c in range(width))
+        transpose = [list(col) for col in zip(*rows)]
+        assert row_hnf(relations) == row_hnf(right_kernel(transpose))
+        kinds.add((bool(relations), width))
+    assert {True, False} == {has for has, _ in kinds}
+
+
+def test_span_and_relations_edge_cases():
+    assert span_and_relations([[0, 0]]) == ([], [[1]])
+    assert span_and_relations([[1, 2], [3, 5]]) == ([[1, 0], [0, 1]], [])
+    span, relations = span_and_relations([[2, 0], [0, 2], [1, 1]])
+    assert span == [[1, 1], [0, 2]]
+    assert row_hnf(relations) == [[1, 1, -2]]  # t1 + t2 = 2 t3

@@ -232,6 +232,24 @@ class TestParsers:
         assert f.radicands == (2, 6)
         assert x == f.rational(Fraction(1, 2)) + f.sqrt(2) * 3 - f.sqrt(6)
 
+    def test_parse_element_text_reads_dependent_radicands_in_the_field(self):
+        x = jsonio.parse_element_text("sqrt(2) + sqrt(3) + sqrt(6)")
+        f = x.field
+        assert f.radicands == (2, 3)
+        assert x == f.sqrt(2) + f.sqrt(3) + f.sqrt(6)
+        y = jsonio.parse_element_text("sqrt(15) - sqrt(6) + 2*sqrt(10)")
+        g = y.field
+        assert g.radicands == (6, 10)
+        # sqrt(15) = sqrt(60) / 2, and it squares to 15
+        assert y == g.sqrt(60) * Fraction(1, 2) - g.sqrt(6) + g.sqrt(10) * 2
+        assert (g.sqrt(60) * Fraction(1, 2)) * (g.sqrt(60) * Fraction(1, 2)) == g.rational(15)
+        for text, named in [
+            ("sqrt(2) + sqrt(3) + sqrt(5) + sqrt(7) + sqrt(11)", "at most 4 radicands"),
+            ("sqrt(2) + sqrt(18)", "radicand 18 is not squarefree"),
+        ]:
+            with pytest.raises(GeometryError, match=named):
+                jsonio.parse_element_text(text)
+
     def test_parse_element_text_rational_only(self):
         x = jsonio.parse_element_text("-7/3")
         assert x.rational_value() == Fraction(-7, 3)

@@ -344,6 +344,25 @@ class TestHermiteMembership:
         # counts of non-members by kind: the oracle saw both kinds of miss
         assert kinds["member"] == 0 and kinds["rational"] > 0 and kinds["irrational"] > 0
 
+    def test_span_coords_match_field_coordinates(self):
+        """span_coords over k are the field coordinates, for rows over any
+        common denominator, and None exactly when one is irrational."""
+        outside = inside = 0
+        for lat, members, non_members, irrational in hermite_membership_cases():
+            vs = members + non_members + irrational
+            rows, den = lattice.integer_rows(vs)
+            for scale in (1, 6):
+                coords, k = lat.span_coords([[scale * n for n in row] for row in rows], scale * den)
+                for v, c in zip(vs, coords):
+                    q = tuple(x.rational_value() for x in lat.coords(v))
+                    if None in q:
+                        assert c is None
+                        outside += 1
+                    else:
+                        assert c is not None and (Fraction(c[0], k), Fraction(c[1], k)) == q
+                        inside += 1
+        assert outside and inside
+
     def test_vector_over_another_field_refused(self):
         lat = PlaneLattice(V(1, 0, F2), V(0, 1, F2))
         for v in [V(1, 0, F23), V(1, 0), PlaneVector(F2.one(), F23.one())]:
