@@ -167,11 +167,13 @@ class _Segment:
         return tuple([b * den + d * n for b, n in zip(self.base, xr)]), self.den * den
 
 
-def _direction(p: PlaneVector, q: PlaneVector) -> tuple[int, FieldElement | None]:
-    """The sign of q.x - p.x and the slope of pq, None when it is vertical."""
-    dx = q.x - p.x
-    sign = dx.sign()
-    return sign, (q.y - p.y) / dx if sign else None
+def _direction(field: Field, p, q) -> tuple[int, tuple[int, ...] | None, int]:
+    """The sign of q.x - p.x and the slope of pq, for grid points p and q:
+    its numerators over a positive denominator in lowest terms, or None
+    over 1 when pq is vertical."""
+    dx = tuple(map(sub, q[0], p[0]))
+    sign = field.sign(dx)
+    return (sign, *field.divide(tuple(map(sub, q[1], p[1])), 1, dx, 1)) if sign else (0, None, 1)
 
 
 def _height_ranks(x, segments, grid: Grid) -> dict[_Segment, int]:
@@ -187,12 +189,9 @@ def _crossing(s: _Segment, t: _Segment, grid: Grid) -> FieldElement:
 
     base_s + X*rise_s = base_t + X*rise_t at the grid abscissa
     X = (base_t - base_s) / (rise_s - rise_t), which is x*D."""
-    field = grid.field
     db = tuple(map(sub, t.base, s.base))
     dr = tuple(map(sub, s.rise, t.rise))
-    if not any(dr[1:]):
-        return FieldElement.from_integers(field, db, grid.den * dr[0])
-    return FieldElement.from_integers(field, db, grid.den) / FieldElement.from_integers(field, dr)
+    return FieldElement.from_integers(grid.field, *grid.field.divide(db, grid.den, dr, 1))
 
 
 def _crossings(ladder: list[_Segment], right, grid: Grid):
@@ -252,7 +251,8 @@ class Face:
         above the slab's midpoint.  Its height is the mean of the two
         edges' :meth:`_Segment.height` there, which share a denominator,
         built as one field element."""
-        xm = (self.x0 + self.x1) / 2
+        (a, da), (b, db) = (self.x0.nums, self.x0.den), (self.x1.nums, self.x1.den)
+        xm = FieldElement.from_integers(self.x0.field, [x * db + y * da for x, y in zip(a, b)], 2 * da * db)
         lo, den = self.lower.height(xm)
         hi, _ = self.upper.height(xm)
         return PlaneVector(xm, FieldElement.from_integers(xm.field, map(add, lo, hi), 2 * den))
@@ -317,16 +317,16 @@ def arrangement_faces(poly: Polygon, grid: Grid, translates, region: Polygon) ->
     are built first and every sort is stable, so a line that holds a
     region edge has it as its first segment, and walking up the ladder
     each such line toggles "inside"."""
-    nr = len(region.vertices)
+    corners = [grid.point(v) for v in region.vertices]
+    shape = [grid.point(v) for v in poly.vertices]
     # every edge direction, with the numerators of its slope over one M
     # unless it is vertical; a translate edge has the direction and slope
     # of its polygon edge
-    dirs = [_direction(a, b) for a, b in region.edges() + poly.edges()]
-    m = lcm(*(slope.den for dx, slope in dirs if dx))
-    dirs = [(dx, dx and _scaled(slope, m)) for dx, slope in dirs]
-    region_dirs, poly_dirs = dirs[:nr], dirs[nr:]
-    outlines = [([grid.point(v) for v in region.vertices], 0, region_dirs)]
-    shape = [grid.point(v) for v in poly.vertices]
+    dirs = [_direction(grid.field, a, b) for vs in (corners, shape) for a, b in zip(vs, [*vs[1:], vs[0]])]
+    m = lcm(*(d for _, _, d in dirs))
+    dirs = [(dx, dx and tuple([n * (m // d) for n in rise])) for dx, rise, d in dirs]
+    region_dirs, poly_dirs = dirs[: len(corners)], dirs[len(corners) :]
+    outlines = [(corners, 0, region_dirs)]
     for (lx, ly), mult in translates:
         vs = [(tuple(map(add, x, lx)), tuple(map(add, y, ly))) for x, y in shape]
         outlines.append((vs, mult, poly_dirs))

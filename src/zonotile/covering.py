@@ -16,8 +16,9 @@ search box and the parts' bases and offsets become integer numerator
 tuples over their common denominator D.  The translate positions are
 enumerated on that grid, stepping by b1 and b2 from each part's offset,
 and reach the sweep and the renderer as grid tuples, merged by position;
-no vector is built for a translate.  ``lattice_points_in_box`` and
-``TranslateSet.points_in`` give the same positions as vectors, as
+no vector is built for a translate; each part's index range is one
+``Field.divide`` and ``Field.floor`` per end.  ``lattice_points_in_box``
+and ``TranslateSet.points_in`` give the same positions as vectors, as
 oracles.
 
 ``covering_at`` counts one point by brute-force point location.  It is the
@@ -29,12 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from operator import add, sub
+from operator import add, neg, sub
 
 from .arrangement import Face, Grid, arrangement_faces
 from .errors import BoundaryError, GeometryError, InternalError, WindowError
 from .field import Field, FieldElement
-from .lattice import PlaneLattice, PlaneVector, doubled_area, intersect
+from .lattice import PlaneLattice, PlaneVector, doubled_area, integer_rows, intersect, row_cross
 
 __all__ = [
     "Polygon",
@@ -88,20 +89,23 @@ class Box:
 
 
 class Polygon:
-    """A simple polygon with exact vertices, oriented counterclockwise."""
+    """A simple polygon with exact vertices, oriented counterclockwise, and
+    their integer ``rows`` over ``den`` (``integer_rows``)."""
 
-    __slots__ = ("vertices", "bbox")
+    __slots__ = ("vertices", "rows", "den", "bbox")
 
     def __init__(self, vertices):
         vs = list(vertices)
         if len(vs) < 3:
             raise GeometryError("a polygon needs at least 3 vertices")
-        s = doubled_area(vs).sign()
+        rows, den = integer_rows(vs)
+        s = vs[0].field.sign(doubled_area(vs[0].field, rows))
         if s == 0:
             raise GeometryError("degenerate polygon")
         if s < 0:
             vs.reverse()
-        self.vertices = tuple(vs)
+            rows.reverse()
+        self.vertices, self.rows, self.den = tuple(vs), tuple(rows), den
         xs = [v.x for v in vs]
         ys = [v.y for v in vs]
         self.bbox = Box(min(xs), min(ys), max(xs), max(ys))
@@ -116,7 +120,7 @@ class Polygon:
 
     def area(self) -> FieldElement:
         """The enclosed area, by the shoelace formula."""
-        return doubled_area(self.vertices) / 2
+        return FieldElement.from_integers(self.field, doubled_area(self.field, self.rows), 2 * self.den**2)
 
     def edges(self):
         vs = self.vertices
@@ -128,12 +132,12 @@ class Polygon:
         The constructor does not run it: polygons built from zonotopes and
         the verification regions are simple by construction, so only a
         vertex list read from a document is checked."""
-        edges = self.edges()
+        edges = list(zip(self.rows, self.rows[1:] + self.rows[:1]))
         n = len(edges)
         for i in range(n):
             # the last edge is adjacent to the first
             for j in range(i + 2, n if i else n - 1):
-                if _segments_meet(*edges[i], *edges[j]):
+                if _segments_meet(self.field, *edges[i], *edges[j]):
                     return False
         return True
 
@@ -168,20 +172,22 @@ class Polygon:
         return 1 if parity else -1
 
 
-def _orient(a: PlaneVector, b: PlaneVector, c: PlaneVector) -> int:
-    """+1 when a, b, c turn counterclockwise, -1 clockwise, 0 collinear."""
-    return (b - a).cross(c - a).sign()
+def _orient(field: Field, a, b, c) -> int:
+    """+1 when the rows a, b, c turn counterclockwise, -1 clockwise, 0 collinear."""
+    return field.sign(row_cross(field, [y - x for x, y in zip(a, b)], [y - x for x, y in zip(a, c)]))
 
 
-def _segments_meet(p: PlaneVector, q: PlaneVector, r: PlaneVector, s: PlaneVector) -> bool:
-    """Whether the closed segments pq and rs share a point."""
-    d1, d2 = _orient(r, s, p), _orient(r, s, q)
-    d3, d4 = _orient(p, q, r), _orient(p, q, s)
+def _segments_meet(field: Field, p, q, r, s) -> bool:
+    """Whether the closed segments pq and rs, ends given as rows, meet."""
+    d1, d2 = _orient(field, r, s, p), _orient(field, r, s, q)
+    d3, d4 = _orient(field, p, q, r), _orient(field, p, q, s)
     if d1 * d2 < 0 and d3 * d4 < 0:
         return True
+    n = field.size
 
     def on(a, b, c):  # c on the segment ab, given that the three are collinear
-        return (c - a).dot(c - b).sign() <= 0
+        ca, cb = [x - y for x, y in zip(c, a)], [x - y for x, y in zip(c, b)]
+        return field.sign(tuple(map(add, field.product(ca[:n], cb[:n]), field.product(ca[n:], cb[n:])))) <= 0
 
     return (
         (d1 == 0 and on(r, s, p))
@@ -307,17 +313,15 @@ def _lattice_points(grid: Grid, lat: PlaneLattice, z: PlaneVector, lo, hi) -> li
     def cross(ux, uy, vx, vy):
         return tuple(map(sub, product(ux, vy), product(uy, vx)))
 
-    det = FieldElement.from_integers(field, cross(b1x, b1y, b2x, b2y))
+    det = cross(b1x, b1y, b2x, b2y)
     corners = [(tuple(map(sub, x, zx)), tuple(map(sub, y, zy))) for x, y in (lo, (x1, y0), hi, (x0, y1))]
 
     def integer_range(scaled):
         lo, hi = min(scaled, key=grid.key), max(scaled, key=grid.key)
-        if det.sign() < 0:
+        if field.sign(det) < 0:
             lo, hi = hi, lo
-        return (
-            (FieldElement.from_integers(field, lo) / det).ceil(),
-            (FieldElement.from_integers(field, hi) / det).floor(),
-        )
+        # ceil(lo / det) is -floor(-lo / det)
+        return -field.floor(*field.divide(tuple(map(neg, lo)), 1, det, 1)), field.floor(*field.divide(hi, 1, det, 1))
 
     alo, ahi = integer_range([cross(x, y, b2x, b2y) for x, y in corners])
     blo, bhi = integer_range([cross(b1x, b1y, x, y) for x, y in corners])

@@ -89,35 +89,36 @@ class CanonicalLattice:
 def bolle_check(p: Zonotope, lat: PlaneLattice) -> BolleReport:
     """Evaluate the per-edge-pair criterion for p against a concrete lattice.
 
-    A passing lattice has area / det equal to a positive integer by
-    Bolle's theorem, so any other value is a bug, not bad input."""
+    Each row is solved into lattice coordinates once.  A passing lattice
+    has area / det a positive integer by Bolle's theorem, so any other
+    value is a bug, not bad input."""
     if lat.field is not p.field:
         raise FieldError(f"zonotope over {p.field!r} checked against a lattice over {lat.field!r}")
     shifts = p.translation_rows()
-    coords, k = lat.span_coords(p.rows + tuple(shifts), p.den)
+    coords, k = lat.span_coords(p.rows + shifts, p.den)
     pairs = tuple(
         BollePair(j, tc is not None and not (tc[0] % k or tc[1] % k), lat.meets_line(e, t, p.den, ec, tc, k))
         for j, (e, t, ec, tc) in enumerate(zip(p.rows, shifts, coords, coords[p.m :]), start=1)
     )
     if not all(pr.cond1 or pr.cond2 for pr in pairs):
         return BolleReport(pairs, False, None)
-    k = _multiplicity(p, lat, 1)
-    if k is None or k.denominator != 1:
-        raise InternalError(f"internal: a lattice passing the edge-pair criterion has area/det {k}")
-    return BolleReport(pairs, True, k.numerator)
+    ratio = _multiplicity(p, lat, coords[: p.m], k)
+    if ratio is None or ratio.denominator != 1:
+        raise InternalError(f"internal: a lattice passing the edge-pair criterion has area/det {ratio}")
+    return BolleReport(pairs, True, ratio.numerator)
 
 
-def _multiplicity(p: Zonotope, lat: PlaneLattice, n_translates: int) -> Fraction | None:
-    """n_translates * area / det, or None when it is irrational; area / det
-    is sum_{i<j} det(c_i, c_j) / k**2 for lattice coordinates c over k."""
-    coords, k = lat.span_coords(p.rows, p.den)
+def _multiplicity(p: Zonotope, lat: PlaneLattice, coords, k: int) -> Fraction | None:
+    """|area / det|, or None when it is irrational, from the lattice
+    coordinates c over k of p's generators (``span_coords``): it is
+    sum_{i<j} det(c_i, c_j) / k**2 when no c is None."""
     if None in coords:
         area = p.area()
         ratio = lat.det_ratio(area.nums, area.den)
     else:
         prefix = accumulate(coords, lambda u, v: (u[0] + v[0], u[1] + v[1]))
         ratio = Fraction(sum(x * cy - y * cx for (x, y), (cx, cy) in zip(prefix, coords[1:])), k * k)
-    return None if ratio is None else n_translates * abs(ratio)
+    return None if ratio is None else abs(ratio)
 
 
 def _verified(p: Zonotope, lat: PlaneLattice) -> BolleReport:
@@ -171,8 +172,8 @@ def decide_multitiling(p: Zonotope) -> Decision:
         succeeded.append(j0)
         if witness is None:
             # for even m the dropped edge is a +-1 combination of the kept
-            # translations, so it lies in the span and condition 2 applies
-            witness = sub.adjoin_line_point(e, d, den)
+            # translations, so ec / k is a span point and condition 2 applies
+            witness = sub.adjoin_line_point((ec[0] // k, ec[1] // k), d)
             witness_j0 = j0
     if witness is not None:
         report = _verified(p, witness)
@@ -220,9 +221,10 @@ def lattice_multiplicity(p: Zonotope, lat: PlaneLattice, n_translates: int) -> i
         if not report.verdict:
             raise GeometryError("lattice fails the edge-pair criterion")
         return report.multiplicity
-    k = _multiplicity(p, lat, n_translates)
-    if k is None:
+    ratio = _multiplicity(p, lat, *lat.span_coords(p.rows, p.den))
+    if ratio is None:
         raise AccountingError("area/det is irrational")
+    k = n_translates * ratio
     if k.denominator != 1:
         raise AccountingError(f"multiplicity {k} is not a positive integer")
     return k.numerator

@@ -22,11 +22,10 @@ compares fields with ``is``, and each field carries the JSON name of
 every monomial of its basis.  The last few fields built stay referenced,
 so a field that one document after another declares is validated once.
 
-Both integer kernels are public :class:`Field` methods: ``product``
-multiplies two numerator tuples by the monomial rule and ``sign`` decides
-the sign of one.  Element multiplication, ``sign`` and the comparisons
-call them, and so does the arrangement sweep, which keeps a scene's
-values as numerator tuples over fixed denominators.
+The integer kernels are public :class:`Field` methods on numerator
+tuples: ``product``, ``sign``, the one division ``divide`` and the one
+``floor``.  Element arithmetic and comparisons call them, and so does the
+pipeline, which keeps its values as numerator tuples over denominators.
 """
 
 from __future__ import annotations
@@ -235,6 +234,38 @@ class Field:
             if prec > 1 << 22:  # unreachable for nonzero elements
                 raise InternalError("sign refinement failed to converge")
 
+    def divide(self, a, da: int, b, db: int) -> tuple[tuple[int, ...], int]:
+        """(a/da) / (b/db) for numerator tuples, as numerators over a
+        positive denominator in lowest terms.  Multiplying by b's conjugate
+        in radicand i (its monomials holding i negated) clears i from b, so
+        one product per radicand leaves the rational divisor b[0]."""
+        if not any(b):
+            raise ZeroDivisionError("division by zero field element")
+        for bit in (1 << i for i in range(len(self.radicands))):
+            if any(n for mask, n in enumerate(b) if mask & bit):
+                conj = tuple(-n if mask & bit else n for mask, n in enumerate(b))
+                a, b = self.product(a, conj), self.product(b, conj)
+        den = da * b[0]
+        if den < 0:
+            db, den = -db, -den
+        nums = [n * db for n in a]
+        g = gcd(den, *nums)
+        return tuple([n // g for n in nums]), den // g
+
+    def floor(self, nums, den: int) -> int:
+        """floor(sum(nums[m] * sqrt(products[m])) / den) for den > 0, by
+        refining integer enclosures until both ends share it."""
+        if not any(nums[1:]):
+            return nums[0] // den
+        prec = 32
+        while True:
+            lo, hi = _enclosure(self, nums, prec)
+            scale = den << prec
+            fl = lo // scale
+            if fl == hi // scale:
+                return fl
+            prec *= 2
+
     # -- sign support ----------------------------------------------------------
 
     def _roots(self, prec: int) -> tuple[int, ...]:
@@ -261,7 +292,6 @@ def _make(field: Field, nums: tuple[int, ...], den: int) -> FieldElement:
     x.field = field
     x.nums = nums
     x.den = den
-    x._sign = None
     return x
 
 
@@ -361,15 +391,15 @@ class FieldElement:
     nonzero denominator.
 
     Comparisons take the sign of the cross-multiplied numerator
-    difference without building an element.  ``sign``, ``floor`` and
-    ``approx`` refine integer enclosures of the monomials.
+    difference without building an element.  Division and ``floor`` are
+    :meth:`Field.divide` and :meth:`Field.floor` on the numerators.
 
     Values are immutable; all operators are pure.  Mixed arithmetic with
     ``int`` and ``Fraction`` lifts the scalar into the field; elements of
     fields with different radicand sets do not mix (embed first).
     """
 
-    __slots__ = ("field", "nums", "den", "_sign")
+    __slots__ = ("field", "nums", "den")
 
     def __init__(self, field: Field, coeffs):
         """The element with rational coefficient ``coeffs[m]`` on monomial m."""
@@ -382,7 +412,6 @@ class FieldElement:
         self.field = field
         self.nums = tuple(q.numerator * (den // q.denominator) for q in qs)
         self.den = den
-        self._sign = None
 
     @classmethod
     def from_integers(cls, field: Field, nums, den: int = 1) -> FieldElement:
@@ -461,14 +490,7 @@ class FieldElement:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        if any(o.nums[1:]):
-            return self * o.inverse()
-        p, q = o.nums[0], o.den
-        if not p:
-            raise ZeroDivisionError("division by zero field element")
-        if p < 0:
-            p, q = -p, -q
-        return _scale(self.field, self.nums, self.den, q, p)
+        return _make(self.field, *self.field.divide(self.nums, self.den, o.nums, o.den))
 
     def __rtruediv__(self, other):
         o = self._lift(other)
@@ -476,26 +498,9 @@ class FieldElement:
             return NotImplemented
         return o / self
 
-    def _conjugate(self, i: int) -> FieldElement:
-        """Negate every monomial containing radicand index ``i``."""
-        return _make(
-            self.field,
-            tuple(-n if mask >> i & 1 else n for mask, n in enumerate(self.nums)),
-            self.den,
-        )
-
     def inverse(self) -> FieldElement:
-        """Multiplicative inverse, by successive conjugation down to Q."""
-        if self.is_zero():
-            raise ZeroDivisionError("division by zero field element")
-        num = self.field.one()
-        den = self
-        for i in range(len(self.field.radicands)):
-            if any(n for mask, n in enumerate(den.nums) if mask >> i & 1):
-                conj = den._conjugate(i)
-                num = num * conj
-                den = den * conj
-        return num / den
+        """Multiplicative inverse (:meth:`Field.divide`)."""
+        return self.field.one() / self
 
     # -- predicates -----------------------------------------------------------
 
@@ -515,9 +520,7 @@ class FieldElement:
         return None
 
     def sign(self) -> int:
-        if self._sign is None:
-            self._sign = self.field.sign(self.nums)
-        return self._sign
+        return self.field.sign(self.nums)
 
     def approx(self, bits: int) -> tuple[Fraction, Fraction]:
         """A rational interval of width <= 2**-bits enclosing the value."""
@@ -535,19 +538,10 @@ class FieldElement:
             prec *= 2
 
     def floor(self) -> int:
-        if self.is_rational():
-            return self.nums[0] // self.den
-        prec = 32
-        while True:
-            lo, hi = _enclosure(self.field, self.nums, prec)
-            scale = self.den << prec
-            fl = lo // scale
-            if fl == hi // scale:
-                return fl
-            prec *= 2
+        return self.field.floor(self.nums, self.den)
 
     def ceil(self) -> int:
-        return -(-self).floor()
+        return -self.field.floor(tuple(map(neg, self.nums)), self.den)
 
     # -- order and identity -----------------------------------------------------
 

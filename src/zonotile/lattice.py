@@ -113,19 +113,22 @@ def vector(field: Field, x, y) -> PlaneVector:
     return PlaneVector(lift(x), lift(y))
 
 
-def doubled_area(vs) -> FieldElement:
-    """Twice the signed area of the closed vertex cycle, positive when it
-    turns counterclockwise."""
-    doubled = vs[0].field.zero()
-    for i in range(len(vs)):
-        doubled = doubled + vs[i].cross(vs[(i + 1) % len(vs)])
-    return doubled
+def doubled_area(field: Field, rows) -> tuple[int, ...]:
+    """The numerators of twice the signed area of the closed cycle of the
+    vectors whose flattened rows over one denominator den are ``rows``,
+    over den**2; positive when the cycle turns counterclockwise."""
+    total = [0] * field.size
+    for u, v in zip(rows, [*rows[1:], rows[0]]):
+        total = [a + b for a, b in zip(total, row_cross(field, u, v))]
+    return tuple(total)
 
 
 def integer_rows(vectors) -> tuple[list[list[int]], int]:
     """The flattened vectors as integer rows over their least common
     denominator: x numerators, then y numerators, per vector."""
     elems = [(v.x, v.y) for v in vectors]
+    if len({e.field for pair in elems for e in pair}) > 1:
+        raise FieldError("vectors do not share a field")
     den = lcm(*(e.den for pair in elems for e in pair))
     return [[n * (den // e.den) for e in pair for n in e.nums] for pair in elems], den
 
@@ -157,18 +160,14 @@ def rational_rank(vectors) -> int:
     No pipeline code calls it: it is the tests' rank oracle, and the
     benchmark's generators use it to draw rationally independent
     generators."""
-    rows, _ = integer_rows(_check_common_field(vectors))
+    rows, _ = integer_rows(_nonempty(vectors))
     return len(row_hnf(rows))
 
 
-def _check_common_field(vectors):
+def _nonempty(vectors):
     vs = list(vectors)
     if not vs:
         raise GeometryError("empty vector list")
-    field = vs[0].field
-    for v in vs:
-        if v.x.field is not field or v.y.field is not field:
-            raise FieldError("vectors do not share a field")
     return vs
 
 
@@ -188,7 +187,7 @@ class PlaneLattice:
     __slots__ = ("field", "rows", "den", "_pivots", "_det", "_basis")
 
     def __init__(self, b1: PlaneVector, b2: PlaneVector):
-        rows, den = integer_rows(_check_common_field([b1, b2]))
+        rows, den = integer_rows([b1, b2])
         h = row_hnf(rows)
         if len(h) != 2 or not self._hold_rows(b1.field, h, den):
             raise GeometryError("lattice basis is degenerate")
@@ -239,7 +238,7 @@ class PlaneLattice:
 
     def coords(self, v: PlaneVector) -> tuple[FieldElement, FieldElement]:
         """Exact coordinates of ``v`` in the canonical basis by field
-        division: the tests' oracle for :meth:`row_coords`."""
+        division: the tests' oracle for :meth:`integer_coords`."""
         b1, b2 = self.basis()
         det = b1.cross(b2)
         return (v.cross(b2) / det, b1.cross(v) / det)
@@ -252,8 +251,8 @@ class PlaneLattice:
 
     def integer_coords(self, v: PlaneVector) -> tuple[int, int] | None:
         """Integer coordinates of ``v`` in the canonical basis, or None."""
-        (row,), den = self._flatten([v])
-        return self.row_coords(row, den)
+        (c,), k = self.span_coords(*self._flatten([v]))
+        return None if c is None or c[0] % k or c[1] % k else (c[0] // k, c[1] // k)
 
     def span_coords(self, rows, den: int) -> tuple[list[tuple[int, int] | None], int]:
         """Lattice coordinates (c1, c2) over one k of the vectors whose
@@ -276,12 +275,6 @@ class PlaneLattice:
             out.append(None if off else (s * u1, s * u2))
         return out, den // g * ab
 
-    def row_coords(self, row, den: int) -> tuple[int, int] | None:
-        """Integer coordinates of the vector whose flattened row over
-        ``den`` is ``row``, or None when it is no lattice point."""
-        (c,), k = self.span_coords([row], den)
-        return None if c is None or c[0] % k or c[1] % k else (c[0] // k, c[1] // k)
-
     def det_ratio(self, nums, den: int) -> Fraction | None:
         """The rational value of (nums / den) / det(b1, b2) for the
         numerators ``nums`` of a field element over ``den``, or None when
@@ -303,15 +296,15 @@ class PlaneLattice:
             return d is not None and d.denominator == 1 and d.numerator % gcd(e1, e2) == 0
         return (e1 * tc[1] - e2 * tc[0]) % (k * gcd(e1, e2)) == 0
 
-    def adjoin_line_point(self, e, d: Fraction, den: int) -> "PlaneLattice":
+    def adjoin_line_point(self, ec: tuple[int, int], d: Fraction) -> "PlaneLattice":
         """The superlattice adjoining the point of the line t*e + tau that is
-        perpendicular to e in lattice coordinates, for e a row over ``den``
-        and d = det(tau, e) / det(b1, b2) from :meth:`det_ratio`.  With
-        e = e1*b1 + e2*b2 and N = e1**2 + e2**2 that point is
-        d*(e2*b1 - e1*b2)/N, rational in lattice coordinates (the ambient
-        foot can be irrational for a skewed basis); with d = p/q the rows
-        q*N*h1, q*N*h2, p*(e2*h1 - e1*h2) over den*q*N span the superlattice."""
-        ec = self.row_coords(e, den)
+        perpendicular to e in lattice coordinates, for the lattice point
+        e = e1*b1 + e2*b2 given by ``ec`` = (e1, e2) and
+        d = det(tau, e) / det(b1, b2) from :meth:`det_ratio`.  With
+        N = e1**2 + e2**2 that point is d*(e2*b1 - e1*b2)/N, rational in
+        lattice coordinates (the ambient foot can be irrational for a
+        skewed basis); with d = p/q the rows q*N*h1, q*N*h2,
+        p*(e2*h1 - e1*h2) over den*q*N span the superlattice."""
         if ec is None or ec == (0, 0):
             raise GeometryError("e is not a nonzero lattice point")
         e1, e2 = ec
@@ -320,7 +313,8 @@ class PlaneLattice:
         rows.append([d.numerator * (e2 * a - e1 * b) for a, b in zip(*self.rows)])
         h = row_hnf(rows)
         bigger = PlaneLattice._from_hermite(self.field, h, self.den * qn) if len(h) == 2 else None
-        if bigger is None or any(bigger.row_coords(row, self.den * qn) is None for row in rows):
+        coords, k = bigger.span_coords(rows, self.den * qn) if bigger else ([None], 1)
+        if any(c is None or c[0] % k or c[1] % k for c in coords):
             raise InternalError("adjoined point did not yield a superlattice")  # unreachable
         return bigger
 
@@ -363,7 +357,7 @@ def integer_span(vectors) -> SpanAnalysis:
     subgroup at all.  No pipeline code calls it: ``decide`` spans rows with
     :func:`row_span`, and this vector form is the tests' oracle.
     """
-    vs = _check_common_field(vectors)
+    vs = _nonempty(vectors)
     return row_span(vs[0].field, *integer_rows(vs))
 
 
@@ -495,7 +489,8 @@ def superlattice_meeting_line(
     d = l.det_ratio(row_cross(l.field, tau_row, e_row), den * den)
     if d is None:
         raise RationalityError("det(tau, e) is not a rational multiple of det(L)")
-    bigger = l.adjoin_line_point(e_row, d, den)
-    e1, e2 = l.row_coords(e_row, den)
+    ec = l.integer_coords(e)
+    bigger = l.adjoin_line_point(ec, d)
+    e1, e2 = ec
     w = l.b1.scale(e2) - l.b2.scale(e1)
     return -w.cross(tau) / w.cross(e), bigger

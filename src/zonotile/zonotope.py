@@ -12,7 +12,8 @@ common denominator (``rows`` and ``den``, flattened as in
 sign of integer cross products.  Pair translations, vertices and the area
 are sums and cross products of rows; ``generators``,
 ``pair_translations()``, ``vertices()`` and ``area()`` give them as field
-elements.
+elements.  A vertex list is read the same way: flattened once, with every
+test on its rows (:meth:`Zonotope.from_vertices`).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ __all__ = ["Zonotope"]
 
 
 class Zonotope:
-    __slots__ = ("field", "rows", "den", "_generators")
+    __slots__ = ("field", "rows", "den", "_generators", "_translations")
 
     def __init__(self, generators):
         gens = list(generators)
@@ -72,6 +73,7 @@ class Zonotope:
         self.rows = tuple(gens)
         self.den = den
         self._generators = None
+        self._translations = None
 
     @property
     def generators(self) -> tuple[PlaneVector, ...]:
@@ -90,15 +92,18 @@ class Zonotope:
         """The 2m edge vectors in counterclockwise order: e_1..e_m, -e_1..-e_m."""
         return list(self.generators) + [-g for g in self.generators]
 
-    def translation_rows(self) -> list[tuple[int, ...]]:
-        """:meth:`pair_translations` as integer rows over ``den``."""
-        rows = self.rows
-        t = [sum(col) for col in zip(*rows[1:])]
-        out = [tuple(t)]
-        for prev, g in zip(rows, rows[1:]):
-            t = [a - b - c for a, b, c in zip(t, prev, g)]
-            out.append(tuple(t))
-        return out
+    def translation_rows(self) -> tuple[tuple[int, ...], ...]:
+        """:meth:`pair_translations` as integer rows over ``den``, computed
+        once per zonotope."""
+        if self._translations is None:
+            rows = self.rows
+            t = [sum(col) for col in zip(*rows[1:])]
+            out = [tuple(t)]
+            for prev, g in zip(rows, rows[1:]):
+                t = [a - b - c for a, b, c in zip(t, prev, g)]
+                out.append(tuple(t))
+            self._translations = tuple(out)
+        return self._translations
 
     def pair_translations(self) -> list[PlaneVector]:
         """For each edge e_j, the translation carrying it onto its parallel edge.
@@ -147,22 +152,22 @@ class Zonotope:
         n = len(vs)
         if n < 4 or n % 2 != 0:
             raise SymmetryError(f"need an even number >= 4 of vertices, got {n}")
-        s = doubled_area(vs).sign()
+        field = vs[0].field
+        rows, den = integer_rows(vs)
+        s = field.sign(doubled_area(field, rows))
         if s == 0:
             raise SymmetryError("degenerate vertex list")
         if s < 0:
-            vs.reverse()
+            rows.reverse()
         m = n // 2
-        center2 = vs[0] + vs[m]
-        for i in range(1, m):
-            if not (vs[i] + vs[i + m] - center2).is_zero():
-                raise SymmetryError("vertex list is not centrally symmetric")
-        edges = [vs[(i + 1) % n] - vs[i] for i in range(n)]
+        if len({tuple(a + b for a, b in zip(rows[i], rows[i + m])) for i in range(m)}) != 1:
+            raise SymmetryError("vertex list is not centrally symmetric")
+        edges = [[b - a for a, b in zip(rows[i], rows[(i + 1) % n])] for i in range(n)]
         for i in range(n):
-            if edges[i].is_zero():
+            if not any(edges[i]):
                 raise SymmetryError(f"repeated vertex at position {i}")
-            if edges[i].cross(edges[(i + 1) % n]).sign() <= 0:
+            if field.sign(row_cross(field, edges[i], edges[(i + 1) % n])) <= 0:
                 raise SymmetryError("vertex list is not strictly convex")
-        up = [e.y.sign() > 0 or (e.y.sign() == 0 and e.x.sign() > 0) for e in edges]
+        up = [(field.sign(e[field.size :]) or field.sign(e[: field.size])) > 0 for e in edges]
         first = next(i for i in range(n) if up[i] and not up[i - 1])
-        return cls([edges[(first + k) % n] for k in range(m)])
+        return cls.from_rows(field, [edges[(first + k) % n] for k in range(m)], den)

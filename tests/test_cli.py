@@ -699,7 +699,7 @@ class TestInternalError:
     def test_impossible_multiplicity_exits_3(self, capsys, octagon_file, monkeypatch):
         # by Bolle's theorem a passing lattice has area/det a positive
         # integer; any other value is a bug, not malformed input
-        monkeypatch.setattr(criteria, "_multiplicity", lambda p, lat, n: Fraction(7, 2))
+        monkeypatch.setattr(criteria, "_multiplicity", lambda p, lat, coords, k: Fraction(7, 2))
         assert main(["decide", octagon_file]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""

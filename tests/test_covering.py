@@ -25,6 +25,7 @@ from zonotile import (
     strip_profile,
     verify_covering,
 )
+from zonotile import arrangement
 from zonotile.arrangement import Grid
 from zonotile.covering import MAX_BOX_CANDIDATES, WindowPattern, arrangement_faces, region_translates
 from zonotile.patterns import (
@@ -306,6 +307,14 @@ def concurrent_crossing_scene():
     return lattice_octagon(), TranslateSet.periodic([(four, V(x, y)) for x, y in offsets])
 
 
+def irrational_crossing_scene():
+    """The hexagon with generators (1, 0), (sqrt2, 1), (0, 1) over Q(sqrt2) on
+    Z(1, 0) + Z(1/3, 1): its slopes 0 and 1/sqrt2 differ by an irrational
+    amount, so some crossing abscissas come from an irrational division."""
+    hexagon = Zonotope([V(1, 0, F2), PlaneVector(F2.sqrt(2), F2.one()), V(0, 1, F2)])
+    return Polygon.from_zonotope(hexagon), single(PlaneLattice(V(1, 0, F2), V(Fraction(1, 3), 1, F2)), F2)
+
+
 def verification_region(poly, tset):
     """The region verify_covering sweeps: one period cell, or the window
     shrunk by the polygon's extent."""
@@ -339,13 +348,31 @@ class TestArrangementCounts:
 
     def test_every_face_count_matches_the_oracle(self):
         scenes = oracle_scenes()
-        scenes += [(lattice_octagon(), single(octagon_strip_lattice())), concurrent_crossing_scene()]
+        scenes += [
+            (lattice_octagon(), single(octagon_strip_lattice())),
+            concurrent_crossing_scene(),
+            irrational_crossing_scene(),
+        ]
         for poly, tset in scenes:
             region = verification_region(poly, tset)
             faces = arrangement_faces(poly, *region_translates(poly, tset, region), region)
             assert faces
             for face in faces:
                 assert face.count == covering_at(poly, tset, face.sample)
+
+    def test_irrational_crossing_scene_divides_by_irrational_slope_differences(self, monkeypatch):
+        divisors = []
+        crossing = arrangement._crossing
+
+        def recording(s, t, grid):
+            divisors.append(tuple(a - b for a, b in zip(s.rise, t.rise)))
+            return crossing(s, t, grid)
+
+        monkeypatch.setattr(arrangement, "_crossing", recording)
+        poly, tset = irrational_crossing_scene()
+        region = verification_region(poly, tset)
+        assert len(arrangement_faces(poly, *region_translates(poly, tset, region), region)) == 62
+        assert sum(any(d[1:]) for d in divisors) == 4
 
     def test_concurrent_crossing_scene_is_degenerate(self):
         poly, tset = concurrent_crossing_scene()

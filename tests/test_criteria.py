@@ -135,6 +135,21 @@ class TestBolleCheck:
         report = bolle_check(hexagon(), PlaneLattice(V(1, 0), V(0, 3)))
         assert not report.verdict
 
+    def test_a_passing_lattice_solves_the_rows_once(self, monkeypatch):
+        # the generators' coordinates from the pair test serve the
+        # multiplicity as well
+        calls = []
+        span_coords = PlaneLattice.span_coords
+
+        def counting(self, rows, den):
+            calls.append(len(rows))
+            return span_coords(self, rows, den)
+
+        monkeypatch.setattr(PlaneLattice, "span_coords", counting)
+        report = bolle_check(octagon(), Z2())
+        assert report.verdict and report.multiplicity == 7
+        assert calls == [8]
+
 
 class TestDecide:
     def test_octagon(self):

@@ -9,6 +9,7 @@ nothing with the refinement it checks.
 """
 
 from fractions import Fraction
+import math
 from math import gcd
 
 import pytest
@@ -28,15 +29,18 @@ coefficient = st.one_of(
 )
 
 
-def coefficients(field):
-    return st.lists(coefficient, min_size=field.size, max_size=field.size)
+def coefficients(field, small=False):
+    c = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4) if small else coefficient
+    return st.lists(c, min_size=field.size, max_size=field.size)
 
 
 @st.composite
-def element_pairs(draw):
+def element_pairs(draw, small=False):
+    """A field and two coefficient lists; ``small`` keeps them below 10**6,
+    which bounds the reference floor's bisection."""
     field = draw(st.sampled_from(FIELDS))
-    a = draw(coefficients(field))
-    b = draw(coefficients(field))
+    a = draw(coefficients(field, small))
+    b = draw(coefficients(field, small))
     return field, a, b
 
 
@@ -64,6 +68,22 @@ def ref_sign(products, c):
         return sb
     norm = [x - d * y for x, y in zip(ref_mul(sub, a, a), ref_mul(sub, b, b))]
     return sa * ref_sign(sub, norm)
+
+
+def ref_floor(products, c):
+    """floor of the value, by bisection on ``ref_sign`` from a float guess
+    that the bisection checks, or else from a bound on |value|."""
+    def at_most(n):  # n <= value
+        return ref_sign(products, [c[0] - n, *c[1:]]) >= 0
+
+    guess = math.floor(sum(float(x) * math.sqrt(p) for x, p in zip(c, products)))
+    lo, hi = guess - 1, guess + 2
+    if not (at_most(lo) and not at_most(hi)):
+        lo = -(hi := int(sum(abs(x) * (math.isqrt(p) + 1) for x, p in zip(c, products))) + 1)
+    while hi - lo > 1:  # lo <= value < hi
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if at_most(mid) else (lo, mid)
+    return lo
 
 
 def assert_canonical(x):
@@ -110,7 +130,7 @@ class TestCanonicalForm:
             FieldElement.from_integers(f, [1, 2, 3], 1)
 
     def test_slots(self):
-        assert FieldElement.__slots__ == ("field", "nums", "den", "_sign")
+        assert FieldElement.__slots__ == ("field", "nums", "den")
 
 
 class TestAgainstFractionModel:
@@ -171,6 +191,67 @@ class TestAgainstFractionModel:
         assert x.sign() == ref_sign(field.products, a)
         q = a[0] + 1
         assert (x < q) == (ref_sign(field.products, [a[0] - q, *a[1:]]) < 0)
+
+
+# -- the division and floor kernels ------------------------------------------------
+
+nonzero = st.integers(-(10**12), 10**12).filter(bool)
+
+
+@st.composite
+def divisions(draw):
+    """Numerators a over da and a divisor b over db with 1 to 2**k nonzero
+    monomials; both denominators may be negative, and a/da is unreduced."""
+    field = draw(st.sampled_from(FIELDS))
+    a = draw(st.lists(st.integers(-(10**12), 10**12), min_size=field.size, max_size=field.size))
+    support = draw(st.sets(st.integers(0, field.size - 1), min_size=1))
+    b = [draw(nonzero) if mask in support else 0 for mask in range(field.size)]
+    g = draw(st.integers(1, 1000))
+    da, db = draw(st.integers(-(10**6), 10**6).filter(bool)), draw(nonzero)
+    return field, [n * g for n in a], da * g, b, db
+
+
+class TestDivideAndFloor:
+    @PROPERTY
+    @given(divisions())
+    def test_divide(self, case):
+        field, a, da, b, db = case
+        nums, den = field.divide(tuple(a), da, tuple(b), db)
+        assert all(type(n) is int for n in nums) and len(nums) == field.size
+        assert den > 0 and gcd(den, *nums) == 1 and (any(nums) or den == 1)
+        quotient = [Fraction(n, den) for n in nums]
+        assert ref_mul(field.products, quotient, [Fraction(n, db) for n in b]) == [Fraction(n, da) for n in a]
+
+    def test_zero_divisor(self):
+        for field in FIELDS:
+            with pytest.raises(ZeroDivisionError):
+                field.divide((1,) * field.size, 1, (0,) * field.size, 5)
+            with pytest.raises(ZeroDivisionError):
+                field.one() / field.zero()
+            with pytest.raises(ZeroDivisionError):
+                field.zero().inverse()
+
+    @PROPERTY
+    @given(element_pairs(small=True), st.integers(1, 50))
+    def test_floor_and_ceil(self, pair, k):
+        field, a, _ = pair
+        x = FieldElement(field, a)
+        fl = ref_floor(field.products, a)
+        assert x.floor() == fl == field.floor(x.nums, x.den)
+        assert field.floor([n * k for n in x.nums], x.den * k) == fl
+        assert x.ceil() == -ref_floor(field.products, [-c for c in a])
+
+    def test_floor_and_ceil_next_to_integers(self):
+        # sqrt2*q - p is within 1/q of 0, on the side its convergent gives
+        for p, q in sqrt2_convergents(10**40):
+            above = 2 * q * q > p * p
+            for field in (Field([2]), Field([2, 3, 5, 7])):
+                for n in (-3, 0, 7):
+                    x = field.sqrt(2) * q - p + n
+                    assert (x.floor(), x.ceil()) == ((n, n + 1) if above else (n - 1, n))
+                    assert field.floor(x.nums, x.den) == x.floor()
+                    exact, half = field.rational(n), field.rational(Fraction(2 * n - 1, 2))
+                    assert (exact.floor(), exact.ceil(), half.floor(), half.ceil()) == (n, n, n - 1, n)
 
 
 # -- near-degenerate signs ---------------------------------------------------------

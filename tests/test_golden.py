@@ -12,11 +12,13 @@ four radicands, a ``vertices`` document and the field embedding of
 import hashlib
 import json
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from zonotile import Field, PlaneVector, Zonotope, jsonio, vector
+from zonotile import Field, FieldElement, PlaneVector, Zonotope, jsonio, vector
 from zonotile.cli import main
 
 from conftest import F2, F23, Q, V, random_irrational_zonotope, random_zonotope
@@ -261,3 +263,65 @@ def test_period_scene_verify_bytes(capsys, tmp_path, name):
     scene.write_text(jsonio.dumps(_period_scenes()[name]))
     assert main(["verify", str(scene)]) in (0, 1)
     assert _sha256(capsys.readouterr().out.encode()) == PERIOD_SCENES[name]
+
+
+FIELD_OPERATORS = {
+    FieldElement: ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                   "__truediv__", "__rtruediv__", "__neg__", "inverse"),
+    PlaneVector: ("__add__", "__sub__", "__neg__", "scale", "cross", "dot"),
+}
+
+
+def count_operator_callers(monkeypatch):
+    """Patch the element and vector operators to count, by the name of the
+    calling function, each call that no other patched operator makes."""
+    callers = Counter()
+    depth = [0]
+    for cls, names in FIELD_OPERATORS.items():
+        for name in names:
+            def counting(*args, _op=getattr(cls, name)):
+                if not depth[0]:
+                    callers[sys._getframe(1).f_code.co_name] += 1
+                depth[0] += 1
+                try:
+                    return _op(*args)
+                finally:
+                    depth[0] -= 1
+
+            monkeypatch.setattr(cls, name, counting)
+    return callers
+
+
+class TestNoFieldArithmetic:
+    def test_decisions_on_a_vertex_document_do_none(self, capsys, tmp_path, monkeypatch):
+        octagon = Zonotope([V(1, 0), V(1, 1), V(0, 1), V(-1, 1)])
+        poly = tmp_path / "polygon.json"
+        vertices = [jsonio.encode_vector(v) for v in octagon.vertices()]
+        poly.write_text(jsonio.dumps({"field": [], "vertices": vertices}))
+        lattice = tmp_path / "lattice.json"
+        lattice.write_text(jsonio.dumps({"field": [], "basis": [jsonio.encode_vector(V(1, 0)),
+                                                                jsonio.encode_vector(V(0, 1))]}))
+        callers = count_operator_callers(monkeypatch)
+        codes = [main(argv) for argv in (["decide", str(poly)], ["canon", str(poly)],
+                                         ["check", str(poly), str(lattice)])]
+        monkeypatch.undo()
+        capsys.readouterr()
+        assert codes == [0, 0, 0]
+        assert callers == {}
+
+    def test_verify_and_render_only_build_the_region_and_the_search_box(self, capsys, tmp_path, monkeypatch):
+        runs = []
+        for i, key in enumerate([*VERIFY, *RENDER]):
+            (tmp_path / str(i)).mkdir()
+            scene = _scene(capsys, tmp_path / str(i), *key[:2])
+            out = str(tmp_path / str(i) / "out.svg")
+            runs.append(["render", scene, "-o", out, key[2]] if key in RENDER else ["verify", scene])
+        for name, doc in _period_scenes().items():
+            (tmp_path / f"{name}.json").write_text(jsonio.dumps(doc))
+            runs.append(["verify", str(tmp_path / f"{name}.json")])
+        callers = count_operator_callers(monkeypatch)
+        codes = [main(argv) for argv in runs]
+        monkeypatch.undo()
+        capsys.readouterr()
+        assert set(codes) == {0, 1}
+        assert set(callers) <= {"region_translates", "_periodic_region", "_windowed_region"}, callers
