@@ -6,9 +6,9 @@ monomial names come from the field (``Field.names``).
 Documents that contain elements carry a top-level ``"field"`` key listing
 the radicands, which makes decoding unambiguous.  Encoding is canonical:
 lattices are in canonical basis form, keys are emitted sorted, and
-round-tripping is bit-exact.  Lattice bases and zonotope generators go
-between their terms and the object's integer rows without building field
-elements.
+round-tripping is bit-exact.  One term reader checks every element's
+terms; vector lists go from their terms straight to integer rows, and
+lattices and zonotopes are built from those rows, with no field element.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, lcm
 
@@ -186,9 +187,14 @@ def _encode_terms(names, nums, den: int) -> list[dict]:
     return out
 
 
+# the integer texts most terms carry, read by one lookup
+_SMALL_INTEGERS = {str(i): i for i in range(-64, 65)}
+
+
 def _term_integer(term: dict, key: str) -> int:
+    """term[key] as an int: a JSON int or an ASCII ``-?[0-9]+`` string."""
     value = term[key]
-    if type(value) is int or (isinstance(value, str) and value.removeprefix("-").isdecimal()):
+    if type(value) is int or (type(value) is str and value.isascii() and value.removeprefix("-").isdecimal()):
         try:
             return int(value)
         except ValueError:  # more digits than the interpreter converts
@@ -199,41 +205,59 @@ def _term_integer(term: dict, key: str) -> int:
     raise GeometryError(f"term {term!r} needs an integer or integer string as {key!r}")
 
 
-def decode_element(terms, field: Field) -> FieldElement:
-    return FieldElement.from_integers(field, *_decode_terms(terms, field))
+@lru_cache(maxsize=8)
+def _monomial_index(names: tuple[str, ...]) -> dict[str, int]:
+    return {name: mask for mask, name in enumerate(names)}
 
 
-def _decode_terms(terms, field: Field) -> tuple[list[int], int]:
-    """An element's terms as numerators over one positive denominator,
-    not necessarily in lowest terms."""
+def _read_terms(terms, field: Field, index: dict[str, int], column: int, out: list) -> None:
+    """Check one element's terms and append (column + mask, num, den) to
+    ``out`` for each, mask being the monomial's index, in lowest terms
+    with den > 0.  Errors do not name the element's location: callers
+    prefix it."""
     if not isinstance(terms, list):
         raise GeometryError(f"element must be a list of terms, got {terms!r}")
-    names = field.names
-    parsed: dict[int, tuple[int, int]] = {}
+    seen = 0
     for term in terms:
         if not isinstance(term, dict):
             raise GeometryError(f"term {term!r} must be an object with 'monomial', 'num' and 'den'")
-        for key in ("monomial", "num", "den"):
-            if key not in term:
-                raise GeometryError(f"term {term!r} lacks {key!r}")
-        name = term["monomial"]
-        if name not in names:
-            raise GeometryError(
-                f"term {term!r}: monomial {name!r} does not exist in field {list(field.radicands)}"
-            )
-        mask = names.index(name)
-        if mask in parsed:
+        try:
+            name, num, den = term["monomial"], term["num"], term["den"]
+        except KeyError:
+            missing = next(key for key in ("monomial", "num", "den") if key not in term)
+            raise GeometryError(f"term {term!r} lacks {missing!r}") from None
+        mask = index.get(name) if type(name) is str else None
+        if mask is None:
+            raise GeometryError(f"term {term!r}: monomial {name!r} does not exist in field {list(field.radicands)}")
+        if seen >> mask & 1:
             raise GeometryError(f"duplicate monomial {name!r}")
-        den = _term_integer(term, "den")
-        if den == 0:
+        seen |= 1 << mask
+        den = _SMALL_INTEGERS.get(den) if type(den) is str else None
+        if den is None:
+            den = _term_integer(term, "den")
+        if not den:
             raise GeometryError(f"term {term!r} has a zero denominator")
-        num = _term_integer(term, "num")
-        parsed[mask] = (-num, -den) if den < 0 else (num, den)
-    den = lcm(*(d for _, d in parsed.values()))
-    nums = [0] * field.size
-    for mask, (n, d) in parsed.items():
-        nums[mask] = n * (den // d)
-    return nums, den
+        num = _SMALL_INTEGERS.get(num) if type(num) is str else None
+        if num is None:
+            num = _term_integer(term, "num")
+        g = gcd(num, den) if den > 0 else -gcd(num, den)
+        out.append((column + mask, num // g, den // g))
+
+
+def _place(cells, den: int, width: int) -> list[int]:
+    """The numerators over ``den`` of the (column, num, den) cells, a
+    multiple of each cell's den, in a row of ``width`` columns."""
+    row = [0] * width
+    for column, n, d in cells:
+        row[column] = n * (den // d)
+    return row
+
+
+def decode_element(terms, field: Field) -> FieldElement:
+    cells: list = []
+    _read_terms(terms, field, _monomial_index(field.names), 0, cells)
+    den = lcm(*(d for _, _, d in cells))
+    return FieldElement.from_integers(field, _place(cells, den, field.size), den)
 
 
 def encode_vector(v: PlaneVector) -> dict:
@@ -241,20 +265,33 @@ def encode_vector(v: PlaneVector) -> dict:
 
 
 def decode_vector(doc, field: Field, where: str = "vector") -> PlaneVector:
-    return PlaneVector(*(FieldElement.from_integers(field, *c) for c in _vector_terms(doc, field, where)))
+    return vectors_from_rows(field, *_read_rows([doc], field, lambda i: where))[0]
 
 
-def _vector_terms(doc, field: Field, where: str) -> tuple[tuple[list[int], int], tuple[list[int], int]]:
-    """The x and y terms of a vector as :func:`_decode_terms` reads them."""
-    if not isinstance(doc, dict) or "x" not in doc or "y" not in doc:
-        raise GeometryError(f"{where} must be an object with 'x' and 'y', got {doc!r}")
-    return _decode_terms(doc["x"], field), _decode_terms(doc["y"], field)
+def _read_rows(values: list, field: Field, name) -> tuple[list[list[int]], int]:
+    """The {x, y} objects ``values`` as :func:`~zonotile.lattice.integer_rows`
+    gives the vectors they name: integer rows over their least common
+    denominator.  ``name(i)`` locates values[i] in errors."""
+    size = field.size
+    index = _monomial_index(field.names)
+    vectors = []
+    for i, v in enumerate(values):
+        if not isinstance(v, dict) or "x" not in v or "y" not in v:
+            raise GeometryError(f"{name(i)} must be an object with 'x' and 'y', got {v!r}")
+        cells: list = []
+        for axis, column in (("x", 0), ("y", size)):
+            try:
+                _read_terms(v[axis], field, index, column, cells)
+            except GeometryError as exc:
+                raise GeometryError(f"{name(i)}.{axis}: {exc}") from None
+        vectors.append(cells)
+    den = lcm(*{d for cells in vectors for _, _, d in cells})
+    return [_place(cells, den, 2 * size) for cells in vectors], den
 
 
 def _decode_rows(doc: dict, key: str, field: Field, where: str = "") -> tuple[list[list[int]], int]:
-    """The vectors under ``doc[key]`` as integer rows over one common
-    denominator, laid out as :func:`~zonotile.lattice.integer_rows` lays
-    them out; errors name the key and index.
+    """The vectors under ``doc[key]`` as :func:`_read_rows` reads them;
+    errors name the key and index.
 
     ``where`` locates ``doc`` inside a larger document and prefixes each name."""
     values = doc[key]
@@ -262,14 +299,7 @@ def _decode_rows(doc: dict, key: str, field: Field, where: str = "") -> tuple[li
         name = f"{where}.{key}" if where else repr(key)
         raise GeometryError(f"{name} must be a list of {{x, y}} objects, got {values!r}")
     prefix = f"{where}." if where else ""
-    coords = [_vector_terms(v, field, f"{prefix}{key}[{i}]") for i, v in enumerate(values)]
-    den = lcm(*(d for pair in coords for _, d in pair))
-    return [[n * (den // d) for nums, d in pair for n in nums] for pair in coords], den
-
-
-def _decode_vectors(doc: dict, key: str, field: Field, where: str = "") -> list[PlaneVector]:
-    """The list of vectors under ``doc[key]``, as :func:`_decode_rows` reads it."""
-    return vectors_from_rows(field, *_decode_rows(doc, key, field, where))
+    return _read_rows(values, field, lambda i: f"{prefix}{key}[{i}]")
 
 
 # -- lattices and polygons -------------------------------------------------------
@@ -316,7 +346,7 @@ def decode_zonotope_document(doc, field: Field | None = None) -> Zonotope:
     if "generators" in doc:
         return Zonotope.from_rows(field, *_decode_rows(doc, "generators", field))
     if "vertices" in doc:
-        return Zonotope.from_vertices(_decode_vectors(doc, "vertices", field))
+        return Zonotope.from_vertices(vectors_from_rows(field, *_decode_rows(doc, "vertices", field)))
     raise GeometryError("zonotope document needs 'generators' or 'vertices'")
 
 
@@ -380,11 +410,12 @@ def decode_scene_document(doc) -> tuple[Polygon, TranslateSet]:
     if not isinstance(poly_doc, dict):
         raise GeometryError(f"scene 'polygon' must be an object, got {poly_doc!r}")
     if "vertices" in poly_doc:
-        poly = Polygon(_decode_vectors(poly_doc, "vertices", field))
+        poly = Polygon(vectors_from_rows(field, *_decode_rows(poly_doc, "vertices", field, "polygon")))
         if not poly.is_simple():
             raise GeometryError("polygon.vertices: two non-adjacent edges meet, so the polygon is not simple")
     elif "generators" in poly_doc:
-        poly = Polygon.from_zonotope(Zonotope.from_rows(field, *_decode_rows(poly_doc, "generators", field)))
+        rows, den = _decode_rows(poly_doc, "generators", field, "polygon")
+        poly = Polygon.from_zonotope(Zonotope.from_rows(field, rows, den))
     else:
         raise GeometryError("scene polygon needs 'vertices' or 'generators'")
     parts_doc = lam.get("periodic")
@@ -470,15 +501,18 @@ def encode_canonical_lattice(result: CanonicalLattice, field: Field) -> dict:
 
 
 def load_document(path: str) -> dict:
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = json.loads(data.decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise ZonotileError(f"{path}: not valid JSON ({exc})") from exc
     except UnicodeDecodeError as exc:
         raise ZonotileError(f"{path}: not UTF-8 text ({exc})") from exc
     except ValueError as exc:  # an integer longer than the interpreter converts
         raise ZonotileError(f"{path}: a JSON number is too long ({exc})") from exc
+    except RecursionError:
+        raise ZonotileError(f"{path}: JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise ZonotileError(f"{path}: top-level JSON value must be an object")
     return doc

@@ -646,6 +646,62 @@ class TestTypedErrors:
         path.write_bytes(b'{"field": [], "note": "\xe9"}')
         self.fails(capsys, ["decide", str(path)], f"{path}: not UTF-8")
 
+    @pytest.mark.parametrize("depth", [995, 200_000])
+    def test_deeply_nested_json(self, capsys, tmp_path, octagon_file, depth):
+        nested = "[" * depth + "]" * depth
+        path = tmp_path / "deep.json"
+        named = f"{path}: JSON nested too deeply"
+        for text, argvs in [
+            (f'{{"field": [], "generators": {nested}}}', [["decide", str(path)], ["canon", str(path)]]),
+            (f'{{"field": [], "basis": {nested}}}', [["check", octagon_file, str(path)]]),
+            (
+                f'{{"field": [], "polygon": {{"vertices": {nested}}}, "lambda": {{"periodic": []}}}}',
+                [["verify", str(path)], ["render", str(path), "-o", str(tmp_path / "x.svg"), "--window=0,0,1,1"]],
+            ),
+        ]:
+            path.write_text(text)
+            for argv in argvs:
+                self.fails(capsys, argv, named)
+
+    def test_element_errors_name_their_location_in_a_polygon(self, capsys, tmp_path):
+        one = [{"monomial": "1", "num": "1", "den": "1"}]
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps({"field": [], "generators": [{"x": "1", "y": []}, {"x": [], "y": one}]}))
+        self.fails(capsys, ["decide", str(path)], "error: generators[0].x: element must be a list of terms, got '1'")
+        zero_den = {"monomial": "1", "num": "1", "den": "0"}
+        square = [jsonio.encode_vector(V(x, y)) for x, y in [(0, 0), (1, 0), (1, 1), (0, 1)]]
+        square[2] = {"x": one, "y": [zero_den]}
+        path.write_text(json.dumps({"field": [], "vertices": square}))
+        self.fails(capsys, ["decide", str(path)], f"error: vertices[2].y: term {zero_den!r} has a zero denominator")
+
+    def test_element_errors_name_their_location_in_a_lattice(self, capsys, tmp_path, octagon_file):
+        one = [{"monomial": "1", "num": "1", "den": "1"}]
+        bad = {"monomial": "1", "num": "٣", "den": "1"}
+        path = tmp_path / "lattice.json"
+        path.write_text(json.dumps({"field": [], "basis": [{"x": one, "y": []}, {"x": [bad], "y": one}]}))
+        named = f"error: basis[1].x: term {bad!r} needs an integer or integer string as 'num'"
+        self.fails(capsys, ["check", octagon_file, str(path)], named)
+
+    def test_element_errors_name_their_location_in_a_scene(self, capsys, tmp_path):
+        z2 = {"lattice": jsonio.encode_lattice(PlaneLattice(V(1, 0), V(0, 1)))}
+        square = [jsonio.encode_vector(V(x, y)) for x, y in [(0, 0), (1, 0), (1, 1), (0, 1)]]
+        bad = {"monomial": "r5", "num": "1", "den": "1"}
+        unknown = f"term {bad!r}: monomial 'r5' does not exist in field []"
+        path = tmp_path / "scene.json"
+        for polygon, lam, where in [
+            ({"vertices": square}, {"periodic": [z2, {**z2, "offset": {"x": [], "y": [bad]}}]}, "lambda.periodic[1].offset.y"),
+            (
+                {"vertices": square},
+                {"periodic": [{"lattice": {"basis": [square[1], {"x": [bad], "y": []}]}}]},
+                "lambda.periodic[0].lattice.basis[1].x",
+            ),
+            ({"vertices": [*square[:3], {"x": [bad], "y": []}]}, {"periodic": [z2]}, "polygon.vertices[3].x"),
+            ({"generators": [square[1], {"x": [], "y": [bad]}]}, {"periodic": [z2]}, "polygon.generators[1].y"),
+        ]:
+            path.write_text(json.dumps({"field": [], "polygon": polygon, "lambda": lam}))
+            self.fails(capsys, ["verify", str(path)], f"error: {where}: {unknown}")
+            self.fails(capsys, ["render", str(path), "-o", str(tmp_path / "x.svg"), "--window=0,0,1,1"], where)
+
     @pytest.fixture
     def long_integer_doc(self, tmp_path):
         """A two-generator document whose first x numerator has 5000 digits,

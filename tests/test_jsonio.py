@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zonotile import Field, FieldError, GeometryError, PlaneLattice, Zonotope, ZonotileError
-from zonotile import jsonio
+from zonotile import PlaneVector, jsonio
+from zonotile.lattice import integer_rows
 
 from conftest import F2, F23, Q, V, json_mutant, rand_element
 
@@ -63,6 +64,18 @@ class TestElements:
         back = jsonio.decode_element([{"monomial": "r6", "num": -2, "den": 3}], F23)
         assert back == F23.sqrt(6) * Fraction(-2, 3)
 
+    def test_only_ascii_digits_are_integers(self):
+        # str.isdecimal and int() take any Unicode decimal digit, and int()
+        # also takes spaces, underscores and a plus sign
+        for num, den in [("٣", "1"), ("１", "1"), ("-٣", "1"), ("１２３", "1"), ("1", "٣"), ("1", "１")]:
+            key = "num" if num != "1" else "den"
+            term = {"monomial": "r2", "num": num, "den": den}
+            with pytest.raises(GeometryError, match=f"needs an integer or integer string as '{key}'"):
+                jsonio.decode_element([term], F23)
+        for text in [" 1", "1 ", "+1", "1_0", "--1", "-", ""]:
+            with pytest.raises(GeometryError, match="needs an integer or integer string as 'num'"):
+                jsonio.decode_element([{"monomial": "1", "num": text, "den": "1"}], F23)
+
     def test_decode_matches_the_fraction_construction(self):
         # unreduced terms, negative denominators and int-typed numerators
         # land on the same lowest-terms numerators as rational coefficients
@@ -86,6 +99,93 @@ class TestElements:
         ]
         with pytest.raises(GeometryError):
             jsonio.decode_element(terms, F23)
+
+
+FIELDS = [Q, F2, F23]
+
+
+@st.composite
+def element_terms(draw, field):
+    """A random element of ``field`` and JSON terms for it: in any order,
+    not in lowest terms, with negative denominators, int-typed num and den,
+    and zero coefficients left out or written as zero terms."""
+    coeffs, terms = {}, []
+    for mask in range(field.size):
+        c = draw(st.fractions(min_value=-20, max_value=20, max_denominator=12))
+        if c or draw(st.booleans()):
+            k = draw(st.integers(1, 6)) * draw(st.sampled_from([1, -1]))
+            num, den = c.numerator * k, c.denominator * k
+            num = num if draw(st.booleans()) else str(num)
+            den = den if draw(st.booleans()) else str(den)
+            terms.append({"monomial": field.names[mask], "num": num, "den": den})
+        coeffs[mask] = c
+    return field.element(coeffs), draw(st.permutations(terms))
+
+
+@st.composite
+def vector_documents(draw):
+    field = draw(st.sampled_from(FIELDS))
+    vectors, docs = [], []
+    for _ in range(draw(st.integers(0, 4))):
+        (x, xt), (y, yt) = draw(element_terms(field)), draw(element_terms(field))
+        vectors.append(PlaneVector(x, y))
+        docs.append({"x": xt, "y": yt} if draw(st.booleans()) else {"y": yt, "x": xt})
+    return field, vectors, docs
+
+
+BAD_TERMS = [
+    "1",
+    {"monomial": "1", "num": "1"},
+    {"num": "1", "den": "1"},
+    {"monomial": "r5", "num": "1", "den": "1"},
+    {"monomial": ["1"], "num": "1", "den": "1"},
+    {"monomial": "1", "num": "1", "den": "0"},
+    {"monomial": "1", "num": "1.5", "den": "1"},
+    {"monomial": "1", "num": "٣", "den": "1"},
+    {"monomial": "1", "num": 1, "den": True},
+]
+
+
+class TestTermReader:
+    """Every element is read by one term reader, whatever holds it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(vector_documents())
+    def test_rows_match_integer_rows(self, drawn):
+        field, vectors, docs = drawn
+        assert jsonio._decode_rows({"v": docs}, "v", field) == integer_rows(vectors)
+        for v, doc in zip(vectors, docs):
+            assert jsonio.decode_vector(doc, field) == v
+            for axis in ("x", "y"):
+                x = jsonio.decode_element(doc[axis], field)
+                assert (x.nums, x.den) == (getattr(v, axis).nums, getattr(v, axis).den)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(FIELDS), st.sampled_from(BAD_TERMS + [None]), st.data())
+    def test_a_bad_term_reads_alike_everywhere(self, field, bad, data):
+        one = {"monomial": "1", "num": "1", "den": "1"}
+        # None stands for a repeated monomial
+        terms = data.draw(st.permutations([one, one if bad is None else bad]))
+        with pytest.raises(GeometryError) as caught:
+            jsonio.decode_element(terms, field)
+        message = str(caught.value)
+        rads = list(field.radicands)
+        e1, e2 = jsonio.encode_vector(V(1, 0, field)), jsonio.encode_vector(V(0, 1, field))
+        z2 = {"lattice": {"basis": [e1, e2]}}
+        square = {"vertices": [jsonio.encode_vector(V(x, y, field)) for x, y in [(0, 0), (1, 0), (1, 1), (0, 1)]]}
+        documents = [
+            (jsonio.decode_zonotope_document, {"field": rads, "generators": [e1, {"x": [], "y": terms}]}, "generators[1].y"),
+            (jsonio.decode_lattice_document, {"field": rads, "basis": [{"x": terms, "y": []}, e2]}, "basis[0].x"),
+            (
+                jsonio.decode_scene_document,
+                {"field": rads, "polygon": square, "lambda": {"periodic": [z2, {**z2, "offset": {"x": [], "y": terms}}]}},
+                "lambda.periodic[1].offset.y",
+            ),
+        ]
+        for decode, doc, where in documents:
+            with pytest.raises(GeometryError) as caught:
+                decode(doc)
+            assert str(caught.value) == f"{where}: {message}"
 
 
 class TestLatticeDocuments:
