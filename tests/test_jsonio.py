@@ -156,9 +156,7 @@ class TestTermReader:
         assert jsonio._decode_rows({"v": docs}, "v", field) == integer_rows(vectors)
         for v, doc in zip(vectors, docs):
             assert jsonio.decode_vector(doc, field) == v
-            for axis in ("x", "y"):
-                x = jsonio.decode_element(doc[axis], field)
-                assert (x.nums, x.den) == (getattr(v, axis).nums, getattr(v, axis).den)
+            assert (jsonio.decode_element(doc["x"], field), jsonio.decode_element(doc["y"], field)) == (v.x, v.y)
 
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from(FIELDS), st.sampled_from(BAD_TERMS + [None]), st.data())
