@@ -83,10 +83,13 @@ class Field:
     ``operator.index``, sorts them and returns the one live field for that
     tuple, so fields are compared with ``is``; a copy or a pickle of a
     field is that field again.  ``names`` holds the JSON name of each
-    monomial in mask order: "1", then "r" and the monomial's product.
+    monomial in mask order: "1", then "r" and the monomial's product, and
+    ``mask_of_name`` maps each name back to its mask.
     """
 
-    __slots__ = ("radicands", "products", "size", "names", "_mask_of_product", "_zeros", "_root_cache", "__weakref__")
+    __slots__ = (
+        "radicands", "products", "size", "names", "mask_of_name", "_mask_of_product", "_zeros", "_root_cache", "__weakref__"
+    )
 
     def __new__(cls, radicands=()):
         rads = tuple(sorted(map(index, radicands)))
@@ -123,6 +126,7 @@ class Field:
         self.size = len(products)
         self.names = ("1", *(f"r{p}" for p in products[1:]))
         self._mask_of_product = {p: m for m, p in enumerate(products)}
+        self.mask_of_name = {n: m for m, n in enumerate(self.names)}
         self._zeros = (0,) * len(products)
         self._root_cache: dict[int, tuple[int, ...]] = {}
         _FIELDS[rads] = self

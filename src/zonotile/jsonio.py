@@ -17,7 +17,6 @@ import json
 import re
 import sys
 from fractions import Fraction
-from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, lcm
 
@@ -187,10 +186,6 @@ def _encode_terms(names, nums, den: int) -> list[dict]:
     return out
 
 
-# the integer texts most terms carry, read by one lookup
-_SMALL_INTEGERS = {str(i): i for i in range(-64, 65)}
-
-
 def _term_integer(term: dict, key: str) -> int:
     """term[key] as an int: a JSON int or an ASCII ``-?[0-9]+`` string."""
     value = term[key]
@@ -205,19 +200,14 @@ def _term_integer(term: dict, key: str) -> int:
     raise GeometryError(f"term {term!r} needs an integer or integer string as {key!r}")
 
 
-@lru_cache(maxsize=8)
-def _monomial_index(names: tuple[str, ...]) -> dict[str, int]:
-    return {name: mask for mask, name in enumerate(names)}
-
-
-def _read_terms(terms, field: Field, index: dict[str, int], column: int, out: list) -> None:
+def _read_terms(terms, field: Field, column: int, out: list) -> None:
     """Check one element's terms and append (column + mask, num, den) to
     ``out`` for each, mask being the monomial's index, in lowest terms
     with den > 0.  Errors do not name the element's location: callers
     prefix it."""
     if not isinstance(terms, list):
         raise GeometryError(f"element must be a list of terms, got {terms!r}")
-    seen = 0
+    index, seen = field.mask_of_name, 0
     for term in terms:
         if not isinstance(term, dict):
             raise GeometryError(f"term {term!r} must be an object with 'monomial', 'num' and 'den'")
@@ -232,14 +222,10 @@ def _read_terms(terms, field: Field, index: dict[str, int], column: int, out: li
         if seen >> mask & 1:
             raise GeometryError(f"duplicate monomial {name!r}")
         seen |= 1 << mask
-        den = _SMALL_INTEGERS.get(den) if type(den) is str else None
-        if den is None:
-            den = _term_integer(term, "den")
+        den = _term_integer(term, "den")
         if not den:
             raise GeometryError(f"term {term!r} has a zero denominator")
-        num = _SMALL_INTEGERS.get(num) if type(num) is str else None
-        if num is None:
-            num = _term_integer(term, "num")
+        num = _term_integer(term, "num")
         g = gcd(num, den) if den > 0 else -gcd(num, den)
         out.append((column + mask, num // g, den // g))
 
@@ -255,7 +241,7 @@ def _place(cells, den: int, width: int) -> list[int]:
 
 def decode_element(terms, field: Field) -> FieldElement:
     cells: list = []
-    _read_terms(terms, field, _monomial_index(field.names), 0, cells)
+    _read_terms(terms, field, 0, cells)
     den = lcm(*(d for _, _, d in cells))
     return FieldElement.from_integers(field, _place(cells, den, field.size), den)
 
@@ -273,7 +259,6 @@ def _read_rows(values: list, field: Field, name) -> tuple[list[list[int]], int]:
     gives the vectors they name: integer rows over their least common
     denominator.  ``name(i)`` locates values[i] in errors."""
     size = field.size
-    index = _monomial_index(field.names)
     vectors = []
     for i, v in enumerate(values):
         if not isinstance(v, dict) or "x" not in v or "y" not in v:
@@ -281,7 +266,7 @@ def _read_rows(values: list, field: Field, name) -> tuple[list[list[int]], int]:
         cells: list = []
         for axis, column in (("x", 0), ("y", size)):
             try:
-                _read_terms(v[axis], field, index, column, cells)
+                _read_terms(v[axis], field, column, cells)
             except GeometryError as exc:
                 raise GeometryError(f"{name(i)}.{axis}: {exc}") from None
         vectors.append(cells)

@@ -311,6 +311,14 @@ class TestSceneDocuments:
         with pytest.raises(GeometryError):
             jsonio.decode_scene_document({"lambda": {"builtin": "pentomino"}})
 
+    def test_a_polygon_list_that_is_not_a_list_names_its_location(self):
+        # named as lattice bases inside a scene are: where.key, not 'key'
+        for key in ["vertices", "generators"]:
+            doc = {"field": [], "polygon": {key: "1"}, "lambda": {"periodic": []}}
+            with pytest.raises(GeometryError) as caught:
+                jsonio.decode_scene_document(doc)
+            assert str(caught.value) == f"polygon.{key} must be a list of {{x, y}} objects, got '1'"
+
 
 class TestParsers:
     def test_parse_rational(self):
