@@ -486,10 +486,9 @@ def encode_canonical_lattice(result: CanonicalLattice, field: Field) -> dict:
 
 
 def load_document(path: str) -> dict:
-    with open(path, "rb") as fh:
-        data = fh.read()
     try:
-        doc = json.loads(data.decode("utf-8"))
+        with open(path, "rb") as fh:
+            doc = json.loads(fh.read().decode("utf-8"))  # the bytes are freed before the parse
     except json.JSONDecodeError as exc:
         raise ZonotileError(f"{path}: not valid JSON ({exc})") from exc
     except UnicodeDecodeError as exc:
