@@ -32,18 +32,25 @@ sign of their difference (``Field.sign``).  Field elements remain only
 at the crossing abscissas and the slab ends handed to ``Face``.  A
 segment's height anywhere is read on the grid (``_Segment.height``): at
 x = nums/den it is base*den + D*(nums*rise) over D*M*den, integer tuples
-that the SVG renderer rounds without field arithmetic (``Face.heights``)
-and that a face's sample turns into one field element.
+that the SVG renderer rounds without field arithmetic, once per ladder
+line and cut, and that a face's sample turns into one field element.
 
 The sweep's cost follows the segments that reach the region and the
 crossings inside it, not the pairs of segments, and it orders by integer
-ranks wherever it can.  Rank: every vertex abscissa is ranked once; the
+ranks wherever it can.  Columns: the translates of one abscissa form a
+column, whose translated outline has the same abscissas, so the work on
+abscissas is done once per column and a translate adds only the
+ordinates and segments of its column's live edges.  Rank: the distinct
+vertex abscissas of the region and of each column are ranked once; the
 events are the ranks from the region's left end to its right end, and
 the live test and the filing below compare ranks.  Clip: only the live
-segments, non-vertical and with an open x-range meeting the region's,
-take part further; a translate edge shares the direction and slope of
-its polygon edge, computed once per polygon edge.  No segment is clipped
-in y, since those below the region carry the ladder weights.  Ladder:
+edges, non-vertical and with an open x-range meeting the region's,
+become segments; the live test and each live edge's range of slabs are
+found once per column.  A translate edge shares the direction and slope
+of its polygon edge, computed once per polygon edge, and its height at
+abscissa 0 is its column's edge's moved up by the translate's ordinate.
+No segment is clipped in y, since those below the region carry the
+ladder weights.  Ladder:
 each live segment is filed under the slabs between the ranks of its two
 ends, so a slab holds just the segments spanning it, in construction
 order.  Heights are ranked at each endpoint event, and two segments of a
@@ -131,29 +138,24 @@ def _ranks(values, key) -> dict[tuple[int, ...], int]:
 
 
 class _Segment:
-    """An arrangement edge from the grid point p to the grid point q.
+    """An arrangement edge between the grid points ``ends``.
 
     ``weight`` is the change in covering count on crossing it upwards:
     polygons are counterclockwise, so a rightward edge of a translate of
     multiplicity k enters it (+k) and a leftward one leaves it (-k).
-    Region edges weigh 0.  The sign of q.x - p.x and the slope come from
-    :func:`_direction`; a translate edge takes them from the polygon edge
-    it translates.  ``rise`` is the slope's numerators over the scene's
-    slope denominator M and ``base`` the numerators of the height at
-    abscissa 0 over ``den`` = D*M, so the height at a grid abscissa X is
-    base + X*rise, one product of numerator tuples; :meth:`height` gives
-    it at any abscissa.  No field element is kept."""
+    Region edges weigh 0.  The sign of the edge's dx and its slope come
+    from :func:`_direction`; a translate edge takes them from the polygon
+    edge it translates.  ``rise`` is the slope's numerators over the
+    scene's slope denominator M and ``base`` the numerators of the height
+    at abscissa 0 over ``den`` = D*M, so the height at a grid abscissa X
+    is base + X*rise, one product of numerator tuples; :meth:`height`
+    gives it at any abscissa.  No field element is kept."""
 
     __slots__ = ("grid", "ends", "weight", "rise", "base", "den")
 
-    def __init__(self, grid: Grid, p, q, mult: int, dx: int, rise, m: int):
-        self.grid = grid
-        self.ends = (p, q)
-        self.weight = dx * mult
-        self.rise = rise
-        x, y = p
-        self.base = tuple(map(sub, [n * m for n in y], grid.field.product(x, rise)))
-        self.den = grid.den * m
+    def __init__(self, grid: Grid, ends, weight: int, rise, base, m: int):
+        self.grid, self.ends, self.weight = grid, ends, weight
+        self.rise, self.base, self.den = rise, base, grid.den * m
 
     def height(self, x: FieldElement) -> tuple[tuple[int, ...], int]:
         """The height at abscissa x as numerators over a positive
@@ -257,18 +259,6 @@ class Face:
         hi, _ = self.upper.height(xm)
         return PlaneVector(xm, FieldElement.from_integers(xm.field, map(add, lo, hi), 2 * den))
 
-    def heights(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """The heights of the four corners, counterclockwise from the lower
-        left (lower edge at x0 and x1, upper edge at x1 and x0), each as
-        numerators over a positive denominator (:meth:`_Segment.height`)."""
-        lower, upper = self.lower, self.upper
-        return (
-            lower.height(self.x0),
-            lower.height(self.x1),
-            upper.height(self.x1),
-            upper.height(self.x0),
-        )
-
 
 def arrangement_faces(poly: Polygon, grid: Grid, translates, region: Polygon) -> list[Face]:
     """Every face of the translate-edge arrangement inside the convex
@@ -281,12 +271,16 @@ def arrangement_faces(poly: Polygon, grid: Grid, translates, region: Polygon) ->
     denominator D the region's and the polygon's vertices divide.
 
     The sweep runs on that grid, so a translated vertex is a tuple sum.
-    Every vertex abscissa is ranked once, and from then on the sweep
-    compares integer ranks.  With rb the region's bounding box, the
-    events are the ranks from rb.x0 to rb.x1.  Only the live segments,
+    The translates of one abscissa form a column: its vertex abscissas
+    are summed once and ranked once with the region's, and from then on
+    the sweep compares integer ranks.  With rb the region's bounding box,
+    the events are the ranks from rb.x0 to rb.x1.  Only the live edges,
     those that are not vertical and whose open x-range meets the open
-    interval (rb.x0, rb.x1), enter the crossing test and the ladders;
-    dropping the others is exact.  A dropped segment never spans a slab,
+    interval (rb.x0, rb.x1), become segments and enter the crossing test
+    and the ladders; which edges of a column are live, and the slabs each
+    spans, is found once per column, and each of its translates builds
+    the ordinates and segments of just those edges.  Dropping the others
+    is exact.  A dropped segment never spans a slab,
     which lies strictly inside (rb.x0, rb.x1), and its endpoints are events
     when they are in range.  Any crossing it takes part in lies on it, so
     the abscissa is outside [rb.x0, rb.x1], or it is rb.x0 or rb.x1, or it
@@ -314,9 +308,11 @@ def arrangement_faces(poly: Polygon, grid: Grid, translates, region: Polygon) ->
     A face is in the region when it lies between the region's edges: the
     region is convex, so exactly one lower and one upper region edge span
     a slab, and the faces inside are those between them.  Region edges
-    are built first and every sort is stable, so a line that holds a
+    are built first, then the translates' edges in the order of
+    ``translates``, and every sort is stable, so a line that holds a
     region edge has it as its first segment, and walking up the ladder
-    each such line toggles "inside"."""
+    each such line toggles "inside".  Which translate edge comes first on
+    a line does not change a face: the line's segments are collinear."""
     corners = [grid.point(v) for v in region.vertices]
     shape = [grid.point(v) for v in poly.vertices]
     # every edge direction, with the numerators of its slope over one M
@@ -326,12 +322,12 @@ def arrangement_faces(poly: Polygon, grid: Grid, translates, region: Polygon) ->
     m = lcm(*(d for _, _, d in dirs))
     dirs = [(dx, dx and tuple([n * (m // d) for n in rise])) for dx, rise, d in dirs]
     region_dirs, poly_dirs = dirs[: len(corners)], dirs[len(corners) :]
-    outlines = [(corners, 0, region_dirs)]
-    for (lx, ly), mult in translates:
-        vs = [(tuple(map(add, x, lx)), tuple(map(add, y, ly))) for x, y in shape]
-        outlines.append((vs, mult, poly_dirs))
-    rank = _ranks((x for vs, _, _ in outlines for x, _ in vs), grid.key)
-    region_ranks = [rank[x] for x, _ in outlines[0][0]]
+    # the translates of one abscissa form a column, whose outline
+    # abscissas are summed once here and whose live edges are found once
+    # below
+    columns = {lx: [(tuple(map(add, x, lx)), y) for x, y in shape] for lx in {p for (p, _), _ in translates}}
+    rank = _ranks([x for vs in (corners, *columns.values()) for x, _ in vs], grid.key)
+    region_ranks = [rank[x] for x, _ in corners]
     first, last = min(region_ranks), max(region_ranks)
     events = list(rank)[first : last + 1]
     xs = [grid.element(x) for x in events]
@@ -340,18 +336,37 @@ def arrangement_faces(poly: Polygon, grid: Grid, translates, region: Polygon) ->
     # (the last when that is right of rb.x1); each slab lists its segments
     # in construction order
     spanning = [[] for _ in xs[1:]]
-    bounds = set()
-    for n, (vs, mult, dirs) in enumerate(outlines):
+    product = grid.field.product
+
+    def live(vs, dirs):
+        """The live edges of an outline: both ends, the sign of dx, the
+        slope numerators, the height numerators at abscissa 0 and the
+        slabs spanned."""
         rs = [rank[x] for x, _ in vs]
+        out = []
         for i, (dx, rise) in enumerate(dirs):
             j = i + 1 if i + 1 < len(vs) else 0
             lo, hi = (rs[i], rs[j]) if dx > 0 else (rs[j], rs[i])
             if dx and lo < last and hi > first:
-                s = _Segment(grid, vs[i], vs[j], mult, dx, rise, m)
-                if n == 0:  # the region's own edges
-                    bounds.add(s)
-                for k in range(max(lo, first), min(hi, last)):
-                    spanning[k - first].append(s)
+                x, y = vs[i]
+                base = tuple(map(sub, [n * m for n in y], product(x, rise)))
+                out.append((vs[i], vs[j], dx, rise, base, spanning[max(lo, first) - first : min(hi, last) - first]))
+        return out
+
+    bounds = set()
+    for p, q, _, rise, base, slabs in live(corners, region_dirs):
+        bounds.add(s := _Segment(grid, (p, q), 0, rise, base, m))
+        for slab in slabs:
+            slab.append(s)
+    # a translate moves a column's edges up by ly, and their bases by ly*M
+    edges = {lx: live(vs, poly_dirs) for lx, vs in columns.items()}
+    for (lx, ly), mult in translates:
+        lift = [n * m for n in ly]
+        for (px, py), (qx, qy), dx, rise, base, slabs in edges[lx]:
+            ends = (px, tuple(map(add, py, ly))), (qx, tuple(map(add, qy, ly)))
+            s = _Segment(grid, ends, dx * mult, rise, tuple(map(add, base, lift)), m)
+            for slab in slabs:
+                slab.append(s)
     faces = []
     # only the height ranks at a slab's two ends are alive at a time
     right = _height_ranks(events[0], spanning[0], grid)

@@ -35,7 +35,7 @@ from operator import add, neg, sub
 from .arrangement import Face, Grid, arrangement_faces
 from .errors import BoundaryError, GeometryError, InternalError, WindowError
 from .field import Field, FieldElement
-from .lattice import PlaneLattice, PlaneVector, doubled_area, integer_rows, intersect, row_cross
+from .lattice import PlaneLattice, PlaneVector, doubled_area, integer_rows, intersect, row_cross, vectors_from_rows
 
 __all__ = [
     "Polygon",
@@ -90,29 +90,44 @@ class Box:
 
 class Polygon:
     """A simple polygon with exact vertices, oriented counterclockwise, and
-    their integer ``rows`` over ``den`` (``integer_rows``)."""
+    their integer ``rows`` over a common denominator ``den``, flattened as
+    in ``integer_rows``.  Every check runs on the rows (:meth:`from_rows`);
+    the vector constructor flattens its vertices once and delegates."""
 
     __slots__ = ("vertices", "rows", "den", "bbox")
 
     def __init__(self, vertices):
         vs = list(vertices)
-        if len(vs) < 3:
+        self._hold(vs[0].field if vs else None, *integer_rows(vs), vs)
+
+    @classmethod
+    def from_rows(cls, field: Field, rows, den: int) -> "Polygon":
+        """The polygon whose vertices, flattened as in ``integer_rows``,
+        are ``rows`` over the positive ``den``; the JSON decoder and
+        :meth:`from_zonotope` build polygons this way."""
+        p = cls.__new__(cls)
+        p._hold(field, rows, den)
+        return p
+
+    @classmethod
+    def from_zonotope(cls, z) -> "Polygon":
+        return cls.from_rows(z.field, *z.vertex_rows())
+
+    def _hold(self, field: Field, rows, den: int, vs=None) -> None:
+        """Check the rows, turn them counterclockwise and keep them with
+        their vectors ``vs``, built from the rows when not given."""
+        if len(rows) < 3:
             raise GeometryError("a polygon needs at least 3 vertices")
-        rows, den = integer_rows(vs)
-        s = vs[0].field.sign(doubled_area(vs[0].field, rows))
+        s = field.sign(doubled_area(field, rows))
         if s == 0:
             raise GeometryError("degenerate polygon")
         if s < 0:
-            vs.reverse()
-            rows.reverse()
+            rows, vs = rows[::-1], vs and vs[::-1]
+        vs = vs or vectors_from_rows(field, rows, den)
         self.vertices, self.rows, self.den = tuple(vs), tuple(rows), den
         xs = [v.x for v in vs]
         ys = [v.y for v in vs]
         self.bbox = Box(min(xs), min(ys), max(xs), max(ys))
-
-    @classmethod
-    def from_zonotope(cls, z) -> "Polygon":
-        return cls(z.vertices())
 
     @property
     def field(self) -> Field:

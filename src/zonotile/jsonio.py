@@ -123,6 +123,8 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if not value.isascii():  # Fraction reads any Unicode decimal digit
+            raise GeometryError(f"bad rational literal {value!r}: write it with ASCII digits")
         if "e" in value.lower():  # a short exponent can ask for any number of digits
             raise GeometryError(f"bad rational literal {value!r}: write it as p/q, with no exponent")
         try:
@@ -139,7 +141,10 @@ def parse_element_text(text: str, field: Field | None = None, where: str = "elem
     are adjoined in increasing order, each unless the field built so far
     has its root (sqrt(15) in Q(sqrt6, sqrt10) is sqrt(60)/2).  Errors
     name ``where``, the text's source, and the bad term as written.
+    Numbers are read in ASCII digits only.
     """
+    if not text.isascii():  # int, Fraction and str.isdecimal read any Unicode digit
+        raise GeometryError(f"bad text {text!r} in {where}: write it with ASCII digits")
     parsed: list[tuple[Fraction, int]] = []  # (c, n) for c*sqrt(n), n = 1 for a rational
     # a term runs up to the next '+' or '-' outside parentheses and keeps its '-'
     for term in [t.strip() for t in re.findall(r"-?(?:[^+\-(]|\([^)]*\)?)*", text) if t.strip()]:
@@ -331,7 +336,7 @@ def decode_zonotope_document(doc, field: Field | None = None) -> Zonotope:
     if "generators" in doc:
         return Zonotope.from_rows(field, *_decode_rows(doc, "generators", field))
     if "vertices" in doc:
-        return Zonotope.from_vertices(vectors_from_rows(field, *_decode_rows(doc, "vertices", field)))
+        return Zonotope.from_vertex_rows(field, *_decode_rows(doc, "vertices", field))
     raise GeometryError("zonotope document needs 'generators' or 'vertices'")
 
 
@@ -395,7 +400,7 @@ def decode_scene_document(doc) -> tuple[Polygon, TranslateSet]:
     if not isinstance(poly_doc, dict):
         raise GeometryError(f"scene 'polygon' must be an object, got {poly_doc!r}")
     if "vertices" in poly_doc:
-        poly = Polygon(vectors_from_rows(field, *_decode_rows(poly_doc, "vertices", field, "polygon")))
+        poly = Polygon.from_rows(field, *_decode_rows(poly_doc, "vertices", field, "polygon"))
         if not poly.is_simple():
             raise GeometryError("polygon.vertices: two non-adjacent edges meet, so the polygon is not simple")
     elif "generators" in poly_doc:

@@ -7,11 +7,15 @@ covering function.  Translate outlines are stroked on top and a legend
 lists the observed multiplicities.  All geometry is exact until the final
 coordinate emission, and every coordinate is emitted from integer
 numerators on the one grid ``region_translates`` puts the scene on, the
-sweep's: a corner's height from ``Face.heights``, an outline vertex as
-the tuple sum of a polygon vertex and a translate position, both grid
-tuples, the size from the window's own numerators.  A rational
-coordinate is rounded from its numerator and denominator, an irrational
-one from the midpoint of its 30-bit enclosure.
+sweep's.  A face corner's height is the face's lower or upper line read
+at the slab's end (``_Segment.height``), read and formatted once per
+ladder line and cut, since the faces above and below a line share that
+corner.  An outline vertex is the tuple sum of a polygon vertex and a
+translate position, both grid tuples; its abscissa is formatted once per
+column of translates and its ordinate once per row.  The size comes from
+the window's own numerators.  A rational coordinate is rounded from its
+numerator and denominator, an irrational one from the midpoint of its
+30-bit enclosure.
 """
 
 from __future__ import annotations
@@ -73,8 +77,8 @@ class _Axis:
     ``_fmt``; over a larger field the element is built once per value and
     rounded from ``_mid``.  ``_fmt`` depends only on the value and ``_mid``
     only on the canonical element, so every term form gives the same
-    string.  Strings are cached per (numerators, denominator), since
-    adjacent faces share corners."""
+    string.  Strings are cached per (numerators, denominator): the faces
+    of a slab share its ends, and lines that meet there share a height."""
 
     __slots__ = ("field", "nums", "den", "scale", "strings")
 
@@ -120,18 +124,27 @@ def render_svg(poly: Polygon, tset: TranslateSet, window: Box) -> str:
         f'<clipPath id="win"><rect x="0" y="0" width="{width}" height="{height}"/></clipPath>',
         '<g clip-path="url(#win)">',
     ]
+    # each line's height at each cut, keyed by the cut's terms and not the
+    # element, whose hash costs more than the lookup saves
+    heights: dict[tuple, str] = {}
+
+    def corner(segment, x: FieldElement) -> str:
+        key = segment, x.nums, x.den
+        text = heights.get(key)
+        if text is None:
+            text = heights[key] = sy(*segment.height(x))
+        return text
+
     for face in faces:
-        x0, x1 = sx(face.x0.nums, face.x0.den), sx(face.x1.nums, face.x1.den)
-        l0, l1, u1, u0 = (sy(*y) for y in face.heights())
-        parts.append(
-            f'<polygon points="{x0},{l0} {x1},{l1} {x1},{u1} {x0},{u0}" '
-            f'fill="{_fill(face.count)}" stroke="none"/>'
-        )
+        (a, b), lo, hi = (face.x0, face.x1), face.lower, face.upper
+        x0, x1 = sx(a.nums, a.den), sx(b.nums, b.den)
+        points = f"{x0},{corner(lo, a)} {x1},{corner(lo, b)} {x1},{corner(hi, b)} {x0},{corner(hi, a)}"
+        parts.append(f'<polygon points="{points}" fill="{_fill(face.count)}" stroke="none"/>')
     shape, d = [grid.point(v) for v in poly.vertices], grid.den
+    columns = {lx: [sx(tuple(map(add, x, lx)), d) for x, _ in shape] for lx in {p for (p, _), _ in translates}}
+    rows = {ly: [sy(tuple(map(add, y, ly)), d) for _, y in shape] for ly in {p for (_, p), _ in translates}}
     for (lx, ly), _ in translates:
-        points = " ".join(
-            f"{sx(tuple(map(add, x, lx)), d)},{sy(tuple(map(add, y, ly)), d)}" for x, y in shape
-        )
+        points = " ".join(f"{x},{y}" for x, y in zip(columns[lx], rows[ly]))
         parts.append(
             f'<polygon points="{points}" fill="none" stroke="#202020" stroke-width="1"/>'
         )

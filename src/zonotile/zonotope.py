@@ -12,8 +12,9 @@ common denominator (``rows`` and ``den``, flattened as in
 sign of integer cross products.  Pair translations, vertices and the area
 are sums and cross products of rows; ``generators``,
 ``pair_translations()``, ``vertices()`` and ``area()`` give them as field
-elements.  A vertex list is read the same way: flattened once, with every
-test on its rows (:meth:`Zonotope.from_vertices`).
+elements.  A vertex list is read the same way: as rows, with every test
+on them (:meth:`Zonotope.from_vertex_rows`; ``from_vertices`` flattens
+vectors once and delegates).
 """
 
 from __future__ import annotations
@@ -116,16 +117,21 @@ class Zonotope:
         """
         return vectors_from_rows(self.field, self.translation_rows(), self.den)
 
-    def vertices(self) -> list[PlaneVector]:
-        """The 2m vertices, counterclockwise, centered at the origin: -S/2
-        followed by the partial sums of the signed edges, over 2 * den."""
+    def vertex_rows(self) -> tuple[list[list[int]], int]:
+        """The 2m vertices, counterclockwise, centered at the origin, as
+        integer rows over 2 * den: -S/2 followed by the partial sums of
+        the signed edges."""
         rows = self.rows
         v = [-sum(col) for col in zip(*rows)]
         out = [v]
         for k, row in [(2, r) for r in rows] + [(-2, r) for r in rows[:-1]]:
             v = [a + k * b for a, b in zip(v, row)]
             out.append(v)
-        return vectors_from_rows(self.field, out, 2 * self.den)
+        return out, 2 * self.den
+
+    def vertices(self) -> list[PlaneVector]:
+        """:meth:`vertex_rows` as vectors."""
+        return vectors_from_rows(self.field, *self.vertex_rows())
 
     def area(self) -> FieldElement:
         """Sum of det(e_i, e_j) over generator pairs i < j (equals the shoelace area).
@@ -143,22 +149,29 @@ class Zonotope:
 
     @classmethod
     def from_vertices(cls, vertices) -> "Zonotope":
-        """Build from a cyclically ordered vertex list of a symmetric convex polygon.
+        """Build from a cyclically ordered vertex list of a symmetric
+        convex polygon, flattened once (:meth:`from_vertex_rows`)."""
+        vs = list(vertices)
+        return cls.from_vertex_rows(vs[0].field if vs else None, *integer_rows(vs))
+
+    @classmethod
+    def from_vertex_rows(cls, field: Field, rows, den: int) -> "Zonotope":
+        """Build from a cyclically ordered vertex list of a symmetric
+        convex polygon, flattened as in
+        :func:`~zonotile.lattice.integer_rows` to ``rows`` over the
+        positive ``den``; the JSON decoder builds from vertices this way.
 
         Counterclockwise, the edge arguments increase through one turn, so
         the m edges pointing into the upper half-plane are consecutive, and
         in argument order from the first of them."""
-        vs = list(vertices)
-        n = len(vs)
+        n = len(rows)
         if n < 4 or n % 2 != 0:
             raise SymmetryError(f"need an even number >= 4 of vertices, got {n}")
-        field = vs[0].field
-        rows, den = integer_rows(vs)
         s = field.sign(doubled_area(field, rows))
         if s == 0:
             raise SymmetryError("degenerate vertex list")
         if s < 0:
-            rows.reverse()
+            rows = rows[::-1]
         m = n // 2
         if len({tuple(a + b for a, b in zip(rows[i], rows[i + m])) for i in range(m)}) != 1:
             raise SymmetryError("vertex list is not centrally symmetric")

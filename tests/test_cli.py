@@ -850,6 +850,69 @@ class TestFlagTexts:
         self.exits_0_or_2(["examples", "octagon-family", f"--beta={text}"], "--beta")
 
 
+# decimal digits outside ASCII, which str.isdecimal, int and Fraction all read
+_FOREIGN_DIGITS = st.characters(whitelist_categories=["Nd"]).filter(lambda c: not c.isascii())
+_RATIONAL_TEXTS = st.one_of(
+    st.integers(-9, 9).map(str), st.builds("{}/{}".format, st.integers(-9, 9), st.integers(1, 9))
+)
+
+
+def _errors(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _with_digit(data, text: str) -> str:
+    """text with a non-ASCII digit drawn into it at a drawn position."""
+    i = data.draw(st.integers(0, len(text)))
+    return text[:i] + data.draw(_FOREIGN_DIGITS) + text[i:]
+
+
+class TestAsciiDigits:
+    """Flags and scene values read numbers in ASCII digits only: a text
+    with any other digit exits 2 with a message that names it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_window_flag(self, data):
+        values = data.draw(st.lists(_RATIONAL_TEXTS, min_size=4, max_size=4))
+        k = data.draw(st.integers(0, 3))
+        values[k] = _with_digit(data, values[k])
+        text = ",".join(values)
+        for argv in (["examples", "octagon-family"], ["render", "scene.json", "-o", "out.svg"]):
+            # the flag is read before any file
+            code, err = _errors([*argv, f"--window={text}"])
+            assert code == 2 and f"--window: bad rational literal {values[k]!r}" in err, err
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_beta_flag(self, data):
+        text = _with_digit(data, data.draw(_beta_texts()))
+        code, err = _errors(["examples", "octagon-family", f"--beta={text}"])
+        assert code == 2 and f"bad text {text!r} in --beta" in err, err
+
+    @pytest.mark.parametrize("beta, message", [
+        ("sqrt(\u0663)", "bad text 'sqrt(\u0663)' in lambda.beta"),
+        ("\u0661/\u0662", "lambda.beta: bad rational literal '\u0661/\u0662'"),
+        ("\uff11", "lambda.beta: bad rational literal '\uff11'"),
+    ])
+    def test_scene_beta(self, tmp_path, beta, message):
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps({"lambda": {"builtin": "octagon-family", "beta": beta}}))
+        for argv in (["verify", str(scene)], ["render", str(scene), "-o", str(tmp_path / "out.svg"), "--window=0,0,1,1"]):
+            code, err = _errors(argv)
+            assert code == 2 and message in err, err
+
+    def test_scene_window(self, tmp_path):
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps({"lambda": {"builtin": "tetromino-union", "window": ["-4", "-4", "\u0664", "4"]}}))
+        for argv in (["verify", str(scene)], ["render", str(scene), "-o", str(tmp_path / "out.svg")]):
+            code, err = _errors(argv)
+            assert code == 2 and "lambda.window: bad rational literal '\u0664'" in err, err
+
+
 @functools.cache
 def _mutation_cases():
     """(command, input documents) for every command that reads documents:

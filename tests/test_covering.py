@@ -585,8 +585,8 @@ class TestArrangementEvents:
             calls.clear()
 
     def test_corner_heights_are_the_edge_heights(self):
-        # Face.heights reads the grid; the oracle evaluates the edge with
-        # field arithmetic from its endpoints
+        # _Segment.height reads the grid; the oracle evaluates the edge
+        # with field arithmetic from its endpoints
         def y_at(segment, x):
             p, q = (segment.grid.vector(*end) for end in segment.ends)
             return p.y + (x - p.x) * (q.y - p.y) / (q.x - p.x)
@@ -599,8 +599,32 @@ class TestArrangementEvents:
                     y_at(f.upper, f.x1),
                     y_at(f.upper, f.x0),
                 ]
-                got = [FieldElement.from_integers(poly.field, *h) for h in f.heights()]
+                heights = [f.lower.height(f.x0), f.lower.height(f.x1), f.upper.height(f.x1), f.upper.height(f.x0)]
+                got = [FieldElement.from_integers(poly.field, *h) for h in heights]
                 assert got == expected
+
+
+class TestSweepWork:
+    def test_abscissas_are_ranked_once_per_column(self, monkeypatch):
+        # the lattice octagon on (1/2)Z^2: 64 translates meet the cell's
+        # bbox, in 8 columns of one abscissa each; the abscissa ranking
+        # sees the region's 4 corners and 8 vertex abscissas per column,
+        # not 8 per translate
+        sizes = []
+        ranks = arrangement._ranks
+
+        def counted(values, key):
+            values = list(values)
+            sizes.append(len(values))
+            return ranks(values, key)
+
+        monkeypatch.setattr(arrangement, "_ranks", counted)
+        half = PlaneLattice(V(Fraction(1, 2), 0), V(0, Fraction(1, 2)))
+        poly, tset = lattice_octagon(), TranslateSet.periodic([(half, V(0, 0))])
+        grid, translates = region_translates(poly, tset, Polygon([V(0, 0), half.b1, half.b1 + half.b2, half.b2]))
+        assert (len(translates), len({x for (x, _), _ in translates})) == (64, 8)
+        assert verify_covering(poly, tset).multiplicity == 28
+        assert sizes[0] == 4 + 8 * 8
 
 
 class TestGridOrder:

@@ -9,16 +9,24 @@ four radicands, a ``vertices`` document and the field embedding of
 ``check``.
 """
 
+import functools
 import hashlib
+import io
 import json
 import random
 import sys
+import tempfile
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zonotile import Field, FieldElement, PlaneVector, Zonotope, jsonio, vector
+from zonotile import Field, FieldElement, PlaneVector, Zonotope, covering, jsonio, render, vector
+from zonotile.arrangement import arrangement_faces
 from zonotile.cli import main
 
 from conftest import F2, F23, Q, V, random_irrational_zonotope, random_zonotope
@@ -263,6 +271,52 @@ def test_period_scene_verify_bytes(capsys, tmp_path, name):
     scene.write_text(jsonio.dumps(_period_scenes()[name]))
     assert main(["verify", str(scene)]) in (0, 1)
     assert _sha256(capsys.readouterr().out.encode()) == PERIOD_SCENES[name]
+
+
+@functools.cache
+def _golden_sweeps():
+    """The (poly, grid, translates, region) of every sweep that the
+    golden ``verify`` and ``render`` runs make, with its faces as
+    (x0, x1, count, sample)."""
+    sweeps = []
+
+    def recording(poly, grid, translates, region):
+        faces = arrangement_faces(poly, grid, translates, region)
+        sweeps.append(((poly, grid, translates, region), [(f.x0, f.x1, f.count, f.sample) for f in faces]))
+        return faces
+
+    with tempfile.TemporaryDirectory() as work:
+        runs = []
+        for i, key in enumerate([*VERIFY, *RENDER]):
+            name, beta = key[:2]
+            out = io.StringIO()
+            with redirect_stdout(out):
+                assert main(["examples", name] + (["--beta", beta] if beta is not None else [])) == 0
+            scene = Path(work, f"{i}.json")
+            scene.write_text(out.getvalue())
+            runs.append(["render", str(scene), "-o", str(Path(work, f"{i}.svg")), key[2]] if key in RENDER
+                        else ["verify", str(scene)])
+        for name, doc in _period_scenes().items():
+            Path(work, f"{name}.json").write_text(jsonio.dumps(doc))
+            runs.append(["verify", str(Path(work, f"{name}.json"))])
+        covering.arrangement_faces = render.arrangement_faces = recording
+        try:
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                codes = [main(argv) for argv in runs]
+        finally:
+            covering.arrangement_faces = render.arrangement_faces = arrangement_faces
+    assert set(codes) == {0, 1} and len(sweeps) == len(runs)
+    return sweeps
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_faces_do_not_depend_on_the_translate_order(rng):
+    # region edges are built first, so only which translate edge leads a
+    # line changes with the order, and a line's segments are collinear
+    for (poly, grid, translates, region), faces in _golden_sweeps():
+        shuffled = rng.sample(translates, len(translates))
+        assert [(f.x0, f.x1, f.count, f.sample) for f in arrangement_faces(poly, grid, shuffled, region)] == faces
 
 
 FIELD_OPERATORS = {

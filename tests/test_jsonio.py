@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zonotile import Field, FieldError, GeometryError, PlaneLattice, Zonotope, ZonotileError
-from zonotile import PlaneVector, jsonio
+from zonotile import Field, FieldError, GeometryError, PlaneLattice, Polygon, Zonotope, ZonotileError
+from zonotile import FieldElement, PlaneVector, jsonio
 from zonotile.lattice import integer_rows
 
 from conftest import F2, F23, Q, V, json_mutant, rand_element
@@ -225,6 +225,23 @@ class TestZonotopeDocuments:
         z = jsonio.decode_zonotope_document(doc)
         assert [(g.x, g.y) for g in z.generators] == [(1, 0), (1, 1), (0, 1), (-1, 1)]
 
+    def test_vertex_form_builds_no_field_element(self, monkeypatch):
+        # the vertex rows go to the zonotope's checks as they are read
+        r2 = F23.sqrt(2)
+        z = Zonotope([V(1, 0, F23).scale(r2), V(1, 1, F23), V(0, Fraction(1, 3), F23), PlaneVector(-r2, F23.sqrt(3))])
+        doc = {"field": [2, 3], "vertices": [jsonio.encode_vector(v) for v in z.vertices()]}
+        calls = []
+        from_integers = FieldElement.from_integers.__func__
+
+        def counted(cls, *args):
+            calls.append(args)
+            return from_integers(cls, *args)
+
+        monkeypatch.setattr(FieldElement, "from_integers", classmethod(counted))
+        back = jsonio.decode_zonotope_document(doc)
+        assert calls == []
+        assert (back.rows, back.den) == (z.rows, z.den)
+
     def test_missing_keys_rejected(self):
         with pytest.raises(GeometryError):
             jsonio.decode_zonotope_document({"field": []})
@@ -287,6 +304,19 @@ class TestSceneDocuments:
         poly, tset = jsonio.decode_scene_document(doc)
         assert tset.is_periodic and len(tset.parts) == 2
         assert len(poly.vertices) == 8
+
+    def test_a_vertex_polygon_is_its_rows(self):
+        # read clockwise, kept counterclockwise, as the vector constructor does
+        square = [(0, 0), (0, Fraction(1, 2)), (Fraction(1, 3), Fraction(1, 2)), (Fraction(1, 3), 0)]
+        doc = {
+            "field": [],
+            "polygon": {"vertices": [jsonio.encode_vector(V(x, y)) for x, y in square]},
+            "lambda": {"periodic": [{"lattice": jsonio.encode_lattice(PlaneLattice(V(1, 0), V(0, 1)))}]},
+        }
+        poly, _ = jsonio.decode_scene_document(doc)
+        expected = Polygon([V(x, y) for x, y in square])
+        assert (poly.vertices, poly.rows, poly.den) == (expected.vertices, expected.rows, expected.den)
+        assert [(v.x, v.y) for v in poly.vertices][:2] == [(Fraction(1, 3), 0), (Fraction(1, 3), Fraction(1, 2))]
 
     def test_builtin_scene(self):
         doc = {"lambda": {"builtin": "tetromino-L2", "window": [-6, -6, 6, 6]}}

@@ -1,12 +1,14 @@
-"""The SVG coordinate emitter against the field-element path it replaces."""
+"""The SVG coordinate emitter against the field-element path it replaces,
+and the work a render does per face corner."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from zonotile import FieldElement
-from zonotile.render import _SCALE, _Axis, _fmt, _mid
+from zonotile import Box, FieldElement, arrangement, builtin_scene
+from zonotile.render import _SCALE, _Axis, _fmt, _mid, render_svg
 
 from conftest import F2, F23, Q, rand_element
 
@@ -50,3 +52,21 @@ def test_axis_rounds_half_way_cases_like_the_field_path(field, half):
         text = axis(*unreduced(rng, v))
         assert text == expected(v, origin, sign)
         assert text == _fmt(half, 20000)
+
+
+def test_each_line_height_is_read_once_per_cut(monkeypatch):
+    # the faces above and below a ladder line share its corners at both
+    # cuts of the slab, so the line's height there is read once
+    calls = Counter()
+    height = arrangement._Segment.height
+
+    def counted(segment, x):
+        calls[segment, x.nums, x.den] += 1
+        return height(segment, x)
+
+    monkeypatch.setattr(arrangement._Segment, "height", counted)
+    poly, tset = builtin_scene("octagon-family", beta=Fraction(1, 3))
+    svg = render_svg(poly, tset, Box(*(poly.field.rational(v) for v in (0, 0, 4, 4))))
+    faces = svg.count('stroke="none"/>')
+    assert faces and calls
+    assert max(calls.values()) == 1
