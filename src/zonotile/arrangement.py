@@ -20,7 +20,7 @@ integer numerator tuples, one integer per field monomial, over the
 common denominator D of the region's and the polygon's vertices and the
 translate positions.  Positions reach the sweep as grid tuples, so a
 translated vertex is a tuple sum and an event abscissa a tuple over D.
-The edge slopes go over their common denominator M, so a segment's
+The edge slopes go over their common denominator M, so a line's
 height at an event abscissa X is base + X*rise, a tuple over D*M, with
 ``rise`` the numerators of its slope and ``base`` those of its height at
 abscissa 0; the product of two tuples is the field's monomial product
@@ -30,34 +30,36 @@ field elements.  Distinct values are ordered by native tuple order over
 Q, which is integer order, and over a larger field by the exact integer
 sign of their difference (``Field.sign``).  Field elements remain only
 at the crossing abscissas and the slab ends handed to ``Face``.  A
-segment's height anywhere is read on the grid (``_Segment.height``): at
+line's height anywhere is read on the grid (``_Segment.height``): at
 x = nums/den it is base*den + D*(nums*rise) over D*M*den, integer tuples
 that the SVG renderer rounds without field arithmetic, once per ladder
 line and cut, and that a face's sample turns into one field element.
 
-The sweep's cost follows the segments that reach the region and the
-crossings inside it, not the pairs of segments, and it orders by integer
-ranks wherever it can.  Columns: the translates of one abscissa form a
-column, whose translated outline has the same abscissas, so the work on
-abscissas is done once per column and a translate adds only the
-ordinates and segments of its column's live edges.  Rank: the distinct
+The sweep's cost follows the edges that reach the region, the lines
+they lie on and the crossings inside it, not the pairs of edges, and it
+orders by integer ranks wherever it can.  Columns: the translates of
+one abscissa form a column, whose translated outline has the same
+abscissas, so the work on abscissas is done once per column and a
+translate adds only the ordinates of its column's live edges.  Rank: the distinct
 vertex abscissas of the region and of each column are ranked once; the
 events are the ranks from the region's left end to its right end, and
 the live test and the filing below compare ranks.  Clip: only the live
 edges, non-vertical and with an open x-range meeting the region's,
-become segments; the live test and each live edge's range of slabs are
+reach the ladders; the live test and each live edge's range of slabs are
 found once per column.  A translate edge shares the direction and slope
 of its polygon edge, computed once per polygon edge, and its height at
 abscissa 0 is its column's edge's moved up by the translate's ordinate.
-No segment is clipped in y, since those below the region carry the
-ladder weights.  Ladder:
-each live segment is filed under the slabs between the ranks of its two
-ends, so a slab holds just the segments spanning it, in construction
-order.  Heights are ranked at each endpoint event, and two segments of a
-slab lie on one line exactly when their (left rank, right rank) pairs
-are equal; each line is one rung of the ladder with its segments' summed
-weight, and sorted by that pair the lines are the ladder of the slab's
-first sub-slab.  Swap: no segment starts or ends strictly between two
+No edge is clipped in y, since those below the region carry the
+ladder weights.  Ladder: in a multi-tiling the translate edges pair up
+on common lines, so each live edge looks up its line by (rise, base),
+built as one ``_Segment`` for the first edge on it, and adds its weight
+to that line in each slab between the ranks of its two ends.  A slab
+holds just the lines spanning it with their summed weights, in
+construction order; a line whose weights cancel stays a rung.  Heights
+are ranked once per line at each endpoint event, from one product per
+distinct slope; distinct lines of a slab have distinct (left rank, right
+rank) pairs, and sorted by that pair they are the ladder of the slab's
+first sub-slab.  Swap: no edge starts or ends strictly between two
 consecutive endpoint events, so two lines of a slab cross strictly
 inside it exactly when their ranks are strictly apart at both ends in
 opposite orders.  Insertion-sorting the ladder from its left order into
@@ -66,15 +68,17 @@ and files each under the cut where it crosses; at each cut an insertion
 pass swaps just the pairs filed there, so no height is evaluated and no
 value sorted inside a slab.  Region: the region is convex, so exactly
 one lower and one upper region edge span a slab.  Region edges are built
-first and every sort is stable, so walking up the ladder, each line that
-holds a region edge toggles "inside", and the faces kept are exactly
-those strictly inside the region.
+first, so a slab's first two lines are theirs, and walking up the ladder
+each of the two toggles "inside": the faces kept are exactly those
+strictly inside the region.  A region line may also hold translate
+edges in slabs its region edge does not span; there it toggles nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cmp_to_key
+from itertools import islice
 from math import lcm
 from operator import add, le, sub
 from typing import TYPE_CHECKING
@@ -138,23 +142,22 @@ def _ranks(values, key) -> dict[tuple[int, ...], int]:
 
 
 class _Segment:
-    """An arrangement edge between the grid points ``ends``.
+    """One line of the arrangement, built once for all the region and
+    translate edges on it; ``ends`` are the grid points of the first.
 
-    ``weight`` is the change in covering count on crossing it upwards:
-    polygons are counterclockwise, so a rightward edge of a translate of
-    multiplicity k enters it (+k) and a leftward one leaves it (-k).
-    Region edges weigh 0.  The sign of the edge's dx and its slope come
-    from :func:`_direction`; a translate edge takes them from the polygon
-    edge it translates.  ``rise`` is the slope's numerators over the
-    scene's slope denominator M and ``base`` the numerators of the height
-    at abscissa 0 over ``den`` = D*M, so the height at a grid abscissa X
-    is base + X*rise, one product of numerator tuples; :meth:`height`
-    gives it at any abscissa.  No field element is kept."""
+    The sign of an edge's dx and its slope come from :func:`_direction`; a
+    translate edge takes them from the polygon edge it translates.
+    ``rise`` is the slope's numerators over the scene's slope denominator
+    M and ``base`` the numerators of the height at abscissa 0 over
+    ``den`` = D*M, so (rise, base) identifies the line, and the height at
+    a grid abscissa X is base + X*rise, one product of numerator tuples;
+    :meth:`height` gives it at any abscissa.  No field element is kept,
+    and no weight: each slab holds its lines' summed weights."""
 
-    __slots__ = ("grid", "ends", "weight", "rise", "base", "den")
+    __slots__ = ("grid", "ends", "rise", "base", "den")
 
-    def __init__(self, grid: Grid, ends, weight: int, rise, base, m: int):
-        self.grid, self.ends, self.weight = grid, ends, weight
+    def __init__(self, grid: Grid, ends, rise, base, m: int):
+        self.grid, self.ends = grid, ends
         self.rise, self.base, self.den = rise, base, grid.den * m
 
     def height(self, x: FieldElement) -> tuple[tuple[int, ...], int]:
@@ -178,10 +181,12 @@ def _direction(field: Field, p, q) -> tuple[int, tuple[int, ...] | None, int]:
     return (sign, *field.divide(tuple(map(sub, q[1], p[1])), 1, dx, 1)) if sign else (0, None, 1)
 
 
-def _height_ranks(x, segments, grid: Grid) -> dict[_Segment, int]:
-    """Each segment's height rank at the grid abscissa x among them."""
+def _height_ranks(x, lines, grid: Grid) -> dict[_Segment, int]:
+    """Each line's height rank at the grid abscissa x among them, with one
+    product per distinct slope."""
     product = grid.field.product
-    ys = {s: tuple(map(add, s.base, product(x, s.rise))) for s in dict.fromkeys(segments)}
+    xr = {r: product(x, r) for r in {s.rise for s in lines}}
+    ys = {s: tuple(map(add, s.base, xr[s.rise])) for s in lines}
     rank = _ranks(ys.values(), grid.key)
     return {s: rank[y] for s, y in ys.items()}
 
@@ -239,7 +244,7 @@ def _cross(ladder: list[_Segment], at, k: int) -> None:
 @dataclass(frozen=True)
 class Face:
     """One trapezoid of the vertical decomposition: the part of the slab
-    x0 < x < x1 strictly between two consecutive ladder segments."""
+    x0 < x < x1 strictly between two consecutive ladder lines."""
 
     x0: FieldElement
     x1: FieldElement
@@ -276,30 +281,32 @@ def arrangement_faces(poly: Polygon, grid: Grid, translates, region: Polygon) ->
     the sweep compares integer ranks.  With rb the region's bounding box,
     the events are the ranks from rb.x0 to rb.x1.  Only the live edges,
     those that are not vertical and whose open x-range meets the open
-    interval (rb.x0, rb.x1), become segments and enter the crossing test
-    and the ladders; which edges of a column are live, and the slabs each
-    spans, is found once per column, and each of its translates builds
-    the ordinates and segments of just those edges.  Dropping the others
-    is exact.  A dropped segment never spans a slab,
-    which lies strictly inside (rb.x0, rb.x1), and its endpoints are events
-    when they are in range.  Any crossing it takes part in lies on it, so
-    the abscissa is outside [rb.x0, rb.x1], or it is rb.x0 or rb.x1, or it
-    is the abscissa of the vertical segment itself, all of which are events
-    already.  The segments are not clipped in y: those below the region
-    carry the ladder weights, and their crossings are events too.
+    interval (rb.x0, rb.x1), reach the ladders; which edges of a column
+    are live, and the slabs each spans, is found once per column, and each
+    of its translates builds the ordinates of just those edges.  Dropping
+    the others is exact.  A dropped edge never spans a slab, which lies
+    strictly inside (rb.x0, rb.x1), and its endpoints are events when they
+    are in range.  Any crossing it takes part in lies on it, so the
+    abscissa is outside [rb.x0, rb.x1], or it is rb.x0 or rb.x1, or it is
+    the abscissa of the vertical edge itself, all of which are events
+    already.  The edges are not clipped in y: those below the region carry
+    the ladder weights, and their crossings are events too.
+
+    Each live edge looks up its line by (rise, base), its slope and its
+    height at abscissa 0 over M and D*M, M the common denominator of the
+    edge slopes, in one dict; the line's ``_Segment`` is built for its
+    first edge, and each slab maps its lines to the summed weights of
+    their edges spanning it.
 
     Crossings are found slab by slab between consecutive endpoint events.
-    Two live segments that meet at an abscissa that is not an endpoint
-    event both span the slab around it, since no endpoint lies inside a
-    slab; there their height difference is linear and not identically
-    zero, so they cross strictly inside exactly when the difference is
-    nonzero at both ends with opposite signs.  A zero at an end is a
-    meeting on an event already listed, and a difference zero at both ends
-    means the segments are collinear and never cross.  Heights at each
-    endpoint event are numerator tuples over D*M, M the common denominator
-    of the edge slopes, and are ranked there, so two segments lie on one
-    line of the slab exactly when their (left rank, right rank) pairs are
-    equal; each line is one rung with the summed weight of its segments.
+    Two lines that meet at an abscissa that is not an endpoint event both
+    span the slab around it, since no endpoint lies inside a slab; there
+    their height difference is linear and not identically zero, so they
+    cross strictly inside exactly when the difference is nonzero at both
+    ends with opposite signs.  A zero at an end is a meeting on an event
+    already listed.  Each line's height at each endpoint event is base +
+    X*rise, from one product per distinct rise, and is ranked there, so
+    distinct lines of a slab have distinct (left rank, right rank) pairs.
     Sorted by that pair, the lines are the ladder of the first sub-slab,
     ``_crossings`` intersects only the pairs of lines whose ranks swap
     strictly across the slab, and ``_cross`` carries the ladder over each
@@ -308,11 +315,11 @@ def arrangement_faces(poly: Polygon, grid: Grid, translates, region: Polygon) ->
     A face is in the region when it lies between the region's edges: the
     region is convex, so exactly one lower and one upper region edge span
     a slab, and the faces inside are those between them.  Region edges
-    are built first, then the translates' edges in the order of
-    ``translates``, and every sort is stable, so a line that holds a
-    region edge has it as its first segment, and walking up the ladder
-    each such line toggles "inside".  Which translate edge comes first on
-    a line does not change a face: the line's segments are collinear."""
+    are built first, so a slab's first two lines are those of its region
+    edges, and walking up the ladder each of the two toggles "inside"; a
+    region line toggles nothing in a slab its region edge does not span.
+    Which edge a line was built for does not change a face: the line's
+    edges are collinear."""
     corners = [grid.point(v) for v in region.vertices]
     shape = [grid.point(v) for v in poly.vertices]
     # every edge direction, with the numerators of its slope over one M
@@ -331,11 +338,11 @@ def arrangement_faces(poly: Polygon, grid: Grid, translates, region: Polygon) ->
     first, last = min(region_ranks), max(region_ranks)
     events = list(rank)[first : last + 1]
     xs = [grid.element(x) for x in events]
-    # a live segment spans the slabs from the rank of its left end (the
-    # first slab when that is left of rb.x0) to the rank of its right end
-    # (the last when that is right of rb.x1); each slab lists its segments
-    # in construction order
-    spanning = [[] for _ in xs[1:]]
+    # a live edge spans the slabs from the rank of its left end (the first
+    # slab when that is left of rb.x0) to the rank of its right end (the
+    # last when that is right of rb.x1); each slab maps the lines of the
+    # edges spanning it to their summed weights, in construction order
+    spanning = [{} for _ in xs[1:]]
     product = grid.field.product
 
     def live(vs, dirs):
@@ -353,48 +360,50 @@ def arrangement_faces(poly: Polygon, grid: Grid, translates, region: Polygon) ->
                 out.append((vs[i], vs[j], dx, rise, base, spanning[max(lo, first) - first : min(hi, last) - first]))
         return out
 
-    bounds = set()
+    # one segment per line, looked up by (rise, base) and built for the
+    # first edge on it; the region's edges come first and weigh 0, so a
+    # slab's first two lines are those of the region edges spanning it
+    lines: dict[tuple, _Segment] = {}
     for p, q, _, rise, base, slabs in live(corners, region_dirs):
-        bounds.add(s := _Segment(grid, (p, q), 0, rise, base, m))
+        if (line := lines.get((rise, base))) is None:
+            line = lines[rise, base] = _Segment(grid, (p, q), rise, base, m)
         for slab in slabs:
-            slab.append(s)
+            slab[line] = 0
     # a translate moves a column's edges up by ly, and their bases by ly*M
     edges = {lx: live(vs, poly_dirs) for lx, vs in columns.items()}
     for (lx, ly), mult in translates:
         lift = [n * m for n in ly]
         for (px, py), (qx, qy), dx, rise, base, slabs in edges[lx]:
-            ends = (px, tuple(map(add, py, ly))), (qx, tuple(map(add, qy, ly)))
-            s = _Segment(grid, ends, dx * mult, rise, tuple(map(add, base, lift)), m)
+            key = rise, tuple(map(add, base, lift))
+            if (line := lines.get(key)) is None:
+                ends = (px, tuple(map(add, py, ly))), (qx, tuple(map(add, qy, ly)))
+                line = lines[key] = _Segment(grid, ends, *key, m)
+            weight = dx * mult
             for slab in slabs:
-                slab.append(s)
+                slab[line] = slab.get(line, 0) + weight
     faces = []
     # only the height ranks at a slab's two ends are alive at a time
     right = _height_ranks(events[0], spanning[0], grid)
-    for xa, xb, x, slab, after in zip(xs, xs[1:], events[1:], spanning, spanning[1:] + [[]]):
-        left, right = right, _height_ranks(x, slab + after, grid)
-        # the first segment and the summed weight of each line
-        lines: dict[tuple[int, int], list] = {}
-        for s in slab:
-            line = lines.setdefault((left[s], right[s]), [s, 0])
-            line[1] += s.weight
-        ladder = [lines[key][0] for key in sorted(lines)]
-        weight = dict(lines.values())
+    for xa, xb, x, slab, after in zip(xs, xs[1:], events[1:], spanning, spanning[1:] + [{}]):
+        left, right = right, _height_ranks(x, slab.keys() | after, grid)
+        ladder = sorted(slab, key=lambda s: (left[s], right[s]))
+        bounds = set(islice(slab, 2))
         xcuts, at = _crossings(ladder, right, grid)
         cuts = [xa, *xcuts, xb]
         for k in range(len(cuts) - 1):
             if k:
                 _cross(ladder, at, k)
-            faces.extend(_slab_faces(cuts[k], cuts[k + 1], ladder, weight, bounds))
+            faces.extend(_slab_faces(cuts[k], cuts[k + 1], ladder, slab, bounds))
     return faces
 
 
 def _slab_faces(xa, xb, ladder: list[_Segment], weight, bounds) -> list[Face]:
     """The region's faces in one crossing-free slab, bottom to top.
 
-    ``ladder`` holds one segment per line spanning the slab, in the order
-    of their heights there, and ``weight`` the summed weight of each
-    line's segments; the count just above a line is the sum of the
-    weights up to it."""
+    ``ladder`` holds the lines spanning the slab, in the order of their
+    heights there, ``weight`` the summed weight of each line's edges that
+    span it and ``bounds`` its region lines; the count just above a line
+    is the sum of the weights up to it."""
     faces = []
     count = 0
     inside = False

@@ -8,11 +8,12 @@ lists the observed multiplicities.  All geometry is exact until the final
 coordinate emission, and every coordinate is emitted from integer
 numerators on the one grid ``region_translates`` puts the scene on, the
 sweep's.  A face corner's height is the face's lower or upper line read
-at the slab's end (``_Segment.height``), read and formatted once per
-ladder line and cut, since the faces above and below a line share that
-corner.  An outline vertex is the tuple sum of a polygon vertex and a
-translate position, both grid tuples; its abscissa is formatted once per
-column of translates and its ordinate once per row.  The size comes from
+at the slab's end (``_Segment.height``, one segment per line of the
+arrangement), read and formatted once per line and cut, since the faces
+on either side of a line, and of the cut, share that corner.  An outline
+vertex is the tuple sum of a polygon vertex and a translate position,
+both grid tuples; its abscissa is formatted once per column of
+translates and its ordinate once per row.  The size comes from
 the window's own numerators.  A rational coordinate is rounded from its
 numerator and denominator, an irrational one from the midpoint of its
 30-bit enclosure.

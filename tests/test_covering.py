@@ -604,6 +604,51 @@ class TestArrangementEvents:
                 assert got == expected
 
 
+class TestCollinearLines:
+    """Edges that share a line are one rung of the ladder, whatever their
+    weights sum to, and a region line toggles "inside" only in the slabs
+    its region edge spans."""
+
+    def unit_squares(self, *vertices):
+        return Polygon([V(x, y) for x, y in vertices]), single(PlaneLattice(V(1, 0), V(0, 1)))
+
+    def assert_faces_are_the_oracle(self, poly, tset, region):
+        faces = arrangement_faces(poly, *region_translates(poly, tset, region), region)
+        assert faces
+        for face in faces:
+            assert face.count == covering_at(poly, tset, face.sample)
+        return faces
+
+    def test_cancelling_edges_still_split_faces(self):
+        # on Z^2 every horizontal line holds the top of one square (-1)
+        # and the bottom of the next (+1): a rung of weight 0
+        poly, tset = self.unit_squares((0, 0), (1, 0), (1, 1), (0, 1))
+        assert verify_covering(poly, tset).cells_checked == 1
+        faces = self.assert_faces_are_the_oracle(poly, tset, Polygon(qbox(0, 0, 1, 2).corners()))
+        assert [(f.sample, f.count) for f in faces] == [(V(H, H), 1), (V(H, Fraction(3, 2)), 1)]
+
+    def test_region_line_toggles_only_where_its_region_edge_spans(self):
+        # y = 0 holds the octagons' horizontal edges at every abscissa; it
+        # is the cell's bottom edge, and in the trapezoid it is the bottom
+        # edge over 0 < x < 1 only, and lies below the region beyond
+        poly, tset = builtin_scene("octagon-family")
+        assert verify_covering(poly, tset).cells_checked == 24
+        for region in (verification_region(poly, tset), Polygon([V(0, 0), V(1, 0), V(2, 1), V(0, 1)])):
+            grid, translates = region_translates(poly, tset, region)
+            faces = self.assert_faces_are_the_oracle(poly, tset, region)
+            slabs = sorted({f.x0 for f in faces} | {f.x1 for f in faces})
+            translates = [(grid.vector(*p), k) for p, k in translates]
+            assert [(f.x0, f.x1, f.sample, f.count) for f in faces] == located_faces(poly, translates, region, slabs)
+
+    def test_collinear_vertex_edges_share_a_line(self):
+        # the bottom edge listed as two edges through (1/2, 0): both are
+        # on one line, and the vertex adds an event
+        poly, tset = self.unit_squares((0, 0), (H, 0), (1, 0), (1, 1), (0, 1))
+        report = verify_covering(poly, tset)
+        assert (report.constant, report.multiplicity, report.cells_checked) == (True, 1, 2)
+        self.assert_faces_are_the_oracle(poly, tset, verification_region(poly, tset))
+
+
 class TestSweepWork:
     def test_abscissas_are_ranked_once_per_column(self, monkeypatch):
         # the lattice octagon on (1/2)Z^2: 64 translates meet the cell's
@@ -625,6 +670,54 @@ class TestSweepWork:
         assert (len(translates), len({x for (x, _), _ in translates})) == (64, 8)
         assert verify_covering(poly, tset).multiplicity == 28
         assert sizes[0] == 4 + 8 * 8
+
+    def test_one_segment_per_line(self, monkeypatch):
+        # the lattice octagon's translate edges pair up on common lines:
+        # its 98 live edges on (1/2)Z^2 lie on 40 lines, and its 4,802 on
+        # (1/16)Z^2 on 292, each built once
+        built = []
+        init = arrangement._Segment.__init__
+
+        def counted(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(arrangement._Segment, "__init__", counted)
+        lines = []
+        for n in (2, 16):
+            built.clear()
+            tset = single(PlaneLattice(V(Fraction(1, n), 0), V(0, Fraction(1, n))))
+            assert verify_covering(lattice_octagon(), tset).multiplicity == 7 * n * n
+            assert len({(s.rise, s.base) for s in built}) == len(built)
+            lines.append(len(built))
+        assert lines == [40, 292]
+
+    def test_heights_take_one_product_per_rise(self, monkeypatch):
+        # the lattice octagon's live edges and the cell's have three slopes
+        # (0, 1 and -1), so ranking the heights at an event takes at most
+        # three products, however many lines cross it
+        per_event = []
+        inside = []
+        product, height_ranks = Field.product, arrangement._height_ranks
+
+        def counted_product(self, a, b):
+            if inside:
+                per_event[-1] += 1
+            return product(self, a, b)
+
+        def counted_ranks(*args):
+            per_event.append(0)
+            inside.append(True)
+            try:
+                return height_ranks(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(Field, "product", counted_product)
+        monkeypatch.setattr(arrangement, "_height_ranks", counted_ranks)
+        half = PlaneLattice(V(H, 0), V(0, H))
+        assert verify_covering(lattice_octagon(), single(half)).multiplicity == 28
+        assert len(per_event) == 2 and max(per_event) <= 3, per_event
 
 
 class TestGridOrder:
