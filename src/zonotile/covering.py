@@ -98,7 +98,7 @@ class Polygon:
 
     def __init__(self, vertices):
         vs = list(vertices)
-        self._hold(vs[0].field if vs else None, *integer_rows(vs), vs)
+        self._hold(vs[0].field if vs else None, *integer_rows(vs))
 
     @classmethod
     def from_rows(cls, field: Field, rows, den: int) -> "Polygon":
@@ -113,17 +113,17 @@ class Polygon:
     def from_zonotope(cls, z) -> "Polygon":
         return cls.from_rows(z.field, *z.vertex_rows())
 
-    def _hold(self, field: Field, rows, den: int, vs=None) -> None:
+    def _hold(self, field: Field, rows, den: int) -> None:
         """Check the rows, turn them counterclockwise and keep them with
-        their vectors ``vs``, built from the rows when not given."""
+        the vectors built from them."""
         if len(rows) < 3:
             raise GeometryError("a polygon needs at least 3 vertices")
         s = field.sign(doubled_area(field, rows))
         if s == 0:
             raise GeometryError("degenerate polygon")
         if s < 0:
-            rows, vs = rows[::-1], vs and vs[::-1]
-        vs = vs or vectors_from_rows(field, rows, den)
+            rows = rows[::-1]
+        vs = vectors_from_rows(field, rows, den)
         self.vertices, self.rows, self.den = tuple(vs), tuple(rows), den
         xs = [v.x for v in vs]
         ys = [v.y for v in vs]

@@ -7,8 +7,9 @@ Computational Algebraic Number Theory*, 1993, section 4.2): integer
 numerators on the 2**k monomial basis
 {prod_{i in S} sqrt(d_i) : S subset of {1..k}} over one positive
 denominator, in lowest terms.  The form is unique, so the zero test and
-equality compare integer tuples, and arithmetic is integer arithmetic
-with at most a gcd or two per operation.
+equality compare integer tuples, and arithmetic is integer arithmetic:
+each sum, difference or product is formed over the product of the
+denominators and brought to lowest terms by one gcd.
 
 Signs are decided on integers too.  With s = isqrt(p << 2*prec), the
 monomial sqrt(p) lies strictly between s and s + 1 over 2**prec, so the
@@ -311,47 +312,8 @@ def _reduced(field: Field, nums: tuple[int, ...], den: int) -> FieldElement:
 
 def _add(field: Field, a, da: int, op, b, db: int) -> FieldElement:
     """a/da op b/db in lowest terms, ``op`` being ``operator.add`` or
-    ``operator.sub``.
-
-    With g = gcd(da, db), the terms are brought to the denominator
-    (da/g) * db.  Both inputs are in lowest terms, so no prime of da/g or
-    db/g divides every numerator of the result, and only gcd(g, result)
-    can cancel: with coprime denominators that is no gcd at all."""
-    if da == db:
-        if da == 1:
-            return _make(field, tuple(map(op, a, b)), 1)
-        return _reduced(field, tuple(map(op, a, b)), da)
-    g = gcd(da, db)
-    if g == 1:
-        return _make(field, tuple(map(op, [x * db for x in a], [y * da for y in b])), da * db)
-    sa, sb = db // g, da // g
-    t = tuple(map(op, [x * sa for x in a], [y * sb for y in b]))
-    c = gcd(g, *t)
-    if c != 1:
-        t = tuple([n // c for n in t])
-    return _make(field, t, sb * (db // c))
-
-
-def _scale(field: Field, a, da: int, p: int, q: int) -> FieldElement:
-    """(a/da) * (p/q) in lowest terms, for q > 0 and gcd(p, q) = 1.
-
-    Both factors are in lowest terms, so gcd(p, da) and gcd(q, *a) are
-    all that cancels."""
-    if not p:
-        return field.zero()
-    if da != 1:
-        g = gcd(p, da)
-        if g != 1:
-            p //= g
-            da //= g
-    if q != 1:
-        g = gcd(q, *a)
-        if g != 1:
-            q //= g
-            a = tuple([n // g for n in a])
-    if p != 1:
-        a = tuple([n * p for n in a])
-    return _make(field, a, da * q)
+    ``operator.sub``."""
+    return _reduced(field, tuple(map(op, [x * db for x in a], [y * da for y in b])), da * db)
 
 
 def _enclosure(field: Field, nums, prec: int) -> tuple[int, int]:
@@ -474,19 +436,11 @@ class FieldElement:
     def __neg__(self):
         return _make(self.field, tuple(map(neg, self.nums)), self.den)
 
-    def __pos__(self):
-        return self
-
     def __mul__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        a, b = self.nums, o.nums
-        if not any(b[1:]):
-            return _scale(self.field, a, self.den, b[0], o.den)
-        if not any(a[1:]):
-            return _scale(self.field, b, o.den, a[0], self.den)
-        return _reduced(self.field, self.field.product(a, b), self.den * o.den)
+        return _reduced(self.field, self.field.product(self.nums, o.nums), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -525,21 +479,6 @@ class FieldElement:
 
     def sign(self) -> int:
         return self.field.sign(self.nums)
-
-    def approx(self, bits: int) -> tuple[Fraction, Fraction]:
-        """A rational interval of width <= 2**-bits enclosing the value."""
-        if bits < 1:
-            raise ValueError("precision must be >= 1 bit")
-        if self.is_rational():
-            q = Fraction(self.nums[0], self.den)
-            return (q, q)
-        prec = max(bits + 4, 16)
-        while True:
-            lo, hi = _enclosure(self.field, self.nums, prec)
-            scale = self.den << prec
-            if (hi - lo) << bits <= scale:
-                return (Fraction(lo, scale), Fraction(hi, scale))
-            prec *= 2
 
     def floor(self) -> int:
         return self.field.floor(self.nums, self.den)

@@ -14,9 +14,9 @@ on either side of a line, and of the cut, share that corner.  An outline
 vertex is the tuple sum of a polygon vertex and a translate position,
 both grid tuples; its abscissa is formatted once per column of
 translates and its ordinate once per row.  The size comes from
-the window's own numerators.  A rational coordinate is rounded from its
-numerator and denominator, an irrational one from the midpoint of its
-30-bit enclosure.
+the window's own numerators.  Every coordinate, rational or not, is
+rounded half up to four decimals exactly, by one ``Field.floor`` on its
+numerators.
 """
 
 from __future__ import annotations
@@ -30,6 +30,9 @@ from .field import Field, FieldElement
 __all__ = ["render_svg"]
 
 _SCALE = 48
+# coordinates are written to four decimals, and computed in half-units of
+# the fourth, so that rounding half up is one floor
+_HALF_UNITS = 20000
 _PALETTE = [
     "#4e79a7",
     "#f28e2b",
@@ -50,58 +53,44 @@ def _fill(k: int) -> str:
     return _PALETTE[(k - 1) % len(_PALETTE)]
 
 
-def _fmt(num: int, den: int) -> str:
-    """num/den (den > 0) rounded half up to four decimals."""
-    scaled = (num * 20000 + den) // (2 * den)
+def _fmt(field: Field, nums, den: int) -> str:
+    """The coordinate nums/den half-units long (den > 0), rounded half up
+    to four decimals: floor((nums/den + 1) / 2) ten-thousandths, by one
+    exact ``Field.floor``, whose rational case is one integer division."""
+    scaled = field.floor((nums[0] + den, *nums[1:]), 2 * den)
     sign = "-" if scaled < 0 else ""
     scaled = abs(scaled)
     return f"{sign}{scaled // 10000}.{scaled % 10000:04d}"
 
 
-def _mid(x: FieldElement) -> tuple[int, int]:
-    """x itself when rational, else the midpoint of its 30-bit enclosure,
-    as a numerator over a positive denominator."""
-    if x.is_rational():
-        return x.nums[0], x.den
-    lo, hi = x.approx(30)
-    return (
-        lo.numerator * hi.denominator + hi.numerator * lo.denominator,
-        2 * lo.denominator * hi.denominator,
-    )
-
-
 class _Axis:
-    """One SVG axis: the value v = nums/den goes to sign*(v - origin)*48.
+    """One SVG axis: the value v = nums/den goes to the coordinate
+    sign*(v - origin)*48, which ``value`` gives in half-units.
 
     Values come as integer numerators over a positive denominator, in any
-    terms.  Over Q the scaled numerator and denominator go straight to
-    ``_fmt``; over a larger field the element is built once per value and
-    rounded from ``_mid``.  ``_fmt`` depends only on the value and ``_mid``
-    only on the canonical element, so every term form gives the same
-    string.  Strings are cached per (numerators, denominator): the faces
-    of a slab share its ends, and lines that meet there share a height."""
+    terms, and the scaled numerators go straight to ``_fmt``, which
+    depends only on the value, so every term form gives the same string.
+    Strings are cached per (numerators, denominator): the faces of a slab
+    share its ends, and lines that meet there share a height."""
 
     __slots__ = ("field", "nums", "den", "scale", "strings")
 
     def __init__(self, field: Field, origin: FieldElement, sign: int):
         self.field = field
         self.nums, self.den = origin.nums, origin.den
-        self.scale = sign * _SCALE
+        self.scale = sign * _SCALE * _HALF_UNITS
         self.strings: dict[tuple, str] = {}
 
-    def value(self, nums, den: int) -> tuple[int, int]:
-        """The scaled coordinate as ``_mid`` gives it: numerator, denominator."""
+    def value(self, nums, den: int) -> tuple[list[int], int]:
+        """The coordinate in half-units: numerators, denominator."""
         od, k = self.den, self.scale
-        t = [k * (n * od - o * den) for n, o in zip(nums, self.nums)]
-        if len(t) == 1:
-            return t[0], den * od
-        return _mid(FieldElement.from_integers(self.field, t, den * od))
+        return [k * (n * od - o * den) for n, o in zip(nums, self.nums)], den * od
 
     def __call__(self, nums, den: int) -> str:
         key = (nums, den)
         text = self.strings.get(key)
         if text is None:
-            text = self.strings[key] = _fmt(*self.value(nums, den))
+            text = self.strings[key] = _fmt(self.field, *self.value(nums, den))
         return text
 
 
@@ -113,11 +102,13 @@ def render_svg(poly: Polygon, tset: TranslateSet, window: Box) -> str:
     faces = arrangement_faces(poly, grid, translates, region)
     field = poly.field
     sx, sy = _Axis(field, window.x0, 1), _Axis(field, window.y1, -1)
-    w, wd = sx.value(window.x1.nums, window.x1.den)
+    width = sx(window.x1.nums, window.x1.den)
     h, hd = sy.value(window.y0.nums, window.y0.den)
-    width, height = _fmt(w, wd), _fmt(h, hd)
-    legend_h = 32
-    full = _fmt(h + legend_h * hd, hd)
+
+    def below(k: int) -> str:  # k pixels under the window
+        return _fmt(field, (h[0] + k * _HALF_UNITS * hd, *h[1:]), hd)
+
+    height, full = below(0), below(32)  # the legend row is 32 pixels high
     counts = sorted({f.count for f in faces})
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
@@ -153,11 +144,11 @@ def render_svg(poly: Polygon, tset: TranslateSet, window: Box) -> str:
     x = 8.0
     for c in counts:
         parts.append(
-            f'<rect x="{x:.1f}" y="{_fmt(h + 8 * hd, hd)}" width="16" height="16" '
+            f'<rect x="{x:.1f}" y="{below(8)}" width="16" height="16" '
             f'fill="{_fill(c)}" stroke="#202020"/>'
         )
         parts.append(
-            f'<text x="{x + 20:.1f}" y="{_fmt(h + 21 * hd, hd)}" font-family="monospace" '
+            f'<text x="{x + 20:.1f}" y="{below(21)}" font-family="monospace" '
             f'font-size="12">k={c}</text>'
         )
         x += 64.0

@@ -1,6 +1,7 @@
 """The brute-force covering oracle: point location, enumeration, exact
 constancy verification, strips, and the builtin scenes."""
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -157,6 +158,50 @@ class TestLatticePointsInBox:
                     if x0 <= x <= x1 and y0 <= y <= y1:
                         want.add((x, y))
             assert got == want
+
+    def test_matches_naive_scan_over_q_sqrt2(self):
+        # irrational bases and offsets, box corners rational and irrational,
+        # one- and two-part sets: every point lat.point(a, b) + z in the
+        # box, by element arithmetic, over an index range that holds them
+        r2 = F2.sqrt(2)
+        pool = [F2.rational(Fraction(n, 2)) + m * r2 for n in range(-2, 3) for m in (-1, 0, 1)]
+        rng = random.Random(29)
+
+        def approx(x):  # a float near x, used for the scan's index range only
+            return sum(float(c) * math.sqrt(p) for c, p in zip(x.coeffs, x.field.products))
+
+        def index_range(values):
+            return range(math.floor(min(values)) - 1, math.ceil(max(values)) + 2)
+
+        def part():
+            while True:
+                b1, b2 = PlaneVector(*rng.sample(pool, 2)), PlaneVector(*rng.sample(pool, 2))
+                if abs(b1.cross(b2)) >= 1 and not all(c.is_rational() for c in (b1.x, b1.y, b2.x, b2.y)):
+                    return PlaneLattice(b1, b2), PlaneVector(rng.choice(pool), rng.choice(pool))
+
+        def corner():
+            return F2.rational(Fraction(rng.randint(-4, 2), rng.randint(1, 3))) + rng.choice((0, r2 / 2))
+
+        irrational = on_edge = 0
+        for case in range(40):
+            parts = [part() for _ in range(1 + case % 2)]
+            x0, y0 = corner(), corner()
+            box = Box(x0, y0, x0 + rng.choice((1, 3, r2, 1 + r2)), y0 + rng.choice((2, 3, r2, 2 * r2)))
+            got = Counter((p.x, p.y) for p, k in TranslateSet.periodic(parts).points_in(box) for _ in range(k))
+            want = Counter()
+            for lat, z in parts:
+                b1, b2 = lat.basis()
+                det = approx(b1.cross(b2))
+                offsets = [c - z for c in box.corners()]
+                for a in index_range([approx(d.cross(b2)) / det for d in offsets]):
+                    for b in index_range([approx(b1.cross(d)) / det for d in offsets]):
+                        p = lat.point(a, b) + z
+                        if box.x0 <= p.x <= box.x1 and box.y0 <= p.y <= box.y1:
+                            want[p.x, p.y] += 1
+            assert got == want
+            irrational += sum(not (x.is_rational() and y.is_rational()) for x, y in got.elements())
+            on_edge += sum(x in (box.x0, box.x1) or y in (box.y0, box.y1) for x, y in got.elements())
+        assert irrational > 100 and on_edge > 10
 
 
 class TestEnumerationBudget:

@@ -234,37 +234,6 @@ class TestSign:
         assert (f.sqrt(6) - approx).sign() != 0
 
 
-class TestApprox:
-    def test_rational_is_degenerate_interval(self):
-        lo, hi = RATIONALS.rational(Fraction(1, 3)).approx(10)
-        assert lo == hi == Fraction(1, 3)
-
-    def test_zero_interval(self):
-        assert F2.zero().approx(50) == (0, 0)
-
-    def test_sqrt2_20_bits(self):
-        lo, hi = F2.sqrt(2).approx(20)
-        assert hi - lo <= Fraction(1, 2**20)
-        assert lo * lo < 2 < hi * hi
-        assert Fraction(141421, 100000) < lo and hi < Fraction(141422, 100000)
-
-    def test_interval_always_contains_value(self):
-        rng = random.Random(17)
-        for _ in range(50):
-            a = rand_element(rng, F23)
-            lo, hi = a.approx(30)
-            assert (a - lo).sign() >= 0
-            assert (hi - a).sign() >= 0
-            assert hi - lo <= Fraction(1, 2**30)
-
-    def test_rational_elements_shrink_onto_value(self):
-        x = F23.rational(Fraction(7, 5)) + F23.sqrt(2) * 0
-        for bits in (5, 20, 60):
-            lo, hi = x.approx(bits)
-            assert lo <= Fraction(7, 5) <= hi
-            assert hi - lo <= Fraction(1, 2**bits)
-
-
 class TestFloorCeil:
     @pytest.mark.parametrize(
         "build,expected",

@@ -53,7 +53,7 @@ RENDER = {
     ("tetromino-union", None, "--window=-4,-4,4,4"): (
         "a71f39e6ff8a2b895fbe91204a15ba88e9e3238a79d4a3fc1ee14bfc34da0bf9"
     ),
-    # irrational coordinates: emitted through the 30-bit enclosure
+    # irrational coordinates: each rounded exactly by one Field.floor
     ("octagon-family", "sqrt(2)", "--window=-1,-1,2,2"): (
         "582137b6e78b3a9b92e693e36c66453b743c52532dc87f5613c3b928aa2d8aa4"
     ),
