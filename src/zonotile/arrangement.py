@@ -76,19 +76,13 @@ edges in slabs its region edge does not span; there it toggles nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cmp_to_key
 from itertools import islice
 from math import lcm
 from operator import add, le, sub
-from typing import TYPE_CHECKING
 
 from .errors import FieldError
 from .field import Field, FieldElement
 from .lattice import PlaneVector
-
-if TYPE_CHECKING:
-    from .covering import Polygon
 
 __all__ = ["Grid", "Face", "arrangement_faces"]
 
@@ -106,9 +100,9 @@ class Grid:
     :meth:`point` puts a vector whose denominators divide it on the grid,
     as its pair of numerator tuples over ``den``.  Equal values over one
     denominator have equal numerators, so equality and hashing are those
-    of tuples.  ``le`` and ``key`` order values over one denominator: over
-    Q by native tuple order, which is integer order, and otherwise by the
-    exact integer sign of the difference."""
+    of tuples.  ``le`` and ``key`` (:meth:`Field.order_key`) order values
+    over one denominator: over Q by native tuple order, which is integer
+    order, and otherwise by the exact integer sign of the difference."""
 
     __slots__ = ("field", "den", "le", "key")
 
@@ -118,12 +112,12 @@ class Grid:
             raise FieldError(f"a point of the scene is not over {field!r}")
         self.field = field
         self.den = lcm(*(c.den for v in vectors for c in (v.x, v.y)))
+        self.key = field.order_key()
         if field.size == 1:
-            self.le, self.key = le, None
+            self.le = le
         else:
             sign = field.sign
             self.le = lambda a, b: sign(tuple(map(sub, b, a))) >= 0
-            self.key = cmp_to_key(lambda a, b: sign(tuple(map(sub, a, b))))
 
     def point(self, v: PlaneVector) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return _scaled(v.x, self.den), _scaled(v.y, self.den)
@@ -241,16 +235,19 @@ def _cross(ladder: list[_Segment], at, k: int) -> None:
             j -= 1
 
 
-@dataclass(frozen=True)
 class Face:
     """One trapezoid of the vertical decomposition: the part of the slab
-    x0 < x < x1 strictly between two consecutive ladder lines."""
+    x0 < x < x1 strictly between two consecutive ladder lines ``lower``
+    and ``upper``, covered ``count`` times."""
 
-    x0: FieldElement
-    x1: FieldElement
-    lower: _Segment
-    upper: _Segment
-    count: int
+    __slots__ = ("x0", "x1", "lower", "upper", "count")
+
+    def __init__(self, x0: FieldElement, x1: FieldElement, lower: _Segment, upper: _Segment, count: int):
+        self.x0 = x0
+        self.x1 = x1
+        self.lower = lower
+        self.upper = upper
+        self.count = count
 
     @property
     def sample(self) -> PlaneVector:

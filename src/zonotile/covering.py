@@ -27,7 +27,7 @@ oracle the tests hold the propagated counts to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
 from operator import add, neg, sub
@@ -67,14 +67,17 @@ def _check_budget(count: int, what: str) -> None:
         )
 
 
-@dataclass(frozen=True)
 class Box:
-    """A closed axis-aligned box with exact field-element corners."""
+    """A closed axis-aligned box with exact field-element corners, the
+    lower left (x0, y0) and the upper right (x1, y1)."""
 
-    x0: FieldElement
-    y0: FieldElement
-    x1: FieldElement
-    y1: FieldElement
+    __slots__ = ("x0", "y0", "x1", "y1")
+
+    def __init__(self, x0: FieldElement, y0: FieldElement, x1: FieldElement, y1: FieldElement):
+        self.x0 = x0
+        self.y0 = y0
+        self.x1 = x1
+        self.y1 = y1
 
     def corners(self) -> list[PlaneVector]:
         return [
@@ -115,7 +118,7 @@ class Polygon:
 
     def _hold(self, field: Field, rows, den: int) -> None:
         """Check the rows, turn them counterclockwise and keep them with
-        the vectors built from them."""
+        the vectors built from them and the bounding box read off them."""
         if len(rows) < 3:
             raise GeometryError("a polygon needs at least 3 vertices")
         s = field.sign(doubled_area(field, rows))
@@ -123,11 +126,13 @@ class Polygon:
             raise GeometryError("degenerate polygon")
         if s < 0:
             rows = rows[::-1]
-        vs = vectors_from_rows(field, rows, den)
-        self.vertices, self.rows, self.den = tuple(vs), tuple(rows), den
-        xs = [v.x for v in vs]
-        ys = [v.y for v in vs]
-        self.bbox = Box(min(xs), min(ys), max(xs), max(ys))
+        self.vertices = tuple(vectors_from_rows(field, rows, den))
+        self.rows, self.den = tuple(rows), den
+        n = field.size
+        key = field.order_key()
+        xs, ys = [row[:n] for row in rows], [row[n:] for row in rows]
+        ends = (min(xs, key=key), min(ys, key=key), max(xs, key=key), max(ys, key=key))
+        self.bbox = Box(*(FieldElement.from_integers(field, nums, den) for nums in ends))
 
     @property
     def field(self) -> Field:
@@ -374,13 +379,17 @@ def covering_at(poly: Polygon, tset: TranslateSet, x: PlaneVector) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    constant: bool
-    multiplicity: int | None
-    counterexample: tuple[tuple[PlaneVector, int], tuple[PlaneVector, int]] | None
-    cells_checked: int
-    window_relative: bool
+class VerifyReport(namedtuple("VerifyReport", "constant multiplicity counterexample cells_checked window_relative")):
+    """Outcome of :func:`verify_covering`.
+
+    ``constant``: whether every face has the same count.
+    ``multiplicity``: that count when constant, else None.
+    ``counterexample``: ((sample, count), (sample, count)) of a least and
+    a greatest face count when not constant, else None.
+    ``cells_checked``: the number of faces sampled.
+    ``window_relative``: whether the verdict holds only on a window."""
+
+    __slots__ = ()
 
 
 def region_translates(poly: Polygon, tset: TranslateSet, region: Polygon):

@@ -28,7 +28,7 @@ no step, not even the even witness, does field arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
@@ -52,38 +52,48 @@ SPAN_NOT_DISCRETE = "span-not-discrete"
 DET_RATIO_IRRATIONAL = "det-ratio-irrational"
 
 
-@dataclass(frozen=True)
-class BollePair:
-    j: int
-    cond1: bool  # pair translation is a lattice point
-    cond2: bool  # edge in lattice and the edge line meets the lattice
+class BollePair(namedtuple("BollePair", "j cond1 cond2")):
+    """Bolle's conditions on the j-th pair of parallel edges.
+
+    ``cond1``: the pair translation is a lattice point.
+    ``cond2``: the edge is in the lattice and the edge line meets the lattice."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BolleReport:
-    pairs: tuple[BollePair, ...]
-    verdict: bool
-    multiplicity: int | None  # area / det, present when the verdict holds
+class BolleReport(namedtuple("BolleReport", "pairs verdict multiplicity")):
+    """Outcome of :func:`bolle_check`.
+
+    ``pairs``: one :class:`BollePair` per edge pair, j = 1..m.
+    ``verdict``: whether every pair meets one of the conditions.
+    ``multiplicity``: area / det, present when the verdict holds."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Decision:
-    multi_tiles: bool
-    branch: str  # "parallelogram" | "odd" | "even"
-    j0: int | None
-    witness_lattice: PlaneLattice | None
-    witness_multiplicity: int | None
-    succeeded_j0: tuple[int, ...]
-    failure_reason: str | None  # SPAN_NOT_DISCRETE | DET_RATIO_IRRATIONAL
-    # even m: (j0, span) for each drop-one span that is a lattice, in j0 order
-    drop_one_spans: tuple[tuple[int, PlaneLattice], ...] = ()
+class Decision(
+    namedtuple(
+        "Decision",
+        "multi_tiles branch j0 witness_lattice witness_multiplicity succeeded_j0 failure_reason drop_one_spans",
+        defaults=((),),
+    )
+):
+    """Outcome of :func:`decide_multitiling`.
+
+    ``branch``: "parallelogram", "odd" or "even".
+    ``failure_reason``: SPAN_NOT_DISCRETE or DET_RATIO_IRRATIONAL, or None.
+    ``drop_one_spans``: for even m, (j0, span) for each drop-one span that
+    is a lattice, in j0 order; () by default."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CanonicalLattice:
-    lattice: PlaneLattice
-    source: str  # "pair-span" (odd m) | "intersection" (even m)
-    contributing_j: tuple[int, ...]
+class CanonicalLattice(namedtuple("CanonicalLattice", "lattice source contributing_j")):
+    """Outcome of :func:`canonical_lattice`.
+
+    ``source``: "pair-span" (odd m) or "intersection" (even m)."""
+
+    __slots__ = ()
 
 
 def bolle_check(p: Zonotope, lat: PlaneLattice) -> BolleReport:

@@ -35,6 +35,7 @@ import sys
 import weakref
 from collections import deque
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd, isqrt, lcm
 from operator import add, index, mul, neg, sub
 
@@ -238,6 +239,15 @@ class Field:
             prec *= 2
             if prec > 1 << 22:  # unreachable for nonzero elements
                 raise InternalError("sign refinement failed to converge")
+
+    def order_key(self):
+        """The sort key that orders numerator tuples over one denominator
+        by value: None over Q, where tuple order is integer order, and
+        otherwise the exact sign of their difference."""
+        if self.size == 1:
+            return None
+        sign = self.sign
+        return cmp_to_key(lambda a, b: sign(tuple(map(sub, a, b))))
 
     def divide(self, a, da: int, b, db: int) -> tuple[tuple[int, ...], int]:
         """(a/da) / (b/db) for numerator tuples, as numerators over a

@@ -33,7 +33,7 @@ oracles, such as :func:`superlattice_meeting_line`, divide field elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -68,10 +68,15 @@ NOT_DISCRETE = "not-discrete"
 RANK_DEFICIENT = "rank-deficient"
 
 
-@dataclass(frozen=True)
 class PlaneVector:
-    x: FieldElement
-    y: FieldElement
+    """A vector of the plane with field-element coordinates ``x`` and
+    ``y``; vectors with equal coordinates are equal and hash equal."""
+
+    __slots__ = ("x", "y")
+
+    def __init__(self, x: FieldElement, y: FieldElement):
+        self.x = x
+        self.y = y
 
     @property
     def field(self) -> Field:
@@ -97,6 +102,17 @@ class PlaneVector:
 
     def is_zero(self) -> bool:
         return self.x.is_zero() and self.y.is_zero()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.x == other.x and self.y == other.y
+
+    def __hash__(self):
+        return hash((self.x, self.y))
+
+    def __repr__(self):
+        return f"PlaneVector(x={self.x!r}, y={self.y!r})"
 
     def __str__(self):
         return f"({self.x}, {self.y})"
@@ -339,13 +355,14 @@ class PlaneLattice:
         return f"PlaneLattice[{self.b1}, {self.b2}]"
 
 
-@dataclass(frozen=True)
-class SpanAnalysis:
-    """Outcome of testing whether an integer span is a full-rank lattice."""
+class SpanAnalysis(namedtuple("SpanAnalysis", "q_rank verdict basis")):
+    """Outcome of testing whether an integer span is a full-rank lattice.
 
-    q_rank: int
-    verdict: str  # LATTICE | NOT_DISCRETE | RANK_DEFICIENT
-    basis: PlaneLattice | None
+    ``q_rank``: the rational rank of the span.
+    ``verdict``: LATTICE, NOT_DISCRETE or RANK_DEFICIENT.
+    ``basis``: the span as a PlaneLattice when it is one, else None."""
+
+    __slots__ = ()
 
 
 def integer_span(vectors) -> SpanAnalysis:

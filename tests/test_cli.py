@@ -1,6 +1,5 @@
 """End-to-end CLI behavior: exit codes, JSON output, determinism, SVG."""
 
-import dataclasses
 import functools
 import hashlib
 import io
@@ -18,6 +17,7 @@ from hypothesis import strategies as st
 
 from zonotile import BUILTIN_NAMES, Field, FieldElement, PlaneLattice, Zonotope, vector
 from zonotile import cli, covering, criteria, jsonio
+from zonotile.arrangement import Face
 from zonotile.cli import main
 
 from conftest import F2, F23, V, json_mutant
@@ -785,7 +785,7 @@ class TestInternalError:
 
         def one_more(*args):
             # still constant, but one more than area / det per part allows
-            return [dataclasses.replace(f, count=f.count + 1) for f in faces(*args)]
+            return [Face(f.x0, f.x1, f.lower, f.upper, f.count + 1) for f in faces(*args)]
 
         monkeypatch.setattr(covering, "arrangement_faces", one_more)
         assert main(["verify", str(scene)]) == 3

@@ -14,6 +14,7 @@ from zonotile import (
     AccountingError,
     BollePair,
     BolleReport,
+    Decision,
     Field,
     FieldElement,
     GeometryError,
@@ -149,6 +150,21 @@ class TestBolleCheck:
         report = bolle_check(octagon(), Z2())
         assert report.verdict and report.multiplicity == 7
         assert calls == [8]
+
+
+class TestRecords:
+    def test_decision_drop_one_spans_defaults_to_empty(self):
+        dec = Decision(True, "odd", None, Z2(), 1, (), None)
+        assert dec.drop_one_spans == ()
+        assert dec == Decision(True, "odd", None, Z2(), 1, (), None, ())
+
+    def test_bolle_report_compares_field_wise(self):
+        def report(cond2=False, multiplicity=2):
+            return BolleReport((BollePair(1, True, False), BollePair(2, False, cond2)), True, multiplicity)
+
+        assert report() == report() and hash(report()) == hash(report())
+        assert report() != report(cond2=True) and report() != report(multiplicity=None)
+        assert bolle_check(octagon(), Z2()) == bolle_check(octagon(), PlaneLattice(V(0, 1), V(1, 1)))
 
 
 class TestDecide:

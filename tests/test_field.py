@@ -6,7 +6,7 @@ import pickle
 import random
 import weakref
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 import pytest
 
@@ -232,6 +232,16 @@ class TestSign:
         # ... while a close rational approximation of sqrt(6) is not
         approx = Fraction(4866, 1987)  # within 4e-8 of sqrt(6)
         assert (f.sqrt(6) - approx).sign() != 0
+
+    def test_order_key_sorts_numerators_by_value(self):
+        assert RATIONALS.order_key() is None
+        rng = random.Random(17)
+        for f in (F2, F23):
+            xs = [rand_element(rng, f) for _ in range(40)]
+            den = lcm(*(x.den for x in xs))
+            nums = [tuple(n * (den // x.den) for n in x.nums) for x in xs]
+            # oracle: the elements' own comparisons
+            assert sorted(nums, key=f.order_key()) == [nums[i] for i in sorted(range(40), key=xs.__getitem__)]
 
 
 class TestFloorCeil:

@@ -38,6 +38,30 @@ def Z2():
     return PlaneLattice(V(1, 0), V(0, 1))
 
 
+class TestPlaneVector:
+    def test_equal_values_are_equal_and_hash_equal(self):
+        r2 = F2.sqrt(2)
+        for field, x, y in ((Q, H, -3), (F2, 1 + r2 / 3, H * r2), (F23, F23.sqrt(6) - H, F23.zero())):
+            built = lattice.vector(field, x, y)
+            (from_rows,) = lattice.vectors_from_rows(field, *lattice.integer_rows([built]))
+            assert built == from_rows and hash(built) == hash(from_rows)
+            assert built != lattice.vector(field, x, 1) and built != PlaneVector(built.y, built.x)
+
+    def test_is_not_a_tuple(self):
+        v = V(1, 2)
+        assert v != (v.x, v.y) and (v.x, v.y) != v
+        assert not isinstance(v, tuple)
+
+    def test_operators(self):
+        r2 = F2.sqrt(2)
+        u, v = V(1 + r2, H, F2), V(-3, r2 / 5, F2)
+        assert u + v == PlaneVector(u.x + v.x, u.y + v.y) == V(r2 - 2, H + r2 / 5, F2)
+        assert u - v == PlaneVector(u.x - v.x, u.y - v.y) == V(4 + r2, H - r2 / 5, F2)
+        assert -u == PlaneVector(-u.x, -u.y) == V(-1 - r2, -H, F2)
+        assert u.scale(r2) == V(r2 + 2, r2 / 2, F2)
+        assert u.scale(Fraction(2, 3)) == V((2 + 2 * r2) / 3, Fraction(1, 3), F2)
+
+
 class TestRationalRank:
     def test_rational_combination_collapses(self):
         assert rational_rank([V(1, 0), V(0, 1), V(H, H)]) == 2

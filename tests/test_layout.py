@@ -1,6 +1,9 @@
 """Package layout rules that no single behaviour test would catch."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "zonotile"
@@ -15,6 +18,36 @@ def test_no_module_imports_another_modules_private_names():
                     if alias.name.startswith("_"):
                         offenders.append(f"{path.name}:{node.lineno} imports {alias.name}")
     assert not offenders, offenders
+
+
+# standard modules the package has no use for and whose import alone costs
+# start-up time; dataclasses also generates code for each class it decorates
+_UNWANTED_IMPORTS = ("dataclasses", "inspect", "typing")
+
+
+def test_no_module_imports_dataclasses_inspect_or_typing():
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                if name.split(".")[0] in _UNWANTED_IMPORTS:
+                    offenders.append(f"{path.name}:{node.lineno} imports {name}")
+    assert not offenders, offenders
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing():
+    """Without ``site``, importing ``zonotile.cli`` loads only what the
+    package and the standard modules it uses need."""
+    code = f"import sys, zonotile.cli; print([m for m in {_UNWANTED_IMPORTS!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]", out.stdout + out.stderr
 
 
 def _defined_names(tree):
