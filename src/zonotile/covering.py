@@ -17,12 +17,9 @@ tuples over their common denominator D.  The translate positions are
 enumerated on that grid, stepping by b1 and b2 from each part's offset,
 and reach the sweep and the renderer as grid tuples, merged by position;
 no vector is built for a translate; each part's index range is one
-``Field.divide`` and ``Field.floor`` per end.  ``lattice_points_in_box``
-and ``TranslateSet.points_in`` give the same positions as vectors, as
-oracles.
-
-``covering_at`` counts one point by brute-force point location.  It is the
-oracle the tests hold the propagated counts to.
+``Field.divide`` and ``Field.floor`` per end.  ``TranslateSet.points_in``
+gives the same positions as vectors for the reference checks in
+:mod:`zonotile.oracles`.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from functools import reduce
 from operator import add, neg, sub
 
 from .arrangement import Face, Grid, arrangement_faces
-from .errors import BoundaryError, GeometryError, InternalError, WindowError
+from .errors import GeometryError, InternalError, WindowError
 from .field import Field, FieldElement
 from .lattice import PlaneLattice, PlaneVector, doubled_area, integer_rows, intersect, row_cross, vectors_from_rows
 
@@ -44,19 +41,16 @@ __all__ = [
     "WindowPattern",
     "VerifyReport",
     "Face",
-    "lattice_points_in_box",
     "region_translates",
     "arrangement_faces",
-    "covering_at",
     "verify_covering",
-    "strip_profile",
 ]
 
 
 # The most candidate points one box enumeration may visit.  The largest
-# count the tests and the bench reach is 676 (the lattice octagon on
-# (1/8)Z^2), so this cap sits about 100 times above it; larger work is
-# refused before it starts.
+# count the tests reach is 2,500 (the lattice octagon on (1/16)Z^2), so
+# this cap sits about 26 times above it; larger work is refused before it
+# starts.
 MAX_BOX_CANDIDATES = 2**16
 
 
@@ -280,19 +274,11 @@ class TranslateSet:
     def points_in(self, box: Box) -> list[tuple[PlaneVector, int]]:
         """Every translate position in the closed box with its
         multiplicity, part by part and unmerged, as vectors.  No pipeline
-        code calls it: it is the oracle that ``covering_at`` and the tests
-        read, built on the enumerator whose grid points
+        code calls it: ``covering_at`` (:mod:`zonotile.oracles`) and the
+        tests read it, built on the enumerator whose grid points
         ``region_translates`` merges."""
         grid = _scene_grid(box.x0.field, self, box.corners())
         return [(grid.vector(*p), k) for p, k in _positions(grid, self, box)]
-
-
-def lattice_points_in_box(lat: PlaneLattice, box: Box) -> list[PlaneVector]:
-    """Exactly the lattice points inside the closed box, row by row in the
-    first coordinate.  No pipeline code calls it: it is the tests' oracle
-    view of the grid enumeration ``region_translates`` runs."""
-    zero = lat.field.zero()
-    return [p for p, _ in TranslateSet.periodic([(lat, PlaneVector(zero, zero))]).points_in(box)]
 
 
 def _scene_grid(field: Field, tset: TranslateSet, vectors) -> Grid:
@@ -359,26 +345,6 @@ def _lattice_points(grid: Grid, lat: PlaneLattice, z: PlaneVector, lo, hi) -> li
     return out
 
 
-def covering_at(poly: Polygon, tset: TranslateSet, x: PlaneVector) -> int:
-    """The number of translates of poly whose interior contains x.
-
-    Raises BoundaryError when x lies on some translate boundary; the
-    covering function is only defined off that measure-zero set.  No
-    pipeline code calls it: it is the tests' oracle for the count of every
-    face the sweep propagates.
-    """
-    bb = poly.bbox
-    search = Box(x.x - bb.x1, x.y - bb.y1, x.x - bb.x0, x.y - bb.y0)
-    count = 0
-    for lam, mult in tset.points_in(search):
-        loc = poly.locate(x - lam)
-        if loc == 0:
-            raise BoundaryError(f"query point lies on the boundary of a translate at {lam}")
-        if loc > 0:
-            count += mult
-    return count
-
-
 class VerifyReport(namedtuple("VerifyReport", "constant multiplicity counterexample cells_checked window_relative")):
     """Outcome of :func:`verify_covering`.
 
@@ -421,10 +387,11 @@ def _report(faces: list[Face], window_relative: bool) -> VerifyReport:
 
 
 def _periodic_region(tset: TranslateSet) -> Polygon:
+    """The period lattice's fundamental cell 0, b1, b1 + b2, b2, on its rows."""
     period = tset.period_lattice()
-    zero = period.field.zero()
-    origin = PlaneVector(zero, zero)
-    return Polygon([origin, period.b1, period.b1 + period.b2, period.b2])
+    h1, h2 = period.rows
+    rows = [(0,) * len(h1), h1, tuple(map(add, h1, h2)), h2]
+    return Polygon.from_rows(period.field, rows, period.den)
 
 
 def _windowed_region(poly: Polygon, tset: TranslateSet) -> Polygon:
@@ -474,34 +441,3 @@ def _check_density(poly: Polygon, tset: TranslateSet, multiplicity: int) -> None
             f"internal: the faces count {multiplicity} but the density count is "
             f"{'irrational' if density is None else density}"
         )
-
-
-def strip_profile(poly: Polygon, lat: PlaneLattice, n_values) -> list[int]:
-    """Covering count of poly + lat on each horizontal strip R x [n, n+1].
-
-    The lattice must have a vertical second basis vector and a rational
-    ratio between the vertical parts of its basis (which gives the strip
-    covering a horizontal period); the profile is computed on one period
-    per strip and each strip must cover constantly (non-constant strips
-    are reported as an error, never averaged).  No pipeline code calls it:
-    it serves acceptance criterion 2, the octagon's strip profile.
-    """
-    if not lat.b2.x.is_zero():
-        raise GeometryError("lattice is not axis-compatible (vertical second basis vector)")
-    ratio = (lat.b1.y / lat.b2.y).rational_value()
-    if ratio is None:
-        raise GeometryError("lattice has no horizontal period (irrational basis ratio)")
-    period = abs(lat.b1.x * ratio.denominator)
-    field = poly.field
-    tset = TranslateSet.periodic([(lat, PlaneVector(field.zero(), field.zero()))])
-    out = []
-    for n in n_values:
-        region = Polygon(
-            Box(field.zero(), field.rational(n), period, field.rational(n + 1)).corners()
-        )
-        faces = arrangement_faces(poly, *region_translates(poly, tset, region), region)
-        counts = {f.count for f in faces}
-        if len(counts) != 1:
-            raise GeometryError(f"covering is not constant on strip [{n}, {n + 1}]: counts {sorted(counts)}")
-        out.append(counts.pop())
-    return out

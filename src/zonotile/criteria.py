@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
 
-from .errors import AccountingError, FieldError, GeometryError, InternalError
+from .errors import FieldError, GeometryError, InternalError
 from .lattice import LATTICE, PlaneLattice, drop_one_spans, intersect, row_cross, row_span
 from .zonotope import Zonotope
 
@@ -45,7 +45,6 @@ __all__ = [
     "bolle_check",
     "decide_multitiling",
     "canonical_lattice",
-    "lattice_multiplicity",
 ]
 
 SPAN_NOT_DISCRETE = "span-not-discrete"
@@ -211,30 +210,3 @@ def canonical_lattice(decision: Decision) -> CanonicalLattice:
         return CanonicalLattice(decision.witness_lattice, "pair-span", ())
     contributing, parts = zip(*decision.drop_one_spans)
     return CanonicalLattice(reduce(intersect, dict.fromkeys(parts)), "intersection", contributing)
-
-
-def lattice_multiplicity(p: Zonotope, lat: PlaneLattice, n_translates: int) -> int:
-    """Covering multiplicity of n translated copies of a lattice tiling set.
-
-    k = n_translates * area / det, required to be a positive integer.  For
-    a single translate the lattice must itself pass the edge-pair
-    criterion; a union of several translates may multi-tile even though
-    one copy alone does not, so only the accounting is checked there.
-    No pipeline code calls it: it is the tests' oracle for the density
-    identity that ``verify_covering`` checks on every constant periodic
-    verdict, here for one lattice taken n_translates times.
-    """
-    if n_translates < 1:
-        raise GeometryError("need at least one translate")
-    if n_translates == 1:
-        report = bolle_check(p, lat)
-        if not report.verdict:
-            raise GeometryError("lattice fails the edge-pair criterion")
-        return report.multiplicity
-    ratio = _multiplicity(p, lat, *lat.span_coords(p.rows, p.den))
-    if ratio is None:
-        raise AccountingError("area/det is irrational")
-    k = n_translates * ratio
-    if k.denominator != 1:
-        raise AccountingError(f"multiplicity {k} is not a positive integer")
-    return k.numerator

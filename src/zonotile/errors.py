@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types of the pipeline; the reference checks' own are in :mod:`zonotile.oracles`."""
 
 
 class ZonotileError(Exception):
@@ -17,10 +17,6 @@ class IncommensurableError(GeometryError):
     """Lattices share no full-rank superlattice; the operation is refused."""
 
 
-class RationalityError(GeometryError):
-    """A determinant ratio that must be rational is irrational."""
-
-
 class ZonotopeError(GeometryError):
     """Invalid generator list for a zonotope."""
 
@@ -29,16 +25,8 @@ class SymmetryError(ZonotopeError):
     """Vertex list is not a centrally symmetric convex polygon."""
 
 
-class BoundaryError(ZonotileError):
-    """``covering_at`` was asked to count a point on a translate boundary."""
-
-
 class WindowError(GeometryError):
     """A verification window is empty or too small for the polygon."""
-
-
-class AccountingError(ZonotileError, ArithmeticError):
-    """A multiplicity that must be a positive integer is not."""
 
 
 class InternalError(RuntimeError):

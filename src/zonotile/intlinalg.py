@@ -1,16 +1,16 @@
-"""Small exact integer matrix routines: row Hermite form, kernels and
+"""Small exact integer matrix routines: row Hermite form and
 proportionality.
 
 Everything here works on lists of Python ints.  The row Hermite form is
-the one algorithm: ranks, spans, canonical bases, lattice intersections
-and kernels are all read off it, and stopped early it gives spans with
+the one algorithm: ranks, spans, canonical bases and lattice
+intersections are all read off it, and stopped early it gives spans with
 their relations (:func:`span_and_relations`).  Matrices are tiny (a
 handful of rows over at most 64 columns): plain gcd elimination will do.
 """
 
 from __future__ import annotations
 
-__all__ = ["row_hnf", "span_and_relations", "right_kernel", "proportion"]
+__all__ = ["row_hnf", "span_and_relations", "proportion"]
 
 
 def _row_sub(m, i, j, q):
@@ -72,20 +72,6 @@ def span_and_relations(rows) -> tuple[list[list[int]], list[list[int]]]:
     m = [list(map(int, row)) + [int(i == j) for i in range(len(rows))] for j, row in enumerate(rows)]
     rank = _hnf_inplace(m, width)
     return [row[:width] for row in m[:rank]], [row[width:] for row in m[rank:]]
-
-
-def right_kernel(rows) -> list[list[int]]:
-    """A basis of the integer solutions x of rows @ x == 0.
-
-    No pipeline code calls it: it is the tests' kernel oracle.  The rows
-    of [rows^T | I] span the (rows @ x | x), so their Hermite rows with a
-    zero first block are the (0 | x) of a basis of the kernel."""
-    if not rows:
-        return []
-    n = len(rows)
-    ncols = len(rows[0])
-    block = [[row[j] for row in rows] + [int(i == j) for i in range(ncols)] for j in range(ncols)]
-    return [h[n:] for h in row_hnf(block) if not any(h[:n])]
 
 
 def proportion(a, b) -> tuple[int, int] | None:

@@ -6,11 +6,11 @@ rational coordinate tuples (one rational per plane coordinate per field
 monomial).  Rank, span and canonical basis all come from one computation
 on integer rows: the x numerators then the y numerators of each vector,
 over one common denominator (:func:`integer_rows`).  The row Hermite form
-of the rows has the rational rank as its row count (:func:`rational_rank`),
-spans the same group (:func:`row_span`, :func:`integer_span`), and for a
-lattice basis it is the canonical basis, so equal lattices compare and
-serialize identically.  :func:`drop_one_spans` reads every drop-one span of
-t_1..t_m off the span of all of them and their integer relations.
+of the rows has the rational rank as its row count, spans the same group
+(:func:`row_span`), and for a lattice basis it is the canonical basis, so
+equal lattices compare and serialize identically.  :func:`drop_one_spans`
+reads every drop-one span of t_1..t_m off the span of all of them and
+their integer relations.
 
 A :class:`PlaneLattice` is its two Hermite rows ``rows``, their
 denominator ``den`` and the numerators of det(b1, b2) over its square;
@@ -27,8 +27,9 @@ first block is zero number 2 exactly when the lattices are commensurable,
 and then their second halves are the Hermite rows of the intersection
 (Cohen, *A Course in Computational Algebraic Number Theory*, 1993,
 chapter 2).  Adjoining a point of an edge line is one more Hermite form
-(:meth:`PlaneLattice.adjoin_line_point`), so only the tests' vector
-oracles, such as :func:`superlattice_meeting_line`, divide field elements.
+(:meth:`PlaneLattice.adjoin_line_point`), so no lattice operation divides
+field elements; the vector forms of these operations are reference checks
+in :mod:`zonotile.oracles`.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import FieldError, GeometryError, IncommensurableError, InternalError, RationalityError
+from .errors import FieldError, GeometryError, IncommensurableError, InternalError
 from .field import Field, FieldElement
 from .intlinalg import proportion, row_hnf, span_and_relations
 
@@ -53,14 +54,9 @@ __all__ = [
     "integer_rows",
     "vectors_from_rows",
     "row_cross",
-    "rational_rank",
     "row_span",
-    "integer_span",
     "drop_one_spans",
     "intersect",
-    "sublattice_avoiding_coset",
-    "line_meets_lattice",
-    "superlattice_meeting_line",
 ]
 
 LATTICE = "lattice"
@@ -170,23 +166,6 @@ def row_cross(field: Field, u, v) -> tuple[int, ...]:
     return tuple(a - b for a, b in zip(field.product(u[:n], v[n:]), field.product(u[n:], v[:n])))
 
 
-def rational_rank(vectors) -> int:
-    """Rank over Q of the vectors viewed as rational coordinate tuples.
-
-    No pipeline code calls it: it is the tests' rank oracle, and the
-    benchmark's generators use it to draw rationally independent
-    generators."""
-    rows, _ = integer_rows(_nonempty(vectors))
-    return len(row_hnf(rows))
-
-
-def _nonempty(vectors):
-    vs = list(vectors)
-    if not vs:
-        raise GeometryError("empty vector list")
-    return vs
-
-
 class PlaneLattice:
     """A full-rank discrete subgroup of the plane, held in canonical form.
 
@@ -259,15 +238,11 @@ class PlaneLattice:
         det = b1.cross(b2)
         return (v.cross(b2) / det, b1.cross(v) / det)
 
-    def _flatten(self, vectors) -> tuple[list[list[int]], int]:
-        for v in vectors:
-            if v.x.field is not self.field or v.y.field is not self.field:
-                raise FieldError(f"vector over {v.field!r} tested against a lattice over {self.field!r}")
-        return integer_rows(vectors)
-
     def integer_coords(self, v: PlaneVector) -> tuple[int, int] | None:
         """Integer coordinates of ``v`` in the canonical basis, or None."""
-        (c,), k = self.span_coords(*self._flatten([v]))
+        if v.x.field is not self.field or v.y.field is not self.field:
+            raise FieldError(f"vector over {v.field!r} tested against a lattice over {self.field!r}")
+        (c,), k = self.span_coords(*integer_rows([v]))
         return None if c is None or c[0] % k or c[1] % k else (c[0] // k, c[1] // k)
 
     def span_coords(self, rows, den: int) -> tuple[list[tuple[int, int] | None], int]:
@@ -300,7 +275,8 @@ class PlaneLattice:
         return None if pq is None else Fraction(pq[0] * self.den**2, pq[1] * den)
 
     def meets_line(self, e, tau, den: int, ec, tc, k: int) -> bool:
-        """:func:`line_meets_lattice` for nonzero e and tau, rows over ``den``
+        """Whether e is a lattice point and some real t puts t*e + tau in
+        the lattice, for nonzero e and tau given as rows over ``den``
         with :meth:`span_coords` ``ec`` and ``tc`` over ``k``: for integer
         e = (e1, e2), k*gcd(e1, e2) must divide k*det(e, tau)/det(L) =
         e1*tc[1] - e2*tc[0], or the plane ratio's numerator if tc is None."""
@@ -365,23 +341,13 @@ class SpanAnalysis(namedtuple("SpanAnalysis", "q_rank verdict basis")):
     __slots__ = ()
 
 
-def integer_span(vectors) -> SpanAnalysis:
-    """Classify the integer span of finitely many plane vectors.
-
-    The span is a full-rank lattice iff the flattened rational rank is at
-    most 2 and the vectors span the real plane; rank > 2 means a dense
-    (non-discrete) subgroup, real span below dimension 2 means no full-rank
-    subgroup at all.  No pipeline code calls it: ``decide`` spans rows with
-    :func:`row_span`, and this vector form is the tests' oracle.
-    """
-    vs = _nonempty(vectors)
-    return row_span(vs[0].field, *integer_rows(vs))
-
-
 def row_span(field: Field, rows, den: int) -> SpanAnalysis:
-    """:func:`integer_span` of the vectors whose flattened rows over
+    """Classify the integer span of the vectors whose flattened rows over
     ``den`` are ``rows``.  Their Hermite rows give the rank and, at rank 2,
-    a basis of the span."""
+    a basis of the span: the span is a full-rank lattice iff the rational
+    rank is at most 2 and the vectors span the real plane; rank > 2 means
+    a dense (non-discrete) subgroup, real span below dimension 2 means no
+    full-rank subgroup at all."""
     return _hermite_span(field, row_hnf(rows), den)
 
 
@@ -437,77 +403,3 @@ def intersect(l1: PlaneLattice, l2: PlaneLattice) -> PlaneLattice:
     if any(h[2][:width]):
         raise IncommensurableError("lattices share no full-rank superlattice")
     return PlaneLattice._from_hermite(l1.field, [row[width:] for row in h[2:]], den)
-
-
-def _shortest_independent_basis_vector(l: PlaneLattice, w: PlaneVector) -> PlaneVector:
-    return min((b for b in l.basis() if not b.cross(w).is_zero()), key=lambda b: b.dot(b))
-
-
-def sublattice_avoiding_coset(
-    l: PlaneLattice, generator: PlaneVector | None, tau: PlaneVector
-) -> PlaneLattice:
-    """A full-rank sublattice of ``l`` disjoint from the coset V + tau.
-
-    V is the subgroup generated by ``generator`` (trivial when None).  If
-    tau lies on the real line of V, keep the generator and complete with a
-    basis vector of ``l``; otherwise take the generator (or a completing
-    basis vector) together with 2*tau.  Completion always uses the shortest
-    canonical basis vector of ``l`` independent of the kept direction.  No
-    pipeline code calls it: it serves acceptance criterion 8, coset
-    avoidance.
-    """
-    if not l.contains(tau):
-        raise GeometryError("tau is not a lattice point")
-    if generator is not None and generator.is_zero():
-        generator = None
-    if generator is not None:
-        if not l.contains(generator):
-            raise GeometryError("subgroup generator is not a lattice point")
-        if generator.cross(tau).is_zero():
-            # tau on the line of V; both are lattice points so the ratio is rational
-            ratio = (tau.x / generator.x) if not generator.x.is_zero() else (tau.y / generator.y)
-            q = ratio.rational_value()
-            if q is not None and q.denominator == 1:
-                raise GeometryError("tau lies in the subgroup V")
-            return PlaneLattice(generator, _shortest_independent_basis_vector(l, generator))
-        return PlaneLattice(generator, tau + tau)
-    if tau.is_zero():
-        raise GeometryError("tau lies in the subgroup V")
-    return PlaneLattice(tau + tau, _shortest_independent_basis_vector(l, tau))
-
-
-def line_meets_lattice(l: PlaneLattice, e: PlaneVector, tau: PlaneVector) -> bool:
-    """Decide whether e is in l and some real t gives t*e + tau in l.
-
-    In lattice coordinates e becomes an integer vector (e1, e2) and the
-    line {t*e + tau} meets Z^2 iff the linear Diophantine equation
-    e2*m - e1*n = -det(e, tau) has a solution, i.e. the right side is an
-    integer divisible by gcd(e1, e2).  This reduces the existential over
-    the reals to gcd arithmetic.  The determinant in lattice coordinates is
-    the plane one over det(l), so tau needs no rational coordinates.
-    No pipeline code calls it: Bolle's test asks :meth:`PlaneLattice.meets_line`
-    on solved rows, and this vector form serves acceptance criterion 7.
-    """
-    (e_row, tau_row), den = l._flatten([e, tau])
-    (ec, tc), k = l.span_coords([e_row, tau_row], den)
-    return l.contains(tau) if e.is_zero() else l.meets_line(e_row, tau_row, den, ec, tc, k)
-
-
-def superlattice_meeting_line(
-    l: PlaneLattice, e: PlaneVector, tau: PlaneVector
-) -> tuple[FieldElement, PlaneLattice]:
-    """Find t0 and a superlattice of ``l`` containing t0*e + tau.
-
-    Requires e in l, e nonzero, and det(tau, e)/det(l) rational.  No
-    pipeline code calls it: ``decide`` asks :meth:`PlaneLattice.adjoin_line_point`
-    on rows, and this vector form is the tests' oracle; t0 puts t0*e + tau
-    on w = e2*b1 - e1*b2 by one field division."""
-    (e_row, tau_row), den = l._flatten([e, tau])
-    d = l.det_ratio(row_cross(l.field, tau_row, e_row), den * den)
-    if d is None:
-        raise RationalityError("det(tau, e) is not a rational multiple of det(L)")
-    ec = l.integer_coords(e)
-    bigger = l.adjoin_line_point(ec, d)
-    e1, e2 = ec
-    w = l.b1.scale(e2) - l.b2.scale(e1)
-    return -w.cross(tau) / w.cross(e), bigger

@@ -64,8 +64,6 @@ class Zonotope:
                 raise ZonotopeError(
                     f"generators {i + 1} and {i + 2} are not in strictly increasing argument order"
                 )
-        if field.sign(row_cross(field, gens[0], gens[-1])) <= 0:
-            raise ZonotopeError("first and last generators violate the argument order")
         g = gcd(den, *(n for row in gens for n in row))
         if g != 1:
             gens = [tuple(n // g for n in row) for row in gens]
@@ -176,11 +174,11 @@ class Zonotope:
         if len({tuple(a + b for a, b in zip(rows[i], rows[i + m])) for i in range(m)}) != 1:
             raise SymmetryError("vertex list is not centrally symmetric")
         edges = [[b - a for a, b in zip(rows[i], rows[(i + 1) % n])] for i in range(n)]
-        for i in range(n):
-            if not any(edges[i]):
-                raise SymmetryError(f"repeated vertex at position {i}")
-            if field.sign(row_cross(field, edges[i], edges[(i + 1) % n])) <= 0:
-                raise SymmetryError("vertex list is not strictly convex")
+        repeated = next((i for i in range(n) if not any(edges[i])), None)
+        if repeated is not None:
+            raise SymmetryError(f"repeated vertex at position {repeated}")
+        if any(field.sign(row_cross(field, edges[i], edges[(i + 1) % n])) <= 0 for i in range(n)):
+            raise SymmetryError("vertex list is not strictly convex")
         up = [(field.sign(e[field.size :]) or field.sign(e[: field.size])) > 0 for e in edges]
         first = next(i for i in range(n) if up[i] and not up[i - 1])
         return cls.from_rows(field, [edges[(first + k) % n] for k in range(m)], den)

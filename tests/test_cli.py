@@ -726,6 +726,44 @@ class TestTypedErrors:
         self.fails(capsys, ["decide", str(path)], f"{path}: a JSON number is too long")
 
 
+def _vertices(*points):
+    return [jsonio.encode_vector(V(x, y)) for x, y in points]
+
+
+class TestShapeErrors:
+    """Documents of the right form whose shape is wrong exit 2 and say what is wrong."""
+
+    @pytest.mark.parametrize(
+        "command, doc, message",
+        [
+            ("decide", [], "top-level JSON value must be an object"),
+            (
+                "verify",
+                {"field": [], "polygon": {"vertices": _vertices((0, 0), (1, 0))},
+                 "lambda": {"periodic": [{"lattice": {"basis": _vertices((1, 0), (0, 1))}}]}},
+                "a polygon needs at least 3 vertices",
+            ),
+            ("decide", {"field": [], "vertices": _vertices((-1, 0), (0, 0), (1, 0), (0, 0))}, "degenerate vertex list"),
+            (
+                "decide",
+                {"field": [], "vertices": _vertices((0, 0), (0, 0), (1, 0), (1, 1), (1, 1), (0, 1))},
+                "repeated vertex at position 0",
+            ),
+            (
+                "decide",
+                {"field": [], "vertices": _vertices((0, 0), (1, 0), (1, 0), (1, 1), (0, 1), (0, 1))},
+                "repeated vertex at position 1",
+            ),
+        ],
+    )
+    def test_exits_2_with_its_message(self, capsys, tmp_path, command, doc, message):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+
 class TestInternalError:
     def test_bug_exits_3_without_traceback(self, capsys, octagon_file, monkeypatch):
         def broken(_):

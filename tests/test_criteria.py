@@ -32,7 +32,8 @@ from zonotile import (
 )
 import zonotile.lattice
 from zonotile.criteria import DET_RATIO_IRRATIONAL, SPAN_NOT_DISCRETE
-from zonotile.lattice import LATTICE, NOT_DISCRETE, drop_one_spans, line_meets_lattice
+from zonotile.lattice import LATTICE, NOT_DISCRETE, drop_one_spans
+from zonotile.oracles import line_meets_lattice
 
 from conftest import F2, F23, Q, V, rand_element, random_zonotope, sort_by_argument, upper_half
 

@@ -378,4 +378,4 @@ class TestNoFieldArithmetic:
         monkeypatch.undo()
         capsys.readouterr()
         assert set(codes) == {0, 1}
-        assert set(callers) <= {"region_translates", "_periodic_region", "_windowed_region"}, callers
+        assert set(callers) <= {"region_translates", "_windowed_region"}, callers

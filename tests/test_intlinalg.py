@@ -4,7 +4,8 @@ oracle built on it."""
 import itertools
 import random
 
-from zonotile.intlinalg import right_kernel, row_hnf, span_and_relations
+from zonotile.intlinalg import row_hnf, span_and_relations
+from zonotile.oracles import right_kernel
 
 
 def random_unimodular(rng, n):

@@ -27,7 +27,8 @@ from zonotile import (
     superlattice_meeting_line,
 )
 from zonotile import intlinalg, lattice
-from zonotile.intlinalg import right_kernel, row_hnf
+from zonotile.intlinalg import row_hnf
+from zonotile.oracles import right_kernel
 
 from conftest import F2, F23, Q, V, flatten_vector, rand_element, rand_fraction, sympy_rank
 
