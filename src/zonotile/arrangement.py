@@ -17,8 +17,8 @@ Grid.  A translate set is a finite union of translated lattices, so the
 positions of one scene share a few denominators.  Each scene is put on
 one grid (:class:`Grid`) once, by ``covering.region_translates``:
 integer numerator tuples, one integer per field monomial, over the
-common denominator D of the region's and the polygon's vertices and the
-translate positions.  Positions reach the sweep as grid tuples, so a
+common denominator D of the region's and the polygon's vertex rows and
+the translate positions.  Positions reach the sweep as grid tuples, so a
 translated vertex is a tuple sum and an event abscissa a tuple over D.
 The edge slopes go over their common denominator M, so a line's
 height at an event abscissa X is base + X*rise, a tuple over D*M, with
@@ -80,38 +80,28 @@ from itertools import islice
 from math import lcm
 from operator import add, le, sub
 
-from .errors import FieldError
 from .field import Field, FieldElement
 from .lattice import PlaneVector
 
 __all__ = ["Grid", "Face", "arrangement_faces"]
 
 
-def _scaled(x: FieldElement, den: int) -> tuple[int, ...]:
-    """The numerators of x over ``den``, a multiple of its denominator."""
-    m = den // x.den
-    return x.nums if m == 1 else tuple([n * m for n in x.nums])
-
-
 class Grid:
     """Points of one scene as integer numerator tuples over one denominator.
 
-    ``den`` is the lcm of the denominators of the given vectors, and
-    :meth:`point` puts a vector whose denominators divide it on the grid,
-    as its pair of numerator tuples over ``den``.  Equal values over one
-    denominator have equal numerators, so equality and hashing are those
-    of tuples.  ``le`` and ``key`` (:meth:`Field.order_key`) order values
-    over one denominator: over Q by native tuple order, which is integer
-    order, and otherwise by the exact integer sign of the difference."""
+    :meth:`scale` puts numerators over a divisor of ``den`` on the grid,
+    and :meth:`rows` puts flattened rows there as points, pairs of
+    numerator tuples over ``den``.  Equal values over one denominator have
+    equal numerators, so equality and hashing are those of tuples.  ``le``
+    and ``key`` (:meth:`Field.order_key`) order values over one
+    denominator: over Q by native tuple order, which is integer order, and
+    otherwise by the exact integer sign of the difference."""
 
     __slots__ = ("field", "den", "le", "key")
 
-    def __init__(self, field: Field, vectors):
-        vectors = list(vectors)
-        if any(c.field is not field for v in vectors for c in (v.x, v.y)):
-            raise FieldError(f"a point of the scene is not over {field!r}")
+    def __init__(self, field: Field, den: int):
         self.field = field
-        self.den = lcm(*(c.den for v in vectors for c in (v.x, v.y)))
+        self.den = den
         self.key = field.order_key()
         if field.size == 1:
             self.le = le
@@ -119,8 +109,15 @@ class Grid:
             sign = field.sign
             self.le = lambda a, b: sign(tuple(map(sub, b, a))) >= 0
 
-    def point(self, v: PlaneVector) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return _scaled(v.x, self.den), _scaled(v.y, self.den)
+    def scale(self, nums, den: int) -> tuple[int, ...]:
+        """The numerators ``nums`` over ``den``, a divisor of the grid's, over the grid's."""
+        m = self.den // den
+        return tuple(nums) if m == 1 else tuple([n * m for n in nums])
+
+    def rows(self, rows, den: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """The vectors flattened as integer ``rows`` over ``den`` as grid points."""
+        n, scale = self.field.size, self.scale
+        return [(scale(row[:n], den), scale(row[n:], den)) for row in rows]
 
     def element(self, nums) -> FieldElement:
         return FieldElement.from_integers(self.field, nums, self.den)
@@ -317,8 +314,7 @@ def arrangement_faces(poly: Polygon, grid: Grid, translates, region: Polygon) ->
     region line toggles nothing in a slab its region edge does not span.
     Which edge a line was built for does not change a face: the line's
     edges are collinear."""
-    corners = [grid.point(v) for v in region.vertices]
-    shape = [grid.point(v) for v in poly.vertices]
+    corners, shape = grid.rows(region.rows, region.den), grid.rows(poly.rows, poly.den)
     # every edge direction, with the numerators of its slope over one M
     # unless it is vertical; a translate edge has the direction and slope
     # of its polygon edge

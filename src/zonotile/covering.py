@@ -11,8 +11,8 @@ the faces of that region from ``arrangement_faces``
 count per face.
 
 Each scene is put on one integer grid (``arrangement.Grid``) once, by
-``region_translates``: the region's and the polygon's vertices, the
-search box and the parts' bases and offsets become integer numerator
+``region_translates``: the region's and the polygon's rows, the search
+box and the parts' Hermite rows and offsets become integer numerator
 tuples over their common denominator D.  The translate positions are
 enumerated on that grid, stepping by b1 and b2 from each part's offset,
 and reach the sweep and the renderer as grid tuples, merged by position;
@@ -27,12 +27,15 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
+from math import gcd, lcm
 from operator import add, neg, sub
 
 from .arrangement import Face, Grid, arrangement_faces
-from .errors import GeometryError, InternalError, WindowError
+from .errors import FieldError, GeometryError, InternalError, WindowError
 from .field import Field, FieldElement
-from .lattice import PlaneLattice, PlaneVector, doubled_area, integer_rows, intersect, row_cross, vectors_from_rows
+from .lattice import (
+    PlaneLattice, PlaneVector, ccw_rows, doubled_area, integer_rows, intersect, row_cross, vectors_from_rows,
+)
 
 __all__ = [
     "Polygon",
@@ -86,12 +89,12 @@ class Box:
 
 
 class Polygon:
-    """A simple polygon with exact vertices, oriented counterclockwise, and
-    their integer ``rows`` over a common denominator ``den``, flattened as
-    in ``integer_rows``.  Every check runs on the rows (:meth:`from_rows`);
-    the vector constructor flattens its vertices once and delegates."""
+    """A simple polygon: its vertices' integer ``rows``, counterclockwise,
+    over their least common denominator ``den``, flattened as in
+    ``integer_rows``.  The vector constructor flattens its vertices once
+    and delegates to :meth:`from_rows`; ``vertices`` are built when read."""
 
-    __slots__ = ("vertices", "rows", "den", "bbox")
+    __slots__ = ("field", "rows", "den", "bbox")
 
     def __init__(self, vertices):
         vs = list(vertices)
@@ -111,17 +114,13 @@ class Polygon:
         return cls.from_rows(z.field, *z.vertex_rows())
 
     def _hold(self, field: Field, rows, den: int) -> None:
-        """Check the rows, turn them counterclockwise and keep them with
-        the vectors built from them and the bounding box read off them."""
-        if len(rows) < 3:
-            raise GeometryError("a polygon needs at least 3 vertices")
-        s = field.sign(doubled_area(field, rows))
-        if s == 0:
-            raise GeometryError("degenerate polygon")
-        if s < 0:
-            rows = rows[::-1]
-        self.vertices = tuple(vectors_from_rows(field, rows, den))
-        self.rows, self.den = tuple(rows), den
+        """Keep the rows as :func:`~zonotile.lattice.ccw_rows` reads them, over
+        their least common denominator, and the bounding box read off them."""
+        rows = ccw_rows(field, rows)
+        g = gcd(den, *(n for row in rows for n in row))
+        if g != 1:
+            rows, den = tuple(tuple(n // g for n in row) for row in rows), den // g
+        self.field, self.rows, self.den = field, rows, den
         n = field.size
         key = field.order_key()
         xs, ys = [row[:n] for row in rows], [row[n:] for row in rows]
@@ -129,8 +128,8 @@ class Polygon:
         self.bbox = Box(*(FieldElement.from_integers(field, nums, den) for nums in ends))
 
     @property
-    def field(self) -> Field:
-        return self.vertices[0].field
+    def vertices(self) -> tuple[PlaneVector, ...]:
+        return tuple(vectors_from_rows(self.field, self.rows, self.den))
 
     def area(self) -> FieldElement:
         """The enclosed area, by the shoelace formula."""
@@ -277,24 +276,27 @@ class TranslateSet:
         code calls it: ``covering_at`` (:mod:`zonotile.oracles`) and the
         tests read it, built on the enumerator whose grid points
         ``region_translates`` merges."""
-        grid = _scene_grid(box.x0.field, self, box.corners())
+        grid = _scene_grid(box.x0.field, self, (), box)
         return [(grid.vector(*p), k) for p, k in _positions(grid, self, box)]
 
 
-def _scene_grid(field: Field, tset: TranslateSet, vectors) -> Grid:
-    """The grid of the vectors and of the bases and offsets of the
-    translate set's parts; pattern points are integers."""
-    parts = [v for lat, z in tset.parts for v in (*lat.basis(), z)] if tset.is_periodic else []
-    return Grid(field, [*vectors, *parts])
+def _scene_grid(field: Field, tset: TranslateSet, polygons, box: Box) -> Grid:
+    """The grid of the polygons' rows, the box corners and the translate
+    set's parts' Hermite rows and offsets; pattern points are integers."""
+    parts = tset.parts if tset.is_periodic else ()
+    held = [*polygons, box.x0, box.y0, box.x1, box.y1, *(x for lat, z in parts for x in (lat, z.x, z.y))]
+    if any(x.field is not field for x in held):
+        raise FieldError(f"a point of the scene is not over {field!r}")
+    return Grid(field, lcm(*(x.den for x in held)))
 
 
 def _positions(grid: Grid, tset: TranslateSet, box: Box) -> list:
     """Every translate position in the closed box with its multiplicity,
     part by part and unmerged, as grid points.  The grid must hold the
-    box corners and the parts' bases and offsets (``_scene_grid``)."""
-    lo, _, hi, _ = map(grid.point, box.corners())
+    box corners and the parts' rows and offsets (``_scene_grid``)."""
+    x0, y0, x1, y1 = (grid.scale(c.nums, c.den) for c in (box.x0, box.y0, box.x1, box.y1))
     if tset.is_periodic:
-        return [(p, 1) for lat, z in tset.parts for p in _lattice_points(grid, lat, z, lo, hi)]
+        return [(p, 1) for lat, z in tset.parts for p in _lattice_points(grid, lat, z, (x0, y0), (x1, y1))]
     d, pad = grid.den, (0,) * (grid.field.size - 1)
     return [(((m * d, *pad), (n * d, *pad)), k) for (m, n), k in tset.pattern.points_in(box)]
 
@@ -308,7 +310,8 @@ def _lattice_points(grid: Grid, lat: PlaneLattice, z: PlaneVector, lo, hi) -> li
     numerator tuples over the basis determinant, linear in the corner, so
     the extreme corners by grid order bound the candidate range.  Each
     candidate is one integer step of b2 or b1 from the last."""
-    (b1x, b1y), (b2x, b2y), (zx, zy) = map(grid.point, (*lat.basis(), z))
+    (b1x, b1y), (b2x, b2y) = grid.rows(lat.rows, lat.den)
+    zx, zy = grid.scale(z.x.nums, z.x.den), grid.scale(z.y.nums, z.y.den)
     (x0, y0), (x1, y1) = lo, hi
     below = grid.le
     if not (below(x0, x1) and below(y0, y1)):
@@ -368,7 +371,7 @@ def region_translates(poly: Polygon, tset: TranslateSet, region: Polygon):
     appearance."""
     pb, rb = poly.bbox, region.bbox
     search = Box(rb.x0 - pb.x1, rb.y0 - pb.y1, rb.x1 - pb.x0, rb.y1 - pb.y0)
-    grid = _scene_grid(poly.field, tset, [*region.vertices, *poly.vertices, *search.corners()])
+    grid = _scene_grid(poly.field, tset, (region, poly), search)
     merged: dict[tuple, int] = {}
     for p, k in _positions(grid, tset, search):
         merged[p] = merged.get(p, 0) + k

@@ -331,12 +331,21 @@ def encode_zonotope(z: Zonotope) -> dict:
     return {"field": list(z.field.radicands), "generators": _encode_rows(z.field, z.rows, z.den)}
 
 
+def _located(where: str, build, *args):
+    """``build(*args)``, with the message of a geometry error it raises
+    prefixed by ``where``, the JSON location of the shape it was read from."""
+    try:
+        return build(*args)
+    except GeometryError as exc:
+        raise type(exc)(f"{where}: {exc}") from None
+
+
 def decode_zonotope_document(doc, field: Field | None = None) -> Zonotope:
     field = _decode_field(doc, field)
     if "generators" in doc:
-        return Zonotope.from_rows(field, *_decode_rows(doc, "generators", field))
+        return _located("generators", Zonotope.from_rows, field, *_decode_rows(doc, "generators", field))
     if "vertices" in doc:
-        return Zonotope.from_vertex_rows(field, *_decode_rows(doc, "vertices", field))
+        return _located("vertices", Zonotope.from_vertex_rows, field, *_decode_rows(doc, "vertices", field))
     raise GeometryError("zonotope document needs 'generators' or 'vertices'")
 
 
@@ -400,12 +409,13 @@ def decode_scene_document(doc) -> tuple[Polygon, TranslateSet]:
     if not isinstance(poly_doc, dict):
         raise GeometryError(f"scene 'polygon' must be an object, got {poly_doc!r}")
     if "vertices" in poly_doc:
-        poly = Polygon.from_rows(field, *_decode_rows(poly_doc, "vertices", field, "polygon"))
+        rows, den = _decode_rows(poly_doc, "vertices", field, "polygon")
+        poly = _located("polygon.vertices", Polygon.from_rows, field, rows, den)
         if not poly.is_simple():
             raise GeometryError("polygon.vertices: two non-adjacent edges meet, so the polygon is not simple")
     elif "generators" in poly_doc:
         rows, den = _decode_rows(poly_doc, "generators", field, "polygon")
-        poly = Polygon.from_zonotope(Zonotope.from_rows(field, rows, den))
+        poly = Polygon.from_zonotope(_located("polygon.generators", Zonotope.from_rows, field, rows, den))
     else:
         raise GeometryError("scene polygon needs 'vertices' or 'generators'")
     parts_doc = lam.get("periodic")

@@ -51,6 +51,7 @@ __all__ = [
     "RANK_DEFICIENT",
     "vector",
     "doubled_area",
+    "ccw_rows",
     "integer_rows",
     "vectors_from_rows",
     "row_cross",
@@ -135,6 +136,22 @@ def doubled_area(field: Field, rows) -> tuple[int, ...]:
     return tuple(total)
 
 
+def ccw_rows(field: Field, rows) -> tuple[tuple[int, ...], ...]:
+    """The vertex list flattened to ``rows`` as tuples, counterclockwise;
+    refused with fewer than 3 vertices, one equal to the next (named by its
+    position as given) or zero area: the one reader of vertex lists."""
+    rows, n = tuple(map(tuple, rows)), len(rows)
+    if n < 3:
+        raise GeometryError("a polygon needs at least 3 vertices")
+    repeated = next((i for i in range(n) if rows[i] == rows[(i + 1) % n]), None)
+    if repeated is not None:
+        raise GeometryError(f"repeated vertex at position {repeated}")
+    s = field.sign(doubled_area(field, rows))
+    if not s:
+        raise GeometryError("degenerate vertex list")
+    return rows if s > 0 else rows[::-1]
+
+
 def integer_rows(vectors) -> tuple[list[list[int]], int]:
     """The flattened vectors as integer rows over their least common
     denominator: x numerators, then y numerators, per vector."""
@@ -173,13 +190,13 @@ class PlaneLattice:
     canonical one (Hermite form of the flattened rational rows), so two
     lattices with equal point sets are equal objects.  The lattice keeps
     the two Hermite rows over their least common denominator and the
-    numerators of det(b1, b2); ``b1``, ``b2``, ``basis()`` and ``det``
-    build field elements from them when read.  :meth:`span_coords` and
-    the methods built on it answer on integer rows, and the vector methods
-    flatten their argument and ask them.
+    numerators of det(b1, b2), no vector: ``b1``, ``b2``, ``basis()`` and
+    ``det`` build field elements from them when read.  :meth:`span_coords`
+    and the methods built on it answer on integer rows, and the vector
+    methods flatten their argument and ask them.
     """
 
-    __slots__ = ("field", "rows", "den", "_pivots", "_det", "_basis")
+    __slots__ = ("field", "rows", "den", "_pivots", "_det")
 
     def __init__(self, b1: PlaneVector, b2: PlaneVector):
         rows, den = integer_rows([b1, b2])
@@ -210,13 +227,10 @@ class PlaneLattice:
         self.den = den
         self._pivots = tuple(next(c for c, n in enumerate(row) if n) for row in h)
         self._det = row_cross(field, *self.rows)
-        self._basis = None
         return any(self._det)
 
     def basis(self) -> tuple[PlaneVector, PlaneVector]:
-        if self._basis is None:
-            self._basis = tuple(vectors_from_rows(self.field, self.rows, self.den))
-        return self._basis
+        return tuple(vectors_from_rows(self.field, self.rows, self.den))
 
     @property
     def b1(self) -> PlaneVector:

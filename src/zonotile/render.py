@@ -132,7 +132,7 @@ def render_svg(poly: Polygon, tset: TranslateSet, window: Box) -> str:
         x0, x1 = sx(a.nums, a.den), sx(b.nums, b.den)
         points = f"{x0},{corner(lo, a)} {x1},{corner(lo, b)} {x1},{corner(hi, b)} {x0},{corner(hi, a)}"
         parts.append(f'<polygon points="{points}" fill="{_fill(face.count)}" stroke="none"/>')
-    shape, d = [grid.point(v) for v in poly.vertices], grid.den
+    shape, d = grid.rows(poly.rows, poly.den), grid.den
     columns = {lx: [sx(tuple(map(add, x, lx)), d) for x, _ in shape] for lx in {p for (p, _), _ in translates}}
     rows = {ly: [sy(tuple(map(add, y, ly)), d) for _, y in shape] for ly in {p for (_, p), _ in translates}}
     for (lx, ly), _ in translates:

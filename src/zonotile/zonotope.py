@@ -11,10 +11,10 @@ common denominator (``rows`` and ``den``, flattened as in
 :func:`~zonotile.lattice.integer_rows`), and the argument order is the
 sign of integer cross products.  Pair translations, vertices and the area
 are sums and cross products of rows; ``generators``,
-``pair_translations()``, ``vertices()`` and ``area()`` give them as field
-elements.  A vertex list is read the same way: as rows, with every test
-on them (:meth:`Zonotope.from_vertex_rows`; ``from_vertices`` flattens
-vectors once and delegates).
+``pair_translations()``, ``vertices()`` and ``area()`` build field
+elements when read.  A vertex list is read as rows by
+:func:`~zonotile.lattice.ccw_rows` (:meth:`Zonotope.from_vertex_rows`;
+``from_vertices`` flattens vectors once and delegates).
 """
 
 from __future__ import annotations
@@ -23,20 +23,17 @@ from math import gcd
 
 from .errors import SymmetryError, ZonotopeError
 from .field import Field, FieldElement
-from .lattice import PlaneVector, doubled_area, integer_rows, row_cross, vectors_from_rows
+from .lattice import PlaneVector, ccw_rows, integer_rows, row_cross, vectors_from_rows
 
 __all__ = ["Zonotope"]
 
 
 class Zonotope:
-    __slots__ = ("field", "rows", "den", "_generators", "_translations")
+    __slots__ = ("field", "rows", "den", "_translations")
 
     def __init__(self, generators):
         gens = list(generators)
-        if gens and any(g.field is not gens[0].field for g in gens):
-            raise ZonotopeError("generators do not share a field")
-        rows, den = integer_rows(gens)
-        self._hold(gens[0].field if gens else None, rows, den)
+        self._hold(gens[0].field if gens else None, *integer_rows(gens))
 
     @classmethod
     def from_rows(cls, field: Field, rows, den: int) -> "Zonotope":
@@ -71,14 +68,11 @@ class Zonotope:
         self.field = field
         self.rows = tuple(gens)
         self.den = den
-        self._generators = None
         self._translations = None
 
     @property
     def generators(self) -> tuple[PlaneVector, ...]:
-        if self._generators is None:
-            self._generators = tuple(vectors_from_rows(self.field, self.rows, self.den))
-        return self._generators
+        return tuple(vectors_from_rows(self.field, self.rows, self.den))
 
     @property
     def m(self) -> int:
@@ -165,18 +159,10 @@ class Zonotope:
         n = len(rows)
         if n < 4 or n % 2 != 0:
             raise SymmetryError(f"need an even number >= 4 of vertices, got {n}")
-        s = field.sign(doubled_area(field, rows))
-        if s == 0:
-            raise SymmetryError("degenerate vertex list")
-        if s < 0:
-            rows = rows[::-1]
-        m = n // 2
+        rows, m = ccw_rows(field, rows), n // 2
         if len({tuple(a + b for a, b in zip(rows[i], rows[i + m])) for i in range(m)}) != 1:
             raise SymmetryError("vertex list is not centrally symmetric")
         edges = [[b - a for a, b in zip(rows[i], rows[(i + 1) % n])] for i in range(n)]
-        repeated = next((i for i in range(n) if not any(edges[i])), None)
-        if repeated is not None:
-            raise SymmetryError(f"repeated vertex at position {repeated}")
         if any(field.sign(row_cross(field, edges[i], edges[(i + 1) % n])) <= 0 for i in range(n)):
             raise SymmetryError("vertex list is not strictly convex")
         up = [(field.sign(e[field.size :]) or field.sign(e[: field.size])) > 0 for e in edges]

@@ -730,6 +730,14 @@ def _vertices(*points):
     return [jsonio.encode_vector(V(x, y)) for x, y in points]
 
 
+def _square_lattice_scene(polygon):
+    return {"field": [], "polygon": polygon, "lambda": {"periodic": [{"lattice": {"basis": _vertices((1, 0), (0, 1))}}]}}
+
+
+_CLOCKWISE_REPEAT_AT_0 = _vertices((0, 0), (0, 0), (0, 1), (1, 1), (1, 1), (1, 0))
+_CLOCKWISE_REPEAT_AT_1 = _vertices((0, 1), (1, 1), (1, 1), (1, 0), (0, 0), (0, 0))
+
+
 class TestShapeErrors:
     """Documents of the right form whose shape is wrong exit 2 and say what is wrong."""
 
@@ -754,6 +762,19 @@ class TestShapeErrors:
                 {"field": [], "vertices": _vertices((0, 0), (1, 0), (1, 0), (1, 1), (0, 1), (0, 1))},
                 "repeated vertex at position 1",
             ),
+            ("decide", {"field": [], "generators": _vertices((1, 0), (0, 0))}, "generator 2 is zero"),
+            (
+                "decide",
+                {"field": [], "generators": _vertices((0, 1), (1, 0))},
+                "generators 1 and 2 are not in strictly increasing argument order",
+            ),
+            ("decide", {"field": [], "generators": _vertices((1, 0))}, "a zonotope needs at least 2 generators"),
+            ("verify", _square_lattice_scene({"generators": _vertices((1, 0))}), "a zonotope needs at least 2 generators"),
+            # clockwise lists: a repeat is named at its position as given
+            ("decide", {"field": [], "vertices": _CLOCKWISE_REPEAT_AT_0}, "repeated vertex at position 0"),
+            ("verify", _square_lattice_scene({"vertices": _CLOCKWISE_REPEAT_AT_0}), "repeated vertex at position 0"),
+            ("decide", {"field": [], "vertices": _CLOCKWISE_REPEAT_AT_1}, "repeated vertex at position 1"),
+            ("verify", _square_lattice_scene({"vertices": _CLOCKWISE_REPEAT_AT_1}), "repeated vertex at position 1"),
         ],
     )
     def test_exits_2_with_its_message(self, capsys, tmp_path, command, doc, message):
@@ -761,6 +782,10 @@ class TestShapeErrors:
         path.write_text(json.dumps(doc))
         assert main([command, str(path)]) == 2
         err = capsys.readouterr().err
+        # a shape error names the list it was read from
+        if isinstance(doc, dict):
+            shape, where = (doc["polygon"], "polygon.") if "polygon" in doc else (doc, "")
+            message = f"error: {where}{'vertices' if 'vertices' in shape else 'generators'}: {message}"
         assert message in err and "Traceback" not in err
 
 

@@ -777,9 +777,8 @@ class TestGridOrder:
         r2 = F2.sqrt(2)
         values = [p - q * r2 for p, q in convergents]
         values += [v / 3 for v in values[::2]] + [-v / 7 for v in values[1::2]] + [F2.zero(), F2.one()]
-        vectors = [PlaneVector(v, F2.zero()) for v in values]
-        grid = Grid(F2, vectors)
-        xs = [grid.point(v)[0] for v in vectors]
+        grid = Grid(F2, math.lcm(*(v.den for v in values)))
+        xs = [grid.scale(v.nums, v.den) for v in values]
         assert len(set(xs)) == len(values)
         assert [grid.element(x) for x in sorted(xs, key=grid.key)] == sorted(values)
         assert [grid.element(x) for x in sorted(xs, key=grid.key, reverse=True)] == sorted(values, reverse=True)

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zonotile import Field, FieldElement, PlaneVector, Zonotope, covering, jsonio, render, vector
+from zonotile import Field, FieldElement, PlaneVector, Zonotope, covering, jsonio, lattice, render, vector
 from zonotile.arrangement import arrangement_faces
 from zonotile.cli import main
 
@@ -364,18 +364,46 @@ class TestNoFieldArithmetic:
         assert callers == {}
 
     def test_verify_and_render_only_build_the_region_and_the_search_box(self, capsys, tmp_path, monkeypatch):
-        runs = []
-        for i, key in enumerate([*VERIFY, *RENDER]):
-            (tmp_path / str(i)).mkdir()
-            scene = _scene(capsys, tmp_path / str(i), *key[:2])
-            out = str(tmp_path / str(i) / "out.svg")
-            runs.append(["render", scene, "-o", out, key[2]] if key in RENDER else ["verify", scene])
-        for name, doc in _period_scenes().items():
-            (tmp_path / f"{name}.json").write_text(jsonio.dumps(doc))
-            runs.append(["verify", str(tmp_path / f"{name}.json")])
+        runs = _golden_runs(capsys, tmp_path)
         callers = count_operator_callers(monkeypatch)
         codes = [main(argv) for argv in runs]
         monkeypatch.undo()
         capsys.readouterr()
         assert set(codes) == {0, 1}
         assert set(callers) <= {"region_translates", "_windowed_region"}, callers
+
+
+def _golden_runs(capsys, tmp_path) -> list[list[str]]:
+    """The command lines of every golden ``verify`` and ``render``, their
+    scenes written under tmp_path."""
+    runs = []
+    for i, key in enumerate([*VERIFY, *RENDER]):
+        (tmp_path / str(i)).mkdir()
+        scene = _scene(capsys, tmp_path / str(i), *key[:2])
+        out = str(tmp_path / str(i) / "out.svg")
+        runs.append(["render", scene, "-o", out, key[2]] if key in RENDER else ["verify", scene])
+    for name, doc in _period_scenes().items():
+        (tmp_path / f"{name}.json").write_text(jsonio.dumps(doc))
+        runs.append(["verify", str(tmp_path / f"{name}.json")])
+    return runs
+
+
+class TestRowsAreTheState:
+    def test_verify_and_render_build_vectors_only_for_offsets(self, capsys, tmp_path, monkeypatch):
+        # polygons and lattices are held as rows and put on the grid from
+        # them; the one vector a scene document decodes is a part's offset
+        runs = _golden_runs(capsys, tmp_path)
+        callers, original = Counter(), lattice.vectors_from_rows
+
+        def counting(*args):
+            callers[sys._getframe(1).f_code.co_name] += 1
+            return original(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "zonotile" and getattr(module, "vectors_from_rows", None) is original:
+                monkeypatch.setattr(module, "vectors_from_rows", counting)
+        codes = [main(argv) for argv in runs]
+        monkeypatch.undo()
+        capsys.readouterr()
+        assert set(codes) == {0, 1}
+        assert set(callers) == {"decode_vector"}, callers
