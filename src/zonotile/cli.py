@@ -14,13 +14,15 @@ import functools
 import sys
 
 from . import jsonio
-from .covering import Box, verify_covering
 from .criteria import bolle_check, canonical_lattice, decide_multitiling
 from .errors import GeometryError, ZonotileError
 from .field import FieldElement
 from .lattice import PlaneLattice, PlaneVector
 from .patterns import BUILTIN_NAMES
-from .render import render_svg
+
+# verify and render import the covering layer where they run, and scene
+# documents are decoded by a function that imports it, so decide, check and
+# canon load only the decision layer
 
 
 def _parse_window_flag(text: str):
@@ -62,6 +64,7 @@ def _cmd_canon(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .covering import verify_covering
     poly, tset = jsonio.decode_scene_document(jsonio.load_document(args.scene))
     report = verify_covering(poly, tset)
     _emit(jsonio.encode_verify_report(report, poly.field))
@@ -69,6 +72,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from .covering import Box
+    from .render import render_svg
     window = _parse_window_flag(args.window) if args.window is not None else None  # flag errors first
     doc = jsonio.load_document(args.scene)
     poly, tset = jsonio.decode_scene_document(doc)

@@ -20,12 +20,10 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, lcm
 
-from .covering import Polygon, TranslateSet, VerifyReport
 from .criteria import BolleReport, CanonicalLattice, Decision
 from .errors import FieldError, GeometryError, ZonotileError
 from .field import Field, FieldElement, RATIONALS
 from .lattice import LATTICE, PlaneLattice, PlaneVector, row_span, vectors_from_rows
-from .patterns import builtin_scene
 from .zonotope import Zonotope
 
 __all__ = [
@@ -383,7 +381,10 @@ def decode_scene_document(doc) -> tuple[Polygon, TranslateSet]:
     """A scene: polygon + translate set.
 
     The optional ``"mode"`` key is accepted only as ``"exact"``, the one
-    verification there is."""
+    verification there is.  The covering layer is imported here, so the
+    decision documents decode without it."""
+    from .covering import Polygon, TranslateSet
+    from .patterns import builtin_scene
     mode = doc.get("mode", "exact")
     if mode != "exact":
         raise GeometryError(f"scene 'mode' must be 'exact', got {mode!r}: sampled verification was removed")

@@ -5,13 +5,13 @@ No pipeline module imports this one, and these use only the pipeline's
 public names (``tests/test_layout.py`` holds both rules): point location
 against the sweep's faces, vector spans and field division against the
 row forms, the shoelace area against Bolle's accounting.  The exception
-classes here are raised by these checks only.
+classes here are raised by these checks only.  The checks that sweep or
+locate import the covering layer where they run, so the span checks load
+only the decision layer.
 """
 
 from __future__ import annotations
 
-from .arrangement import arrangement_faces
-from .covering import Box, Polygon, TranslateSet, region_translates
 from .criteria import bolle_check
 from .errors import FieldError, GeometryError, ZonotileError
 from .field import FieldElement
@@ -149,6 +149,7 @@ def lattice_points_in_box(lat: PlaneLattice, box: Box) -> list[PlaneVector]:
     """Exactly the lattice points inside the closed box, row by row in the
     first coordinate: a vector view of the grid enumeration
     ``region_translates`` runs."""
+    from .covering import TranslateSet
     zero = lat.field.zero()
     return [p for p, _ in TranslateSet.periodic([(lat, PlaneVector(zero, zero))]).points_in(box)]
 
@@ -160,6 +161,7 @@ def covering_at(poly: Polygon, tset: TranslateSet, x: PlaneVector) -> int:
     Raises BoundaryError when x lies on some translate boundary; the
     covering function is only defined off that measure-zero set.
     """
+    from .covering import Box
     bb = poly.bbox
     search = Box(x.x - bb.x1, x.y - bb.y1, x.x - bb.x0, x.y - bb.y0)
     count = 0
@@ -182,6 +184,8 @@ def strip_profile(poly: Polygon, lat: PlaneLattice, n_values) -> list[int]:
     per strip and each strip must cover constantly (non-constant strips
     are reported as an error, never averaged).
     """
+    from .arrangement import arrangement_faces
+    from .covering import Box, Polygon, TranslateSet, region_translates
     if not lat.b2.x.is_zero():
         raise GeometryError("lattice is not axis-compatible (vertical second basis vector)")
     ratio = (lat.b1.y / lat.b2.y).rational_value()

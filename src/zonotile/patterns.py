@@ -8,13 +8,15 @@ window-relative verification.  ``octagon-family`` is a symmetric octagon
 with lattice vertices together with two translated copies of Z x 2Z, one
 shifted by (beta, 1); it covers the plane exactly 7 times for every beta,
 rational or not.
+
+The scene builders import the covering layer where they run, so the
+command line reads ``BUILTIN_NAMES`` without loading it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .covering import Polygon, TranslateSet, WindowPattern
 from .errors import GeometryError
 from .field import Field, FieldElement, RATIONALS
 from .lattice import PlaneLattice, PlaneVector, vector
@@ -29,10 +31,12 @@ OCTAGON_VERTICES = [(1, 0), (2, 0), (3, 1), (3, 2), (2, 3), (1, 3), (0, 2), (0, 
 
 
 def skew_tetromino(field: Field = RATIONALS) -> Polygon:
+    from .covering import Polygon
     return Polygon([vector(field, x, y) for x, y in TETROMINO_VERTICES])
 
 
 def lattice_octagon(field: Field = RATIONALS) -> Polygon:
+    from .covering import Polygon
     return Polygon([vector(field, x, y) for x, y in OCTAGON_VERTICES])
 
 
@@ -73,6 +77,7 @@ def builtin_scene(name: str, window=None, beta=None) -> tuple[Polygon, Translate
     horizontal offset of the shifted lattice copy in the octagon family
     and defaults to 1/3.
     """
+    from .covering import TranslateSet, WindowPattern
     if name in _TETROMINO_RULES:
         win = tuple(Fraction(w) for w in (window if window is not None else DEFAULT_WINDOW))
         if win[0] >= win[2] or win[1] >= win[3]:

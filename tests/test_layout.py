@@ -1,10 +1,16 @@
 """Package layout rules that no single behaviour test would catch."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+import zonotile
+from zonotile import RATIONALS, PlaneLattice, Zonotope, jsonio, vector
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "zonotile"
 
@@ -48,6 +54,90 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing():
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]", out.stdout + out.stderr
+
+
+def _fresh(code: str):
+    """Run ``code`` in a fresh interpreter without ``site``; returns the
+    value of its last line of output, read as a Python literal, and the
+    ``zonotile`` modules it has loaded by then."""
+    script = f"{code}\nimport sys\nprint(sorted(m for m in sys.modules if m.startswith('zonotile')))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, check=True)
+    *_, value, modules = out.stdout.splitlines()
+    return ast.literal_eval(value), set(ast.literal_eval(modules))
+
+
+def _exit_codes(argvs) -> str:
+    """Code that runs the CLI on each argv, output discarded, and prints the exit codes."""
+    return (
+        "import contextlib, io\n"
+        "from zonotile.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(argv) for argv in {argvs!r}]\n"
+        "print(codes)"
+    )
+
+
+# the modules that sweep, locate and draw, and the reference checks
+COVERING_LAYER = {"zonotile.arrangement", "zonotile.covering", "zonotile.oracles", "zonotile.render"}
+
+
+def _octagon_files(tmp_path):
+    """A zonotope document, Z^2 as a lattice document and the scene of
+    the zonotope's translates by Z^2."""
+    q = RATIONALS
+    z = Zonotope([vector(q, 1, 0), vector(q, 1, 1), vector(q, 0, 1), vector(q, -1, 1)])
+    lat = jsonio.encode_lattice(PlaneLattice(vector(q, 1, 0), vector(q, 0, 1)))
+    docs = {
+        "polygon": jsonio.encode_zonotope(z),
+        "lattice": {"field": [], **lat},
+        "scene": {"field": [], "polygon": {"generators": jsonio.encode_zonotope(z)["generators"]},
+                  "lambda": {"periodic": [{"lattice": lat}]}},
+    }
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(jsonio.dumps(doc), encoding="utf-8")
+    return paths
+
+
+def test_decision_commands_load_no_covering_layer(tmp_path):
+    files = _octagon_files(tmp_path)
+    argvs = [["decide", files["polygon"]], ["canon", files["polygon"]], ["check", files["polygon"], files["lattice"]]]
+    codes, loaded = _fresh(_exit_codes(argvs))
+    assert codes == [0, 0, 0]
+    assert not loaded & COVERING_LAYER, sorted(loaded & COVERING_LAYER)
+
+
+def test_verify_loads_no_oracles_or_renderer(tmp_path):
+    codes, loaded = _fresh(_exit_codes([["verify", _octagon_files(tmp_path)["scene"]]]))
+    assert codes == [0]
+    assert {"zonotile.arrangement", "zonotile.covering"} <= loaded
+    assert not loaded & {"zonotile.oracles", "zonotile.render"}, sorted(loaded)
+
+
+def test_span_checks_load_no_covering_code():
+    """The reference checks on spans, as a benchmark that imports the CLI
+    and reads ``rational_rank`` from the package reaches them."""
+    code = "import zonotile.cli, zonotile.jsonio, zonotile as z\nprint(z.rational_rank([z.vector(z.RATIONALS, 1, 2)]))"
+    rank, loaded = _fresh(code)
+    assert rank == 1
+    assert "zonotile.oracles" in loaded
+    assert not loaded & {"zonotile.arrangement", "zonotile.covering"}, sorted(loaded)
+
+
+def test_every_export_resolves_and_is_listed():
+    code = (
+        "import zonotile\n"
+        "listed = set(dir(zonotile))\n"
+        "print([n for n in zonotile.__all__ if n not in listed or getattr(zonotile, n, None) is None])"
+    )
+    missing, _ = _fresh(code)
+    assert missing == []
+    for name, module in _export_table().items():
+        assert getattr(zonotile, name) is getattr(importlib.import_module(f"zonotile.{module}"), name), name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        zonotile.no_such_name
 
 
 def _defined_names(tree):
@@ -117,15 +207,35 @@ def _pipeline_references():
     return refs
 
 
+# The names the package exports.  The export table in ``__init__`` must
+# list exactly these: a name joins or leaves the exports only with this set.
+PUBLIC_NAMES = {
+    "AccountingError", "BUILTIN_NAMES", "BollePair", "BolleReport", "BoundaryError", "Box", "CanonicalLattice",
+    "Decision", "Field", "FieldElement", "FieldError", "GeometryError", "IncommensurableError", "InternalError",
+    "LATTICE", "NOT_DISCRETE", "PlaneLattice", "PlaneVector", "Polygon", "RANK_DEFICIENT", "RATIONALS",
+    "RationalityError", "SpanAnalysis", "SymmetryError", "TranslateSet", "VerifyReport", "WindowError",
+    "WindowPattern", "ZonotileError", "Zonotope", "ZonotopeError", "bolle_check", "builtin_scene",
+    "canonical_lattice", "covering_at", "decide_multitiling", "integer_span", "intersect", "lattice_multiplicity",
+    "lattice_points_in_box", "line_meets_lattice", "rational_rank", "right_kernel", "strip_profile",
+    "sublattice_avoiding_coset", "superlattice_meeting_line", "vector", "verify_covering",
+}
+
+
+def _export_table():
+    """The exported names of ``__init__``'s ``_EXPORTS`` table, each
+    mapped to the module that defines it."""
+    for node in ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["_EXPORTS"]:
+            return {name: module for module, names in ast.literal_eval(node.value).items() for name in names}
+    raise AssertionError("__init__.py has no _EXPORTS table")
+
+
 def test_every_public_name_has_a_caller_or_an_oracle_role():
     """A name the package exports is a reference check from ``oracles``,
     or pipeline code uses it outside its own definition; a use in
     ``oracles`` does not count."""
-    exported = {}
-    for node in ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8")).body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            for alias in node.names:
-                exported[alias.asname or alias.name] = node.module
+    exported = _export_table()
+    assert set(exported) == set(zonotile.__all__) == PUBLIC_NAMES
     refs = _pipeline_references()
     offenders = [
         f"{module}.{name}"
