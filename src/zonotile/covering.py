@@ -398,13 +398,21 @@ def _periodic_region(tset: TranslateSet) -> Polygon:
 
 
 def _windowed_region(poly: Polygon, tset: TranslateSet) -> Polygon:
-    field = poly.field
-    wx0, wy0, wx1, wy1 = (field.rational(w) for w in tset.pattern.window)
-    pb = poly.bbox
-    region = Box(wx0 + pb.x1, wy0 + pb.y1, wx1 + pb.x0, wy1 + pb.y0)
-    if not region.has_area():
+    """The window shrunk by the polygon's extent, its corners the margin
+    sums wx0 + x1, wy0 + y1, wx1 + x0 and wy1 + y0 of the window's
+    rationals and poly's bounding box, as numerators over one denominator."""
+    field, pb, window = poly.field, poly.bbox, tset.pattern.window
+    ends = (pb.x1, pb.y1, pb.x0, pb.y0)
+    den = lcm(*(w.denominator for w in window), *(e.den for e in ends))
+    margins = []
+    for w, e in zip(window, ends):
+        nums = [n * (den // e.den) for n in e.nums]
+        nums[0] += w.numerator * (den // w.denominator)
+        margins.append(nums)
+    x0, y0, x1, y1 = margins
+    if field.sign(tuple(map(sub, x1, x0))) <= 0 or field.sign(tuple(map(sub, y1, y0))) <= 0:
         raise WindowError("window is too small for the polygon's diameter margin")
-    return Polygon(region.corners())
+    return Polygon.from_rows(field, [x0 + y0, x1 + y0, x1 + y1, x0 + y1], den)
 
 
 def verify_covering(poly: Polygon, tset: TranslateSet) -> VerifyReport:

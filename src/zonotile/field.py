@@ -180,7 +180,7 @@ class Field:
         for mask, c in coeffs_by_mask.items():
             if not 0 <= mask < self.size:
                 raise FieldError(f"monomial index {mask} out of range")
-            coeffs[mask] = Fraction(c)
+            coeffs[mask] = c
         return FieldElement(self, coeffs)
 
     # -- relations between fields --------------------------------------------
@@ -381,9 +381,10 @@ class FieldElement:
         """The element with rational coefficient ``coeffs[m]`` on monomial m."""
         if len(coeffs) != field.size:
             raise FieldError(f"{len(coeffs)} coefficients for a field of {field.size} monomials")
-        qs = [Fraction(c) for c in coeffs]
-        # every q is in lowest terms, so the lcm of their denominators is
-        # the least common denominator
+        # an int is taken as it is, anything else (a bool included) once as
+        # a Fraction; every q is then in lowest terms, so the lcm of their
+        # denominators is the least common denominator
+        qs = [c if type(c) is int else Fraction(c) for c in coeffs]
         den = lcm(*(q.denominator for q in qs))
         self.field = field
         self.nums = tuple(q.numerator * (den // q.denominator) for q in qs)

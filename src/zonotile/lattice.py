@@ -92,10 +92,10 @@ class PlaneVector:
         return PlaneVector(self.x * c, self.y * c)
 
     def cross(self, other: "PlaneVector") -> FieldElement:
-        return self.x * other.y - self.y * other.x
+        return _product_sum(self.x, other.y, self.y, other.x, -1)
 
     def dot(self, other: "PlaneVector") -> FieldElement:
-        return self.x * other.x + self.y * other.y
+        return _product_sum(self.x, other.x, self.y, other.y, 1)
 
     def is_zero(self) -> bool:
         return self.x.is_zero() and self.y.is_zero()
@@ -113,6 +113,19 @@ class PlaneVector:
 
     def __str__(self):
         return f"({self.x}, {self.y})"
+
+
+def _product_sum(a: FieldElement, b: FieldElement, c: FieldElement, d: FieldElement, s: int) -> FieldElement:
+    """a*b + s*c*d for s = 1 or -1, in one integer pass: the two products'
+    numerators over the product of the four denominators, reduced once."""
+    field = a.field
+    if b.field is not field or c.field is not field or d.field is not field:
+        other = next(e.field for e in (b, c, d) if e.field is not field)
+        raise FieldError(f"cannot mix elements of {field!r} and {other!r}")
+    dab, dcd = a.den * b.den, c.den * d.den
+    k = s * dab
+    ab, cd = field.product(a.nums, b.nums), field.product(c.nums, d.nums)
+    return FieldElement.from_integers(field, [x * dcd + y * k for x, y in zip(ab, cd)], dab * dcd)
 
 
 def vector(field: Field, x, y) -> PlaneVector:
@@ -329,7 +342,8 @@ class PlaneLattice:
 
     def point(self, a: int, b: int) -> PlaneVector:
         """a*b1 + b*b2, the lattice point the tests' and the benchmark's oracles draw."""
-        return self.b1.scale(a) + self.b2.scale(b)
+        b1, b2 = self.basis()
+        return b1.scale(a) + b2.scale(b)
 
     def __eq__(self, other):
         return (
@@ -342,7 +356,8 @@ class PlaneLattice:
         return hash((self.rows, self.den))
 
     def __repr__(self):
-        return f"PlaneLattice[{self.b1}, {self.b2}]"
+        b1, b2 = self.basis()
+        return f"PlaneLattice[{b1}, {b2}]"
 
 
 class SpanAnalysis(namedtuple("SpanAnalysis", "q_rank verdict basis")):

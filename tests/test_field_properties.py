@@ -10,13 +10,14 @@ nothing with the refinement it checks.
 
 from fractions import Fraction
 import math
+import re
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zonotile import RATIONALS, Field, FieldElement, FieldError
+from zonotile import RATIONALS, Field, FieldElement, FieldError, PlaneVector, vector
 from zonotile import field as field_module
 
 FIELDS = [RATIONALS, Field([2]), Field([2, 3]), Field([2, 3, 5, 7])]
@@ -113,11 +114,15 @@ class TestCanonicalForm:
         y = FieldElement.from_integers(field, [n * k for n in x.nums], x.den * k)
         assert (y.nums, y.den) == (x.nums, x.den)
         assert_canonical(y)
+        # whole coefficients as ints, which the constructor takes as they are
+        mixed = [int(c) if c.denominator == 1 else c for c in a]
+        for y in (FieldElement(field, mixed), field.element({m: c for m, c in enumerate(mixed) if c})):
+            assert (y.nums, y.den) == (x.nums, x.den)
 
     def test_zero_is_all_zeros_over_one(self):
         for field in FIELDS:
             for z in (field.zero(), FieldElement(field, [Fraction(0, 7)] * field.size),
-                      FieldElement.from_integers(field, [0] * field.size, 12)):
+                      FieldElement.from_integers(field, [0] * field.size, 12), field.element({})):
                 assert z.nums == (0,) * field.size and z.den == 1
 
     def test_from_integers_refuses_bad_input(self):
@@ -128,6 +133,14 @@ class TestCanonicalForm:
             FieldElement.from_integers(f, [Fraction(1, 2), 0], 1)
         with pytest.raises(FieldError):
             FieldElement.from_integers(f, [1, 2, 3], 1)
+
+    def test_element_by_mask_coefficients(self):
+        for field in FIELDS:
+            assert field.element({0: True}) == field.one() == FieldElement(field, [True] + [False] * (field.size - 1))
+            assert field.element({field.size - 1: "-3/6"}).coeffs[-1] == Fraction(-1, 2)
+            for mask in (-1, field.size):
+                with pytest.raises(FieldError, match=f"monomial index {mask} out of range"):
+                    field.element({mask: 1})
 
     def test_slots(self):
         assert FieldElement.__slots__ == ("field", "nums", "den")
@@ -191,6 +204,36 @@ class TestAgainstFractionModel:
         assert x.sign() == ref_sign(field.products, a)
         q = a[0] + 1
         assert (x < q) == (ref_sign(field.products, [a[0] - q, *a[1:]]) < 0)
+
+
+@st.composite
+def vector_pairs(draw):
+    """A field and the coefficient lists of ux, uy, vx and vy."""
+    field = draw(st.sampled_from(FIELDS))
+    return field, [draw(coefficients(field)) for _ in range(4)]
+
+
+class TestVectorProducts:
+    @PROPERTY
+    @given(vector_pairs())
+    def test_cross_and_dot(self, case):
+        field, (ux, uy, vx, vy) = case
+        u = PlaneVector(FieldElement(field, ux), FieldElement(field, uy))
+        v = PlaneVector(FieldElement(field, vx), FieldElement(field, vy))
+        products = field.products
+        assert value(u.cross(v)) == [p - q for p, q in zip(ref_mul(products, ux, vy), ref_mul(products, uy, vx))]
+        assert value(u.dot(v)) == [p + q for p, q in zip(ref_mul(products, ux, vx), ref_mul(products, uy, vy))]
+        # value() holds every result to lowest terms, and zero to all zeros over 1
+        assert value(u.cross(u)) == value(u.cross(v) + v.cross(u)) == [0] * field.size
+
+    def test_vectors_over_two_fields_do_not_mix(self):
+        for f, g in zip(FIELDS, FIELDS[1:]):
+            u, v = vector(f, 1, Fraction(1, 2)), vector(g, 3, Fraction(-4, 3))
+            for a, b in ((u, v), (v, u)):
+                message = re.escape(f"cannot mix elements of {a.field!r} and {b.field!r}")
+                for product in (a.cross, a.dot):
+                    with pytest.raises(FieldError, match=message):
+                        product(b)
 
 
 # -- the division and floor kernels ------------------------------------------------

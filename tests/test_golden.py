@@ -370,7 +370,7 @@ class TestNoFieldArithmetic:
         monkeypatch.undo()
         capsys.readouterr()
         assert set(codes) == {0, 1}
-        assert set(callers) <= {"region_translates", "_windowed_region"}, callers
+        assert set(callers) <= {"region_translates"}, callers
 
 
 def _golden_runs(capsys, tmp_path) -> list[list[str]]:
