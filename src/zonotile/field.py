@@ -13,10 +13,11 @@ denominators and brought to lowest terms by one gcd.
 
 Signs are decided on integers too.  With s = isqrt(p << 2*prec), the
 monomial sqrt(p) lies strictly between s and s + 1 over 2**prec, so the
-numerators times those bounds enclose the element times den * 2**prec.
-The precision doubles until the enclosure excludes zero, which terminates
-because a nonzero element is bounded away from zero.  No predicate in
-this package touches floating point.
+numerators times those bounds enclose the element times 2**prec.  A sign
+takes one 32-bit enclosure and, when that holds zero, the exact norm
+recursion of :meth:`Field.sign`, one level per radicand; a floor takes
+one enclosure that leaves at most two candidates, and one sign.  No
+predicate in this package touches floating point.
 
 There is one live :class:`Field` per radicand set, so the package
 compares fields with ``is``, and each field carries the JSON name of
@@ -39,7 +40,7 @@ from functools import cmp_to_key
 from math import gcd, isqrt, lcm
 from operator import add, index, mul, neg, sub
 
-from .errors import FieldError, InternalError
+from .errors import FieldError
 
 __all__ = ["Field", "FieldElement", "RATIONALS"]
 
@@ -47,6 +48,8 @@ _MAX_RADICANDS = 4
 _MAX_RADICAND = 10**18
 _HASH_MODULUS = sys.hash_info.modulus
 _HASH_INF = sys.hash_info.inf
+# the bits of every sign's enclosure and the fewest of a floor's
+_PREC = 32
 # the live field of each sorted radicand tuple; a field leaves with its last
 # reference, and the most recently built ones keep one here
 _FIELDS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
@@ -90,7 +93,7 @@ class Field:
     """
 
     __slots__ = (
-        "radicands", "products", "size", "names", "mask_of_name", "_mask_of_product", "_zeros", "_root_cache", "__weakref__"
+        "radicands", "products", "size", "names", "mask_of_name", "_mask_of_product", "_zeros", "_roots", "__weakref__"
     )
 
     def __new__(cls, radicands=()):
@@ -130,7 +133,7 @@ class Field:
         self._mask_of_product = {p: m for m, p in enumerate(products)}
         self.mask_of_name = {n: m for m, n in enumerate(self.names)}
         self._zeros = (0,) * len(products)
-        self._root_cache: dict[int, tuple[int, ...]] = {}
+        self._roots = tuple(isqrt(p << 2 * _PREC) for p in products)
         _FIELDS[rads] = self
         _RECENT_FIELDS.append(self)
         return self
@@ -225,20 +228,25 @@ class Field:
         return tuple(out)
 
     def sign(self, nums) -> int:
-        """The sign of sum(nums[m] * sqrt(products[m])), decided on integers."""
+        """The sign of sum(nums[m] * sqrt(products[m])), decided on integers:
+        one enclosure, or else, with a and b the halves of nums and d the
+        top radicand, a + b*sqrt(d) has the sign of a and b when they agree
+        or one is 0, and otherwise sign(a) times that of its product with
+        a - b*sqrt(d), the norm a**2 - d*b**2, all without sqrt(d)."""
         if not any(nums[1:]):
             n = nums[0]
             return (n > 0) - (n < 0)
-        prec = 32
-        while True:
-            lo, hi = _enclosure(self, nums, prec)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            prec *= 2
-            if prec > 1 << 22:  # unreachable for nonzero elements
-                raise InternalError("sign refinement failed to converge")
+        lo, hi = _enclosure(nums, self._roots)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        half = len(nums) // 2
+        a, b = nums[:half], nums[half:]
+        sa, sb = self.sign(a), self.sign(b)
+        if sa == sb or not sa * sb:
+            return sa or sb
+        return sa * self.sign(self.product(nums, (*a, *map(neg, b)))[:half])
 
     def order_key(self):
         """The sort key that orders numerator tuples over one denominator
@@ -268,31 +276,19 @@ class Field:
         return tuple([n // g for n in nums]), den // g
 
     def floor(self, nums, den: int) -> int:
-        """floor(sum(nums[m] * sqrt(products[m])) / den) for den > 0, by
-        refining integer enclosures until both ends share it."""
+        """floor(sum(nums[m] * sqrt(products[m])) / den) for den > 0: the
+        enclosure spans the sum of the irrational numerators' sizes, so
+        with den << prec above that it leaves f and f + 1, and a sign picks."""
         if not any(nums[1:]):
             return nums[0] // den
-        prec = 32
-        while True:
-            lo, hi = _enclosure(self, nums, prec)
-            scale = den << prec
-            fl = lo // scale
-            if fl == hi // scale:
-                return fl
-            prec *= 2
-
-    # -- sign support ----------------------------------------------------------
-
-    def _roots(self, prec: int) -> tuple[int, ...]:
-        """floor(sqrt(p) * 2**prec) for each monomial product p, in mask
-        order; the first is exactly 1 << prec, and every other root is
-        irrational, so it lies strictly between its floor and the next
-        integer."""
-        roots = self._root_cache.get(prec)
-        if roots is None:
-            roots = tuple(isqrt(p << (2 * prec)) for p in self.products)
-            self._root_cache[prec] = roots
-        return roots
+        prec = max(_PREC, sum(map(abs, nums[1:])).bit_length() - den.bit_length() + 1)
+        roots = self._roots if prec == _PREC else [isqrt(p << 2 * prec) for p in self.products]
+        lo, hi = _enclosure(nums, roots)
+        scale = den << prec
+        f = lo // scale
+        if f == hi // scale:
+            return f
+        return f + (self.sign((nums[0] - (f + 1) * den, *nums[1:])) >= 0)
 
 
 RATIONALS = Field(())
@@ -326,10 +322,11 @@ def _add(field: Field, a, da: int, op, b, db: int) -> FieldElement:
     return _reduced(field, tuple(map(op, [x * db for x in a], [y * da for y in b])), da * db)
 
 
-def _enclosure(field: Field, nums, prec: int) -> tuple[int, int]:
+def _enclosure(nums, roots) -> tuple[int, int]:
     """Integers lo < v * 2**prec < hi for v = sum(nums[m] * sqrt(products[m]))
-    with an irrational part; equal bounds when there is none."""
-    lo = hi = sum(map(mul, nums, field._roots(prec)))
+    with an irrational part and roots[m] = isqrt(products[m] << 2*prec),
+    nums possibly a prefix; equal bounds when there is none."""
+    lo = hi = sum(map(mul, nums, roots))
     for n in nums[1:]:
         if n < 0:
             lo += n

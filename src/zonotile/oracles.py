@@ -106,8 +106,8 @@ def superlattice_meeting_line(l: PlaneLattice, e: PlaneVector, tau: PlaneVector)
         raise RationalityError("det(tau, e) is not a rational multiple of det(L)")
     ec = l.integer_coords(e)
     bigger = l.adjoin_line_point(ec, d)
-    e1, e2 = ec
-    w = l.b1.scale(e2) - l.b2.scale(e1)
+    (e1, e2), (b1, b2) = ec, l.basis()
+    w = b1.scale(e2) - b2.scale(e1)
     return -w.cross(tau) / w.cross(e), bigger
 
 
@@ -186,12 +186,13 @@ def strip_profile(poly: Polygon, lat: PlaneLattice, n_values) -> list[int]:
     """
     from .arrangement import arrangement_faces
     from .covering import Box, Polygon, TranslateSet, region_translates
-    if not lat.b2.x.is_zero():
+    b1, b2 = lat.basis()
+    if not b2.x.is_zero():
         raise GeometryError("lattice is not axis-compatible (vertical second basis vector)")
-    ratio = (lat.b1.y / lat.b2.y).rational_value()
+    ratio = (b1.y / b2.y).rational_value()
     if ratio is None:
         raise GeometryError("lattice has no horizontal period (irrational basis ratio)")
-    period = abs(lat.b1.x * ratio.denominator)
+    period = abs(b1.x * ratio.denominator)
     field = poly.field
     tset = TranslateSet.periodic([(lat, PlaneVector(field.zero(), field.zero()))])
     out = []

@@ -122,7 +122,7 @@ class TestInterning:
 
     def test_field_is_rebuilt_after_its_elements_are_gone(self):
         rads = (13, 17)  # a field no other test keeps alive
-        x = Field(rads).sqrt(13) - 4  # its sign fills the root cache
+        x = Field(rads).sqrt(13) - 4  # its sign reads the field's roots
         assert x.sign() < 0
         gone = weakref.ref(x.field)
         del x

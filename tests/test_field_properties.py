@@ -4,8 +4,9 @@ The reference model holds an element as one ``Fraction`` per monomial and
 multiplies by the XOR rule.  Its sign is decided exactly by recursive
 squaring on the last radicand d: a + b*sqrt(d) has the sign of a and b
 when they agree, and otherwise sign(a) * sign(a**2 - d*b**2), with a and b
-in the field without sqrt(d).  No enclosure is involved, so it shares
-nothing with the refinement it checks.
+in the field without sqrt(d).  That is the recursion ``Field.sign`` falls
+back on, so signs and floors are also held against sympy's guaranteed
+numerical evaluation, which shares nothing with either.
 """
 
 from fractions import Fraction
@@ -14,11 +15,10 @@ import re
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zonotile import RATIONALS, Field, FieldElement, FieldError, PlaneVector, vector
-from zonotile import field as field_module
 
 FIELDS = [RATIONALS, Field([2]), Field([2, 3]), Field([2, 3, 5, 7])]
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -309,25 +309,157 @@ def sqrt2_convergents(max_q):
 
 class TestNearDegenerate:
     def test_convergents_of_sqrt2(self, monkeypatch):
-        precisions = []
-        enclosure = field_module._enclosure
+        calls = []
+        sign = Field.sign
 
-        def recording(field, nums, prec):
-            precisions.append(prec)
-            return enclosure(field, nums, prec)
+        def recording(field, nums):
+            calls.append(tuple(nums))
+            return sign(field, nums)
 
-        monkeypatch.setattr(field_module, "_enclosure", recording)
+        monkeypatch.setattr(Field, "sign", recording)
         fields = [Field([2]), Field([2, 3, 5, 7])]
         hard = 0
         for p, q in sqrt2_convergents(10**60):
             expected = (2 * q * q > p * p) - (2 * q * q < p * p)
             for f in fields:
-                precisions.clear()
+                calls.clear()
                 x = f.sqrt(2) * q - p
                 assert x.sign() == expected
                 assert (f.sqrt(2) * q > p) == (expected > 0)
                 if q > 10**5:
-                    # |sqrt2*q - p| < 1/q, far below a 32-bit enclosure of sqrt2*q
-                    assert precisions[0] == 32 and max(precisions) > 32
+                    # |sqrt2*q - p| < 1/q, far below a 32-bit enclosure of
+                    # sqrt2*q, so the sign recurses on halves of the tuple
+                    # down to the rational norm p**2 - 2*q**2
+                    assert calls[0] == x.nums and (-p, q) in calls
+                    assert (p * p - 2 * q * q,) in calls
                     hard += 1
         assert q > 10**59 and hard > 100
+        assert RATIONALS.size == 1
+
+
+# -- signs and floors against sympy --------------------------------------------------
+
+# working bits sympy may use to separate a value from zero; the elements
+# below cancel at most a few hundred digits
+SYMPY_MAXN = 20000
+
+
+def sympy_sign(field, nums):
+    """The sign of sum(nums[m] * sqrt(products[m])) from sympy's ``evalf``
+    with ``strict=True``, which raises unless the digits it returns are
+    correct, so one correct digit of a nonzero value gives its sign."""
+    from sympy import Add, Integer, sqrt
+
+    if not any(nums):
+        return 0
+    v = Add(*(Integer(n) * sqrt(Integer(p)) for n, p in zip(nums, field.products))).evalf(
+        2, strict=True, maxn=SYMPY_MAXN
+    )
+    return 1 if v > 0 else -1
+
+
+def sympy_floor(field, nums, den):
+    """floor(value / den) for den > 0: the floor of a 60-digit sympy value,
+    moved until sympy's signs of value - f*den and value - (f+1)*den bracket it."""
+    from sympy import Add, Integer, floor, sqrt
+
+    v = Add(*(Integer(n) * sqrt(Integer(p)) for n, p in zip(nums, field.products))) / den
+    f = int(floor(v.evalf(60, strict=True, maxn=SYMPY_MAXN)))
+
+    def at_least(n):  # value >= n * den
+        return sympy_sign(field, (nums[0] - n * den, *nums[1:])) >= 0
+
+    while not at_least(f):
+        f -= 1
+    while at_least(f + 1):
+        f += 1
+    return f
+
+
+def conjugate(nums, flip):
+    """The numerators with sqrt(d_i) negated for each radicand bit i in ``flip``."""
+    return tuple(-n if bin(m & flip).count("1") % 2 else n for m, n in enumerate(nums))
+
+
+@st.composite
+def coefficient_elements(draw):
+    """A field and an element with the coefficients of ``element_pairs``."""
+    field, a, _ = draw(element_pairs())
+    x = FieldElement(field, a)
+    return field, x.nums, x.den
+
+
+@st.composite
+def near_zero_elements(draw):
+    """A field, the numerators of a conjugate of (1+sqrt2)**k or
+    (sqrt2+sqrt3)**k plus a rational in [-1, 1] that is 0 or ±1/10**j,
+    times a basis monomial, and a small denominator.  The conjugates that
+    shrink under powers, such as (1-sqrt2)**k, are below 0.42**k in size,
+    so the element is that close to zero or to the rational times the
+    monomial."""
+    field = draw(st.sampled_from(FIELDS[1:]))
+    unit = [0] * field.size
+    if field.size > 2 and draw(st.booleans()):
+        unit[1] = unit[2] = 1  # sqrt2 + sqrt3
+    else:
+        unit[0] = unit[1] = 1  # 1 + sqrt2
+    x = (1, *[0] * (field.size - 1))
+    for _ in range(draw(st.integers(1, 60))):
+        x = field.product(x, unit)
+    x = conjugate(x, draw(st.integers(0, field.size - 1)))
+    j = draw(st.integers(0, 40))
+    shift = draw(st.sampled_from([0, 1, -1]))
+    den = draw(st.integers(1, 7))
+    nums = [n * 10**j * den for n in x]
+    nums[0] += shift * den
+    monomial = [0] * field.size
+    monomial[draw(st.integers(0, field.size - 1))] = 1
+    return field, field.product(nums, monomial), 10**j * den
+
+
+@st.composite
+def pell_elements(draw):
+    """±(q*sqrt2 - p) for a convergent p/q of sqrt2, with q up to 10**60,
+    plus an integer, over a denominator, in any field with sqrt2."""
+    field = draw(st.sampled_from(FIELDS[1:]))
+    p, q = draw(st.sampled_from(list(sqrt2_convergents(10**60))))
+    s = draw(st.sampled_from([1, -1]))
+    nums = [0] * field.size
+    nums[0], nums[1] = -s * p + draw(st.integers(-3, 3)), s * q
+    return field, tuple(nums), draw(st.integers(1, 9))
+
+
+@st.composite
+def large_elements(draw):
+    """Numerators up to 10**40 over a small denominator: floors of these
+    take an enclosure above 32 bits."""
+    field = draw(st.sampled_from(FIELDS))
+    nums = draw(st.lists(st.integers(-(10**40), 10**40), min_size=field.size, max_size=field.size))
+    return field, tuple(nums), draw(st.integers(1, 50))
+
+
+def small_times_root(field, k, d):
+    """(1 - sqrt2)**k * sqrt(d), about 2.4**-k in size: when d holds the top
+    radicand, its lower half of numerators is zero and its upper half near zero."""
+    x = field.one()
+    for _ in range(k):
+        x = x * (1 - field.sqrt(2))
+    x = x * field.sqrt(d)
+    return field, x.nums, x.den
+
+
+class TestAgainstSympy:
+    """``Field.sign`` and ``Field.floor`` against values sympy evaluates
+    with guaranteed digits, which share nothing with the enclosure or the
+    norm recursion."""
+
+    @settings(max_examples=200, deadline=None)
+    @example(small_times_root(Field([2, 3]), 40, 3))
+    @example(small_times_root(Field([2, 3, 5, 7]), 40, 14))
+    @given(st.one_of(coefficient_elements(), near_zero_elements(), pell_elements(), large_elements()))
+    def test_sign_and_floor(self, case):
+        field, nums, den = case
+        assert field.sign(nums) == sympy_sign(field, nums)
+        negated = tuple(-n for n in nums)
+        assert field.floor(nums, den) == sympy_floor(field, nums, den)
+        assert field.floor(negated, den) == sympy_floor(field, negated, den)

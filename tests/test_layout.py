@@ -315,3 +315,25 @@ def test_only_field_compares_radicands_or_reads_products():
             elif isinstance(node, ast.Attribute) and node.attr == "products":
                 offenders.append(f"{path.name}:{node.lineno} reads .products")
     assert not offenders, offenders
+
+
+def test_signs_and_floors_have_no_precision_schedule():
+    """``Field.sign`` takes one enclosure and then the exact norm recursion,
+    and ``Field.floor`` one enclosure at a precision read off its inputs,
+    so neither they nor ``_enclosure`` loop over precisions, no roots are
+    cached per precision, and no sign can fail to converge."""
+    tree = ast.parse((PACKAGE / "field.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    field_class = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Field")
+    functions.update((f"Field.{node.name}", node) for node in field_class.body if isinstance(node, ast.FunctionDef))
+    offenders = []
+    for name in ("Field.sign", "Field.floor", "_enclosure"):
+        offenders += [f"{name}:{node.lineno} loops" for node in ast.walk(functions[name]) if isinstance(node, ast.While)]
+    if "Field._roots" in functions:
+        offenders.append("Field defines a _roots method")
+    for node in ast.walk(tree):
+        if "_root_cache" in (getattr(node, "attr", None), getattr(node, "id", None), getattr(node, "value", None)):
+            offenders.append(f"field.py:{node.lineno} names _root_cache")
+        if isinstance(node, ast.ImportFrom) and "InternalError" in [alias.name for alias in node.names]:
+            offenders.append(f"field.py:{node.lineno} imports InternalError")
+    assert not offenders, offenders
