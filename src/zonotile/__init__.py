@@ -31,8 +31,8 @@ _EXPORTS = {
     ),
     "oracles": (
         "AccountingError", "BoundaryError", "RationalityError", "covering_at", "integer_span",
-        "lattice_multiplicity", "lattice_points_in_box", "line_meets_lattice", "rational_rank", "right_kernel",
-        "strip_profile", "sublattice_avoiding_coset", "superlattice_meeting_line",
+        "lattice_multiplicity", "lattice_points_in_box", "line_meets_lattice", "locate", "rational_rank",
+        "right_kernel", "strip_profile", "sublattice_avoiding_coset", "superlattice_meeting_line",
     ),
     "patterns": ("BUILTIN_NAMES", "builtin_scene"),
     "zonotope": ("Zonotope",),

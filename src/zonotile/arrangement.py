@@ -122,9 +122,6 @@ class Grid:
     def element(self, nums) -> FieldElement:
         return FieldElement.from_integers(self.field, nums, self.den)
 
-    def vector(self, x, y) -> PlaneVector:
-        return PlaneVector(self.element(x), self.element(y))
-
 
 def _ranks(values, key) -> dict[tuple[int, ...], int]:
     """Integer ranks of grid values over one denominator, equal values

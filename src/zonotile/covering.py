@@ -17,9 +17,10 @@ tuples over their common denominator D.  The translate positions are
 enumerated on that grid, stepping by b1 and b2 from each part's offset,
 and reach the sweep and the renderer as grid tuples, merged by position;
 no vector is built for a translate; each part's index range is one
-``Field.divide`` and ``Field.floor`` per end.  ``TranslateSet.points_in``
-gives the same positions as vectors for the reference checks in
-:mod:`zonotile.oracles`.
+``Field.divide`` and ``Field.floor`` per end, and a window pattern's one
+``Field.floor`` per end.  ``region_translates`` is the one translate
+enumerator: the reference checks in :mod:`zonotile.oracles` list the
+translates by element arithmetic of their own.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
-from math import gcd, lcm
+from math import ceil, floor, gcd, lcm
 from operator import add, neg, sub
 
 from .arrangement import Face, Grid, arrangement_faces
@@ -135,10 +136,6 @@ class Polygon:
         """The enclosed area, by the shoelace formula."""
         return FieldElement.from_integers(self.field, doubled_area(self.field, self.rows), 2 * self.den**2)
 
-    def edges(self):
-        vs = self.vertices
-        return [(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
-
     def is_simple(self) -> bool:
         """Whether no two non-adjacent edges meet, by an exact O(n**2) test.
 
@@ -153,36 +150,6 @@ class Polygon:
                 if _segments_meet(self.field, *edges[i], *edges[j]):
                     return False
         return True
-
-    def locate(self, p: PlaneVector) -> int:
-        """+1 strictly inside, 0 on the boundary, -1 strictly outside."""
-        bb = self.bbox
-        if p.x < bb.x0 or p.x > bb.x1 or p.y < bb.y0 or p.y > bb.y1:
-            return -1
-        parity = 0
-        for a, b in self.edges():
-            ab = b - a
-            ap = p - a
-            if ab.cross(ap).is_zero():
-                t = ap.dot(ab)
-                if t.sign() >= 0 and (ab.dot(ab) - t).sign() >= 0:
-                    return 0
-                continue
-            dy = ab.y
-            sdy = dy.sign()
-            if sdy == 0:
-                continue
-            # half-open in y so that a ray through a vertex counts once
-            if sdy > 0:
-                if p.y < a.y or p.y >= b.y:
-                    continue
-            else:
-                if p.y < b.y or p.y >= a.y:
-                    continue
-            val = (a.x - p.x) * dy + (p.y - a.y) * ab.x
-            if val.sign() * sdy > 0:
-                parity ^= 1
-        return 1 if parity else -1
 
 
 def _orient(field: Field, a, b, c) -> int:
@@ -211,55 +178,36 @@ def _segments_meet(field: Field, p, q, r, s) -> bool:
 
 
 class WindowPattern:
-    """An explicit point multiset, defined by a membership rule on Z^2,
-    truncated to a rational window."""
+    """An explicit point multiset on Z^2, the point (m, n) taken
+    ``multiplicity(m, n)`` times, truncated to a rational window."""
 
-    __slots__ = ("name", "window", "_multiplicity")
+    __slots__ = ("name", "window", "multiplicity")
 
     def __init__(self, name: str, window: tuple[Fraction, Fraction, Fraction, Fraction], multiplicity):
         self.name = name
         self.window = tuple(Fraction(w) for w in window)
-        self._multiplicity = multiplicity
-
-    def points_in(self, box: Box) -> list[tuple[tuple[int, int], int]]:
-        """The pattern's points (m, n) in the box and the window, with
-        their nonzero multiplicities."""
-        wx0, wy0, wx1, wy1 = self.window
-        mlo = max(box.x0.ceil(), -(-wx0.numerator // wx0.denominator))
-        mhi = min(box.x1.floor(), wx1.numerator // wx1.denominator)
-        nlo = max(box.y0.ceil(), -(-wy0.numerator // wy0.denominator))
-        nhi = min(box.y1.floor(), wy1.numerator // wy1.denominator)
-        _check_budget(max(mhi - mlo + 1, 0) * max(nhi - nlo + 1, 0), "pattern points")
-        out = []
-        for m in range(mlo, mhi + 1):
-            for n in range(nlo, nhi + 1):
-                k = self._multiplicity(m, n)
-                if k:
-                    out.append(((m, n), k))
-        return out
+        self.multiplicity = multiplicity
 
 
 class TranslateSet:
     """A discrete multiset: a union of translated lattices, or a windowed
-    explicit pattern."""
+    explicit pattern; exactly one of ``parts`` and ``pattern`` is None."""
 
     __slots__ = ("parts", "pattern")
 
-    def __init__(self, parts=None, pattern=None):
-        if (parts is None) == (pattern is None):
-            raise GeometryError("translate set needs lattice parts or a pattern")
-        if parts is not None and not parts:
-            raise GeometryError("periodic translate set needs at least one part")
-        self.parts = tuple(parts) if parts is not None else None
-        self.pattern = pattern
-
     @classmethod
     def periodic(cls, parts) -> "TranslateSet":
-        return cls(parts=list(parts))
+        t = cls.__new__(cls)
+        t.parts, t.pattern = tuple(parts), None
+        if not t.parts:
+            raise GeometryError("periodic translate set needs at least one part")
+        return t
 
     @classmethod
     def windowed(cls, pattern: WindowPattern) -> "TranslateSet":
-        return cls(pattern=pattern)
+        t = cls.__new__(cls)
+        t.parts, t.pattern = None, pattern
+        return t
 
     @property
     def is_periodic(self) -> bool:
@@ -269,15 +217,6 @@ class TranslateSet:
         if not self.is_periodic:
             raise GeometryError("windowed patterns have no period lattice")
         return reduce(intersect, (lat for lat, _ in self.parts))
-
-    def points_in(self, box: Box) -> list[tuple[PlaneVector, int]]:
-        """Every translate position in the closed box with its
-        multiplicity, part by part and unmerged, as vectors.  No pipeline
-        code calls it: ``covering_at`` (:mod:`zonotile.oracles`) and the
-        tests read it, built on the enumerator whose grid points
-        ``region_translates`` merges."""
-        grid = _scene_grid(box.x0.field, self, (), box)
-        return [(grid.vector(*p), k) for p, k in _positions(grid, self, box)]
 
 
 def _scene_grid(field: Field, tset: TranslateSet, polygons, box: Box) -> Grid:
@@ -297,8 +236,20 @@ def _positions(grid: Grid, tset: TranslateSet, box: Box) -> list:
     x0, y0, x1, y1 = (grid.scale(c.nums, c.den) for c in (box.x0, box.y0, box.x1, box.y1))
     if tset.is_periodic:
         return [(p, 1) for lat, z in tset.parts for p in _lattice_points(grid, lat, z, (x0, y0), (x1, y1))]
-    d, pad = grid.den, (0,) * (grid.field.size - 1)
-    return [(((m * d, *pad), (n * d, *pad)), k) for (m, n), k in tset.pattern.points_in(box)]
+    field, d = grid.field, grid.den
+    wx0, wy0, wx1, wy1 = tset.pattern.window
+    # ceil(lo / d) is -floor(-lo / d)
+    mlo, mhi = max(-field.floor(tuple(map(neg, x0)), d), ceil(wx0)), min(field.floor(x1, d), floor(wx1))
+    nlo, nhi = max(-field.floor(tuple(map(neg, y0)), d), ceil(wy0)), min(field.floor(y1, d), floor(wy1))
+    _check_budget(max(mhi - mlo + 1, 0) * max(nhi - nlo + 1, 0), "pattern points")
+    rule, pad = tset.pattern.multiplicity, (0,) * (field.size - 1)
+    out = []
+    for m in range(mlo, mhi + 1):
+        for n in range(nlo, nhi + 1):
+            k = rule(m, n)
+            if k:
+                out.append((((m * d, *pad), (n * d, *pad)), k))
+    return out
 
 
 def _lattice_points(grid: Grid, lat: PlaneLattice, z: PlaneVector, lo, hi) -> list:
@@ -314,8 +265,6 @@ def _lattice_points(grid: Grid, lat: PlaneLattice, z: PlaneVector, lo, hi) -> li
     zx, zy = grid.scale(z.x.nums, z.x.den), grid.scale(z.y.nums, z.y.den)
     (x0, y0), (x1, y1) = lo, hi
     below = grid.le
-    if not (below(x0, x1) and below(y0, y1)):
-        return []
     field = grid.field
     product = field.product
 

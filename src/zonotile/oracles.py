@@ -3,26 +3,29 @@ held to, and the helpers the acceptance criteria run.
 
 No pipeline module imports this one, and these use only the pipeline's
 public names (``tests/test_layout.py`` holds both rules): point location
-against the sweep's faces, vector spans and field division against the
-row forms, the shoelace area against Bolle's accounting.  The exception
-classes here are raised by these checks only.  The checks that sweep or
-locate import the covering layer where they run, so the span checks load
-only the decision layer.
+(:func:`locate`) on translates listed by element arithmetic, sharing no
+code with the grid enumeration, against the sweep's faces, vector spans
+and field division against the row forms, the shoelace area against
+Bolle's accounting.  The exception classes here are raised by these
+checks only.  ``covering_at`` and ``strip_profile`` import the covering
+layer where they run, so the span checks load only the decision layer.
 """
 
 from __future__ import annotations
+
+from math import ceil, floor
 
 from .criteria import bolle_check
 from .errors import FieldError, GeometryError, ZonotileError
 from .field import FieldElement
 from .intlinalg import row_hnf
-from .lattice import PlaneLattice, PlaneVector, SpanAnalysis, integer_rows, row_cross, row_span
+from .lattice import PlaneLattice, PlaneVector, SpanAnalysis, integer_rows, row_cross, row_span, vector
 from .zonotope import Zonotope
 
 __all__ = [
     "BoundaryError", "AccountingError", "RationalityError", "right_kernel", "rational_rank", "integer_span",
     "line_meets_lattice", "superlattice_meeting_line", "sublattice_avoiding_coset", "lattice_points_in_box",
-    "covering_at", "strip_profile", "lattice_multiplicity",
+    "locate", "covering_at", "strip_profile", "lattice_multiplicity",
 ]
 
 
@@ -147,26 +150,77 @@ def sublattice_avoiding_coset(l: PlaneLattice, generator: PlaneVector | None, ta
 
 def lattice_points_in_box(lat: PlaneLattice, box: Box) -> list[PlaneVector]:
     """Exactly the lattice points inside the closed box, row by row in the
-    first coordinate: a vector view of the grid enumeration
-    ``region_translates`` runs."""
-    from .covering import TranslateSet
-    zero = lat.field.zero()
-    return [p for p, _ in TranslateSet.periodic([(lat, PlaneVector(zero, zero))]).points_in(box)]
+    first coordinate, by element arithmetic alone: the ``lat.point(a, b)``
+    the box holds, a and b ranging over the corners' :meth:`PlaneLattice.coords`."""
+    a_s, b_s = zip(*(lat.coords(c) for c in box.corners()))
+    out = []
+    for a in range(min(a_s).ceil(), max(a_s).floor() + 1):
+        for b in range(min(b_s).ceil(), max(b_s).floor() + 1):
+            p = lat.point(a, b)
+            if box.x0 <= p.x <= box.x1 and box.y0 <= p.y <= box.y1:
+                out.append(p)
+    return out
+
+
+def locate(poly: Polygon, p: PlaneVector) -> int:
+    """+1 strictly inside ``poly``, 0 on its boundary, -1 strictly
+    outside, by the parity of a horizontal ray's edge crossings."""
+    bb = poly.bbox
+    if p.x < bb.x0 or p.x > bb.x1 or p.y < bb.y0 or p.y > bb.y1:
+        return -1
+    parity = 0
+    vs = poly.vertices
+    for a, b in zip(vs, vs[1:] + vs[:1]):
+        ab = b - a
+        ap = p - a
+        if ab.cross(ap).is_zero():
+            t = ap.dot(ab)
+            if t.sign() >= 0 and (ab.dot(ab) - t).sign() >= 0:
+                return 0
+            continue
+        dy = ab.y
+        sdy = dy.sign()
+        if sdy == 0:
+            continue
+        # half-open in y so that a ray through a vertex counts once
+        if sdy > 0:
+            if p.y < a.y or p.y >= b.y:
+                continue
+        else:
+            if p.y < b.y or p.y >= a.y:
+                continue
+        val = (a.x - p.x) * dy + (p.y - a.y) * ab.x
+        if val.sign() * sdy > 0:
+            parity ^= 1
+    return 1 if parity else -1
 
 
 def covering_at(poly: Polygon, tset: TranslateSet, x: PlaneVector) -> int:
     """The number of translates of poly whose interior contains x, by
-    point location: the count every face of the sweep is held to.
+    point location: the count every face of the sweep is held to.  Each
+    part's translates come from :func:`lattice_points_in_box`, a pattern's
+    from its window by ``floor`` and ``ceil``.
 
     Raises BoundaryError when x lies on some translate boundary; the
     covering function is only defined off that measure-zero set.
     """
     from .covering import Box
     bb = poly.bbox
-    search = Box(x.x - bb.x1, x.y - bb.y1, x.x - bb.x0, x.y - bb.y0)
+
+    def search(c):  # the positions whose translate of poly can hold c
+        return Box(c.x - bb.x1, c.y - bb.y1, c.x - bb.x0, c.y - bb.y0)
+
+    if tset.is_periodic:
+        translates = [(p + z, 1) for lat, z in tset.parts for p in lattice_points_in_box(lat, search(x - z))]
+    else:
+        box, pattern = search(x), tset.pattern
+        wx0, wy0, wx1, wy1 = pattern.window
+        ms = range(max(box.x0.ceil(), ceil(wx0)), min(box.x1.floor(), floor(wx1)) + 1)
+        ns = range(max(box.y0.ceil(), ceil(wy0)), min(box.y1.floor(), floor(wy1)) + 1)
+        translates = [(vector(x.field, m, n), pattern.multiplicity(m, n)) for m in ms for n in ns]
     count = 0
-    for lam, mult in tset.points_in(search):
-        loc = poly.locate(x - lam)
+    for lam, mult in translates:
+        loc = locate(poly, x - lam) if mult else -1
         if loc == 0:
             raise BoundaryError(f"query point lies on the boundary of a translate at {lam}")
         if loc > 0:

@@ -81,10 +81,6 @@ class Zonotope:
     def is_parallelogram(self) -> bool:
         return self.m == 2
 
-    def signed_edges(self) -> list[PlaneVector]:
-        """The 2m edge vectors in counterclockwise order: e_1..e_m, -e_1..-e_m."""
-        return list(self.generators) + [-g for g in self.generators]
-
     def translation_rows(self) -> tuple[tuple[int, ...], ...]:
         """:meth:`pair_translations` as integer rows over ``den``, computed
         once per zonotope."""

@@ -23,10 +23,11 @@ from zonotile import (
     builtin_scene,
     covering_at,
     lattice_points_in_box,
+    locate,
     strip_profile,
     verify_covering,
 )
-from zonotile import arrangement
+from zonotile import arrangement, covering, oracles
 from zonotile.arrangement import Grid
 from zonotile.covering import MAX_BOX_CANDIDATES, WindowPattern, arrangement_faces, region_translates
 from zonotile.patterns import (
@@ -51,36 +52,75 @@ def single(lat, field=Q):
     return TranslateSet.periodic([(lat, PlaneVector(zero, zero))])
 
 
+def grid_vector(grid, p):
+    """The grid point p as a vector."""
+    return PlaneVector(grid.element(p[0]), grid.element(p[1]))
+
+
+def edges(poly):
+    """The polygon's edges as pairs of vectors, counterclockwise."""
+    vs = poly.vertices
+    return list(zip(vs, vs[1:] + vs[:1]))
+
+
+def pipeline_positions(tset, box):
+    """The translate positions in the closed box that the pipeline lists
+    on its grid, counted with their multiplicities, as vectors."""
+    grid = covering._scene_grid(box.x0.field, tset, (), box)
+    got = Counter()
+    for p, k in covering._positions(grid, tset, box):
+        got[grid_vector(grid, p)] += k
+    return got
+
+
+def oracle_positions(tset, box):
+    """The translate positions in the closed box, counted with their
+    multiplicities, by element arithmetic: each part's through
+    ``lattice_points_in_box`` on the box less its offset, a pattern's
+    from its window and the box."""
+    got = Counter()
+    if tset.is_periodic:
+        for lat, z in tset.parts:
+            for p in lattice_points_in_box(lat, Box(box.x0 - z.x, box.y0 - z.y, box.x1 - z.x, box.y1 - z.y)):
+                got[p + z] += 1
+        return got
+    wx0, wy0, wx1, wy1 = tset.pattern.window
+    for m in range(max(box.x0.ceil(), math.ceil(wx0)), min(box.x1.floor(), math.floor(wx1)) + 1):
+        for n in range(max(box.y0.ceil(), math.ceil(wy0)), min(box.y1.floor(), math.floor(wy1)) + 1):
+            got[V(m, n, box.x0.field)] += tset.pattern.multiplicity(m, n)
+    return +got
+
+
 class TestPolygonLocate:
     def test_square(self):
         sq = Polygon([V(0, 0), V(1, 0), V(1, 1), V(0, 1)])
-        assert sq.locate(V(H, H)) == 1
-        assert sq.locate(V(H, 0)) == 0
-        assert sq.locate(V(0, 0)) == 0
-        assert sq.locate(V(2, 0)) == -1
-        assert sq.locate(V(H, Fraction(-1, 3))) == -1
+        assert locate(sq, V(H, H)) == 1
+        assert locate(sq, V(H, 0)) == 0
+        assert locate(sq, V(0, 0)) == 0
+        assert locate(sq, V(2, 0)) == -1
+        assert locate(sq, V(H, Fraction(-1, 3))) == -1
 
     def test_non_convex_tetromino(self):
         t = skew_tetromino()
-        assert t.locate(V(H, Fraction(3, 2))) == 1
-        assert t.locate(V(-H, Fraction(3, 2))) == -1
-        assert t.locate(V(-H, H)) == 1
+        assert locate(t, V(H, Fraction(3, 2))) == 1
+        assert locate(t, V(-H, Fraction(3, 2))) == -1
+        assert locate(t, V(-H, H)) == 1
         # the seam between the two squares is interior, not boundary
-        assert t.locate(V(0, H)) == 1
-        assert t.locate(V(0, -H)) == 0
-        assert t.locate(V(H, 2)) == 0
-        assert t.locate(V(Fraction(3, 2), 1)) == -1
+        assert locate(t, V(0, H)) == 1
+        assert locate(t, V(0, -H)) == 0
+        assert locate(t, V(H, 2)) == 0
+        assert locate(t, V(Fraction(3, 2), 1)) == -1
 
     def test_clockwise_vertices_are_reoriented(self):
         sq = Polygon([V(0, 1), V(1, 1), V(1, 0), V(0, 0)])
-        assert sq.locate(V(H, H)) == 1
+        assert locate(sq, V(H, H)) == 1
 
     def test_irrational_point(self):
         sq = Polygon([V(0, 0, F2), V(1, 0, F2), V(1, 1, F2), V(0, 1, F2)])
         r2 = F2.sqrt(2)
         inside = V(r2 / 2, r2 / 2, F2)
-        assert sq.locate(inside) == 1
-        assert sq.locate(V(r2 / 2, r2 - 1 + Fraction(1, 1000), F2)) == 1
+        assert locate(sq, inside) == 1
+        assert locate(sq, V(r2 / 2, r2 - 1 + Fraction(1, 1000), F2)) == 1
 
 
 class TestPolygonSimple:
@@ -162,7 +202,8 @@ class TestLatticePointsInBox:
     def test_matches_naive_scan_over_q_sqrt2(self):
         # irrational bases and offsets, box corners rational and irrational,
         # one- and two-part sets: every point lat.point(a, b) + z in the
-        # box, by element arithmetic, over an index range that holds them
+        # box, by element arithmetic, over an index range that holds them;
+        # the oracle and the pipeline's grid enumeration both give them
         r2 = F2.sqrt(2)
         pool = [F2.rational(Fraction(n, 2)) + m * r2 for n in range(-2, 3) for m in (-1, 0, 1)]
         rng = random.Random(29)
@@ -187,7 +228,8 @@ class TestLatticePointsInBox:
             parts = [part() for _ in range(1 + case % 2)]
             x0, y0 = corner(), corner()
             box = Box(x0, y0, x0 + rng.choice((1, 3, r2, 1 + r2)), y0 + rng.choice((2, 3, r2, 2 * r2)))
-            got = Counter((p.x, p.y) for p, k in TranslateSet.periodic(parts).points_in(box) for _ in range(k))
+            tset = TranslateSet.periodic(parts)
+            got, pipeline = oracle_positions(tset, box), pipeline_positions(tset, box)
             want = Counter()
             for lat, z in parts:
                 b1, b2 = lat.basis()
@@ -197,33 +239,38 @@ class TestLatticePointsInBox:
                     for b in index_range([approx(b1.cross(d)) / det for d in offsets]):
                         p = lat.point(a, b) + z
                         if box.x0 <= p.x <= box.x1 and box.y0 <= p.y <= box.y1:
-                            want[p.x, p.y] += 1
+                            want[p] += 1
             assert got == want
-            irrational += sum(not (x.is_rational() and y.is_rational()) for x, y in got.elements())
-            on_edge += sum(x in (box.x0, box.x1) or y in (box.y0, box.y1) for x, y in got.elements())
+            assert pipeline == want
+            irrational += sum(not (p.x.is_rational() and p.y.is_rational()) for p in got.elements())
+            on_edge += sum(p.x in (box.x0, box.x1) or p.y in (box.y0, box.y1) for p in got.elements())
         assert irrational > 100 and on_edge > 10
 
 
 class TestEnumerationBudget:
-    """A box with one candidate over the cap is refused before any is made."""
+    """The pipeline refuses a box with one candidate over the cap before
+    it makes any."""
 
-    def test_lattice_points_refused_over_the_cap(self, monkeypatch):
-        lat = PlaneLattice(V(1, 0), V(0, 1))
-        made = []
-        monkeypatch.setattr(PlaneLattice, "point", lambda self, a, b: made.append((a, b)))
+    def test_lattice_points_refused_over_the_cap(self):
+        tset, box = single(PlaneLattice(V(1, 0), V(0, 1))), qbox(0, 0, MAX_BOX_CANDIDATES, 0)
+        grid = covering._scene_grid(Q, tset, (), box)
+        # every candidate is compared with the box on the grid
+        compared, le = [], grid.le
+        grid.le = lambda a, b: compared.append((a, b)) or le(a, b)
         # (cap + 1) x 1 candidates
         with pytest.raises(GeometryError, match=f"{MAX_BOX_CANDIDATES + 1} candidate lattice points.*{MAX_BOX_CANDIDATES}"):
-            lattice_points_in_box(lat, qbox(0, 0, MAX_BOX_CANDIDATES, 0))
-        assert made == []
+            covering._positions(grid, tset, box)
+        assert compared == []
 
     def test_pattern_points_refused_over_the_cap(self):
         asked = []
         pattern = WindowPattern("all", (0, 0, MAX_BOX_CANDIDATES, 0), lambda m, n: asked.append((m, n)) or 1)
+        tset = TranslateSet.windowed(pattern)
         with pytest.raises(GeometryError, match=f"{MAX_BOX_CANDIDATES + 1} candidate pattern points.*{MAX_BOX_CANDIDATES}"):
-            pattern.points_in(qbox(-1, -1, MAX_BOX_CANDIDATES + 1, 1))
+            pipeline_positions(tset, qbox(-1, -1, MAX_BOX_CANDIDATES + 1, 1))
         assert asked == []
         # a box inside the cap is enumerated as before
-        assert len(pattern.points_in(qbox(0, 0, 2, 0))) == 3
+        assert len(pipeline_positions(tset, qbox(0, 0, 2, 0))) == 3
 
     def test_cap_is_far_above_the_octagon_on_eighths(self):
         # the largest enumeration the suite and the bench make
@@ -323,6 +370,8 @@ class TestVerifyCovering:
         ts = TranslateSet.periodic([(l1, zero), (l2, zero)])
         with pytest.raises(IncommensurableError):
             verify_covering(lattice_octagon(f), ts)
+        with pytest.raises(GeometryError, match="at least one part"):
+            TranslateSet.periodic([])
 
     def test_oracle_multiplicity_matches_accounting(self):
         rng = random.Random(29)
@@ -424,10 +473,10 @@ class TestArrangementCounts:
         region = verification_region(poly, tset)
         grid, translates = region_translates(poly, tset, region)
         x, y = Q.rational(H), Q.rational(1)
-        assert region.locate(V(x, y)) == 1
+        assert locate(region, V(x, y)) == 1
         through = []
         for pos, _ in translates:
-            lam = grid.vector(*pos)
+            lam = grid_vector(grid, pos)
             vs = [v + lam for v in poly.vertices]
             # (1/2, 1) is no vertex abscissa, so it lies inside a slab
             assert all(v.x != x for v in vs)
@@ -446,21 +495,25 @@ class TestArrangementCounts:
         assert region_translates(poly, doubled, region)[1] == [(p, 2) for p, _ in once]
 
     def test_region_translates_are_the_oracle_positions(self):
-        # the grid positions the sweep reads, as vectors, are the oracle's
-        # positions summed by place
-        for poly, tset in oracle_scenes():
-            region = verification_region(poly, tset)
+        # the grid positions the sweep reads, as vectors, are the positions
+        # the oracle lists by element arithmetic, summed by place: over Q,
+        # Q(sqrt2) and Q(sqrt2, sqrt3), periodic and windowed, with the
+        # positions on the search box's boundary among them
+        scenes = [(poly, tset, verification_region(poly, tset)) for poly, tset in oracle_scenes()]
+        scenes += arrangement_event_scenes()
+        assert {poly.field for poly, _, _ in scenes} == {Q, F2, F23}
+        on_edge = 0
+        for poly, tset, region in scenes:
             grid, translates = region_translates(poly, tset, region)
             got = Counter()
             for p, k in translates:
-                got[grid.vector(*p)] += k
+                got[grid_vector(grid, p)] += k
             assert len(got) == len(translates)
             pb, rb = poly.bbox, region.bbox
             search = Box(rb.x0 - pb.x1, rb.y0 - pb.y1, rb.x1 - pb.x0, rb.y1 - pb.y0)
-            want = Counter()
-            for p, k in tset.points_in(search):
-                want[p] += k
-            assert got == want
+            assert got == oracle_positions(tset, search)
+            on_edge += sum(p.x in (search.x0, search.x1) or p.y in (search.y0, search.y1) for p in got)
+        assert on_edge > 10
 
     def test_field_work_does_not_follow_the_translates(self, monkeypatch):
         # the lattice octagon on (1/n)Z^2 meets (3n+2)^2 translates; no
@@ -528,8 +581,8 @@ def all_pairs_crossing_abscissas(segments, xmin, xmax):
 def all_pairs_events(poly, translates, region):
     """Every edge endpoint and edge crossing abscissa in the region's
     x-range, over all region and translate edges, sorted and deduplicated."""
-    segments = [_RefSegment(a, b) for a, b in region.edges()]
-    segments += [_RefSegment(a + lam, b + lam) for lam, _ in translates for a, b in poly.edges()]
+    segments = [_RefSegment(a, b) for a, b in edges(region)]
+    segments += [_RefSegment(a + lam, b + lam) for lam, _ in translates for a, b in edges(poly)]
     rb = region.bbox
     xs = [rb.x0, rb.x1]
     xs += [x for s in segments for x in (s.p.x, s.q.x) if rb.x0 <= x <= rb.x1]
@@ -568,16 +621,16 @@ def arrangement_event_scenes():
 
 def located_faces(poly, translates, region, slabs):
     """(x0, x1, sample, count) of every ladder gap on the given slabs whose
-    sample ``region.locate`` puts strictly inside, bottom to top in each
+    sample ``oracles.locate`` puts strictly inside, bottom to top in each
     slab: the region filter the sweep used before it read membership off
     its ladder, over brute-force ladders of every non-vertical edge."""
-    edges = [(a, b, 0) for a, b in region.edges()]
-    edges += [(a + lam, b + lam, mult) for lam, mult in translates for a, b in poly.edges()]
+    weighted = [(a, b, 0) for a, b in edges(region)]
+    weighted += [(a + lam, b + lam, mult) for lam, mult in translates for a, b in edges(poly)]
     out = []
     for xa, xb in zip(slabs, slabs[1:]):
         xm = (xa + xb) / 2
         ladder = []
-        for p, q, mult in edges:
+        for p, q, mult in weighted:
             dx = (q.x - p.x).sign()
             if dx and (xm - p.x).sign() == dx and (q.x - xm).sign() == dx:
                 ladder.append((p.y + (xm - p.x) * (q.y - p.y) / (q.x - p.x), dx * mult))
@@ -592,7 +645,7 @@ def located_faces(poly, translates, region, slabs):
                 rungs.append([y, count])
         for (ylo, c), (yhi, _) in zip(rungs, rungs[1:]):
             pt = PlaneVector(xm, (ylo + yhi) / 2)
-            if region.locate(pt) == 1:
+            if oracles.locate(region, pt) == 1:
                 out.append((xa, xb, pt, c))
     return out
 
@@ -605,24 +658,23 @@ class TestArrangementEvents:
         for poly, tset, region in arrangement_event_scenes():
             grid, translates = region_translates(poly, tset, region)
             faces = arrangement_faces(poly, grid, translates, region)
-            translates = [(grid.vector(*p), k) for p, k in translates]
+            translates = [(grid_vector(grid, p), k) for p, k in translates]
             # every region is convex, so every slab holds a face
             got = {f.x0 for f in faces} | {f.x1 for f in faces}
             assert sorted(got) == all_pairs_events(poly, translates, region)
 
     def test_region_membership_is_read_off_the_ladder(self, monkeypatch):
         calls = []
-        locate = Polygon.locate
 
-        def counted(self, p):
+        def counted(poly, p):
             calls.append(p)
-            return locate(self, p)
+            return locate(poly, p)
 
-        monkeypatch.setattr(Polygon, "locate", counted)
+        monkeypatch.setattr(oracles, "locate", counted)
         for poly, tset, region in arrangement_event_scenes():
             grid, translates = region_translates(poly, tset, region)
             faces = arrangement_faces(poly, grid, translates, region)
-            translates = [(grid.vector(*p), k) for p, k in translates]
+            translates = [(grid_vector(grid, p), k) for p, k in translates]
             assert calls == []
             slabs = sorted({f.x0 for f in faces} | {f.x1 for f in faces})
             got = [(f.x0, f.x1, f.sample, f.count) for f in faces]
@@ -633,7 +685,7 @@ class TestArrangementEvents:
         # _Segment.height reads the grid; the oracle evaluates the edge
         # with field arithmetic from its endpoints
         def y_at(segment, x):
-            p, q = (segment.grid.vector(*end) for end in segment.ends)
+            p, q = (grid_vector(segment.grid, end) for end in segment.ends)
             return p.y + (x - p.x) * (q.y - p.y) / (q.x - p.x)
 
         for poly, tset, region in arrangement_event_scenes():
@@ -682,7 +734,7 @@ class TestCollinearLines:
             grid, translates = region_translates(poly, tset, region)
             faces = self.assert_faces_are_the_oracle(poly, tset, region)
             slabs = sorted({f.x0 for f in faces} | {f.x1 for f in faces})
-            translates = [(grid.vector(*p), k) for p, k in translates]
+            translates = [(grid_vector(grid, p), k) for p, k in translates]
             assert [(f.x0, f.x1, f.sample, f.count) for f in faces] == located_faces(poly, translates, region, slabs)
 
     def test_collinear_vertex_edges_share_a_line(self):

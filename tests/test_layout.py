@@ -216,7 +216,7 @@ PUBLIC_NAMES = {
     "RationalityError", "SpanAnalysis", "SymmetryError", "TranslateSet", "VerifyReport", "WindowError",
     "WindowPattern", "ZonotileError", "Zonotope", "ZonotopeError", "bolle_check", "builtin_scene",
     "canonical_lattice", "covering_at", "decide_multitiling", "integer_span", "intersect", "lattice_multiplicity",
-    "lattice_points_in_box", "line_meets_lattice", "rational_rank", "right_kernel", "strip_profile",
+    "lattice_points_in_box", "line_meets_lattice", "locate", "rational_rank", "right_kernel", "strip_profile",
     "sublattice_avoiding_coset", "superlattice_meeting_line", "vector", "verify_covering",
 }
 
@@ -265,7 +265,7 @@ def _class_members(tree, classes):
 # TestNoFieldArithmetic tests, and den, element, field, is_zero and nums
 # are also other classes' names, so a read of those is not told apart.
 FIELD_SURFACE = {
-    "ceil", "den", "divide", "element", "embed", "field", "floor", "from_integers", "is_rational", "is_zero",
+    "den", "divide", "element", "embed", "field", "floor", "from_integers", "is_rational", "is_zero",
     "mask_of_name", "names", "nums", "order_key", "product", "radicands", "rational", "rational_value", "root",
     "sign", "size", "sqrt", "union", "zero",
 }
@@ -337,3 +337,71 @@ def test_signs_and_floors_have_no_precision_schedule():
         if isinstance(node, ast.ImportFrom) and "InternalError" in [alias.name for alias in node.names]:
             offenders.append(f"field.py:{node.lineno} imports InternalError")
     assert not offenders, offenders
+
+
+# Public methods of the covering classes that no pipeline code calls, kept
+# because the benchmark's tracer reads them: it counts a scene's segments
+# from ``Polygon.vertices``.
+BENCH_READS = {"Polygon.vertices"}
+
+
+def _covering_methods():
+    """Each public method, property and classmethod of the classes that
+    ``covering`` and ``arrangement`` define, by the code object it runs."""
+    from zonotile import arrangement, covering
+
+    out = {}
+    for module in (arrangement, covering):
+        for cls in vars(module).values():
+            if not (isinstance(cls, type) and cls.__module__ == module.__name__):
+                continue
+            for name, attr in vars(cls).items():
+                func = getattr(attr, "fget", None) or getattr(attr, "__func__", None) or attr
+                if not name.startswith("_") and hasattr(func, "__code__"):
+                    out[func.__code__] = f"{cls.__name__}.{name}"
+    return out
+
+
+def test_every_covering_method_has_a_pipeline_caller(tmp_path):
+    """Every public method of a class in ``covering`` or ``arrangement`` is
+    called by pipeline code outside its own body while the command line
+    verifies and renders scenes: periodic and windowed, constant and not,
+    from generators and from vertices.  Calls are recorded as they run,
+    so a method reached only through another uncalled one, or only from
+    ``oracles`` or the tests, has no caller."""
+    from zonotile.cli import main
+
+    q = RATIONALS
+    files = _octagon_files(tmp_path)
+    strips = jsonio.encode_lattice(PlaneLattice(vector(q, 1, 0), vector(q, 0, 2)))
+    octagon = [(1, 0), (2, 0), (3, 1), (3, 2), (2, 3), (1, 3), (0, 2), (0, 1)]
+    docs = {
+        "strips": {"field": [], "polygon": {"vertices": [jsonio.encode_vector(vector(q, x, y)) for x, y in octagon]},
+                   "lambda": {"periodic": [{"lattice": strips}]}},
+        "tetromino": jsonio.encode_scene_builtin("tetromino-union", None, None),
+    }
+    for name, doc in docs.items():
+        files[name] = str(tmp_path / f"{name}.json")
+        Path(files[name]).write_text(jsonio.dumps(doc), encoding="utf-8")
+    argvs = [
+        ["verify", files["scene"]], ["verify", files["strips"]], ["verify", files["tetromino"]],
+        ["render", files["tetromino"], "-o", str(tmp_path / "out.svg"), "--window=-2,-2,2,2"],
+    ]
+    methods = _covering_methods()
+    pipeline = {str(path) for path in _pipeline_modules()}
+    called = set()
+
+    def record(frame, event, arg):
+        caller = frame.f_back
+        if event == "call" and frame.f_code in methods and caller is not None and caller.f_code is not frame.f_code:
+            if caller.f_code.co_filename in pipeline:
+                called.add(methods[frame.f_code])
+
+    sys.setprofile(record)
+    try:
+        codes = [main(argv) for argv in argvs]
+    finally:
+        sys.setprofile(None)
+    assert codes == [0, 1, 0, 0]
+    uncalled = set(methods.values()) - called - BENCH_READS
+    assert not uncalled, sorted(uncalled)

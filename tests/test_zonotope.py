@@ -97,7 +97,8 @@ class TestPairTranslations:
         zs = [random_zonotope(rng, m=rng.choice([2, 3, 4, 5])) for _ in range(60)]
         zs += [random_irrational_zonotope(rng, F23, rng.choice([2, 3, 4, 5])) for _ in range(60)]
         for z in zs:
-            edges = z.signed_edges()
+            # the 2m edge vectors in counterclockwise order: e_1..e_m, -e_1..-e_m
+            edges = [*z.generators, *(-g for g in z.generators)]
             n = len(edges)
             for j, t in enumerate(z.pair_translations()):
                 want = edges[(j + 1) % n]
