@@ -107,8 +107,14 @@ def _cmd_examples(args) -> int:
     return 0
 
 
+# the commands' options, by dest: argparse reads --flag=-- as [] before Python
+# 3.13 and as "--" from it, while a positional (a file) may be named "--"
+_OPTIONS = ("output", "window", "beta")
+
+
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser, and its command parsers by name."""
     parser = argparse.ArgumentParser(
         prog="zonotile",
         description="Exact multi-tiling decisions and covering verification for planar zonotopes.",
@@ -144,19 +150,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", help="offset for octagon-family, e.g. '1/3' or 'sqrt(2)'")
     p.set_defaults(fn=_cmd_examples)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser, commands = _build_parser()
+    if argv and argv[0] in commands:  # a command's own parser reads its arguments once
+        parser, argv = commands[argv[0]], argv[1:]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
-    empty = [name for name, value in vars(args).items() if value == []]  # argparse reads --flag=-- as []
+    missing = [name for name in _OPTIONS if vars(args).get(name) in ([], "--")]
     try:
-        if empty:
-            raise GeometryError(f"--{empty[0]}: expected one argument")
+        if missing:
+            raise GeometryError(f"--{missing[0]}: expected one argument")
         return args.fn(args)
     except (ZonotileError, OSError) as exc:
         print(f"zonotile: error: {exc}", file=sys.stderr)

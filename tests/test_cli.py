@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, JSON output, determinism, SVG."""
 
+import argparse
 import functools
 import hashlib
 import io
@@ -495,6 +496,43 @@ class TestUsage:
     def test_no_command(self, capsys):
         assert main([]) == 2
 
+    def test_command_arguments_are_parsed_once(self, capsys, octagon_file, monkeypatch):
+        progs = []
+        parse = argparse.ArgumentParser.parse_known_args
+
+        def counting(self, *args, **kwargs):
+            progs.append(self.prog)
+            return parse(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+        assert run(capsys, ["decide", octagon_file])[0] == 0
+        assert progs == ["zonotile decide"]
+
+    def test_exit_codes(self, capsys, tmp_path):
+        for argv, code in [(["-h"], 0), (["nosuch"], 2), (["decide"], 2), (["decide", "-h"], 0)]:
+            assert main(argv) == code, argv
+        capsys.readouterr()
+        scene = tmp_path / "scene.json"
+        scene.write_text(run(capsys, ["examples", "tetromino-L1"])[1])
+        assert main(["verify", str(scene), "--mode", "sampled"]) == 2
+        err = capsys.readouterr().err
+        assert "zonotile verify: error: unrecognized arguments: --mode sampled" in err
+
+    def test_every_option_is_checked_for_a_missing_value(self):
+        _, commands = cli._build_parser()
+        dests = {a.dest for p in commands.values() for a in p._actions if a.option_strings and a.dest != "help"}
+        assert dests == set(cli._OPTIONS)
+
+    def test_a_file_may_be_named_double_dash(self, capsys, octagon_file, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "--").write_text(Path(octagon_file).read_text())
+        assert run(capsys, ["decide", "--", "--"])[0] == 0
+
+    def test_console_script_reads_sys_argv(self, capsys, octagon_file, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["zonotile", "decide", octagon_file])
+        code, out = run(capsys, None)
+        assert code == 0 and json.loads(out)["multi_tiles"] is True
+
     def test_unknown_builtin_name(self, capsys):
         assert main(["examples", "heptomino"]) == 2
         assert main(["examples", "octagon-family", "--beta", "1/0"]) == 2
@@ -620,8 +658,9 @@ class TestTypedErrors:
     def test_empty_window_is_named(self, capsys):
         self.fails(capsys, ["examples", "tetromino-L1", "--window=0,0,0,0"], "--window: window is empty")
 
-    def test_explicit_double_dash_values(self, capsys, tmp_path):
-        # argparse hands "--flag=--" over as an empty list, not a string
+    def test_explicit_double_dash_values(self, capsys, tmp_path, monkeypatch):
+        # argparse hands "--flag=--" over as an empty list before Python 3.13
+        monkeypatch.chdir(tmp_path)
         code, out = run(capsys, ["examples", "octagon-family"])
         scene = tmp_path / "scene.json"
         scene.write_text(out)
@@ -631,8 +670,22 @@ class TestTypedErrors:
             (["render", str(scene), "-o=--", "--window=0,0,1,1"], "--output"),
             (["render", str(scene), "-o", str(tmp_path / "x.svg"), "--window=--"], "--window"),
         ]:
-            self.fails(capsys, argv, named)
-        assert not (tmp_path / "x.svg").exists()
+            self.fails(capsys, argv, f"zonotile: error: {named}: expected one argument")
+        assert not (tmp_path / "x.svg").exists() and not (tmp_path / "--").exists()
+
+    def test_explicit_double_dash_values_as_python_3_13_reads_them(self, capsys, tmp_path, monkeypatch):
+        # from Python 3.13 argparse hands "--flag=--" over as the string "--"
+        parse = argparse.ArgumentParser.parse_args
+
+        def as_3_13(self, *args, **kwargs):
+            ns = parse(self, *args, **kwargs)
+            for name, value in vars(ns).items():
+                if value == []:
+                    setattr(ns, name, "--")
+            return ns
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", as_3_13)
+        self.test_explicit_double_dash_values(capsys, tmp_path, monkeypatch)
 
     def test_exponent_literals_refused_at_once(self, capsys):
         # 10**99999999 would take minutes to build and could not be written back
