@@ -60,8 +60,10 @@ MAX_BOX_CANDIDATES = 2**16
 
 def _check_budget(count: int, what: str) -> None:
     if count > MAX_BOX_CANDIDATES:
+        # a count can have more digits than str converts: name its size in bits then
+        size = count if count.bit_length() <= 64 else f"over 2^{count.bit_length() - 1}"
         raise GeometryError(
-            f"the box holds {count} candidate {what}, over the enumeration budget of {MAX_BOX_CANDIDATES}"
+            f"the box holds {size} candidate {what}, over the enumeration budget of {MAX_BOX_CANDIDATES}"
         )
 
 

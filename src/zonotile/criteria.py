@@ -23,7 +23,11 @@ gcd of the relations' j-th entries is 1).  Each row is solved once into
 lattice coordinates over one k, so membership, det(e, tau) / det(L) and
 area / det(L) are small-integer arithmetic (off the lattice's rational
 span, a ratio is rational iff two numerator tuples are proportional), and
-no step, not even the even witness, does field arithmetic.
+no step, not even the even witness, does field arithmetic.  For even m
+only the first drop-one span whose ratio det(t_j0, e_j0) / det(M_j0) is
+rational solves t_j0 and e_j0 into coordinates, to build the witness;
+every later span needs only to know that its ratio is rational, which
+always holds over Q and otherwise is the numerator test alone.
 """
 
 from __future__ import annotations
@@ -171,6 +175,11 @@ def decide_multitiling(p: Zonotope) -> Decision:
         sub = span.basis
         spans.append((j0, sub))
         e, t = p.rows[j0 - 1], shifts[j0 - 1]
+        if witness is not None:
+            # past the witness only whether the ratio is rational counts
+            if field.size == 1 or sub.det_ratio(row_cross(field, t, e), den * den) is not None:
+                succeeded.append(j0)
+            continue
         (tc, ec), k = sub.span_coords([t, e], den)
         if tc is None or ec is None:  # only over an irrational field
             d = sub.det_ratio(row_cross(field, t, e), den * den)
@@ -179,11 +188,10 @@ def decide_multitiling(p: Zonotope) -> Decision:
         if d is None:
             continue
         succeeded.append(j0)
-        if witness is None:
-            # for even m the dropped edge is a +-1 combination of the kept
-            # translations, so ec / k is a span point and condition 2 applies
-            witness = sub.adjoin_line_point((ec[0] // k, ec[1] // k), d)
-            witness_j0 = j0
+        # for even m the dropped edge is a +-1 combination of the kept
+        # translations, so ec / k is a span point and condition 2 applies
+        witness = sub.adjoin_line_point((ec[0] // k, ec[1] // k), d)
+        witness_j0 = j0
     if witness is not None:
         report = _verified(p, witness)
         return Decision(

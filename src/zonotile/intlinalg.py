@@ -4,8 +4,13 @@ proportionality.
 Everything here works on lists of Python ints.  The row Hermite form is
 the one algorithm: ranks, spans, canonical bases and lattice
 intersections are all read off it, and stopped early it gives spans with
-their relations (:func:`span_and_relations`).  Matrices are tiny (a
-handful of rows over at most 64 columns): plain gcd elimination will do.
+their relations (:func:`span_and_relations`).  It takes one pass per
+column, in which each row below the pivot meets the pivot row once: by
+one subtraction when the pivot divides its entry, else by the unimodular
+extended-gcd step on the pair (Cohen, *A Course in Computational
+Algebraic Number Theory*, 1993, chapter 2).  Matrices are small (up to
+a few rows over 64 columns, and m rows for a zonotope's m translations),
+so the entries are not reduced modulo a determinant.
 """
 
 from __future__ import annotations
@@ -13,18 +18,16 @@ from __future__ import annotations
 __all__ = ["row_hnf", "span_and_relations", "proportion"]
 
 
-def _row_sub(m, i, j, q):
-    if q:
-        mi, mj = m[i], m[j]
-        for c in range(len(mi)):
-            mi[c] -= q * mj[c]
-
-
 def _hnf_inplace(m: list[list[int]], ncols: int | None = None) -> int:
     """Reduce ``m`` to canonical row Hermite form in place; return the rank.
 
-    Pivots are positive, entries above each pivot are reduced into
-    [0, pivot), zero rows sink to the bottom; it stops after ``ncols`` columns.
+    One pass per column: the first row at or below the rank with a
+    nonzero entry is the pivot row, and every later row with a nonzero
+    entry meets it once, by one subtraction when the pivot divides that
+    entry, else by the unimodular extended-gcd step that leaves the gcd
+    in the pivot row and a zero below it.  Then the pivot is made
+    positive and the rows above it reduced into [0, pivot); zero rows
+    sink to the bottom, and it stops after ``ncols`` columns.
     """
     nrows = len(m)
     if ncols is None:
@@ -33,33 +36,54 @@ def _hnf_inplace(m: list[list[int]], ncols: int | None = None) -> int:
     for c in range(ncols):
         if r >= nrows:
             break
-        while True:
-            nz = [i for i in range(r, nrows) if m[i][c]]
-            if not nz:
-                pivot = None
+        for p in range(r, nrows):
+            if m[p][c]:
                 break
-            if len(nz) == 1:
-                pivot = nz[0]
-                break
-            i0 = min(nz, key=lambda i: abs(m[i][c]))
-            for i in nz:
-                if i != i0:
-                    _row_sub(m, i, i0, m[i][c] // m[i0][c])
-        if pivot is None:
+        else:
             continue
-        if pivot != r:
-            m[r], m[pivot] = m[pivot], m[r]
-        if m[r][c] < 0:
-            m[r] = [-x for x in m[r]]
+        top = m[p]
+        if p != r:
+            m[p], m[r] = m[r], top
+        a = top[c]
+        for i in range(p + 1, nrows):
+            row = m[i]
+            b = row[c]
+            if not b:
+                continue
+            q, rest = divmod(b, a)
+            if not rest:
+                m[i] = [x - q * y for x, y in zip(row, top)]
+                continue
+            g, u, v = _xgcd(a, b)
+            ag, bg = a // g, b // g
+            m[i] = [ag * x - bg * y for x, y in zip(row, top)]
+            m[r] = top = [u * y + v * x for x, y in zip(row, top)]
+            a = g
+        if a < 0:
+            m[r] = top = [-x for x in top]
+            a = -a
         for i in range(r):
-            _row_sub(m, i, r, m[i][c] // m[r][c])
+            q = m[i][c] // a
+            if q:
+                m[i] = [x - q * y for x, y in zip(m[i], top)]
         r += 1
     return r
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, u, v) with u*a + v*b = g, g = +-gcd(a, b), for nonzero a and b."""
+    u0, v0, u1, v1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        u0, u1 = u1, u0 - q * u1
+        v0, v1 = v1, v0 - q * v1
+    return a, u0, v0
+
+
 def row_hnf(rows) -> list[list[int]]:
     """Canonical Hermite basis of the integer row span (zero rows dropped)."""
-    m = [list(map(int, row)) for row in rows]
+    m = [list(row) for row in rows]
     rank = _hnf_inplace(m)
     return m[:rank]
 
@@ -69,7 +93,7 @@ def span_and_relations(rows) -> tuple[list[list[int]], list[list[int]]]:
     of the relations sum k_j rows[j] = 0: [rows | I] echelonized on the
     columns of ``rows`` spans the (k @ rows | k), the (0 | k) last."""
     width = len(rows[0])
-    m = [list(map(int, row)) + [int(i == j) for i in range(len(rows))] for j, row in enumerate(rows)]
+    m = [list(row) + [int(i == j) for i in range(len(rows))] for j, row in enumerate(rows)]
     rank = _hnf_inplace(m, width)
     return [row[:width] for row in m[:rank]], [row[width:] for row in m[rank:]]
 

@@ -76,7 +76,10 @@ def _write(obj, newline: str, emit) -> None:
     elif obj is False:
         emit("false")
     elif isinstance(obj, int):
-        emit(int.__repr__(obj))
+        try:
+            emit(int.__repr__(obj))
+        except ValueError:  # more digits than the interpreter converts at once
+            emit(_decimal(obj))
     elif isinstance(obj, list):
         if not obj:
             emit("[]")
@@ -185,8 +188,29 @@ def _encode_terms(names, nums, den: int) -> list[dict]:
         if not n:
             continue
         g = gcd(n, den)
-        out.append({"monomial": names[mask], "num": str(n // g), "den": str(den // g)})
+        try:
+            num_text, den_text = str(n // g), str(den // g)
+        except ValueError:  # more digits than the interpreter converts at once
+            num_text, den_text = _decimal(n // g), _decimal(den // g)
+        out.append({"monomial": names[mask], "num": num_text, "den": den_text})
     return out
+
+
+# digits per chunk of :func:`_decimal`, under the least digit limit (640)
+# that ``sys.set_int_max_str_digits`` accepts
+_CHUNK_DIGITS = 500
+
+
+def _decimal(n: int) -> str:
+    """``str(n)`` for an int of any length, written in chunks of
+    ``_CHUNK_DIGITS`` digits, each within the interpreter's digit limit."""
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    base, chunks = 10**_CHUNK_DIGITS, []
+    while n >= base:
+        n, low = divmod(n, base)
+        chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
+    chunks.append(str(n))
+    return sign + "".join(reversed(chunks))
 
 
 def _term_integer(term: dict, key: str) -> int:
@@ -277,6 +301,13 @@ def _read_rows(values: list, field: Field, name) -> tuple[list[list[int]], int]:
     return [_place(cells, den, 2 * size) for cells in vectors], den
 
 
+# The most vectors a generators, vertices or basis list may hold, counted
+# before any term is read.  decide's relation echelon grows as m**2: 2,048
+# generators take about 0.65 s in process (2-vCPU VM, Python 3.11), and a
+# vertex list of that length has half as many generators.
+MAX_VECTORS = 2048
+
+
 def _decode_rows(doc: dict, key: str, field: Field, where: str = "") -> tuple[list[list[int]], int]:
     """The vectors under ``doc[key]`` as :func:`_read_rows` reads them;
     errors name the key and index.
@@ -287,6 +318,8 @@ def _decode_rows(doc: dict, key: str, field: Field, where: str = "") -> tuple[li
         name = f"{where}.{key}" if where else repr(key)
         raise GeometryError(f"{name} must be a list of {{x, y}} objects, got {values!r}")
     prefix = f"{where}." if where else ""
+    if len(values) > MAX_VECTORS:
+        raise GeometryError(f"{prefix}{key} has {len(values)} vectors, over the budget of {MAX_VECTORS}")
     return _read_rows(values, field, lambda i: f"{prefix}{key}[{i}]")
 
 
@@ -501,10 +534,34 @@ def encode_canonical_lattice(result: CanonicalLattice, field: Field) -> dict:
     }
 
 
+# The most levels of nested arrays and objects a document may have.  The
+# deepest document json.loads reads differs between interpreters (about
+# 1,000 levels less the caller's stack on 3.10 and 3.11, more from 3.12), so
+# a stated budget below all of them makes the refusal the same everywhere.
+MAX_JSON_DEPTH = 512
+
+
+def _too_deep(doc) -> bool:
+    """Whether the parsed value nests more than MAX_JSON_DEPTH levels of
+    arrays and objects; walked with a stack, not recursion."""
+    stack = [(doc, 1)]
+    while stack:
+        value, level = stack.pop()
+        if isinstance(value, dict):
+            value = value.values()
+        elif not isinstance(value, list):
+            continue
+        if level > MAX_JSON_DEPTH:
+            return True
+        stack.extend((v, level + 1) for v in value)
+    return False
+
+
 def load_document(path: str) -> dict:
     try:
         with open(path, "rb") as fh:
-            doc = json.loads(fh.read().decode("utf-8"))  # the bytes are freed before the parse
+            text = fh.read().decode("utf-8")  # the bytes are freed before the parse
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ZonotileError(f"{path}: not valid JSON ({exc})") from exc
     except UnicodeDecodeError as exc:
@@ -513,6 +570,9 @@ def load_document(path: str) -> dict:
         raise ZonotileError(f"{path}: a JSON number is too long ({exc})") from exc
     except RecursionError:
         raise ZonotileError(f"{path}: JSON nested too deeply") from None
+    # a document has at most as many levels as it has '[' and '{'
+    if text.count("[") + text.count("{") > MAX_JSON_DEPTH and _too_deep(doc):
+        raise ZonotileError(f"{path}: JSON nested too deeply")
     if not isinstance(doc, dict):
         raise ZonotileError(f"{path}: top-level JSON value must be an object")
     return doc

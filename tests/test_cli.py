@@ -5,6 +5,7 @@ import functools
 import hashlib
 import io
 import json
+import random
 import sys
 import tempfile
 import time
@@ -715,6 +716,69 @@ class TestTypedErrors:
             path.write_text(text)
             for argv in argvs:
                 self.fails(capsys, argv, named)
+
+    def test_nesting_budget(self, capsys, tmp_path):
+        # MAX_JSON_DEPTH levels are read on every interpreter, and one more
+        # is refused as too deep, whatever depth the interpreter could parse
+        path = tmp_path / "deep.json"
+        for lists, named in [
+            (jsonio.MAX_JSON_DEPTH - 1, "generators[0] must be an object with 'x' and 'y'"),
+            (jsonio.MAX_JSON_DEPTH, f"{path}: JSON nested too deeply"),
+        ]:
+            path.write_text('{"field": [], "generators": ' + "[" * lists + "]" * lists + "}")
+            self.fails(capsys, ["decide", str(path)], named)
+
+    def test_vector_lists_over_the_budget(self, capsys, tmp_path):
+        # the length is checked before any entry is read: these entries are
+        # no vectors, and only a list within the budget gets to say so
+        budget = jsonio.MAX_VECTORS
+        path, lattice = tmp_path / "long.json", tmp_path / "z2.json"
+        lattice.write_text(jsonio.dumps(jsonio.encode_lattice(PlaneLattice(V(1, 0), V(0, 1)))))
+        for entries, named in [
+            (budget + 1, lambda where: f"{where} has {budget + 1} vectors, over the budget of {budget}"),
+            (budget, lambda where: f"{where}[0] must be an object with 'x' and 'y'"),
+        ]:
+            for doc, argv, where in [
+                ({"generators": [None] * entries}, ["decide", str(path)], "generators"),
+                ({"vertices": [None] * entries}, ["canon", str(path)], "vertices"),
+                ({"generators": [None] * entries}, ["check", str(path), str(lattice)], "generators"),
+                ({"polygon": {"vertices": [None] * entries}, "lambda": {"periodic": []}}, ["verify", str(path)],
+                 "polygon.vertices"),
+            ]:
+                path.write_text(json.dumps(dict(doc, field=[])))
+                self.fails(capsys, argv, named(where))
+
+    def test_integers_past_the_digit_limit_never_exit_3(self, capsys, tmp_path):
+        # 2,200-digit integers are read (the limit on input is 4,300 digits),
+        # and the lattices, areas and counts built from them have more
+        rng = random.Random(2200)
+        a, b, c = (rng.randrange(10**2199, 10**2200) for _ in range(3))
+
+        def vec(x, y, den=1):
+            term = lambda n: [{"monomial": "1", "num": str(n), "den": str(den)}] if n else []
+            return {"x": term(x), "y": term(y)}
+
+        files = {
+            "poly": {"generators": [vec(a, 0), vec(c, b), vec(0, 1)]},
+            "tiny": {"generators": [vec(1, 0, a), vec(1, 1, b), vec(0, 1, c)]},
+            "lattice": {"basis": [vec(a, 0), vec(c, b)]},
+            "square": {"polygon": {"vertices": [vec(0, 0), vec(a, 0), vec(a, b), vec(0, b)]},
+                       "lambda": {"periodic": [{"lattice": {"basis": [vec(a, 0), vec(0, b)]}}], "window": [0, 0, 1, 1]}},
+            "zonotope": {"polygon": {"generators": [vec(a, 0), vec(c, b), vec(0, 1)]},
+                         "lambda": {"periodic": [{"lattice": {"basis": [vec(a, 0), vec(c, b)]}}], "window": [0, 0, 1, 1]}},
+        }
+        for name, doc in files.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(dict(doc, field=[])))
+        path = lambda name: str(tmp_path / f"{name}.json")
+        svg = str(tmp_path / "x.svg")
+        for argv in [
+            ["decide", path("poly")], ["canon", path("poly")], ["decide", path("tiny")], ["canon", path("tiny")],
+            ["check", path("poly"), path("lattice")], ["check", path("tiny"), path("lattice")],
+            ["verify", path("square")], ["verify", path("zonotope")],
+            ["render", path("square"), "-o", svg], ["render", path("zonotope"), "-o", svg],
+        ]:
+            assert main(argv) in (0, 1, 2), argv
+            assert "internal error" not in capsys.readouterr().err
 
     def test_element_errors_name_their_location_in_a_polygon(self, capsys, tmp_path):
         one = [{"monomial": "1", "num": "1", "den": "1"}]

@@ -128,3 +128,88 @@ def test_span_and_relations_edge_cases():
     span, relations = span_and_relations([[2, 0], [0, 2], [1, 1]])
     assert span == [[1, 1], [0, 2]]
     assert row_hnf(relations) == [[1, 1, -2]]  # t1 + t2 = 2 t3
+
+
+def in_echelon_lattice(v, basis):
+    """Whether v is an integer combination of ``basis``, nonzero rows whose
+    leading entries sit in strictly increasing columns: forward
+    substitution, one row at a time from the top."""
+    v = list(v)
+    for row in basis:
+        c = next(i for i, x in enumerate(row) if x)
+        q, rest = divmod(v[c], row[c])
+        if rest:
+            return False
+        v = [x - q * y for x, y in zip(v, row)]
+    return not any(v)
+
+
+def assert_hermite_shape(h):
+    """Pivots strictly increasing and positive, zeros left of and below
+    each pivot, entries above it in [0, pivot)."""
+    pivots = [next(i for i, x in enumerate(row) if x) for row in h]
+    assert pivots == sorted(set(pivots))
+    for r, (row, c) in enumerate(zip(h, pivots)):
+        assert row[c] > 0
+        assert all(0 <= above[c] < row[c] for above in h[:r])
+        assert not any(below[c] for below in h[r + 1 :])
+
+
+def wide_rows(rng, width, n, r):
+    """n integer rows of ``width`` columns whose lattice is that of r
+    echelon rows B, entries up to about 10**30, with zero columns, zero
+    rows and duplicate rows; returns them with B.  B's pivots are neither
+    positive nor reduced, and the rows are a unimodular change of B
+    followed by small integer combinations of it, so both lattices are
+    equal by construction."""
+    big = lambda: rng.choice([rng.randint(-9, 9), rng.randint(-10**30, 10**30)])
+    zero_cols = set(rng.sample(range(width), rng.randint(0, width // 3)))
+    pivots = sorted(rng.sample([c for c in range(width) if c not in zero_cols], r))
+    basis = []
+    for p in pivots:
+        row = [0 if c < p or c in zero_cols else big() for c in range(width)]
+        row[p] = row[p] or rng.choice([-1, 1]) * rng.randint(1, 10**30)
+        basis.append(row)
+    u = [[int(i == j) for j in range(r)] for i in range(r)]
+    for _ in range(3 * r):
+        i, j = rng.sample(range(r), 2) if r > 1 else (0, 0)
+        if i != j:
+            q = rng.randint(-4, 4)
+            u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+        if rng.random() < 0.3:
+            u[i] = [-x for x in u[i]]
+    while len(u) < n:
+        kind = rng.random()
+        if kind < 0.2 or not u:
+            u.append([0] * r)
+        elif kind < 0.5:
+            u.append(list(rng.choice(u)))
+        else:
+            u.append([rng.randint(-3, 3) for _ in range(r)])
+    rng.shuffle(u)
+    return matmul(u, basis) if r else [[0] * width for _ in range(n)], basis
+
+
+def test_hnf_and_relations_on_wide_rows_with_huge_entries():
+    """Held to what defines them, not to the kernel that computes them:
+    the Hermite rows have Hermite shape and the same lattice as the input
+    (each is tested inside the other by forward substitution against an
+    echelon basis), and the relations annihilate the rows, number n - rank
+    and span what the kernel oracle's relations span."""
+    rng = random.Random(36)
+    for _ in range(100):
+        width, n = rng.randint(2, 36), rng.randint(1, 20)
+        r = rng.randint(0, min(n, width - width // 3))
+        rows, basis = wide_rows(rng, width, n, r)
+        h = row_hnf(rows)
+        assert_hermite_shape(h)
+        assert len(h) == r
+        assert all(in_echelon_lattice(row, h) for row in rows)
+        assert all(in_echelon_lattice(row, basis) for row in h)
+        span, relations = span_and_relations(rows)
+        assert span == h
+        assert len(relations) == n - r
+        for k in relations:
+            assert all(sum(kj * row[c] for kj, row in zip(k, rows)) == 0 for c in range(width))
+        transpose = [list(col) for col in zip(*rows)]
+        assert row_hnf(relations) == row_hnf(right_kernel(transpose))

@@ -419,6 +419,21 @@ class TestWriter:
             with pytest.raises(TypeError):
                 jsonio.dumps(doc)
 
+    def test_writes_integers_past_the_digit_limit(self):
+        # str() refuses more than sys.get_int_max_str_digits() digits (4,300
+        # by default); the writer and the term encoder do not
+        cases = [
+            (10**5000 + 7, "1" + "0" * 4999 + "7"),
+            (-2 * 10**9999, "-2" + "0" * 9999),
+            (10**4301 - 1, "9" * 4301),
+            (-123456789 * (10**6300 - 1) // (10**9 - 1), "-" + "123456789" * 700),
+        ]
+        for n, text in cases:
+            assert jsonio.dumps([n, {"n": n}]) == f'[\n  {text},\n  {{\n    "n": {text}\n  }}\n]\n'
+            assert jsonio.encode_element(Q.rational(n)) == [{"monomial": "1", "num": text, "den": "1"}]
+        tiny = jsonio.encode_element(Q.rational(Fraction(-1, 10**4400)))
+        assert tiny == [{"monomial": "1", "num": "-1", "den": "1" + "0" * 4400}]
+
     def test_leaves_no_cyclic_garbage(self):
         doc = {"field": [2], "generators": [jsonio.encode_vector(V(1, F2.sqrt(2) / 3, F2))] * 3, "ok": True}
         gc.collect()
