@@ -14,11 +14,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from zonotile import BUILTIN_NAMES, Field, FieldElement, PlaneLattice, Zonotope, vector
 from zonotile import cli, covering, criteria, jsonio
+from zonotile.errors import ZonotileError
 from zonotile.arrangement import Face
 from zonotile.cli import main
 
@@ -498,16 +499,16 @@ class TestUsage:
         assert main([]) == 2
 
     def test_command_arguments_are_parsed_once(self, capsys, octagon_file, monkeypatch):
-        progs = []
-        parse = argparse.ArgumentParser.parse_known_args
+        reads = []
+        read = cli._read
 
-        def counting(self, *args, **kwargs):
-            progs.append(self.prog)
-            return parse(self, *args, **kwargs)
+        def counting(argv):
+            reads.append(list(argv))
+            return read(argv)
 
-        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+        monkeypatch.setattr(cli, "_read", counting)
         assert run(capsys, ["decide", octagon_file])[0] == 0
-        assert progs == ["zonotile decide"]
+        assert reads == [["decide", octagon_file]]
 
     def test_exit_codes(self, capsys, tmp_path):
         for argv, code in [(["-h"], 0), (["nosuch"], 2), (["decide"], 2), (["decide", "-h"], 0)]:
@@ -519,15 +520,31 @@ class TestUsage:
         err = capsys.readouterr().err
         assert "zonotile verify: error: unrecognized arguments: --mode sampled" in err
 
-    def test_every_option_is_checked_for_a_missing_value(self):
-        _, commands = cli._build_parser()
-        dests = {a.dest for p in commands.values() for a in p._actions if a.option_strings and a.dest != "help"}
-        assert dests == set(cli._OPTIONS)
+    def test_every_option_is_checked_for_a_missing_value(self, capsys, tmp_path):
+        # every flag of every command, in every form, with no value, the
+        # value "--" given explicitly, or the next token "--"; nothing is read
+        for name, (_, _, positionals, options, choices) in cli._COMMANDS.items():
+            needed = [choices[p][0] if p in choices else p for p in positionals]
+            needed += ["-o", str(tmp_path / "x.svg")] if "-o" in options else []
+            for flag, (dest, _, _) in options.items():
+                for tail, message in [
+                    ([flag], f"argument {cli._flag_names(options, options[flag])}: expected one argument"),
+                    ([flag, "--"], "expected one argument"),
+                    ([flag, "--", "x"], "expected one argument"),
+                    ([f"{flag}=--"], f"zonotile: error: --{dest}: expected one argument"),
+                    ([f"{flag[:3]}=--"], f"zonotile: error: --{dest}: expected one argument"),
+                ]:
+                    assert main([name, *needed, *tail]) == 2, (name, tail)
+                    assert message in capsys.readouterr().err, (name, tail)
+        assert not (tmp_path / "x.svg").exists()
 
     def test_a_file_may_be_named_double_dash(self, capsys, octagon_file, monkeypatch, tmp_path):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "--").write_text(Path(octagon_file).read_text())
         assert run(capsys, ["decide", "--", "--"])[0] == 0
+        # a later positional too: argparse read this lattice as [], and check exited 3
+        (tmp_path / "--").write_text(jsonio.dumps(jsonio.encode_lattice(PlaneLattice(V(1, 0), V(0, 1)))))
+        assert run(capsys, ["check", octagon_file, "--", "--"])[0] == 0
 
     def test_console_script_reads_sys_argv(self, capsys, octagon_file, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["zonotile", "decide", octagon_file])
@@ -538,6 +555,168 @@ class TestUsage:
         assert main(["examples", "heptomino"]) == 2
         assert main(["examples", "octagon-family", "--beta", "1/0"]) == 2
         assert "'1/0'" in capsys.readouterr().err
+
+    def test_negative_option_values(self, capsys, tmp_path):
+        # a flag takes the next token as its value unless it starts with "--",
+        # so a negative value needs no "=" (argparse read "-1/3" as a flag)
+        for spaced, attached in [
+            (["--beta", "-1/3"], ["--beta=-1/3"]),
+            (["--window", "-4,-4,4,4"], ["--window=-4,-4,4,4"]),
+            (["--window", "-4,-4,4,4", "--beta", "-1/3"], ["--window=-4,-4,4,4", "--beta=-1/3"]),
+        ]:
+            code, out = run(capsys, ["examples", "octagon-family", *spaced])
+            assert code == 0, capsys.readouterr().err
+            assert (code, out) == run(capsys, ["examples", "octagon-family", *attached])
+        scene = tmp_path / "scene.json"
+        scene.write_text(run(capsys, ["examples", "tetromino-L1"])[1])
+        svg = tmp_path / "x.svg"
+        assert main(["render", str(scene), "-o", str(svg), "--window", "-3,-3,3,3"]) == 0
+        main(["render", str(scene), "-o", str(tmp_path / "y.svg"), "--window=-3,-3,3,3"])
+        assert svg.read_text() == (tmp_path / "y.svg").read_text()
+
+
+@functools.cache
+def _argparse_parsers():
+    """The argparse parsers that read the command line before the table
+    reader, built here from the reader's own table: the top-level parser
+    and the command parsers by name (the reference for the reader)."""
+    top = argparse.ArgumentParser(prog="zonotile")
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, (_, _, positionals, options, choices) in cli._COMMANDS.items():
+        parser = sub.add_parser(name)
+        for positional in positionals:
+            parser.add_argument(positional, choices=choices.get(positional))
+        for option in dict.fromkeys(options.values()):
+            dest, _, required = option
+            parser.add_argument(*(flag for flag in options if options[flag] is option), dest=dest, required=required)
+    return top, sub.choices
+
+
+def _argparse_reads(argv):
+    """What the argparse parsers made of argv: "help", "refused" or the values."""
+    top, commands = _argparse_parsers()
+    parser, rest = (commands[argv[0]], argv[1:]) if argv and argv[0] in commands else (top, argv)
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            values = vars(parser.parse_args(rest))
+    except SystemExit as exc:
+        return "help" if exc.code == 0 else "refused"
+    # before Python 3.13 argparse read "--flag=--" as [], and main refused
+    # an option value of [] or "--" after the parse
+    options = {dest for dest, _, _ in cli._COMMANDS[argv[0]][3].values()}
+    return "refused" if any(values[dest] in ([], "--") for dest in options) else values
+
+
+def _reader_reads(argv):
+    """What the table reader makes of argv: "help", "refused" or the values."""
+    try:
+        values = vars(cli._read(argv))
+    except (cli._Usage, ZonotileError):
+        assert main(argv) == 2  # refused before any file is read
+        return "refused"
+    return "help" if values.pop("fn") is cli._help else values
+
+
+# values that argparse and the reader both read as a flag's next token, or
+# both refuse; a token with one leading dash is where they differ (the reader
+# takes it, argparse read it as a flag), and so is one like "--a b"
+_VALUES = st.one_of(
+    st.sampled_from(["1/3", "sqrt(2)", "0,0,1,1", "", "a=b", "x y", "--", "--x", "--win", "---"]),
+    st.text(alphabet="ab1/,=. ", max_size=4),
+)
+# values a flag carries in its own token: anything
+_ATTACHED = st.one_of(_VALUES, st.sampled_from(["-1/3", "-4,-4,4,4", "-", "--a b", "-o", "-h"]))
+# positionals and stray tokens: files, numbers and dash tokens that argparse
+# reads as positionals ("-", "-1", "a b") or as unknown flags ("-x", "--mode")
+_TOKENS = st.one_of(
+    st.sampled_from(["a.json", "-", "-1", "-2.5", "a b", "--a b", "", "-x", "--mode", "--samples=3", "-1/3"]),
+    st.text(alphabet="ab1/,=-. ", max_size=4).filter(lambda t: t != "--" and not t.startswith("--=")),
+)
+_HELP_TOKENS = st.sampled_from(["-h", "--help", "--h", "--he", "--hel", "-h=1", "--help=", "--he=x"])
+_ALL_FLAGS = sorted({flag for spec in cli._COMMANDS.values() for flag in spec[3]})
+
+
+@st.composite
+def _command_lines(draw):
+    """argv from the grammar: positionals, every flag form with and without
+    its value, prefixes, repeats, help, unknown flags, "--", in any order."""
+    name = draw(st.sampled_from([*cli._COMMANDS, None]))
+    if name is None:  # no command first: help, unknown flags and stray words
+        return draw(st.lists(st.one_of(_HELP_TOKENS, _TOKENS, st.just("nosuch")), max_size=4))
+    _, _, positionals, options, choices = cli._COMMANDS[name]
+    words = []
+    for positional in positionals + ("extra",):
+        if positional in choices:
+            words.append([draw(st.sampled_from([*choices[positional], "heptomino"]))])
+        else:
+            words.append([draw(_TOKENS)])
+    words = words[: draw(st.sampled_from([len(positionals)] * 3 + list(range(len(words) + 1))))]
+    if words and draw(st.booleans()):  # "--" right before a positional
+        k = draw(st.integers(0, len(words) - 1))
+        words[k] = ["--", *words[k]]
+    items = []
+    own = st.sampled_from(sorted(options)) if options else st.nothing()
+    for _ in range(draw(st.integers(0, 3))):
+        flag = draw(st.one_of(own, st.sampled_from(_ALL_FLAGS)))  # other commands' flags are unknown here
+        form = draw(st.sampled_from(["space", "equals", "prefix", "prefix=", "attached", "bare", "help", "stray"]))
+        if form == "help":
+            items.append([draw(_HELP_TOKENS)])
+        elif form == "stray":
+            items.append([draw(_TOKENS)])
+        elif form == "bare":
+            items.append([flag])
+        elif form == "space":
+            items.append([flag, draw(_VALUES)])
+        elif form == "equals":
+            items.append([f"{flag}={draw(_ATTACHED)}"])
+        elif form == "attached" and not flag.startswith("--"):
+            value = draw(_ATTACHED.filter(lambda v: v and not v.startswith("=")))
+            items.append([flag + value])
+        elif flag.startswith("--"):
+            prefix = flag[: draw(st.integers(3, len(flag)))]
+            items.append([prefix, draw(_VALUES)] if form == "prefix" else [f"{prefix}={draw(_ATTACHED)}"])
+    # options before, between and after the positionals, in drawn order
+    for item in items:
+        words.insert(draw(st.integers(0, len(words))), item)
+    return [name, *(token for word in words for token in word)]
+
+
+def _takes_next(name, token) -> bool:
+    """Whether the reader takes the token after this one as its value."""
+    flags = cli._FLAGS[name]
+    option, value = flags.get(token), None
+    if option is None and token[:1] == "-" and token not in ("-", "--"):
+        option, value = cli._attached(name, flags, token)
+    return value is None and option not in (None, cli._HELP, cli._END)
+
+
+class TestReaderAgainstArgparse:
+    """The table reader reads every command line of its grammar as the
+    argparse parsers it replaced did (built here from the same table):
+    the same values, help, or a refusal with exit 2 on both sides.  The one
+    intended difference, a flag followed by a token with one leading dash,
+    is left out, and tested in ``test_negative_option_values``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_command_lines())
+    @example(["examples", "octagon-family", "--beta", "1/3", "--win=0,0,1,1", "--beta=2"])
+    @example(["render", "-o", "x.svg", "--", "-1"])
+    @example(["decide", "--", "--"])
+    @example(["examples", "heptomino", "-h"])
+    @example(["examples", "-h", "heptomino"])
+    @example(["verify", "a.json", "--mode", "sampled"])
+    @example(["render", "a.json", "-ox.svg", "-o=y.svg", "--output", "z.svg"])
+    @example(["check", "a.json"])
+    @example(["nosuch", "-h"])
+    @example([])
+    def test_same_reading(self, argv):
+        command = argv[0] if argv and argv[0] in cli._COMMANDS else None
+        ended = False
+        for token, after in zip(argv[1:], argv[2:]):
+            ended = ended or token == "--"
+            if not ended and _takes_next(command, token):
+                assume(not (after[:1] == "-" and after[:2] != "--") and not (after[:2] == "--" and " " in after))
+        assert _reader_reads(argv) == _argparse_reads(argv), argv
 
 
 class TestTypedErrors:
@@ -675,18 +854,18 @@ class TestTypedErrors:
         assert not (tmp_path / "x.svg").exists() and not (tmp_path / "--").exists()
 
     def test_explicit_double_dash_values_as_python_3_13_reads_them(self, capsys, tmp_path, monkeypatch):
-        # from Python 3.13 argparse hands "--flag=--" over as the string "--"
-        parse = argparse.ArgumentParser.parse_args
-
-        def as_3_13(self, *args, **kwargs):
-            ns = parse(self, *args, **kwargs)
-            for name, value in vars(ns).items():
-                if value == []:
-                    setattr(ns, name, "--")
-            return ns
-
-        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", as_3_13)
+        # argparse handed "--flag=--" over as [] before Python 3.13 and as "--"
+        # from it; the reader hands it over as "--" and refuses it itself, so
+        # the result is one on every Python, and only the last value counts
+        assert not hasattr(cli, "argparse")
         self.test_explicit_double_dash_values(capsys, tmp_path, monkeypatch)
+        for argv, code in [
+            (["examples", "octagon-family", "--beta=--", "--beta", "1/3"], 0),
+            (["examples", "octagon-family", "--beta", "1/3", "--beta=--"], 2),
+            (["examples", "octagon-family", "--beta=--", "-h"], 0),
+        ]:
+            assert main(argv) == code, argv
+        capsys.readouterr()
 
     def test_exponent_literals_refused_at_once(self, capsys):
         # 10**99999999 would take minutes to build and could not be written back
@@ -779,6 +958,44 @@ class TestTypedErrors:
         ]:
             assert main(argv) in (0, 1, 2), argv
             assert "internal error" not in capsys.readouterr().err
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_huge_integers_and_deep_nesting_never_exit_3(self, data):
+        # numerators and denominators up to the input limit of 4,300 digits,
+        # and documents nested from just under to just over MAX_JSON_DEPTH;
+        # 30 examples of five commands each take about 1 s on a 2-vCPU VM
+        digits = data.draw(st.one_of(st.sampled_from([2200, 4299, 4300]), st.integers(1, 4300)))
+        big = st.integers(10 ** (digits - 1), 10**digits - 1)
+        coordinate = st.one_of(st.integers(-3, 3).map(Fraction), st.builds(
+            Fraction, st.one_of(big, big.map(lambda n: -n), st.just(1)), st.one_of(big, st.just(1))))
+        points = st.tuples(coordinate, coordinate)
+        term = lambda c: [{"monomial": "1", "num": str(c.numerator), "den": str(c.denominator)}] if c else []
+        vec = lambda p: {"x": term(p[0]), "y": term(p[1])}
+        # generators turned into the upper half-plane and sorted by argument,
+        # so that most documents are zonotopes and reach the kernel
+        upper = lambda p: (-p[0], -p[1]) if p[1] < 0 or (p[1] == 0 and p[0] < 0) else p
+        after = lambda p, q: 1 if p[0] * q[1] - p[1] * q[0] <= 0 else -1
+        drawn = {upper(p) for p in data.draw(st.lists(points, min_size=2, max_size=4)) if p != (0, 0)}
+        generators = [vec(p) for p in sorted(drawn, key=functools.cmp_to_key(after))]
+        basis = [vec(data.draw(points)), vec(data.draw(points))]
+        scene = {"polygon": {"generators": generators}, "lambda": {"periodic": [{"lattice": {"basis": basis}}],
+                                                                   "window": [0, 0, 1, 1]}}
+        docs = {"poly": {"generators": generators}, "lattice": {"basis": basis}, "scene": scene}
+        if data.draw(st.booleans()):  # the vector lists nested to a drawn depth in all
+            depth = data.draw(st.integers(jsonio.MAX_JSON_DEPTH - 2, jsonio.MAX_JSON_DEPTH + 2))
+            nest = lambda value, levels: nest([value], levels - 1) if levels else value
+            docs["poly"]["generators"] = nest(generators, depth - 5)  # object, list, vector, element, term
+            docs["lattice"]["basis"] = nest(basis, depth - 5)
+            scene["polygon"] = {"generators": nest(generators, depth - 6)}
+        with tempfile.TemporaryDirectory() as work:
+            path = {name: str(Path(work, f"{name}.json")) for name in docs}
+            for name, doc in docs.items():
+                Path(path[name]).write_text(json.dumps(dict(doc, field=[])))
+            for argv in [["decide", path["poly"]], ["canon", path["poly"]], ["check", path["poly"], path["lattice"]],
+                         ["verify", path["scene"]], ["render", path["scene"], "-o", str(Path(work, "x.svg"))]]:
+                code, err = _errors(argv)
+                assert code in (0, 1, 2) and "internal error" not in err, (argv, err)
 
     def test_element_errors_name_their_location_in_a_polygon(self, capsys, tmp_path):
         one = [{"monomial": "1", "num": "1", "den": "1"}]
