@@ -16,18 +16,19 @@ Two layers:
   before it is returned; :func:`canonical_lattice` reuses its spans.
 
 Both run on the zonotope's integer rows (generators and pair translations
-over one denominator): spans are Hermite forms of rows, and the span of
-all m translations with their integer relations sum k_j t_j = 0 gives
-every drop-one span (the span without t_j is the full span whenever the
-gcd of the relations' j-th entries is 1).  Each row is solved once into
-lattice coordinates over one k, so membership, det(e, tau) / det(L) and
-area / det(L) are small-integer arithmetic (off the lattice's rational
-span, a ratio is rational iff two numerator tuples are proportional), and
-no step, not even the even witness, does field arithmetic.  For even m
-only the first drop-one span whose ratio det(t_j0, e_j0) / det(M_j0) is
-rational solves t_j0 and e_j0 into coordinates, to build the witness;
-every later span needs only to know that its ratio is rational, which
-always holds over Q and otherwise is the numerator test alone.
+over one denominator): spans are Hermite forms of rows, and the Hermite
+forms of the translations' prefixes and suffixes give every drop-one span
+in O(m) forms of a few rows each (the span without t_j is the full span
+whenever the prefix before it or the suffix after it already spans all
+m translations).  Each row is solved once into lattice coordinates over
+one k, so membership, det(e, tau) / det(L) and area / det(L) are
+small-integer arithmetic (off the lattice's rational span, a ratio is
+rational iff two numerator tuples are proportional), and no step, not
+even the even witness, does field arithmetic.  For even m only the first
+drop-one span whose ratio det(t_j0, e_j0) / det(M_j0) is rational solves
+t_j0 and e_j0 into coordinates, to build the witness; every later span
+needs only to know that its ratio is rational, which always holds over Q
+and otherwise is the numerator test alone.
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ def decide_multitiling(p: Zonotope) -> Decision:
     Parallelograms trivially tile, so they answer True with the generator
     lattice rather than being refused.  For even m every drop-one span
     that is a lattice is kept in ``drop_one_spans``, whatever the verdict;
-    only those whose relation gcd is not 1 (see
+    only those that are not the full span (see
     :func:`~zonotile.lattice.drop_one_spans`) take a Hermite form apart.
     """
     shifts = p.translation_rows()
@@ -169,10 +170,9 @@ def decide_multitiling(p: Zonotope) -> Decision:
     succeeded: list[int] = []
     spans: list[tuple[int, PlaneLattice]] = []
     witness = witness_j0 = None
-    for j0, span in enumerate(drop_one_spans(field, shifts, den), start=1):
-        if span.verdict != LATTICE:
+    for j0, sub in enumerate(drop_one_spans(field, shifts, den), start=1):
+        if sub is None:
             continue
-        sub = span.basis
         spans.append((j0, sub))
         e, t = p.rows[j0 - 1], shifts[j0 - 1]
         if witness is not None:
@@ -207,7 +207,7 @@ def canonical_lattice(decision: Decision) -> CanonicalLattice:
     Odd m: the integer span of all pair translations, which is the odd
     witness.  Even m: the intersection of the decision's drop-one spans
     that are lattices, each distinct one taken once (most are the full
-    span: their relation gcd is 1).  Meets every lattice that multi-tiles
+    span of the pair translations).  Meets every lattice that multi-tiles
     with the zonotope in full rank.
     """
     if decision.branch == "parallelogram":

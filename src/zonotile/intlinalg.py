@@ -3,10 +3,9 @@ proportionality.
 
 Everything here works on lists of Python ints.  The row Hermite form is
 the one algorithm: ranks, spans, canonical bases and lattice
-intersections are all read off it, and stopped early it gives spans with
-their relations (:func:`span_and_relations`).  It takes one pass per
-column, in which each row below the pivot meets the pivot row once: by
-one subtraction when the pivot divides its entry, else by the unimodular
+intersections are all read off it.  It takes one pass per column, in
+which each row below the pivot meets the pivot row once: by one
+subtraction when the pivot divides its entry, else by the unimodular
 extended-gcd step on the pair (Cohen, *A Course in Computational
 Algebraic Number Theory*, 1993, chapter 2).  Matrices are small (up to
 a few rows over 64 columns, and m rows for a zonotope's m translations),
@@ -15,10 +14,10 @@ so the entries are not reduced modulo a determinant.
 
 from __future__ import annotations
 
-__all__ = ["row_hnf", "span_and_relations", "proportion"]
+__all__ = ["row_hnf", "proportion"]
 
 
-def _hnf_inplace(m: list[list[int]], ncols: int | None = None) -> int:
+def _hnf_inplace(m: list[list[int]]) -> int:
     """Reduce ``m`` to canonical row Hermite form in place; return the rank.
 
     One pass per column: the first row at or below the rank with a
@@ -27,13 +26,11 @@ def _hnf_inplace(m: list[list[int]], ncols: int | None = None) -> int:
     entry, else by the unimodular extended-gcd step that leaves the gcd
     in the pivot row and a zero below it.  Then the pivot is made
     positive and the rows above it reduced into [0, pivot); zero rows
-    sink to the bottom, and it stops after ``ncols`` columns.
+    sink to the bottom.
     """
     nrows = len(m)
-    if ncols is None:
-        ncols = len(m[0]) if m else 0
     r = 0
-    for c in range(ncols):
+    for c in range(len(m[0]) if m else 0):
         if r >= nrows:
             break
         for p in range(r, nrows):
@@ -86,16 +83,6 @@ def row_hnf(rows) -> list[list[int]]:
     m = [list(row) for row in rows]
     rank = _hnf_inplace(m)
     return m[:rank]
-
-
-def span_and_relations(rows) -> tuple[list[list[int]], list[list[int]]]:
-    """The Hermite rows of the span of ``rows`` and a basis (not canonical)
-    of the relations sum k_j rows[j] = 0: [rows | I] echelonized on the
-    columns of ``rows`` spans the (k @ rows | k), the (0 | k) last."""
-    width = len(rows[0])
-    m = [list(row) + [int(i == j) for i in range(len(rows))] for j, row in enumerate(rows)]
-    rank = _hnf_inplace(m, width)
-    return [row[:width] for row in m[:rank]], [row[width:] for row in m[rank:]]
 
 
 def proportion(a, b) -> tuple[int, int] | None:

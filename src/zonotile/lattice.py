@@ -9,8 +9,8 @@ over one common denominator (:func:`integer_rows`).  The row Hermite form
 of the rows has the rational rank as its row count, spans the same group
 (:func:`row_span`), and for a lattice basis it is the canonical basis, so
 equal lattices compare and serialize identically.  :func:`drop_one_spans`
-reads every drop-one span of t_1..t_m off the span of all of them and
-their integer relations.
+reads every drop-one span of t_1..t_m off the Hermite forms of their
+prefixes and suffixes, O(m) forms of at most 6 rows each.
 
 A :class:`PlaneLattice` is its two Hermite rows ``rows``, their
 denominator ``den`` and the numerators of det(b1, b2) over its square;
@@ -40,7 +40,7 @@ from math import gcd, lcm
 
 from .errors import FieldError, GeometryError, IncommensurableError, InternalError
 from .field import Field, FieldElement
-from .intlinalg import proportion, row_hnf, span_and_relations
+from .intlinalg import proportion, row_hnf
 
 __all__ = [
     "PlaneVector",
@@ -219,11 +219,10 @@ class PlaneLattice:
 
     @classmethod
     def _from_hermite(cls, field: Field, h, den: int) -> "PlaneLattice | None":
-        """The lattice whose canonical rows are the two Hermite rows ``h``
-        over ``den``, or None when they are Q-independent but collinear in
-        the plane."""
+        """The lattice whose canonical rows are the Hermite rows ``h`` over
+        ``den``, or None unless they are two rows that span the plane."""
         lat = cls.__new__(cls)
-        return lat if lat._hold_rows(field, h, den) else None
+        return lat if len(h) == 2 and lat._hold_rows(field, h, den) else None
 
     def _hold_rows(self, field: Field, h, den: int) -> bool:
         """Keep the Hermite rows ``h`` over ``den``, brought to the least
@@ -330,8 +329,7 @@ class PlaneLattice:
         qn = d.denominator * (e1 * e1 + e2 * e2)
         rows = [[qn * n for n in h] for h in self.rows]
         rows.append([d.numerator * (e2 * a - e1 * b) for a, b in zip(*self.rows)])
-        h = row_hnf(rows)
-        bigger = PlaneLattice._from_hermite(self.field, h, self.den * qn) if len(h) == 2 else None
+        bigger = PlaneLattice._from_hermite(self.field, row_hnf(rows), self.den * qn)
         coords, k = bigger.span_coords(rows, self.den * qn) if bigger else ([None], 1)
         if any(c is None or c[0] % k or c[1] % k for c in coords):
             raise InternalError("adjoined point did not yield a superlattice")  # unreachable
@@ -377,37 +375,42 @@ def row_span(field: Field, rows, den: int) -> SpanAnalysis:
     rank is at most 2 and the vectors span the real plane; rank > 2 means
     a dense (non-discrete) subgroup, real span below dimension 2 means no
     full-rank subgroup at all."""
-    return _hermite_span(field, row_hnf(rows), den)
-
-
-def _hermite_span(field: Field, h, den: int) -> SpanAnalysis:
-    """The span whose Hermite rows over ``den`` are ``h``."""
-    basis = PlaneLattice._from_hermite(field, h, den) if len(h) == 2 else None
+    h = row_hnf(rows)
+    basis = PlaneLattice._from_hermite(field, h, den)
     if basis is not None:
         return SpanAnalysis(2, LATTICE, basis)
     return SpanAnalysis(len(h), NOT_DISCRETE if len(h) > 2 else RANK_DEFICIENT, None)
 
 
-def drop_one_spans(field: Field, rows, den: int) -> list[SpanAnalysis]:
-    """:func:`row_span` of ``rows`` without row j, for each j in order.
+def drop_one_spans(field: Field, rows, den: int) -> list[PlaneLattice | None]:
+    """For each j, the span of ``rows`` without row j if it is a full-rank
+    lattice, else None.
 
-    :func:`~zonotile.intlinalg.span_and_relations` gives the r Hermite rows
-    of the span M of all rows and a basis of the relations sum k_j t_j = 0.
-    With g_j the gcd of their j-th entries (in any basis), dropping t_j
-    leaves rank r if g_j != 0, else r - 1, and when g_j = 1 a relation with
-    k_j = 1 puts t_j in the span of the rest, which is then M.  Only a
-    rank-2 span with g_j != 1 takes a Hermite form of its own."""
-    h, relations = span_and_relations(rows)
-    r = len(h)
-    full = _hermite_span(field, h, den)
-    spans = []
-    for j in range(len(rows)):
-        g = gcd(*(k[j] for k in relations))
-        rank = r if g else r - 1
-        if rank != 2:
-            spans.append(SpanAnalysis(rank, NOT_DISCRETE if rank > 2 else RANK_DEFICIENT, None))
-        else:
-            spans.append(full if g == 1 else row_span(field, rows[:j] + rows[j + 1 :], den))
+    Dropping a row lowers the rank of the span M of all rows by at most
+    one, so no drop-one span is a lattice unless M has rank 2 or 3.  Then
+    the Hermite forms of rows[:j] and of rows[j+1:] grow a row at a time
+    and stop once they are M, and the span without row j is M when either
+    is, else the Hermite form of both, at most 6 rows."""
+    full = row_hnf(rows)
+    if len(full) not in (2, 3):
+        return [None] * len(rows)
+    whole = PlaneLattice._from_hermite(field, full, den)
+    return [
+        whole if before is full or after is full else PlaneLattice._from_hermite(field, row_hnf(before + after), den)
+        for before, after in zip(_growing_spans(rows, full), _growing_spans(rows[::-1], full)[::-1])
+    ]
+
+
+def _growing_spans(rows, full):
+    """The Hermite forms of rows[:j] for j = 0..m-1, each from the one
+    before and one more row, and ``full`` itself from the first equal to it."""
+    h, spans = [], [[]]
+    for row in rows[:-1]:
+        if h is not full:
+            h = row_hnf([*h, row])
+            if h == full:
+                h = full
+        spans.append(h)
     return spans
 
 

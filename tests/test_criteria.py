@@ -30,12 +30,23 @@ from zonotile import (
     rational_rank,
     vector,
 )
+import zonotile.intlinalg
 import zonotile.lattice
 from zonotile.criteria import DET_RATIO_IRRATIONAL, SPAN_NOT_DISCRETE
-from zonotile.lattice import LATTICE, NOT_DISCRETE, drop_one_spans
+from zonotile.lattice import LATTICE, drop_one_spans, row_hnf, row_span
 from zonotile.oracles import line_meets_lattice
 
-from conftest import F2, F23, Q, V, rand_element, random_zonotope, sort_by_argument, upper_half
+from conftest import (
+    F2,
+    F23,
+    Q,
+    V,
+    rand_element,
+    random_irrational_zonotope,
+    random_zonotope,
+    sort_by_argument,
+    upper_half,
+)
 
 H = Fraction(1, 2)
 
@@ -71,15 +82,15 @@ def det_ratio_failure_zonotope():
 
 
 def count_hermite_forms(monkeypatch):
-    """The row counts of the Hermite forms and span-and-relations echelons
-    ``zonotile.lattice`` takes from here on, one entry a form."""
+    """The row counts of the Hermite forms ``zonotile.lattice`` takes from
+    here on, one entry a form."""
     calls = []
-    for name in ("row_hnf", "span_and_relations"):
-        def counting(rows, _form=getattr(zonotile.lattice, name)):
-            calls.append(len(rows))
-            return _form(rows)
 
-        monkeypatch.setattr(zonotile.lattice, name, counting)
+    def counting(rows, _form=zonotile.lattice.row_hnf):
+        calls.append(len(rows))
+        return _form(rows)
+
+    monkeypatch.setattr(zonotile.lattice, "row_hnf", counting)
     return calls
 
 
@@ -263,56 +274,103 @@ class TestDecide:
 
 
 class TestDropOneSpans:
-    """``drop_one_spans`` against ``integer_span`` of the m - 1 kept
-    translations, in each of its three cases, with the Hermite forms it
-    takes: one of the block rows (t_j | unit_j), and one more for each
-    rank-2 span whose relation gcd g_j is not 1."""
+    """``drop_one_spans`` against ``integer_span`` and ``row_span`` of
+    the m - 1 kept translations, with the Hermite forms it takes: one of all m rows, then
+    prefix and suffix forms of at most 4 rows until each reaches that full
+    span, then one of at most 6 rows for each span that neither its prefix
+    nor its suffix reaches."""
 
     def spans(self, p, monkeypatch):
         calls = count_hermite_forms(monkeypatch)
         spans = drop_one_spans(p.field, p.translation_rows(), p.den)
         monkeypatch.undo()
         shifts = p.pair_translations()
-        assert spans == [integer_span(shifts[:j] + shifts[j + 1 :]) for j in range(p.m)]
+        assert spans == [integer_span(shifts[:j] + shifts[j + 1 :]).basis for j in range(p.m)]
         return spans, integer_span(shifts), calls
 
     def test_every_span_is_the_full_span(self, monkeypatch):
-        # g_j = 1 for every j: each t_j is an integer combination of the rest
+        # the prefix t1..t3 and the suffix t4..t6 already span all six,
+        # so no span takes a form of its own
         spans, full, calls = self.spans(random_zonotope(random.Random(3), m=6), monkeypatch)
         assert full.verdict == LATTICE
-        assert spans == [full] * 6
-        assert calls == [6]
+        assert spans == [full.basis] * 6
+        assert calls == [6, 1, 2, 3, 1, 2, 3]
 
     def test_octagon_spans_are_all_recomputed(self, monkeypatch):
-        # the relations 2t1 - 2t3 + 3t4 = 0 and 3t2 - 4t3 + 3t4 = 0 give
-        # g = 2, 3, 2, 3, and the spans have index 2, 3, 2, 3 in Z^2
+        # the relations 2t1 - 2t3 + 3t4 = 0 and 3t2 - 4t3 + 3t4 = 0 make
+        # every span a strict sublattice, of index 2, 3, 2, 3 in Z^2: each
+        # takes the form of its prefix and suffix together
         spans, full, calls = self.spans(octagon(), monkeypatch)
         assert full.basis == Z2()
-        assert [s.basis.det.rational_value() for s in spans] == [2, 3, 2, 3]
-        assert calls == [4, 3, 3, 3, 3]
+        assert [s.det.rational_value() for s in spans] == [2, 3, 2, 3]
+        assert calls == [4, 1, 2, 3, 1, 2, 3, 2, 3, 3, 2]
 
     def test_rank_three_leaves_one_lattice(self, monkeypatch):
         # the one relation 3t2 - 4t3 + 3t4 = 0 leaves t_1 outside the
-        # rational span of the others (g_1 = 0), so only the drop-first
-        # span has rank 2
+        # rational span of the others, so only the drop-first span has
+        # rank 2
         spans, full, calls = self.spans(det_ratio_failure_zonotope(), monkeypatch)
         assert full.q_rank == 3
-        assert spans[0].verdict == LATTICE and spans[0].basis == PlaneLattice(V(1, 0, F2), V(0, 2, F2))
-        assert [(s.q_rank, s.verdict) for s in spans[1:]] == [(3, NOT_DISCRETE)] * 3
-        assert calls == [4, 3]
+        assert spans[0] == PlaneLattice(V(1, 0, F2), V(0, 2, F2))
+        assert spans[1:] == [None] * 3
+        assert calls == [4, 1, 2, 3, 1, 2, 3, 2, 3, 3, 3]
 
-    def test_decide_takes_at_most_three_forms_whatever_m(self, monkeypatch):
-        # every drop-one span of this 24-gon is the span of all 12
-        # translations: the block form and the witness's form are all
-        # decide needs, and canon has one distinct span to intersect
-        p = random_zonotope(random.Random(12), m=12)
-        calls = count_hermite_forms(monkeypatch)
+    def test_matches_row_span_on_seeded_zonotopes(self):
+        # pair translations over Q, over Q(sqrt2) and Q(sqrt2, sqrt3) with
+        # one generator scaled by sqrt2 or with sparse irrational
+        # generators, and small integer combinations of their first r
+        # rows, the r-th only in the first combination so that dropping it
+        # can lower the rank: the full spans reach every rank from 1 to
+        # beyond 3
+        rng = random.Random(39)
+        ranks, kinds = set(), set()
+        pool = [Fraction(n, 2) for n in range(-8, 9)]
+        for _ in range(150):
+            field, m = rng.choice([Q, F2, F23]), rng.randint(3, 24)
+            if field is Q or rng.random() < 0.6:
+                p = random_zonotope(rng, field, m, pool)
+                if field is not Q:
+                    gens, k = list(p.generators), rng.randrange(m)
+                    gens[k] = gens[k].scale(field.sqrt(2))
+                    p = Zonotope(gens)
+            else:
+                p = random_irrational_zonotope(rng, field, min(m, 8))
+            shifts = p.translation_rows()
+            r = rng.randint(1, 3)
+            cs = [[rng.randint(-2, 2) for _ in range(r - (j > 0))] + [0] * (j > 0) for j in range(m)]
+            mixed = [[sum(c * row[i] for c, row in zip(cj, shifts)) for i in range(len(shifts[0]))] for cj in cs]
+            for rows in (shifts, mixed):
+                spans = drop_one_spans(p.field, rows, p.den)
+                assert spans == [row_span(p.field, rows[:j] + rows[j + 1 :], p.den).basis
+                                 for j in range(len(rows))]
+                rank = len(row_hnf(rows))
+                ranks.add(min(rank, 4))
+                full = row_span(p.field, rows, p.den).basis
+                kinds.update((min(rank, 4), "none" if s is None else "full" if s == full else "own") for s in spans)
+        assert {1, 2, 3, 4} <= ranks
+        assert {(2, "full"), (2, "own"), (3, "own"), (3, "none"), (4, "none")} <= kinds
+
+    def test_decide_and_canon_take_narrow_forms_linear_in_m(self, monkeypatch):
+        # 2,048 generators (x, 1): every form has the rows' width, each
+        # after the one of all m translations has at most 7 rows, and there
+        # are O(m) of them; every drop-one span is the span of all
+        # translations, so canon intersects nothing
+        p = Zonotope([V(x, 1) for x in range(1024, -1024, -1)])
+        sizes = []
+        hnf_inplace = zonotile.intlinalg._hnf_inplace
+
+        def counted(m):
+            sizes.append((len(m), len(m[0])))
+            return hnf_inplace(m)
+
+        monkeypatch.setattr(zonotile.intlinalg, "_hnf_inplace", counted)
         dec = decide_multitiling(p)
-        assert len(calls) <= 3
         canon = canonical_lattice(dec)
-        assert len(calls) <= 3
         monkeypatch.undo()
-        assert dec.multi_tiles and [j0 for j0, _ in dec.drop_one_spans] == list(range(1, 13))
+        assert all(width == 2 for _, width in sizes)
+        assert sizes[0][0] == p.m and all(rows <= 7 for rows, _ in sizes[1:])
+        assert len(sizes) <= 3 * p.m
+        assert dec.multi_tiles and [j0 for j0, _ in dec.drop_one_spans] == list(range(1, p.m + 1))
         assert canon.lattice == integer_span(p.pair_translations()).basis
 
 

@@ -1,10 +1,9 @@
-"""Integer Hermite form, the span-and-relations echelon and the kernel
-oracle built on it."""
+"""Integer Hermite form and the kernel oracle built on it."""
 
 import itertools
 import random
 
-from zonotile.intlinalg import row_hnf, span_and_relations
+from zonotile.intlinalg import row_hnf
 from zonotile.oracles import right_kernel
 
 
@@ -99,37 +98,6 @@ def test_right_kernel_is_saturated():
                 assert row_hnf(kernel + [list(x)]) == h
 
 
-def test_span_and_relations_matches_hnf_and_kernel_oracles():
-    """The span rows are row_hnf's, and the relations span the kernel of
-    the transpose: their Hermite forms agree and each one is a relation."""
-    rng = random.Random(13)
-    kinds = set()
-    for _ in range(200):
-        width = rng.choice([2, 4, 8])
-        n = rng.randint(1, 7)
-        rows = [[rng.randint(-4, 4) for _ in range(width)] for _ in range(n)]
-        if rng.random() < 0.4:  # a dependent row, so relations exist at small n too
-            a, b = rng.sample(range(-3, 4), 2)
-            rows.append([a * x + b * y for x, y in zip(rows[0], rows[-1])])
-        span, relations = span_and_relations(rows)
-        assert span == row_hnf(rows)
-        assert len(span) + len(relations) == len(rows)
-        for k in relations:
-            assert all(sum(kj * row[c] for kj, row in zip(k, rows)) == 0 for c in range(width))
-        transpose = [list(col) for col in zip(*rows)]
-        assert row_hnf(relations) == row_hnf(right_kernel(transpose))
-        kinds.add((bool(relations), width))
-    assert {True, False} == {has for has, _ in kinds}
-
-
-def test_span_and_relations_edge_cases():
-    assert span_and_relations([[0, 0]]) == ([], [[1]])
-    assert span_and_relations([[1, 2], [3, 5]]) == ([[1, 0], [0, 1]], [])
-    span, relations = span_and_relations([[2, 0], [0, 2], [1, 1]])
-    assert span == [[1, 1], [0, 2]]
-    assert row_hnf(relations) == [[1, 1, -2]]  # t1 + t2 = 2 t3
-
-
 def in_echelon_lattice(v, basis):
     """Whether v is an integer combination of ``basis``, nonzero rows whose
     leading entries sit in strictly increasing columns: forward
@@ -190,12 +158,11 @@ def wide_rows(rng, width, n, r):
     return matmul(u, basis) if r else [[0] * width for _ in range(n)], basis
 
 
-def test_hnf_and_relations_on_wide_rows_with_huge_entries():
-    """Held to what defines them, not to the kernel that computes them:
-    the Hermite rows have Hermite shape and the same lattice as the input
+def test_hnf_on_wide_rows_with_huge_entries():
+    """Held to what defines it, not to the kernel that computes it: the
+    Hermite rows have Hermite shape and the same lattice as the input
     (each is tested inside the other by forward substitution against an
-    echelon basis), and the relations annihilate the rows, number n - rank
-    and span what the kernel oracle's relations span."""
+    echelon basis)."""
     rng = random.Random(36)
     for _ in range(100):
         width, n = rng.randint(2, 36), rng.randint(1, 20)
@@ -206,10 +173,3 @@ def test_hnf_and_relations_on_wide_rows_with_huge_entries():
         assert len(h) == r
         assert all(in_echelon_lattice(row, h) for row in rows)
         assert all(in_echelon_lattice(row, basis) for row in h)
-        span, relations = span_and_relations(rows)
-        assert span == h
-        assert len(relations) == n - r
-        for k in relations:
-            assert all(sum(kj * row[c] for kj, row in zip(k, rows)) == 0 for c in range(width))
-        transpose = [list(col) for col in zip(*rows)]
-        assert row_hnf(relations) == row_hnf(right_kernel(transpose))
