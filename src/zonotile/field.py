@@ -42,7 +42,7 @@ from operator import add, index, mul, neg, sub
 
 from .errors import FieldError
 
-__all__ = ["Field", "FieldElement", "RATIONALS"]
+__all__ = ["Field", "FieldElement", "RATIONALS", "int_str"]
 
 _MAX_RADICANDS = 4
 _MAX_RADICAND = 10**18
@@ -76,6 +76,24 @@ def _is_squarefree(n: int) -> bool:
 def _is_square(n: int) -> bool:
     r = isqrt(n)
     return r * r == n
+
+
+# digits per chunk of :func:`int_str`, under the least digit limit (640)
+# that ``sys.set_int_max_str_digits`` accepts
+_CHUNK_DIGITS = 500
+
+
+def int_str(n: int) -> str:
+    """``str(n)`` for an int of any length, written in chunks of
+    ``_CHUNK_DIGITS`` digits, each within the interpreter's digit limit;
+    the JSON and SVG writers use it on numbers ``str`` refuses."""
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    base, chunks = 10**_CHUNK_DIGITS, []
+    while n >= base:
+        n, low = divmod(n, base)
+        chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
+    chunks.append(str(n))
+    return sign + "".join(reversed(chunks))
 
 
 class Field:

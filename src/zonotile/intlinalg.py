@@ -10,9 +10,17 @@ extended-gcd step on the pair (Cohen, *A Course in Computational
 Algebraic Number Theory*, 1993, chapter 2).  Matrices are small (up to
 a few rows over 64 columns, and m rows for a zonotope's m translations),
 so the entries are not reduced modulo a determinant.
+
+Rows of width 2, every span over Q, take a scalar fold of their own
+instead (``_hnf2``): they join the Hermite rows (a, b), (0, d) one at a
+time on plain ints, with the same result as the general kernel, which
+takes every wider row (every irrational field, and ``intersect``'s
+blocks).  The choice is by row width alone.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 __all__ = ["row_hnf", "proportion"]
 
@@ -78,8 +86,42 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, u0, v0
 
 
+def _hnf2(rows) -> list[list[int]]:
+    """``_hnf_inplace``'s rows for rows of width 2, on plain ints.
+
+    The rows fold in one at a time into the Hermite rows (a, b), (0, d).
+    A row (x, y) with x nonzero meets (a, b) by one subtraction when a
+    divides x, else by one extended gcd, and the minor it leaves in the
+    second column joins d by one gcd; a row with x zero joins d directly.
+    b stays reduced modulo d."""
+    a = b = d = 0
+    for x, y in rows:
+        if not x:
+            d = gcd(d, y)
+        elif not a:
+            a, b = x, y
+        else:
+            q, rest = divmod(x, a)
+            if rest:
+                g, u, v = _xgcd(a, x)
+                d = gcd(d, (a * y - x * b) // g)
+                a, b = g, u * b + v * y
+            else:
+                d = gcd(d, y - q * b)
+        if d:
+            b %= d
+    if a < 0:
+        a, b = -a, -b % d if d else -b
+    if not a:
+        return [[0, d]] if d else []
+    return [[a, b], [0, d]] if d else [[a, b]]
+
+
 def row_hnf(rows) -> list[list[int]]:
-    """Canonical Hermite basis of the integer row span (zero rows dropped)."""
+    """Canonical Hermite basis of the integer row span (zero rows dropped)
+    of a sequence of rows of one width."""
+    if rows and len(rows[0]) == 2:
+        return _hnf2(rows)
     m = [list(row) for row in rows]
     rank = _hnf_inplace(m)
     return m[:rank]

@@ -22,7 +22,7 @@ from math import gcd, lcm
 
 from .criteria import BolleReport, CanonicalLattice, Decision
 from .errors import FieldError, GeometryError, ZonotileError
-from .field import Field, FieldElement, RATIONALS
+from .field import Field, FieldElement, RATIONALS, int_str
 from .lattice import LATTICE, PlaneLattice, PlaneVector, row_span, vectors_from_rows
 from .zonotope import Zonotope
 
@@ -79,7 +79,7 @@ def _write(obj, newline: str, emit) -> None:
         try:
             emit(int.__repr__(obj))
         except ValueError:  # more digits than the interpreter converts at once
-            emit(_decimal(obj))
+            emit(int_str(obj))
     elif isinstance(obj, list):
         if not obj:
             emit("[]")
@@ -191,26 +191,9 @@ def _encode_terms(names, nums, den: int) -> list[dict]:
         try:
             num_text, den_text = str(n // g), str(den // g)
         except ValueError:  # more digits than the interpreter converts at once
-            num_text, den_text = _decimal(n // g), _decimal(den // g)
+            num_text, den_text = int_str(n // g), int_str(den // g)
         out.append({"monomial": names[mask], "num": num_text, "den": den_text})
     return out
-
-
-# digits per chunk of :func:`_decimal`, under the least digit limit (640)
-# that ``sys.set_int_max_str_digits`` accepts
-_CHUNK_DIGITS = 500
-
-
-def _decimal(n: int) -> str:
-    """``str(n)`` for an int of any length, written in chunks of
-    ``_CHUNK_DIGITS`` digits, each within the interpreter's digit limit."""
-    sign, n = ("-", -n) if n < 0 else ("", n)
-    base, chunks = 10**_CHUNK_DIGITS, []
-    while n >= base:
-        n, low = divmod(n, base)
-        chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
-    chunks.append(str(n))
-    return sign + "".join(reversed(chunks))
 
 
 def _term_integer(term: dict, key: str) -> int:

@@ -25,7 +25,7 @@ from operator import add
 
 from .covering import Box, Polygon, TranslateSet, arrangement_faces, region_translates
 from .errors import WindowError
-from .field import Field, FieldElement
+from .field import Field, FieldElement, int_str
 
 __all__ = ["render_svg"]
 
@@ -60,7 +60,10 @@ def _fmt(field: Field, nums, den: int) -> str:
     scaled = field.floor((nums[0] + den, *nums[1:]), 2 * den)
     sign = "-" if scaled < 0 else ""
     scaled = abs(scaled)
-    return f"{sign}{scaled // 10000}.{scaled % 10000:04d}"
+    try:
+        return f"{sign}{scaled // 10000}.{scaled % 10000:04d}"
+    except ValueError:  # more digits than the interpreter converts at once
+        return f"{sign}{int_str(scaled // 10000)}.{scaled % 10000:04d}"
 
 
 class _Axis:

@@ -959,6 +959,25 @@ class TestTypedErrors:
             assert main(argv) in (0, 1, 2), argv
             assert "internal error" not in capsys.readouterr().err
 
+    def test_render_writes_coordinates_past_the_digit_limit(self, capsys, tmp_path):
+        # a 4,300-digit ordinate times the scale of 48 has 4,301 digits,
+        # past what str() converts; the picture writes it in full
+        big = 10**4299
+        term = lambda n: [{"monomial": "1", "num": str(n), "den": "1"}] if n else []
+        vec = lambda x, y: {"x": term(x), "y": term(y)}
+        lattice = {"basis": [vec(1, 0), vec(0, big)]}
+        scene = {"field": [], "polygon": {"generators": [vec(1, 0), vec(0, big)]},
+                 "lambda": {"periodic": [{"lattice": lattice}], "window": [0, 0, 1, 1]}}
+        path, svg = tmp_path / "scene.json", tmp_path / "x.svg"
+        path.write_text(json.dumps(scene))
+        assert main(["verify", str(path)]) == 0
+        assert main(["render", str(path), "-o", str(svg)]) == 0
+        assert capsys.readouterr().err == ""
+        # the centred translate's outline runs from y = -10**4299 / 2 to
+        # 10**4299 / 2, which SVG writes as 48 * (1 - y)
+        text = svg.read_text()
+        assert f",24{'0' * 4297}48.0000" in text and f",-23{'9' * 4297}52.0000" in text
+
     @settings(max_examples=30, deadline=None)
     @given(st.data())
     def test_huge_integers_and_deep_nesting_never_exit_3(self, data):

@@ -30,7 +30,6 @@ from zonotile import (
     rational_rank,
     vector,
 )
-import zonotile.intlinalg
 import zonotile.lattice
 from zonotile.criteria import DET_RATIO_IRRATIONAL, SPAN_NOT_DISCRETE
 from zonotile.lattice import LATTICE, drop_one_spans, row_hnf, row_span
@@ -357,13 +356,12 @@ class TestDropOneSpans:
         # translations, so canon intersects nothing
         p = Zonotope([V(x, 1) for x in range(1024, -1024, -1)])
         sizes = []
-        hnf_inplace = zonotile.intlinalg._hnf_inplace
 
-        def counted(m):
-            sizes.append((len(m), len(m[0])))
-            return hnf_inplace(m)
+        def counted(rows):  # the rows of each form the lattice layer takes
+            sizes.append((len(rows), len(rows[0])))
+            return row_hnf(rows)
 
-        monkeypatch.setattr(zonotile.intlinalg, "_hnf_inplace", counted)
+        monkeypatch.setattr(zonotile.lattice, "row_hnf", counted)
         dec = decide_multitiling(p)
         canon = canonical_lattice(dec)
         monkeypatch.undo()

@@ -3,7 +3,9 @@
 import itertools
 import random
 
-from zonotile.intlinalg import row_hnf
+from hypothesis import example, given, settings, strategies as st
+
+from zonotile.intlinalg import _hnf_inplace, row_hnf
 from zonotile.oracles import right_kernel
 
 
@@ -173,3 +175,34 @@ def test_hnf_on_wide_rows_with_huge_entries():
         assert len(h) == r
         assert all(in_echelon_lattice(row, h) for row in rows)
         assert all(in_echelon_lattice(row, basis) for row in h)
+
+
+# entries small enough to collide and divide, or up to 10**1000, zero often
+_ENTRY = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(10**1000), 10**1000))
+
+
+@st.composite
+def width_two_rows(draw):
+    """0 to 8 rows of width 2: any rows, rows on one line through the
+    origin (multiples of one drawn row, zero rows among them), or rows
+    whose first column is all zero."""
+    n = draw(st.integers(0, 8))
+    kind = draw(st.sampled_from(["any", "collinear", "first column zero"]))
+    if kind == "collinear":
+        x, y = draw(_ENTRY), draw(_ENTRY)
+        return [[k * x, k * y] for k in draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))]
+    first = st.just(0) if kind == "first column zero" else _ENTRY
+    return [[draw(first), draw(_ENTRY)] for _ in range(n)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(width_two_rows())
+@example([[1, 5], [0, 2]])
+@example([[-3, 7], [0, -2]])
+@example([[4, 1], [6, 3], [0, 0]])
+def test_width_two_fold_matches_the_general_kernel(rows):
+    """Rows of width 2 take their own fold; it gives the general kernel's
+    rows exactly."""
+    m = [list(row) for row in rows]
+    expected = m[: _hnf_inplace(m)]
+    assert row_hnf(rows) == expected
