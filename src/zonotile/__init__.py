@@ -15,7 +15,7 @@ from importlib import import_module
 
 # the module that defines each exported name
 _EXPORTS = {
-    "covering": ("Box", "Polygon", "TranslateSet", "VerifyReport", "WindowPattern", "verify_covering"),
+    "covering": ("Box", "Polygon", "TranslateSet", "VerifyReport", "verify_covering"),
     "criteria": (
         "BollePair", "BolleReport", "CanonicalLattice", "Decision", "bolle_check", "canonical_lattice",
         "decide_multitiling",

@@ -23,7 +23,7 @@ from .criteria import bolle_check, canonical_lattice, decide_multitiling
 from .errors import GeometryError, ZonotileError
 from .field import FieldElement
 from .lattice import PlaneLattice, PlaneVector
-from .patterns import BUILTIN_NAMES
+from .patterns import BUILTIN_NAMES, builtin_scene
 
 # verify and render import the covering layer where they run, and scene
 # documents are decoded by a function that imports it, so decide, check and
@@ -103,12 +103,11 @@ def _cmd_examples(args) -> int:
         beta = jsonio.parse_element_text(args.beta, where="--beta")
         if isinstance(beta, FieldElement) and beta.is_rational():
             beta = beta.rational_value()
-    doc = jsonio.encode_scene_builtin(args.name, window, beta)
     try:  # build once to validate the combination before emitting
-        jsonio.decode_scene_document(doc)
-    except GeometryError as exc:  # the builtin refuses the window, as empty say
-        raise exc if window is None else GeometryError(f"--window: {exc}") from None
-    _emit(doc)
+        builtin_scene(args.name, window, beta)
+    except GeometryError as exc:  # a tetromino refuses a beta first, then the window, as empty say
+        raise GeometryError(f"{'--window' if beta is None else '--beta'}: {exc}") from None
+    _emit(jsonio.encode_scene_builtin(args.name, window, beta))
     return 0
 
 

@@ -17,10 +17,11 @@ tuples over their common denominator D.  The translate positions are
 enumerated on that grid, stepping by b1 and b2 from each part's offset,
 and reach the sweep and the renderer as grid tuples, merged by position;
 no vector is built for a translate; each part's index range is one
-``Field.divide`` and ``Field.floor`` per end, and a window pattern's one
-``Field.floor`` per end.  ``region_translates`` is the one translate
-enumerator: the reference checks in :mod:`zonotile.oracles` list the
-translates by element arithmetic of their own.
+``Field.divide`` and ``Field.floor`` per end, and a windowed set's listed
+points are put on the grid and kept when inside the box.
+``region_translates`` is the one translate enumerator: the reference
+checks in :mod:`zonotile.oracles` list the translates by element
+arithmetic of their own.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
-from math import ceil, floor, gcd, lcm
+from math import gcd, lcm
 from operator import add, neg, sub
 
 from .arrangement import Face, Grid, arrangement_faces
@@ -42,7 +43,6 @@ __all__ = [
     "Polygon",
     "Box",
     "TranslateSet",
-    "WindowPattern",
     "VerifyReport",
     "Face",
     "region_translates",
@@ -58,7 +58,8 @@ __all__ = [
 MAX_BOX_CANDIDATES = 2**16
 
 
-def _check_budget(count: int, what: str) -> None:
+def check_budget(count: int, what: str) -> None:
+    """Refuse ``count`` candidate ``what`` over the cap, before any is made."""
     if count > MAX_BOX_CANDIDATES:
         # a count can have more digits than str converts: name its size in bits then
         size = count if count.bit_length() <= 64 else f"over 2^{count.bit_length() - 1}"
@@ -179,36 +180,28 @@ def _segments_meet(field: Field, p, q, r, s) -> bool:
     )
 
 
-class WindowPattern:
-    """An explicit point multiset on Z^2, the point (m, n) taken
-    ``multiplicity(m, n)`` times, truncated to a rational window."""
-
-    __slots__ = ("name", "window", "multiplicity")
-
-    def __init__(self, name: str, window: tuple[Fraction, Fraction, Fraction, Fraction], multiplicity):
-        self.name = name
-        self.window = tuple(Fraction(w) for w in window)
-        self.multiplicity = multiplicity
-
-
 class TranslateSet:
     """A discrete multiset: a union of translated lattices, or a windowed
-    explicit pattern; exactly one of ``parts`` and ``pattern`` is None."""
+    finite list of points with nonzero integer ``weights``, flattened as
+    in ``integer_rows`` into ``rows`` over ``den``, whose verdict is
+    relative to the rational ``window``; ``parts`` is None exactly when
+    the set is windowed."""
 
-    __slots__ = ("parts", "pattern")
+    __slots__ = ("parts", "field", "rows", "den", "weights", "window")
 
     @classmethod
     def periodic(cls, parts) -> "TranslateSet":
         t = cls.__new__(cls)
-        t.parts, t.pattern = tuple(parts), None
+        t.parts = tuple(parts)
         if not t.parts:
             raise GeometryError("periodic translate set needs at least one part")
         return t
 
     @classmethod
-    def windowed(cls, pattern: WindowPattern) -> "TranslateSet":
+    def windowed(cls, field: Field, rows, den: int, weights, window) -> "TranslateSet":
         t = cls.__new__(cls)
-        t.parts, t.pattern = None, pattern
+        t.parts, t.field, t.rows, t.den, t.weights = None, field, tuple(rows), den, tuple(weights)
+        t.window = tuple(Fraction(w) for w in window)
         return t
 
     @property
@@ -217,15 +210,15 @@ class TranslateSet:
 
     def period_lattice(self) -> PlaneLattice:
         if not self.is_periodic:
-            raise GeometryError("windowed patterns have no period lattice")
+            raise GeometryError("windowed translate sets have no period lattice")
         return reduce(intersect, (lat for lat, _ in self.parts))
 
 
 def _scene_grid(field: Field, tset: TranslateSet, polygons, box: Box) -> Grid:
     """The grid of the polygons' rows, the box corners and the translate
-    set's parts' Hermite rows and offsets; pattern points are integers."""
-    parts = tset.parts if tset.is_periodic else ()
-    held = [*polygons, box.x0, box.y0, box.x1, box.y1, *(x for lat, z in parts for x in (lat, z.x, z.y))]
+    set's parts' Hermite rows and offsets, or its listed points."""
+    held = [*polygons, box.x0, box.y0, box.x1, box.y1]
+    held += [x for lat, z in tset.parts for x in (lat, z.x, z.y)] if tset.is_periodic else [tset]
     if any(x.field is not field for x in held):
         raise FieldError(f"a point of the scene is not over {field!r}")
     return Grid(field, lcm(*(x.den for x in held)))
@@ -233,25 +226,16 @@ def _scene_grid(field: Field, tset: TranslateSet, polygons, box: Box) -> Grid:
 
 def _positions(grid: Grid, tset: TranslateSet, box: Box) -> list:
     """Every translate position in the closed box with its multiplicity,
-    part by part and unmerged, as grid points.  The grid must hold the
-    box corners and the parts' rows and offsets (``_scene_grid``)."""
+    part by part and unmerged, or in list order, as grid points.  The
+    grid must hold the box corners and the translate set (``_scene_grid``)."""
     x0, y0, x1, y1 = (grid.scale(c.nums, c.den) for c in (box.x0, box.y0, box.x1, box.y1))
     if tset.is_periodic:
         return [(p, 1) for lat, z in tset.parts for p in _lattice_points(grid, lat, z, (x0, y0), (x1, y1))]
-    field, d = grid.field, grid.den
-    wx0, wy0, wx1, wy1 = tset.pattern.window
-    # ceil(lo / d) is -floor(-lo / d)
-    mlo, mhi = max(-field.floor(tuple(map(neg, x0)), d), ceil(wx0)), min(field.floor(x1, d), floor(wx1))
-    nlo, nhi = max(-field.floor(tuple(map(neg, y0)), d), ceil(wy0)), min(field.floor(y1, d), floor(wy1))
-    _check_budget(max(mhi - mlo + 1, 0) * max(nhi - nlo + 1, 0), "pattern points")
-    rule, pad = tset.pattern.multiplicity, (0,) * (field.size - 1)
-    out = []
-    for m in range(mlo, mhi + 1):
-        for n in range(nlo, nhi + 1):
-            k = rule(m, n)
-            if k:
-                out.append((((m * d, *pad), (n * d, *pad)), k))
-    return out
+    below = grid.le
+    return [
+        ((x, y), k) for (x, y), k in zip(grid.rows(tset.rows, tset.den), tset.weights)
+        if below(x0, x) and below(x, x1) and below(y0, y) and below(y, y1)
+    ]
 
 
 def _lattice_points(grid: Grid, lat: PlaneLattice, z: PlaneVector, lo, hi) -> list:
@@ -285,7 +269,7 @@ def _lattice_points(grid: Grid, lat: PlaneLattice, z: PlaneVector, lo, hi) -> li
 
     alo, ahi = integer_range([cross(x, y, b2x, b2y) for x, y in corners])
     blo, bhi = integer_range([cross(b1x, b1y, x, y) for x, y in corners])
-    _check_budget(max(ahi - alo + 1, 0) * max(bhi - blo + 1, 0), "lattice points")
+    check_budget(max(ahi - alo + 1, 0) * max(bhi - blo + 1, 0), "lattice points")
     out = []
     rx = tuple([c + alo * m + blo * n for c, m, n in zip(zx, b1x, b2x)])
     ry = tuple([c + alo * m + blo * n for c, m, n in zip(zy, b1y, b2y)])
@@ -352,7 +336,7 @@ def _windowed_region(poly: Polygon, tset: TranslateSet) -> Polygon:
     """The window shrunk by the polygon's extent, its corners the margin
     sums wx0 + x1, wy0 + y1, wx1 + x0 and wy1 + y0 of the window's
     rationals and poly's bounding box, as numerators over one denominator."""
-    field, pb, window = poly.field, poly.bbox, tset.pattern.window
+    field, pb, window = poly.field, poly.bbox, tset.window
     ends = (pb.x1, pb.y1, pb.x0, pb.y0)
     den = lcm(*(w.denominator for w in window), *(e.den for e in ends))
     margins = []
@@ -371,7 +355,7 @@ def verify_covering(poly: Polygon, tset: TranslateSet) -> VerifyReport:
 
     Periodic sets are checked on one closed fundamental cell of the common
     period lattice, which certifies the whole plane, and a constant
-    verdict is checked against the density count.  Windowed patterns are
+    verdict is checked against the density count.  Windowed sets are
     checked on the window shrunk by the polygon's extent and the verdict
     is marked window-relative.
     """

@@ -390,24 +390,27 @@ def drop_one_spans(field: Field, rows, den: int) -> list[PlaneLattice | None]:
     one, so no drop-one span is a lattice unless M has rank 2 or 3.  Then
     the Hermite forms of rows[:j] and of rows[j+1:] grow a row at a time
     and stop once they are M, and the span without row j is M when either
-    is, else the Hermite form of both, at most 6 rows."""
+    is, the one side when the other is empty, else the Hermite form of
+    both, at most 6 rows."""
     full = row_hnf(rows)
     if len(full) not in (2, 3):
         return [None] * len(rows)
     whole = PlaneLattice._from_hermite(field, full, den)
     return [
-        whole if before is full or after is full else PlaneLattice._from_hermite(field, row_hnf(before + after), den)
+        whole if before is full or after is full
+        else PlaneLattice._from_hermite(field, row_hnf(before + after) if before and after else before or after, den)
         for before, after in zip(_growing_spans(rows, full), _growing_spans(rows[::-1], full)[::-1])
     ]
 
 
 def _growing_spans(rows, full):
     """The Hermite forms of rows[:j] for j = 0..m-1, each from the one
-    before and one more row, and ``full`` itself from the first equal to it."""
+    before and one more row, and ``full`` itself from the first equal to
+    it; rows[:1] is kept as its one row, which never spans ``full``."""
     h, spans = [], [[]]
     for row in rows[:-1]:
         if h is not full:
-            h = row_hnf([*h, row])
+            h = row_hnf([*h, row]) if h else [row]
             if h == full:
                 h = full
         spans.append(h)

@@ -13,13 +13,11 @@ layer where they run, so the span checks load only the decision layer.
 
 from __future__ import annotations
 
-from math import ceil, floor
-
 from .criteria import bolle_check
 from .errors import FieldError, GeometryError, ZonotileError
 from .field import FieldElement
 from .intlinalg import row_hnf
-from .lattice import PlaneLattice, PlaneVector, SpanAnalysis, integer_rows, row_cross, row_span, vector
+from .lattice import PlaneLattice, PlaneVector, SpanAnalysis, integer_rows, row_cross, row_span, vectors_from_rows
 from .zonotope import Zonotope
 
 __all__ = [
@@ -198,8 +196,8 @@ def locate(poly: Polygon, p: PlaneVector) -> int:
 def covering_at(poly: Polygon, tset: TranslateSet, x: PlaneVector) -> int:
     """The number of translates of poly whose interior contains x, by
     point location: the count every face of the sweep is held to.  Each
-    part's translates come from :func:`lattice_points_in_box`, a pattern's
-    from its window by ``floor`` and ``ceil``.
+    part's translates come from :func:`lattice_points_in_box`, a windowed
+    set's are its listed points, as vectors, with their weights.
 
     Raises BoundaryError when x lies on some translate boundary; the
     covering function is only defined off that measure-zero set.
@@ -213,14 +211,10 @@ def covering_at(poly: Polygon, tset: TranslateSet, x: PlaneVector) -> int:
     if tset.is_periodic:
         translates = [(p + z, 1) for lat, z in tset.parts for p in lattice_points_in_box(lat, search(x - z))]
     else:
-        box, pattern = search(x), tset.pattern
-        wx0, wy0, wx1, wy1 = pattern.window
-        ms = range(max(box.x0.ceil(), ceil(wx0)), min(box.x1.floor(), floor(wx1)) + 1)
-        ns = range(max(box.y0.ceil(), ceil(wy0)), min(box.y1.floor(), floor(wy1)) + 1)
-        translates = [(vector(x.field, m, n), pattern.multiplicity(m, n)) for m in ms for n in ns]
+        translates = zip(vectors_from_rows(tset.field, tset.rows, tset.den), tset.weights)
     count = 0
     for lam, mult in translates:
-        loc = locate(poly, x - lam) if mult else -1
+        loc = locate(poly, x - lam)
         if loc == 0:
             raise BoundaryError(f"query point lies on the boundary of a translate at {lam}")
         if loc > 0:

@@ -16,6 +16,7 @@ command line reads ``BUILTIN_NAMES`` without loading it.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import ceil, floor
 
 from .errors import GeometryError
 from .field import Field, FieldElement, RATIONALS
@@ -73,17 +74,25 @@ def builtin_scene(name: str, window=None, beta=None) -> tuple[Polygon, Translate
     """The named builtin polygon and translate set.
 
     ``window`` (rational 4-tuple) applies to the tetromino patterns and
-    defaults to [-6, 6]^2.  ``beta`` (Fraction or FieldElement) is the
-    horizontal offset of the shifted lattice copy in the octagon family
-    and defaults to 1/3.
+    defaults to [-6, 6]^2; their points are listed once over it, column
+    by column, after its integer points are counted against the
+    enumeration budget.  ``beta`` (Fraction or FieldElement) is the
+    horizontal offset of the shifted lattice copy in the octagon family,
+    defaults to 1/3 and is refused for the tetromino patterns.
     """
-    from .covering import TranslateSet, WindowPattern
+    from .covering import TranslateSet, check_budget
     if name in _TETROMINO_RULES:
+        if beta is not None:
+            raise GeometryError(f"{name} takes no beta; only octagon-family is offset by one")
         win = tuple(Fraction(w) for w in (window if window is not None else DEFAULT_WINDOW))
         if win[0] >= win[2] or win[1] >= win[3]:
             raise GeometryError("window is empty")
-        pattern = WindowPattern(name, win, _TETROMINO_RULES[name])
-        return skew_tetromino(), TranslateSet.windowed(pattern)
+        mlo, nlo, mhi, nhi = ceil(win[0]), ceil(win[1]), floor(win[2]), floor(win[3])
+        check_budget((mhi - mlo + 1) * (nhi - nlo + 1), "window points")
+        rule = _TETROMINO_RULES[name]
+        points = [((m, n), k) for m in range(mlo, mhi + 1) for n in range(nlo, nhi + 1) if (k := rule(m, n))]
+        rows, weights = zip(*points) if points else ((), ())
+        return skew_tetromino(), TranslateSet.windowed(RATIONALS, rows, 1, weights, win)
     if name == "octagon-family":
         if beta is None:
             beta = Fraction(1, 3)

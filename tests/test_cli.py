@@ -838,6 +838,28 @@ class TestTypedErrors:
     def test_empty_window_is_named(self, capsys):
         self.fails(capsys, ["examples", "tetromino-L1", "--window=0,0,0,0"], "--window: window is empty")
 
+    def test_tetromino_beta_is_refused(self, capsys, tmp_path):
+        # only octagon-family is offset by a beta; a tetromino refuses one
+        # from the command line and from a scene document
+        for name in ["tetromino-L1", "tetromino-L2", "tetromino-union"]:
+            self.fails(capsys, ["examples", name, "--beta", "1/3"], f"--beta: {name} takes no beta")
+            self.fails(capsys, ["examples", name, "--window=-2,-2,2,2", "--beta=sqrt(2)"], "--beta")
+            path = tmp_path / "scene.json"
+            path.write_text(json.dumps({"lambda": {"builtin": name, "beta": "1/3"}}))
+            for argv in (["verify", str(path)], ["render", str(path), "-o", str(tmp_path / "x.svg"), "--window=0,0,1,1"]):
+                self.fails(capsys, argv, f"lambda.beta: {name} takes no beta")
+
+    def test_tetromino_window_over_the_budget_is_refused_when_built(self, capsys, tmp_path):
+        # 257 x 256 integer points, one column over 2^16: every command
+        # that reads the window refuses it before any point is listed
+        self.fails(capsys, ["examples", "tetromino-union", "--window=0,0,256,255"],
+                   "--window: the box holds 65792 candidate window points, over the enumeration budget of 65536")
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps({"lambda": {"builtin": "tetromino-union", "window": [0, 0, 256, 255]}}))
+        for argv in (["verify", str(path)], ["render", str(path), "-o", str(tmp_path / "x.svg")]):
+            self.fails(capsys, argv, "lambda.window: the box holds 65792 candidate window points")
+        assert run(capsys, ["examples", "tetromino-union", "--window=0,0,255,255"])[0] == 0
+
     def test_explicit_double_dash_values(self, capsys, tmp_path, monkeypatch):
         # argparse hands "--flag=--" over as an empty list before Python 3.13
         monkeypatch.chdir(tmp_path)

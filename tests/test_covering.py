@@ -27,9 +27,10 @@ from zonotile import (
     strip_profile,
     verify_covering,
 )
-from zonotile import arrangement, covering, oracles
+from zonotile import arrangement, covering, oracles, patterns
 from zonotile.arrangement import Grid
-from zonotile.covering import MAX_BOX_CANDIDATES, WindowPattern, arrangement_faces, region_translates
+from zonotile.covering import MAX_BOX_CANDIDATES, arrangement_faces, region_translates
+from zonotile.lattice import integer_rows, vectors_from_rows
 from zonotile.patterns import (
     lattice_octagon,
     octagon_strip_lattice,
@@ -76,18 +77,17 @@ def pipeline_positions(tset, box):
 def oracle_positions(tset, box):
     """The translate positions in the closed box, counted with their
     multiplicities, by element arithmetic: each part's through
-    ``lattice_points_in_box`` on the box less its offset, a pattern's
-    from its window and the box."""
+    ``lattice_points_in_box`` on the box less its offset, a windowed
+    set's as the listed points that compare inside the box."""
     got = Counter()
     if tset.is_periodic:
         for lat, z in tset.parts:
             for p in lattice_points_in_box(lat, Box(box.x0 - z.x, box.y0 - z.y, box.x1 - z.x, box.y1 - z.y)):
                 got[p + z] += 1
         return got
-    wx0, wy0, wx1, wy1 = tset.pattern.window
-    for m in range(max(box.x0.ceil(), math.ceil(wx0)), min(box.x1.floor(), math.floor(wx1)) + 1):
-        for n in range(max(box.y0.ceil(), math.ceil(wy0)), min(box.y1.floor(), math.floor(wy1)) + 1):
-            got[V(m, n, box.x0.field)] += tset.pattern.multiplicity(m, n)
+    for p, k in zip(vectors_from_rows(tset.field, tset.rows, tset.den), tset.weights):
+        if box.x0 <= p.x <= box.x1 and box.y0 <= p.y <= box.y1:
+            got[p] += k
     return +got
 
 
@@ -262,15 +262,19 @@ class TestEnumerationBudget:
             covering._positions(grid, tset, box)
         assert compared == []
 
-    def test_pattern_points_refused_over_the_cap(self):
+    def test_window_points_refused_when_the_scene_is_built(self, monkeypatch):
+        # a tetromino window is counted before its rule runs on any point
         asked = []
-        pattern = WindowPattern("all", (0, 0, MAX_BOX_CANDIDATES, 0), lambda m, n: asked.append((m, n)) or 1)
-        tset = TranslateSet.windowed(pattern)
-        with pytest.raises(GeometryError, match=f"{MAX_BOX_CANDIDATES + 1} candidate pattern points.*{MAX_BOX_CANDIDATES}"):
-            pipeline_positions(tset, qbox(-1, -1, MAX_BOX_CANDIDATES + 1, 1))
+        monkeypatch.setitem(patterns._TETROMINO_RULES, "tetromino-L1", lambda m, n: asked.append((m, n)) or 1)
+        # (cap + 1) x 1 integer points
+        with pytest.raises(GeometryError, match=f"{MAX_BOX_CANDIDATES + 1} candidate window points.*{MAX_BOX_CANDIDATES}"):
+            builtin_scene("tetromino-L1", window=(0, 0, MAX_BOX_CANDIDATES, H))
         assert asked == []
-        # a box inside the cap is enumerated as before
-        assert len(pipeline_positions(tset, qbox(0, 0, 2, 0))) == 3
+        # a window inside the cap is listed point by point, column by column
+        _, tset = builtin_scene("tetromino-L1", window=(0, 0, 2, H))
+        assert asked == [(0, 0), (1, 0), (2, 0)]
+        assert (tset.rows, tset.den, tset.weights) == (((0, 0), (1, 0), (2, 0)), 1, (1, 1, 1))
+        assert len(pipeline_positions(tset, qbox(0, 0, 1, 0))) == 2
 
     def test_cap_is_far_above_the_octagon_on_eighths(self):
         # the largest enumeration the suite and the bench make
@@ -347,6 +351,32 @@ class TestVerifyCovering:
         report = verify_covering(poly, ts)
         assert report.constant and report.multiplicity == 7
 
+    def test_listed_octagon_family_points_over_sqrt2(self):
+        # the translates of both parts (beta = sqrt2) inside [-4, 5]^2,
+        # listed as points: constant 7 on the window less the octagon's
+        # extent, and one listed point fewer leaves a hole of count 6
+        poly, ts = builtin_scene("octagon-family", beta=F2.sqrt(2))
+        window = (-4, -4, 5, 5)
+        box, points = qbox(*window, F2), []
+        for lat, z in ts.parts:
+            points += [p + z for p in lattice_points_in_box(lat, Box(box.x0 - z.x, box.y0 - z.y, box.x1 - z.x, box.y1 - z.y))]
+        assert len(points) == 95
+
+        def listed(vectors):
+            return TranslateSet.windowed(F2, *integer_rows(vectors), [1] * len(vectors), window)
+
+        report = verify_covering(poly, listed(points))
+        assert report.constant and report.multiplicity == 7 and report.window_relative
+        assert report.cells_checked == 432
+        nearest = min(points, key=lambda p: (p - V(1, 1, F2)).dot(p - V(1, 1, F2)))
+        assert nearest == PlaneVector(F2.sqrt(2), F2.one())
+        holed = listed([p for p in points if p != nearest])
+        report = verify_covering(poly, holed)
+        assert not report.constant and report.window_relative
+        assert [count for _, count in report.counterexample] == [6, 7]
+        for sample, count in report.counterexample:
+            assert covering_at(poly, holed, sample) == count
+
     def test_octagon_single_lattice_not_constant(self):
         report = verify_covering(lattice_octagon(), single(octagon_strip_lattice()))
         assert not report.constant
@@ -416,7 +446,7 @@ def verification_region(poly, tset):
         period = tset.period_lattice()
         origin = V(0, 0, period.field)
         return Polygon([origin, period.b1, period.b1 + period.b2, period.b2])
-    wx0, wy0, wx1, wy1 = tset.pattern.window
+    wx0, wy0, wx1, wy1 = tset.window
     pb = poly.bbox
     return Polygon(Box(pb.x1 + wx0, pb.y1 + wy0, pb.x0 + wx1, pb.y0 + wy1).corners())
 

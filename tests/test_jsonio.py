@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zonotile import Field, FieldError, GeometryError, PlaneLattice, Polygon, Zonotope, ZonotileError
-from zonotile import FieldElement, PlaneVector, jsonio
+from zonotile import RATIONALS, FieldElement, PlaneVector, jsonio
 from zonotile.lattice import integer_rows
 
 from conftest import F2, F23, Q, V, json_mutant, rand_element
@@ -322,7 +322,11 @@ class TestSceneDocuments:
         doc = {"lambda": {"builtin": "tetromino-L2", "window": [-6, -6, 6, 6]}}
         poly, tset = jsonio.decode_scene_document(doc)
         assert not tset.is_periodic
-        assert tset.pattern.name == "tetromino-L2"
+        assert tset.window == (-6, -6, 6, 6) and tset.field is RATIONALS and tset.den == 1
+        # L2: the even points on or below the diagonal, the odd ones above it, column by column
+        expected = [(m, n) for m in range(-6, 7) for n in range(-6, 7)
+                    if (m % 2 == n % 2 == 0 and m >= n) or (m % 2 == n % 2 == 1 and m < n)]
+        assert list(tset.rows) == expected and tset.weights == (1,) * len(expected)
 
     def test_builtin_scene_with_sqrt_beta(self):
         doc = {

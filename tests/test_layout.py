@@ -217,11 +217,30 @@ PUBLIC_NAMES = {
     "Decision", "Field", "FieldElement", "FieldError", "GeometryError", "IncommensurableError", "InternalError",
     "LATTICE", "NOT_DISCRETE", "PlaneLattice", "PlaneVector", "Polygon", "RANK_DEFICIENT", "RATIONALS",
     "RationalityError", "SpanAnalysis", "SymmetryError", "TranslateSet", "VerifyReport", "WindowError",
-    "WindowPattern", "ZonotileError", "Zonotope", "ZonotopeError", "bolle_check", "builtin_scene",
+    "ZonotileError", "Zonotope", "ZonotopeError", "bolle_check", "builtin_scene",
     "canonical_lattice", "covering_at", "decide_multitiling", "integer_span", "intersect", "lattice_multiplicity",
     "lattice_points_in_box", "line_meets_lattice", "locate", "rational_rank", "right_kernel", "strip_profile",
     "sublattice_avoiding_coset", "superlattice_meeting_line", "vector", "verify_covering",
 }
+
+
+def test_no_module_but_patterns_references_a_tetromino_rule():
+    """A windowed translate set is a weighted point list: the tetromino
+    rules run only where ``patterns`` lists a builtin's points."""
+    tree = ast.parse((PACKAGE / "patterns.py").read_text(encoding="utf-8"))
+    table = next(node.value for node in tree.body
+                 if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["_TETROMINO_RULES"])
+    rules = {"_TETROMINO_RULES", *(node.id for node in ast.walk(table) if isinstance(node, ast.Name))}
+    assert len(rules) == 4, rules
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "patterns.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            if name in rules:
+                offenders.append(f"{path.name}:{node.lineno} references {name}")
+    assert not offenders, offenders
 
 
 def _export_table():
