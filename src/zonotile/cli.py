@@ -103,10 +103,7 @@ def _cmd_examples(args) -> int:
         beta = jsonio.parse_element_text(args.beta, where="--beta")
         if isinstance(beta, FieldElement) and beta.is_rational():
             beta = beta.rational_value()
-    try:  # build once to validate the combination before emitting
-        builtin_scene(args.name, window, beta)
-    except GeometryError as exc:  # a tetromino refuses a beta first, then the window, as empty say
-        raise GeometryError(f"{'--window' if beta is None else '--beta'}: {exc}") from None
+    builtin_scene(args.name, window, beta, where=("--window", "--beta"))  # validate before emitting
     _emit(jsonio.encode_scene_builtin(args.name, window, beta))
     return 0
 

@@ -58,14 +58,12 @@ __all__ = [
 MAX_BOX_CANDIDATES = 2**16
 
 
-def check_budget(count: int, what: str) -> None:
-    """Refuse ``count`` candidate ``what`` over the cap, before any is made."""
+def check_budget(count: int, what: str, where: str = "the box") -> None:
+    """Refuse ``count`` candidate ``what`` in ``where`` over the cap, before any is made."""
     if count > MAX_BOX_CANDIDATES:
         # a count can have more digits than str converts: name its size in bits then
         size = count if count.bit_length() <= 64 else f"over 2^{count.bit_length() - 1}"
-        raise GeometryError(
-            f"the box holds {size} candidate {what}, over the enumeration budget of {MAX_BOX_CANDIDATES}"
-        )
+        raise GeometryError(f"{where} holds {size} candidate {what}, over the enumeration budget of {MAX_BOX_CANDIDATES}")
 
 
 class Box:
@@ -202,6 +200,8 @@ class TranslateSet:
         t = cls.__new__(cls)
         t.parts, t.field, t.rows, t.den, t.weights = None, field, tuple(rows), den, tuple(weights)
         t.window = tuple(Fraction(w) for w in window)
+        if len(t.rows) != len(t.weights) or not all(t.weights):
+            raise GeometryError("a windowed translate set needs one nonzero weight per listed point")
         return t
 
     @property

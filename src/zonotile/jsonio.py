@@ -401,7 +401,7 @@ def decode_scene_document(doc) -> tuple[Polygon, TranslateSet]:
     verification there is.  The covering layer is imported here, so the
     decision documents decode without it."""
     from .covering import Polygon, TranslateSet
-    from .patterns import BUILTIN_NAMES, builtin_scene
+    from .patterns import builtin_scene
     mode = doc.get("mode", "exact")
     if mode != "exact":
         raise GeometryError(f"scene 'mode' must be 'exact', got {mode!r}: sampled verification was removed")
@@ -412,13 +412,12 @@ def decode_scene_document(doc) -> tuple[Polygon, TranslateSet]:
         raise GeometryError(f"scene 'lambda' must be an object, got {lam!r}")
     if "builtin" in lam:
         name = lam["builtin"]
-        if name not in BUILTIN_NAMES:
-            raise GeometryError(f"lambda.builtin must be one of {', '.join(BUILTIN_NAMES)}, got {name!r}")
+        if not isinstance(name, str):
+            raise GeometryError(f"lambda.builtin must be the name of a builtin scene, got {name!r}")
         window = decode_window(lam["window"], "lambda.window") if "window" in lam else None
         field = _decode_field(doc) if doc.get("field") else None
         beta = _decode_beta(lam.get("beta"), field)
-        # a tetromino refuses a beta first, then the window, as empty say
-        return _located("lambda.window" if beta is None else "lambda.beta", builtin_scene, name, window, beta)
+        return builtin_scene(name, window, beta, where=("lambda.window", "lambda.beta"))
     field = _decode_field(doc)
     if "window" in lam:
         decode_window(lam["window"], "lambda.window")  # verify ignores it, render draws it

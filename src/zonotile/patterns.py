@@ -70,7 +70,7 @@ def octagon_strip_lattice(field: Field = RATIONALS) -> PlaneLattice:
     return PlaneLattice(vector(field, 1, 0), vector(field, 0, 2))
 
 
-def builtin_scene(name: str, window=None, beta=None) -> tuple[Polygon, TranslateSet]:
+def builtin_scene(name: str, window=None, beta=None, where=("window", "beta")) -> tuple[Polygon, TranslateSet]:
     """The named builtin polygon and translate set.
 
     ``window`` (rational 4-tuple) applies to the tetromino patterns and
@@ -78,19 +78,22 @@ def builtin_scene(name: str, window=None, beta=None) -> tuple[Polygon, Translate
     by column, after its integer points are counted against the
     enumeration budget.  ``beta`` (Fraction or FieldElement) is the
     horizontal offset of the shifted lattice copy in the octagon family,
-    defaults to 1/3 and is refused for the tetromino patterns.
+    defaults to 1/3 and is refused for the tetromino patterns.  A refused
+    window or beta is named by its caller's spelling in ``where``.
     """
     from .covering import TranslateSet, check_budget
     if name in _TETROMINO_RULES:
         if beta is not None:
-            raise GeometryError(f"{name} takes no beta; only octagon-family is offset by one")
+            raise GeometryError(f"{where[1]}: {name} takes no beta; only octagon-family is offset by one")
         win = tuple(Fraction(w) for w in (window if window is not None else DEFAULT_WINDOW))
         if win[0] >= win[2] or win[1] >= win[3]:
-            raise GeometryError("window is empty")
+            raise GeometryError(f"{where[0]}: window is empty")
         mlo, nlo, mhi, nhi = ceil(win[0]), ceil(win[1]), floor(win[2]), floor(win[3])
-        check_budget((mhi - mlo + 1) * (nhi - nlo + 1), "window points")
-        rule = _TETROMINO_RULES[name]
-        points = [((m, n), k) for m in range(mlo, mhi + 1) for n in range(nlo, nhi + 1) if (k := rule(m, n))]
+        # a window that holds no integer row or column counts 0 and lists nothing
+        count = (mhi - mlo + 1) * (nhi - nlo + 1)
+        check_budget(count, "points", f"{where[0]}: the window")
+        rule, ms = _TETROMINO_RULES[name], range(mlo, mhi + 1) if count else ()
+        points = [((m, n), k) for m in ms for n in range(nlo, nhi + 1) if (k := rule(m, n))]
         rows, weights = zip(*points) if points else ((), ())
         return skew_tetromino(), TranslateSet.windowed(RATIONALS, rows, 1, weights, win)
     if name == "octagon-family":

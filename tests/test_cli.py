@@ -853,12 +853,27 @@ class TestTypedErrors:
         # 257 x 256 integer points, one column over 2^16: every command
         # that reads the window refuses it before any point is listed
         self.fails(capsys, ["examples", "tetromino-union", "--window=0,0,256,255"],
-                   "--window: the box holds 65792 candidate window points, over the enumeration budget of 65536")
+                   "--window: the window holds 65792 candidate points, over the enumeration budget of 65536")
         path = tmp_path / "scene.json"
         path.write_text(json.dumps({"lambda": {"builtin": "tetromino-union", "window": [0, 0, 256, 255]}}))
         for argv in (["verify", str(path)], ["render", str(path), "-o", str(tmp_path / "x.svg")]):
-            self.fails(capsys, argv, "lambda.window: the box holds 65792 candidate window points")
+            self.fails(capsys, argv, "lambda.window: the window holds 65792 candidate points")
         assert run(capsys, ["examples", "tetromino-union", "--window=0,0,255,255"])[0] == 0
+
+    def test_tetromino_window_with_no_integer_row_lists_nothing_at_once(self, capsys, tmp_path):
+        # 10^30 columns wide but no integer row: no point is listed, so
+        # examples emits it, verify finds the window too small for the
+        # tetromino, and render draws an empty box
+        window = "0,1/5,1000000000000000000000000000000,1/2"
+        path = tmp_path / "scene.json"
+        start = time.perf_counter()
+        code, out = run(capsys, ["examples", "tetromino-L1", f"--window={window}"])
+        assert code == 0
+        path.write_text(out)
+        self.fails(capsys, ["verify", str(path)], "window is too small")
+        code, _ = run(capsys, ["render", str(path), "-o", str(tmp_path / "x.svg"), "--window=0,0,1,1"])
+        assert code == 0
+        assert time.perf_counter() - start < 1.0
 
     def test_explicit_double_dash_values(self, capsys, tmp_path, monkeypatch):
         # argparse hands "--flag=--" over as an empty list before Python 3.13

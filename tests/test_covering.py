@@ -267,9 +267,12 @@ class TestEnumerationBudget:
         asked = []
         monkeypatch.setitem(patterns._TETROMINO_RULES, "tetromino-L1", lambda m, n: asked.append((m, n)) or 1)
         # (cap + 1) x 1 integer points
-        with pytest.raises(GeometryError, match=f"{MAX_BOX_CANDIDATES + 1} candidate window points.*{MAX_BOX_CANDIDATES}"):
+        with pytest.raises(GeometryError, match=f"^window: the window holds {MAX_BOX_CANDIDATES + 1} candidate points.*{MAX_BOX_CANDIDATES}"):
             builtin_scene("tetromino-L1", window=(0, 0, MAX_BOX_CANDIDATES, H))
-        assert asked == []
+        # a window wide enough to hold 10^30 columns but no integer row
+        # counts 0 and lists nothing, at once
+        _, tset = builtin_scene("tetromino-L1", window=(0, Fraction(1, 5), 10**30, H))
+        assert (tset.rows, tset.weights, asked) == ((), (), [])
         # a window inside the cap is listed point by point, column by column
         _, tset = builtin_scene("tetromino-L1", window=(0, 0, 2, H))
         assert asked == [(0, 0), (1, 0), (2, 0)]
@@ -376,6 +379,13 @@ class TestVerifyCovering:
         assert [count for _, count in report.counterexample] == [6, 7]
         for sample, count in report.counterexample:
             assert covering_at(poly, holed, sample) == count
+
+    def test_listed_points_need_one_nonzero_weight_each(self):
+        window = (-1, -1, 1, 1)
+        for rows, weights in [([(0, 0), (1, 0)], [1]), ([(0, 0)], [1, 1]), ([(0, 0), (1, 0)], [1, 0])]:
+            with pytest.raises(GeometryError, match="one nonzero weight per listed point"):
+                TranslateSet.windowed(Q, rows, 1, weights, window)
+        assert TranslateSet.windowed(Q, [(0, 0)], 1, [-2], window).weights == (-2,)
 
     def test_octagon_single_lattice_not_constant(self):
         report = verify_covering(lattice_octagon(), single(octagon_strip_lattice()))
