@@ -77,7 +77,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    from .covering import Box
     from .render import render_svg
     window = _parse_window_flag(args.window) if args.window is not None else None  # flag errors first
     doc = jsonio.load_document(args.scene)
@@ -88,7 +87,7 @@ def _cmd_render(args) -> int:
     if window is None:
         raise GeometryError("render needs a window (--window or the scene's lambda.window)")
     try:
-        svg = render_svg(poly, tset, Box(*(poly.field.rational(w) for w in window)))
+        svg = render_svg(poly, tset, window)
     except GeometryError as exc:  # the window is empty, or its box is over the enumeration budget
         raise GeometryError(f"{where}: {exc}") from None
     with open(args.output, "w", encoding="utf-8") as fh:

@@ -1,24 +1,25 @@
 """Brute-force covering verification: does a translate set cover the plane
 a constant number of times?
 
-The covering function x -> #{translates whose interior contains x} is
-piecewise constant on the faces of the arrangement of all translate
-edges.  For a periodic translate set it suffices to certify constancy on
-one fundamental cell of the common period lattice; a windowed (explicit)
-set only ever gets a window-relative verdict.  ``verify_covering`` reads
-the faces of that region from ``arrangement_faces``
-(:mod:`zonotile.arrangement`), an exact vertical decomposition with one
-count per face.
+A translate set is one weighted list of offsets, each with a lattice
+when the set is periodic.  The covering function x -> #{translates whose
+interior contains x} is piecewise constant on the faces of the
+arrangement of all translate edges.  For a periodic translate set it
+suffices to certify constancy on one fundamental cell of the common
+period lattice; a windowed set only ever gets a verdict relative to its
+rational window (``window_region``).  ``verify_covering`` reads the faces
+of that region from ``arrangement_faces`` (:mod:`zonotile.arrangement`),
+an exact vertical decomposition with one count per face.
 
 Each scene is put on one integer grid (``arrangement.Grid``) once, by
 ``region_translates``: the region's and the polygon's rows, the search
-box and the parts' Hermite rows and offsets become integer numerator
+box, the offsets and the lattices' Hermite rows become integer numerator
 tuples over their common denominator D.  The translate positions are
-enumerated on that grid, stepping by b1 and b2 from each part's offset,
-and reach the sweep and the renderer as grid tuples, merged by position;
-no vector is built for a translate; each part's index range is one
-``Field.divide`` and ``Field.floor`` per end, and a windowed set's listed
-points are put on the grid and kept when inside the box.
+enumerated on that grid, stepping by b1 and b2 from each offset, and
+reach the sweep and the renderer as grid tuples, merged by position,
+with no vector built.  Each lattice's index range is one ``Field.divide``
+and ``Field.floor`` per end, and all of a scene's ranges are counted
+against one enumeration budget before any point is made.
 ``region_translates`` is the one translate enumerator: the reference
 checks in :mod:`zonotile.oracles` list the translates by element
 arithmetic of their own.
@@ -46,6 +47,7 @@ __all__ = [
     "VerifyReport",
     "Face",
     "region_translates",
+    "window_region",
     "arrangement_faces",
     "verify_covering",
 ]
@@ -66,28 +68,11 @@ def check_budget(count: int, what: str, where: str = "the box") -> None:
         raise GeometryError(f"{where} holds {size} candidate {what}, over the enumeration budget of {MAX_BOX_CANDIDATES}")
 
 
-class Box:
+class Box(namedtuple("Box", "x0 y0 x1 y1")):
     """A closed axis-aligned box with exact field-element corners, the
     lower left (x0, y0) and the upper right (x1, y1)."""
 
-    __slots__ = ("x0", "y0", "x1", "y1")
-
-    def __init__(self, x0: FieldElement, y0: FieldElement, x1: FieldElement, y1: FieldElement):
-        self.x0 = x0
-        self.y0 = y0
-        self.x1 = x1
-        self.y1 = y1
-
-    def corners(self) -> list[PlaneVector]:
-        return [
-            PlaneVector(self.x0, self.y0),
-            PlaneVector(self.x1, self.y0),
-            PlaneVector(self.x1, self.y1),
-            PlaneVector(self.x0, self.y1),
-        ]
-
-    def has_area(self) -> bool:
-        return self.x1 > self.x0 and self.y1 > self.y0
+    __slots__ = ()
 
 
 class Polygon:
@@ -179,78 +164,80 @@ def _segments_meet(field: Field, p, q, r, s) -> bool:
 
 
 class TranslateSet:
-    """A discrete multiset: a union of translated lattices, or a windowed
-    finite list of points with nonzero integer ``weights``, flattened as
-    in ``integer_rows`` into ``rows`` over ``den``, whose verdict is
-    relative to the rational ``window``; ``parts`` is None exactly when
-    the set is windowed."""
+    """A discrete multiset as one weighted point list: offsets flattened as
+    in ``integer_rows`` into ``rows`` over ``den``, with nonzero integer
+    ``weights``.  A periodic set has one of its ``lattices`` per offset,
+    weight 1 each; a windowed set has ``lattices`` None and a verdict
+    relative to the rational ``window``."""
 
-    __slots__ = ("parts", "field", "rows", "den", "weights", "window")
+    __slots__ = ("field", "rows", "den", "weights", "lattices", "window")
+
+    def __init__(self, field: Field, rows, den: int, weights, lattices, window):
+        self.field, self.rows, self.den, self.weights = field, tuple(map(tuple, rows)), den, tuple(weights)
+        self.lattices, self.window = lattices, window
+        if len(self.rows) != len(self.weights) or not all(self.weights):
+            raise GeometryError("a translate set needs one nonzero weight per listed point")
 
     @classmethod
-    def periodic(cls, parts) -> "TranslateSet":
-        t = cls.__new__(cls)
-        t.parts = tuple(parts)
-        if not t.parts:
-            raise GeometryError("periodic translate set needs at least one part")
-        return t
+    def periodic(cls, field: Field, lattices, rows, den: int) -> "TranslateSet":
+        """The union of the translates lattices[i] + rows[i] / den."""
+        lattices, rows = tuple(lattices), tuple(rows)
+        if not lattices or len(lattices) != len(rows):
+            raise GeometryError("periodic translate set needs at least one part, and one lattice per offset")
+        return cls(field, rows, den, [1] * len(rows), lattices, None)
 
     @classmethod
     def windowed(cls, field: Field, rows, den: int, weights, window) -> "TranslateSet":
-        t = cls.__new__(cls)
-        t.parts, t.field, t.rows, t.den, t.weights = None, field, tuple(rows), den, tuple(weights)
-        t.window = tuple(Fraction(w) for w in window)
-        if len(t.rows) != len(t.weights) or not all(t.weights):
-            raise GeometryError("a windowed translate set needs one nonzero weight per listed point")
-        return t
+        return cls(field, rows, den, weights, None, tuple(Fraction(w) for w in window))
 
     @property
     def is_periodic(self) -> bool:
-        return self.parts is not None
+        return self.lattices is not None
 
     def period_lattice(self) -> PlaneLattice:
         if not self.is_periodic:
             raise GeometryError("windowed translate sets have no period lattice")
-        return reduce(intersect, (lat for lat, _ in self.parts))
+        return reduce(intersect, self.lattices)
 
 
 def _scene_grid(field: Field, tset: TranslateSet, polygons, box: Box) -> Grid:
-    """The grid of the polygons' rows, the box corners and the translate
-    set's parts' Hermite rows and offsets, or its listed points."""
-    held = [*polygons, box.x0, box.y0, box.x1, box.y1]
-    held += [x for lat, z in tset.parts for x in (lat, z.x, z.y)] if tset.is_periodic else [tset]
+    """The grid of the polygons' rows, the box corners, the translate
+    set's offsets and its lattices' Hermite rows."""
+    held = [*polygons, *box, tset, *(tset.lattices or ())]
     if any(x.field is not field for x in held):
         raise FieldError(f"a point of the scene is not over {field!r}")
     return Grid(field, lcm(*(x.den for x in held)))
 
 
 def _positions(grid: Grid, tset: TranslateSet, box: Box) -> list:
-    """Every translate position in the closed box with its multiplicity,
-    part by part and unmerged, or in list order, as grid points.  The
-    grid must hold the box corners and the translate set (``_scene_grid``)."""
-    x0, y0, x1, y1 = (grid.scale(c.nums, c.den) for c in (box.x0, box.y0, box.x1, box.y1))
+    """Every translate position in the closed box with its weight, offset
+    by offset and unmerged, as grid points; every lattice's candidates
+    are counted against the budget first.  The grid must hold the box
+    corners and the translate set (``_scene_grid``)."""
+    bounds = x0, y0, x1, y1 = [grid.scale(c.nums, c.den) for c in box]
+    points = grid.rows(tset.rows, tset.den)
     if tset.is_periodic:
-        return [(p, 1) for lat, z in tset.parts for p in _lattice_points(grid, lat, z, (x0, y0), (x1, y1))]
+        parts = [(lat, z, _index_ranges(grid, lat, z, bounds)) for lat, z in zip(tset.lattices, points)]
+        check_budget(sum(max(ahi - alo + 1, 0) * max(bhi - blo + 1, 0) for *_, (alo, ahi, blo, bhi) in parts),
+                     "lattice points")
+        return [(p, 1) for lat, z, ranges in parts for p in _lattice_points(grid, lat, z, ranges, bounds)]
     below = grid.le
     return [
-        ((x, y), k) for (x, y), k in zip(grid.rows(tset.rows, tset.den), tset.weights)
+        ((x, y), k) for (x, y), k in zip(points, tset.weights)
         if below(x0, x) and below(x, x1) and below(y0, y) and below(y, y1)
     ]
 
 
-def _lattice_points(grid: Grid, lat: PlaneLattice, z: PlaneVector, lo, hi) -> list:
-    """The points of lat + z inside the closed box from the grid point lo
-    to the grid point hi, as grid points, row by row in the first
-    coordinate.
+def _index_ranges(grid: Grid, lat: PlaneLattice, z, bounds) -> tuple[int, int, int, int]:
+    """The least and greatest a, then b, of the candidates z + a*b1 + b*b2
+    for the points of lat + z, z a grid point, inside the closed box of
+    the grid bounds x0, y0, x1, y1.
 
     The lattice coordinates of a corner less z are cross products of
     numerator tuples over the basis determinant, linear in the corner, so
-    the extreme corners by grid order bound the candidate range.  Each
-    candidate is one integer step of b2 or b1 from the last."""
+    the extreme corners by grid order bound the range."""
     (b1x, b1y), (b2x, b2y) = grid.rows(lat.rows, lat.den)
-    zx, zy = grid.scale(z.x.nums, z.x.den), grid.scale(z.y.nums, z.y.den)
-    (x0, y0), (x1, y1) = lo, hi
-    below = grid.le
+    (zx, zy), (x0, y0, x1, y1) = z, bounds
     field = grid.field
     product = field.product
 
@@ -258,7 +245,7 @@ def _lattice_points(grid: Grid, lat: PlaneLattice, z: PlaneVector, lo, hi) -> li
         return tuple(map(sub, product(ux, vy), product(uy, vx)))
 
     det = cross(b1x, b1y, b2x, b2y)
-    corners = [(tuple(map(sub, x, zx)), tuple(map(sub, y, zy))) for x, y in (lo, (x1, y0), hi, (x0, y1))]
+    corners = [(tuple(map(sub, x, zx)), tuple(map(sub, y, zy))) for x, y in ((x0, y0), (x1, y0), (x1, y1), (x0, y1))]
 
     def integer_range(scaled):
         lo, hi = min(scaled, key=grid.key), max(scaled, key=grid.key)
@@ -267,9 +254,17 @@ def _lattice_points(grid: Grid, lat: PlaneLattice, z: PlaneVector, lo, hi) -> li
         # ceil(lo / det) is -floor(-lo / det)
         return -field.floor(*field.divide(tuple(map(neg, lo)), 1, det, 1)), field.floor(*field.divide(hi, 1, det, 1))
 
-    alo, ahi = integer_range([cross(x, y, b2x, b2y) for x, y in corners])
-    blo, bhi = integer_range([cross(b1x, b1y, x, y) for x, y in corners])
-    check_budget(max(ahi - alo + 1, 0) * max(bhi - blo + 1, 0), "lattice points")
+    return (*integer_range([cross(x, y, b2x, b2y) for x, y in corners]),
+            *integer_range([cross(b1x, b1y, x, y) for x, y in corners]))
+
+
+def _lattice_points(grid: Grid, lat: PlaneLattice, z, ranges, bounds) -> list:
+    """The points of lat + z inside the closed box of the bounds, as grid
+    points, row by row in the first coordinate, over the candidates of
+    ``_index_ranges``; each is one integer step of b2 or b1 from the last."""
+    (b1x, b1y), (b2x, b2y) = grid.rows(lat.rows, lat.den)
+    (zx, zy), (x0, y0, x1, y1), (alo, ahi, blo, bhi) = z, bounds, ranges
+    below = grid.le
     out = []
     rx = tuple([c + alo * m + blo * n for c, m, n in zip(zx, b1x, b2x)])
     ry = tuple([c + alo * m + blo * n for c, m, n in zip(zy, b1y, b2y)])
@@ -300,7 +295,7 @@ def region_translates(poly: Polygon, tset: TranslateSet, region: Polygon):
     """The scene on its grid: the one place a scene is put on a grid.
 
     Returns the grid of the region's and the polygon's vertices, the
-    search box and the parts' bases and offsets, and the translates whose
+    search box, the offsets and the lattices' bases, and the translates whose
     copy of poly can meet the region's bounding box, each position once as
     a grid point with its summed multiplicity, in order of first
     appearance."""
@@ -332,11 +327,12 @@ def _periodic_region(tset: TranslateSet) -> Polygon:
     return Polygon.from_rows(period.field, rows, period.den)
 
 
-def _windowed_region(poly: Polygon, tset: TranslateSet) -> Polygon:
-    """The window shrunk by the polygon's extent, its corners the margin
-    sums wx0 + x1, wy0 + y1, wx1 + x0 and wy1 + y0 of the window's
-    rationals and poly's bounding box, as numerators over one denominator."""
-    field, pb, window = poly.field, poly.bbox, tset.window
+def window_region(field: Field, window, poly: Polygon | None = None) -> Polygon:
+    """The rectangle of the rational window [x0, y0, x1, y1] on rows; given
+    poly, the window shrunk by its extent, with corners the margin sums
+    wx0 + x1, wy0 + y1, wx1 + x0 and wy1 + y0 of the window's rationals and
+    poly's bounding box, as numerators over one denominator."""
+    pb = poly.bbox if poly is not None else Box(*(field.zero(),) * 4)
     ends = (pb.x1, pb.y1, pb.x0, pb.y0)
     den = lcm(*(w.denominator for w in window), *(e.den for e in ends))
     margins = []
@@ -346,7 +342,7 @@ def _windowed_region(poly: Polygon, tset: TranslateSet) -> Polygon:
         margins.append(nums)
     x0, y0, x1, y1 = margins
     if field.sign(tuple(map(sub, x1, x0))) <= 0 or field.sign(tuple(map(sub, y1, y0))) <= 0:
-        raise WindowError("window is too small for the polygon's diameter margin")
+        raise WindowError("window is too small for the polygon's diameter margin" if poly else "window is empty")
     return Polygon.from_rows(field, [x0 + y0, x1 + y0, x1 + y1, x0 + y1], den)
 
 
@@ -363,7 +359,7 @@ def verify_covering(poly: Polygon, tset: TranslateSet) -> VerifyReport:
         region = _periodic_region(tset)
         window_relative = False
     else:
-        region = _windowed_region(poly, tset)
+        region = window_region(poly.field, tset.window, poly)
         window_relative = True
     faces = arrangement_faces(poly, *region_translates(poly, tset, region), region)
     report = _report(faces, window_relative)
@@ -380,7 +376,7 @@ def _check_density(poly: Polygon, tset: TranslateSet, multiplicity: int) -> None
     equal their sum; a mismatch, an irrational ratio included, is a bug
     in the sweep, not bad input."""
     area = poly.area()
-    ratios = [lat.det_ratio(area.nums, area.den) for lat, _ in tset.parts]
+    ratios = [lat.det_ratio(area.nums, area.den) for lat in tset.lattices]
     density = None if None in ratios else sum(map(abs, ratios))
     if density != multiplicity:
         raise InternalError(

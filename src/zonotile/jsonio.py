@@ -8,7 +8,9 @@ the radicands, which makes decoding unambiguous.  Encoding is canonical:
 lattices are in canonical basis form, keys are emitted sorted, and
 round-tripping is bit-exact.  One term reader checks every element's
 terms; vector lists go from their terms straight to integer rows, and
-lattices and zonotopes are built from those rows, with no field element.
+lattices, zonotopes and translate sets are built from those rows, with
+no field element: a scene's part offsets are read in one pass, a missing
+one as the zero vector.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from math import gcd, lcm
 from .criteria import BolleReport, CanonicalLattice, Decision
 from .errors import FieldError, GeometryError, ZonotileError
 from .field import Field, FieldElement, RATIONALS, int_str
-from .lattice import LATTICE, PlaneLattice, PlaneVector, row_span, vectors_from_rows
+from .lattice import LATTICE, PlaneLattice, PlaneVector, row_span
 from .zonotope import Zonotope
 
 __all__ = [
@@ -31,7 +33,6 @@ __all__ = [
     "encode_element",
     "decode_element",
     "encode_vector",
-    "decode_vector",
     "encode_lattice",
     "decode_lattice",
     "encode_zonotope",
@@ -142,13 +143,19 @@ def parse_element_text(text: str, field: Field | None = None, where: str = "elem
     are adjoined in increasing order, each unless the field built so far
     has its root (sqrt(15) in Q(sqrt6, sqrt10) is sqrt(60)/2).  Errors
     name ``where``, the text's source, and the bad term as written.
-    Numbers are read in ASCII digits only.
+    Numbers are read in ASCII digits only; no term is empty or split by a space.
     """
     if not text.isascii():  # int, Fraction and str.isdecimal read any Unicode digit
         raise GeometryError(f"bad text {text!r} in {where}: write it with ASCII digits")
+    if re.search(r"[\w.]\s+[\w.]", text):
+        raise GeometryError(f"bad text {text!r} in {where}: a space splits a number or a name")
+    # the terms between the '+' and '-' outside parentheses; a term keeps its '-'
+    pieces = re.split(r"([+-])(?![^()+-]*\))", text)
+    if not all(piece.strip() for piece in pieces[2::2] or pieces):
+        raise GeometryError(f"bad text {text!r} in {where}: a term is empty")
+    terms = [(sign.strip("+") + piece).strip() for sign, piece in zip(["", *pieces[1::2]], pieces[::2])]
     parsed: list[tuple[Fraction, int]] = []  # (c, n) for c*sqrt(n), n = 1 for a rational
-    # a term runs up to the next '+' or '-' outside parentheses and keeps its '-'
-    for term in [t.strip() for t in re.findall(r"-?(?:[^+\-(]|\([^)]*\)?)*", text) if t.strip()]:
+    for term in filter(None, terms):  # the first is empty before a leading sign
         body = term.replace(" ", "")
         head, sqrt, tail = body.removeprefix("-").partition("sqrt(")
         try:
@@ -260,10 +267,6 @@ def encode_vector(v: PlaneVector) -> dict:
     return {"x": encode_element(v.x), "y": encode_element(v.y)}
 
 
-def decode_vector(doc, field: Field, where: str = "vector") -> PlaneVector:
-    return vectors_from_rows(field, *_read_rows([doc], field, lambda i: where))[0]
-
-
 def _read_rows(values: list, field: Field, name) -> tuple[list[list[int]], int]:
     """The {x, y} objects ``values`` as :func:`~zonotile.lattice.integer_rows`
     gives the vectors they name: integer rows over their least common
@@ -288,7 +291,7 @@ def _read_rows(values: list, field: Field, name) -> tuple[list[list[int]], int]:
 # before any term is read.  decide grows linearly in m: 2,048 generators
 # take about 0.02 s in process, and `decide` on such a document about
 # 0.06 s with reading and writing (2-vCPU VM, Python 3.11); a vertex list
-# of that length has half as many generators.
+# of that length has half as many generators, and a scene as many parts.
 MAX_VECTORS = 2048
 
 
@@ -436,24 +439,23 @@ def decode_scene_document(doc) -> tuple[Polygon, TranslateSet]:
         poly = Polygon.from_zonotope(_located("polygon.generators", Zonotope.from_rows, field, rows, den))
     else:
         raise GeometryError("scene polygon needs 'vertices' or 'generators'")
-    parts_doc = lam.get("periodic")
-    if not parts_doc:
+    parts = lam.get("periodic")
+    if not parts:
         raise GeometryError("scene lambda needs 'periodic' parts or a 'builtin' name")
-    if not isinstance(parts_doc, list):
-        raise GeometryError(f"lambda.periodic must be a list of parts, got {parts_doc!r}")
-    parts = []
-    for i, part in enumerate(parts_doc):
+    if not isinstance(parts, list):
+        raise GeometryError(f"lambda.periodic must be a list of parts, got {parts!r}")
+    if len(parts) > MAX_VECTORS:
+        raise GeometryError(f"lambda.periodic has {len(parts)} parts, over the budget of {MAX_VECTORS}")
+    lattices = []
+    for i, part in enumerate(parts):
         where = f"lambda.periodic[{i}]"
         if not isinstance(part, dict) or "lattice" not in part:
             raise GeometryError(f"{where} must be an object with a 'lattice', got {part!r}")
-        lat = decode_lattice(part["lattice"], field, f"{where}.lattice")
-        offset = (
-            decode_vector(part["offset"], field, f"{where}.offset")
-            if "offset" in part
-            else PlaneVector(field.zero(), field.zero())
-        )
-        parts.append((lat, offset))
-    return poly, TranslateSet.periodic(parts)
+        lattices.append(decode_lattice(part["lattice"], field, f"{where}.lattice"))
+    # a part without an offset sits at the origin, which has no term on either axis
+    offsets = [part.get("offset", {"x": [], "y": []}) for part in parts]
+    rows, den = _read_rows(offsets, field, lambda i: f"lambda.periodic[{i}].offset")
+    return poly, TranslateSet.periodic(field, lattices, rows, den)
 
 
 def encode_scene_builtin(name: str, window, beta) -> dict:

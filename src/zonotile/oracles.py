@@ -17,7 +17,9 @@ from .criteria import bolle_check
 from .errors import FieldError, GeometryError, ZonotileError
 from .field import FieldElement
 from .intlinalg import row_hnf
-from .lattice import PlaneLattice, PlaneVector, SpanAnalysis, integer_rows, row_cross, row_span, vectors_from_rows
+from .lattice import (
+    PlaneLattice, PlaneVector, SpanAnalysis, integer_rows, row_cross, row_span, vector, vectors_from_rows,
+)
 from .zonotope import Zonotope
 
 __all__ = [
@@ -150,7 +152,7 @@ def lattice_points_in_box(lat: PlaneLattice, box: Box) -> list[PlaneVector]:
     """Exactly the lattice points inside the closed box, row by row in the
     first coordinate, by element arithmetic alone: the ``lat.point(a, b)``
     the box holds, a and b ranging over the corners' :meth:`PlaneLattice.coords`."""
-    a_s, b_s = zip(*(lat.coords(c) for c in box.corners()))
+    a_s, b_s = zip(*(lat.coords(PlaneVector(x, y)) for x in (box.x0, box.x1) for y in (box.y0, box.y1)))
     out = []
     for a in range(min(a_s).ceil(), max(a_s).floor() + 1):
         for b in range(min(b_s).ceil(), max(b_s).floor() + 1):
@@ -195,9 +197,9 @@ def locate(poly: Polygon, p: PlaneVector) -> int:
 
 def covering_at(poly: Polygon, tset: TranslateSet, x: PlaneVector) -> int:
     """The number of translates of poly whose interior contains x, by
-    point location: the count every face of the sweep is held to.  Each
-    part's translates come from :func:`lattice_points_in_box`, a windowed
-    set's are its listed points, as vectors, with their weights.
+    point location: the count every face of the sweep is held to.  The
+    offsets are built as vectors, with their weights, and each moves its
+    lattice's :func:`lattice_points_in_box` when the set is periodic.
 
     Raises BoundaryError when x lies on some translate boundary; the
     covering function is only defined off that measure-zero set.
@@ -208,10 +210,10 @@ def covering_at(poly: Polygon, tset: TranslateSet, x: PlaneVector) -> int:
     def search(c):  # the positions whose translate of poly can hold c
         return Box(c.x - bb.x1, c.y - bb.y1, c.x - bb.x0, c.y - bb.y0)
 
+    translates = list(zip(vectors_from_rows(tset.field, tset.rows, tset.den), tset.weights))
     if tset.is_periodic:
-        translates = [(p + z, 1) for lat, z in tset.parts for p in lattice_points_in_box(lat, search(x - z))]
-    else:
-        translates = zip(vectors_from_rows(tset.field, tset.rows, tset.den), tset.weights)
+        translates = [(p + z, k) for (z, k), lat in zip(translates, tset.lattices)
+                      for p in lattice_points_in_box(lat, search(x - z))]
     count = 0
     for lam, mult in translates:
         loc = locate(poly, x - lam)
@@ -233,7 +235,7 @@ def strip_profile(poly: Polygon, lat: PlaneLattice, n_values) -> list[int]:
     are reported as an error, never averaged).
     """
     from .arrangement import arrangement_faces
-    from .covering import Box, Polygon, TranslateSet, region_translates
+    from .covering import Polygon, TranslateSet, region_translates
     b1, b2 = lat.basis()
     if not b2.x.is_zero():
         raise GeometryError("lattice is not axis-compatible (vertical second basis vector)")
@@ -242,10 +244,10 @@ def strip_profile(poly: Polygon, lat: PlaneLattice, n_values) -> list[int]:
         raise GeometryError("lattice has no horizontal period (irrational basis ratio)")
     period = abs(b1.x * ratio.denominator)
     field = poly.field
-    tset = TranslateSet.periodic([(lat, PlaneVector(field.zero(), field.zero()))])
+    tset = TranslateSet.periodic(field, [lat], [(0,) * 2 * field.size], 1)
     out = []
     for n in n_values:
-        region = Polygon(Box(field.zero(), field.rational(n), period, field.rational(n + 1)).corners())
+        region = Polygon([vector(field, x, y) for x, y in ((0, n), (period, n), (period, n + 1), (0, n + 1))])
         faces = arrangement_faces(poly, *region_translates(poly, tset, region), region)
         counts = {f.count for f in faces}
         if len(counts) != 1:

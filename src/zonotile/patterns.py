@@ -20,7 +20,7 @@ from math import ceil, floor
 
 from .errors import GeometryError
 from .field import Field, FieldElement, RATIONALS
-from .lattice import PlaneLattice, PlaneVector, vector
+from .lattice import PlaneLattice, integer_rows, vector
 
 __all__ = ["BUILTIN_NAMES", "builtin_scene"]
 
@@ -102,7 +102,6 @@ def builtin_scene(name: str, window=None, beta=None, where=("window", "beta")) -
         field = beta.field if isinstance(beta, FieldElement) else RATIONALS
         poly = lattice_octagon(field)
         lat = octagon_strip_lattice(field)
-        zero = PlaneVector(field.zero(), field.zero())
-        shift = vector(field, beta, 1)
-        return poly, TranslateSet.periodic([(lat, zero), (lat, shift)])
+        offsets = integer_rows([vector(field, 0, 0), vector(field, beta, 1)])
+        return poly, TranslateSet.periodic(field, [lat, lat], *offsets)
     raise GeometryError(f"unknown builtin {name!r}; known: {', '.join(BUILTIN_NAMES)}")

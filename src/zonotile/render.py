@@ -13,18 +13,19 @@ arrangement), read and formatted once per line and cut, since the faces
 on either side of a line, and of the cut, share that corner.  An outline
 vertex is the tuple sum of a polygon vertex and a translate position,
 both grid tuples; its abscissa is formatted once per column of
-translates and its ordinate once per row.  The size comes from
-the window's own numerators.  Every coordinate, rational or not, is
-rounded half up to four decimals exactly, by one ``Field.floor`` on its
-numerators.
+translates and its ordinate once per row.  The window is four
+rationals, as the command line and a windowed translate set hold it;
+``covering.window_region`` builds its rectangle on rows, and the size
+comes from that rectangle's numerators.  Every coordinate, rational or
+not, is rounded half up to four decimals exactly, by one ``Field.floor``
+on its numerators.
 """
 
 from __future__ import annotations
 
 from operator import add
 
-from .covering import Box, Polygon, TranslateSet, arrangement_faces, region_translates
-from .errors import WindowError
+from .covering import Polygon, TranslateSet, arrangement_faces, region_translates, window_region
 from .field import Field, FieldElement, int_str
 
 __all__ = ["render_svg"]
@@ -97,16 +98,16 @@ class _Axis:
         return text
 
 
-def render_svg(poly: Polygon, tset: TranslateSet, window: Box) -> str:
-    if not window.has_area():
-        raise WindowError("render window is empty")
-    region = Polygon(window.corners())
+def render_svg(poly: Polygon, tset: TranslateSet, window) -> str:
+    """The scene inside the rational window [x0, y0, x1, y1] as SVG text."""
+    field = poly.field
+    region = window_region(field, window)
     grid, translates = region_translates(poly, tset, region)
     faces = arrangement_faces(poly, grid, translates, region)
-    field = poly.field
-    sx, sy = _Axis(field, window.x0, 1), _Axis(field, window.y1, -1)
-    width = sx(window.x1.nums, window.x1.den)
-    h, hd = sy.value(window.y0.nums, window.y0.den)
+    box = region.bbox  # the window's corners, read off the region's rows
+    sx, sy = _Axis(field, box.x0, 1), _Axis(field, box.y1, -1)
+    width = sx(box.x1.nums, box.x1.den)
+    h, hd = sy.value(box.y0.nums, box.y0.den)
 
     def below(k: int) -> str:  # k pixels under the window
         return _fmt(field, (h[0] + k * _HALF_UNITS * hd, *h[1:]), hd)

@@ -3,7 +3,8 @@
 import json
 from fractions import Fraction
 
-from zonotile import RATIONALS, Field, PlaneVector, Zonotope, vector
+from zonotile import RATIONALS, Field, PlaneVector, TranslateSet, Zonotope, vector
+from zonotile.lattice import integer_rows, vectors_from_rows
 
 Q = RATIONALS
 F2 = Field([2])
@@ -12,6 +13,17 @@ F23 = Field([2, 3])
 
 def V(x, y, field=Q):
     return vector(field, x, y)
+
+
+def periodic_set(parts):
+    """The periodic translate set of (lattice, offset vector) pairs."""
+    lattices, offsets = zip(*parts)
+    return TranslateSet.periodic(lattices[0].field, lattices, *integer_rows(offsets))
+
+
+def set_parts(tset):
+    """A periodic translate set's (lattice, offset vector) pairs."""
+    return list(zip(tset.lattices, vectors_from_rows(tset.field, tset.rows, tset.den)))
 
 
 def rand_fraction(rng, max_num=8, max_den=4):

@@ -15,7 +15,6 @@ import pytest
 from zonotile import (
     GeometryError,
     PlaneLattice,
-    PlaneVector,
     Polygon,
     TranslateSet,
     Zonotope,
@@ -53,7 +52,7 @@ def octagon():
 
 def single_lattice_set(lat):
     field = lat.field
-    return TranslateSet.periodic([(lat, PlaneVector(field.zero(), field.zero()))])
+    return TranslateSet.periodic(field, [lat], [(0,) * 2 * field.size], 1)
 
 
 def bounded_random_polygon(rng, max_multiplicity=24):

@@ -484,7 +484,7 @@ class TestRender:
         scene.write_text(out)
         code = main(["render", str(scene), "-o", str(tmp_path / "x.svg"), "--window=0,0,0,1"])
         assert code == 2
-        assert "render window is empty" in capsys.readouterr().err
+        assert "--window: window is empty" in capsys.readouterr().err
 
     def test_unwritable_output(self, capsys, tmp_path):
         _, out = run(capsys, ["examples", "tetromino-L1"])
@@ -823,6 +823,58 @@ class TestTypedErrors:
             self.fails(capsys, ["verify", str(path)], named)
         path.write_text(json.dumps({"field": [2], "lambda": {"builtin": "octagon-family", "beta": "sqrt(3)"}}))
         self.fails(capsys, ["verify", str(path)], "bad term 'sqrt(3)' in lambda.beta: sqrt(3) is not a basis monomial")
+
+    def test_beta_text_with_an_empty_term_or_a_split_number(self, capsys, tmp_path):
+        # these once read as 0, and "1 2" as 12
+        for text, why in [("", "a term is empty"), (" ", "a term is empty"), ("+", "a term is empty"),
+                          ("1 + - 2", "a term is empty"), ("sqrt(2) -", "a term is empty"),
+                          ("1 2", "a space splits a number or a name")]:
+            self.fails(capsys, ["examples", "octagon-family", f"--beta={text}"], f"bad text {text!r} in --beta: {why}")
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps({"lambda": {"builtin": "octagon-family", "beta": "1 2*sqrt(2)"}}))
+        self.fails(capsys, ["verify", str(path)], "bad text '1 2*sqrt(2)' in lambda.beta: a space splits")
+
+    def test_beta_texts_keep_their_values(self, capsys):
+        for text, beta in [
+            ("1/3", "1/3"),
+            ("sqrt(2)", [{"den": "1", "monomial": "r2", "num": "1"}]),
+            ("sqrt(2)+sqrt(3)", [{"den": "1", "monomial": "r2", "num": "1"}, {"den": "1", "monomial": "r3", "num": "1"}]),
+            ("3 * sqrt(2)", [{"den": "1", "monomial": "r2", "num": "3"}]),
+            ("1/2 + 3*sqrt(2) - sqrt(6)", [{"den": "2", "monomial": "1", "num": "1"},
+                                           {"den": "1", "monomial": "r2", "num": "3"},
+                                           {"den": "1", "monomial": "r6", "num": "-1"}]),
+        ]:
+            code, out = run(capsys, ["examples", "octagon-family", "--beta", text])
+            assert code == 0 and json.loads(out)["lambda"]["beta"] == beta, (text, out)
+
+    def test_periodic_parts_over_the_budget(self, capsys, tmp_path):
+        # the part count is checked before any part is read: these parts are
+        # not objects, and only a list within the budget gets to say so
+        budget = jsonio.MAX_VECTORS
+        square = {"vertices": [jsonio.encode_vector(V(x, y)) for x, y in [(0, 0), (1, 0), (1, 1), (0, 1)]]}
+        path = tmp_path / "scene.json"
+        for entries, named in [
+            (budget + 1, f"lambda.periodic has {budget + 1} parts, over the budget of {budget}"),
+            (budget, "lambda.periodic[0] must be an object with a 'lattice'"),
+        ]:
+            path.write_text(json.dumps({"field": [], "polygon": square, "lambda": {"periodic": [None] * entries}}))
+            self.fails(capsys, ["verify", str(path)], named)
+
+    def test_parts_share_one_enumeration_budget(self, capsys, tmp_path):
+        # the lattice octagon meets 64,516 candidates of (1/84)Z^2 a part,
+        # within the budget; two copies of the part meet twice as many and
+        # are refused before either is enumerated
+        lattice = {"lattice": jsonio.encode_lattice(PlaneLattice(V(Fraction(1, 84), 0), V(0, Fraction(1, 84))))}
+        octagon = [(1, 0), (2, 0), (3, 1), (3, 2), (2, 3), (1, 3), (0, 2), (0, 1)]
+        polygon = {"vertices": [jsonio.encode_vector(V(x, y)) for x, y in octagon]}
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps({"field": [], "polygon": polygon, "lambda": {"periodic": [lattice]}}))
+        assert run(capsys, ["verify", str(path)])[0] == 0
+        path.write_text(json.dumps({"field": [], "polygon": polygon, "lambda": {"periodic": [lattice] * 2}}))
+        start = time.perf_counter()
+        self.fails(capsys, ["verify", str(path)],
+                   "holds 129032 candidate lattice points, over the enumeration budget of 65536")
+        assert time.perf_counter() - start < 1.0
 
     def test_dependent_radicands_read_in_the_field_they_span(self, capsys):
         for text, field, monomials in [

@@ -38,7 +38,7 @@ from zonotile.patterns import (
     tetromino_l2_multiplicity,
 )
 
-from conftest import F2, F23, Q, V, random_zonotope
+from conftest import F2, F23, Q, V, periodic_set, random_zonotope, set_parts
 from test_acceptance import bounded_random_polygon
 
 H = Fraction(1, 2)
@@ -49,8 +49,13 @@ def qbox(x0, y0, x1, y1, field=Q):
 
 
 def single(lat, field=Q):
-    zero = field.zero()
-    return TranslateSet.periodic([(lat, PlaneVector(zero, zero))])
+    return TranslateSet.periodic(field, [lat], [(0,) * 2 * field.size], 1)
+
+
+def corners(box):
+    """The box's corners, counterclockwise from the lower left."""
+    return [PlaneVector(box.x0, box.y0), PlaneVector(box.x1, box.y0), PlaneVector(box.x1, box.y1),
+            PlaneVector(box.x0, box.y1)]
 
 
 def grid_vector(grid, p):
@@ -81,7 +86,7 @@ def oracle_positions(tset, box):
     set's as the listed points that compare inside the box."""
     got = Counter()
     if tset.is_periodic:
-        for lat, z in tset.parts:
+        for lat, z in set_parts(tset):
             for p in lattice_points_in_box(lat, Box(box.x0 - z.x, box.y0 - z.y, box.x1 - z.x, box.y1 - z.y)):
                 got[p + z] += 1
         return got
@@ -228,13 +233,13 @@ class TestLatticePointsInBox:
             parts = [part() for _ in range(1 + case % 2)]
             x0, y0 = corner(), corner()
             box = Box(x0, y0, x0 + rng.choice((1, 3, r2, 1 + r2)), y0 + rng.choice((2, 3, r2, 2 * r2)))
-            tset = TranslateSet.periodic(parts)
+            tset = periodic_set(parts)
             got, pipeline = oracle_positions(tset, box), pipeline_positions(tset, box)
             want = Counter()
             for lat, z in parts:
                 b1, b2 = lat.basis()
                 det = approx(b1.cross(b2))
-                offsets = [c - z for c in box.corners()]
+                offsets = [c - z for c in corners(box)]
                 for a in index_range([approx(d.cross(b2)) / det for d in offsets]):
                     for b in index_range([approx(b1.cross(d)) / det for d in offsets]):
                         p = lat.point(a, b) + z
@@ -261,6 +266,19 @@ class TestEnumerationBudget:
         with pytest.raises(GeometryError, match=f"{MAX_BOX_CANDIDATES + 1} candidate lattice points.*{MAX_BOX_CANDIDATES}"):
             covering._positions(grid, tset, box)
         assert compared == []
+
+    def test_parts_share_one_budget(self):
+        # two parts of (cap/2 + 1) x 1 candidates each: either is within the
+        # cap alone, and together they are over it before either is listed
+        lat = PlaneLattice(V(1, 0), V(0, 1))
+        tset, box = periodic_set([(lat, V(0, 0)), (lat, V(0, 0))]), qbox(0, 0, MAX_BOX_CANDIDATES // 2, 0)
+        grid = covering._scene_grid(Q, tset, (), box)
+        compared, le = [], grid.le
+        grid.le = lambda a, b: compared.append((a, b)) or le(a, b)
+        with pytest.raises(GeometryError, match=f"{MAX_BOX_CANDIDATES + 2} candidate lattice points.*{MAX_BOX_CANDIDATES}"):
+            covering._positions(grid, tset, box)
+        assert compared == []
+        assert len(covering._positions(grid, single(lat), box)) == MAX_BOX_CANDIDATES // 2 + 1
 
     def test_window_points_refused_when_the_scene_is_built(self, monkeypatch):
         # a tetromino window is counted before its rule runs on any point
@@ -316,7 +334,7 @@ class TestCoveringAt:
 
     def test_translation_equivariance(self):
         def shifted(ts, v):
-            return TranslateSet.periodic([(lat, z + v) for lat, z in ts.parts])
+            return periodic_set([(lat, z + v) for lat, z in set_parts(ts)])
 
         rng = random.Random(23)
         poly = lattice_octagon(F2)
@@ -361,7 +379,7 @@ class TestVerifyCovering:
         poly, ts = builtin_scene("octagon-family", beta=F2.sqrt(2))
         window = (-4, -4, 5, 5)
         box, points = qbox(*window, F2), []
-        for lat, z in ts.parts:
+        for lat, z in set_parts(ts):
             points += [p + z for p in lattice_points_in_box(lat, Box(box.x0 - z.x, box.y0 - z.y, box.x1 - z.x, box.y1 - z.y))]
         assert len(points) == 95
 
@@ -407,11 +425,13 @@ class TestVerifyCovering:
         zero = PlaneVector(f.zero(), f.zero())
         l1 = PlaneLattice(V(1, 0, f), V(0, 1, f))
         l2 = PlaneLattice(V(f.sqrt(2), 0, f), V(0, 1, f))
-        ts = TranslateSet.periodic([(l1, zero), (l2, zero)])
+        ts = periodic_set([(l1, zero), (l2, zero)])
         with pytest.raises(IncommensurableError):
             verify_covering(lattice_octagon(f), ts)
         with pytest.raises(GeometryError, match="at least one part"):
-            TranslateSet.periodic([])
+            TranslateSet.periodic(Q, [], [], 1)
+        with pytest.raises(GeometryError, match="one lattice per offset"):
+            TranslateSet.periodic(Q, [PlaneLattice(V(1, 0), V(0, 1))], [(0, 0), (1, 0)], 1)
 
     def test_oracle_multiplicity_matches_accounting(self):
         rng = random.Random(29)
@@ -438,7 +458,7 @@ def concurrent_crossing_scene():
     three lines, one of them two segments thick, at one cut."""
     four = PlaneLattice(V(4, 0), V(0, 4))
     offsets = [(-1, 1), (-2, H), (0, H), (Fraction(-5, 4), 1)]
-    return lattice_octagon(), TranslateSet.periodic([(four, V(x, y)) for x, y in offsets])
+    return lattice_octagon(), periodic_set([(four, V(x, y)) for x, y in offsets])
 
 
 def irrational_crossing_scene():
@@ -458,7 +478,7 @@ def verification_region(poly, tset):
         return Polygon([origin, period.b1, period.b1 + period.b2, period.b2])
     wx0, wy0, wx1, wy1 = tset.window
     pb = poly.bbox
-    return Polygon(Box(pb.x1 + wx0, pb.y1 + wy0, pb.x0 + wx1, pb.y0 + wy1).corners())
+    return Polygon(corners(Box(pb.x1 + wx0, pb.y1 + wy0, pb.x0 + wx1, pb.y0 + wy1)))
 
 
 def oracle_scenes():
@@ -472,7 +492,7 @@ def oracle_scenes():
         builtin_scene("tetromino-L1"),
         builtin_scene("tetromino-L2"),
         builtin_scene("tetromino-union"),
-        (octagon_third[0], TranslateSet.periodic(octagon_third[1].parts * 2)),
+        (octagon_third[0], periodic_set(set_parts(octagon_third[1]) * 2)),
     ]
 
 
@@ -527,8 +547,8 @@ class TestArrangementCounts:
 
     def test_region_translates_sums_repeated_positions(self):
         poly, tset = builtin_scene("octagon-family", beta=Fraction(1, 3))
-        doubled = TranslateSet.periodic(tset.parts * 2)
-        region = Polygon(qbox(0, 0, 1, 2).corners())
+        doubled = periodic_set(set_parts(tset) * 2)
+        region = Polygon(corners(qbox(0, 0, 1, 2)))
         _, once = region_translates(poly, tset, region)
         assert len({p for p, _ in once}) == len(once)
         assert all(k == 1 for _, k in once)
@@ -645,10 +665,10 @@ def arrangement_event_scenes():
     poly, tset = builtin_scene("tetromino-union")
     scenes.append((poly, tset, verification_region(poly, tset)))
     poly, tset = builtin_scene("octagon-family", beta=Fraction(1, 3))
-    scenes.append((poly, tset, Polygon(qbox(0, 0, 4, 4).corners())))
+    scenes.append((poly, tset, Polygon(corners(qbox(0, 0, 4, 4)))))
     # a window lower than a vertical period: some crossings in its
     # x-range happen only below it, where edges must not be clipped
-    scenes.append((poly, tset, Polygon(qbox(Fraction(1, 3), Fraction(1, 5), 2, H).corners())))
+    scenes.append((poly, tset, Polygon(corners(qbox(Fraction(1, 3), Fraction(1, 5), 2, H)))))
     poly, tset = concurrent_crossing_scene()
     scenes.append((poly, tset, verification_region(poly, tset)))
     rng = random.Random(20260810)
@@ -761,7 +781,7 @@ class TestCollinearLines:
         # and the bottom of the next (+1): a rung of weight 0
         poly, tset = self.unit_squares((0, 0), (1, 0), (1, 1), (0, 1))
         assert verify_covering(poly, tset).cells_checked == 1
-        faces = self.assert_faces_are_the_oracle(poly, tset, Polygon(qbox(0, 0, 1, 2).corners()))
+        faces = self.assert_faces_are_the_oracle(poly, tset, Polygon(corners(qbox(0, 0, 1, 2))))
         assert [(f.sample, f.count) for f in faces] == [(V(H, H), 1), (V(H, Fraction(3, 2)), 1)]
 
     def test_region_line_toggles_only_where_its_region_edge_spans(self):
@@ -802,7 +822,7 @@ class TestSweepWork:
 
         monkeypatch.setattr(arrangement, "_ranks", counted)
         half = PlaneLattice(V(Fraction(1, 2), 0), V(0, Fraction(1, 2)))
-        poly, tset = lattice_octagon(), TranslateSet.periodic([(half, V(0, 0))])
+        poly, tset = lattice_octagon(), periodic_set([(half, V(0, 0))])
         grid, translates = region_translates(poly, tset, Polygon([V(0, 0), half.b1, half.b1 + half.b2, half.b2]))
         assert (len(translates), len({x for (x, _), _ in translates})) == (64, 8)
         assert verify_covering(poly, tset).multiplicity == 28

@@ -389,9 +389,9 @@ def _golden_runs(capsys, tmp_path) -> list[list[str]]:
 
 
 class TestRowsAreTheState:
-    def test_verify_and_render_build_vectors_only_for_offsets(self, capsys, tmp_path, monkeypatch):
-        # polygons and lattices are held as rows and put on the grid from
-        # them; the one vector a scene document decodes is a part's offset
+    def test_verify_and_render_build_no_vector(self, capsys, tmp_path, monkeypatch):
+        # polygons, lattices and translate offsets are held as rows and put
+        # on the grid from them, so no vector is built from rows
         runs = _golden_runs(capsys, tmp_path)
         callers, original = Counter(), lattice.vectors_from_rows
 
@@ -406,4 +406,4 @@ class TestRowsAreTheState:
         monkeypatch.undo()
         capsys.readouterr()
         assert set(codes) == {0, 1}
-        assert set(callers) == {"decode_vector"}, callers
+        assert not callers, callers

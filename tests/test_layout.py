@@ -361,10 +361,19 @@ def test_signs_and_floors_have_no_precision_schedule():
     assert not offenders, offenders
 
 
-# Public methods of the covering classes that no pipeline code calls, kept
-# because the benchmark's tracer reads them: it counts a scene's segments
-# from ``Polygon.vertices``.
-BENCH_READS = {"Polygon.vertices"}
+# Public names that no pipeline code calls, kept because the benchmark
+# reads them: its tracer counts a scene's segments from
+# ``Polygon.vertices``, and it writes its zonotope inputs with
+# ``jsonio.encode_zonotope``.
+BENCH_READS = {"Polygon.vertices", "jsonio.encode_zonotope"}
+
+
+def test_every_jsonio_name_has_a_pipeline_caller():
+    """Every name in ``jsonio.__all__`` is referenced by pipeline code
+    outside its own definition, or is a benchmark read."""
+    refs = _pipeline_references()
+    uncalled = {f"jsonio.{name}" for name in jsonio.__all__ if not refs.get(name, set()) - {("jsonio", name)}}
+    assert not uncalled - BENCH_READS, sorted(uncalled - BENCH_READS)
 
 
 def _covering_methods():

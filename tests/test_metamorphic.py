@@ -101,8 +101,7 @@ def scene(z: Zonotope, lat: PlaneLattice, shift=None):
     poly = Polygon.from_zonotope(z)
     if shift is not None:
         poly = Polygon([v + shift for v in poly.vertices])
-    zero = PlaneVector(z.field.zero(), z.field.zero())
-    return poly, TranslateSet.periodic([(lat, zero)])
+    return poly, TranslateSet.periodic(z.field, [lat], [(0,) * 2 * z.field.size], 1)
 
 
 @pytest.mark.parametrize("map_name", [entry[0] for entry in MAPS])

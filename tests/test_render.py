@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from zonotile import Box, FieldElement, arrangement, builtin_scene, render
+from zonotile import FieldElement, arrangement, builtin_scene, render
 from zonotile.cli import main
 from zonotile.render import _SCALE, _Axis, render_svg
 
@@ -131,7 +131,7 @@ def test_each_line_height_is_read_once_per_cut(monkeypatch):
 
     monkeypatch.setattr(arrangement._Segment, "height", counted)
     poly, tset = builtin_scene("octagon-family", beta=Fraction(1, 3))
-    svg = render_svg(poly, tset, Box(*(poly.field.rational(v) for v in (0, 0, 4, 4))))
+    svg = render_svg(poly, tset, (Fraction(0), Fraction(0), Fraction(4), Fraction(4)))
     faces = svg.count('stroke="none"/>')
     assert faces and calls
     assert max(calls.values()) == 1
