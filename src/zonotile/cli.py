@@ -21,7 +21,6 @@ from types import SimpleNamespace
 from . import jsonio
 from .criteria import bolle_check, canonical_lattice, decide_multitiling
 from .errors import GeometryError, ZonotileError
-from .field import FieldElement
 from .lattice import PlaneLattice, PlaneVector
 from .patterns import BUILTIN_NAMES, builtin_scene
 
@@ -86,10 +85,8 @@ def _cmd_render(args) -> int:
         window = jsonio.decode_window(doc["lambda"]["window"], where)
     if window is None:
         raise GeometryError("render needs a window (--window or the scene's lambda.window)")
-    try:
-        svg = render_svg(poly, tset, window)
-    except GeometryError as exc:  # the window is empty, or its box is over the enumeration budget
-        raise GeometryError(f"{where}: {exc}") from None
+    # refused when the window is empty, or its box is over the enumeration budget
+    svg = jsonio.located(where, render_svg, poly, tset, window)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(svg)
     return 0
@@ -97,11 +94,7 @@ def _cmd_render(args) -> int:
 
 def _cmd_examples(args) -> int:
     window = _parse_window_flag(args.window) if args.window is not None else None
-    beta = None
-    if args.beta is not None:
-        beta = jsonio.parse_element_text(args.beta, where="--beta")
-        if isinstance(beta, FieldElement) and beta.is_rational():
-            beta = beta.rational_value()
+    beta = jsonio.parse_element_text(args.beta, where="--beta") if args.beta is not None else None
     builtin_scene(args.name, window, beta, where=("--window", "--beta"))  # validate before emitting
     _emit(jsonio.encode_scene_builtin(args.name, window, beta))
     return 0

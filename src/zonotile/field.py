@@ -32,7 +32,6 @@ pipeline, which keeps its values as numerator tuples over denominators.
 
 from __future__ import annotations
 
-import sys
 import weakref
 from collections import deque
 from fractions import Fraction
@@ -46,8 +45,6 @@ __all__ = ["Field", "FieldElement", "RATIONALS", "int_str"]
 
 _MAX_RADICANDS = 4
 _MAX_RADICAND = 10**18
-_HASH_MODULUS = sys.hash_info.modulus
-_HASH_INF = sys.hash_info.inf
 # the bits of every sign's enclosure and the fewest of a floor's
 _PREC = 32
 # the live field of each sorted radicand tuple; a field leaves with its last
@@ -184,11 +181,12 @@ class Field:
         nums[mask] = 1
         return _make(self, tuple(nums), 1)
 
-    def root(self, d: int) -> FieldElement | None:
-        """sqrt(d) for an integer d >= 1 as (r / p) * sqrt(p), p the monomial
-        product with d * p == r * r, or None when there is no such p."""
+    def root(self, d: int) -> tuple[int, Fraction] | None:
+        """sqrt(d) for an integer d >= 1 as (r / p) * sqrt(p): the mask of
+        the monomial p with d * p == r * r and the factor r / p, or None
+        when there is no such p."""
         p = next((p for p in self.products if isqrt(d * p) ** 2 == d * p), None)
-        return None if p is None else self.sqrt(p) * Fraction(isqrt(d * p), p)
+        return None if p is None else (self._mask_of_product[p], Fraction(isqrt(d * p), p))
 
     def element(self, coeffs_by_mask) -> FieldElement:
         """The element with rational coefficient ``coeffs_by_mask[m]`` on
@@ -353,21 +351,6 @@ def _enclosure(nums, roots) -> tuple[int, int]:
     return lo, hi
 
 
-def _rational_hash(n: int, d: int) -> int:
-    """hash(Fraction(n, d)) for n/d in lowest terms with d > 0, without
-    building the Fraction (the numeric hash rule of the language reference)."""
-    if d == 1:
-        return hash(n)
-    try:
-        dinv = pow(d, -1, _HASH_MODULUS)
-    except ValueError:
-        h = _HASH_INF
-    else:
-        h = hash(hash(abs(n)) * dinv)
-    h = h if n >= 0 else -h
-    return -2 if h == -1 else h
-
-
 class FieldElement:
     """An exact element of a multi-quadratic field.
 
@@ -530,7 +513,7 @@ class FieldElement:
         nums = self.nums
         if any(nums[1:]):
             return hash((nums, self.den))
-        return _rational_hash(nums[0], self.den)
+        return hash(Fraction(nums[0], self.den))
 
     def _cmp_sign(self, other) -> int:
         """The sign of self - other, from the cross-multiplied numerators."""

@@ -46,6 +46,7 @@ __all__ = [
     "parse_rational",
     "parse_element_text",
     "decode_window",
+    "located",
 ]
 
 
@@ -139,9 +140,11 @@ def parse_rational(value) -> Fraction:
 def parse_element_text(text: str, field: Field | None = None, where: str = "element text") -> FieldElement:
     """Parse a small sum like ``"1/2 + 3*sqrt(2) - sqrt(6)"`` exactly.
 
-    Intended for CLI flags; when no field is given, the radicands written
-    are adjoined in increasing order, each unless the field built so far
-    has its root (sqrt(15) in Q(sqrt6, sqrt10) is sqrt(60)/2).  Errors
+    The one reader of ``--beta`` and of a scene's ``lambda.beta`` text;
+    when no field is given, the radicands written are adjoined in
+    increasing order, each unless the field built so far has its root
+    (sqrt(15) in Q(sqrt6, sqrt10) is sqrt(60)/2).  The terms are summed
+    into one rational per monomial and the element is built once.  Errors
     name ``where``, the text's source, and the bad term as written.
     Numbers are read in ASCII digits only; no term is empty or split by a space.
     """
@@ -178,7 +181,14 @@ def parse_element_text(text: str, field: Field | None = None, where: str = "elem
                     field = Field([*field.radicands, rad])
                 except FieldError as exc:
                     raise GeometryError(f"{where}: {exc}") from None
-    return sum((field.rational(c) if rad == 1 else field.root(rad) * c for c, rad in parsed if rad), field.zero())
+    coeffs = [0] * field.size
+    for c, rad in parsed:
+        if rad == 1:
+            coeffs[0] += c
+        elif rad:  # sqrt(0) adds nothing
+            mask, factor = field.root(rad)
+            coeffs[mask] += c * factor
+    return FieldElement(field, coeffs)
 
 
 # -- field elements ------------------------------------------------------------
@@ -349,9 +359,10 @@ def encode_zonotope(z: Zonotope) -> dict:
     return {"field": list(z.field.radicands), "generators": _encode_rows(z.field, z.rows, z.den)}
 
 
-def _located(where: str, build, *args):
+def located(where: str, build, *args):
     """``build(*args)``, with the message of a geometry error it raises
-    prefixed by ``where``, the JSON location of the shape it was read from."""
+    prefixed by ``where``, the location (a JSON path or a flag) of the
+    value it was read from."""
     try:
         return build(*args)
     except GeometryError as exc:
@@ -361,14 +372,14 @@ def _located(where: str, build, *args):
 def decode_zonotope_document(doc, field: Field | None = None) -> Zonotope:
     field = _decode_field(doc, field)
     if "generators" in doc:
-        return _located("generators", Zonotope.from_rows, field, *_decode_rows(doc, "generators", field))
+        return located("generators", Zonotope.from_rows, field, *_decode_rows(doc, "generators", field))
     if "vertices" in doc:
-        return _located("vertices", Zonotope.from_vertex_rows, field, *_decode_rows(doc, "vertices", field))
+        return located("vertices", Zonotope.from_vertex_rows, field, *_decode_rows(doc, "vertices", field))
     raise GeometryError("zonotope document needs 'generators' or 'vertices'")
 
 
-def decode_lattice_document(doc, field: Field | None = None) -> PlaneLattice:
-    return decode_lattice(doc, _decode_field(doc, field))
+def decode_lattice_document(doc) -> PlaneLattice:
+    return decode_lattice(doc, _decode_field(doc))
 
 
 # -- scenes ---------------------------------------------------------------------
@@ -378,23 +389,21 @@ def decode_window(doc, where: str) -> tuple[Fraction, Fraction, Fraction, Fracti
     """A window [x0, y0, x1, y1] of rationals; ``where`` names its location."""
     if not isinstance(doc, list) or len(doc) != 4:
         raise GeometryError(f"{where} must be [x0, y0, x1, y1], got {doc!r}")
-    try:
-        return tuple(parse_rational(v) for v in doc)
-    except GeometryError as exc:
-        raise GeometryError(f"{where}: {exc}") from exc
+    return located(where, tuple, map(parse_rational, doc))
 
 
-def _decode_beta(doc, field: Field | None):
+def _decode_beta(doc, field: Field | None) -> FieldElement | None:
+    """lambda.beta: a text read as ``--beta`` reads it, a JSON integer as
+    its text, or a term list; in ``field`` when the scene declares one."""
     if doc is None:
         return None
-    if isinstance(doc, str) and "sqrt" in doc:
-        return parse_element_text(doc, field, "lambda.beta")
-    try:
-        if isinstance(doc, list):
-            return decode_element(doc, RATIONALS if field is None else field)
-        return parse_rational(doc)
-    except GeometryError as exc:
-        raise GeometryError(f"lambda.beta: {exc}") from None
+    if isinstance(doc, list):
+        return located("lambda.beta", decode_element, doc, RATIONALS if field is None else field)
+    if type(doc) is int:
+        doc = int_str(doc)
+    if not isinstance(doc, str):
+        raise GeometryError(f"lambda.beta: expected a rational number, got {doc!r}")
+    return parse_element_text(doc, field, "lambda.beta")
 
 
 def decode_scene_document(doc) -> tuple[Polygon, TranslateSet]:
@@ -431,12 +440,12 @@ def decode_scene_document(doc) -> tuple[Polygon, TranslateSet]:
         raise GeometryError(f"scene 'polygon' must be an object, got {poly_doc!r}")
     if "vertices" in poly_doc:
         rows, den = _decode_rows(poly_doc, "vertices", field, "polygon")
-        poly = _located("polygon.vertices", Polygon.from_rows, field, rows, den)
+        poly = located("polygon.vertices", Polygon.from_rows, field, rows, den)
         if not poly.is_simple():
             raise GeometryError("polygon.vertices: two non-adjacent edges meet, so the polygon is not simple")
     elif "generators" in poly_doc:
         rows, den = _decode_rows(poly_doc, "generators", field, "polygon")
-        poly = Polygon.from_zonotope(_located("polygon.generators", Zonotope.from_rows, field, rows, den))
+        poly = Polygon.from_zonotope(located("polygon.generators", Zonotope.from_rows, field, rows, den))
     else:
         raise GeometryError("scene polygon needs 'vertices' or 'generators'")
     parts = lam.get("periodic")
@@ -462,12 +471,13 @@ def encode_scene_builtin(name: str, window, beta) -> dict:
     doc: dict = {"lambda": {"builtin": name}, "mode": "exact"}
     if window is not None:
         doc["lambda"]["window"] = [str(Fraction(w)) for w in window]
-    if beta is not None:
-        if isinstance(beta, FieldElement):
-            doc["field"] = list(beta.field.radicands)
-            doc["lambda"]["beta"] = encode_element(beta)
-        else:
-            doc["lambda"]["beta"] = str(Fraction(beta))
+    if isinstance(beta, FieldElement) and beta.is_rational():
+        beta = beta.rational_value()
+    if isinstance(beta, FieldElement):
+        doc["field"] = list(beta.field.radicands)
+        doc["lambda"]["beta"] = encode_element(beta)
+    elif beta is not None:
+        doc["lambda"]["beta"] = str(Fraction(beta))
     return doc
 
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from zonotile import BUILTIN_NAMES, Field, FieldElement, PlaneLattice, Zonotope, vector
+from zonotile import BUILTIN_NAMES, RATIONALS, Field, FieldElement, PlaneLattice, Zonotope, vector
 from zonotile import cli, covering, criteria, jsonio
 from zonotile.errors import ZonotileError
 from zonotile.arrangement import Face
@@ -219,15 +219,16 @@ class TestCheck:
         lat_file = tmp_path / "z2.json"
         lat_file.write_text(jsonio.dumps({"field": [], **jsonio.encode_lattice(PlaneLattice(V(1, 0), V(0, 1)))}))
         decode = jsonio.decode_lattice_document
-        calls = []
+        fields = []
 
-        def counting(doc, field=None):
-            calls.append(field)
-            return decode(doc, field)
+        def counting(doc):
+            lattice = decode(doc)
+            fields.append(lattice.field)
+            return lattice
 
         monkeypatch.setattr(jsonio, "decode_lattice_document", counting)
         code, out = run(capsys, ["check", str(poly_file), str(lat_file)])
-        assert code == 0 and calls == [None]
+        assert code == 0 and fields == [RATIONALS]
         doc = json.loads(out)
         assert doc["field"] == [2] and doc["verdict"] is True and doc["multiplicity"] == 7
         # the lattice is still read in its own declared field only
@@ -345,6 +346,24 @@ class TestExamplesAndVerify:
             assert main(["verify", str(path)]) == 2
             err = capsys.readouterr().err
             assert named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("beta", ["1/2+1/3", "-1/3", "0.5", "1/2 + 3*sqrt(2) - sqrt(6)", [], 2])
+    def test_scene_beta_reads_as_the_flag_does(self, capsys, tmp_path, beta):
+        # an empty term list reads as 0, and a JSON integer as its text
+        text = "0" if beta == [] else str(beta)
+        expected = run(capsys, ["verify", self.scene(capsys, tmp_path, "octagon-family", f"--beta={text}")])
+        assert expected[0] == 0 and json.loads(expected[1])["multiplicity"] == 7
+        path = tmp_path / "beta.json"
+        path.write_text(json.dumps({"lambda": {"builtin": "octagon-family", "beta": beta}}))
+        assert run(capsys, ["verify", str(path)]) == expected
+
+    def test_declared_field_holds_a_text_beta(self, capsys, tmp_path):
+        path = tmp_path / "beta.json"
+        outs = []
+        for beta in ["1/3", [{"monomial": "1", "num": "1", "den": "3"}]]:
+            path.write_text(json.dumps({"field": [2], "lambda": {"builtin": "octagon-family", "beta": beta}}))
+            outs.append(run(capsys, ["verify", str(path)]))
+        assert outs[0] == outs[1] and outs[0][0] == 0 and json.loads(outs[0][1])["field"] == [2]
 
     def test_single_lattice_counterexample(self, capsys, tmp_path):
         lat = PlaneLattice(V(1, 0), V(0, 2))
@@ -814,7 +833,7 @@ class TestTypedErrors:
         path = tmp_path / "scene.json"
         zero_den = {"monomial": "1", "num": "1", "den": "0"}
         for beta, named in [
-            ("1/0", "lambda.beta: bad rational literal '1/0'"),
+            ("1/0", "bad term '1/0' in lambda.beta: bad rational literal '1/0'"),
             ("sqrt(4)", "bad term 'sqrt(4)' in lambda.beta: radicand 4 is not squarefree"),
             ([zero_den], f"lambda.beta: term {zero_den!r} has a zero denominator"),
             ({"num": 1}, "lambda.beta: expected a rational number, got {'num': 1}"),
@@ -1406,8 +1425,8 @@ class TestAsciiDigits:
 
     @pytest.mark.parametrize("beta, message", [
         ("sqrt(\u0663)", "bad text 'sqrt(\u0663)' in lambda.beta"),
-        ("\u0661/\u0662", "lambda.beta: bad rational literal '\u0661/\u0662'"),
-        ("\uff11", "lambda.beta: bad rational literal '\uff11'"),
+        ("\u0661/\u0662", "bad text '\u0661/\u0662' in lambda.beta: write it with ASCII digits"),
+        ("\uff11", "bad text '\uff11' in lambda.beta: write it with ASCII digits"),
     ])
     def test_scene_beta(self, tmp_path, beta, message):
         scene = tmp_path / "scene.json"

@@ -365,6 +365,10 @@ class TestNoFieldArithmetic:
 
     def test_verify_and_render_only_build_the_region_and_the_search_box(self, capsys, tmp_path, monkeypatch):
         runs = _golden_runs(capsys, tmp_path)
+        # a beta text is read into its element without element arithmetic
+        beta_text = tmp_path / "beta-text.json"
+        beta_text.write_text(jsonio.dumps({"lambda": {"builtin": "octagon-family", "beta": "1/2+sqrt(2)"}}))
+        runs.append(["verify", str(beta_text)])
         callers = count_operator_callers(monkeypatch)
         codes = [main(argv) for argv in runs]
         monkeypatch.undo()

@@ -199,9 +199,14 @@ class TestLatticeDocuments:
         assert jsonio.encode_lattice(l1) == jsonio.encode_lattice(l2)
 
     def test_field_union_on_decode(self):
+        # a lattice is read in its declared field, and a zonotope read
+        # against that field is widened to the union of the two
         lat = PlaneLattice(V(1, 0, F2), V(0, 1, F2))
-        doc = {"field": [2], **jsonio.encode_lattice(lat)}
-        widened = jsonio.decode_lattice_document(doc, field=Field([3]))
+        decoded = jsonio.decode_lattice_document({"field": [2], **jsonio.encode_lattice(lat)})
+        assert decoded.field is F2
+        f3 = Field([3])
+        z = Zonotope([V(1, 0, f3), V(0, f3.sqrt(3), f3)])
+        widened = jsonio.decode_zonotope_document(jsonio.encode_zonotope(z), field=decoded.field)
         assert widened.field.radicands == (2, 3)
 
 
