@@ -30,14 +30,14 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
-from math import gcd, lcm
+from math import lcm
 from operator import add, neg, sub
 
 from .arrangement import Face, Grid, arrangement_faces
 from .errors import FieldError, GeometryError, InternalError, WindowError
 from .field import Field, FieldElement
 from .lattice import (
-    PlaneLattice, PlaneVector, ccw_rows, doubled_area, integer_rows, intersect, row_cross, vectors_from_rows,
+    PlaneLattice, PlaneVector, ccw_rows, doubled_area, integer_rows, intersect, lowest_rows, row_cross, vectors_from_rows,
 )
 
 __all__ = [
@@ -103,10 +103,7 @@ class Polygon:
     def _hold(self, field: Field, rows, den: int) -> None:
         """Keep the rows as :func:`~zonotile.lattice.ccw_rows` reads them, over
         their least common denominator, and the bounding box read off them."""
-        rows = ccw_rows(field, rows)
-        g = gcd(den, *(n for row in rows for n in row))
-        if g != 1:
-            rows, den = tuple(tuple(n // g for n in row) for row in rows), den // g
+        rows, den = lowest_rows(ccw_rows(field, rows), den)
         self.field, self.rows, self.den = field, rows, den
         n = field.size
         key = field.order_key()
@@ -166,9 +163,9 @@ def _segments_meet(field: Field, p, q, r, s) -> bool:
 class TranslateSet:
     """A discrete multiset as one weighted point list: offsets flattened as
     in ``integer_rows`` into ``rows`` over ``den``, with nonzero integer
-    ``weights``.  A periodic set has one of its ``lattices`` per offset,
-    weight 1 each; a windowed set has ``lattices`` None and a verdict
-    relative to the rational ``window``."""
+    ``weights``.  A periodic set has one of its ``lattices`` per offset
+    (a decoded one weight 1 each); a windowed set has ``lattices`` None
+    and a verdict relative to the rational ``window``."""
 
     __slots__ = ("field", "rows", "den", "weights", "lattices", "window")
 
@@ -220,7 +217,7 @@ def _positions(grid: Grid, tset: TranslateSet, box: Box) -> list:
         parts = [(lat, z, _index_ranges(grid, lat, z, bounds)) for lat, z in zip(tset.lattices, points)]
         check_budget(sum(max(ahi - alo + 1, 0) * max(bhi - blo + 1, 0) for *_, (alo, ahi, blo, bhi) in parts),
                      "lattice points")
-        return [(p, 1) for lat, z, ranges in parts for p in _lattice_points(grid, lat, z, ranges, bounds)]
+        return [(p, k) for (lat, z, r), k in zip(parts, tset.weights) for p in _lattice_points(grid, lat, z, r, bounds)]
     below = grid.le
     return [
         ((x, y), k) for (x, y), k in zip(points, tset.weights)
@@ -236,16 +233,11 @@ def _index_ranges(grid: Grid, lat: PlaneLattice, z, bounds) -> tuple[int, int, i
     The lattice coordinates of a corner less z are cross products of
     numerator tuples over the basis determinant, linear in the corner, so
     the extreme corners by grid order bound the range."""
-    (b1x, b1y), (b2x, b2y) = grid.rows(lat.rows, lat.den)
+    b1, b2 = (grid.scale(row, lat.den) for row in lat.rows)
     (zx, zy), (x0, y0, x1, y1) = z, bounds
     field = grid.field
-    product = field.product
-
-    def cross(ux, uy, vx, vy):
-        return tuple(map(sub, product(ux, vy), product(uy, vx)))
-
-    det = cross(b1x, b1y, b2x, b2y)
-    corners = [(tuple(map(sub, x, zx)), tuple(map(sub, y, zy))) for x, y in ((x0, y0), (x1, y0), (x1, y1), (x0, y1))]
+    det = row_cross(field, b1, b2)
+    corners = [(*map(sub, x, zx), *map(sub, y, zy)) for x, y in ((x0, y0), (x1, y0), (x1, y1), (x0, y1))]
 
     def integer_range(scaled):
         lo, hi = min(scaled, key=grid.key), max(scaled, key=grid.key)
@@ -254,8 +246,8 @@ def _index_ranges(grid: Grid, lat: PlaneLattice, z, bounds) -> tuple[int, int, i
         # ceil(lo / det) is -floor(-lo / det)
         return -field.floor(*field.divide(tuple(map(neg, lo)), 1, det, 1)), field.floor(*field.divide(hi, 1, det, 1))
 
-    return (*integer_range([cross(x, y, b2x, b2y) for x, y in corners]),
-            *integer_range([cross(b1x, b1y, x, y) for x, y in corners]))
+    return (*integer_range([row_cross(field, c, b2) for c in corners]),
+            *integer_range([row_cross(field, b1, c) for c in corners]))
 
 
 def _lattice_points(grid: Grid, lat: PlaneLattice, z, ranges, bounds) -> list:
@@ -369,15 +361,15 @@ def verify_covering(poly: Polygon, tset: TranslateSet) -> VerifyReport:
 
 
 def _check_density(poly: Polygon, tset: TranslateSet, multiplicity: int) -> None:
-    """Hold a constant periodic count to area(P) * sum_j 1/det(L_j).
+    """Hold a constant periodic count to area(P) * sum_j w_j/det(L_j).
 
-    Averaged over a large disc, the covering count of P + (L_j + z_j)
-    tends to area(P) / det(L_j) for each part, so a constant count must
+    Averaged over a large disc, the covering count of P + (L_j + z_j) of
+    weight w_j tends to w_j * area(P) / det(L_j), so a constant count must
     equal their sum; a mismatch, an irrational ratio included, is a bug
     in the sweep, not bad input."""
     area = poly.area()
     ratios = [lat.det_ratio(area.nums, area.den) for lat in tset.lattices]
-    density = None if None in ratios else sum(map(abs, ratios))
+    density = None if None in ratios else sum(k * abs(r) for k, r in zip(tset.weights, ratios))
     if density != multiplicity:
         raise InternalError(
             f"internal: the faces count {multiplicity} but the density count is "

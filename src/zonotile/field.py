@@ -76,20 +76,22 @@ def _is_square(n: int) -> bool:
 
 
 # digits per chunk of :func:`int_str`, under the least digit limit (640)
-# that ``sys.set_int_max_str_digits`` accepts
+# that ``sys.set_int_max_str_digits`` accepts, and the size that takes chunks
 _CHUNK_DIGITS = 500
+_CHUNK = 10**_CHUNK_DIGITS
 
 
 def int_str(n: int) -> str:
-    """``str(n)`` for an int of any length, written in chunks of
-    ``_CHUNK_DIGITS`` digits, each within the interpreter's digit limit;
-    the JSON and SVG writers use it on numbers ``str`` refuses."""
-    sign, n = ("-", -n) if n < 0 else ("", n)
-    base, chunks = 10**_CHUNK_DIGITS, []
-    while n >= base:
-        n, low = divmod(n, base)
+    """``str(n)`` for an int of any length, the one integer writer: below
+    ``_CHUNK`` in size ``int.__repr__``, and otherwise in chunks of
+    ``_CHUNK_DIGITS`` digits, each within the interpreter's digit limit."""
+    if abs(n) < _CHUNK:
+        return int.__repr__(n)
+    sign, n, chunks = "-" if n < 0 else "", abs(n), []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
         chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
-    chunks.append(str(n))
+    chunks.append(int.__repr__(n))
     return sign + "".join(reversed(chunks))
 
 
@@ -287,9 +289,7 @@ class Field:
         den = da * b[0]
         if den < 0:
             db, den = -db, -den
-        nums = [n * db for n in a]
-        g = gcd(den, *nums)
-        return tuple([n // g for n in nums]), den // g
+        return _lowest(tuple([n * db for n in a]), den)
 
     def floor(self, nums, den: int) -> int:
         """floor(sum(nums[m] * sqrt(products[m])) / den) for den > 0: the
@@ -322,14 +322,16 @@ def _make(field: Field, nums: tuple[int, ...], den: int) -> FieldElement:
     return x
 
 
+def _lowest(nums: tuple[int, ...], den: int) -> tuple[tuple[int, ...], int]:
+    """Numerators and their positive denominator divided by their gcd;
+    ``nums`` itself when that is 1."""
+    g = 1 if den == 1 else gcd(den, *nums)
+    return (nums, den) if g == 1 else (tuple([n // g for n in nums]), den // g)
+
+
 def _reduced(field: Field, nums: tuple[int, ...], den: int) -> FieldElement:
     """An element from numerators over a positive denominator, reduced."""
-    if den != 1:
-        g = gcd(den, *nums)
-        if g != 1:
-            nums = tuple([n // g for n in nums])
-            den //= g
-    return _make(field, nums, den)
+    return _make(field, *_lowest(nums, den))
 
 
 def _add(field: Field, a, da: int, op, b, db: int) -> FieldElement:

@@ -78,10 +78,7 @@ def _write(obj, newline: str, emit) -> None:
     elif obj is False:
         emit("false")
     elif isinstance(obj, int):
-        try:
-            emit(int.__repr__(obj))
-        except ValueError:  # more digits than the interpreter converts at once
-            emit(int_str(obj))
+        emit(int_str(obj))
     elif isinstance(obj, list):
         if not obj:
             emit("[]")
@@ -140,10 +137,11 @@ def parse_rational(value) -> Fraction:
 def parse_element_text(text: str, field: Field | None = None, where: str = "element text") -> FieldElement:
     """Parse a small sum like ``"1/2 + 3*sqrt(2) - sqrt(6)"`` exactly.
 
-    The one reader of ``--beta`` and of a scene's ``lambda.beta`` text;
-    when no field is given, the radicands written are adjoined in
-    increasing order, each unless the field built so far has its root
-    (sqrt(15) in Q(sqrt6, sqrt10) is sqrt(60)/2).  The terms are summed
+    The one reader of ``--beta`` and of a scene's ``lambda.beta`` text.
+    Every radicand written is squarefree and has its root in the field
+    (sqrt(15) in Q(sqrt6, sqrt10) is sqrt(60)/2): a given field must hold
+    it, and with none the radicands are adjoined in increasing order, each
+    unless the field built so far holds it.  The terms are summed
     into one rational per monomial and the element is built once.  Errors
     name ``where``, the text's source, and the bad term as written.
     Numbers are read in ASCII digits only; no term is empty or split by a space.
@@ -166,8 +164,10 @@ def parse_element_text(text: str, field: Field | None = None, where: str = "elem
                 coef, rad = parse_rational(head), 1
             elif tail.endswith(")") and tail[:-1].isdecimal():
                 coef, rad = (parse_rational(head.removesuffix("*")) if head else Fraction(1)), int(tail[:-1])
-                if rad >= 2:
-                    Field([rad]) if field is None else field.sqrt(rad)  # refuse a bad radicand with its term
+                if rad >= 2:  # refuse a bad radicand, or one the declared field lacks, with its term
+                    Field([rad])
+                    if field is not None and field.root(rad) is None:
+                        raise FieldError(f"sqrt({rad}) is not a basis monomial of {field!r}")
             else:
                 raise GeometryError("expected [c*]sqrt(n) with an integer n")
         except ValueError as exc:  # also an integer over the interpreter's digit limit
@@ -205,11 +205,7 @@ def _encode_terms(names, nums, den: int) -> list[dict]:
         if not n:
             continue
         g = gcd(n, den)
-        try:
-            num_text, den_text = str(n // g), str(den // g)
-        except ValueError:  # more digits than the interpreter converts at once
-            num_text, den_text = int_str(n // g), int_str(den // g)
-        out.append({"monomial": names[mask], "num": num_text, "den": den_text})
+        out.append({"monomial": names[mask], "num": int_str(n // g), "den": int_str(den // g)})
     return out
 
 

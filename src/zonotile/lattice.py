@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 from .errors import FieldError, GeometryError, IncommensurableError, InternalError
@@ -54,6 +55,7 @@ __all__ = [
     "ccw_rows",
     "integer_rows",
     "vectors_from_rows",
+    "lowest_rows",
     "row_cross",
     "row_span",
     "drop_one_spans",
@@ -187,6 +189,13 @@ def vectors_from_rows(field: Field, rows, den: int) -> list[PlaneVector]:
     ]
 
 
+def lowest_rows(rows, den: int):
+    """Integer rows and their positive denominator ``den`` divided by the
+    gcd of all their entries and ``den``; ``rows`` itself when that is 1."""
+    g = gcd(den, *chain.from_iterable(rows))
+    return (rows, den) if g == 1 else (tuple(tuple([n // g for n in row]) for row in rows), den // g)
+
+
 def row_cross(field: Field, u, v) -> tuple[int, ...]:
     """The numerators of det(u, v) over den**2, for two vectors flattened
     as integer rows over one denominator den."""
@@ -230,10 +239,7 @@ class PlaneLattice:
 
         Dividing a Hermite form by a common factor of its entries leaves a
         Hermite form, so the kept rows are canonical."""
-        g = gcd(den, *h[0], *h[1])
-        if g != 1:
-            h = [[n // g for n in row] for row in h]
-            den //= g
+        h, den = lowest_rows(h, den)
         self.field = field
         self.rows = (tuple(h[0]), tuple(h[1]))
         self.den = den

@@ -61,10 +61,7 @@ def _fmt(field: Field, nums, den: int) -> str:
     scaled = field.floor((nums[0] + den, *nums[1:]), 2 * den)
     sign = "-" if scaled < 0 else ""
     scaled = abs(scaled)
-    try:
-        return f"{sign}{scaled // 10000}.{scaled % 10000:04d}"
-    except ValueError:  # more digits than the interpreter converts at once
-        return f"{sign}{int_str(scaled // 10000)}.{scaled % 10000:04d}"
+    return f"{sign}{int_str(scaled // 10000)}.{scaled % 10000:04d}"
 
 
 class _Axis:

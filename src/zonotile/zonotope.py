@@ -19,11 +19,9 @@ elements when read.  A vertex list is read as rows by
 
 from __future__ import annotations
 
-from math import gcd
-
 from .errors import SymmetryError, ZonotopeError
 from .field import Field, FieldElement
-from .lattice import PlaneVector, ccw_rows, integer_rows, row_cross, vectors_from_rows
+from .lattice import PlaneVector, ccw_rows, integer_rows, lowest_rows, row_cross, vectors_from_rows
 
 __all__ = ["Zonotope"]
 
@@ -61,13 +59,8 @@ class Zonotope:
                 raise ZonotopeError(
                     f"generators {i + 1} and {i + 2} are not in strictly increasing argument order"
                 )
-        g = gcd(den, *(n for row in gens for n in row))
-        if g != 1:
-            gens = [tuple(n // g for n in row) for row in gens]
-            den //= g
         self.field = field
-        self.rows = tuple(gens)
-        self.den = den
+        self.rows, self.den = lowest_rows(tuple(gens), den)
         self._translations = None
 
     @property

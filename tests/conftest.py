@@ -1,7 +1,10 @@
 """Shared helpers: builders, random generators, and independent oracles."""
 
 import json
+import sys
 from fractions import Fraction
+
+import pytest
 
 from zonotile import RATIONALS, Field, PlaneVector, TranslateSet, Zonotope, vector
 from zonotile.lattice import integer_rows, vectors_from_rows
@@ -9,6 +12,20 @@ from zonotile.lattice import integer_rows, vectors_from_rows
 Q = RATIONALS
 F2 = Field([2])
 F23 = Field([2, 3])
+
+
+@pytest.fixture
+def long_integers():
+    """A 641-digit and a 10,000-digit integer and their negatives, each with
+    ``str`` of it under no digit limit; the least limit (640) that
+    ``sys.set_int_max_str_digits`` accepts is then in force for the test."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    big = [7 * 10**640 + 1, 1234567890 * (10**10000 - 1) // (10**10 - 1)]
+    cases = [(n, str(n)) for n in big + [-n for n in big]]
+    sys.set_int_max_str_digits(640)
+    yield cases
+    sys.set_int_max_str_digits(limit)
 
 
 def V(x, y, field=Q):

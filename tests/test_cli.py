@@ -365,6 +365,19 @@ class TestExamplesAndVerify:
             outs.append(run(capsys, ["verify", str(path)]))
         assert outs[0] == outs[1] and outs[0][0] == 0 and json.loads(outs[0][1])["field"] == [2]
 
+    def test_declared_field_reads_any_root_it_holds(self, capsys, tmp_path):
+        # sqrt(15) is no basis monomial of Q(sqrt6, sqrt10), but it is sqrt(60)/2
+        path = tmp_path / "beta.json"
+        outs = []
+        for beta in ["sqrt(15)", [{"monomial": "r60", "num": "1", "den": "2"}]]:
+            path.write_text(json.dumps({"field": [6, 10], "lambda": {"builtin": "octagon-family", "beta": beta}}))
+            outs.append(run(capsys, ["verify", str(path)]))
+        assert outs[0] == outs[1] and outs[0][0] == 0 and json.loads(outs[0][1])["field"] == [6, 10]
+        for text in ["sqrt(4)", "sqrt(8)"]:  # 2*sqrt(2) is in Q(sqrt2), but a radicand is squarefree
+            path.write_text(json.dumps({"field": [2], "lambda": {"builtin": "octagon-family", "beta": text}}))
+            assert main(["verify", str(path)]) == 2
+            assert f"radicand {text[5:-1]} is not squarefree" in capsys.readouterr().err
+
     def test_single_lattice_counterexample(self, capsys, tmp_path):
         lat = PlaneLattice(V(1, 0), V(0, 2))
         doc = {

@@ -86,9 +86,9 @@ def oracle_positions(tset, box):
     set's as the listed points that compare inside the box."""
     got = Counter()
     if tset.is_periodic:
-        for lat, z in set_parts(tset):
+        for (lat, z), k in zip(set_parts(tset), tset.weights):
             for p in lattice_points_in_box(lat, Box(box.x0 - z.x, box.y0 - z.y, box.x1 - z.x, box.y1 - z.y)):
-                got[p + z] += 1
+                got[p + z] += k
         return got
     for p, k in zip(vectors_from_rows(tset.field, tset.rows, tset.den), tset.weights):
         if box.x0 <= p.x <= box.x1 and box.y0 <= p.y <= box.y1:
@@ -404,6 +404,13 @@ class TestVerifyCovering:
             with pytest.raises(GeometryError, match="one nonzero weight per listed point"):
                 TranslateSet.windowed(Q, rows, 1, weights, window)
         assert TranslateSet.windowed(Q, [(0, 0)], 1, [-2], window).weights == (-2,)
+
+    def test_periodic_weights_count(self):
+        poly, tset = lattice_octagon(), TranslateSet(Q, [(0, 0)], 1, [2], (PlaneLattice(V(1, 0), V(0, 1)),), None)
+        region = verification_region(poly, tset)
+        faces = arrangement_faces(poly, *region_translates(poly, tset, region), region)
+        assert faces and all(face.count == covering_at(poly, tset, face.sample) for face in faces)
+        assert verify_covering(poly, tset).multiplicity == 14
 
     def test_octagon_single_lattice_not_constant(self):
         report = verify_covering(lattice_octagon(), single(octagon_strip_lattice()))

@@ -11,6 +11,7 @@ from math import isqrt, lcm
 import pytest
 
 from zonotile import Field, FieldError, RATIONALS
+from zonotile.field import int_str
 
 from conftest import F2, F23, rand_element
 
@@ -135,6 +136,12 @@ class TestInterning:
         assert f.sqrt(13) * f.sqrt(17) == f.sqrt(221)
         assert (f.sqrt(17) - 4).sign() > 0
         assert str(f.sqrt(221) / 2) == "1/2*r221"
+
+
+class TestIntegerWriter:
+    def test_int_str_around_the_chunk_size(self):
+        for n in (0, 7, 10**500 - 1, 10**500, 10**500 + 1, 10**1000 + 5):
+            assert int_str(n) == str(n) and int_str(-n) == str(-n)
 
 
 class TestArithmetic:

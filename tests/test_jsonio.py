@@ -443,6 +443,11 @@ class TestWriter:
         tiny = jsonio.encode_element(Q.rational(Fraction(-1, 10**4400)))
         assert tiny == [{"monomial": "1", "num": "-1", "den": "1" + "0" * 4400}]
 
+    def test_writes_integers_past_the_least_digit_limit(self, long_integers):
+        for n, text in long_integers:
+            assert jsonio.dumps([n]) == f"[\n  {text}\n]\n"
+            assert jsonio.encode_element(Q.rational(n)) == [{"monomial": "1", "num": text, "den": "1"}]
+
     def test_leaves_no_cyclic_garbage(self):
         doc = {"field": [2], "generators": [jsonio.encode_vector(V(1, F2.sqrt(2) / 3, F2))] * 3, "ok": True}
         gc.collect()

@@ -28,6 +28,7 @@ from zonotile import (
 )
 from zonotile import intlinalg, lattice
 from zonotile.intlinalg import row_hnf
+from zonotile.lattice import lowest_rows
 from zonotile.oracles import right_kernel
 
 from conftest import F2, F23, Q, V, flatten_vector, rand_element, rand_fraction, sympy_rank
@@ -270,6 +271,17 @@ class TestIntegerSpan:
             ]
             assert all(analysis.basis.contains(v) for v in inputs)
         assert verdicts == {LATTICE, NOT_DISCRETE, RANK_DEFICIENT}
+
+
+class TestLowestRows:
+    def test_divides_by_the_common_gcd(self):
+        assert lowest_rows(((4, -6), (10, 0)), 8) == (((2, -3), (5, 0)), 4)
+        assert lowest_rows([[0, 0], [0, 6]], 6) == (((0, 0), (0, 1)), 1)
+
+    def test_rows_in_lowest_terms_are_returned_as_they_are(self):
+        rows = ((4, -6), (10, 0))
+        got, den = lowest_rows(rows, 3)
+        assert got is rows and den == 3
 
 
 class TestCanonicalForm:

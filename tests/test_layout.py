@@ -289,7 +289,7 @@ def _class_members(tree, classes):
 FIELD_SURFACE = {
     "den", "divide", "element", "embed", "field", "floor", "from_integers", "is_rational", "is_zero",
     "mask_of_name", "names", "nums", "order_key", "product", "radicands", "rational", "rational_value", "root",
-    "sign", "size", "sqrt", "union", "zero",
+    "sign", "size", "union", "zero",
 }
 
 

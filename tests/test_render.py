@@ -87,6 +87,12 @@ def test_axis_rounds_irrational_near_ties_exactly():
     assert _Axis(F2, F2.zero(), 1)(v.nums, v.den) == "0.0001"
 
 
+def test_coordinates_past_the_least_digit_limit(long_integers):
+    # 20000*n half-units are n units, written to four decimals
+    for n, text in long_integers:
+        assert render._fmt(Q, (20000 * n,), 1) == f"{text}.0000"
+
+
 def _code(member):
     """The code object of a function, method, classmethod or property."""
     member = getattr(member, "__func__", None) or getattr(member, "fget", None) or member
