@@ -30,9 +30,10 @@ _EXPORTS = {
         "vector",
     ),
     "oracles": (
-        "AccountingError", "BoundaryError", "RationalityError", "covering_at", "integer_span",
-        "lattice_multiplicity", "lattice_points_in_box", "line_meets_lattice", "locate", "rational_rank",
-        "right_kernel", "strip_profile", "sublattice_avoiding_coset", "superlattice_meeting_line",
+        "AccountingError", "BoundaryError", "RationalityError", "covering_at", "covolume", "integer_coords",
+        "integer_span", "lattice_coords", "lattice_multiplicity", "lattice_points_in_box", "line_meets_lattice",
+        "locate", "pair_translations", "rational_rank", "right_kernel", "strip_profile", "sublattice_avoiding_coset",
+        "superlattice_meeting_line",
     ),
     "patterns": ("BUILTIN_NAMES", "builtin_scene"),
     "zonotope": ("Zonotope",),

@@ -347,8 +347,10 @@ def _decode_field(doc, field: Field | None = None) -> Field:
     rads = doc.get("field", [])
     if not isinstance(rads, list) or any(type(d) is not int for d in rads):
         raise GeometryError(f"'field' must be a list of integer radicands, got {rads!r}")
-    declared = Field(rads)
-    return declared if field is None else field.union(declared)
+    try:
+        return Field(rads) if field is None else field.union(Field(rads))
+    except FieldError as exc:
+        raise FieldError(f"field: {exc}") from None
 
 
 def encode_zonotope(z: Zonotope) -> dict:
@@ -423,7 +425,7 @@ def decode_scene_document(doc) -> tuple[Polygon, TranslateSet]:
         if not isinstance(name, str):
             raise GeometryError(f"lambda.builtin must be the name of a builtin scene, got {name!r}")
         window = decode_window(lam["window"], "lambda.window") if "window" in lam else None
-        field = _decode_field(doc) if doc.get("field") else None
+        field = _decode_field(doc) if "field" in doc else None
         beta = _decode_beta(lam.get("beta"), field)
         return builtin_scene(name, window, beta, where=("lambda.window", "lambda.beta"))
     field = _decode_field(doc)

@@ -14,8 +14,8 @@ prefixes and suffixes, O(m) forms of at most 6 rows each.
 
 A :class:`PlaneLattice` is its two Hermite rows ``rows``, their
 denominator ``den`` and the numerators of det(b1, b2) over its square;
-the basis vectors and the covolume become field elements only when they
-are read.  A row is solved once against the two echelon rows
+the basis vectors become field elements only when they are read.
+A row is solved once against the two echelon rows
 (:meth:`PlaneLattice.span_coords`): its lattice coordinates over one
 common k, a lattice point iff k divides both, and det(u, v) / det(L) is
 their determinant over k**2.  Only for a vector outside the lattice's
@@ -212,10 +212,11 @@ class PlaneLattice:
     canonical one (Hermite form of the flattened rational rows), so two
     lattices with equal point sets are equal objects.  The lattice keeps
     the two Hermite rows over their least common denominator and the
-    numerators of det(b1, b2), no vector: ``b1``, ``b2``, ``basis()`` and
-    ``det`` build field elements from them when read.  :meth:`span_coords`
-    and the methods built on it answer on integer rows, and the vector
-    methods flatten their argument and ask them.
+    numerators of det(b1, b2), no vector: ``basis()`` and ``point``
+    build field elements from them when read.  :meth:`span_coords` and the
+    methods built on it answer on integer rows; the vector forms of these
+    questions (coordinates, membership, covolume) are reference checks in
+    :mod:`zonotile.oracles`.
     """
 
     __slots__ = ("field", "rows", "den", "_pivots", "_det")
@@ -248,34 +249,8 @@ class PlaneLattice:
         return any(self._det)
 
     def basis(self) -> tuple[PlaneVector, PlaneVector]:
+        """b1 and b2, the canonical basis; ``check`` embeds a lattice into a larger field through it."""
         return tuple(vectors_from_rows(self.field, self.rows, self.den))
-
-    @property
-    def b1(self) -> PlaneVector:
-        return self.basis()[0]
-
-    @property
-    def b2(self) -> PlaneVector:
-        return self.basis()[1]
-
-    @property
-    def det(self) -> FieldElement:
-        """The positive covolume |det(b1, b2)| as a field element, for the tests' oracles."""
-        return abs(FieldElement.from_integers(self.field, self._det, self.den**2))
-
-    def coords(self, v: PlaneVector) -> tuple[FieldElement, FieldElement]:
-        """Exact coordinates of ``v`` in the canonical basis by field
-        division: the tests' oracle for :meth:`integer_coords`."""
-        b1, b2 = self.basis()
-        det = b1.cross(b2)
-        return (v.cross(b2) / det, b1.cross(v) / det)
-
-    def integer_coords(self, v: PlaneVector) -> tuple[int, int] | None:
-        """Integer coordinates of ``v`` in the canonical basis, or None."""
-        if v.x.field is not self.field or v.y.field is not self.field:
-            raise FieldError(f"vector over {v.field!r} tested against a lattice over {self.field!r}")
-        (c,), k = self.span_coords(*integer_rows([v]))
-        return None if c is None or c[0] % k or c[1] % k else (c[0] // k, c[1] // k)
 
     def span_coords(self, rows, den: int) -> tuple[list[tuple[int, int] | None], int]:
         """Lattice coordinates (c1, c2) over one k of the vectors whose
@@ -340,9 +315,6 @@ class PlaneLattice:
         if any(c is None or c[0] % k or c[1] % k for c in coords):
             raise InternalError("adjoined point did not yield a superlattice")  # unreachable
         return bigger
-
-    def contains(self, v: PlaneVector) -> bool:
-        return self.integer_coords(v) is not None
 
     def point(self, a: int, b: int) -> PlaneVector:
         """a*b1 + b*b2, the lattice point the tests' and the benchmark's oracles draw."""

@@ -5,8 +5,9 @@ No pipeline module imports this one, and these use only the pipeline's
 public names (``tests/test_layout.py`` holds both rules): point location
 (:func:`locate`) on translates listed by element arithmetic, sharing no
 code with the grid enumeration, against the sweep's faces, vector spans
-and field division against the row forms, the shoelace area against
-Bolle's accounting.  The exception classes here are raised by these
+and field division against the row forms, vector sums against the pair
+translations' row recurrence, the shoelace area against Bolle's
+accounting.  The exception classes here are raised by these
 checks only.  ``covering_at`` and ``strip_profile`` import the covering
 layer where they run, so the span checks load only the decision layer.
 """
@@ -24,8 +25,9 @@ from .zonotope import Zonotope
 
 __all__ = [
     "BoundaryError", "AccountingError", "RationalityError", "right_kernel", "rational_rank", "integer_span",
-    "line_meets_lattice", "superlattice_meeting_line", "sublattice_avoiding_coset", "lattice_points_in_box",
-    "locate", "covering_at", "strip_profile", "lattice_multiplicity",
+    "lattice_coords", "integer_coords", "covolume", "pair_translations", "line_meets_lattice",
+    "superlattice_meeting_line", "sublattice_avoiding_coset", "lattice_points_in_box", "locate", "covering_at",
+    "strip_profile", "lattice_multiplicity",
 ]
 
 
@@ -79,6 +81,38 @@ def _flatten(l: PlaneLattice, vectors) -> tuple[list[list[int]], int]:
     return integer_rows(vectors)
 
 
+def lattice_coords(l: PlaneLattice, v: PlaneVector) -> tuple[FieldElement, FieldElement]:
+    """Coordinates of ``v`` in ``l``'s canonical basis by field division, the reference for ``span_coords``."""
+    b1, b2 = l.basis()
+    det = b1.cross(b2)
+    return (v.cross(b2) / det, b1.cross(v) / det)
+
+
+def integer_coords(l: PlaneLattice, v: PlaneVector) -> tuple[int, int] | None:
+    """Integer coordinates of ``v`` in ``l``'s canonical basis, or None
+    when it is no lattice point; a vector over another field is refused."""
+    (c,), k = l.span_coords(*_flatten(l, [v]))
+    return None if c is None or c[0] % k or c[1] % k else (c[0] // k, c[1] // k)
+
+
+def covolume(l: PlaneLattice) -> FieldElement:
+    """The positive covolume |det(b1, b2)| of ``l``, from its basis vectors."""
+    b1, b2 = l.basis()
+    return abs(b1.cross(b2))
+
+
+def pair_translations(z: Zonotope) -> list[PlaneVector]:
+    """For each generator e_j of ``z``, t_j = S - e_j - 2(e_1 + ... + e_{j-1})
+    with S = e_1 + ... + e_m, by vector sums: the reference for
+    :meth:`Zonotope.translation_rows`' recurrence."""
+    gens, before, out = z.generators, vector(z.field, 0, 0), []
+    total = sum(gens, before)
+    for e in gens:
+        out.append(total - e - before - before)
+        before = before + e
+    return out
+
+
 def line_meets_lattice(l: PlaneLattice, e: PlaneVector, tau: PlaneVector) -> bool:
     """Decide whether e is in l and some real t gives t*e + tau in l.
 
@@ -93,7 +127,7 @@ def line_meets_lattice(l: PlaneLattice, e: PlaneVector, tau: PlaneVector) -> boo
     """
     (e_row, tau_row), den = _flatten(l, [e, tau])
     (ec, tc), k = l.span_coords([e_row, tau_row], den)
-    return l.contains(tau) if e.is_zero() else l.meets_line(e_row, tau_row, den, ec, tc, k)
+    return integer_coords(l, tau) is not None if e.is_zero() else l.meets_line(e_row, tau_row, den, ec, tc, k)
 
 
 def superlattice_meeting_line(l: PlaneLattice, e: PlaneVector, tau: PlaneVector) -> tuple[FieldElement, PlaneLattice]:
@@ -107,7 +141,7 @@ def superlattice_meeting_line(l: PlaneLattice, e: PlaneVector, tau: PlaneVector)
     d = l.det_ratio(row_cross(l.field, tau_row, e_row), den * den)
     if d is None:
         raise RationalityError("det(tau, e) is not a rational multiple of det(L)")
-    ec = l.integer_coords(e)
+    ec = integer_coords(l, e)
     bigger = l.adjoin_line_point(ec, d)
     (e1, e2), (b1, b2) = ec, l.basis()
     w = b1.scale(e2) - b2.scale(e1)
@@ -128,12 +162,12 @@ def sublattice_avoiding_coset(l: PlaneLattice, generator: PlaneVector | None, ta
     basis vector) together with 2*tau.  Completion always uses the shortest
     canonical basis vector of ``l`` independent of the kept direction.
     """
-    if not l.contains(tau):
+    if integer_coords(l, tau) is None:
         raise GeometryError("tau is not a lattice point")
     if generator is not None and generator.is_zero():
         generator = None
     if generator is not None:
-        if not l.contains(generator):
+        if integer_coords(l, generator) is None:
             raise GeometryError("subgroup generator is not a lattice point")
         if generator.cross(tau).is_zero():
             # tau on the line of V; both are lattice points so the ratio is rational
@@ -151,8 +185,8 @@ def sublattice_avoiding_coset(l: PlaneLattice, generator: PlaneVector | None, ta
 def lattice_points_in_box(lat: PlaneLattice, box: Box) -> list[PlaneVector]:
     """Exactly the lattice points inside the closed box, row by row in the
     first coordinate, by element arithmetic alone: the ``lat.point(a, b)``
-    the box holds, a and b ranging over the corners' :meth:`PlaneLattice.coords`."""
-    a_s, b_s = zip(*(lat.coords(PlaneVector(x, y)) for x in (box.x0, box.x1) for y in (box.y0, box.y1)))
+    the box holds, a and b ranging over the corners' :func:`lattice_coords`."""
+    a_s, b_s = zip(*(lattice_coords(lat, PlaneVector(x, y)) for x in (box.x0, box.x1) for y in (box.y0, box.y1)))
     out = []
     for a in range(min(a_s).ceil(), max(a_s).floor() + 1):
         for b in range(min(b_s).ceil(), max(b_s).floor() + 1):

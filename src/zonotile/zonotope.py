@@ -10,11 +10,11 @@ A :class:`Zonotope` holds its generators as integer rows over one least
 common denominator (``rows`` and ``den``, flattened as in
 :func:`~zonotile.lattice.integer_rows`), and the argument order is the
 sign of integer cross products.  Pair translations, vertices and the area
-are sums and cross products of rows; ``generators``,
-``pair_translations()``, ``vertices()`` and ``area()`` build field
-elements when read.  A vertex list is read as rows by
-:func:`~zonotile.lattice.ccw_rows` (:meth:`Zonotope.from_vertex_rows`;
-``from_vertices`` flattens vectors once and delegates).
+are sums and cross products of rows; ``generators``, ``vertices()`` and
+``area()`` build field elements when read, and the vector form of the pair
+translations is a reference check in :mod:`zonotile.oracles`.  A vertex
+list is read as rows by :func:`~zonotile.lattice.ccw_rows`
+(:meth:`Zonotope.from_vertex_rows`).
 """
 
 from __future__ import annotations
@@ -75,8 +75,14 @@ class Zonotope:
         return self.m == 2
 
     def translation_rows(self) -> tuple[tuple[int, ...], ...]:
-        """:meth:`pair_translations` as integer rows over ``den``, computed
-        once per zonotope."""
+        """For each edge e_j, the translation carrying it onto its parallel
+        edge, as integer rows over ``den``, computed once per zonotope.
+
+        With the sign convention e_{j+m} = -e_j, the j-th translation is
+        the sum of the m-1 edges following e_j around the boundary, that is
+        t_j = S - e_j - 2(e_1 + ... + e_{j-1}) with S = e_1 + ... + e_m.
+        Consecutive ones differ by t_{j+1} = t_j - e_j - e_{j+1}, so all m
+        cost O(m) row sums."""
         if self._translations is None:
             rows = self.rows
             t = [sum(col) for col in zip(*rows[1:])]
@@ -86,17 +92,6 @@ class Zonotope:
                 out.append(tuple(t))
             self._translations = tuple(out)
         return self._translations
-
-    def pair_translations(self) -> list[PlaneVector]:
-        """For each edge e_j, the translation carrying it onto its parallel edge.
-
-        With the sign convention e_{j+m} = -e_j, the j-th translation is
-        the sum of the m-1 edges following e_j around the boundary, that is
-        t_j = S - e_j - 2(e_1 + ... + e_{j-1}) with S = e_1 + ... + e_m.
-        Consecutive ones differ by t_{j+1} = t_j - e_j - e_{j+1}, so all m
-        cost O(m) row sums.
-        """
-        return vectors_from_rows(self.field, self.translation_rows(), self.den)
 
     def vertex_rows(self) -> tuple[list[list[int]], int]:
         """The 2m vertices, counterclockwise, centered at the origin, as
@@ -127,13 +122,6 @@ class Zonotope:
             total = [a + b for a, b in zip(total, row_cross(field, prefix, g))]
             prefix = [a + b for a, b in zip(prefix, g)]
         return FieldElement.from_integers(field, total, self.den**2)
-
-    @classmethod
-    def from_vertices(cls, vertices) -> "Zonotope":
-        """Build from a cyclically ordered vertex list of a symmetric
-        convex polygon, flattened once (:meth:`from_vertex_rows`)."""
-        vs = list(vertices)
-        return cls.from_vertex_rows(vs[0].field if vs else None, *integer_rows(vs))
 
     @classmethod
     def from_vertex_rows(cls, field: Field, rows, den: int) -> "Zonotope":

@@ -38,6 +38,16 @@ def periodic_set(parts):
     return TranslateSet.periodic(lattices[0].field, lattices, *integer_rows(offsets))
 
 
+def from_vertices(vs):
+    """The zonotope of a cyclically ordered vertex list of vectors, flattened once."""
+    return Zonotope.from_vertex_rows(vs[0].field, *integer_rows(vs))
+
+
+def translations(z):
+    """The zonotope's pair translations as ``decide`` reads them, its rows made vectors."""
+    return vectors_from_rows(z.field, z.translation_rows(), z.den)
+
+
 def set_parts(tset):
     """A periodic translate set's (lattice, offset vector) pairs."""
     return list(zip(tset.lattices, vectors_from_rows(tset.field, tset.rows, tset.den)))

@@ -270,11 +270,11 @@ class TestSharedFields:
 
     def test_refusals_are_unchanged(self):
         refused = [
-            ([4], "radicand 4 is not squarefree"),
-            ([1], "radicand 1 must be an integer >= 2"),
-            ([3, 3], r"duplicate radicand in \(3, 3\)"),
-            ([2, 3, 6], r"radicands \(2, 3, 6\) are multiplicatively dependent"),
-            ([2, 3, 5, 7, 11], "at most 4 radicands supported, got 5"),
+            ([4], "^field: radicand 4 is not squarefree"),
+            ([1], "^field: radicand 1 must be an integer >= 2"),
+            ([3, 3], r"^field: duplicate radicand in \(3, 3\)"),
+            ([2, 3, 6], r"^field: radicands \(2, 3, 6\) are multiplicatively dependent"),
+            ([2, 3, 5, 7, 11], "^field: at most 4 radicands supported, got 5"),
         ]
         for rads, message in refused:
             # a refused field is not cached: the second document fails alike

@@ -19,9 +19,13 @@ from zonotile import (
     PlaneVector,
     RANK_DEFICIENT,
     RationalityError,
+    covolume,
+    integer_coords,
     integer_span,
     intersect,
+    lattice_coords,
     line_meets_lattice,
+    pair_translations,
     rational_rank,
     sublattice_avoiding_coset,
     superlattice_meeting_line,
@@ -31,7 +35,9 @@ from zonotile.intlinalg import row_hnf
 from zonotile.lattice import lowest_rows
 from zonotile.oracles import right_kernel
 
-from conftest import F2, F23, Q, V, flatten_vector, rand_element, rand_fraction, sympy_rank
+from conftest import (
+    F2, F23, Q, V, flatten_vector, rand_element, rand_fraction, random_irrational_zonotope, random_zonotope, sympy_rank,
+)
 
 H = Fraction(1, 2)
 
@@ -94,7 +100,7 @@ class TestIntegerSpan:
         analysis = integer_span([V(1, 0), V(0, 1), V(H, H)])
         assert analysis.verdict == LATTICE
         lat = analysis.basis
-        assert lat.det == H
+        assert covolume(lat) == H
         # every integer combination of the inputs is in the lattice
         inputs = [V(1, 0), V(0, 1), V(H, H)]
         rng = random.Random(2)
@@ -103,10 +109,10 @@ class TestIntegerSpan:
             p = V(0, 0)
             for ci, vi in zip(c, inputs):
                 p = p + vi.scale(ci)
-            assert lat.contains(p)
+            assert integer_coords(lat, p) is not None
         # index-2 superlattice of Z^2
-        assert lat.contains(V(1, 0)) and lat.contains(V(0, 1))
-        assert (Z2().det / lat.det).rational_value() == 2
+        assert integer_coords(lat, V(1, 0)) is not None and integer_coords(lat, V(0, 1)) is not None
+        assert (covolume(Z2()) / covolume(lat)).rational_value() == 2
 
     def test_sqrt2_direction_is_not_discrete(self):
         analysis = integer_span([V(1, 0, F2), V(F2.sqrt(2), 0, F2), V(0, 1, F2)])
@@ -116,7 +122,7 @@ class TestIntegerSpan:
     def test_irrational_rectangle_is_a_lattice(self):
         analysis = integer_span([V(F23.sqrt(2), 0, F23), V(0, F23.sqrt(3), F23)])
         assert analysis.verdict == LATTICE
-        assert analysis.basis.det == F23.sqrt(6)
+        assert covolume(analysis.basis) == F23.sqrt(6)
 
     def test_collinear_inputs_are_rank_deficient(self):
         assert integer_span([V(1, 0), V(3, 0)]).verdict == RANK_DEFICIENT
@@ -144,7 +150,7 @@ class TestIntegerSpan:
                         assert c1.denominator == 1 and c2.denominator == 1
             for c1 in range(-8, 9):
                 for c2 in range(-8, 9):
-                    assert lat.contains(v1.scale(c1) + v2.scale(c2))
+                    assert integer_coords(lat, v1.scale(c1) + v2.scale(c2)) is not None
             done += 1
 
     def test_basis_vectors_are_integer_combinations_of_inputs(self):
@@ -191,7 +197,7 @@ class TestIntegerSpan:
             lat = analysis.basis
             # forward: inputs and their combinations live in the lattice
             for v in inputs:
-                assert lat.contains(v)
+                assert integer_coords(lat, v) is not None
             # pick a q-independent input pair to coordinatize
             va = next(v for v in inputs if not v.is_zero())
             vb = next(v for v in inputs if not va.cross(v).is_zero())
@@ -269,7 +275,7 @@ class TestIntegerSpan:
             assert [flatten_vector(b) for b in analysis.basis.basis()] == [
                 flatten_vector(b) for b in lat.basis()
             ]
-            assert all(analysis.basis.contains(v) for v in inputs)
+            assert all(integer_coords(analysis.basis, v) is not None for v in inputs)
         assert verdicts == {LATTICE, NOT_DISCRETE, RANK_DEFICIENT}
 
 
@@ -300,8 +306,8 @@ class TestCanonicalForm:
             if b1.cross(b2).is_zero():
                 continue
             lat = PlaneLattice(b1, b2)
-            assert lat.contains(b1) and lat.contains(b2)
-            assert lat.det == abs(b1.cross(b2))
+            assert integer_coords(lat, b1) is not None and integer_coords(lat, b2) is not None
+            assert covolume(lat) == abs(b1.cross(b2))
             # unimodular change of basis gives the same object
             lat2 = PlaneLattice(b1 + b2, b2)
             assert lat == lat2
@@ -314,21 +320,21 @@ class TestCanonicalForm:
 class TestMembership:
     def test_examples(self):
         zx2z = PlaneLattice(V(1, 0), V(0, 2))
-        assert zx2z.contains(V(2, 4))
-        assert not zx2z.contains(V(1, 1))
+        assert integer_coords(zx2z, V(2, 4)) is not None
+        assert integer_coords(zx2z, V(1, 1)) is None
         half = PlaneLattice(V(H, H), V(0, 1))
-        assert half.contains(V(H, H))
+        assert integer_coords(half, V(H, H)) is not None
 
     def test_dets(self):
-        assert Z2().det == 1
-        assert PlaneLattice(V(1, 0), V(0, 2)).det == 2
-        assert PlaneLattice(V(F23.sqrt(2), 0, F23), V(0, F23.sqrt(3), F23)).det == F23.sqrt(6)
+        assert covolume(Z2()) == 1
+        assert covolume(PlaneLattice(V(1, 0), V(0, 2))) == 2
+        assert covolume(PlaneLattice(V(F23.sqrt(2), 0, F23), V(0, F23.sqrt(3), F23))) == F23.sqrt(6)
 
 
 def field_integer_coords(lat, v):
     """The field-coordinate construction: solve v's coordinates in the
     canonical basis by cross products over det, then read them as rationals."""
-    q1, q2 = (c.rational_value() for c in lat.coords(v))
+    q1, q2 = (c.rational_value() for c in lattice_coords(lat, v))
     if q1 is None or q2 is None or q1.denominator != 1 or q2.denominator != 1:
         return None
     return (q1.numerator, q2.numerator)
@@ -354,15 +360,16 @@ def hermite_membership_cases(seed=59, per_field=25):
             done += 1
             members = [lat.point(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(4)]
             members.append(lat.point(0, 0))
+            c1, c2 = lat.basis()
             non_members = [
-                lat.b1.scale(Fraction(rng.randint(-9, 9), d)) + lat.b2.scale(Fraction(rng.randint(-9, 9), d))
+                c1.scale(Fraction(rng.randint(-9, 9), d)) + c2.scale(Fraction(rng.randint(-9, 9), d))
                 for d in (2, 3)
                 for _ in range(3)
             ]
             irrational = [rand_vector(field) for _ in range(3)]
             if field.size > 1:
                 r = field.sqrt(2)
-                irrational += [lat.b1.scale(r), lat.point(1, 2) + lat.b2.scale(r * Fraction(1, 2))]
+                irrational += [c1.scale(r), lat.point(1, 2) + c2.scale(r * Fraction(1, 2))]
             yield lat, members, non_members, irrational
 
 
@@ -373,8 +380,7 @@ class TestHermiteMembership:
             for kind, vs in (("member", members), ("rational", non_members), ("irrational", irrational)):
                 for v in vs:
                     expected = field_integer_coords(lat, v)
-                    assert lat.integer_coords(v) == expected
-                    assert lat.contains(v) == (expected is not None)
+                    assert integer_coords(lat, v) == expected
                     if kind == "member":
                         assert expected is not None and lat.point(*expected) == v
                     kinds[kind] += expected is None
@@ -391,7 +397,7 @@ class TestHermiteMembership:
             for scale in (1, 6):
                 coords, k = lat.span_coords([[scale * n for n in row] for row in rows], scale * den)
                 for v, c in zip(vs, coords):
-                    q = tuple(x.rational_value() for x in lat.coords(v))
+                    q = tuple(x.rational_value() for x in lattice_coords(lat, v))
                     if None in q:
                         assert c is None
                         outside += 1
@@ -404,9 +410,7 @@ class TestHermiteMembership:
         lat = PlaneLattice(V(1, 0, F2), V(0, 1, F2))
         for v in [V(1, 0, F23), V(1, 0), PlaneVector(F2.one(), F23.one())]:
             with pytest.raises(FieldError):
-                lat.contains(v)
-            with pytest.raises(FieldError):
-                lat.integer_coords(v)
+                integer_coords(lat, v)
 
     def test_span_basis_equals_lattice_from_the_same_rows(self):
         rng = random.Random(61)
@@ -436,7 +440,7 @@ class TestHermiteMembership:
                 expected = PlaneLattice(u1, u2)
                 assert analysis.basis == expected
                 assert hash(analysis.basis) == hash(expected)
-                assert analysis.basis.det == expected.det
+                assert covolume(analysis.basis) == covolume(expected)
                 seen += 1
         assert seen > 40
 
@@ -464,9 +468,42 @@ class TestHermiteMembership:
         monkeypatch.setattr(FieldElement, "__truediv__", counted)
         for lat, members, non_members, irrational in cases:
             for v in members + non_members + irrational:
-                lat.contains(v)
-                lat.integer_coords(v)
+                integer_coords(lat, v)
         assert calls == []
+
+
+class TestReferenceViews:
+    """The vector reference checks in ``oracles`` share no code with the
+    row forms they are held to, and agree with them."""
+
+    def test_pair_translations_match_the_row_recurrence(self):
+        rng = random.Random(83)
+        zs = [random_zonotope(rng, m=rng.choice([2, 3, 4, 5])) for _ in range(40)]
+        for field in (F2, F23):
+            zs += [random_irrational_zonotope(rng, field, rng.choice([2, 3, 4, 5])) for _ in range(40)]
+        for z in zs:
+            assert pair_translations(z) == lattice.vectors_from_rows(z.field, z.translation_rows(), z.den)
+
+    def test_lattice_views_match_the_row_forms(self):
+        rng = random.Random(89)
+        for field in (Q, F2, F23):
+            done = 0
+            while done < 30:
+                b1, b2 = (V(rand_element(rng, field), rand_element(rng, field), field) for _ in range(2))
+                if b1.cross(b2).is_zero():
+                    continue
+                lat, done = PlaneLattice(b1, b2), done + 1
+                c = covolume(lat)
+                assert c.sign() > 0 and abs(lat.det_ratio(c.nums, c.den)) == 1
+                a, b = rng.randint(-9, 9), rng.randint(-9, 9)
+                assert integer_coords(lat, lat.point(a, b)) == (a, b)
+                # a point of the rational span, at rational lattice coordinates q
+                q = (rand_fraction(rng), rand_fraction(rng))
+                c1, c2 = lat.basis()
+                v = c1.scale(q[0]) + c2.scale(q[1])
+                (u,), k = lat.span_coords(*lattice.integer_rows([v]))
+                assert (Fraction(u[0], k), Fraction(u[1], k)) == q
+                assert tuple(x.rational_value() for x in lattice_coords(lat, v)) == q
 
 
 class TestIntersect:
@@ -478,7 +515,7 @@ class TestIntersect:
         check = PlaneLattice(V(1, 1), V(1, -1))
         out = intersect(check, Z2())
         assert out == check
-        assert out.det == 2
+        assert covolume(out) == 2
 
     def test_superlattice_absorbs(self):
         out = intersect(Z2(), PlaneLattice(V(Fraction(1, 3), 0), V(0, 1)))
@@ -509,13 +546,12 @@ class TestIntersect:
             l1 = PlaneLattice(V(rng.randint(1, 3), rng.randint(0, 2)), V(0, rng.randint(1, 3)))
             l2 = PlaneLattice(V(rng.randint(1, 3), 0), V(rng.randint(0, 2), rng.randint(1, 3)))
             out = intersect(l1, l2)
-            assert l1.contains(out.b1) and l1.contains(out.b2)
-            assert l2.contains(out.b1) and l2.contains(out.b2)
+            assert all(integer_coords(l, b) is not None for l in (l1, l2) for b in out.basis())
             for a in range(-6, 7):
                 for b in range(-6, 7):
                     p = l1.point(a, b)
-                    if abs(p.x) <= 6 and abs(p.y) <= 6 and l2.contains(p):
-                        assert out.contains(p)
+                    if abs(p.x) <= 6 and abs(p.y) <= 6 and integer_coords(l2, p) is not None:
+                        assert integer_coords(out, p) is not None
 
     @staticmethod
     def coordinate_intersect(l1, l2):
@@ -524,7 +560,7 @@ class TestIntersect:
         l1.point.  None where some coordinate is irrational."""
         coords = []
         for v in l2.basis():
-            q1, q2 = (c.rational_value() for c in l1.coords(v))
+            q1, q2 = (c.rational_value() for c in lattice_coords(l1, v))
             if q1 is None or q2 is None:
                 return None
             coords.append((q1, q2))
@@ -543,7 +579,8 @@ class TestIntersect:
 
         def rational_combination(l, field):
             a, b = rand_fraction(rng, 4, 3), rand_fraction(rng, 4, 3)
-            return l.b1.scale(field.rational(a)) + l.b2.scale(field.rational(b))
+            b1, b2 = l.basis()
+            return b1.scale(field.rational(a)) + b2.scale(field.rational(b))
 
         outcomes = {"both": [0, 0], "one": [0, 0], "none": [0, 0]}
         for field in (F2, F23, Field([2, 3, 5])):
@@ -584,7 +621,7 @@ class TestIntersect:
 
         l1, l2 = PlaneLattice(V(2, 0), V(0, 1)), PlaneLattice(V(1, 1), V(0, 3))
         monkeypatch.setattr(intlinalg, "_hnf_inplace", counted)
-        assert intersect(l1, l2).det == 6
+        assert covolume(intersect(l1, l2)) == 6
         assert len(calls) == 1
 
     def test_different_fields_refused(self):
@@ -596,19 +633,19 @@ class TestAvoidCoset:
     def test_trivial_subgroup(self):
         out = sublattice_avoiding_coset(Z2(), None, V(1, 0))
         assert out == PlaneLattice(V(2, 0), V(0, 1))
-        assert not out.contains(V(1, 0))
+        assert integer_coords(out, V(1, 0)) is None
 
     def test_full_line_subgroup(self):
         out = sublattice_avoiding_coset(Z2(), V(1, 0), V(0, 1))
         assert out == PlaneLattice(V(1, 0), V(0, 2))
         for k in range(-5, 6):
-            assert not out.contains(V(k, 1))
+            assert integer_coords(out, V(k, 1)) is None
 
     def test_tau_inside_line_span(self):
         out = sublattice_avoiding_coset(Z2(), V(2, 0), V(1, 0))
         assert out == PlaneLattice(V(2, 0), V(0, 1))
         for k in range(-5, 6):
-            assert not out.contains(V(2 * k + 1, 0))
+            assert integer_coords(out, V(2 * k + 1, 0)) is None
 
     def test_tau_in_subgroup_rejected(self):
         with pytest.raises(GeometryError):
@@ -639,25 +676,25 @@ class TestAvoidCoset:
                 out = sublattice_avoiding_coset(lat, gen, tau)
             except GeometryError:
                 continue  # tau was in the subgroup; precondition case
-            assert lat.contains(out.b1) and lat.contains(out.b2)
+            assert all(integer_coords(lat, b) is not None for b in out.basis())
             coset = (
                 [tau]
                 if gen is None
                 else [gen.scale(k) + tau for k in range(-5, 6)]
             )
             for p in coset:
-                assert not out.contains(p)
+                assert integer_coords(out, p) is None
             done += 1
 
 
 def oracle_line_hits(lat, e, tau, mrange=300):
     """Search oracle: walk candidate integer values of the first coordinate."""
-    ec = lat.integer_coords(e)
+    ec = integer_coords(lat, e)
     assert ec is not None
-    t1, t2 = lat.coords(tau)
+    t1, t2 = lattice_coords(lat, tau)
     e1, e2 = ec
     if e1 == 0 and e2 == 0:
-        return lat.contains(tau)
+        return integer_coords(lat, tau) is not None
     if e1 == 0:
         q = t1.rational_value()
         return q is not None and q.denominator == 1
@@ -722,7 +759,7 @@ class TestLineMeetsLattice:
             # forward direction of the quantitative lemma:
             # condition true  =>  det(e, tau) is an integer multiple of det(L)
             if got:
-                ratio = (e.cross(tau) / lat.det).rational_value()
+                ratio = (e.cross(tau) / covolume(lat)).rational_value()
                 assert ratio is not None and ratio.denominator == 1
             done += 1
 
@@ -731,10 +768,10 @@ def field_superlattice_meeting_line(lat, e, tau):
     """The field formula for the superlattice: t0 puts t0*e + tau
     perpendicular to e in lattice coordinates, solved for by field division,
     and the superlattice is the integer span of b1, b2 and that point."""
-    e1, e2 = lat.integer_coords(e)
-    t1, t2 = lat.coords(tau)
+    e1, e2 = integer_coords(lat, e)
+    t1, t2 = lattice_coords(lat, tau)
     t0 = -(t1 * e1 + t2 * e2) / (e1 * e1 + e2 * e2)
-    analysis = integer_span([lat.b1, lat.b2, e.scale(t0) + tau])
+    analysis = integer_span([*lat.basis(), e.scale(t0) + tau])
     assert analysis.verdict == LATTICE
     return t0, analysis.basis
 
@@ -769,8 +806,7 @@ class TestSuperlatticeMeetingLine:
         assert t0 == -f.sqrt(3)
         caught = e.scale(t0) + tau
         assert caught == V(0, H, f)
-        assert big.contains(caught)
-        assert big.contains(lat.b1) and big.contains(lat.b2)
+        assert all(integer_coords(big, v) is not None for v in (caught, *lat.basis()))
 
     def test_properties_on_random_instances(self):
         # skewed bases with irrational entries, e of squared length N > 1 in
@@ -789,13 +825,13 @@ class TestSuperlatticeMeetingLine:
                     continue
                 e = lat.point(e1, e2)
                 q1, q2 = Fraction(rng.randint(-6, 6), 2), Fraction(rng.randint(-6, 6), 2)
-                tau = lat.b1.scale(q1) + lat.b2.scale(q2) + e.scale(rand_element(rng, field, 2, 2))
+                c1, c2 = lat.basis()
+                tau = c1.scale(q1) + c2.scale(q2) + e.scale(rand_element(rng, field, 2, 2))
                 t0, big = superlattice_meeting_line(lat, e, tau)
                 assert (t0, big) == field_superlattice_meeting_line(lat, e, tau)
                 caught = e.scale(t0) + tau
-                assert big.contains(caught)
-                assert big.contains(lat.b1) and big.contains(lat.b2)
-                assert (lat.det / big.det).rational_value() is not None
+                assert all(integer_coords(big, v) is not None for v in (caught, c1, c2))
+                assert (covolume(lat) / covolume(big)).rational_value() is not None
                 strict += big != lat
                 done += 1
             assert strict > done // 2

@@ -218,9 +218,10 @@ PUBLIC_NAMES = {
     "LATTICE", "NOT_DISCRETE", "PlaneLattice", "PlaneVector", "Polygon", "RANK_DEFICIENT", "RATIONALS",
     "RationalityError", "SpanAnalysis", "SymmetryError", "TranslateSet", "VerifyReport", "WindowError",
     "ZonotileError", "Zonotope", "ZonotopeError", "bolle_check", "builtin_scene",
-    "canonical_lattice", "covering_at", "decide_multitiling", "integer_span", "intersect", "lattice_multiplicity",
-    "lattice_points_in_box", "line_meets_lattice", "locate", "rational_rank", "right_kernel", "strip_profile",
-    "sublattice_avoiding_coset", "superlattice_meeting_line", "vector", "verify_covering",
+    "canonical_lattice", "covering_at", "covolume", "decide_multitiling", "integer_coords", "integer_span",
+    "intersect", "lattice_coords", "lattice_multiplicity", "lattice_points_in_box", "line_meets_lattice", "locate",
+    "pair_translations", "rational_rank", "right_kernel", "strip_profile", "sublattice_avoiding_coset",
+    "superlattice_meeting_line", "vector", "verify_covering",
 }
 
 
@@ -364,8 +365,12 @@ def test_signs_and_floors_have_no_precision_schedule():
 # Public names that no pipeline code calls, kept because the benchmark
 # reads them: its tracer counts a scene's segments from
 # ``Polygon.vertices``, and it writes its zonotope inputs with
-# ``jsonio.encode_zonotope``.
-BENCH_READS = {"Polygon.vertices", "jsonio.encode_zonotope"}
+# ``jsonio.encode_zonotope``.  Its generators read ``Zonotope.generators``
+# (bench/workloads.py:188) and ``Zonotope.vertices`` (:198), and its scenes
+# draw offsets with ``PlaneLattice.point`` (:276).
+BENCH_READS = {
+    "Polygon.vertices", "jsonio.encode_zonotope", "PlaneLattice.point", "Zonotope.generators", "Zonotope.vertices",
+}
 
 
 def test_every_jsonio_name_has_a_pipeline_caller():
@@ -376,32 +381,59 @@ def test_every_jsonio_name_has_a_pipeline_caller():
     assert not uncalled - BENCH_READS, sorted(uncalled - BENCH_READS)
 
 
+def _public_methods(classes):
+    """Each public method, property and classmethod of ``classes``, by the
+    code object it runs."""
+    out = {}
+    for cls in classes:
+        for name, attr in vars(cls).items():
+            func = getattr(attr, "fget", None) or getattr(attr, "__func__", None) or attr
+            if not name.startswith("_") and hasattr(func, "__code__"):
+                out[func.__code__] = f"{cls.__name__}.{name}"
+    return out
+
+
 def _covering_methods():
-    """Each public method, property and classmethod of the classes that
-    ``covering`` and ``arrangement`` define, by the code object it runs."""
+    """The public methods of the classes that ``covering`` and
+    ``arrangement`` define."""
     from zonotile import arrangement, covering
 
-    out = {}
-    for module in (arrangement, covering):
-        for cls in vars(module).values():
-            if not (isinstance(cls, type) and cls.__module__ == module.__name__):
-                continue
-            for name, attr in vars(cls).items():
-                func = getattr(attr, "fget", None) or getattr(attr, "__func__", None) or attr
-                if not name.startswith("_") and hasattr(func, "__code__"):
-                    out[func.__code__] = f"{cls.__name__}.{name}"
-    return out
+    return _public_methods(
+        cls for module in (arrangement, covering) for cls in vars(module).values()
+        if isinstance(cls, type) and cls.__module__ == module.__name__
+    )
+
+
+def _uncalled(methods, argvs):
+    """Run the command line on each argv and return the exit codes and the
+    names in ``methods`` that pipeline code did not call outside their own
+    body.  Calls are recorded as they run, so a method reached only
+    through another uncalled one, or only from ``oracles`` or the tests,
+    has no caller."""
+    from zonotile.cli import main
+
+    pipeline = {str(path) for path in _pipeline_modules()}
+    called = set()
+
+    def record(frame, event, arg):
+        caller = frame.f_back
+        if event == "call" and frame.f_code in methods and caller is not None and caller.f_code is not frame.f_code:
+            if caller.f_code.co_filename in pipeline:
+                called.add(methods[frame.f_code])
+
+    sys.setprofile(record)
+    try:
+        codes = [main(argv) for argv in argvs]
+    finally:
+        sys.setprofile(None)
+    return codes, set(methods.values()) - called - BENCH_READS
 
 
 def test_every_covering_method_has_a_pipeline_caller(tmp_path):
     """Every public method of a class in ``covering`` or ``arrangement`` is
     called by pipeline code outside its own body while the command line
     verifies and renders scenes: periodic and windowed, constant and not,
-    from generators and from vertices.  Calls are recorded as they run,
-    so a method reached only through another uncalled one, or only from
-    ``oracles`` or the tests, has no caller."""
-    from zonotile.cli import main
-
+    from generators and from vertices."""
     q = RATIONALS
     files = _octagon_files(tmp_path)
     strips = jsonio.encode_lattice(PlaneLattice(vector(q, 1, 0), vector(q, 0, 2)))
@@ -418,21 +450,49 @@ def test_every_covering_method_has_a_pipeline_caller(tmp_path):
         ["verify", files["scene"]], ["verify", files["strips"]], ["verify", files["tetromino"]],
         ["render", files["tetromino"], "-o", str(tmp_path / "out.svg"), "--window=-2,-2,2,2"],
     ]
-    methods = _covering_methods()
-    pipeline = {str(path) for path in _pipeline_modules()}
-    called = set()
-
-    def record(frame, event, arg):
-        caller = frame.f_back
-        if event == "call" and frame.f_code in methods and caller is not None and caller.f_code is not frame.f_code:
-            if caller.f_code.co_filename in pipeline:
-                called.add(methods[frame.f_code])
-
-    sys.setprofile(record)
-    try:
-        codes = [main(argv) for argv in argvs]
-    finally:
-        sys.setprofile(None)
+    codes, uncalled = _uncalled(_covering_methods(), argvs)
     assert codes == [0, 1, 0, 0]
-    uncalled = set(methods.values()) - called - BENCH_READS
+    assert not uncalled, sorted(uncalled)
+
+
+def test_every_lattice_and_zonotope_method_has_a_pipeline_caller(tmp_path):
+    """Every public method of ``PlaneLattice`` and ``Zonotope`` is called by
+    pipeline code outside its own body while the command line decides,
+    canonicalizes and checks zonotopes (odd, even, parallelogram and
+    negative, from generators and from vertices; a Q(sqrt 2) zonotope
+    against a Q(sqrt 2) lattice that holds no generator, so the
+    multiplicity is read off the area, and against a Q lattice, which
+    ``check`` embeds) and verifies a scene.  The vector and field value
+    types stay outside this rule; ``FIELD_SURFACE`` bounds the field."""
+    q, f2 = RATIONALS, zonotile.Field([2])
+    r2 = f2.sqrt(2)
+    files = _octagon_files(tmp_path)
+
+    def generators(field, *vs):
+        return jsonio.encode_zonotope(Zonotope([vector(field, x, y) for x, y in vs]))
+
+    # e1, e2, e3 are rationally independent, and the pair translations
+    # e2 + e3 and -(e1 + e2) span a lattice that passes the edge-pair test
+    e = [(1, 0), (1, 1), (-1, r2)]
+    docs = {
+        "hexagon": generators(q, (1, 0), (1, 1), (0, 1)),
+        "parallelogram": generators(q, (1, 0), (1, 2)),
+        "negative": generators(f2, (1, 0), (r2, 1), (0, 1), (-1, r2)),
+        "vertices": {"field": [], "vertices": [jsonio.encode_vector(v) for v in Zonotope(
+            [vector(q, 2, 0), vector(q, 1, 1), vector(q, -1, 2)]).vertices()]},
+        "irrational": generators(f2, *e),
+        "irrational-lattice": {"field": [2], **jsonio.encode_lattice(PlaneLattice(
+            vector(f2, 0, 1 + r2), vector(f2, -2, -1)))},
+    }
+    for name, doc in docs.items():
+        files[name] = str(tmp_path / f"{name}.json")
+        Path(files[name]).write_text(jsonio.dumps(doc), encoding="utf-8")
+    argvs = [
+        *(["decide", files[name]] for name in ("polygon", "hexagon", "parallelogram", "negative", "vertices")),
+        *(["canon", files[name]] for name in ("polygon", "hexagon", "parallelogram")),
+        ["check", files["irrational"], files["irrational-lattice"]], ["check", files["irrational"], files["lattice"]],
+        ["check", files["polygon"], files["lattice"]], ["verify", files["scene"]],
+    ]
+    codes, uncalled = _uncalled(_public_methods([PlaneLattice, Zonotope]), argvs)
+    assert codes == [0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 0, 0]
     assert not uncalled, sorted(uncalled)

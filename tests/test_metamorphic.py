@@ -27,7 +27,7 @@ from zonotile import (
     verify_covering,
 )
 
-from conftest import F2, F23, Q, random_irrational_zonotope, random_zonotope
+from conftest import F2, F23, Q, from_vertices, random_irrational_zonotope, random_zonotope
 
 # name, the field of the entries, and the rows (a, b), (c, d) of the map
 # (x, y) -> (a x + b y, c x + d y)
@@ -55,11 +55,11 @@ def linear_map(field, rows):
 
 
 def map_zonotope(f, z: Zonotope) -> Zonotope:
-    return Zonotope.from_vertices([f(v) for v in z.vertices()])
+    return from_vertices([f(v) for v in z.vertices()])
 
 
 def map_lattice(f, lat: PlaneLattice) -> PlaneLattice:
-    return PlaneLattice(f(lat.b1), f(lat.b2))
+    return PlaneLattice(*map(f, lat.basis()))
 
 
 def zonotopes(field, seed):
