@@ -69,7 +69,7 @@ def _cmd_canon(args) -> int:
 
 def _cmd_verify(args) -> int:
     from .covering import verify_covering
-    poly, tset = jsonio.decode_scene_document(jsonio.load_document(args.scene))
+    poly, tset, _ = jsonio.decode_scene_document(jsonio.load_document(args.scene))
     if tset.is_periodic:
         report = verify_covering(poly, tset)
     else:  # on a windowed scene every geometry error the verifier raises comes from the window
@@ -81,11 +81,9 @@ def _cmd_verify(args) -> int:
 def _cmd_render(args) -> int:
     from .render import render_svg
     window = _parse_window_flag(args.window) if args.window is not None else None  # flag errors first
-    doc = jsonio.load_document(args.scene)
-    poly, tset = jsonio.decode_scene_document(doc)
+    poly, tset, scene_window = jsonio.decode_scene_document(jsonio.load_document(args.scene))
     where = "--window" if window is not None else "lambda.window"
-    if window is None and "window" in doc["lambda"]:
-        window = jsonio.decode_window(doc["lambda"]["window"], where)
+    window = scene_window if window is None else window
     if window is None:
         raise GeometryError("render needs a window (--window or the scene's lambda.window)")
     # refused when the window is empty, or its box is over the enumeration budget

@@ -37,7 +37,8 @@ from .arrangement import Face, Grid, arrangement_faces
 from .errors import FieldError, GeometryError, InternalError, WindowError
 from .field import Field, FieldElement
 from .lattice import (
-    PlaneLattice, PlaneVector, ccw_rows, doubled_area, integer_rows, intersect, lowest_rows, row_cross, vectors_from_rows,
+    PlaneLattice, PlaneVector, ccw_rows, convex_start, doubled_area, integer_rows, intersect, lowest_rows, row_cross,
+    vectors_from_rows,
 )
 
 __all__ = [
@@ -120,11 +121,15 @@ class Polygon:
         return FieldElement.from_integers(self.field, doubled_area(self.field, self.rows), 2 * self.den**2)
 
     def is_simple(self) -> bool:
-        """Whether no two non-adjacent edges meet, by an exact O(n**2) test.
+        """Whether no two non-adjacent edges meet: at once for a strictly
+        convex list (:func:`~zonotile.lattice.convex_start`), else by an
+        exact O(n**2) test of the edge pairs.
 
         The constructor does not run it: polygons built from zonotopes and
         the verification regions are simple by construction, so only a
         vertex list read from a document is checked."""
+        if convex_start(self.field, self.rows) is not None:
+            return True
         edges = list(zip(self.rows, self.rows[1:] + self.rows[:1]))
         n = len(edges)
         for i in range(n):
@@ -208,32 +213,32 @@ def _scene_grid(field: Field, tset: TranslateSet, polygons, box: Box) -> Grid:
 
 def _positions(grid: Grid, tset: TranslateSet, box: Box) -> list:
     """Every translate position in the closed box with its weight, offset
-    by offset and unmerged, as grid points; every lattice's candidates
-    are counted against the budget first.  The grid must hold the box
-    corners and the translate set (``_scene_grid``)."""
+    by offset and unmerged, as grid points.  Each lattice's basis is put
+    on the grid once, for its index ranges and its candidates, and every
+    lattice's candidates are counted against the budget first; one box
+    test keeps listed points and lattice points alike.  The grid must hold
+    the box corners and the translate set (``_scene_grid``)."""
     bounds = x0, y0, x1, y1 = [grid.scale(c.nums, c.den) for c in box]
-    points = grid.rows(tset.rows, tset.den)
+    points = zip(grid.rows(tset.rows, tset.den), tset.weights)
     if tset.is_periodic:
-        parts = [(lat, z, _index_ranges(grid, lat, z, bounds)) for lat, z in zip(tset.lattices, points)]
-        check_budget(sum(max(ahi - alo + 1, 0) * max(bhi - blo + 1, 0) for *_, (alo, ahi, blo, bhi) in parts),
+        parts = [(grid.rows(lat.rows, lat.den), z, k) for lat, (z, k) in zip(tset.lattices, points)]
+        ranges = [_index_ranges(grid, basis, z, bounds) for basis, z, _ in parts]
+        check_budget(sum(max(ahi - alo + 1, 0) * max(bhi - blo + 1, 0) for alo, ahi, blo, bhi in ranges),
                      "lattice points")
-        return [(p, k) for (lat, z, r), k in zip(parts, tset.weights) for p in _lattice_points(grid, lat, z, r, bounds)]
+        points = ((p, k) for (basis, z, k), r in zip(parts, ranges) for p in _lattice_points(basis, z, r))
     below = grid.le
-    return [
-        ((x, y), k) for (x, y), k in zip(points, tset.weights)
-        if below(x0, x) and below(x, x1) and below(y0, y) and below(y, y1)
-    ]
+    return [((x, y), k) for (x, y), k in points if below(x0, x) and below(x, x1) and below(y0, y) and below(y, y1)]
 
 
-def _index_ranges(grid: Grid, lat: PlaneLattice, z, bounds) -> tuple[int, int, int, int]:
+def _index_ranges(grid: Grid, basis, z, bounds) -> tuple[int, int, int, int]:
     """The least and greatest a, then b, of the candidates z + a*b1 + b*b2
-    for the points of lat + z, z a grid point, inside the closed box of
-    the grid bounds x0, y0, x1, y1.
+    inside the closed box of the grid bounds x0, y0, x1, y1, for the
+    lattice basis b1, b2 and the point z on the grid.
 
     The lattice coordinates of a corner less z are cross products of
     numerator tuples over the basis determinant, linear in the corner, so
     the extreme corners by grid order bound the range."""
-    b1, b2 = (grid.scale(row, lat.den) for row in lat.rows)
+    b1, b2 = (x + y for x, y in basis)
     (zx, zy), (x0, y0, x1, y1) = z, bounds
     field = grid.field
     det = row_cross(field, b1, b2)
@@ -250,24 +255,19 @@ def _index_ranges(grid: Grid, lat: PlaneLattice, z, bounds) -> tuple[int, int, i
             *integer_range([row_cross(field, b1, c) for c in corners]))
 
 
-def _lattice_points(grid: Grid, lat: PlaneLattice, z, ranges, bounds) -> list:
-    """The points of lat + z inside the closed box of the bounds, as grid
-    points, row by row in the first coordinate, over the candidates of
-    ``_index_ranges``; each is one integer step of b2 or b1 from the last."""
-    (b1x, b1y), (b2x, b2y) = grid.rows(lat.rows, lat.den)
-    (zx, zy), (x0, y0, x1, y1), (alo, ahi, blo, bhi) = z, bounds, ranges
-    below = grid.le
-    out = []
+def _lattice_points(basis, z, ranges):
+    """The candidates z + a*b1 + b*b2 of ``_index_ranges`` as grid points,
+    for the basis b1, b2 and z on the grid, row by row in a; each is one
+    integer step of b2 or b1 from the last."""
+    ((b1x, b1y), (b2x, b2y)), (zx, zy), (alo, ahi, blo, bhi) = basis, z, ranges
     rx = tuple([c + alo * m + blo * n for c, m, n in zip(zx, b1x, b2x)])
     ry = tuple([c + alo * m + blo * n for c, m, n in zip(zy, b1y, b2y)])
     for _ in range(alo, ahi + 1):
         px, py = rx, ry
         for _ in range(blo, bhi + 1):
-            if below(x0, px) and below(px, x1) and below(y0, py) and below(py, y1):
-                out.append((px, py))
+            yield px, py
             px, py = tuple(map(add, px, b2x)), tuple(map(add, py, b2y))
         rx, ry = tuple(map(add, rx, b1x)), tuple(map(add, ry, b1y))
-    return out
 
 
 class VerifyReport(namedtuple("VerifyReport", "constant multiplicity counterexample cells_checked window_relative")):

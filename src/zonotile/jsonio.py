@@ -404,8 +404,9 @@ def _decode_beta(doc, field: Field | None) -> FieldElement | None:
     return parse_element_text(doc, field, "lambda.beta")
 
 
-def decode_scene_document(doc) -> tuple[Polygon, TranslateSet]:
-    """A scene: polygon + translate set.
+def decode_scene_document(doc) -> tuple[Polygon, TranslateSet, tuple | None]:
+    """A scene: polygon, translate set and ``lambda.window`` (None when
+    absent), which ``render`` draws unless ``--window`` is given.
 
     The optional ``"mode"`` key is accepted only as ``"exact"``, the one
     verification there is.  The covering layer is imported here, so the
@@ -427,10 +428,9 @@ def decode_scene_document(doc) -> tuple[Polygon, TranslateSet]:
         window = decode_window(lam["window"], "lambda.window") if "window" in lam else None
         field = _decode_field(doc) if "field" in doc else None
         beta = _decode_beta(lam.get("beta"), field)
-        return builtin_scene(name, window, beta, where=("lambda.window", "lambda.beta"))
+        return (*builtin_scene(name, window, beta, where=("lambda.window", "lambda.beta")), window)
     field = _decode_field(doc)
-    if "window" in lam:
-        decode_window(lam["window"], "lambda.window")  # verify ignores it, render draws it
+    window = decode_window(lam["window"], "lambda.window") if "window" in lam else None
     poly_doc = doc.get("polygon")
     if poly_doc is None:
         raise GeometryError("scene needs a 'polygon' entry")
@@ -462,7 +462,7 @@ def decode_scene_document(doc) -> tuple[Polygon, TranslateSet]:
     # a part without an offset sits at the origin, which has no term on either axis
     offsets = [part.get("offset", {"x": [], "y": []}) for part in parts]
     rows, den = _read_rows(offsets, field, lambda i: f"lambda.periodic[{i}].offset")
-    return poly, TranslateSet.periodic(field, lattices, rows, den)
+    return poly, TranslateSet.periodic(field, lattices, rows, den), window
 
 
 def encode_scene_builtin(name: str, window, beta) -> dict:

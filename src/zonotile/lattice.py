@@ -53,6 +53,7 @@ __all__ = [
     "vector",
     "doubled_area",
     "ccw_rows",
+    "convex_start",
     "integer_rows",
     "vectors_from_rows",
     "lowest_rows",
@@ -165,6 +166,22 @@ def ccw_rows(field: Field, rows) -> tuple[tuple[int, ...], ...]:
     if not s:
         raise GeometryError("degenerate vertex list")
     return rows if s > 0 else rows[::-1]
+
+
+def convex_start(field: Field, rows) -> int | None:
+    """For a vertex cycle flattened to ``rows``, the index i of the one
+    edge rows[i] -> rows[i + 1] that points upward (y > 0, or y = 0 and
+    x > 0, the half-plane of a zonotope's generators) after an edge that
+    does not, when the cycle turns strictly left at every vertex and has
+    exactly one such step: its edge directions then wind once, so it
+    bounds a strictly convex polygon.  None otherwise; exact and linear."""
+    n = field.size
+    edges = [[b - a for a, b in zip(u, v)] for u, v in zip(rows, [*rows[1:], rows[0]])]
+    if any(field.sign(row_cross(field, e, f)) <= 0 for e, f in zip(edges, [*edges[1:], edges[0]])):
+        return None
+    up = [(field.sign(e[n:]) or field.sign(e[:n])) > 0 for e in edges]
+    starts = [i for i in range(len(edges)) if up[i] and not up[i - 1]]
+    return starts[0] if len(starts) == 1 else None
 
 
 def integer_rows(vectors) -> tuple[list[list[int]], int]:

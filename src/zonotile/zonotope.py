@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .errors import SymmetryError, ZonotopeError
 from .field import Field, FieldElement
-from .lattice import PlaneVector, ccw_rows, integer_rows, lowest_rows, row_cross, vectors_from_rows
+from .lattice import PlaneVector, ccw_rows, convex_start, integer_rows, lowest_rows, row_cross, vectors_from_rows
 
 __all__ = ["Zonotope"]
 
@@ -139,9 +139,8 @@ class Zonotope:
         rows, m = ccw_rows(field, rows), n // 2
         if len({tuple(a + b for a, b in zip(rows[i], rows[i + m])) for i in range(m)}) != 1:
             raise SymmetryError("vertex list is not centrally symmetric")
-        edges = [[b - a for a, b in zip(rows[i], rows[(i + 1) % n])] for i in range(n)]
-        if any(field.sign(row_cross(field, edges[i], edges[(i + 1) % n])) <= 0 for i in range(n)):
+        first = convex_start(field, rows)
+        if first is None:
             raise SymmetryError("vertex list is not strictly convex")
-        up = [(field.sign(e[field.size :]) or field.sign(e[: field.size])) > 0 for e in edges]
-        first = next(i for i in range(n) if up[i] and not up[i - 1])
-        return cls.from_rows(field, [edges[(first + k) % n] for k in range(m)], den)
+        ends = [rows[(first + k) % n] for k in range(m + 1)]
+        return cls.from_rows(field, [[b - a for a, b in zip(u, v)] for u, v in zip(ends, ends[1:])], den)

@@ -515,6 +515,31 @@ class TestRender:
             "a629f0615dc5682401d519dab83450427dd9778c01a7a0838ebad087169a4c30"
         )
 
+    def test_scene_window_decoded_once(self, capsys, tmp_path, monkeypatch):
+        # render without --window draws the window the scene decoder read
+        z2 = {"lattice": jsonio.encode_lattice(PlaneLattice(V(1, 0), V(0, 1)))}
+        square = {"vertices": [jsonio.encode_vector(V(x, y)) for x, y in [(0, 0), (1, 0), (1, 1), (0, 1)]]}
+        scenes = [
+            {"lambda": {"builtin": "octagon-family", "window": ["0", "0", "4", "4"]}},
+            {"field": [], "polygon": square, "lambda": {"periodic": [z2], "window": ["0", "0", "2", "2"]}},
+        ]
+        calls = []
+
+        def spy(doc, where, _decode=jsonio.decode_window):
+            calls.append(where)
+            return _decode(doc, where)
+
+        monkeypatch.setattr(jsonio, "decode_window", spy)
+        for doc in scenes:
+            scene, drawn, flagged = tmp_path / "scene.json", tmp_path / "drawn.svg", tmp_path / "flagged.svg"
+            scene.write_text(json.dumps(doc))
+            calls.clear()
+            assert main(["render", str(scene), "-o", str(drawn)]) == 0
+            assert calls == ["lambda.window"]
+            window = ",".join(doc["lambda"]["window"])
+            assert main(["render", str(scene), "-o", str(flagged), f"--window={window}"]) == 0
+            assert drawn.read_bytes() == flagged.read_bytes()
+
     def test_window_required(self, capsys, tmp_path, octagon_file):
         _, out = run(capsys, ["examples", "octagon-family"])
         scene = tmp_path / "oct.json"
@@ -1229,6 +1254,8 @@ def _square_lattice_scene(polygon):
 
 _CLOCKWISE_REPEAT_AT_0 = _vertices((0, 0), (0, 0), (0, 1), (1, 1), (1, 1), (1, 0))
 _CLOCKWISE_REPEAT_AT_1 = _vertices((0, 1), (1, 1), (1, 1), (1, 0), (0, 0), (0, 0))
+# centrally symmetric and turning left at every vertex, but wound three times
+_OCTAGRAM = _vertices((1, 0), (3, 2), (0, 2), (2, 0), (2, 3), (0, 1), (3, 1), (1, 3))
 
 
 class TestShapeErrors:
@@ -1268,6 +1295,7 @@ class TestShapeErrors:
             ("verify", _square_lattice_scene({"vertices": _CLOCKWISE_REPEAT_AT_0}), "repeated vertex at position 0"),
             ("decide", {"field": [], "vertices": _CLOCKWISE_REPEAT_AT_1}, "repeated vertex at position 1"),
             ("verify", _square_lattice_scene({"vertices": _CLOCKWISE_REPEAT_AT_1}), "repeated vertex at position 1"),
+            ("decide", {"field": [], "vertices": _OCTAGRAM}, "vertex list is not strictly convex"),
         ],
     )
     def test_exits_2_with_its_message(self, capsys, tmp_path, command, doc, message):
@@ -1280,6 +1308,12 @@ class TestShapeErrors:
             shape, where = (doc["polygon"], "polygon.") if "polygon" in doc else (doc, "")
             message = f"error: {where}{'vertices' if 'vertices' in shape else 'generators'}: {message}"
         assert message in err and "Traceback" not in err
+
+    def test_a_polygon_with_neither_list(self, capsys, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(_square_lattice_scene({})))
+        assert main(["verify", str(path)]) == 2
+        assert capsys.readouterr().err == "zonotile: error: scene polygon needs 'vertices' or 'generators'\n"
 
 
 class TestInternalError:

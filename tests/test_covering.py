@@ -30,7 +30,7 @@ from zonotile import (
 from zonotile import arrangement, covering, oracles, patterns
 from zonotile.arrangement import Grid
 from zonotile.covering import MAX_BOX_CANDIDATES, arrangement_faces, region_translates
-from zonotile.lattice import integer_rows, vectors_from_rows
+from zonotile.lattice import convex_start, integer_rows, vectors_from_rows
 from zonotile.patterns import (
     lattice_octagon,
     octagon_strip_lattice,
@@ -128,6 +128,11 @@ class TestPolygonLocate:
         assert locate(sq, V(r2 / 2, r2 - 1 + Fraction(1, 1000), F2)) == 1
 
 
+def _cross(a, b, c):
+    """det(b - a, c - a) of three integer points."""
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
 class TestPolygonSimple:
     def test_simple_polygons(self):
         assert Polygon([V(0, 0), V(1, 0), V(1, 1), V(0, 1)]).is_simple()
@@ -144,6 +149,62 @@ class TestPolygonSimple:
         assert not Polygon([V(0, 0), V(3, 0), V(3, 1), V(2, 0), V(1, 0), V(0, 1)]).is_simple()
         r2 = F2.sqrt(2)
         assert not Polygon([V(0, 0, F2), V(r2, 3, F2), V(r2, 1, F2), V(0, 1, F2)]).is_simple()
+
+    def test_a_convex_list_skips_the_pair_test(self, monkeypatch):
+        # a list that turns left at every vertex and winds once is simple
+        # with no pair of edges tested; the tetromino has reflex vertices
+        # and the octagram winds three times, so their pairs are tested
+        calls = []
+
+        def spy(*args, _meet=covering._segments_meet):
+            calls.append(args)
+            return _meet(*args)
+
+        monkeypatch.setattr(covering, "_segments_meet", spy)
+        parabola = Polygon.from_rows(Q, [(i, i * i) for i in range(2048)], 1)
+        assert parabola.is_simple() and lattice_octagon(F2).is_simple()
+        assert calls == []
+        assert skew_tetromino().is_simple() and calls
+        calls.clear()
+        octagram = [(1, 0), (3, 2), (0, 2), (2, 0), (2, 3), (0, 1), (3, 1), (1, 3)]
+        assert not Polygon([V(x, y) for x, y in octagram]).is_simple() and calls
+
+    def test_convex_start_is_simple_with_every_turn_left(self):
+        # on convex hulls, in order or shuffled, the linear predicate holds
+        # exactly when the pair test finds the list simple and every turn
+        # is strictly left, and it names the first upward edge
+        rng = random.Random(46)
+        seen = {True: 0, False: 0}
+        for _ in range(300):
+            pts = sorted({(rng.randint(0, 6), rng.randint(0, 6)) for _ in range(rng.randint(3, 12))})
+            hull = []
+            for chain in (pts, pts[::-1]):  # Andrew's monotone chain, lower then upper
+                start = len(hull)
+                for p in chain:
+                    while len(hull) >= start + 2 and _cross(hull[-2], hull[-1], p) <= 0:
+                        hull.pop()
+                    hull.append(p)
+                hull.pop()
+            if len(hull) < 3:
+                continue
+            if rng.random() < 0.5:
+                rng.shuffle(hull)
+            try:
+                poly = Polygon([V(x, y) for x, y in hull])
+            except GeometryError:
+                continue
+            rows, n = poly.rows, len(poly.rows)
+            edges = list(zip(rows, rows[1:] + rows[:1]))
+            simple = not any(covering._segments_meet(Q, *edges[i], *edges[j])
+                             for i in range(n) for j in range(i + 2, n if i else n - 1))
+            left = all(_cross(rows[i - 1], rows[i], rows[(i + 1) % n]) > 0 for i in range(n))
+            start = convex_start(Q, rows)
+            assert (start is not None) == (simple and left), hull
+            if start is not None:
+                up = [(dy, dx) > (0, 0) for (ax, ay), (bx, by) in edges for dx, dy in [(bx - ax, by - ay)]]
+                assert up[start] and not up[start - 1]
+            seen[start is not None] += 1
+        assert min(seen.values()) > 50
 
     def test_matches_sympy_segment_intersection(self):
         from sympy import Point, Segment

@@ -4,6 +4,7 @@ the canonical lattice, and multiplicity accounting."""
 import random
 from fractions import Fraction
 from functools import reduce
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -18,6 +19,7 @@ from zonotile import (
     Field,
     FieldElement,
     GeometryError,
+    IncommensurableError,
     PlaneLattice,
     PlaneVector,
     Zonotope,
@@ -462,6 +464,52 @@ class TestCanonicalLattice:
             lp = canonical_lattice(decide_multitiling(z))
             met = intersect(lp.lattice, dec.witness_lattice)
             assert not covolume(met).is_zero()
+
+
+class TestPassingLatticesAreCommensurable:
+    """The paper's last theorem on finite unions.  If lattices L and L'
+    both multi-tile P, then L and L' + z together cover the plane a
+    constant number of times for every z; a convex polygon that is not a
+    parallelogram multi-tiles only periodically, so for such a P every two
+    lattices that pass Bolle's test must be commensurable."""
+
+    def test_every_two_passing_lattices_intersect(self):
+        # the witness of seeded accepted zonotopes with 3 to 5 generators
+        # over Q, Q(sqrt2) and Q(sqrt2, sqrt3), and its index-2 sub- and
+        # superlattices that pass
+        rng = random.Random(22)
+        passing_variants, pairs = {Q: 0, F2: 0, F23: 0}, 0
+        for field in (Q, F2, F23):
+            accepted = 0
+            while accepted < 20:
+                m = rng.randint(3, 5)
+                z = random_zonotope(rng, Q, m) if field is Q else random_irrational_zonotope(rng, field, m)
+                dec = decide_multitiling(z)
+                if not dec.multi_tiles:
+                    continue
+                accepted += 1
+                witness = dec.witness_lattice
+                b1, b2 = witness.basis()
+                variants = [(b1, b2.scale(2)), (b1.scale(2), b2), (b1 + b2, b2.scale(2)),
+                            (b1.scale(H), b2), (b1, b2.scale(H)), ((b1 + b2).scale(H), b2)]
+                passing = [witness] + [lat for lat in (PlaneLattice(u, v) for u, v in variants)
+                                       if bolle_check(z, lat).verdict]
+                passing_variants[field] += len(passing) - 1
+                for lat, other in combinations(passing, 2):
+                    met = intersect(lat, other)
+                    assert all(integer_coords(l, v) is not None for l in (lat, other) for v in met.basis())
+                    pairs += 1
+        # every index-2 sublattice passes, so each field has at least 60
+        assert min(passing_variants.values()) >= 60 and pairs >= 360
+
+    def test_the_parallelogram_needs_no_common_period(self):
+        # the unit square over Q(sqrt2) multi-tiles once with Z^2 and with
+        # Z(1, 0) + Z(sqrt2, 1), which have no common full-rank sublattice
+        z = Zonotope([V(1, 0, F2), V(0, 1, F2)])
+        lattices = [PlaneLattice(V(1, 0, F2), V(0, 1, F2)), PlaneLattice(V(1, 0, F2), V(F2.sqrt(2), 1, F2))]
+        assert [(r.verdict, r.multiplicity) for r in (bolle_check(z, lat) for lat in lattices)] == [(True, 1)] * 2
+        with pytest.raises(IncommensurableError):
+            intersect(*lattices)
 
 
 class TestLatticeMultiplicity:

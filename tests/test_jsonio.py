@@ -305,7 +305,8 @@ class TestSceneDocuments:
             },
             "mode": "exact",
         }
-        poly, tset = jsonio.decode_scene_document(doc)
+        poly, tset, window = jsonio.decode_scene_document(doc)
+        assert window is None
         assert tset.is_periodic and len(tset.lattices) == len(tset.rows) == 2
         assert tset.rows == ((0, 0), (1, 3)) and tset.den == 3
         assert len(poly.vertices) == 8
@@ -318,16 +319,16 @@ class TestSceneDocuments:
             "polygon": {"vertices": [jsonio.encode_vector(V(x, y)) for x, y in square]},
             "lambda": {"periodic": [{"lattice": jsonio.encode_lattice(PlaneLattice(V(1, 0), V(0, 1)))}]},
         }
-        poly, _ = jsonio.decode_scene_document(doc)
+        poly, _, _ = jsonio.decode_scene_document(doc)
         expected = Polygon([V(x, y) for x, y in square])
         assert (poly.vertices, poly.rows, poly.den) == (expected.vertices, expected.rows, expected.den)
         assert [(v.x, v.y) for v in poly.vertices][:2] == [(Fraction(1, 3), 0), (Fraction(1, 3), Fraction(1, 2))]
 
     def test_builtin_scene(self):
         doc = {"lambda": {"builtin": "tetromino-L2", "window": [-6, -6, 6, 6]}}
-        poly, tset = jsonio.decode_scene_document(doc)
+        poly, tset, window = jsonio.decode_scene_document(doc)
         assert not tset.is_periodic
-        assert tset.window == (-6, -6, 6, 6) and tset.field is RATIONALS and tset.den == 1
+        assert window == tset.window == (-6, -6, 6, 6) and tset.field is RATIONALS and tset.den == 1
         # L2: the even points on or below the diagonal, the odd ones above it, column by column
         expected = [(m, n) for m in range(-6, 7) for n in range(-6, 7)
                     if (m % 2 == n % 2 == 0 and m >= n) or (m % 2 == n % 2 == 1 and m < n)]
@@ -341,7 +342,7 @@ class TestSceneDocuments:
                 "beta": [{"monomial": "r2", "num": "1", "den": "1"}],
             },
         }
-        poly, tset = jsonio.decode_scene_document(doc)
+        poly, tset, _ = jsonio.decode_scene_document(doc)
         assert tset.is_periodic
         # the offsets (0, 0) and (sqrt2, 1), numerators of 1 and r2 per axis
         assert tset.rows == ((0, 0, 0, 0), (0, 1, 1, 0)) and tset.den == 1
