@@ -1392,6 +1392,19 @@ class TestInternalError:
             "internal: the faces count 8 but the density count is 7\n"
         )
 
+    def test_no_faces_exits_3(self, capsys, tmp_path, monkeypatch):
+        # every verification region has positive area, so a sweep that
+        # returns no face is a bug in the program, not bad input
+        code, out = run(capsys, ["examples", "octagon-family", "--beta", "1/3"])
+        assert code == 0
+        scene = tmp_path / "scene.json"
+        scene.write_text(out)
+        monkeypatch.setattr(covering, "arrangement_faces", lambda *args: [])
+        assert main(["verify", str(scene)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("zonotile: internal error: ValueError: ")
+
 
 _NUMBERS = st.one_of(
     st.integers(-4, 4).map(str),

@@ -5,6 +5,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from operator import sub
 
 import pytest
 
@@ -133,6 +134,14 @@ def _cross(a, b, c):
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
+def all_pairs_simple(poly):
+    """The reference for ``Polygon.is_simple``: every two non-adjacent edges tested."""
+    rows, n = poly.rows, len(poly.rows)
+    edges = list(zip(rows, rows[1:] + rows[:1]))
+    return not any(covering._segments_meet(poly.field, *edges[i], *edges[j])
+                   for i in range(n) for j in range(i + 2, n if i else n - 1))
+
+
 class TestPolygonSimple:
     def test_simple_polygons(self):
         assert Polygon([V(0, 0), V(1, 0), V(1, 1), V(0, 1)]).is_simple()
@@ -150,24 +159,61 @@ class TestPolygonSimple:
         r2 = F2.sqrt(2)
         assert not Polygon([V(0, 0, F2), V(r2, 3, F2), V(r2, 1, F2), V(0, 1, F2)]).is_simple()
 
-    def test_a_convex_list_skips_the_pair_test(self, monkeypatch):
-        # a list that turns left at every vertex and winds once is simple
-        # with no pair of edges tested; the tetromino has reflex vertices
-        # and the octagram winds three times, so their pairs are tested
+    def test_the_sweep_tests_only_overlapping_non_adjacent_pairs(self, monkeypatch):
+        # the 2,048-vertex parabola, convex or with vertex 1024 raised to a
+        # reflex one, costs at most 2n pair tests; every pair tested shares
+        # no end and has overlapping closed x-ranges; the tetromino, over Q
+        # and carried into Q(sqrt2) with its abscissas out of numerator
+        # tuple order, and the octagram (which winds three times) are
+        # tested, and the octagram is refused
         calls = []
 
-        def spy(*args, _meet=covering._segments_meet):
-            calls.append(args)
-            return _meet(*args)
+        def spy(field, p, q, r, s, _meet=covering._segments_meet):
+            n, key = field.size, field.order_key()
+            lo = max(min(p[:n], q[:n], key=key), min(r[:n], s[:n], key=key), key=key)
+            hi = min(max(p[:n], q[:n], key=key), max(r[:n], s[:n], key=key), key=key)
+            assert not {p, q} & {r, s} and field.sign(tuple(map(sub, hi, lo))) >= 0
+            calls.append((p, q, r, s))
+            return _meet(field, p, q, r, s)
 
         monkeypatch.setattr(covering, "_segments_meet", spy)
-        parabola = Polygon.from_rows(Q, [(i, i * i) for i in range(2048)], 1)
-        assert parabola.is_simple() and lattice_octagon(F2).is_simple()
-        assert calls == []
-        assert skew_tetromino().is_simple() and calls
+        parabola = [(i, i * i) for i in range(2048)]
+        raised = [(x, y + 6144 * (x == 1024)) for x, y in parabola]
+        for rows in (parabola, raised):
+            calls.clear()
+            assert Polygon.from_rows(Q, rows, 1).is_simple() and 0 < len(calls) <= 2 * len(rows)
+        tetromino = skew_tetromino().rows
+        for field, rows in [(Q, tetromino), (F2, [(y, x, y, 0) for x, y in tetromino])]:  # x -> sqrt2*x + y
+            calls.clear()
+            assert Polygon.from_rows(field, rows, 1).is_simple() and calls
         calls.clear()
         octagram = [(1, 0), (3, 2), (0, 2), (2, 0), (2, 3), (0, 1), (3, 1), (1, 3)]
         assert not Polygon([V(x, y) for x, y in octagram]).is_simple() and calls
+
+    def test_matches_the_all_pairs_loop(self):
+        # seeded vertex lists on a small grid, half of them sorted by angle
+        # about their centroid (mostly simple), over Q or carried into
+        # Q(sqrt2) by x -> sqrt2*x (x ties kept) or x -> sqrt2*x + y (none
+        # kept, and the numerator tuples out of order), maps that keep
+        # every incidence
+        rng = random.Random(47)
+        seen = Counter()
+        for _ in range(2000):
+            pts = [(rng.randint(0, 4), rng.randint(0, 4)) for _ in range(rng.randint(3, 8))]
+            if rng.random() < 0.5:
+                cx, cy = sum(x for x, _ in pts) / len(pts), sum(y for _, y in pts) / len(pts)
+                pts.sort(key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
+            field, rows = rng.choice([(Q, pts), (F2, [(0, x, y, 0) for x, y in pts]),
+                                      (F2, [(y, x, y, 0) for x, y in pts])])
+            try:
+                poly = Polygon.from_rows(field, rows, 1)
+            except GeometryError:
+                continue
+            expected = all_pairs_simple(poly)
+            assert poly.is_simple() == expected, (field, pts)
+            seen[field, expected] += 1
+        assert sum(seen.values()) >= 1000 and min(seen[Q, v] + seen[F2, v] for v in (True, False)) >= 200
+        assert min(seen[f, v] for f in (Q, F2) for v in (True, False)) >= 100
 
     def test_convex_start_is_simple_with_every_turn_left(self):
         # on convex hulls, in order or shuffled, the linear predicate holds
@@ -195,8 +241,7 @@ class TestPolygonSimple:
                 continue
             rows, n = poly.rows, len(poly.rows)
             edges = list(zip(rows, rows[1:] + rows[:1]))
-            simple = not any(covering._segments_meet(Q, *edges[i], *edges[j])
-                             for i in range(n) for j in range(i + 2, n if i else n - 1))
+            simple = all_pairs_simple(poly)
             left = all(_cross(rows[i - 1], rows[i], rows[(i + 1) % n]) > 0 for i in range(n))
             start = convex_start(Q, rows)
             assert (start is not None) == (simple and left), hull
@@ -472,6 +517,24 @@ class TestVerifyCovering:
         faces = arrangement_faces(poly, *region_translates(poly, tset, region), region)
         assert faces and all(face.count == covering_at(poly, tset, face.sample) for face in faces)
         assert verify_covering(poly, tset).multiplicity == 14
+
+    def test_period_lattice_intersects_each_distinct_lattice_once(self, monkeypatch):
+        # parts that share one lattice need no intersection: 2,048 parts on
+        # Z^2 offset by (i, 0), and the octagon family's two parts
+        calls = []
+
+        def spy(*args, _intersect=covering.intersect):
+            calls.append(args)
+            return _intersect(*args)
+
+        monkeypatch.setattr(covering, "intersect", spy)
+        z2 = PlaneLattice(V(1, 0), V(0, 1))
+        tset = TranslateSet.periodic(Q, [z2] * 2048, [(i, 0) for i in range(2048)], 1)
+        square = Polygon([V(0, 0), V(1, 0), V(1, 1), V(0, 1)])
+        assert tset.period_lattice() == z2 and verify_covering(square, tset).multiplicity == 2048
+        poly, ts = builtin_scene("octagon-family", beta=Fraction(1, 3))
+        assert len(ts.lattices) == 2 and verify_covering(poly, ts).multiplicity == 7
+        assert calls == []
 
     def test_octagon_single_lattice_not_constant(self):
         report = verify_covering(lattice_octagon(), single(octagon_strip_lattice()))
