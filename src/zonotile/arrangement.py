@@ -67,11 +67,12 @@ its right order swaps exactly those pairs, the only ones intersected,
 and files each under the cut where it crosses; at each cut an insertion
 pass swaps just the pairs filed there, so no height is evaluated and no
 value sorted inside a slab.  Region: the region is convex, so exactly
-one lower and one upper region edge span a slab.  Region edges are built
-first, so a slab's first two lines are theirs, and walking up the ladder
-each of the two toggles "inside": the faces kept are exactly those
-strictly inside the region.  A region line may also hold translate
-edges in slabs its region edge does not span; there it toggles nothing.
+one lower and one upper region edge span a slab.  The region is filed
+first, as a weight-0 translate at the origin, so a slab's first two
+lines are theirs, and walking up the ladder each of the two toggles
+"inside": the faces kept are exactly those strictly inside the region.
+A region line may also hold translate edges in slabs its region edge
+does not span; there it toggles nothing.
 """
 
 from __future__ import annotations
@@ -131,7 +132,7 @@ def _ranks(values, key) -> dict[tuple[int, ...], int]:
 
 class _Segment:
     """One line of the arrangement, built once for all the region and
-    translate edges on it; ``ends`` are the grid points of the first.
+    translate edges on it.
 
     The sign of an edge's dx and its slope come from :func:`_direction`; a
     translate edge takes them from the polygon edge it translates.
@@ -139,13 +140,13 @@ class _Segment:
     M and ``base`` the numerators of the height at abscissa 0 over
     ``den`` = D*M, so (rise, base) identifies the line, and the height at
     a grid abscissa X is base + X*rise, one product of numerator tuples;
-    :meth:`height` gives it at any abscissa.  No field element is kept,
-    and no weight: each slab holds its lines' summed weights."""
+    :meth:`height` gives it at any abscissa.  No endpoint, field element
+    or weight is kept: each slab holds its lines' summed weights."""
 
-    __slots__ = ("grid", "ends", "rise", "base", "den")
+    __slots__ = ("grid", "rise", "base", "den")
 
-    def __init__(self, grid: Grid, ends, rise, base, m: int):
-        self.grid, self.ends = grid, ends
+    def __init__(self, grid: Grid, rise, base, m: int):
+        self.grid = grid
         self.rise, self.base, self.den = rise, base, grid.den * m
 
     def height(self, x: FieldElement) -> tuple[tuple[int, ...], int]:
@@ -305,10 +306,11 @@ def arrangement_faces(poly: Polygon, grid: Grid, translates, region: Polygon) ->
 
     A face is in the region when it lies between the region's edges: the
     region is convex, so exactly one lower and one upper region edge span
-    a slab, and the faces inside are those between them.  Region edges
-    are built first, so a slab's first two lines are those of its region
-    edges, and walking up the ladder each of the two toggles "inside"; a
-    region line toggles nothing in a slab its region edge does not span.
+    a slab, and the faces inside are those between them.  The region is
+    filed first, as a weight-0 translate at the origin, so a slab's first
+    two lines are those of its region edges, and walking up the ladder
+    each of the two toggles "inside"; a region line toggles nothing in a
+    slab its region edge does not span.
     Which edge a line was built for does not change a face: the line's
     edges are collinear."""
     corners, shape = grid.rows(region.rows, region.den), grid.rows(poly.rows, poly.den)
@@ -336,9 +338,9 @@ def arrangement_faces(poly: Polygon, grid: Grid, translates, region: Polygon) ->
     product = grid.field.product
 
     def live(vs, dirs):
-        """The live edges of an outline: both ends, the sign of dx, the
-        slope numerators, the height numerators at abscissa 0 and the
-        slabs spanned."""
+        """The live edges of an outline: the sign of dx, the slope
+        numerators, the height numerators at abscissa 0 and the slabs
+        spanned."""
         rs = [rank[x] for x, _ in vs]
         out = []
         for i, (dx, rise) in enumerate(dirs):
@@ -347,27 +349,22 @@ def arrangement_faces(poly: Polygon, grid: Grid, translates, region: Polygon) ->
             if dx and lo < last and hi > first:
                 x, y = vs[i]
                 base = tuple(map(sub, [n * m for n in y], product(x, rise)))
-                out.append((vs[i], vs[j], dx, rise, base, spanning[max(lo, first) - first : min(hi, last) - first]))
+                out.append((dx, rise, base, spanning[max(lo, first) - first : min(hi, last) - first]))
         return out
 
     # one segment per line, looked up by (rise, base) and built for the
-    # first edge on it; the region's edges come first and weigh 0, so a
-    # slab's first two lines are those of the region edges spanning it
+    # first edge on it; a translate moves a column's edges up by ly, and
+    # their bases by ly*M.  The region is filed first, as a translate at
+    # the origin with weight 0 in a column of its own (None), so a slab's
+    # first two lines are those of the region edges spanning it
+    edges = {None: live(corners, region_dirs)} | {lx: live(vs, poly_dirs) for lx, vs in columns.items()}
     lines: dict[tuple, _Segment] = {}
-    for p, q, _, rise, base, slabs in live(corners, region_dirs):
-        if (line := lines.get((rise, base))) is None:
-            line = lines[rise, base] = _Segment(grid, (p, q), rise, base, m)
-        for slab in slabs:
-            slab[line] = 0
-    # a translate moves a column's edges up by ly, and their bases by ly*M
-    edges = {lx: live(vs, poly_dirs) for lx, vs in columns.items()}
-    for (lx, ly), mult in translates:
+    for (lx, ly), mult in [((None, (0,) * grid.field.size), 0), *translates]:
         lift = [n * m for n in ly]
-        for (px, py), (qx, qy), dx, rise, base, slabs in edges[lx]:
+        for dx, rise, base, slabs in edges[lx]:
             key = rise, tuple(map(add, base, lift))
             if (line := lines.get(key)) is None:
-                ends = (px, tuple(map(add, py, ly))), (qx, tuple(map(add, qy, ly)))
-                line = lines[key] = _Segment(grid, ends, *key, m)
+                line = lines[key] = _Segment(grid, *key, m)
             weight = dx * mult
             for slab in slabs:
                 slab[line] = slab.get(line, 0) + weight

@@ -147,23 +147,23 @@ def _orient(field: Field, a, b, c) -> int:
 
 
 def _segments_meet(field: Field, p, q, r, s) -> bool:
-    """Whether the closed segments pq and rs, ends given as rows, meet."""
+    """Whether the closed segments pq and rs, ends given as rows, meet:
+    not when one lies strictly on one side of the other's line."""
     d1, d2 = _orient(field, r, s, p), _orient(field, r, s, q)
+    if d1 * d2 > 0:
+        return False
     d3, d4 = _orient(field, p, q, r), _orient(field, p, q, s)
-    if d1 * d2 < 0 and d3 * d4 < 0:
+    if d3 * d4 > 0:
+        return False
+    if d1 or d2 or d3 or d4:  # distinct lines, each segment reaching their common point
         return True
     n = field.size
 
-    def on(a, b, c):  # c on the segment ab, given that the three are collinear
+    def on(a, b, c):  # c on the segment ab; all four ends are collinear
         ca, cb = [x - y for x, y in zip(c, a)], [x - y for x, y in zip(c, b)]
         return field.sign(tuple(map(add, field.product(ca[:n], cb[:n]), field.product(ca[n:], cb[n:])))) <= 0
 
-    return (
-        (d1 == 0 and on(r, s, p))
-        or (d2 == 0 and on(r, s, q))
-        or (d3 == 0 and on(p, q, r))
-        or (d4 == 0 and on(p, q, s))
-    )
+    return on(r, s, p) or on(r, s, q) or on(p, q, r) or on(p, q, s)
 
 
 class TranslateSet:

@@ -3,7 +3,7 @@ constancy verification, strips, and the builtin scenes."""
 
 import math
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 from operator import sub
 
@@ -165,23 +165,35 @@ class TestPolygonSimple:
         # no end and has overlapping closed x-ranges; the tetromino, over Q
         # and carried into Q(sqrt2) with its abscissas out of numerator
         # tuple order, and the octagram (which winds three times) are
-        # tested, and the octagram is refused
-        calls = []
+        # tested, and the octagram is refused.  On the two parabolas and
+        # the octagon each pair tested lies strictly on one side of the
+        # other's line, so it takes exactly 2 orientations
+        calls, orients = [], []
 
         def spy(field, p, q, r, s, _meet=covering._segments_meet):
             n, key = field.size, field.order_key()
             lo = max(min(p[:n], q[:n], key=key), min(r[:n], s[:n], key=key), key=key)
             hi = min(max(p[:n], q[:n], key=key), max(r[:n], s[:n], key=key), key=key)
             assert not {p, q} & {r, s} and field.sign(tuple(map(sub, hi, lo))) >= 0
-            calls.append((p, q, r, s))
-            return _meet(field, p, q, r, s)
+            before = len(orients)
+            meet = _meet(field, p, q, r, s)
+            calls.append(len(orients) - before)
+            return meet
+
+        def orient_spy(field, a, b, c, _orient=covering._orient):
+            orients.append((a, b, c))
+            return _orient(field, a, b, c)
 
         monkeypatch.setattr(covering, "_segments_meet", spy)
+        monkeypatch.setattr(covering, "_orient", orient_spy)
         parabola = [(i, i * i) for i in range(2048)]
         raised = [(x, y + 6144 * (x == 1024)) for x, y in parabola]
         for rows in (parabola, raised):
             calls.clear()
             assert Polygon.from_rows(Q, rows, 1).is_simple() and 0 < len(calls) <= 2 * len(rows)
+            assert set(calls) == {2}
+        calls.clear()
+        assert lattice_octagon().is_simple() and set(calls) == {2}
         tetromino = skew_tetromino().rows
         for field, rows in [(Q, tetromino), (F2, [(y, x, y, 0) for x, y in tetromino])]:  # x -> sqrt2*x + y
             calls.clear()
@@ -271,6 +283,43 @@ class TestPolygonSimple:
             assert poly.is_simple() == expected, pts
             seen[expected] += 1
         assert min(seen.values()) > 10
+
+    def test_segments_meet_matches_sympy(self):
+        # seeded endpoint quadruples with coordinates a + b*sqrt2 on small
+        # integers (b = 0 over Q), the draws cycling through general
+        # segments, a shared end, four collinear ends (p + t*(q - p)) and a
+        # point segment; sympy simplifies every radical exactly, about
+        # 0.2 s a pair over Q(sqrt2), so that field gets fewer draws
+        from sympy import Point, Segment, sqrt
+
+        rng = random.Random(50)
+        kinds = ["general", "shared end", "collinear", "point"]
+        seen = Counter()
+
+        def point(field):  # each coordinate as its (a, b)
+            return tuple((rng.randint(-2, 3), rng.randint(-1, 1) if field is F2 else 0) for _ in "xy")
+
+        for field, draws in [(Q, 600), (F2, 16)]:
+            for i in range(draws):
+                p, q, r, s = (point(field) for _ in range(4))
+                kind = kinds[i % len(kinds)]
+                if kind == "shared end":
+                    r = rng.choice([p, q])
+                elif kind == "collinear":
+                    r, s = (tuple(tuple(a + t * (b - a) for a, b in zip(pc, qc)) for pc, qc in zip(p, q))
+                            for t in (rng.randint(-3, 4), rng.randint(-3, 4)))
+                elif kind == "point":  # pq or rs
+                    q, s = (p, s) if rng.random() < 0.5 else (q, r)
+                ends = [Point(*(a + b * sqrt(2) for a, b in pt)) for pt in (p, q, r, s)]
+                expected = bool(Segment(*ends[:2]).intersection(Segment(*ends[2:])))
+                rows = [tuple(c[k] for c in pt for k in range(field.size)) for pt in (p, q, r, s)]
+                assert covering._segments_meet(field, *rows) == expected, (field, p, q, r, s)
+                seen[field, kind, expected] += 1
+        for field, least in [(Q, 100), (F2, 4)]:
+            assert min(sum(seen[field, k, v] for k in kinds) for v in (True, False)) >= least
+            # touching ends, collinear overlapping and disjoint, point segments
+            assert seen[field, "shared end", True] and seen[field, "collinear", True]
+            assert seen[field, "collinear", False] and seen[field, "point", False]
 
 
 class TestLatticePointsInBox:
@@ -874,23 +923,29 @@ class TestArrangementEvents:
             calls.clear()
 
     def test_corner_heights_are_the_edge_heights(self):
-        # _Segment.height reads the grid; the oracle evaluates the edge
-        # with field arithmetic from its endpoints
-        def y_at(segment, x):
-            p, q = (grid_vector(segment.grid, end) for end in segment.ends)
+        # _Segment.height reads the grid; the oracle builds every region
+        # edge and every translate edge (a polygon vertex plus a
+        # translate) from field-element endpoints, and a face's lower and
+        # upper heights at x0 and at x1 are one such edge's, evaluated with
+        # field arithmetic.  The edges are looked up by their line, as its
+        # slope and its height at abscissa 0
+        def y_at(p, q, x):
             return p.y + (x - p.x) * (q.y - p.y) / (q.x - p.x)
 
         for poly, tset, region in arrangement_event_scenes():
-            for f in arrangement_faces(poly, *region_translates(poly, tset, region), region):
-                expected = [
-                    y_at(f.lower, f.x0),
-                    y_at(f.lower, f.x1),
-                    y_at(f.upper, f.x1),
-                    y_at(f.upper, f.x0),
-                ]
-                heights = [f.lower.height(f.x0), f.lower.height(f.x1), f.upper.height(f.x1), f.upper.height(f.x0)]
-                got = [FieldElement.from_integers(poly.field, *h) for h in heights]
-                assert got == expected
+            grid, translates = region_translates(poly, tset, region)
+            moved = [grid_vector(grid, p) for p, _ in translates]
+            by_line = defaultdict(list)
+            for p, q in edges(region) + [(a + t, b + t) for t in moved for a, b in edges(poly)]:
+                if p.x != q.x:
+                    slope = (q.y - p.y) / (q.x - p.x)
+                    by_line[slope, p.y - slope * p.x].append((p, q))
+            for f in arrangement_faces(poly, grid, translates, region):
+                for line in (f.lower, f.upper):
+                    y0, y1 = (FieldElement.from_integers(poly.field, *line.height(x)) for x in (f.x0, f.x1))
+                    slope = (y1 - y0) / (f.x1 - f.x0)
+                    found = by_line[slope, y0 - slope * f.x0]
+                    assert any(y_at(p, q, f.x0) == y0 and y_at(p, q, f.x1) == y1 for p, q in found)
 
 
 class TestCollinearLines:
